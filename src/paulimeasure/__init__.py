@@ -1,8 +1,7 @@
 """Measurement grouping and Clifford compilation for qubit Hamiltonians."""
 
 from .pauli import (DROP_TOLERANCE, Hamiltonian, HamiltonianFormatError,
-                    PauliProduct, PauliSum, SymplecticVector, commutes, multiply,
-                    parse_hamiltonian, qwc, serialize_hamiltonian, symplectic_inner)
+                    PauliProduct, PauliSum, parse_hamiltonian, serialize_hamiltonian)
 from .grouping import (CliqueCover, CompatGraph, CoverReport, CoverStats,
                        build_graph, compute_cover, cover_exact, cover_greedy,
                        cover_rlf, cover_stats, cover_to_dict, validate_cover)
@@ -18,8 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DROP_TOLERANCE", "Hamiltonian", "HamiltonianFormatError", "PauliProduct",
-    "PauliSum", "SymplecticVector", "commutes", "multiply", "parse_hamiltonian",
-    "qwc", "serialize_hamiltonian", "symplectic_inner",
+    "PauliSum", "parse_hamiltonian", "serialize_hamiltonian",
     "CliqueCover", "CompatGraph", "CoverReport", "CoverStats", "build_graph",
     "compute_cover", "cover_exact", "cover_greedy", "cover_rlf", "cover_stats",
     "cover_to_dict", "validate_cover",

@@ -36,17 +36,11 @@ class Gate:
 
 @dataclass(frozen=True)
 class CliffordCircuit:
-    """Gate list applied left to right, with global phase e^(i pi/4 k).
-
-    n_sigma_exponents / n_tau_exponents record the pre-decomposition exponent
-    structure when the circuit came out of synthesize().
-    """
+    """Gate list applied left to right, with global phase e^(i pi/4 k)."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
     global_phase_exp: int = 0
-    n_sigma_exponents: int = 0
-    n_tau_exponents: int = 0
 
     def __post_init__(self) -> None:
         for g in self.gates:
@@ -133,17 +127,13 @@ def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
             part = decompose_exponent(exp)
             gates.extend(part.gates)
             phase += part.global_phase_exp
-    return CliffordCircuit(n, tuple(gates), phase,
-                           n_sigma_exponents=2 * n, n_tau_exponents=n)
+    return CliffordCircuit(n, tuple(gates), phase)
 
 
 def gate_counts(c: CliffordCircuit) -> dict[str, int]:
-    """CNOT count of the decomposed circuit plus the exponent structure."""
-    return {
-        "cnots": sum(1 for g in c.gates if g.name == "CNOT"),
-        "singles": c.n_sigma_exponents,
-        "pauli_exponents": c.n_tau_exponents,
-    }
+    """CNOT and single-qubit gate counts of the circuit."""
+    cnots = sum(1 for g in c.gates if g.name == "CNOT")
+    return {"cnots": cnots, "single_qubit": len(c.gates) - cnots}
 
 
 def circuit_to_dict(c: CliffordCircuit) -> dict:
@@ -154,9 +144,32 @@ def circuit_to_dict(c: CliffordCircuit) -> dict:
     }
 
 
+_JSON_KINDS = {int: "an integer", str: "a string", list: "an array",
+               dict: "an object", (int, float): "a number"}
+
+
+def _field(obj, key: str, kind, item=None):
+    """``obj[key]`` after checking that obj is a JSON object and the value
+    has type kind (every element exactly of type item, for arrays);
+    ValueError otherwise. Booleans never pass as numbers."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object with key {key!r}")
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{key!r} must be {_JSON_KINDS[kind]}")
+    if item is not None and not all(type(v) is item for v in value):
+        raise ValueError(f"{key!r} items must each be {_JSON_KINDS[item]}")
+    return value
+
+
 def circuit_from_dict(d: dict) -> CliffordCircuit:
-    gates = tuple(Gate(g["name"], tuple(g["qubits"])) for g in d["gates"])
-    return CliffordCircuit(int(d["n_qubits"]), gates, int(d["global_phase_exp"]))
+    """Inverse of circuit_to_dict; ValueError names the first bad field."""
+    gates = tuple(Gate(_field(g, "name", str), tuple(_field(g, "qubits", list, int)))
+                  for g in _field(d, "gates", list))
+    return CliffordCircuit(_field(d, "n_qubits", int), gates,
+                           _field(d, "global_phase_exp", int))
 
 
 def circuit_to_text(c: CliffordCircuit) -> str:

@@ -11,7 +11,7 @@ import numpy as np
 from . import verify
 from .gf2 import InconsistentSystemError
 from .grouping import (DEFAULT_EXACT_CAP, METHODS, RELATIONS, build_graph,
-                       compute_cover, cover_stats, cover_to_dict, validate_cover)
+                       compute_cover, cover_stats, cover_to_dict)
 from .pauli import (DROP_TOLERANCE, Hamiltonian, HamiltonianFormatError,
                     PauliProduct, parse_hamiltonian)
 from .transform import (MeasurementPlan, TransformError, build_unitary_symbolic,
@@ -42,12 +42,7 @@ def _json_dumps(obj) -> str:
 
 def cmd_group(args: argparse.Namespace) -> int:
     h = _read_hamiltonian(args.input, args.tolerance)
-    graph = build_graph(h, args.relation, parallel=args.parallel)
-    cover = compute_cover(graph, args.method, args.exact_cap)
-    report = validate_cover(h, cover, args.relation)
-    if not report.valid:
-        raise TransformError("produced cover failed validation: "
-                             + "; ".join(report.violations))
+    cover = compute_cover(build_graph(h, args.relation), args.method, args.exact_cap)
     if args.format == "json":
         _write_text(None, _json_dumps(cover_to_dict(cover)))
         return 0
@@ -69,29 +64,50 @@ def cmd_transform(args: argparse.Namespace) -> int:
     if args.relation != "fc":
         raise ValueError("transform requires fc")
     h = _read_hamiltonian(args.input, args.tolerance)
-    graph = build_graph(h, "fc", parallel=args.parallel)
-    cover = compute_cover(graph, args.method, args.exact_cap)
+    cover = compute_cover(build_graph(h, "fc"), args.method, args.exact_cap)
     plan = pipeline(h, cover)
     _write_text(args.output, _json_dumps(plan_to_dict(plan)))
     return 0
 
 
-def _verify_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, bool, str]]:
-    """Run the oracle suite on a plan; returns (name, passed, detail) rows."""
+def _verify_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, str]]:
+    """Run the oracle suite on a plan; returns (name, status, detail) rows.
+
+    The status is "pass", "fail", or "skip" for a dense check above its
+    qubit cap.
+    """
     n = plan.n_qubits
     rng = np.random.default_rng(_EXPECTATION_SEED)
-    results: list[tuple[str, bool, str]] = []
+    results: list[tuple[str, str, str]] = []
 
-    def add(name: str, passed: bool, detail: str = "") -> None:
-        results.append((name, passed, detail))
+    def add(name: str, status: str, detail: str = "") -> None:
+        results.append((name, status, detail))
 
     def per_group(name: str, fn) -> None:
         for gi, entry in enumerate(plan.groups):
             ok, detail = fn(gi, entry)
             if not ok:
-                add(name, False, f"group {gi}: {detail}")
+                add(name, "fail", f"group {gi}: {detail}")
                 return
-        add(name, True)
+        add(name, "pass")
+
+    def skip(name: str) -> None:
+        add(name, "skip", f"skipped: {n} qubits exceed cap")
+
+    def check_partition() -> str:
+        """Every term in exactly one group; O(terms), no pairwise pass."""
+        times = [0] * len(h.terms)
+        for entry in plan.groups:
+            for i in entry.transform.term_indices:
+                times[i] += 1
+        missing = [i for i, k in enumerate(times) if k == 0]
+        repeated = [i for i, k in enumerate(times) if k > 1]
+        problems = []
+        if missing:
+            problems.append(f"{len(missing)} terms in no group, first {missing[0]}")
+        if repeated:
+            problems.append(f"{len(repeated)} terms in several groups, first {repeated[0]}")
+        return "; ".join(problems)
 
     def group_hamiltonian(entry) -> Hamiltonian:
         return Hamiltonian(n, tuple(h.terms[i] for i in entry.transform.term_indices))
@@ -152,13 +168,15 @@ def _verify_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, boo
                                             trials=_EXPECTATION_TRIALS, rng=rng)
         return dev <= 1e-9, f"deviation {dev:.2e}"
 
+    problems = check_partition()
+    add("groups partition the terms", "fail" if problems else "pass", problems)
     per_group("basis invariants", check_basis)
     per_group("transformed groups qubit-wise commuting", check_qwc)
     per_group("coefficient magnitudes preserved", check_coeffs)
     if n <= verify.MAX_SPECTRUM_QUBITS:
         per_group("spectra preserved (tol 1e-9)", check_spectra)
     else:
-        add("spectra preserved (tol 1e-9)", True, f"skipped: {n} qubits exceed cap")
+        skip("spectra preserved (tol 1e-9)")
     if n <= verify.MAX_EXPECTATION_QUBITS:
         per_group("conjugated group matches transform (tol 1e-9)", check_conjugation)
         per_group("unitarity (tol 1e-10)", check_unitarity)
@@ -169,7 +187,7 @@ def _verify_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, boo
                      "unitarity (tol 1e-10)",
                      "circuit matches symbolic unitary (tol 1e-10)",
                      "expectation values invariant (tol 1e-9)"):
-            add(name, True, f"skipped: {n} qubits exceed cap")
+            skip(name)
     return results
 
 
@@ -185,15 +203,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise ValueError(f"plan group {gi}: term index {i} out of range")
     results = _verify_checks(h, plan)
     if args.format == "json":
-        payload = {"checks": [{"name": name, "passed": passed, "detail": detail}
-                              for name, passed, detail in results]}
+        payload = {"checks": [{"name": name, "status": status,
+                               "passed": status == "pass", "detail": detail}
+                              for name, status, detail in results]}
         _write_text(None, _json_dumps(payload))
     else:
-        for name, passed, detail in results:
-            status = "PASS" if passed else "FAIL"
+        for name, status, detail in results:
             suffix = f" ({detail})" if detail else ""
-            print(f"{status} {name}{suffix}")
-    return 0 if all(passed for _, passed, _ in results) else 1
+            print(f"{status.upper()} {name}{suffix}")
+    # A skipped check is not a failure: exit 1 only when some check fails.
+    return 1 if any(status == "fail" for _, status, _ in results) else 0
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -233,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coefficient drop tolerance on ingest")
         p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
                        help="vertex bound for the exact method")
-        p.add_argument("--parallel", action="store_true",
-                       help="evaluate pairwise predicates in parallel")
 
     p_group = sub.add_parser("group", help="partition terms into compatible groups")
     p_group.add_argument("input", help="Hamiltonian file, or - for stdin")

@@ -1,13 +1,11 @@
 """GF(2) linear algebra on bit-packed symplectic vectors.
 
 Vectors are plain ints with 2N significant bits: x-block in bits [0, N),
-z-block in bits [N, 2N), matching SymplecticVector.packed. Matrices are
+z-block in bits [N, 2N), matching PauliProduct.packed. Matrices are
 lists of such row ints.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class InconsistentSystemError(ValueError):
@@ -173,45 +171,7 @@ def is_isotropic(rows: list[int], n_qubits: int) -> bool:
                for i in range(len(rows)) for j in range(i + 1, len(rows)))
 
 
-def is_coisotropic(rows: list[int], n_qubits: int) -> bool:
-    comp = symplectic_complement(rows, n_qubits)
-    return all(in_span(rows, 2 * n_qubits, v) for v in comp)
-
-
 def is_lagrangian(rows: list[int], n_qubits: int) -> bool:
     return (len(rows) == n_qubits
             and is_independent(rows, 2 * n_qubits)
             and is_isotropic(rows, n_qubits))
-
-
-def subspaces_equal(a: list[int], b: list[int], n_cols: int) -> bool:
-    """Span equality by mutual membership, not basis comparison."""
-    return (all(in_span(a, n_cols, v) for v in b)
-            and all(in_span(b, n_cols, v) for v in a))
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Independent spanning set with its symplectic classification."""
-
-    n_qubits: int
-    vectors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not is_independent(list(self.vectors), 2 * self.n_qubits):
-            raise ValueError("basis vectors are linearly dependent")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    def kind(self) -> str:
-        vecs = list(self.vectors)
-        iso = is_isotropic(vecs, self.n_qubits)
-        if iso and self.dim == self.n_qubits:
-            return "lagrangian"
-        if iso:
-            return "isotropic"
-        if is_coisotropic(vecs, self.n_qubits):
-            return "coisotropic"
-        return "general"

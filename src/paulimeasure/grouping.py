@@ -8,8 +8,6 @@ complement adjacency is derived on the fly and never materialized.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .pauli import Hamiltonian
@@ -18,7 +16,6 @@ RELATIONS = ("fc", "qwc")
 METHODS = ("gc", "lf", "sl", "dsatur", "rlf", "exact")
 
 DEFAULT_EXACT_CAP = 64
-_PARALLEL_MIN_VERTICES = 256
 
 
 @dataclass(frozen=True)
@@ -77,27 +74,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _relation_rows(xs: list[int], zs: list[int], relation: str,
-                   lo: int, hi: int) -> list[int]:
-    rows = []
-    qwc_rel = relation == "qwc"
-    for i in range(lo, hi):
-        xi, zi, si = xs[i], zs[i], xs[i] | zs[i]
-        row = 0
-        for j in range(len(xs)):
-            if j == i:
-                continue
-            if qwc_rel:
-                ok = (((xi ^ xs[j]) | (zi ^ zs[j])) & si & (xs[j] | zs[j])) == 0
-            else:
-                ok = ((xi & zs[j]).bit_count() + (zi & xs[j]).bit_count()) % 2 == 0
-            if ok:
-                row |= 1 << j
-        rows.append(row)
-    return rows
-
-
-def build_graph(h: Hamiltonian, relation: str, parallel: bool = False) -> CompatGraph:
+def build_graph(h: Hamiltonian, relation: str) -> CompatGraph:
     """Connect term pairs satisfying the commutation relation ("fc" or "qwc")."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
@@ -106,18 +83,21 @@ def build_graph(h: Hamiltonian, relation: str, parallel: bool = False) -> Compat
         raise ValueError("no terms")
     xs = [p.x for _, p in h.terms]
     zs = [p.z for _, p in h.terms]
-    if parallel and n >= _PARALLEL_MIN_VERTICES:
-        workers = os.cpu_count() or 1
-        chunk = math.ceil(n / workers)
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_relation_rows, xs, zs, relation, lo, hi)
-                       for lo, hi in bounds]
-            adj: list[int] = []
-            for fut in futures:
-                adj.extend(fut.result())
-    else:
-        adj = _relation_rows(xs, zs, relation, 0, n)
+    qwc_rel = relation == "qwc"
+    adj = []
+    for i in range(n):
+        xi, zi, si = xs[i], zs[i], xs[i] | zs[i]
+        row = 0
+        for j in range(n):
+            if j == i:
+                continue
+            if qwc_rel:
+                ok = (((xi ^ xs[j]) | (zi ^ zs[j])) & si & (xs[j] | zs[j])) == 0
+            else:
+                ok = ((xi & zs[j]).bit_count() + (zi & xs[j]).bit_count()) % 2 == 0
+            if ok:
+                row |= 1 << j
+        adj.append(row)
     return CompatGraph(n, relation, tuple(adj))
 
 

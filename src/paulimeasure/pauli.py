@@ -84,8 +84,9 @@ class PauliProduct:
         return cls(n_qubits, x, z, 0)
 
     @classmethod
-    def from_symplectic(cls, vec: SymplecticVector) -> PauliProduct:
-        return cls(vec.n_qubits, vec.x, vec.z, 0)
+    def from_packed(cls, packed: int, n_qubits: int) -> PauliProduct:
+        """Phase-free product whose GF(2) row is ``packed``."""
+        return cls(n_qubits, packed & ((1 << n_qubits) - 1), packed >> n_qubits)
 
     def axis(self, qubit: int) -> str:
         return _AXIS_FROM_BITS[((self.x >> qubit) & 1, (self.z >> qubit) & 1)]
@@ -98,9 +99,13 @@ class PauliProduct:
                  if (self.support >> q) & 1]
         return " ".join(parts) if parts else "I"
 
-    def to_symplectic(self) -> SymplecticVector:
-        """Binary image of the product; the phase is discarded."""
-        return SymplecticVector(self.n_qubits, self.x, self.z)
+    @property
+    def packed(self) -> int:
+        """GF(2) row ``x | z << n``: x-block in bits [0, N), z-block in [N, 2N).
+
+        The phase is discarded.
+        """
+        return self.x | (self.z << self.n_qubits)
 
     @property
     def support(self) -> int:
@@ -114,7 +119,10 @@ class PauliProduct:
         return self.x == 0 and self.z == 0 and self.phase_exp == 0
 
     def commutes_with(self, other: PauliProduct) -> bool:
-        return symplectic_inner(self.to_symplectic(), other.to_symplectic()) == 0
+        """Zero symplectic form: an even number of anticommuting qubits."""
+        if other.n_qubits != self.n_qubits:
+            raise ValueError("qubit-count mismatch")
+        return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     def qwc_with(self, other: PauliProduct) -> bool:
         if other.n_qubits != self.n_qubits:
@@ -138,60 +146,6 @@ class PauliProduct:
 
     def __repr__(self) -> str:
         return f"PauliProduct({self.to_label()!r}, phase_exp={self.phase_exp})"
-
-
-@dataclass(frozen=True)
-class SymplecticVector:
-    """Length-2N GF(2) vector: x-block in bits [0, N), z-block in bits [N, 2N)."""
-
-    n_qubits: int
-    x: int
-    z: int
-
-    def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        mask = (1 << self.n_qubits) - 1
-        if self.x & ~mask or self.z & ~mask:
-            raise ValueError("bits outside qubit range")
-
-    @property
-    def packed(self) -> int:
-        return self.x | (self.z << self.n_qubits)
-
-    @classmethod
-    def from_packed(cls, packed: int, n_qubits: int) -> SymplecticVector:
-        mask = (1 << n_qubits) - 1
-        return cls(n_qubits, packed & mask, packed >> n_qubits)
-
-    def bits(self) -> tuple[int, ...]:
-        """Components as 0/1 ints, x-block first."""
-        return tuple((self.packed >> i) & 1 for i in range(2 * self.n_qubits))
-
-    def __xor__(self, other: SymplecticVector) -> SymplecticVector:
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("size mismatch")
-        return SymplecticVector(self.n_qubits, self.x ^ other.x, self.z ^ other.z)
-
-
-def multiply(p: PauliProduct, q: PauliProduct) -> PauliProduct:
-    return p * q
-
-
-def symplectic_inner(u: SymplecticVector, v: SymplecticVector) -> int:
-    """GF(2) symplectic form; 0 means commuting operators, 1 anticommuting."""
-    if u.n_qubits != v.n_qubits:
-        raise ValueError("size mismatch")
-    return ((u.x & v.z).bit_count() + (u.z & v.x).bit_count()) & 1
-
-
-def commutes(p: PauliProduct, q: PauliProduct) -> bool:
-    return p.commutes_with(q)
-
-
-def qwc(p: PauliProduct, q: PauliProduct) -> bool:
-    """Qubit-wise commutation: per qubit the axes agree or one is identity."""
-    return p.qwc_with(q)
 
 
 @dataclass(frozen=True)

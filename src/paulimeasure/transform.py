@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import gf2
-from .circuits import CliffordCircuit, circuit_from_dict, circuit_to_dict, synthesize
-from .pauli import Hamiltonian, PauliProduct, PauliSum, SymplecticVector
+from .circuits import (CliffordCircuit, _field, circuit_from_dict, circuit_to_dict,
+                       synthesize)
+from .pauli import I_POWERS, Hamiltonian, PauliProduct, PauliSum
 
 MAX_SYMBOLIC_QUBITS = 8
 
 # Deterministic choice of the anticommuting single-qubit partner.
 _SIGMA_AXIS = {"X": "Z", "Y": "X", "Z": "X"}
-
-_I_POWERS = (1, 1j, -1, -1j)
 
 
 class TransformError(RuntimeError):
@@ -48,7 +47,7 @@ class TauSigmaBasis:
         return PauliProduct.single(self.n_qubits, qubit, axis)
 
     def tau_vectors(self) -> list[int]:
-        return [t.to_symplectic().packed for t in self.taus]
+        return [t.packed for t in self.taus]
 
     def validate(self, group: Hamiltonian | None = None) -> None:
         """Raise ValueError naming the first violated invariant."""
@@ -66,7 +65,7 @@ class TauSigmaBasis:
         vecs = self.tau_vectors()
         if not gf2.is_lagrangian(vecs, n):
             raise ValueError("taus are not a Lagrangian basis")
-        sig_vecs = [self.sigma_product(i).to_symplectic().packed for i in range(n)]
+        sig_vecs = [self.sigma_product(i).packed for i in range(n)]
         for i in range(n):
             for j in range(n):
                 inner = gf2.symplectic_inner(vecs[i], sig_vecs[j], n)
@@ -76,7 +75,7 @@ class TauSigmaBasis:
                     raise ValueError(f"tau_{i} anticommutes with sigma_{j}")
         if group is not None:
             for ti, (_, prod) in enumerate(group.terms):
-                pv = prod.to_symplectic().packed
+                pv = prod.packed
                 for k, tv in enumerate(vecs):
                     if gf2.symplectic_inner(pv, tv, n):
                         raise ValueError(f"group term {ti} anticommutes with tau_{k}")
@@ -107,29 +106,19 @@ class MeasurementPlan:
 def find_tau(group: Hamiltonian) -> list[PauliProduct]:
     """N mutually commuting products that commute with every group term.
 
-    Row reduction of the term vectors yields an isotropic basis; if its rank
-    is below N the basis is grown to a Lagrangian one inside the symplectic
-    complement. Constant terms contribute the zero vector and are skipped.
+    Row reduction of the term vectors yields a basis of their span; if its
+    rank is below N the basis is grown to a Lagrangian one inside the
+    symplectic complement. The terms pairwise commute exactly when that span
+    is isotropic, which is checked on the at most 2N reduced rows instead of
+    on all term pairs. Constant terms contribute the zero vector.
     """
     n = group.n_qubits
-    prods = group.products()
-    for i in range(len(prods)):
-        for j in range(i + 1, len(prods)):
-            if not prods[i].commutes_with(prods[j]):
-                raise ValueError(f"terms {i} and {j} do not commute")
-    vectors = [p.to_symplectic().packed for p in prods if p.weight() > 0]
-    basis, _ = gf2.row_reduce(vectors, 2 * n)
+    basis, _ = gf2.row_reduce([p.packed for p in group.products()], 2 * n)
+    if not gf2.is_isotropic(basis, n):
+        raise ValueError("group terms do not commute")
     if len(basis) < n:
-        complement = gf2.symplectic_complement(basis, n)
-        basis = gf2.lagrangian_extract(complement, n)
-    if len(basis) != n:
-        raise TransformError(f"Lagrangian basis has {len(basis)} vectors, wanted {n}")
-    for ti, p in enumerate(prods):
-        pv = p.to_symplectic().packed
-        if any(gf2.symplectic_inner(pv, tv, n) for tv in basis):
-            raise TransformError(f"term {ti} anticommutes with the tau basis")
-    return [PauliProduct.from_symplectic(SymplecticVector.from_packed(v, n))
-            for v in basis]
+        basis = gf2.lagrangian_extract(gf2.symplectic_complement(basis, n), n)
+    return [PauliProduct.from_packed(v, n) for v in basis]
 
 
 def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
@@ -147,7 +136,7 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     n = taus[0].n_qubits
     if any(t.n_qubits != n or t.phase_exp != 0 for t in taus):
         raise ValueError("taus must share the qubit count and carry no phase")
-    vecs = [t.to_symplectic().packed for t in taus]
+    vecs = [t.packed for t in taus]
     if not gf2.is_lagrangian(vecs, n):
         raise ValueError("taus are not a Lagrangian basis")
     mask_n = (1 << n) - 1
@@ -169,22 +158,14 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
         tau_axis = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[
             ((vecs[i] >> qubit) & 1, (vecs[i] >> (n + qubit)) & 1)]
         axis = _SIGMA_AXIS[tau_axis]
-        sigma_vec = PauliProduct.single(n, qubit, axis).to_symplectic().packed
+        sigma_vec = PauliProduct.single(n, qubit, axis).packed
         for k in range(n):
             if k != i and gf2.symplectic_inner(vecs[k], sigma_vec, n):
                 vecs[k] ^= vecs[i]
         sigmas.append((qubit, axis))
         unassigned &= ~(1 << qubit)
-    basis = TauSigmaBasis(
-        n,
-        tuple(PauliProduct.from_symplectic(SymplecticVector.from_packed(v, n))
-              for v in vecs),
-        tuple(sigmas))
-    try:
-        basis.validate()
-    except ValueError as exc:
-        raise TransformError(f"sigma construction broke an invariant: {exc}") from exc
-    return basis
+    return TauSigmaBasis(n, tuple(PauliProduct.from_packed(v, n) for v in vecs),
+                         tuple(sigmas))
 
 
 def expand_in_tau(term: PauliProduct, basis: TauSigmaBasis
@@ -199,8 +180,7 @@ def expand_in_tau(term: PauliProduct, basis: TauSigmaBasis
         raise ValueError("qubit-count mismatch")
     n = basis.n_qubits
     try:
-        selection = gf2.solve(basis.tau_vectors(), 2 * n,
-                              term.to_symplectic().packed)
+        selection = gf2.solve(basis.tau_vectors(), 2 * n, term.packed)
     except gf2.InconsistentSystemError:
         raise TransformError("term not in tau-span") from None
     indices = tuple(k for k in range(n) if (selection >> k) & 1)
@@ -246,13 +226,6 @@ def transform_group(group: Hamiltonian, basis: TauSigmaBasis,
             image = PauliProduct(n, x, z)
         out_terms.append((coeff * phase, image))
         expansions.append((subset, phase))
-    sigma_support = 0
-    for i in range(n):
-        q, _ = basis.sigmas[i]
-        sigma_support |= 1 << q
-    for _, image in out_terms:
-        if image.support & ~sigma_support:
-            raise TransformError("transformed term leaves the sigma support")
     transformed = Hamiltonian(n, tuple(out_terms))
     return TransformedGroup(indices, basis, transformed, tuple(expansions))
 
@@ -275,7 +248,7 @@ def build_unitary_symbolic(basis: TauSigmaBasis) -> PauliSum:
         for i in range(n):
             factor = sigma_prods[i] if (mask >> i) & 1 else basis.taus[i]
             product = product * factor
-        coeff = scale * _I_POWERS[product.phase_exp]
+        coeff = scale * I_POWERS[product.phase_exp]
         terms.append((coeff, PauliProduct(n, product.x, product.z)))
     return PauliSum(n, tuple(terms))
 
@@ -318,18 +291,38 @@ def plan_to_dict(plan: MeasurementPlan) -> dict:
 
 
 def plan_from_dict(d: dict) -> MeasurementPlan:
-    n = int(d["n_qubits"])
+    """Inverse of plan_to_dict.
+
+    Every field is type-checked in the pass that builds the objects; a
+    malformed plan raises ValueError naming the group and the field.
+    """
+    if not isinstance(d, dict):
+        raise ValueError("plan: the top level must be a JSON object")
+    try:
+        n = _field(d, "n_qubits", int)
+        groups = _field(d, "groups", list)
+    except ValueError as exc:
+        raise ValueError(f"plan: {exc}") from None
     entries = []
-    for g in d["groups"]:
-        basis = TauSigmaBasis(
-            n,
-            tuple(PauliProduct.from_term_string(s, n) for s in g["tau"]),
-            tuple((int(s["qubit"]), s["axis"]) for s in g["sigma"]))
-        transformed = Hamiltonian(
-            n,
-            tuple((float(t["coeff"]), PauliProduct.from_term_string(t["pauli"], n))
-                  for t in g["transformed"]))
-        tg = TransformedGroup(tuple(int(i) for i in g["term_indices"]),
-                              basis, transformed)
-        entries.append(GroupPlan(tg, circuit_from_dict(g["circuit"])))
+    for gi, g in enumerate(groups):
+        try:
+            basis = TauSigmaBasis(
+                n,
+                tuple(PauliProduct.from_term_string(s, n)
+                      for s in _field(g, "tau", list, str)),
+                tuple((_field(s, "qubit", int), _field(s, "axis", str))
+                      for s in _field(g, "sigma", list)))
+            transformed = Hamiltonian(
+                n,
+                tuple((float(_field(t, "coeff", (int, float))),
+                       PauliProduct.from_term_string(_field(t, "pauli", str), n))
+                      for t in _field(g, "transformed", list)))
+            tg = TransformedGroup(tuple(_field(g, "term_indices", list, int)),
+                                  basis, transformed)
+            circuit = circuit_from_dict(_field(g, "circuit", dict))
+            if circuit.n_qubits != n:
+                raise ValueError(f"circuit has {circuit.n_qubits} qubits, the plan {n}")
+        except ValueError as exc:
+            raise ValueError(f"plan group {gi}: {exc}") from None
+        entries.append(GroupPlan(tg, circuit))
     return MeasurementPlan(n, tuple(entries))

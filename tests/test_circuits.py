@@ -25,6 +25,12 @@ def reflection_matrix(tau: PauliProduct, sigma: PauliProduct) -> np.ndarray:
     return (verify.dense_pauli(tau) + verify.dense_pauli(sigma)) / np.sqrt(2)
 
 
+def expected_cnots(basis) -> int:
+    """Each factor costs one weight-w tau exponent (2(w-1) CNOTs) between
+    two single-qubit sigma exponents (none)."""
+    return sum(2 * (t.weight() - 1) for t in basis.taus)
+
+
 def sequence_matrix(phase_exp: int, exponents) -> np.ndarray:
     dim = 1 << exponents[0].pauli.n_qubits
     m = np.eye(dim, dtype=complex)
@@ -80,7 +86,7 @@ class TestExponentSequence:
 class TestDecomposeExponent:
     def test_weight_one_z_has_no_cnots(self):
         c = decompose_exponent(PauliExponent(PauliProduct.from_term_string("Z0", 1)))
-        assert gate_counts(c)["cnots"] == 0
+        assert gate_counts(c) == {"cnots": 0, "single_qubit": 1}
         assert c.global_phase_exp == 1
         np.testing.assert_allclose(
             verify.dense_matrix(c),
@@ -124,8 +130,7 @@ class TestSynthesize:
     def test_model_counts_and_matrix(self):
         basis = model_reference_basis()
         c = synthesize(basis)
-        counts = gate_counts(c)
-        assert counts["singles"] == 4 and counts["pauli_exponents"] == 2
+        assert gate_counts(c)["cnots"] == expected_cnots(basis) == 4
         sym = verify.dense_matrix(build_unitary_symbolic(basis))
         np.testing.assert_allclose(verify.dense_matrix(c), sym, atol=1e-10)
 
@@ -136,8 +141,8 @@ class TestSynthesize:
         assert verify.phase_aligned_distance(u, h) < 1e-10
 
     def test_h2_basis_counts(self):
-        counts = gate_counts(synthesize(h2_reference_basis()))
-        assert counts["singles"] == 8 and counts["pauli_exponents"] == 4
+        basis = h2_reference_basis()
+        assert gate_counts(synthesize(basis))["cnots"] == expected_cnots(basis) == 4
 
     def test_random_bases_match_symbolic_up_to_phase(self):
         rng = random.Random(31)
@@ -169,9 +174,7 @@ class TestSynthesize:
         for _ in range(20):
             n = rng.randint(1, 8)
             basis = find_sigma(find_tau(random_commuting_group(n, rng)))
-            counts = gate_counts(synthesize(basis))
-            assert counts["singles"] == 2 * n
-            assert counts["pauli_exponents"] == n
+            assert gate_counts(synthesize(basis))["cnots"] == expected_cnots(basis)
 
 
 class TestCircuitContainer:

@@ -1,6 +1,8 @@
 """CLI behavior: subcommands, formats, exit codes, failure paths."""
 
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -8,6 +10,74 @@ import pytest
 
 from paulimeasure.cli import main
 from paulimeasure.fixtures import H2_GROUP_TEXT, MODEL_TEXT, SIX_TERM_TEXT
+
+
+def random_sum_text(n_qubits=12, draws=80, seed=1907):
+    """Seeded Pauli sum of weight <= 4 terms in the text format."""
+    rng = random.Random(seed)
+    lines = [f"qubits: {n_qubits}"]
+    for _ in range(draws):
+        qubits = sorted(rng.sample(range(n_qubits), rng.randint(1, 4)))
+        term = " ".join(f"{rng.choice('XYZ')}{q}" for q in qubits)
+        lines.append(f"{rng.randint(-999, 999) / 1000} {term}")
+    return "\n".join(lines) + "\n"
+
+
+def set_path(plan, path, value):
+    """Plan with group 0's field at path replaced by value."""
+    *head, last = path
+    target = plan["groups"][0]
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return plan
+
+
+def drop_key(plan, path, key):
+    target = plan["groups"][0]
+    for step in path:
+        target = target[step]
+    del target[key]
+    return plan
+
+
+# Plan edits that must end `measure verify` with one error line naming the field.
+PLAN_CORRUPTIONS = {
+    "top-level-array": (lambda p: [], "top level must be a JSON object"),
+    "groups-number": (lambda p: {"n_qubits": 4, "groups": 5},
+                      "'groups' must be an array"),
+    "no-n-qubits": (lambda p: {"groups": p["groups"]}, "missing key 'n_qubits'"),
+    "group-number": (lambda p: {**p, "groups": [7]}, "plan group 0: expected an object"),
+    "term-index-string": (lambda p: set_path(p, ["term_indices"], ["0"]),
+                          "'term_indices' items must each be an integer"),
+    "tau-string": (lambda p: set_path(p, ["tau"], "Z0 Z1"), "'tau' must be an array"),
+    "tau-item-number": (lambda p: set_path(p, ["tau", 0], 3),
+                        "'tau' items must each be a string"),
+    "sigma-qubit-string": (lambda p: set_path(p, ["sigma", 0, "qubit"], "0"),
+                           "'qubit' must be an integer"),
+    "sigma-axis-null": (lambda p: set_path(p, ["sigma", 0, "axis"], None),
+                        "'axis' must be a string"),
+    "coeff-bool": (lambda p: set_path(p, ["transformed", 0, "coeff"], True),
+                   "'coeff' must be a number"),
+    "no-pauli": (lambda p: drop_key(p, ["transformed", 0], "pauli"), "missing key 'pauli'"),
+    "circuit-array": (lambda p: set_path(p, ["circuit"], []),
+                      "'circuit' must be an object"),
+    "no-global-phase": (lambda p: drop_key(p, ["circuit"], "global_phase_exp"),
+                        "missing key 'global_phase_exp'"),
+    "circuit-width": (lambda p: set_path(p, ["circuit", "n_qubits"], 5),
+                      "circuit has 5 qubits, the plan 4"),
+    "gate-qubits-number": (lambda p: set_path(p, ["circuit", "gates", 0, "qubits"], 0),
+                           "'qubits' must be an array"),
+}
+
+GOLDEN_INPUTS = {"six-term": lambda: SIX_TERM_TEXT, "h2": lambda: H2_GROUP_TEXT,
+                 "random-12q": random_sum_text}
+# sha256 of the `measure transform` plan bytes; a change here changes plans.
+PLAN_SHA256 = {
+    "six-term": "5109c152bd80483956f939ef5184ee4f0e9e2ef406b4f268181cc74b252b4303",
+    "h2": "24ad71e4cd9c033dcca02b93d93133690df3ac3d6e61fb99fc73b47c6405572a",
+    "random-12q": "0bc5ee1d6db30fca5f7cd257be20f667577e7859ccc647ea4694d4165a5c97b1",
+}
 
 
 @pytest.fixture
@@ -112,6 +182,14 @@ class TestTransform:
                            0.1489, 0.0558, 0.0558, 0.0868, 0.1425))
         assert got == pytest.approx(expected)
 
+    @pytest.mark.parametrize("name", sorted(PLAN_SHA256))
+    def test_plan_bytes_golden(self, name, tmp_path):
+        source = tmp_path / f"{name}.txt"
+        source.write_text(GOLDEN_INPUTS[name]())
+        out = tmp_path / "plan.json"
+        assert main(["transform", str(source), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PLAN_SHA256[name]
+
 
 class TestVerify:
     def run_transform(self, input_file, tmp_path):
@@ -165,6 +243,54 @@ class TestVerify:
         plan_path = self.run_transform(h2_file, tmp_path)
         assert main(["verify", model_file, str(plan_path)]) == 1
         assert "qubit count" in capsys.readouterr().err
+
+    def run_verify_on_edited_plan(self, input_file, tmp_path, edit, capsys):
+        """Exit code, stdout and stderr of verify on a plan changed by edit."""
+        plan_path = self.run_transform(input_file, tmp_path)
+        capsys.readouterr()
+        plan = edit(json.loads(plan_path.read_text()))
+        plan_path.write_text(json.dumps(plan))
+        code = main(["verify", input_file, str(plan_path)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("name", list(PLAN_CORRUPTIONS))
+    def test_malformed_plan_fields_error(self, six_term_file, tmp_path, capsys, name):
+        edit, message = PLAN_CORRUPTIONS[name]
+        code, out, err = self.run_verify_on_edited_plan(six_term_file, tmp_path,
+                                                        edit, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("measure: error:") and err.count("\n") == 1
+        assert message in err
+
+    def test_deleted_group_fails_partition(self, six_term_file, tmp_path, capsys):
+        code, out, _ = self.run_verify_on_edited_plan(
+            six_term_file, tmp_path, lambda p: {**p, "groups": p["groups"][:1]}, capsys)
+        assert code == 1
+        assert "FAIL groups partition the terms (3 terms in no group, first 3)" in out
+        assert "FAIL" not in out.replace("FAIL groups partition", "")
+
+    def test_duplicated_group_fails_partition(self, six_term_file, tmp_path, capsys):
+        code, out, _ = self.run_verify_on_edited_plan(
+            six_term_file, tmp_path,
+            lambda p: {**p, "groups": p["groups"] + p["groups"][:1]}, capsys)
+        assert code == 1
+        assert "FAIL groups partition the terms (3 terms in several groups, first 0)" in out
+
+    def test_checks_above_the_dense_caps_print_skip(self, tmp_path, capsys):
+        wide = tmp_path / "wide.txt"
+        wide.write_text("qubits: 8\n1.0 X0 X7\n0.5 Z0 Z7\n")
+        plan_path = self.run_transform(str(wide), tmp_path)
+        assert main(["verify", str(wide), str(plan_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        skipped = [line for line in lines if "(skipped" in line]
+        assert len(skipped) == 4
+        assert all(line.startswith("SKIP ") for line in skipped)
+        assert all(line.startswith("PASS ") for line in lines if line not in skipped)
+        assert main(["verify", str(wide), str(plan_path), "--format", "json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["status"] for c in checks].count("skip") == 4
+        assert all(c["passed"] == (c["status"] == "pass") for c in checks)
 
 
 class TestCount:

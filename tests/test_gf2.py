@@ -11,7 +11,13 @@ from paulimeasure.fixtures import H2_GROUP_TEXT
 
 
 def vec(term, n):
-    return PauliProduct.from_term_string(term, n).to_symplectic().packed
+    return PauliProduct.from_term_string(term, n).packed
+
+
+def same_span(a, b, n_cols):
+    """Span equality: equal ranks, and every vector of a lies in span(b)."""
+    return (gf2.rank(a, n_cols) == gf2.rank(b, n_cols)
+            and all(gf2.in_span(b, n_cols, v) for v in a))
 
 
 class TestRowReduce:
@@ -27,7 +33,7 @@ class TestRowReduce:
 
     def test_h2_group_rank_is_four(self):
         h = parse_hamiltonian(H2_GROUP_TEXT)
-        rows = [p.to_symplectic().packed for _, p in h.terms if p.weight() > 0]
+        rows = [p.packed for _, p in h.terms if p.weight() > 0]
         assert gf2.rank(rows, 8) == 4
 
     def test_zero_matrix(self):
@@ -62,12 +68,12 @@ class TestSymplecticComplement:
         comp = gf2.symplectic_complement([v], 2)
         expected = [vec("X0", 2), vec("X1", 2), vec("Z1", 2)]
         assert len(comp) == 3
-        assert gf2.subspaces_equal(comp, expected, 4)
+        assert same_span(comp, expected, 4)
 
     def test_lagrangian_is_self_complement(self):
         rows = [vec("X0", 2), vec("X1", 2)]
         comp = gf2.symplectic_complement(rows, 2)
-        assert gf2.subspaces_equal(comp, rows, 4)
+        assert same_span(comp, rows, 4)
 
     def test_full_space_has_zero_complement(self):
         rows = [1 << k for k in range(4)]
@@ -82,7 +88,7 @@ class TestSymplecticComplement:
             comp = gf2.symplectic_complement(rows, n)
             assert len(rows) + len(comp) == 2 * n
             again = gf2.symplectic_complement(comp, n)
-            assert gf2.subspaces_equal(again, rows, 2 * n)
+            assert same_span(again, rows, 2 * n)
 
 
 class TestLagrangianExtract:
@@ -157,14 +163,23 @@ class TestSolve:
             assert got == b
 
 
-class TestSubspaceBasis:
+class TestSubspaceKinds:
+    """The isotropic / Lagrangian / coisotropic classes from the gf2 predicates."""
+
     def test_kind_tags(self):
-        assert gf2.SubspaceBasis(2, (vec("X0", 2),)).kind() == "isotropic"
-        assert gf2.SubspaceBasis(2, (vec("X0", 2), vec("X1", 2))).kind() == "lagrangian"
-        coiso = tuple(gf2.symplectic_complement([vec("X0", 2)], 2))
-        assert gf2.SubspaceBasis(2, coiso).kind() == "coisotropic"
-        assert gf2.SubspaceBasis(2, (vec("X0", 2), vec("Z0", 2))).kind() == "general"
+        x0, x1, z0 = vec("X0", 2), vec("X1", 2), vec("Z0", 2)
+        assert gf2.is_isotropic([x0], 2) and not gf2.is_lagrangian([x0], 2)
+        assert gf2.is_lagrangian([x0, x1], 2)
+        coiso = gf2.symplectic_complement([x0], 2)
+        assert not gf2.is_isotropic(coiso, 2)
+        # coisotropic: the span contains its own symplectic complement
+        assert all(gf2.in_span(coiso, 4, v) for v in gf2.symplectic_complement(coiso, 2))
+        general = [x0, z0]
+        assert not gf2.is_isotropic(general, 2)
+        assert not all(gf2.in_span(general, 4, v)
+                       for v in gf2.symplectic_complement(general, 2))
 
     def test_dependent_vectors_rejected(self):
-        with pytest.raises(ValueError):
-            gf2.SubspaceBasis(2, (vec("X0", 2), vec("X0", 2)))
+        x0 = vec("X0", 2)
+        assert not gf2.is_independent([x0, x0], 4)
+        assert not gf2.is_lagrangian([x0, x0], 2)

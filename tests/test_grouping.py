@@ -66,11 +66,6 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="no terms"):
             build_graph(Hamiltonian(2, ()), "fc")
 
-    def test_parallel_build_matches_sequential(self):
-        rng = random.Random(2)
-        h = random_graph_hamiltonian(5, 300, rng)
-        assert build_graph(h, "fc", parallel=True) == build_graph(h, "fc")
-
 
 class TestHeuristicCovers:
     def test_complete_graph_single_group(self):

@@ -1,4 +1,4 @@
-"""Pauli algebra, symplectic mapping and Hamiltonian text I/O."""
+"""Pauli algebra, the packed GF(2) form and Hamiltonian text I/O."""
 
 import random
 
@@ -7,16 +7,21 @@ import pytest
 
 from helpers import all_paulis, random_pauli
 from paulimeasure import (Hamiltonian, HamiltonianFormatError, PauliProduct,
-                          SymplecticVector, commutes, multiply, parse_hamiltonian,
-                          qwc, serialize_hamiltonian, symplectic_inner)
+                          parse_hamiltonian, serialize_hamiltonian)
+from paulimeasure.gf2 import symplectic_inner
 from paulimeasure.verify import dense_pauli
+
+
+def bits(p):
+    """Components of the packed row as 0/1 ints, x-block first."""
+    return tuple((p.packed >> i) & 1 for i in range(2 * p.n_qubits))
 
 
 class TestMultiply:
     def test_single_qubit_xy(self):
         p = PauliProduct.from_label("X")
         q = PauliProduct.from_label("Y")
-        r = multiply(p, q)
+        r = p * q
         assert r.to_label() == "Z"
         assert r.phase_exp == 1
 
@@ -58,63 +63,58 @@ class TestMultiply:
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
-            multiply(PauliProduct.identity(2), PauliProduct.identity(3))
+            PauliProduct.identity(2) * PauliProduct.identity(3)
 
 
 class TestSymplecticMapping:
     def test_mapping_example(self):
-        p = PauliProduct.from_label("XYZI")
-        v = p.to_symplectic()
-        assert v.bits() == (1, 1, 0, 0, 0, 1, 1, 0)
+        assert bits(PauliProduct.from_label("XYZI")) == (1, 1, 0, 0, 0, 1, 1, 0)
 
     def test_identity_maps_to_zero(self):
-        v = PauliProduct.identity(2).to_symplectic()
-        assert v.bits() == (0, 0, 0, 0)
+        assert PauliProduct.identity(2).packed == 0
 
     def test_roundtrip_all_two_qubit_products(self):
         for p in all_paulis(2):
-            assert PauliProduct.from_symplectic(p.to_symplectic()) == p
+            assert PauliProduct.from_packed(p.packed, 2) == p
 
     def test_phase_is_discarded(self):
         p = PauliProduct.from_label("XZ", phase_exp=3)
-        assert PauliProduct.from_symplectic(p.to_symplectic()).phase_exp == 0
+        assert PauliProduct.from_packed(p.packed, 2).phase_exp == 0
 
     def test_multiply_is_xor_on_vectors(self):
         rng = random.Random(3)
         for _ in range(200):
             p = random_pauli(4, rng)
             q = random_pauli(4, rng)
-            v = (p * q).to_symplectic()
-            assert v == p.to_symplectic() ^ q.to_symplectic()
+            assert (p * q).packed == p.packed ^ q.packed
 
 
 class TestCommutation:
     def test_inner_product_examples(self):
-        xx = PauliProduct.from_label("XX").to_symplectic()
-        yy = PauliProduct.from_label("YY").to_symplectic()
-        assert symplectic_inner(xx, yy) == 0
-        x0 = PauliProduct.from_label("X").to_symplectic()
-        z0 = PauliProduct.from_label("Z").to_symplectic()
-        assert symplectic_inner(x0, z0) == 1
+        xx = PauliProduct.from_label("XX").packed
+        yy = PauliProduct.from_label("YY").packed
+        assert symplectic_inner(xx, yy, 2) == 0
+        x0 = PauliProduct.from_label("X").packed
+        z0 = PauliProduct.from_label("Z").packed
+        assert symplectic_inner(x0, z0, 1) == 1
 
     def test_self_orthogonality(self):
         for p in all_paulis(2):
-            v = p.to_symplectic()
-            assert symplectic_inner(v, v) == 0
+            assert symplectic_inner(p.packed, p.packed, 2) == 0
 
     def test_qwc_and_commute_examples(self):
         xx = PauliProduct.from_label("XX")
         xi = PauliProduct.from_label("XI")
         yy = PauliProduct.from_label("YY")
-        assert commutes(xx, xi) and qwc(xx, xi)
-        assert commutes(xx, yy) and not qwc(xx, yy)
-        assert commutes(xx, xx) and qwc(xx, xx)
+        assert xx.commutes_with(xi) and xx.qwc_with(xi)
+        assert xx.commutes_with(yy) and not xx.qwc_with(yy)
+        assert xx.commutes_with(xx) and xx.qwc_with(xx)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            commutes(PauliProduct.identity(2), PauliProduct.identity(3))
+            PauliProduct.identity(2).commutes_with(PauliProduct.identity(3))
         with pytest.raises(ValueError):
-            symplectic_inner(SymplecticVector(2, 0, 0), SymplecticVector(3, 0, 0))
+            PauliProduct.identity(2).qwc_with(PauliProduct.identity(3))
 
     def test_exhaustive_truth_table_against_dense_commutators(self):
         for p in all_paulis(2):
@@ -123,15 +123,15 @@ class TestCommutation:
                 mq = dense_pauli(q)
                 dense_commute = np.allclose(mp @ mq, mq @ mp, atol=1e-12)
                 dense_anticommute = np.allclose(mp @ mq, -mq @ mp, atol=1e-12)
-                inner = symplectic_inner(p.to_symplectic(), q.to_symplectic())
-                assert commutes(p, q) == dense_commute
+                inner = symplectic_inner(p.packed, q.packed, 2)
+                assert p.commutes_with(q) == dense_commute
                 assert (inner == 1) == dense_anticommute
 
     def test_qwc_implies_commutes(self):
         for p in all_paulis(2):
             for q in all_paulis(2):
-                if qwc(p, q):
-                    assert commutes(p, q)
+                if p.qwc_with(q):
+                    assert p.commutes_with(q)
 
     def test_qwc_matches_per_qubit_dense_commutators(self):
         for p in all_paulis(2):
@@ -143,7 +143,7 @@ class TestCommutation:
                                 @ dense_pauli(PauliProduct.from_label(p.axis(k))),
                                 atol=1e-12)
                     for k in range(2))
-                assert qwc(p, q) == per_qubit
+                assert p.qwc_with(q) == per_qubit
 
 
 class TestHamiltonianIO:

@@ -18,7 +18,7 @@ from paulimeasure.fixtures import (h2_commuting_group, h2_reference_basis,
 
 
 def tau_vectors(taus):
-    return [t.to_symplectic().packed for t in taus]
+    return [t.packed for t in taus]
 
 
 def assert_valid_tau_set(taus, group):
@@ -51,9 +51,11 @@ class TestFindTau:
         assert_valid_tau_set(taus, h)
 
     def test_non_commuting_input_rejected(self):
-        h = parse_hamiltonian("1.0 X0\n1.0 Z0\n")
-        with pytest.raises(ValueError, match="do not commute"):
-            find_tau(h)
+        # span rank above, equal to and below the qubit count
+        for text in ("1.0 X0\n1.0 Z0\n", "qubits: 2\n1.0 X0\n1.0 Z0\n",
+                     "qubits: 4\n1.0 X0 X1\n1.0 Z0 Z1\n1.0 Z1 Z2\n1.0 I\n"):
+            with pytest.raises(ValueError, match="do not commute"):
+                find_tau(parse_hamiltonian(text))
 
 
 class TestFindSigma:
