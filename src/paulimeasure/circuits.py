@@ -136,6 +136,46 @@ def gate_counts(c: CliffordCircuit) -> dict[str, int]:
     return {"cnots": cnots, "single_qubit": len(c.gates) - cnots}
 
 
+def conjugate_columns(c: CliffordCircuit, xcol: list[int], zcol: list[int]
+                      ) -> tuple[list[int], list[int], int]:
+    """U^dagger P U for a whole set of products P at once, U the circuit.
+
+    The products come as per-qubit term bitsets (``pauli.qubit_columns``):
+    bit k of ``xcol[q]`` / ``zcol[q]`` is the x / z bit of product k on
+    qubit q. Returns the bitsets of the images and the bitset of products
+    whose image carries a minus sign. U applies the gates left to right, so
+    the last gate acts on P first; the global phase cancels. Each gate costs
+    a few big-int operations whatever the number of products.
+    """
+    x, z = list(xcol), list(zcol)
+    sign = 0
+    for gate in reversed(c.gates):
+        name = gate.name
+        if name == "CNOT":
+            a, b = gate.qubits
+            sign ^= x[a] & z[b] & ~(x[b] ^ z[a])
+            x[b] ^= x[a]
+            z[a] ^= z[b]
+            continue
+        q = gate.qubits[0]
+        if name == "H":
+            sign ^= x[q] & z[q]
+            x[q], z[q] = z[q], x[q]
+        elif name == "S":
+            sign ^= x[q] & ~z[q]
+            z[q] ^= x[q]
+        elif name == "SDG":
+            sign ^= x[q] & z[q]
+            z[q] ^= x[q]
+        elif name == "X":
+            sign ^= z[q]
+        elif name == "Z":
+            sign ^= x[q]
+        else:  # Y
+            sign ^= x[q] ^ z[q]
+    return x, z, sign
+
+
 def circuit_to_dict(c: CliffordCircuit) -> dict:
     return {
         "n_qubits": c.n_qubits,

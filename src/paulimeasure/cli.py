@@ -5,15 +5,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 
 import numpy as np
 
 from . import verify
+from .circuits import conjugate_columns
 from .gf2 import InconsistentSystemError
 from .grouping import (DEFAULT_EXACT_CAP, METHODS, RELATIONS, build_graph,
                        compute_cover, cover_stats, cover_to_dict)
 from .pauli import (DROP_TOLERANCE, Hamiltonian, HamiltonianFormatError,
-                    PauliProduct, parse_hamiltonian)
+                    PauliProduct, parse_hamiltonian, qubit_columns)
 from .transform import (MeasurementPlan, TransformError, build_unitary_symbolic,
                         pipeline, plan_from_dict, plan_to_dict)
 
@@ -70,29 +72,46 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
+class _GroupOperators:
+    """One plan group and its dense operators, each built on first use."""
+
+    def __init__(self, h: Hamiltonian, entry) -> None:
+        self.entry = entry
+        self.source = h
+
+    @cached_property
+    def group(self) -> Hamiltonian:
+        return Hamiltonian(self.source.n_qubits, tuple(
+            self.source.terms[i] for i in self.entry.transform.term_indices))
+
+    @cached_property
+    def group_matrix(self) -> np.ndarray:
+        return verify.dense_matrix(self.group)
+
+    @cached_property
+    def transformed_matrix(self) -> np.ndarray:
+        return verify.dense_matrix(self.entry.transform.transformed)
+
+    @cached_property
+    def symbolic_unitary(self) -> np.ndarray:
+        return verify.dense_matrix(build_unitary_symbolic(self.entry.transform.basis))
+
+    @cached_property
+    def circuit_unitary(self) -> np.ndarray:
+        return verify.dense_matrix(self.entry.circuit)
+
+
 def _verify_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, str]]:
     """Run the oracle suite on a plan; returns (name, status, detail) rows.
 
     The status is "pass", "fail", or "skip" for a dense check above its
-    qubit cap.
+    qubit cap. Groups are visited one at a time and every check runs on a
+    group before the next, so each group's dense operators are built once
+    and only one group's are alive. A check that has failed is not run on
+    later groups; its row names the first failing group.
     """
     n = plan.n_qubits
     rng = np.random.default_rng(_EXPECTATION_SEED)
-    results: list[tuple[str, str, str]] = []
-
-    def add(name: str, status: str, detail: str = "") -> None:
-        results.append((name, status, detail))
-
-    def per_group(name: str, fn) -> None:
-        for gi, entry in enumerate(plan.groups):
-            ok, detail = fn(gi, entry)
-            if not ok:
-                add(name, "fail", f"group {gi}: {detail}")
-                return
-        add(name, "pass")
-
-    def skip(name: str) -> None:
-        add(name, "skip", f"skipped: {n} qubits exceed cap")
 
     def check_partition() -> str:
         """Every term in exactly one group; O(terms), no pairwise pass."""
@@ -109,85 +128,118 @@ def _verify_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str
             problems.append(f"{len(repeated)} terms in several groups, first {repeated[0]}")
         return "; ".join(problems)
 
-    def group_hamiltonian(entry) -> Hamiltonian:
-        return Hamiltonian(n, tuple(h.terms[i] for i in entry.transform.term_indices))
-
-    def check_basis(gi, entry):
+    def check_basis(g: _GroupOperators):
         try:
-            entry.transform.basis.validate(group_hamiltonian(entry))
+            g.entry.transform.basis.validate(g.group)
         except (ValueError, IndexError) as exc:
             return False, str(exc)
         return True, ""
 
-    def check_qwc(gi, entry):
-        prods = entry.transform.transformed.products()
+    def check_qwc(g: _GroupOperators):
+        prods = g.entry.transform.transformed.products()
         for i in range(len(prods)):
             for j in range(i + 1, len(prods)):
                 if not prods[i].qwc_with(prods[j]):
                     return False, f"transformed terms {i} and {j} are not QWC"
         return True, ""
 
-    def check_coeffs(gi, entry):
-        source = sorted(abs(h.terms[i][0]) for i in entry.transform.term_indices)
-        image = sorted(abs(c) for c in entry.transform.transformed.coefficients())
+    def check_coeffs(g: _GroupOperators):
+        source = sorted(abs(c) for c in g.group.coefficients())
+        image = sorted(abs(c) for c in g.entry.transform.transformed.coefficients())
         if len(source) != len(image) or any(abs(a - b) > 1e-12
                                             for a, b in zip(source, image)):
             return False, "coefficient magnitudes changed"
         return True, ""
 
-    def check_spectra(gi, entry):
-        ok = verify.spectra_equal(group_hamiltonian(entry),
-                                  entry.transform.transformed, tol=1e-9)
+    def check_signs(g: _GroupOperators):
+        """All group terms through the circuit at once, as term bitsets."""
+        stated = g.entry.transform.transformed
+        if len(stated.terms) != len(g.group.terms):
+            return False, (f"{len(stated.terms)} transformed terms for "
+                           f"{len(g.group.terms)} terms")
+        xs, zs, minus = conjugate_columns(g.entry.circuit,
+                                          *qubit_columns(n, g.group.products()))
+        want_x, want_z = qubit_columns(n, stated.products())
+        wrong = 0
+        for q in range(n):
+            wrong |= (xs[q] ^ want_x[q]) | (zs[q] ^ want_z[q])
+        for k, (c, t) in enumerate(zip(g.group.coefficients(), stated.coefficients())):
+            if abs(t - (-c if (minus >> k) & 1 else c)) > 1e-12:
+                wrong |= 1 << k
+        if not wrong:
+            return True, ""
+        k = (wrong & -wrong).bit_length() - 1
+        image = PauliProduct(n, sum(((xs[q] >> k) & 1) << q for q in range(n)),
+                             sum(((zs[q] >> k) & 1) << q for q in range(n)))
+        coeff, term = g.group.terms[k]
+        t_coeff, t_term = stated.terms[k]
+        return False, (f"term {g.entry.transform.term_indices[k]} "
+                       f"({coeff!r} {term.to_term_string()}) maps to "
+                       f"{'-' if (minus >> k) & 1 else '+'}{image.to_term_string()}, "
+                       f"plan states {t_coeff!r} {t_term.to_term_string()}")
+
+    def check_spectra(g: _GroupOperators):
+        ok = verify.spectra_equal(g.group_matrix, g.transformed_matrix, tol=1e-9)
         return ok, "eigenvalue mismatch beyond 1e-9"
 
-    def check_conjugation(gi, entry):
-        u = verify.dense_matrix(build_unitary_symbolic(entry.transform.basis))
-        lhs = u.conj().T @ verify.dense_matrix(group_hamiltonian(entry)) @ u
-        rhs = verify.dense_matrix(entry.transform.transformed)
-        dev = float(np.max(np.abs(lhs - rhs)))
+    def check_conjugation(g: _GroupOperators):
+        u = g.symbolic_unitary
+        dev = float(np.max(np.abs(u.conj().T @ g.group_matrix @ u
+                                  - g.transformed_matrix)))
         return dev <= 1e-9, f"deviation {dev:.2e}"
 
-    def check_unitarity(gi, entry):
-        for u in (verify.dense_matrix(build_unitary_symbolic(entry.transform.basis)),
-                  verify.dense_matrix(entry.circuit)):
+    def check_unitarity(g: _GroupOperators):
+        for u in (g.symbolic_unitary, g.circuit_unitary):
             dev = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
             if dev > 1e-10:
                 return False, f"deviation {dev:.2e}"
         return True, ""
 
-    def check_circuit(gi, entry):
-        symbolic = verify.dense_matrix(build_unitary_symbolic(entry.transform.basis))
-        circuit = verify.dense_matrix(entry.circuit)
-        dev = verify.phase_aligned_distance(circuit, symbolic)
+    def check_circuit(g: _GroupOperators):
+        dev = verify.phase_aligned_distance(g.circuit_unitary, g.symbolic_unitary)
         return dev <= 1e-10, f"deviation {dev:.2e}"
 
-    def check_expectation(gi, entry):
-        u = verify.dense_matrix(entry.circuit)
-        dev = verify.expectation_invariance(group_hamiltonian(entry),
-                                            entry.transform.transformed, u,
+    def check_expectation(g: _GroupOperators):
+        dev = verify.expectation_invariance(g.group_matrix, g.transformed_matrix,
+                                            g.circuit_unitary,
                                             trials=_EXPECTATION_TRIALS, rng=rng)
         return dev <= 1e-9, f"deviation {dev:.2e}"
 
+    # (row name, check, qubit cap or None) in row order.
+    checks = [
+        ("basis invariants", check_basis, None),
+        ("transformed groups qubit-wise commuting", check_qwc, None),
+        ("coefficient magnitudes preserved", check_coeffs, None),
+        ("circuit maps each group term to its transformed term (exact sign)",
+         check_signs, None),
+        ("spectra preserved (tol 1e-9)", check_spectra, verify.MAX_SPECTRUM_QUBITS),
+        ("conjugated group matches transform (tol 1e-9)", check_conjugation,
+         verify.MAX_EXPECTATION_QUBITS),
+        ("unitarity (tol 1e-10)", check_unitarity, verify.MAX_EXPECTATION_QUBITS),
+        ("circuit matches symbolic unitary (tol 1e-10)", check_circuit,
+         verify.MAX_EXPECTATION_QUBITS),
+        ("expectation values invariant (tol 1e-9)", check_expectation,
+         verify.MAX_EXPECTATION_QUBITS),
+    ]
+    running = [(name, fn) for name, fn, cap in checks if cap is None or n <= cap]
+    failures: dict[str, str] = {}
+    for gi, entry in enumerate(plan.groups):
+        g = _GroupOperators(h, entry)
+        for name, fn in running:
+            if name not in failures:
+                ok, detail = fn(g)
+                if not ok:
+                    failures[name] = f"group {gi}: {detail}"
+
     problems = check_partition()
-    add("groups partition the terms", "fail" if problems else "pass", problems)
-    per_group("basis invariants", check_basis)
-    per_group("transformed groups qubit-wise commuting", check_qwc)
-    per_group("coefficient magnitudes preserved", check_coeffs)
-    if n <= verify.MAX_SPECTRUM_QUBITS:
-        per_group("spectra preserved (tol 1e-9)", check_spectra)
-    else:
-        skip("spectra preserved (tol 1e-9)")
-    if n <= verify.MAX_EXPECTATION_QUBITS:
-        per_group("conjugated group matches transform (tol 1e-9)", check_conjugation)
-        per_group("unitarity (tol 1e-10)", check_unitarity)
-        per_group("circuit matches symbolic unitary (tol 1e-10)", check_circuit)
-        per_group("expectation values invariant (tol 1e-9)", check_expectation)
-    else:
-        for name in ("conjugated group matches transform (tol 1e-9)",
-                     "unitarity (tol 1e-10)",
-                     "circuit matches symbolic unitary (tol 1e-10)",
-                     "expectation values invariant (tol 1e-9)"):
-            skip(name)
+    results = [("groups partition the terms", "fail" if problems else "pass", problems)]
+    for name, _, cap in checks:
+        if cap is not None and n > cap:
+            results.append((name, "skip", f"skipped: {n} qubits exceed cap"))
+        elif name in failures:
+            results.append((name, "fail", failures[name]))
+        else:
+            results.append((name, "pass", ""))
     return results
 
 

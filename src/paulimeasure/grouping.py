@@ -1,8 +1,18 @@
 """Term-compatibility graphs and clique covers.
 
 A clique cover of the compatibility graph is computed as a proper coloring
-of its complement; color classes are cliques of the original graph. The
-complement adjacency is derived on the fly and never materialized.
+of its complement; color classes are cliques of the original graph.
+
+Vertex sets are Python-int bitsets indexed by term: bit j of a row stands
+for term j. The graph is built from per-qubit term bitsets (``xcol[q]`` and
+``zcol[q]``, the terms with an X or a Z bit on qubit q): the terms that
+break the relation with term i are an XOR (fc) or an OR (qwc) of one such
+bitset per qubit of term i, so the build is O(m*w) big-int operations for
+m terms of weight w, with no pairwise loop and no m*m matrix. The complement
+adjacency is derived on the fly and never materialized. DSATUR keeps the
+uncolored vertices in saturation buckets and smallest-last keeps the
+remaining ones in degree buckets, so neither rescans all vertices to pick
+the next one.
 """
 
 from __future__ import annotations
@@ -10,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pauli import Hamiltonian
+from .pauli import Hamiltonian, qubit_columns
 
 RELATIONS = ("fc", "qwc")
 METHODS = ("gc", "lf", "sl", "dsatur", "rlf", "exact")
@@ -74,6 +84,39 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _conflicts(h: Hamiltonian, relation: str) -> list[int]:
+    """Per term, the bitset of the terms it breaks the relation with.
+
+    On qubit q, a term with an X there differs in axis from the terms in
+    zcol[q] (Z or Y), one with a Z from those in xcol[q], and one with a Y
+    from their XOR. Two terms anticommute when they differ on an odd number
+    of shared qubits (XOR over the support) and are not qubit-wise
+    commuting when they differ on any (OR).
+    """
+    prods = h.products()
+    xcol, zcol = qubit_columns(h.n_qubits, prods)
+    rows = []
+    if relation == "fc":
+        for p in prods:
+            row = 0
+            for q in _bits(p.x):
+                row ^= zcol[q]
+            for q in _bits(p.z):
+                row ^= xcol[q]
+            rows.append(row)
+    else:
+        for p in prods:
+            row = 0
+            for q in _bits(p.x & ~p.z):
+                row |= zcol[q]
+            for q in _bits(p.z & ~p.x):
+                row |= xcol[q]
+            for q in _bits(p.x & p.z):
+                row |= xcol[q] ^ zcol[q]
+            rows.append(row)
+    return rows
+
+
 def build_graph(h: Hamiltonian, relation: str) -> CompatGraph:
     """Connect term pairs satisfying the commutation relation ("fc" or "qwc")."""
     if relation not in RELATIONS:
@@ -81,24 +124,9 @@ def build_graph(h: Hamiltonian, relation: str) -> CompatGraph:
     n = len(h.terms)
     if n == 0:
         raise ValueError("no terms")
-    xs = [p.x for _, p in h.terms]
-    zs = [p.z for _, p in h.terms]
-    qwc_rel = relation == "qwc"
-    adj = []
-    for i in range(n):
-        xi, zi, si = xs[i], zs[i], xs[i] | zs[i]
-        row = 0
-        for j in range(n):
-            if j == i:
-                continue
-            if qwc_rel:
-                ok = (((xi ^ xs[j]) | (zi ^ zs[j])) & si & (xs[j] | zs[j])) == 0
-            else:
-                ok = ((xi & zs[j]).bit_count() + (zi & xs[j]).bit_count()) % 2 == 0
-            if ok:
-                row |= 1 << j
-        adj.append(row)
-    return CompatGraph(n, relation, tuple(adj))
+    full = (1 << n) - 1
+    return CompatGraph(n, relation, tuple(full & ~row & ~(1 << i)
+                                          for i, row in enumerate(_conflicts(h, relation))))
 
 
 def _groups_from_colors(colors: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -109,40 +137,89 @@ def _groups_from_colors(colors: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(g) for g in groups)
 
 
-def _lowest_free_color(forbidden: set[int]) -> int:
+def _take_color(seen: list[int], v: int, comp_row: int) -> tuple[int, int]:
+    """Color v with the lowest color no complement neighbor of v has.
+
+    ``seen[c]`` is the union of the complement rows of the vertices colored
+    c, i.e. the vertices that may no longer take c; it is updated here.
+    Returns the color and the complement neighbors that had no neighbor of
+    that color before.
+    """
     c = 0
-    while c in forbidden:
+    while c < len(seen) and (seen[c] >> v) & 1:
         c += 1
-    return c
+    if c == len(seen):
+        seen.append(0)
+    fresh = comp_row & ~seen[c]
+    seen[c] |= comp_row
+    return c, fresh
 
 
 def _smallest_last_order(graph: CompatGraph) -> list[int]:
+    """Repeatedly remove the vertex of least remaining complement degree.
+
+    ``buckets[d]`` holds the remaining vertices of remaining degree d;
+    removing a vertex moves each remaining neighbor down one bucket.
+    """
     n = graph.n_vertices
+    rows = [graph.comp_row(v) for v in range(n)]
+    degree = [row.bit_count() for row in rows]
+    buckets = [0] * n
+    for v, d in enumerate(degree):
+        buckets[d] |= 1 << v
     remaining = graph.full_mask
+    lowest = 0
     removal: list[int] = []
     for _ in range(n):
-        best = None
-        best_deg = None
-        for v in _bits(remaining):
-            deg = (graph.comp_row(v) & remaining).bit_count()
-            if best_deg is None or deg < best_deg:
-                best, best_deg = v, deg
-        removal.append(best)
-        remaining &= ~(1 << best)
+        while not buckets[lowest]:
+            lowest += 1
+        bit = buckets[lowest] & -buckets[lowest]
+        v = bit.bit_length() - 1
+        buckets[lowest] ^= bit
+        remaining ^= bit
+        removal.append(v)
+        for u in _bits(rows[v] & remaining):
+            d = degree[u]
+            degree[u] = d - 1
+            buckets[d] ^= 1 << u
+            buckets[d - 1] |= 1 << u
+        lowest = max(lowest - 1, 0)
     return removal[::-1]
 
 
 def _cover_dsatur(graph: CompatGraph) -> list[int]:
+    """Color the vertex of highest saturation next, lowest index on ties.
+
+    ``buckets[s]`` holds the uncolored vertices of saturation s (distinct
+    colors among their complement neighbors); a vertex whose saturation
+    rises moves up one bucket.
+    """
     n = graph.n_vertices
     colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    seen: list[int] = []
+    buckets = [0] * (n + 1)
+    buckets[0] = uncolored = graph.full_mask
+    top = 0
     for _ in range(n):
-        v = min((u for u in range(n) if colors[u] < 0),
-                key=lambda u: (-len(neighbor_colors[u]), u))
-        c = _lowest_free_color(neighbor_colors[v])
-        colors[v] = c
-        for u in _bits(graph.comp_row(v)):
-            neighbor_colors[u].add(c)
+        while not buckets[top]:
+            top -= 1
+        bit = buckets[top] & -buckets[top]
+        v = bit.bit_length() - 1
+        buckets[top] ^= bit
+        uncolored ^= bit
+        colors[v], rising = _take_color(seen, v, graph.comp_row(v))
+        rising &= uncolored
+        # Top bucket first, so that a vertex moves up at most once.
+        s = top
+        while rising:
+            moved = buckets[s] & rising
+            if moved:
+                buckets[s] ^= moved
+                buckets[s + 1] |= moved
+                rising ^= moved
+            s -= 1
+        if buckets[top + 1]:
+            top += 1
     return colors
 
 
@@ -167,9 +244,9 @@ def cover_greedy(graph: CompatGraph, ordering: str = "gc") -> CliqueCover:
         else:
             raise ValueError(f"unknown ordering {ordering!r}")
         colors = [-1] * n
+        seen: list[int] = []
         for v in order:
-            forbidden = {colors[u] for u in _bits(graph.comp_row(v)) if colors[u] >= 0}
-            colors[v] = _lowest_free_color(forbidden)
+            colors[v], _ = _take_color(seen, v, graph.comp_row(v))
     return CliqueCover(graph.relation, ordering, _groups_from_colors(colors))
 
 
@@ -294,7 +371,7 @@ def validate_cover(h: Hamiltonian, cover: CliqueCover, relation: str) -> CoverRe
     n = len(h.terms)
     violations: list[str] = []
     seen: set[int] = set()
-    prods = h.products()
+    conflicts = _conflicts(h, relation)
     for gi, group in enumerate(cover.groups):
         for v in group:
             if not 0 <= v < n:
@@ -304,14 +381,13 @@ def validate_cover(h: Hamiltonian, cover: CliqueCover, relation: str) -> CoverRe
                 violations.append(f"group {gi}: index {v} appears twice in the cover")
             seen.add(v)
         inside = [v for v in group if 0 <= v < n]
-        for a in range(len(inside)):
-            for b in range(a + 1, len(inside)):
-                i, j = inside[a], inside[b]
-                ok = prods[i].qwc_with(prods[j]) if relation == "qwc" \
-                    else prods[i].commutes_with(prods[j])
-                if not ok:
-                    violations.append(
-                        f"group {gi}: terms {i} and {j} violate {relation}")
+        members = 0
+        for v in inside:
+            members |= 1 << v
+        for a, i in enumerate(inside):
+            if conflicts[i] & members:
+                violations.extend(f"group {gi}: terms {i} and {j} violate {relation}"
+                                  for j in inside[a + 1:] if (conflicts[i] >> j) & 1)
     missing = [v for v in range(n) if v not in seen]
     if missing:
         violations.append(f"uncovered terms: {missing}")

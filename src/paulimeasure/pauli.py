@@ -204,6 +204,26 @@ class PauliSum:
     terms: tuple[tuple[complex, PauliProduct], ...]
 
 
+def qubit_columns(n_qubits: int, products: Iterable[PauliProduct]
+                  ) -> tuple[list[int], list[int]]:
+    """Per-qubit term bitsets of a product list.
+
+    Bit k of ``xcol[q]`` is set when product k has an X or a Y on qubit q,
+    bit k of ``zcol[q]`` when it has a Z or a Y. Costs one big-int OR per
+    non-identity axis.
+    """
+    xcol = [0] * n_qubits
+    zcol = [0] * n_qubits
+    for k, p in enumerate(products):
+        bit = 1 << k
+        for bits, col in ((p.x, xcol), (p.z, zcol)):
+            while bits:
+                low = bits & -bits
+                col[low.bit_length() - 1] |= bit
+                bits ^= low
+    return xcol, zcol
+
+
 def parse_term_tokens(tokens: list[str]) -> dict[int, str]:
     """Parse term tokens like ["X0", "Z3"] or ["I"] into {qubit: axis}."""
     if not tokens:

@@ -99,3 +99,101 @@ def conjugation_maps_paulis_to_paulis(u: np.ndarray, n_qubits: int,
         if hits != 1:
             return False
     return True
+
+
+# Naive references for the bitset grouping code: pairwise relation tests and
+# the linear-scan orderings it replaced. Tests require identical results.
+
+def pairwise_graph_rows(h: Hamiltonian, relation: str) -> tuple[int, ...]:
+    """Adjacency rows by testing every term pair with the product predicates."""
+    prods = h.products()
+    rows = []
+    for i, p in enumerate(prods):
+        row = 0
+        for j, q in enumerate(prods):
+            ok = p.qwc_with(q) if relation == "qwc" else p.commutes_with(q)
+            if j != i and ok:
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
+def pairwise_violations(h: Hamiltonian, groups, relation: str) -> list[str]:
+    """validate_cover's violation list, with every in-group pair tested."""
+    n = len(h.terms)
+    prods = h.products()
+    violations: list[str] = []
+    seen: set[int] = set()
+    for gi, group in enumerate(groups):
+        for v in group:
+            if not 0 <= v < n:
+                violations.append(f"group {gi}: index {v} out of range")
+                continue
+            if v in seen:
+                violations.append(f"group {gi}: index {v} appears twice in the cover")
+            seen.add(v)
+        inside = [v for v in group if 0 <= v < n]
+        for a in range(len(inside)):
+            for b in range(a + 1, len(inside)):
+                i, j = inside[a], inside[b]
+                ok = prods[i].qwc_with(prods[j]) if relation == "qwc" \
+                    else prods[i].commutes_with(prods[j])
+                if not ok:
+                    violations.append(f"group {gi}: terms {i} and {j} violate {relation}")
+    missing = [v for v in range(n) if v not in seen]
+    if missing:
+        violations.append(f"uncovered terms: {missing}")
+    return violations
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _lowest_free_color(forbidden: set[int]) -> int:
+    c = 0
+    while c in forbidden:
+        c += 1
+    return c
+
+
+def naive_sequential_colors(graph, order) -> list[int]:
+    """Each vertex in order takes the lowest color absent from its complement neighbors."""
+    colors = [-1] * graph.n_vertices
+    for v in order:
+        forbidden = {colors[u] for u in _bits(graph.comp_row(v)) if colors[u] >= 0}
+        colors[v] = _lowest_free_color(forbidden)
+    return colors
+
+
+def naive_smallest_last_order(graph) -> list[int]:
+    n = graph.n_vertices
+    remaining = graph.full_mask
+    removal: list[int] = []
+    for _ in range(n):
+        best = None
+        best_deg = None
+        for v in _bits(remaining):
+            deg = (graph.comp_row(v) & remaining).bit_count()
+            if best_deg is None or deg < best_deg:
+                best, best_deg = v, deg
+        removal.append(best)
+        remaining &= ~(1 << best)
+    return removal[::-1]
+
+
+def naive_dsatur_colors(graph) -> list[int]:
+    n = graph.n_vertices
+    colors = [-1] * n
+    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    for _ in range(n):
+        v = min((u for u in range(n) if colors[u] < 0),
+                key=lambda u: (-len(neighbor_colors[u]), u))
+        c = _lowest_free_color(neighbor_colors[v])
+        colors[v] = c
+        for u in _bits(graph.comp_row(v)):
+            neighbor_colors[u].add(c)
+    return colors

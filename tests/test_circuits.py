@@ -5,13 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from helpers import conjugation_maps_paulis_to_paulis, random_commuting_group
+from helpers import (all_paulis, conjugation_maps_paulis_to_paulis, random_commuting_group,
+                     random_pauli)
 from paulimeasure import (CliffordCircuit, Gate, PauliExponent, PauliProduct,
                           build_unitary_symbolic, circuit_from_dict,
                           circuit_to_dict, circuit_to_text, decompose_exponent,
                           exponent_sequence, find_sigma, find_tau, gate_counts,
-                          synthesize)
+                          synthesize, transform_group)
 from paulimeasure import verify
+from paulimeasure.circuits import GATE_NAMES, conjugate_columns
+from paulimeasure.pauli import qubit_columns
 from paulimeasure.fixtures import h2_reference_basis, model_reference_basis
 
 
@@ -37,6 +40,68 @@ def sequence_matrix(phase_exp: int, exponents) -> np.ndarray:
     for e in exponents:
         m = m @ exponent_matrix(e.pauli)
     return np.exp(1j * np.pi / 4 * phase_exp) * m
+
+
+def signed_pauli(m: np.ndarray, n_qubits: int) -> tuple[int, PauliProduct]:
+    """(sign, P) with m == sign * P; exactly one signed product must match."""
+    hits = [(sign, p) for p in all_paulis(n_qubits) for sign in (1, -1)
+            if np.allclose(m, sign * verify.dense_pauli(p), atol=1e-12)]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def conjugated_products(c: CliffordCircuit, prods) -> list[tuple[int, PauliProduct]]:
+    """(sign, image) of every product under conjugate_columns."""
+    n = c.n_qubits
+    xs, zs, minus = conjugate_columns(c, *qubit_columns(n, prods))
+    return [(-1 if (minus >> k) & 1 else 1,
+             PauliProduct(n, sum(((xs[q] >> k) & 1) << q for q in range(n)),
+                          sum(((zs[q] >> k) & 1) << q for q in range(n))))
+            for k in range(len(prods))]
+
+
+class TestConjugateColumns:
+    """The bit rules of conjugate_columns against the literal gate matrices."""
+
+    @pytest.mark.parametrize("gate", [Gate(name, (0,)) for name in GATE_NAMES
+                                      if name != "CNOT"]
+                             + [Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0))],
+                             ids=lambda g: f"{g.name}{g.qubits}")
+    def test_gate_rule_is_literal_conjugation(self, gate):
+        n = len(gate.qubits)
+        g = verify.dense_gate(gate, n)
+        prods = list(all_paulis(n))
+        want = [signed_pauli(g.conj().T @ verify.dense_pauli(p) @ g, n) for p in prods]
+        assert conjugated_products(CliffordCircuit(n, (gate,)), prods) == want
+
+    def test_random_circuits_match_dense_conjugation(self):
+        rng = random.Random(53)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            gates = []
+            for _ in range(rng.randint(0, 12)):
+                name = rng.choice(GATE_NAMES)
+                if name == "CNOT" and n == 1:
+                    name = "H"
+                qubits = rng.sample(range(n), 2 if name == "CNOT" else 1)
+                gates.append(Gate(name, tuple(qubits)))
+            c = CliffordCircuit(n, tuple(gates), rng.randrange(8))
+            u = verify.dense_matrix(c)
+            prods = [random_pauli(n, rng) for _ in range(8)]
+            for p, (sign, image) in zip(prods, conjugated_products(c, prods)):
+                np.testing.assert_allclose(u.conj().T @ verify.dense_pauli(p) @ u,
+                                           sign * verify.dense_pauli(image), atol=1e-10)
+
+    def test_synthesized_circuit_maps_group_to_transformed_group(self):
+        rng = random.Random(59)
+        for _ in range(10):
+            group = random_commuting_group(rng.randint(1, 8), rng)
+            basis = find_sigma(find_tau(group))
+            tg = transform_group(group, basis)
+            got = conjugated_products(synthesize(basis), group.products())
+            for (coeff, _), (sign, image), (t_coeff, t_prod) in zip(
+                    group.terms, got, tg.transformed.terms):
+                assert image == t_prod and sign * coeff == t_coeff
 
 
 class TestExponentSequence:

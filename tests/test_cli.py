@@ -293,6 +293,70 @@ class TestVerify:
         assert all(c["passed"] == (c["status"] == "pass") for c in checks)
 
 
+    def test_rows_in_order(self, h2_file, tmp_path, capsys):
+        plan_path = self.run_transform(h2_file, tmp_path)
+        capsys.readouterr()
+        assert main(["verify", h2_file, str(plan_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS groups partition the terms",
+            "PASS basis invariants",
+            "PASS transformed groups qubit-wise commuting",
+            "PASS coefficient magnitudes preserved",
+            "PASS circuit maps each group term to its transformed term (exact sign)",
+            "PASS spectra preserved (tol 1e-9)",
+            "PASS conjugated group matches transform (tol 1e-9)",
+            "PASS unitarity (tol 1e-10)",
+            "PASS circuit matches symbolic unitary (tol 1e-10)",
+            "PASS expectation values invariant (tol 1e-9)",
+        ]
+
+    def test_truncated_circuit_fails_above_the_dense_caps(self, tmp_path, capsys):
+        wide = tmp_path / "wide.txt"
+        wide.write_text("qubits: 8\n1.0 X0 X7\n0.5 Z0 Z7\n0.25 Y1 Y2\n")
+
+        def drop_last_gates(plan):
+            circuit = plan["groups"][-1]["circuit"]
+            circuit["gates"] = circuit["gates"][:-3]
+            return plan
+
+        code, out, _ = self.run_verify_on_edited_plan(str(wide), tmp_path,
+                                                      drop_last_gates, capsys)
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == [line for line in failed if line.startswith(
+            "FAIL circuit maps each group term to its transformed term (exact sign)")]
+        assert len(failed) == 1
+
+    def test_flipped_sign_fails_at_twelve_qubits(self, tmp_path, capsys):
+        chain = tmp_path / "chain.txt"
+        chain.write_text("qubits: 12\n" + "".join(f"{0.1 * (i + 1)!r} Z{i} Z{i + 1}\n"
+                                                  for i in range(11)))
+
+        def flip_first_sign(plan):
+            term = plan["groups"][0]["transformed"][0]
+            term["coeff"] = -term["coeff"]
+            return plan
+
+        code, out, _ = self.run_verify_on_edited_plan(str(chain), tmp_path,
+                                                      flip_first_sign, capsys)
+        assert code == 1
+        assert ("FAIL circuit maps each group term to its transformed term (exact sign) "
+                "(group 0: term 0 (0.1 Z0 Z1) maps to +") in out
+        assert out.count("FAIL") == 1
+
+    def test_failure_names_the_first_failing_group(self, six_term_file, tmp_path, capsys):
+        def tamper_second_group(plan):
+            plan["groups"][1]["transformed"][0]["coeff"] *= -1
+            return plan
+
+        code, out, _ = self.run_verify_on_edited_plan(six_term_file, tmp_path,
+                                                      tamper_second_group, capsys)
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed and all("(group 1: " in line for line in failed)
+        assert any(line.startswith("FAIL circuit maps each group term") for line in failed)
+
+
 class TestCount:
     def test_default_template_n4(self, capsys):
         assert main(["count", "4"]) == 0

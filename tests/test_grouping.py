@@ -3,11 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_graph_hamiltonian
-from paulimeasure import (CliqueCover, CompatGraph, build_graph, compute_cover,
-                          cover_exact, cover_greedy, cover_rlf, cover_stats,
-                          cover_to_dict, parse_hamiltonian, validate_cover)
+from helpers import (naive_dsatur_colors, naive_sequential_colors,
+                     naive_smallest_last_order, pairwise_graph_rows,
+                     pairwise_violations, random_graph_hamiltonian)
+from paulimeasure import (CliqueCover, CompatGraph, Hamiltonian, PauliProduct,
+                          build_graph, compute_cover, cover_exact, cover_greedy,
+                          cover_rlf, cover_stats, cover_to_dict, parse_hamiltonian,
+                          validate_cover)
+from paulimeasure.grouping import _cover_dsatur, _smallest_last_order
 from paulimeasure.fixtures import SIX_TERM_TEXT, six_term_hamiltonian
 
 HEURISTICS = ("gc", "lf", "sl", "dsatur", "rlf")
@@ -33,6 +39,25 @@ def edgeless_graph(n):
 def random_compat_graph(n, rng, p=0.5):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+@st.composite
+def pauli_sums(draw, max_qubits=6, max_terms=24):
+    """Sums whose axis bits mix identity terms, full-weight terms (Y on every
+    qubit when both are full) and arbitrary patterns."""
+    n = draw(st.integers(1, max_qubits))
+    full = (1 << n) - 1
+    bits = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    pairs = draw(st.lists(st.tuples(bits, bits), min_size=1, max_size=max_terms))
+    return Hamiltonian.from_terms(
+        n, [(1.0 + k, PauliProduct(n, x, z)) for k, (x, z) in enumerate(pairs)])
+
+
+def seeded_sums():
+    """Random 8-qubit sums of 40-120 distinct terms, one per seed."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        yield random_graph_hamiltonian(8, rng.randint(40, 120), rng)
 
 
 SIX_TERM_EDGES = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
@@ -62,9 +87,26 @@ class TestBuildGraph:
             assert g.has_edge(0, 1) and g.has_edge(0, 2)
 
     def test_empty_hamiltonian_rejected(self):
-        from paulimeasure import Hamiltonian
         with pytest.raises(ValueError, match="no terms"):
             build_graph(Hamiltonian(2, ()), "fc")
+
+    @settings(max_examples=200, deadline=None)
+    @given(pauli_sums())
+    def test_matches_pairwise_definition(self, h):
+        for relation in ("fc", "qwc"):
+            g = build_graph(h, relation)
+            assert g.adj == pairwise_graph_rows(h, relation), relation
+
+    @settings(max_examples=100, deadline=None)
+    @given(pauli_sums(), st.randoms(use_true_random=False))
+    def test_violations_match_pairwise_validation(self, h, rng):
+        n = len(h.terms)
+        groups = [[rng.randrange(-1, n + 1) for _ in range(rng.randint(0, 6))]
+                  for _ in range(rng.randint(1, 4))]
+        for relation in ("fc", "qwc"):
+            report = validate_cover(h, CliqueCover(relation, "manual",
+                                                   tuple(map(tuple, groups))), relation)
+            assert list(report.violations) == pairwise_violations(h, groups, relation)
 
 
 class TestHeuristicCovers:
@@ -102,6 +144,22 @@ class TestHeuristicCovers:
                 for method in HEURISTICS + ("exact",):
                     cover = compute_cover(g, method)
                     assert validate_cover(h, cover, relation).valid, (method, relation)
+
+    def test_orderings_match_linear_scan_references(self):
+        for h in seeded_sums():
+            for relation in ("fc", "qwc"):
+                g = build_graph(h, relation)
+                assert _cover_dsatur(g) == naive_dsatur_colors(g)
+                sl = naive_smallest_last_order(g)
+                assert _smallest_last_order(g) == sl
+                lf = sorted(range(g.n_vertices),
+                            key=lambda v: (-g.comp_row(v).bit_count(), v))
+                for method, order in (("gc", range(g.n_vertices)), ("lf", lf),
+                                      ("sl", sl)):
+                    colors = naive_sequential_colors(g, order)
+                    groups = tuple(tuple(v for v in range(g.n_vertices) if colors[v] == c)
+                                   for c in range(max(colors) + 1))
+                    assert cover_greedy(g, method).groups == groups, (relation, method)
 
     def test_deterministic_across_runs(self):
         rng = random.Random(8)
