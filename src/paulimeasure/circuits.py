@@ -8,6 +8,7 @@ H/S/CNOT with an exactly tracked global phase.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -199,6 +200,8 @@ def _field(obj, key: str, kind, item=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{key!r} must be {_JSON_KINDS[kind]}")
+    if kind == (int, float) and not abs(value) <= sys.float_info.max:  # NaN too
+        raise ValueError(f"{key!r} must be a finite number")
     if item is not None and not all(type(v) is item for v in value):
         raise ValueError(f"{key!r} items must each be {_JSON_KINDS[item]}")
     return value

@@ -11,11 +11,10 @@ import numpy as np
 
 from . import verify
 from .circuits import conjugate_columns
-from .gf2 import InconsistentSystemError
 from .grouping import (DEFAULT_EXACT_CAP, METHODS, RELATIONS, build_graph,
                        compute_cover, cover_stats, cover_to_dict)
-from .pauli import (DROP_TOLERANCE, Hamiltonian, HamiltonianFormatError,
-                    PauliProduct, parse_hamiltonian, qubit_columns)
+from .pauli import (DROP_TOLERANCE, Hamiltonian, PauliProduct, parse_hamiltonian,
+                    qubit_columns)
 from .transform import (MeasurementPlan, TransformError, build_unitary_symbolic,
                         pipeline, plan_from_dict, plan_to_dict)
 
@@ -107,8 +106,10 @@ def _verify_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str
     The status is "pass", "fail", or "skip" for a dense check above its
     qubit cap. Groups are visited one at a time and every check runs on a
     group before the next, so each group's dense operators are built once
-    and only one group's are alive. A check that has failed is not run on
-    later groups; its row names the first failing group.
+    and only one group's are alive. A check that raises ValueError or
+    IndexError on a malformed group fails with that message. A check that
+    has failed is not run on later groups; its row names the first failing
+    group.
     """
     n = plan.n_qubits
     rng = np.random.default_rng(_EXPECTATION_SEED)
@@ -129,10 +130,7 @@ def _verify_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str
         return "; ".join(problems)
 
     def check_basis(g: _GroupOperators):
-        try:
-            g.entry.transform.basis.validate(g.group)
-        except (ValueError, IndexError) as exc:
-            return False, str(exc)
+        g.entry.transform.basis.validate(g.group)
         return True, ""
 
     def check_qwc(g: _GroupOperators):
@@ -227,7 +225,10 @@ def _verify_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str
         g = _GroupOperators(h, entry)
         for name, fn in running:
             if name not in failures:
-                ok, detail = fn(g)
+                try:
+                    ok, detail = fn(g)
+                except (ValueError, IndexError) as exc:
+                    ok, detail = False, str(exc)
                 if not ok:
                     failures[name] = f"group {gi}: {detail}"
 
@@ -246,7 +247,10 @@ def _verify_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str
 def cmd_verify(args: argparse.Namespace) -> int:
     h = _read_hamiltonian(args.input, args.tolerance)
     with open(args.plan, encoding="utf-8") as fh:
-        plan = plan_from_dict(json.load(fh))
+        try:
+            plan = plan_from_dict(json.load(fh))
+        except RecursionError:
+            raise ValueError("plan: JSON nested too deeply") from None
     if plan.n_qubits != h.n_qubits:
         raise ValueError("plan qubit count differs from the Hamiltonian")
     for gi, entry in enumerate(plan.groups):
@@ -339,9 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HamiltonianFormatError, InconsistentSystemError, TransformError,
-            verify.DimensionError, ValueError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, TransformError, OSError, KeyError) as exc:
         print(f"measure: error: {exc}", file=sys.stderr)
         return 1
 

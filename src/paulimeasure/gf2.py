@@ -90,35 +90,25 @@ def lagrangian_extract(rows: list[int], n_qubits: int) -> list[int]:
     c_k + (c_k|c_j) c_i + (c_k|c_i) c_j and drops c_j. Independence is
     preserved, each round keeps exactly the old span's kernel against the
     dropped vector, so any isotropic subspace of the input span survives.
+    After a round c_i, and every vector before it, is orthogonal to all the
+    others, so the next first pair starts after i and one left-to-right
+    sweep finds every pair.
     """
     work = list(rows)
-    while True:
-        pair = None
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                if symplectic_inner(work[i], work[j], n_qubits):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        i, j = pair
-        ci, cj = work[i], work[j]
-        nxt = []
-        for k, ck in enumerate(work):
-            if k == j:
-                continue
-            if k == i:
-                nxt.append(ci)
-                continue
-            v = ck
-            if symplectic_inner(ck, cj, n_qubits):
-                v ^= ci
-            if symplectic_inner(ck, ci, n_qubits):
-                v ^= cj
-            nxt.append(v)
-        work = nxt
+    i = 0
+    while i < len(work):
+        ci = work[i]
+        j = next((j for j in range(i + 1, len(work))
+                  if symplectic_inner(ci, work[j], n_qubits)), None)
+        if j is not None:
+            cj = work.pop(j)
+            for k in range(i + 1, len(work)):
+                ck = work[k]
+                if symplectic_inner(ck, cj, n_qubits):
+                    work[k] ^= ci
+                if symplectic_inner(ck, ci, n_qubits):
+                    work[k] ^= cj
+        i += 1
     if len(work) != n_qubits:
         raise ValueError(
             f"input is not coisotropic: extracted {len(work)} of {n_qubits} vectors")

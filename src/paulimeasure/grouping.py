@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pauli import Hamiltonian, qubit_columns
+from .pauli import Hamiltonian, anticommuting, qubit_columns
 
 RELATIONS = ("fc", "qwc")
 METHODS = ("gc", "lf", "sl", "dsatur", "rlf", "exact")
@@ -87,33 +87,25 @@ def _bits(mask: int):
 def _conflicts(h: Hamiltonian, relation: str) -> list[int]:
     """Per term, the bitset of the terms it breaks the relation with.
 
-    On qubit q, a term with an X there differs in axis from the terms in
-    zcol[q] (Z or Y), one with a Z from those in xcol[q], and one with a Y
-    from their XOR. Two terms anticommute when they differ on an odd number
-    of shared qubits (XOR over the support) and are not qubit-wise
-    commuting when they differ on any (OR).
+    fc rows are ``pauli.anticommuting``. For qwc, on qubit q a term with an
+    X there differs in axis from the terms in zcol[q] (Z or Y), one with a Z
+    from those in xcol[q], and one with a Y from their XOR; any such
+    difference breaks qubit-wise commutation, so the row ORs them.
     """
     prods = h.products()
     xcol, zcol = qubit_columns(h.n_qubits, prods)
-    rows = []
     if relation == "fc":
-        for p in prods:
-            row = 0
-            for q in _bits(p.x):
-                row ^= zcol[q]
-            for q in _bits(p.z):
-                row ^= xcol[q]
-            rows.append(row)
-    else:
-        for p in prods:
-            row = 0
-            for q in _bits(p.x & ~p.z):
-                row |= zcol[q]
-            for q in _bits(p.z & ~p.x):
-                row |= xcol[q]
-            for q in _bits(p.x & p.z):
-                row |= xcol[q] ^ zcol[q]
-            rows.append(row)
+        return [anticommuting(xcol, zcol, p) for p in prods]
+    rows = []
+    for p in prods:
+        row = 0
+        for q in _bits(p.x & ~p.z):
+            row |= zcol[q]
+        for q in _bits(p.z & ~p.x):
+            row |= xcol[q]
+        for q in _bits(p.x & p.z):
+            row |= xcol[q] ^ zcol[q]
+        rows.append(row)
     return rows
 
 

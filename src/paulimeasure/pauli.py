@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 DROP_TOLERANCE = 1e-10
+# Widest input accepted, so that no small input asks for unbounded work.
+MAX_QUBITS = 1024
 
 _AXIS_FROM_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS_FROM_AXIS = {a: b for b, a in _AXIS_FROM_BITS.items()}
@@ -61,27 +63,18 @@ class PauliProduct:
     @classmethod
     def from_label(cls, label: str, phase_exp: int = 0) -> PauliProduct:
         """Build from an 'IXYZ' style string; character ``i`` is qubit ``i``."""
-        x = z = 0
-        for q, a in enumerate(label):
-            if a not in _BITS_FROM_AXIS:
-                raise ValueError(f"invalid Pauli character {a!r}")
-            xb, zb = _BITS_FROM_AXIS[a]
-            x |= xb << q
-            z |= zb << q
-        return cls(len(label), x, z, phase_exp)
+        bad = next((a for a in label if a not in _BITS_FROM_AXIS), None)
+        if bad is not None:
+            raise ValueError(f"invalid Pauli character {bad!r}")
+        return _from_axes(len(label), dict(enumerate(label)), phase_exp)
 
     @classmethod
     def from_term_string(cls, term: str, n_qubits: int) -> PauliProduct:
         """Build from token form, e.g. ``"X0 Z3"`` or ``"I"``."""
         assignment = parse_term_tokens(term.split())
-        x = z = 0
-        for q, a in assignment.items():
-            if q >= n_qubits:
-                raise ValueError(f"qubit index {q} >= n_qubits {n_qubits}")
-            xb, zb = _BITS_FROM_AXIS[a]
-            x |= xb << q
-            z |= zb << q
-        return cls(n_qubits, x, z, 0)
+        if assignment and max(assignment) >= n_qubits:
+            raise ValueError(f"qubit index {max(assignment)} >= n_qubits {n_qubits}")
+        return _from_axes(n_qubits, assignment)
 
     @classmethod
     def from_packed(cls, packed: int, n_qubits: int) -> PauliProduct:
@@ -114,9 +107,6 @@ class PauliProduct:
 
     def weight(self) -> int:
         return self.support.bit_count()
-
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0 and self.phase_exp == 0
 
     def commutes_with(self, other: PauliProduct) -> bool:
         """Zero symplectic form: an even number of anticommuting qubits."""
@@ -204,6 +194,17 @@ class PauliSum:
     terms: tuple[tuple[complex, PauliProduct], ...]
 
 
+def _from_axes(n_qubits: int, axes: dict[int, str], phase_exp: int = 0
+               ) -> PauliProduct:
+    """Product with axis ``axes[q]`` ("I", "X", "Y" or "Z") on each qubit q."""
+    x = z = 0
+    for q, a in axes.items():
+        xb, zb = _BITS_FROM_AXIS[a]
+        x |= xb << q
+        z |= zb << q
+    return PauliProduct(n_qubits, x, z, phase_exp)
+
+
 def qubit_columns(n_qubits: int, products: Iterable[PauliProduct]
                   ) -> tuple[list[int], list[int]]:
     """Per-qubit term bitsets of a product list.
@@ -224,6 +225,19 @@ def qubit_columns(n_qubits: int, products: Iterable[PauliProduct]
     return xcol, zcol
 
 
+def anticommuting(xcol: list[int], zcol: list[int], p: PauliProduct) -> int:
+    """Bitset of the products, given as ``qubit_columns``, that anticommute
+    with p: an XOR of zcol[q] over the x bits of p and of xcol[q] over its z
+    bits, since anticommuting means an odd number of such clashes."""
+    row = 0
+    for bits, cols in ((p.x, zcol), (p.z, xcol)):
+        while bits:
+            low = bits & -bits
+            row ^= cols[low.bit_length() - 1]
+            bits ^= low
+    return row
+
+
 def parse_term_tokens(tokens: list[str]) -> dict[int, str]:
     """Parse term tokens like ["X0", "Z3"] or ["I"] into {qubit: axis}."""
     if not tokens:
@@ -236,6 +250,8 @@ def parse_term_tokens(tokens: list[str]) -> dict[int, str]:
         if m is None:
             raise ValueError(f"malformed token {tok!r}")
         axis, qubit = m.group(1), int(m.group(2))
+        if qubit >= MAX_QUBITS:
+            raise ValueError(f"qubit index {qubit} exceeds the {MAX_QUBITS}-qubit limit")
         if qubit in assignment:
             raise ValueError(f"qubit {qubit} listed twice in one term")
         assignment[qubit] = axis
@@ -259,25 +275,24 @@ def parse_hamiltonian(source: str | Iterable[str],
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
-        header = _HEADER.fullmatch(text)
-        if header:
-            if declared is not None:
-                raise HamiltonianFormatError(f"line {lineno}: duplicate qubits header")
-            declared = int(header.group(1))
-            if declared < 1:
-                raise HamiltonianFormatError(f"line {lineno}: qubits must be positive")
-            continue
-        tokens = text.split()
-        if len(tokens) < 2:
-            raise HamiltonianFormatError(f"line {lineno}: expected coefficient and term")
         try:
-            coeff = float(tokens[0])
-        except ValueError:
-            raise HamiltonianFormatError(
-                f"line {lineno}: malformed coefficient {tokens[0]!r}") from None
-        if not math.isfinite(coeff):
-            raise HamiltonianFormatError(f"line {lineno}: non-finite coefficient")
-        try:
+            header = _HEADER.fullmatch(text)
+            if header:
+                if declared is not None:
+                    raise ValueError("duplicate qubits header")
+                declared = int(header.group(1))
+                if not 1 <= declared <= MAX_QUBITS:
+                    raise ValueError(f"qubits must be in 1..{MAX_QUBITS}")
+                continue
+            tokens = text.split()
+            if len(tokens) < 2:
+                raise ValueError("expected coefficient and term")
+            try:
+                coeff = float(tokens[0])
+            except ValueError:
+                raise ValueError(f"malformed coefficient {tokens[0]!r}") from None
+            if not math.isfinite(coeff):
+                raise ValueError("non-finite coefficient")
             assignment = parse_term_tokens(tokens[1:])
         except ValueError as exc:
             raise HamiltonianFormatError(f"line {lineno}: {exc}") from None
@@ -292,12 +307,7 @@ def parse_hamiltonian(source: str | Iterable[str],
         if assignment and max(assignment) >= n_qubits:
             raise HamiltonianFormatError(
                 f"line {lineno}: qubit index {max(assignment)} >= qubits {n_qubits}")
-        x = z = 0
-        for q, a in assignment.items():
-            xb, zb = _BITS_FROM_AXIS[a]
-            x |= xb << q
-            z |= zb << q
-        terms.append((coeff, PauliProduct(n_qubits, x, z)))
+        terms.append((coeff, _from_axes(n_qubits, assignment)))
     return Hamiltonian.from_terms(n_qubits, terms, drop_tolerance)
 
 

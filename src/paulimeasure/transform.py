@@ -12,21 +12,26 @@ sigmas, which is qubit-wise commuting by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import gf2
 from .circuits import (CliffordCircuit, _field, circuit_from_dict, circuit_to_dict,
                        synthesize)
-from .pauli import I_POWERS, Hamiltonian, PauliProduct, PauliSum
+from .pauli import (I_POWERS, MAX_QUBITS, Hamiltonian, PauliProduct, PauliSum,
+                    anticommuting, qubit_columns)
 
 MAX_SYMBOLIC_QUBITS = 8
-
-# Deterministic choice of the anticommuting single-qubit partner.
-_SIGMA_AXIS = {"X": "Z", "Y": "X", "Z": "X"}
 
 
 class TransformError(RuntimeError):
     """Pipeline defect: a contract that valid inputs cannot violate failed."""
+
+
+def _commute_pairwise(n: int, products: Sequence[PauliProduct]) -> bool:
+    """No two of the products anticommute, tested on their term bitsets."""
+    xcol, zcol = qubit_columns(n, products)
+    return not any(anticommuting(xcol, zcol, p) for p in products)
 
 
 @dataclass(frozen=True)
@@ -46,11 +51,14 @@ class TauSigmaBasis:
         qubit, axis = self.sigmas[i]
         return PauliProduct.single(self.n_qubits, qubit, axis)
 
-    def tau_vectors(self) -> list[int]:
-        return [t.packed for t in self.taus]
+    @cached_property
+    def _sigma_columns(self) -> tuple[list[int], list[int]]:
+        """The sigmas as per-qubit term bitsets: bit k stands for sigma_k."""
+        return qubit_columns(self.n_qubits, map(self.sigma_product, range(self.n_qubits)))
 
     def validate(self, group: Hamiltonian | None = None) -> None:
-        """Raise ValueError naming the first violated invariant."""
+        """Raise ValueError naming the first violated invariant, at the lowest
+        index; each tau or group term is tested with one bitset."""
         n = self.n_qubits
         if len(self.taus) != n or len(self.sigmas) != n:
             raise ValueError(f"expected {n} taus and sigmas")
@@ -62,23 +70,22 @@ class TauSigmaBasis:
         qubits = [q for q, _ in self.sigmas]
         if len(set(qubits)) != n:
             raise ValueError("sigma qubits must be pairwise distinct")
-        vecs = self.tau_vectors()
-        if not gf2.is_lagrangian(vecs, n):
+        if not (gf2.is_independent([t.packed for t in self.taus], 2 * n)
+                and _commute_pairwise(n, self.taus)):
             raise ValueError("taus are not a Lagrangian basis")
-        sig_vecs = [self.sigma_product(i).packed for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                inner = gf2.symplectic_inner(vecs[i], sig_vecs[j], n)
-                if i == j and inner == 0:
-                    raise ValueError(f"tau_{i} does not anticommute with sigma_{i}")
-                if i != j and inner == 1:
-                    raise ValueError(f"tau_{i} anticommutes with sigma_{j}")
+        for i, tau in enumerate(self.taus):
+            wrong = anticommuting(*self._sigma_columns, tau) ^ (1 << i)
+            if wrong:
+                j = (wrong & -wrong).bit_length() - 1
+                raise ValueError(f"tau_{i} does not anticommute with sigma_{i}" if j == i
+                                 else f"tau_{i} anticommutes with sigma_{j}")
         if group is not None:
-            for ti, (_, prod) in enumerate(group.terms):
-                pv = prod.packed
-                for k, tv in enumerate(vecs):
-                    if gf2.symplectic_inner(pv, tv, n):
-                        raise ValueError(f"group term {ti} anticommutes with tau_{k}")
+            tau_columns = qubit_columns(n, self.taus)
+            for ti, prod in enumerate(group.products()):
+                hits = anticommuting(*tau_columns, prod)
+                if hits:
+                    k = (hits & -hits).bit_length() - 1
+                    raise ValueError(f"group term {ti} anticommutes with tau_{k}")
 
 
 @dataclass(frozen=True)
@@ -108,14 +115,14 @@ def find_tau(group: Hamiltonian) -> list[PauliProduct]:
 
     Row reduction of the term vectors yields a basis of their span; if its
     rank is below N the basis is grown to a Lagrangian one inside the
-    symplectic complement. The terms pairwise commute exactly when that span
-    is isotropic, which is checked on the at most 2N reduced rows instead of
-    on all term pairs. Constant terms contribute the zero vector.
+    symplectic complement. Pairwise commutation is checked first, one term
+    bitset per term. Constant terms contribute the zero vector.
     """
     n = group.n_qubits
-    basis, _ = gf2.row_reduce([p.packed for p in group.products()], 2 * n)
-    if not gf2.is_isotropic(basis, n):
+    products = group.products()
+    if not _commute_pairwise(n, products):
         raise ValueError("group terms do not commute")
+    basis, _ = gf2.row_reduce([p.packed for p in products], 2 * n)
     if len(basis) < n:
         basis = gf2.lagrangian_extract(gf2.symplectic_complement(basis, n), n)
     return [PauliProduct.from_packed(v, n) for v in basis]
@@ -137,30 +144,27 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     if any(t.n_qubits != n or t.phase_exp != 0 for t in taus):
         raise ValueError("taus must share the qubit count and carry no phase")
     vecs = [t.packed for t in taus]
-    if not gf2.is_lagrangian(vecs, n):
+    if (len(vecs) != n or not gf2.is_independent(vecs, 2 * n)
+            or not _commute_pairwise(n, taus)):
         raise ValueError("taus are not a Lagrangian basis")
-    mask_n = (1 << n) - 1
-    unassigned = mask_n
+    unassigned = (1 << n) - 1
     sigmas: list[tuple[int, str]] = []
     for i in range(n):
-        pick = None
-        for j in range(i, n):
-            support = (vecs[j] | (vecs[j] >> n)) & mask_n
-            if support & unassigned:
-                pick = j
-                break
+        pick = next((j for j in range(i, n) if (vecs[j] | vecs[j] >> n) & unassigned),
+                    None)
         if pick is None:
             raise TransformError("no tau touches an unassigned qubit")
         vecs[i], vecs[pick] = vecs[pick], vecs[i]
-        support = (vecs[i] | (vecs[i] >> n)) & mask_n
-        avail = support & unassigned
+        avail = (vecs[i] | vecs[i] >> n) & unassigned
         qubit = (avail & -avail).bit_length() - 1
-        tau_axis = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[
-            ((vecs[i] >> qubit) & 1, (vecs[i] >> (n + qubit)) & 1)]
-        axis = _SIGMA_AXIS[tau_axis]
-        sigma_vec = PauliProduct.single(n, qubit, axis).packed
+        # The partner of a Y or Z is X, which anticommutes with the taus that
+        # have a z bit on the qubit; the partner of an X is Z (an x bit).
+        if vecs[i] >> (n + qubit) & 1:
+            axis, probe = "X", 1 << (n + qubit)
+        else:
+            axis, probe = "Z", 1 << qubit
         for k in range(n):
-            if k != i and gf2.symplectic_inner(vecs[k], sigma_vec, n):
+            if k != i and vecs[k] & probe:
                 vecs[k] ^= vecs[i]
         sigmas.append((qubit, axis))
         unassigned &= ~(1 << qubit)
@@ -172,27 +176,28 @@ def expand_in_tau(term: PauliProduct, basis: TauSigmaBasis
                   ) -> tuple[tuple[int, ...], int]:
     """Write term as p * product of taus; returns (tau indices, p in {+1,-1}).
 
-    The subset comes from a GF(2) solve over the tau vectors; the phase from
-    exact multiplication of the selected taus in ascending index order.
-    Mutually commuting taus force an even i-exponent, so p is a sign.
+    sigma_k anticommutes with tau_k and with no other tau, so tau_k is in
+    the expansion exactly when sigma_k anticommutes with the term: the
+    subset is read off the basis's sigma columns. The selected taus,
+    multiplied in ascending index order, must give the term up to phase,
+    which proves it lies in the tau span. Mutually commuting taus force an
+    even i-exponent, so p is a sign. The basis must hold the TauSigmaBasis
+    invariants.
     """
     if term.n_qubits != basis.n_qubits:
         raise ValueError("qubit-count mismatch")
     n = basis.n_qubits
-    try:
-        selection = gf2.solve(basis.tau_vectors(), 2 * n, term.packed)
-    except gf2.InconsistentSystemError:
-        raise TransformError("term not in tau-span") from None
+    selection = anticommuting(*basis._sigma_columns, term)
     indices = tuple(k for k in range(n) if (selection >> k) & 1)
     product = PauliProduct.identity(n)
     for k in indices:
         product = product * basis.taus[k]
+    if (product.x, product.z) != (term.x, term.z):
+        raise TransformError("term not in tau-span")
     diff = (term.phase_exp - product.phase_exp) % 4
-    if diff == 0:
-        return indices, 1
-    if diff == 2:
-        return indices, -1
-    raise TransformError("expansion phase is imaginary")
+    if diff % 2:
+        raise TransformError("expansion phase is imaginary")
+    return indices, 1 - diff
 
 
 def transform_group(group: Hamiltonian, basis: TauSigmaBasis,
@@ -209,22 +214,16 @@ def transform_group(group: Hamiltonian, basis: TauSigmaBasis,
         else tuple(range(len(group.terms)))
     if len(indices) != len(group.terms):
         raise ValueError("term_indices length differs from the group")
+    sigmas = [basis.sigma_product(k) for k in range(n)]
     out_terms: list[tuple[float, PauliProduct]] = []
     expansions: list[tuple[tuple[int, ...], int]] = []
     for coeff, prod in group.terms:
-        if prod.weight() == 0:
-            subset: tuple[int, ...] = ()
-            phase = 1
-            image = PauliProduct.identity(n)
-        else:
-            subset, phase = expand_in_tau(prod, basis)
-            x = z = 0
-            for k in subset:
-                s = basis.sigma_product(k)
-                x |= s.x
-                z |= s.z
-            image = PauliProduct(n, x, z)
-        out_terms.append((coeff * phase, image))
+        subset, phase = expand_in_tau(prod, basis)
+        x = z = 0
+        for k in subset:
+            x |= sigmas[k].x
+            z |= sigmas[k].z
+        out_terms.append((coeff * phase, PauliProduct(n, x, z)))
         expansions.append((subset, phase))
     transformed = Hamiltonian(n, tuple(out_terms))
     return TransformedGroup(indices, basis, transformed, tuple(expansions))
@@ -301,6 +300,8 @@ def plan_from_dict(d: dict) -> MeasurementPlan:
     try:
         n = _field(d, "n_qubits", int)
         groups = _field(d, "groups", list)
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"'n_qubits' must be in 1..{MAX_QUBITS}")
     except ValueError as exc:
         raise ValueError(f"plan: {exc}") from None
     entries = []

@@ -197,3 +197,93 @@ def naive_dsatur_colors(graph) -> list[int]:
         for u in _bits(graph.comp_row(v)):
             neighbor_colors[u].add(c)
     return colors
+
+
+# Earlier forms of the tau/sigma stage, kept as references: the extraction
+# that rescans all pairs each round, the expansion by a GF(2) solve and the
+# basis check by pairwise symplectic inner products. Tests require results
+# identical to the library's sweep, sigma read-off and bitset checks.
+
+def rescanning_lagrangian_extract(rows: list[int], n_qubits: int) -> list[int]:
+    work = list(rows)
+    while True:
+        pair = None
+        for i in range(len(work)):
+            for j in range(i + 1, len(work)):
+                if gf2.symplectic_inner(work[i], work[j], n_qubits):
+                    pair = (i, j)
+                    break
+            if pair:
+                break
+        if pair is None:
+            break
+        i, j = pair
+        ci, cj = work[i], work[j]
+        nxt = []
+        for k, ck in enumerate(work):
+            if k == j:
+                continue
+            if k == i:
+                nxt.append(ci)
+                continue
+            v = ck
+            if gf2.symplectic_inner(ck, cj, n_qubits):
+                v ^= ci
+            if gf2.symplectic_inner(ck, ci, n_qubits):
+                v ^= cj
+            nxt.append(v)
+        work = nxt
+    if len(work) != n_qubits:
+        raise ValueError(
+            f"input is not coisotropic: extracted {len(work)} of {n_qubits} vectors")
+    return work
+
+
+def solve_expansion(term: PauliProduct, basis) -> tuple[tuple[int, ...], int]:
+    """(tau indices, sign) with the subset from gf2.solve over the tau rows.
+
+    Raises ValueError when the term is outside the tau span or the phase is
+    imaginary.
+    """
+    n = basis.n_qubits
+    selection = gf2.solve([t.packed for t in basis.taus], 2 * n, term.packed)
+    indices = tuple(k for k in range(n) if (selection >> k) & 1)
+    product = PauliProduct.identity(n)
+    for k in indices:
+        product = product * basis.taus[k]
+    diff = (term.phase_exp - product.phase_exp) % 4
+    if diff == 0:
+        return indices, 1
+    if diff == 2:
+        return indices, -1
+    raise ValueError("expansion phase is imaginary")
+
+
+def pairwise_validate(basis, group: Hamiltonian | None = None) -> None:
+    """TauSigmaBasis.validate with every pair tested by a symplectic inner product."""
+    n = basis.n_qubits
+    if len(basis.taus) != n or len(basis.sigmas) != n:
+        raise ValueError(f"expected {n} taus and sigmas")
+    for t in basis.taus:
+        if t.n_qubits != n:
+            raise ValueError("tau qubit count differs from basis")
+        if t.phase_exp != 0:
+            raise ValueError("taus must carry no phase")
+    if len({q for q, _ in basis.sigmas}) != n:
+        raise ValueError("sigma qubits must be pairwise distinct")
+    vecs = [t.packed for t in basis.taus]
+    if not gf2.is_lagrangian(vecs, n):
+        raise ValueError("taus are not a Lagrangian basis")
+    sig_vecs = [basis.sigma_product(i).packed for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            inner = gf2.symplectic_inner(vecs[i], sig_vecs[j], n)
+            if i == j and inner == 0:
+                raise ValueError(f"tau_{i} does not anticommute with sigma_{i}")
+            if i != j and inner == 1:
+                raise ValueError(f"tau_{i} anticommutes with sigma_{j}")
+    if group is not None:
+        for ti, (_, prod) in enumerate(group.terms):
+            for k, tv in enumerate(vecs):
+                if gf2.symplectic_inner(prod.packed, tv, n):
+                    raise ValueError(f"group term {ti} anticommutes with tau_{k}")

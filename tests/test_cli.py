@@ -23,6 +23,18 @@ def random_sum_text(n_qubits=12, draws=80, seed=1907):
     return "\n".join(lines) + "\n"
 
 
+def chain_text(n_qubits=12):
+    """Commuting Z_i Z_{i+1} chain with distinct coefficients."""
+    return f"qubits: {n_qubits}\n" + "".join(f"{0.1 * (i + 1)!r} Z{i} Z{i + 1}\n"
+                                             for i in range(n_qubits - 1))
+
+
+# Sparse commuting terms on 100 qubits: one group whose basis is mostly the
+# idle-qubit complement.
+WIDE_SPARSE_TEXT = ("qubits: 100\n1.0 X0 Z99\n0.5 Z0 X99\n0.25 Y0 Y99\n"
+                    "0.75 Z10 Z20 Z30\n-0.3 X40 X41\n0.6 Z40 Z41\n")
+
+
 def set_path(plan, path, value):
     """Plan with group 0's field at path replaced by value."""
     *head, last = path
@@ -68,15 +80,23 @@ PLAN_CORRUPTIONS = {
                       "circuit has 5 qubits, the plan 4"),
     "gate-qubits-number": (lambda p: set_path(p, ["circuit", "gates", 0, "qubits"], 0),
                            "'qubits' must be an array"),
+    "n-qubits-huge": (lambda p: {**p, "n_qubits": 2**40}, "'n_qubits' must be in 1..1024"),
+    "coeff-nan": (lambda p: set_path(p, ["transformed", 0, "coeff"], float("nan")),
+                  "'coeff' must be a finite number"),
+    "coeff-1e400": (lambda p: set_path(p, ["transformed", 0, "coeff"], json.loads("1e400")),
+                    "'coeff' must be a finite number"),
+    "coeff-int-overflow": (lambda p: set_path(p, ["transformed", 0, "coeff"], 10**400),
+                           "'coeff' must be a finite number"),
 }
 
 GOLDEN_INPUTS = {"six-term": lambda: SIX_TERM_TEXT, "h2": lambda: H2_GROUP_TEXT,
-                 "random-12q": random_sum_text}
+                 "random-12q": random_sum_text, "wide-100q": lambda: WIDE_SPARSE_TEXT}
 # sha256 of the `measure transform` plan bytes; a change here changes plans.
 PLAN_SHA256 = {
     "six-term": "5109c152bd80483956f939ef5184ee4f0e9e2ef406b4f268181cc74b252b4303",
     "h2": "24ad71e4cd9c033dcca02b93d93133690df3ac3d6e61fb99fc73b47c6405572a",
     "random-12q": "0bc5ee1d6db30fca5f7cd257be20f667577e7859ccc647ea4694d4165a5c97b1",
+    "wide-100q": "e89f4e35032567d5a840db7e95a84d7e8a5965dbf287ad861970d844b7604845",
 }
 
 
@@ -145,6 +165,17 @@ class TestGroup:
         monkeypatch.setattr(sys, "stdin", io.StringIO(SIX_TERM_TEXT))
         assert main(["group", "-", "--method", "dsatur"]) == 0
         assert "2 groups" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, message", [
+        ("1.0 X99999999999999999999\n",
+         "line 1: qubit index 99999999999999999999 exceeds the 1024-qubit limit"),
+        ("qubits: 2000000\n1.0 X0\n1.0 Z1\n", "line 1: qubits must be in 1..1024"),
+    ])
+    def test_qubit_limit_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "wide.txt"
+        path.write_text(text)
+        assert main(["group", str(path)]) == 1
+        assert capsys.readouterr().err == f"measure: error: {message}\n"
 
     def test_qwc_relation(self, six_term_file, capsys):
         assert main(["group", six_term_file, "--relation", "qwc"]) == 0
@@ -329,8 +360,7 @@ class TestVerify:
 
     def test_flipped_sign_fails_at_twelve_qubits(self, tmp_path, capsys):
         chain = tmp_path / "chain.txt"
-        chain.write_text("qubits: 12\n" + "".join(f"{0.1 * (i + 1)!r} Z{i} Z{i + 1}\n"
-                                                  for i in range(11)))
+        chain.write_text(chain_text())
 
         def flip_first_sign(plan):
             term = plan["groups"][0]["transformed"][0]
@@ -343,6 +373,38 @@ class TestVerify:
         assert ("FAIL circuit maps each group term to its transformed term (exact sign) "
                 "(group 0: term 0 (0.1 Z0 Z1) maps to +") in out
         assert out.count("FAIL") == 1
+
+    def test_nan_coefficient_rejected_at_twelve_qubits(self, tmp_path, capsys):
+        chain = tmp_path / "chain.txt"
+        chain.write_text(chain_text())
+
+        def nan_first_coeff(plan):
+            plan["groups"][0]["transformed"][0]["coeff"] = float("nan")
+            return plan
+
+        code, out, err = self.run_verify_on_edited_plan(str(chain), tmp_path,
+                                                        nan_first_coeff, capsys)
+        assert (code, out) == (1, "")
+        assert err == "measure: error: plan group 0: 'coeff' must be a finite number\n"
+
+    def test_group_missing_a_tau_fails_without_traceback(self, six_term_file, tmp_path,
+                                                          capsys):
+        def drop_tau(plan):
+            del plan["groups"][0]["tau"][0]
+            return plan
+
+        code, out, err = self.run_verify_on_edited_plan(six_term_file, tmp_path,
+                                                        drop_tau, capsys)
+        assert (code, err) == (1, "")
+        assert "FAIL basis invariants (group 0: expected 4 taus and sigmas)" in out
+        assert "FAIL conjugated group matches transform (tol 1e-9) (group 0: " in out
+
+    def test_deeply_nested_plan_error(self, six_term_file, tmp_path, capsys):
+        plan_path = tmp_path / "deep.json"
+        plan_path.write_text("[" * 100_000)
+        assert main(["verify", six_term_file, str(plan_path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "measure: error: plan: JSON nested too deeply\n")
 
     def test_failure_names_the_first_failing_group(self, six_term_file, tmp_path, capsys):
         def tamper_second_group(plan):

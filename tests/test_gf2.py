@@ -1,10 +1,12 @@
 """GF(2) row reduction, complements, Lagrangian extraction and solves."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_isotropic, random_subspace
+from helpers import random_isotropic, random_subspace, rescanning_lagrangian_extract
 from paulimeasure import PauliProduct, parse_hamiltonian
 from paulimeasure import gf2
 from paulimeasure.fixtures import H2_GROUP_TEXT
@@ -126,6 +128,47 @@ class TestLagrangianExtract:
             lagr = gf2.lagrangian_extract(gf2.symplectic_complement(iso, n), n)
             assert gf2.is_isotropic(lagr, n) and len(lagr) == n
             assert all(gf2.in_span(lagr, 2 * n, v) for v in iso)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans())
+    def test_sweep_matches_rescanning_reference(self, n, seed, coisotropic):
+        rng = random.Random(seed)
+        if coisotropic:
+            rows = gf2.symplectic_complement(random_isotropic(n, rng.randint(0, n), rng), n)
+        else:
+            rows = random_subspace(n, rng.randint(1, 2 * n), rng)
+        assert_same_extraction(scrambled(rows, rng), n)
+
+    def test_sweep_matches_rescanning_reference_at_width(self):
+        # complement of a sparse commuting set on 100 qubits: 194 vectors
+        n = 100
+        terms = ["X0 Z99", "Z0 X99", "Y0 Y99", "Z10 Z20 Z30", "X40 X41", "Z40 Z41"]
+        iso, _ = gf2.row_reduce([vec(t, n) for t in terms], 2 * n)
+        assert_same_extraction(gf2.symplectic_complement(iso, n), n)
+
+
+def scrambled(rows, rng):
+    """Another basis of the same span: each row plus a random combination of
+    the rows before it, in shuffled order."""
+    out = []
+    for r in rows:
+        for prev in out:
+            if rng.getrandbits(1):
+                r ^= prev
+        out.append(r)
+    rng.shuffle(out)
+    return out
+
+
+def assert_same_extraction(rows, n):
+    """The sweep returns the reference's list, or raises its error."""
+    try:
+        want = rescanning_lagrangian_extract(rows, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            gf2.lagrangian_extract(rows, n)
+    else:
+        assert gf2.lagrangian_extract(rows, n) == want
 
 
 class TestSolve:

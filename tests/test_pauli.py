@@ -8,6 +8,7 @@ import pytest
 from helpers import all_paulis, random_pauli
 from paulimeasure import (Hamiltonian, HamiltonianFormatError, PauliProduct,
                           parse_hamiltonian, serialize_hamiltonian)
+from paulimeasure.pauli import MAX_QUBITS, anticommuting, qubit_columns
 from paulimeasure.gf2 import symplectic_inner
 from paulimeasure.verify import dense_pauli
 
@@ -127,6 +128,14 @@ class TestCommutation:
                 assert p.commutes_with(q) == dense_commute
                 assert (inner == 1) == dense_anticommute
 
+    def test_anticommuting_bitset_matches_commutes_with(self):
+        prods = list(all_paulis(2))
+        xcol, zcol = qubit_columns(2, prods)
+        for p in prods:
+            row = anticommuting(xcol, zcol, p)
+            assert [(row >> k) & 1 for k in range(len(prods))] == [
+                int(not p.commutes_with(q)) for q in prods]
+
     def test_qwc_implies_commutes(self):
         for p in all_paulis(2):
             for q in all_paulis(2):
@@ -193,10 +202,20 @@ class TestHamiltonianIO:
         "qubits: 2\n1.0 X5\n",
         "1.0\n",
         "qubits: 2\nqubits: 3\n1.0 X0\n",
+        "1.0 X99999999999999999999\n",
+        f"1.0 X{MAX_QUBITS}\n",
+        f"qubits: {MAX_QUBITS + 1}\n1.0 X0\n",
+        "qubits: 2000000\n1.0 X0\n",
+        "qubits: 0\n1.0 X0\n",
     ])
     def test_malformed_inputs_rejected(self, text):
         with pytest.raises(HamiltonianFormatError):
             parse_hamiltonian(text)
+
+    def test_qubit_limit_is_inclusive(self):
+        assert parse_hamiltonian(f"1.0 X{MAX_QUBITS - 1}\n").n_qubits == MAX_QUBITS
+        assert parse_hamiltonian(f"qubits: {MAX_QUBITS}\n1.0 X0\n").n_qubits == MAX_QUBITS
+        assert MAX_QUBITS > 200  # the widest fixture, test and bench input
 
     def test_non_real_coefficient_rejected_programmatically(self):
         with pytest.raises(ValueError):

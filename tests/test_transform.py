@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_commuting_group
+from helpers import (pairwise_validate, random_commuting_group, random_isotropic,
+                     random_pauli, solve_expansion)
 from paulimeasure import (Hamiltonian, PauliProduct, TauSigmaBasis, TransformError,
                           build_graph, build_unitary_symbolic, cover_rlf,
                           expand_in_tau, find_sigma, find_tau, parse_hamiltonian,
@@ -118,6 +120,28 @@ class TestExpandInTau:
         basis = model_reference_basis()
         with pytest.raises(TransformError, match="tau-span"):
             expand_in_tau(PauliProduct.from_term_string("X0", 2), basis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
+    def test_read_off_matches_gf2_solve(self, n, seed):
+        rng = random.Random(seed)
+        basis = find_sigma([PauliProduct.from_packed(v, n)
+                            for v in random_isotropic(n, n, rng)])
+        for _ in range(10):
+            if rng.random() < 0.3:
+                term = random_pauli(n, rng, phase=True)
+            else:
+                term = PauliProduct(n, 0, 0, rng.randrange(4))
+                for k in range(n):
+                    if rng.getrandbits(1):
+                        term = term * basis.taus[k]
+            try:
+                want = solve_expansion(term, basis)
+            except ValueError:
+                with pytest.raises(TransformError):
+                    expand_in_tau(term, basis)
+            else:
+                assert expand_in_tau(term, basis) == want
 
 
 class TestTransformGroup:
@@ -272,7 +296,38 @@ class TestPipeline:
             assert a.circuit.n_qubits == b.circuit.n_qubits
 
 
+def validate_outcome(check) -> str | None:
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 class TestBasisValidate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(0, 5))
+    def test_first_violation_matches_pairwise_reference(self, n, seed, kind):
+        rng = random.Random(seed)
+        group = random_commuting_group(n, rng)
+        basis = find_sigma(find_tau(group))
+        taus, sigmas = list(basis.taus), list(basis.sigmas)
+        i, j = rng.randrange(n), rng.randrange(n)
+        if kind == 0:
+            taus[i] = random_pauli(n, rng)
+        elif kind == 1:
+            sigmas[i] = (sigmas[i][0], rng.choice("XYZ"))
+        elif kind == 2:
+            rng.shuffle(sigmas)
+        elif kind == 3:
+            taus[i] = PauliProduct.from_packed((taus[i] * taus[j]).packed, n)
+        elif kind == 4:
+            group = Hamiltonian(n, group.terms + ((1.0, random_pauli(n, rng)),))
+        corrupted = TauSigmaBasis(n, tuple(taus), tuple(sigmas))
+        for g in (None, group):
+            assert (validate_outcome(lambda: corrupted.validate(g))
+                    == validate_outcome(lambda: pairwise_validate(corrupted, g)))
+
     def test_rejects_commuting_sigma(self):
         n = 2
         with pytest.raises(ValueError, match="anticommute"):
