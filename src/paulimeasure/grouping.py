@@ -250,27 +250,28 @@ def cover_rlf(graph: CompatGraph) -> CliqueCover:
     repeatedly add the candidate with the most complement-neighbors among the
     excluded vertices; ties break toward the lowest index.
     """
+    rows = [graph.comp_row(v) for v in range(graph.n_vertices)]
     uncovered = graph.full_mask
     groups: list[tuple[int, ...]] = []
     while uncovered:
         seed = None
         seed_deg = -1
         for v in _bits(uncovered):
-            deg = (graph.comp_row(v) & uncovered).bit_count()
+            deg = (rows[v] & uncovered).bit_count()
             if deg > seed_deg:
                 seed, seed_deg = v, deg
         members = [seed]
-        excluded = graph.comp_row(seed) & uncovered
+        excluded = rows[seed] & uncovered
         candidates = uncovered & ~excluded & ~(1 << seed)
         while candidates:
             pick = None
             pick_score = -1
             for v in _bits(candidates):
-                score = (graph.comp_row(v) & excluded).bit_count()
+                score = (rows[v] & excluded).bit_count()
                 if score > pick_score:
                     pick, pick_score = v, score
             members.append(pick)
-            nb = graph.comp_row(pick)
+            nb = rows[pick]
             excluded |= nb & candidates
             candidates &= ~(nb | (1 << pick))
         members.sort()
@@ -345,14 +346,13 @@ def cover_exact(graph: CompatGraph, limit: int = DEFAULT_EXACT_CAP) -> CliqueCov
     return CliqueCover(graph.relation, "exact", _groups_from_colors(colors))
 
 
-def compute_cover(graph: CompatGraph, method: str,
-                  exact_cap: int = DEFAULT_EXACT_CAP) -> CliqueCover:
+def compute_cover(graph: CompatGraph, method: str) -> CliqueCover:
     if method in ("gc", "lf", "sl", "dsatur"):
         return cover_greedy(graph, method)
     if method == "rlf":
         return cover_rlf(graph)
     if method == "exact":
-        return cover_exact(graph, exact_cap)
+        return cover_exact(graph)
     raise ValueError(f"unknown method {method!r}")
 
 

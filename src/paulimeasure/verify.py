@@ -1,22 +1,31 @@
-"""Dense-matrix and exhaustive-enumeration oracles.
+"""The `measure verify` check suite and its independent oracles.
 
-Everything here rebuilds operators from first principles (Kronecker
-products, literal gate matrices, brute-force enumeration) so the fast
-bit-level algebra elsewhere can be checked against an independent route.
-Qubit 0 is the leftmost Kronecker factor.
+``plan_checks`` proves a plan at every width on term bitsets (coverage,
+basis invariants, qubit-wise commutation, exact images under the circuit)
+and cross-checks it on dense matrices up to small qubit caps. The dense
+oracles rebuild operators from first principles (Kronecker products of
+Pauli matrices, literal gate matrices applied by ``tensordot``, brute-force
+enumeration), so the fast bit-level algebra elsewhere is checked against an
+independent route. Qubit 0 is the leftmost Kronecker factor.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import cached_property
+
 import numpy as np
 
-from .circuits import CliffordCircuit, Gate
-from .pauli import Hamiltonian, I_POWERS, PauliProduct, PauliSum
+from .circuits import CliffordCircuit, conjugate_columns
+from .grouping import build_graph
+from .pauli import Hamiltonian, I_POWERS, PauliProduct, PauliSum, qubit_columns
+from .transform import GroupPlan, MeasurementPlan, build_unitary_symbolic
 
 MAX_DENSE_QUBITS = 12
 MAX_SPECTRUM_QUBITS = 10
 MAX_EXPECTATION_QUBITS = 6
 MAX_COUNT_QUBITS = 8
+_EXPECTATION_SEED = 20200214
 
 _PAULI_2X2 = {
     "I": np.eye(2, dtype=complex),
@@ -32,11 +41,11 @@ _GATE_1Q = {
     "Y": _PAULI_2X2["Y"],
     "Z": _PAULI_2X2["Z"],
 }
-# (control, target) with the control as the first tensor factor.
+# Axes (control out, target out, control in, target in).
 _CNOT = np.array([[1, 0, 0, 0],
                   [0, 1, 0, 0],
                   [0, 0, 0, 1],
-                  [0, 0, 1, 0]], dtype=complex)
+                  [0, 0, 1, 0]], dtype=complex).reshape(2, 2, 2, 2)
 
 
 class DimensionError(ValueError):
@@ -56,29 +65,8 @@ def dense_pauli(p: PauliProduct) -> np.ndarray:
     return I_POWERS[p.phase_exp] * m
 
 
-def _embed_1q(mat: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    left = np.eye(1 << qubit, dtype=complex)
-    right = np.eye(1 << (n_qubits - qubit - 1), dtype=complex)
-    return np.kron(np.kron(left, mat), right)
-
-
-def dense_gate(gate: Gate, n_qubits: int) -> np.ndarray:
-    if gate.name == "CNOT":
-        control, target = gate.qubits
-        p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-        p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-        return (_embed_1q(p0, control, n_qubits)
-                + _embed_1q(p1, control, n_qubits)
-                @ _embed_1q(_PAULI_2X2["X"], target, n_qubits))
-    return _embed_1q(_GATE_1Q[gate.name], gate.qubits[0], n_qubits)
-
-
 def dense_circuit(c: CliffordCircuit) -> np.ndarray:
-    _check_cap(c.n_qubits)
-    u = np.eye(1 << c.n_qubits, dtype=complex)
-    for gate in c.gates:
-        u = dense_gate(gate, c.n_qubits) @ u
-    return np.exp(1j * np.pi / 4 * c.global_phase_exp) * u
+    return simulate_circuit(c, np.eye(1 << c.n_qubits, dtype=complex))
 
 
 def dense_matrix(obj) -> np.ndarray:
@@ -124,7 +112,7 @@ def expectation_invariance(h, a, u, trials: int = 50,
         raise DimensionError("expectation check cap exceeded")
     ma, mu = dense_matrix(a), dense_matrix(u)
     if rng is None:
-        rng = np.random.default_rng(20200214)
+        rng = np.random.default_rng(_EXPECTATION_SEED)
     worst = 0.0
     for _ in range(trials):
         psi = random_state(n_qubits, rng)
@@ -151,21 +139,23 @@ def count_compatible(template: PauliProduct) -> dict[str, int]:
     return {"n_qwc": n_qwc, "n_commuting": n_commuting}
 
 
-def simulate_circuit(c: CliffordCircuit, state) -> np.ndarray:
-    """Apply gates in order to a dense state vector; includes the global phase."""
+def simulate_circuit(c: CliffordCircuit, states) -> np.ndarray:
+    """Apply gates in order to a dense state vector, or to every column of a
+    matrix of states; includes the global phase."""
     _check_cap(c.n_qubits)
-    psi = np.array(state, dtype=complex).reshape([2] * c.n_qubits)
+    states = np.asarray(states, dtype=complex)
+    # One axis per qubit, then the column axis of a matrix.
+    psi = states.reshape([2] * c.n_qubits + list(states.shape[1:]))
     for gate in c.gates:
         if gate.name == "CNOT":
             control, target = gate.qubits
-            m4 = _CNOT.reshape(2, 2, 2, 2)
-            psi = np.tensordot(m4, psi, axes=([2, 3], [control, target]))
+            psi = np.tensordot(_CNOT, psi, axes=([2, 3], [control, target]))
             psi = np.moveaxis(psi, [0, 1], [control, target])
         else:
             q = gate.qubits[0]
             psi = np.tensordot(_GATE_1Q[gate.name], psi, axes=([1], [q]))
             psi = np.moveaxis(psi, 0, q)
-    return np.exp(1j * np.pi / 4 * c.global_phase_exp) * psi.reshape(-1)
+    return np.exp(1j * np.pi / 4 * c.global_phase_exp) * psi.reshape(states.shape)
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -175,3 +165,198 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.max(np.abs(a - b)))
     phase = overlap / abs(overlap)
     return float(np.max(np.abs(a - phase * b)))
+
+
+# --- the check suite of `measure verify` -------------------------------------
+
+class _GroupOperators:
+    """One plan group and its dense operators, each built on first use."""
+
+    def __init__(self, h: Hamiltonian, entry: GroupPlan, rng: np.random.Generator) -> None:
+        self.entry = entry
+        self.source = h
+        self.rng = rng
+
+    @cached_property
+    def group(self) -> Hamiltonian:
+        return Hamiltonian(self.source.n_qubits, tuple(
+            self.source.terms[i] for i in self.entry.transform.term_indices))
+
+    @cached_property
+    def group_matrix(self) -> np.ndarray:
+        return dense_matrix(self.group)
+
+    @cached_property
+    def transformed_matrix(self) -> np.ndarray:
+        return dense_matrix(self.entry.transform.transformed)
+
+    @cached_property
+    def symbolic_unitary(self) -> np.ndarray:
+        return dense_matrix(build_unitary_symbolic(self.entry.transform.basis))
+
+    @cached_property
+    def circuit_unitary(self) -> np.ndarray:
+        return dense_matrix(self.entry.circuit)
+
+
+def _partition_problems(h: Hamiltonian, plan: MeasurementPlan) -> str:
+    """Every term in exactly one group; O(terms), no pairwise pass."""
+    times = Counter(i for entry in plan.groups for i in entry.transform.term_indices)
+    missing = [i for i in range(len(h.terms)) if not times[i]]
+    repeated = [i for i in range(len(h.terms)) if times[i] > 1]
+    problems = []
+    if missing:
+        problems.append(f"{len(missing)} terms in no group, first {missing[0]}")
+    if repeated:
+        problems.append(f"{len(repeated)} terms in several groups, first {repeated[0]}")
+    return "; ".join(problems)
+
+
+def _check_basis(g: _GroupOperators):
+    g.entry.transform.basis.validate(g.group)
+    return True, ""
+
+
+def _check_qwc(g: _GroupOperators):
+    """The lowest clashing pair: the first term with a non-empty complement
+    row in the qwc relation, and the lowest term of that row."""
+    transformed = g.entry.transform.transformed
+    if transformed.terms:
+        graph = build_graph(transformed, "qwc")
+        for i in range(graph.n_vertices):
+            clash = graph.comp_row(i)
+            if clash:
+                j = (clash & -clash).bit_length() - 1
+                return False, f"transformed terms {i} and {j} are not QWC"
+    return True, ""
+
+
+def _check_coeffs(g: _GroupOperators):
+    source = sorted(abs(c) for c in g.group.coefficients())
+    image = sorted(abs(c) for c in g.entry.transform.transformed.coefficients())
+    if len(source) != len(image) or any(abs(a - b) > 1e-12
+                                        for a, b in zip(source, image)):
+        return False, "coefficient magnitudes changed"
+    return True, ""
+
+
+def _check_signs(g: _GroupOperators):
+    """All group terms through the circuit at once, as term bitsets."""
+    n = g.source.n_qubits
+    stated = g.entry.transform.transformed
+    if len(stated.terms) != len(g.group.terms):
+        return False, (f"{len(stated.terms)} transformed terms for "
+                       f"{len(g.group.terms)} terms")
+    xs, zs, minus = conjugate_columns(g.entry.circuit,
+                                      *qubit_columns(n, g.group.products()))
+    want_x, want_z = qubit_columns(n, stated.products())
+    wrong = 0
+    for q in range(n):
+        wrong |= (xs[q] ^ want_x[q]) | (zs[q] ^ want_z[q])
+    for k, (c, t) in enumerate(zip(g.group.coefficients(), stated.coefficients())):
+        if abs(t - (-c if (minus >> k) & 1 else c)) > 1e-12:
+            wrong |= 1 << k
+    if not wrong:
+        return True, ""
+    k = (wrong & -wrong).bit_length() - 1
+    image = PauliProduct(n, sum(((xs[q] >> k) & 1) << q for q in range(n)),
+                         sum(((zs[q] >> k) & 1) << q for q in range(n)))
+    coeff, term = g.group.terms[k]
+    t_coeff, t_term = stated.terms[k]
+    return False, (f"term {g.entry.transform.term_indices[k]} "
+                   f"({coeff!r} {term.to_term_string()}) maps to "
+                   f"{'-' if (minus >> k) & 1 else '+'}{image.to_term_string()}, "
+                   f"plan states {t_coeff!r} {t_term.to_term_string()}")
+
+
+def _check_spectra(g: _GroupOperators):
+    ok = spectra_equal(g.group_matrix, g.transformed_matrix, tol=1e-9)
+    return ok, "eigenvalue mismatch beyond 1e-9"
+
+
+def _check_conjugation(g: _GroupOperators):
+    u = g.symbolic_unitary
+    dev = float(np.max(np.abs(u.conj().T @ g.group_matrix @ u - g.transformed_matrix)))
+    return dev <= 1e-9, f"deviation {dev:.2e}"
+
+
+def _check_unitarity(g: _GroupOperators):
+    for u in (g.symbolic_unitary, g.circuit_unitary):
+        dev = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+        if dev > 1e-10:
+            return False, f"deviation {dev:.2e}"
+    return True, ""
+
+
+def _check_circuit(g: _GroupOperators):
+    dev = phase_aligned_distance(g.circuit_unitary, g.symbolic_unitary)
+    return dev <= 1e-10, f"deviation {dev:.2e}"
+
+
+def _check_expectation(g: _GroupOperators):
+    dev = expectation_invariance(g.group_matrix, g.transformed_matrix, g.circuit_unitary,
+                                 rng=g.rng)
+    return dev <= 1e-9, f"deviation {dev:.2e}"
+
+
+# (row name, check, qubit cap or None) in row order.
+_CHECKS = (
+    ("basis invariants", _check_basis, None),
+    ("transformed groups qubit-wise commuting", _check_qwc, None),
+    ("coefficient magnitudes preserved", _check_coeffs, None),
+    ("circuit maps each group term to its transformed term (exact sign)",
+     _check_signs, None),
+    ("spectra preserved (tol 1e-9)", _check_spectra, MAX_SPECTRUM_QUBITS),
+    ("conjugated group matches transform (tol 1e-9)", _check_conjugation,
+     MAX_EXPECTATION_QUBITS),
+    ("unitarity (tol 1e-10)", _check_unitarity, MAX_EXPECTATION_QUBITS),
+    ("circuit matches symbolic unitary (tol 1e-10)", _check_circuit,
+     MAX_EXPECTATION_QUBITS),
+    ("expectation values invariant (tol 1e-9)", _check_expectation,
+     MAX_EXPECTATION_QUBITS),
+)
+
+
+def plan_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, str]]:
+    """Run the check suite on a plan for h; returns (name, status, detail) rows.
+
+    Raises ValueError when the plan's width differs from h or a term index
+    is out of range. The status is "pass", "fail", or "skip" for a dense
+    check above its qubit cap. Groups are visited one at a time and every
+    check runs on a group before the next, so each group's dense operators
+    are built once and only one group's are alive. A check that raises
+    ValueError or IndexError on a malformed group fails with that message.
+    A check that has failed is not run on later groups; its row names the
+    first failing group.
+    """
+    n = plan.n_qubits
+    if n != h.n_qubits:
+        raise ValueError("plan qubit count differs from the Hamiltonian")
+    for gi, entry in enumerate(plan.groups):
+        for i in entry.transform.term_indices:
+            if not 0 <= i < len(h.terms):
+                raise ValueError(f"plan group {gi}: term index {i} out of range")
+    rng = np.random.default_rng(_EXPECTATION_SEED)
+    running = [(name, fn) for name, fn, cap in _CHECKS if cap is None or n <= cap]
+    failures: dict[str, str] = {}
+    for gi, entry in enumerate(plan.groups):
+        g = _GroupOperators(h, entry, rng)
+        for name, fn in running:
+            if name not in failures:
+                try:
+                    ok, detail = fn(g)
+                except (ValueError, IndexError) as exc:
+                    ok, detail = False, str(exc)
+                if not ok:
+                    failures[name] = f"group {gi}: {detail}"
+
+    problems = _partition_problems(h, plan)
+    results = [("groups partition the terms", "fail" if problems else "pass", problems)]
+    for name, _, cap in _CHECKS:
+        if cap is not None and n > cap:
+            results.append((name, "skip", f"skipped: {n} qubits exceed cap"))
+        elif name in failures:
+            results.append((name, "fail", failures[name]))
+        else:
+            results.append((name, "pass", ""))
+    return results

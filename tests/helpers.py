@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 
-from paulimeasure import Hamiltonian, PauliProduct
+from paulimeasure import CliffordCircuit, Gate, Hamiltonian, PauliProduct
 from paulimeasure import gf2
 from paulimeasure.verify import dense_pauli
 
@@ -287,3 +287,41 @@ def pairwise_validate(basis, group: Hamiltonian | None = None) -> None:
             for k, tv in enumerate(vecs):
                 if gf2.symplectic_inner(prod.packed, tv, n):
                     raise ValueError(f"group term {ti} anticommutes with tau_{k}")
+
+
+# The Kronecker-embedding route to a circuit's dense matrix, which the
+# tensordot route of verify.dense_circuit replaced: one 2^n x 2^n matrix per
+# gate and a matrix product per gate. Tests require agreement to 1e-12.
+
+_GATE_2X2 = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _embed_1q(mat: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
+    left = np.eye(1 << qubit, dtype=complex)
+    right = np.eye(1 << (n_qubits - qubit - 1), dtype=complex)
+    return np.kron(np.kron(left, mat), right)
+
+
+def kron_gate(gate: Gate, n_qubits: int) -> np.ndarray:
+    if gate.name == "CNOT":
+        control, target = gate.qubits
+        p0 = np.array([[1, 0], [0, 0]], dtype=complex)
+        p1 = np.array([[0, 0], [0, 1]], dtype=complex)
+        return (_embed_1q(p0, control, n_qubits)
+                + _embed_1q(p1, control, n_qubits)
+                @ _embed_1q(_GATE_2X2["X"], target, n_qubits))
+    return _embed_1q(_GATE_2X2[gate.name], gate.qubits[0], n_qubits)
+
+
+def kron_circuit(c: CliffordCircuit) -> np.ndarray:
+    u = np.eye(1 << c.n_qubits, dtype=complex)
+    for gate in c.gates:
+        u = kron_gate(gate, c.n_qubits) @ u
+    return np.exp(1j * np.pi / 4 * c.global_phase_exp) * u

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (all_paulis, conjugation_maps_paulis_to_paulis, random_commuting_group,
-                     random_pauli)
+from helpers import (all_paulis, conjugation_maps_paulis_to_paulis, kron_gate,
+                     random_commuting_group, random_pauli)
 from paulimeasure import (CliffordCircuit, Gate, PauliExponent, PauliProduct,
                           build_unitary_symbolic, circuit_from_dict,
                           circuit_to_dict, circuit_to_text, decompose_exponent,
@@ -69,7 +69,7 @@ class TestConjugateColumns:
                              ids=lambda g: f"{g.name}{g.qubits}")
     def test_gate_rule_is_literal_conjugation(self, gate):
         n = len(gate.qubits)
-        g = verify.dense_gate(gate, n)
+        g = kron_gate(gate, n)
         prods = list(all_paulis(n))
         want = [signed_pauli(g.conj().T @ verify.dense_pauli(p) @ g, n) for p in prods]
         assert conjugated_products(CliffordCircuit(n, (gate,)), prods) == want

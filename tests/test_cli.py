@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -99,6 +100,31 @@ PLAN_SHA256 = {
     "wide-100q": "e89f4e35032567d5a840db7e95a84d7e8a5965dbf287ad861970d844b7604845",
 }
 
+
+
+def clash_on_qubit_3(plan):
+    """H2 plan whose transformed term 4 clashes with terms 6 to 10 (X on qubit 3)."""
+    plan["groups"][0]["transformed"][4]["pauli"] = "Z3"
+    return plan
+
+
+# Inputs of the verify golden test: source text and an optional plan edit.
+VERIFY_INPUTS = {
+    "h2": (lambda: H2_GROUP_TEXT, None),
+    "six-term": (lambda: SIX_TERM_TEXT, None),
+    "wide-100q": (lambda: WIDE_SPARSE_TEXT, None),
+    "chain-12q": (chain_text, None),
+    "h2-qwc-clash": (lambda: H2_GROUP_TEXT, clash_on_qubit_3),
+}
+# sha256 of `measure verify --format json` on the plan that `measure transform`
+# writes, after the edit; a change here changes rows, statuses or details.
+VERIFY_SHA256 = {
+    "h2": "49a8dc2b5142b786215e28979efd39e8dd76b78c3d474eed76191210b60a43ff",
+    "six-term": "49a8dc2b5142b786215e28979efd39e8dd76b78c3d474eed76191210b60a43ff",
+    "wide-100q": "06ef2bf19a673e6c24b79be4c67fa778f7cded2c6489a6979053b1aa10a0aa50",
+    "chain-12q": "590e87d82b02071526a253fc0339551d91307e048d34b277f9232b81899819c5",
+    "h2-qwc-clash": "b1bb6f0728aa3464591daed01a7c024d84ae696b3f5a2e26c3338fa09ef63620",
+}
 
 @pytest.fixture
 def six_term_file(tmp_path):
@@ -406,6 +432,28 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "measure: error: plan: JSON nested too deeply\n")
 
+    def test_non_qwc_transformed_terms_fail_at_the_lowest_pair(self, h2_file, tmp_path,
+                                                                capsys):
+        code, out, _ = self.run_verify_on_edited_plan(h2_file, tmp_path,
+                                                      clash_on_qubit_3, capsys)
+        assert code == 1
+        assert ("FAIL transformed groups qubit-wise commuting "
+                "(group 0: transformed terms 4 and 6 are not QWC)") in out.splitlines()
+
+    @pytest.mark.parametrize("name", list(VERIFY_INPUTS))
+    def test_verify_output_golden(self, name, tmp_path, capsys):
+        text, edit = VERIFY_INPUTS[name]
+        source = tmp_path / "source.txt"
+        source.write_text(text())
+        plan_path = self.run_transform(str(source), tmp_path)
+        if edit is not None:
+            plan_path.write_text(json.dumps(edit(json.loads(plan_path.read_text()))))
+        capsys.readouterr()
+        code = main(["verify", str(source), str(plan_path), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0 if edit is None else 1, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[name]
+
     def test_failure_names_the_first_failing_group(self, six_term_file, tmp_path, capsys):
         def tamper_second_group(plan):
             plan["groups"][1]["transformed"][0]["coeff"] *= -1
@@ -439,6 +487,15 @@ class TestCount:
     def test_cap_error(self, capsys):
         assert main(["count", "9"]) == 1
         assert capsys.readouterr().err.startswith("measure: error:")
+
+    @pytest.mark.parametrize("argv", [["count", "8000000"],
+                                      ["count", "100000000000", "--template", "X0"]])
+    def test_huge_qubit_count_fails_before_building_the_template(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("",
+                                       "measure: error: enumeration limited to 8 qubits\n")
 
 
 def test_module_entry_point(six_term_file):

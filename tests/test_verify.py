@@ -4,12 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import all_paulis, random_commuting_group
-from paulimeasure import (CliffordCircuit, PauliProduct, build_unitary_symbolic,
+from helpers import all_paulis, kron_circuit, random_commuting_group
+from paulimeasure import (CliffordCircuit, Gate, PauliProduct, build_unitary_symbolic,
                           find_sigma, find_tau, parse_hamiltonian, synthesize)
 from paulimeasure import verify
-from paulimeasure.fixtures import model_hamiltonian, model_reference_basis
+from paulimeasure.circuits import GATE_NAMES
+from paulimeasure.fixtures import (h2_reference_basis, model_hamiltonian,
+                                   model_reference_basis)
 
 
 class TestDenseMatrix:
@@ -93,6 +96,20 @@ class TestCountCompatible:
             verify.count_compatible(PauliProduct.identity(9))
 
 
+@st.composite
+def circuits(draw, max_qubits=6, max_gates=16):
+    """Random circuits; CNOT qubit pairs come in either order, at any distance."""
+    n = draw(st.integers(1, max_qubits))
+    names = [name for name in GATE_NAMES if n > 1 or name != "CNOT"]
+    gates = []
+    for name in draw(st.lists(st.sampled_from(names), max_size=max_gates)):
+        k = 2 if name == "CNOT" else 1
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                               unique=True))
+        gates.append(Gate(name, tuple(qubits)))
+    return CliffordCircuit(n, tuple(gates), draw(st.integers(0, 7)))
+
+
 class TestSimulateCircuit:
     def test_empty_circuit(self):
         state = np.array([1, 2, 3, 4], dtype=complex) / np.sqrt(30)
@@ -128,7 +145,7 @@ class TestSimulateCircuit:
     def test_matches_dense_circuit(self):
         rng = np.random.default_rng(17)
         circuit = synthesize(model_reference_basis())
-        u = verify.dense_matrix(circuit)
+        u = kron_circuit(circuit)
         for _ in range(5):
             psi = verify.random_state(2, rng)
             np.testing.assert_allclose(verify.simulate_circuit(circuit, psi),
@@ -140,11 +157,28 @@ class TestSimulateCircuit:
         for gates in ((Gate("CNOT", (1, 0)),),
                       (Gate("CNOT", (2, 0)), Gate("H", (1,)), Gate("CNOT", (0, 2)))):
             circuit = CliffordCircuit(3, gates)
-            u = verify.dense_matrix(circuit)
+            u = kron_circuit(circuit)
             for _ in range(5):
                 psi = verify.random_state(3, rng)
                 np.testing.assert_allclose(verify.simulate_circuit(circuit, psi),
                                            u @ psi, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(circuits())
+    def test_dense_circuit_matches_kronecker_reference(self, circuit):
+        np.testing.assert_allclose(verify.dense_circuit(circuit), kron_circuit(circuit),
+                                   rtol=0, atol=1e-12)
+
+    def test_columns_are_simulated_as_states(self):
+        rng = np.random.default_rng(31)
+        circuit = synthesize(h2_reference_basis())
+        states = np.stack([verify.random_state(4, rng) for _ in range(3)], axis=1)
+        out = verify.simulate_circuit(circuit, states)
+        assert out.shape == states.shape
+        for k in range(3):
+            np.testing.assert_allclose(out[:, k],
+                                       verify.simulate_circuit(circuit, states[:, k]),
+                                       rtol=0, atol=1e-12)
 
 
 class TestExpectationInvariance:
