@@ -9,9 +9,8 @@ from .transform import (GroupPlan, MeasurementPlan, TauSigmaBasis, TransformErro
                         TransformedGroup, build_unitary_symbolic, expand_in_tau,
                         find_sigma, find_tau, pipeline, plan_from_dict,
                         plan_to_dict, transform_group)
-from .circuits import (CliffordCircuit, Gate, PauliExponent, circuit_from_dict,
-                       circuit_to_dict, circuit_to_text, decompose_exponent,
-                       exponent_sequence, gate_counts, synthesize)
+from .circuits import (CliffordCircuit, Gate, circuit_from_dict, circuit_to_dict,
+                       gate_counts, synthesize)
 
 __version__ = "0.1.0"
 
@@ -24,7 +23,6 @@ __all__ = [
     "GroupPlan", "MeasurementPlan", "TauSigmaBasis", "TransformError",
     "TransformedGroup", "build_unitary_symbolic", "expand_in_tau", "find_sigma",
     "find_tau", "pipeline", "plan_from_dict", "plan_to_dict", "transform_group",
-    "CliffordCircuit", "Gate", "PauliExponent", "circuit_from_dict",
-    "circuit_to_dict", "circuit_to_text", "decompose_exponent",
-    "exponent_sequence", "gate_counts", "synthesize",
+    "CliffordCircuit", "Gate", "circuit_from_dict", "circuit_to_dict",
+    "gate_counts", "synthesize",
 ]

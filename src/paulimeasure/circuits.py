@@ -1,9 +1,8 @@
 """Clifford gate synthesis for the group-transforming unitaries.
 
 Each factor V = (tau + sigma)/sqrt(2) with {tau, sigma} = 0 satisfies
-V = (-i) e^(i pi/4 sigma) e^(i pi/4 tau) e^(i pi/4 sigma), so the whole
-unitary lowers to pi/4 Pauli exponents, which in turn decompose into
-H/S/CNOT with an exactly tracked global phase.
+V = (-i) e^(i pi/4 sigma) e^(i pi/4 tau) e^(i pi/4 sigma), and each
+pi/4 Pauli exponent lowers to H/S/CNOT with an exactly tracked global phase.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ if TYPE_CHECKING:
     from .transform import TauSigmaBasis
 
 GATE_NAMES = ("H", "S", "SDG", "X", "Y", "Z", "CNOT")
-_INVERSE_NAME = {"H": "H", "S": "SDG", "SDG": "S",
-                 "X": "X", "Y": "Y", "Z": "Z", "CNOT": "CNOT"}
 
 
 @dataclass(frozen=True)
@@ -49,51 +46,15 @@ class CliffordCircuit:
                 raise ValueError(f"gate {g} outside {self.n_qubits} qubits")
         object.__setattr__(self, "global_phase_exp", self.global_phase_exp % 8)
 
-    def inverse(self) -> CliffordCircuit:
-        gates = tuple(Gate(_INVERSE_NAME[g.name], g.qubits)
-                      for g in reversed(self.gates))
-        return CliffordCircuit(self.n_qubits, gates, -self.global_phase_exp)
 
-
-@dataclass(frozen=True)
-class PauliExponent:
-    """exp(i pi/4 P) for a phase-free, non-identity Pauli product."""
-
-    pauli: PauliProduct
-
-    def __post_init__(self) -> None:
-        if self.pauli.phase_exp != 0:
-            raise ValueError("exponent Pauli must carry no phase")
-        if self.pauli.weight() == 0:
-            raise ValueError("exponent Pauli must be non-identity")
-
-
-def exponent_sequence(tau: PauliProduct, sigma: PauliProduct
-                      ) -> tuple[int, tuple[PauliExponent, ...]]:
-    """Exponent form of (tau + sigma)/sqrt(2).
-
-    Returns (global_phase_exp, exponents) where the ordered product of the
-    exponents times e^(i pi/4 global_phase_exp) equals the reflection; the
-    phase is 6, i.e. the factor -i.
-    """
-    if tau.n_qubits != sigma.n_qubits:
-        raise ValueError("qubit-count mismatch")
-    if sigma.weight() != 1:
-        raise ValueError("sigma must act on a single qubit")
-    if tau.commutes_with(sigma):
-        raise ValueError("tau and sigma must anticommute")
-    return 6, (PauliExponent(sigma), PauliExponent(tau), PauliExponent(sigma))
-
-
-def decompose_exponent(e: PauliExponent) -> CliffordCircuit:
-    """Exact gate realization of exp(i pi/4 P).
+def _append_exponent(gates: list[Gate], p: PauliProduct) -> None:
+    """Append the gates of e^(-i pi/4) exp(i pi/4 P), P phase-free and not I.
 
     Basis changes map every support axis to Z, a CNOT ladder folds the
     parity onto the last support qubit, and exp(i pi/4 Z) = e^(i pi/4) SDG
     supplies the rotation; the ladder and basis changes are then undone.
     Weight w costs 2(w-1) CNOTs.
     """
-    p = e.pauli
     support = [q for q in range(p.n_qubits) if (p.support >> q) & 1]
     pre: list[Gate] = []
     post: list[Gate] = []
@@ -107,28 +68,28 @@ def decompose_exponent(e: PauliExponent) -> CliffordCircuit:
             post.extend((Gate("H", (q,)), Gate("S", (q,))))
     ladder = [Gate("CNOT", (support[k], support[k + 1]))
               for k in range(len(support) - 1)]
-    target = support[-1]
-    gates = pre + ladder + [Gate("SDG", (target,))] + ladder[::-1] + post
-    return CliffordCircuit(p.n_qubits, tuple(gates), global_phase_exp=1)
+    gates += pre + ladder + [Gate("SDG", (support[-1],))] + ladder[::-1] + post
 
 
 def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
     """Full circuit for the product of reflections, factor 1 first.
 
     The factors commute pairwise, so the concatenation order does not change
-    the operator; gates of factor i appear before those of factor i+1.
+    the operator; gates of factor i appear before those of factor i+1. A
+    factor is (-i) e^(i pi/4 sigma) e^(i pi/4 tau) e^(i pi/4 sigma): -i is
+    e^(i pi/4 * 6) and each exponent's gates lack e^(i pi/4), so a factor
+    adds 6 + 3 = 9 to the phase exponent.
     """
-    n = basis.n_qubits
     gates: list[Gate] = []
-    phase = 0
-    for i in range(n):
-        seq_phase, exponents = exponent_sequence(basis.taus[i], basis.sigma_product(i))
-        phase += seq_phase
-        for exp in exponents:
-            part = decompose_exponent(exp)
-            gates.extend(part.gates)
-            phase += part.global_phase_exp
-    return CliffordCircuit(n, tuple(gates), phase)
+    for i, tau in enumerate(basis.taus):
+        sigma = basis.sigma_product(i)
+        if tau.phase_exp:
+            raise ValueError("exponent Pauli must carry no phase")
+        if tau.commutes_with(sigma):
+            raise ValueError("tau and sigma must anticommute")
+        for p in (sigma, tau, sigma):
+            _append_exponent(gates, p)
+    return CliffordCircuit(basis.n_qubits, tuple(gates), 9 * len(basis.taus))
 
 
 def gate_counts(c: CliffordCircuit) -> dict[str, int]:
@@ -213,9 +174,3 @@ def circuit_from_dict(d: dict) -> CliffordCircuit:
                   for g in _field(d, "gates", list))
     return CliffordCircuit(_field(d, "n_qubits", int), gates,
                            _field(d, "global_phase_exp", int))
-
-
-def circuit_to_text(c: CliffordCircuit) -> str:
-    """One gate per line, e.g. "CNOT 0 3" or "H 2"."""
-    return "\n".join(f"{g.name} {' '.join(str(q) for q in g.qubits)}"
-                     for g in c.gates) + ("\n" if c.gates else "")

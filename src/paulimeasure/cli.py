@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import verify
@@ -108,8 +109,25 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0 if match else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError, which ``main`` prints as its one error line."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="measure",
         description="Group Pauli-sum Hamiltonians into commuting cliques and "
                     "compile the Clifford circuits that make them single-qubit "
@@ -119,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--relation", choices=RELATIONS, default="fc")
         p.add_argument("--method", choices=METHODS, default="rlf")
-        p.add_argument("--tolerance", type=float, default=DROP_TOLERANCE,
+        p.add_argument("--tolerance", type=_tolerance, default=DROP_TOLERANCE,
                        help="coefficient drop tolerance on ingest")
 
     p_group = sub.add_parser("group", help="partition terms into compatible groups")
@@ -138,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the oracle suite on a plan")
     p_ver.add_argument("input", help="Hamiltonian file, or - for stdin")
     p_ver.add_argument("plan", help="plan JSON produced by transform")
-    p_ver.add_argument("--tolerance", type=float, default=DROP_TOLERANCE)
+    p_ver.add_argument("--tolerance", type=_tolerance, default=DROP_TOLERANCE)
     p_ver.add_argument("--format", choices=("table", "json"), default="table")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -152,9 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, TransformError, OSError, KeyError) as exc:
         print(f"measure: error: {exc}", file=sys.stderr)

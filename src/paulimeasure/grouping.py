@@ -10,9 +10,8 @@ break the relation with term i are an XOR (fc) or an OR (qwc) of one such
 bitset per qubit of term i, so the build is O(m*w) big-int operations for
 m terms of weight w, with no pairwise loop and no m*m matrix. The complement
 adjacency is derived on the fly and never materialized. DSATUR keeps the
-uncolored vertices in saturation buckets and smallest-last keeps the
-remaining ones in degree buckets, so neither rescans all vertices to pick
-the next one.
+uncolored vertices in saturation buckets, so it does not rescan all
+vertices to pick the next one.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from .pauli import Hamiltonian, anticommuting, qubit_columns
 
 RELATIONS = ("fc", "qwc")
-METHODS = ("gc", "lf", "sl", "dsatur", "rlf", "exact")
+METHODS = ("lf", "dsatur", "rlf", "exact")
 
 DEFAULT_EXACT_CAP = 64
 
@@ -40,15 +39,9 @@ class CompatGraph:
     def full_mask(self) -> int:
         return (1 << self.n_vertices) - 1
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def comp_row(self, v: int) -> int:
         """Adjacency row of the complement graph."""
         return self.full_mask & ~self.adj[v] & ~(1 << v)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.adj[i] >> j) & 1)
 
 
 @dataclass(frozen=True)
@@ -147,38 +140,6 @@ def _take_color(seen: list[int], v: int, comp_row: int) -> tuple[int, int]:
     return c, fresh
 
 
-def _smallest_last_order(graph: CompatGraph) -> list[int]:
-    """Repeatedly remove the vertex of least remaining complement degree.
-
-    ``buckets[d]`` holds the remaining vertices of remaining degree d;
-    removing a vertex moves each remaining neighbor down one bucket.
-    """
-    n = graph.n_vertices
-    rows = [graph.comp_row(v) for v in range(n)]
-    degree = [row.bit_count() for row in rows]
-    buckets = [0] * n
-    for v, d in enumerate(degree):
-        buckets[d] |= 1 << v
-    remaining = graph.full_mask
-    lowest = 0
-    removal: list[int] = []
-    for _ in range(n):
-        while not buckets[lowest]:
-            lowest += 1
-        bit = buckets[lowest] & -buckets[lowest]
-        v = bit.bit_length() - 1
-        buckets[lowest] ^= bit
-        remaining ^= bit
-        removal.append(v)
-        for u in _bits(rows[v] & remaining):
-            d = degree[u]
-            degree[u] = d - 1
-            buckets[d] ^= 1 << u
-            buckets[d - 1] |= 1 << u
-        lowest = max(lowest - 1, 0)
-    return removal[::-1]
-
-
 def _cover_dsatur(graph: CompatGraph) -> list[int]:
     """Color the vertex of highest saturation next, lowest index on ties.
 
@@ -215,30 +176,23 @@ def _cover_dsatur(graph: CompatGraph) -> list[int]:
     return colors
 
 
-def cover_greedy(graph: CompatGraph, ordering: str = "gc") -> CliqueCover:
+def cover_greedy(graph: CompatGraph, ordering: str) -> CliqueCover:
     """Sequential coloring of the complement graph.
 
-    Orderings: gc follows input order, lf sorts by complement degree
-    descending, sl uses a smallest-last elimination order on the complement,
-    dsatur picks the uncolored vertex of maximum saturation dynamically.
-    Every tie breaks toward the lowest vertex index.
+    Orderings: lf sorts by complement degree descending, dsatur picks the
+    uncolored vertex of maximum saturation dynamically. Every tie breaks
+    toward the lowest vertex index.
     """
-    n = graph.n_vertices
     if ordering == "dsatur":
         colors = _cover_dsatur(graph)
-    else:
-        if ordering == "gc":
-            order = list(range(n))
-        elif ordering == "lf":
-            order = sorted(range(n), key=lambda v: (-graph.comp_row(v).bit_count(), v))
-        elif ordering == "sl":
-            order = _smallest_last_order(graph)
-        else:
-            raise ValueError(f"unknown ordering {ordering!r}")
+    elif ordering == "lf":
+        n = graph.n_vertices
         colors = [-1] * n
         seen: list[int] = []
-        for v in order:
+        for v in sorted(range(n), key=lambda v: (-graph.comp_row(v).bit_count(), v)):
             colors[v], _ = _take_color(seen, v, graph.comp_row(v))
+    else:
+        raise ValueError(f"unknown ordering {ordering!r}")
     return CliqueCover(graph.relation, ordering, _groups_from_colors(colors))
 
 
@@ -347,7 +301,7 @@ def cover_exact(graph: CompatGraph, limit: int = DEFAULT_EXACT_CAP) -> CliqueCov
 
 
 def compute_cover(graph: CompatGraph, method: str) -> CliqueCover:
-    if method in ("gc", "lf", "sl", "dsatur"):
+    if method in ("lf", "dsatur"):
         return cover_greedy(graph, method)
     if method == "rlf":
         return cover_rlf(graph)

@@ -90,12 +90,11 @@ class TauSigmaBasis:
 
 @dataclass(frozen=True)
 class TransformedGroup:
-    """QWC image of one commuting group plus its expansion bookkeeping."""
+    """QWC image of one commuting group under its tau/sigma basis."""
 
     term_indices: tuple[int, ...]
     basis: TauSigmaBasis
     transformed: Hamiltonian
-    expansions: tuple[tuple[tuple[int, ...], int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -216,7 +215,6 @@ def transform_group(group: Hamiltonian, basis: TauSigmaBasis,
         raise ValueError("term_indices length differs from the group")
     sigmas = [basis.sigma_product(k) for k in range(n)]
     out_terms: list[tuple[float, PauliProduct]] = []
-    expansions: list[tuple[tuple[int, ...], int]] = []
     for coeff, prod in group.terms:
         subset, phase = expand_in_tau(prod, basis)
         x = z = 0
@@ -224,9 +222,7 @@ def transform_group(group: Hamiltonian, basis: TauSigmaBasis,
             x |= sigmas[k].x
             z |= sigmas[k].z
         out_terms.append((coeff * phase, PauliProduct(n, x, z)))
-        expansions.append((subset, phase))
-    transformed = Hamiltonian(n, tuple(out_terms))
-    return TransformedGroup(indices, basis, transformed, tuple(expansions))
+    return TransformedGroup(indices, basis, Hamiltonian(n, tuple(out_terms)))
 
 
 def build_unitary_symbolic(basis: TauSigmaBasis) -> PauliSum:

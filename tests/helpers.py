@@ -169,22 +169,6 @@ def naive_sequential_colors(graph, order) -> list[int]:
     return colors
 
 
-def naive_smallest_last_order(graph) -> list[int]:
-    n = graph.n_vertices
-    remaining = graph.full_mask
-    removal: list[int] = []
-    for _ in range(n):
-        best = None
-        best_deg = None
-        for v in _bits(remaining):
-            deg = (graph.comp_row(v) & remaining).bit_count()
-            if best_deg is None or deg < best_deg:
-                best, best_deg = v, deg
-        removal.append(best)
-        remaining &= ~(1 << best)
-    return removal[::-1]
-
-
 def naive_dsatur_colors(graph) -> list[int]:
     n = graph.n_vertices
     colors = [-1] * n
@@ -325,3 +309,12 @@ def kron_circuit(c: CliffordCircuit) -> np.ndarray:
     for gate in c.gates:
         u = kron_gate(gate, c.n_qubits) @ u
     return np.exp(1j * np.pi / 4 * c.global_phase_exp) * u
+
+
+_INVERSE_NAME = {"H": "H", "S": "SDG", "SDG": "S",
+                 "X": "X", "Y": "Y", "Z": "Z", "CNOT": "CNOT"}
+
+
+def inverse_circuit(c: CliffordCircuit) -> CliffordCircuit:
+    gates = tuple(Gate(_INVERSE_NAME[g.name], g.qubits) for g in reversed(c.gates))
+    return CliffordCircuit(c.n_qubits, gates, -c.global_phase_exp)

@@ -5,15 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (all_paulis, conjugation_maps_paulis_to_paulis, kron_gate,
-                     random_commuting_group, random_pauli)
-from paulimeasure import (CliffordCircuit, Gate, PauliExponent, PauliProduct,
-                          build_unitary_symbolic, circuit_from_dict,
-                          circuit_to_dict, circuit_to_text, decompose_exponent,
-                          exponent_sequence, find_sigma, find_tau, gate_counts,
-                          synthesize, transform_group)
+from helpers import (all_paulis, conjugation_maps_paulis_to_paulis, inverse_circuit,
+                     kron_gate, random_commuting_group, random_pauli)
+from paulimeasure import (CliffordCircuit, Gate, PauliProduct, TauSigmaBasis,
+                          build_unitary_symbolic, circuit_from_dict, circuit_to_dict,
+                          find_sigma, find_tau, gate_counts, synthesize,
+                          transform_group)
 from paulimeasure import verify
-from paulimeasure.circuits import GATE_NAMES, conjugate_columns
+from paulimeasure.circuits import GATE_NAMES, _append_exponent, conjugate_columns
 from paulimeasure.pauli import qubit_columns
 from paulimeasure.fixtures import h2_reference_basis, model_reference_basis
 
@@ -34,12 +33,16 @@ def expected_cnots(basis) -> int:
     return sum(2 * (t.weight() - 1) for t in basis.taus)
 
 
-def sequence_matrix(phase_exp: int, exponents) -> np.ndarray:
-    dim = 1 << exponents[0].pauli.n_qubits
-    m = np.eye(dim, dtype=complex)
-    for e in exponents:
-        m = m @ exponent_matrix(e.pauli)
-    return np.exp(1j * np.pi / 4 * phase_exp) * m
+def exponent_circuit(p: PauliProduct) -> CliffordCircuit:
+    """The gates of exp(i pi/4 P) with the phase e^(i pi/4) they leave out."""
+    gates: list[Gate] = []
+    _append_exponent(gates, p)
+    return CliffordCircuit(p.n_qubits, tuple(gates), 1)
+
+
+def one_factor(tau: PauliProduct, qubit: int, axis: str) -> CliffordCircuit:
+    """synthesize on a basis of the one factor (tau + sigma)/sqrt(2)."""
+    return synthesize(TauSigmaBasis(tau.n_qubits, (tau,), ((qubit, axis),)))
 
 
 def signed_pauli(m: np.ndarray, n_qubits: int) -> tuple[int, PauliProduct]:
@@ -108,18 +111,17 @@ class TestExponentSequence:
     def test_model_factor(self):
         tau = PauliProduct.from_term_string("X0 X1", 2)
         sigma = PauliProduct.from_term_string("Z0", 2)
-        phase, exps = exponent_sequence(tau, sigma)
-        assert phase == 6
-        assert [e.pauli for e in exps] == [sigma, tau, sigma]
-        np.testing.assert_allclose(sequence_matrix(phase, exps),
+        c = one_factor(tau, 0, "Z")
+        assert c.global_phase_exp == 9 % 8
+        assert c.gates == (exponent_circuit(sigma).gates + exponent_circuit(tau).gates
+                           + exponent_circuit(sigma).gates)
+        np.testing.assert_allclose(verify.dense_matrix(c),
                                    reflection_matrix(tau, sigma), atol=1e-12)
 
     def test_single_qubit_gives_hadamard(self):
-        tau = PauliProduct.from_term_string("Z0", 1)
-        sigma = PauliProduct.from_term_string("X0", 1)
-        phase, exps = exponent_sequence(tau, sigma)
+        c = one_factor(PauliProduct.from_term_string("Z0", 1), 0, "X")
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        np.testing.assert_allclose(sequence_matrix(phase, exps), h, atol=1e-12)
+        np.testing.assert_allclose(verify.dense_matrix(c), h, atol=1e-12)
 
     def test_reflections_square_to_identity(self):
         rng = random.Random(13)
@@ -127,46 +129,45 @@ class TestExponentSequence:
         while done < 50:
             n = rng.randint(1, 4)
             tau = PauliProduct(n, rng.getrandbits(n), rng.getrandbits(n))
-            q = rng.randrange(n)
-            sigma = PauliProduct.single(n, q, rng.choice("XYZ"))
+            q, axis = rng.randrange(n), rng.choice("XYZ")
+            sigma = PauliProduct.single(n, q, axis)
             if tau.weight() == 0 or tau.commutes_with(sigma):
                 continue
             v = reflection_matrix(tau, sigma)
             np.testing.assert_allclose(v @ v, np.eye(1 << n), atol=1e-12)
-            phase, exps = exponent_sequence(tau, sigma)
-            np.testing.assert_allclose(sequence_matrix(phase, exps), v, atol=1e-12)
+            np.testing.assert_allclose(verify.dense_matrix(one_factor(tau, q, axis)), v,
+                                       atol=1e-12)
             done += 1
 
     def test_commuting_inputs_rejected(self):
         tau = PauliProduct.from_term_string("X0 X1", 2)
-        with pytest.raises(ValueError, match="anticommute"):
-            exponent_sequence(tau, PauliProduct.from_term_string("X0", 2))
+        with pytest.raises(ValueError, match="tau and sigma must anticommute"):
+            one_factor(tau, 0, "X")
 
-    def test_multi_qubit_sigma_rejected(self):
-        tau = PauliProduct.from_term_string("X0 X1", 2)
-        with pytest.raises(ValueError, match="single"):
-            exponent_sequence(tau, PauliProduct.from_term_string("Z0 Z1", 2))
+    def test_phased_tau_rejected(self):
+        tau = PauliProduct(2, 0b11, 0, 2)  # -X0 X1
+        with pytest.raises(ValueError, match="exponent Pauli must carry no phase"):
+            one_factor(tau, 0, "Z")
 
 
 class TestDecomposeExponent:
     def test_weight_one_z_has_no_cnots(self):
-        c = decompose_exponent(PauliExponent(PauliProduct.from_term_string("Z0", 1)))
+        p = PauliProduct.from_term_string("Z0", 1)
+        c = exponent_circuit(p)
         assert gate_counts(c) == {"cnots": 0, "single_qubit": 1}
-        assert c.global_phase_exp == 1
-        np.testing.assert_allclose(
-            verify.dense_matrix(c),
-            exponent_matrix(PauliProduct.from_term_string("Z0", 1)), atol=1e-12)
+        np.testing.assert_allclose(verify.dense_matrix(c), exponent_matrix(p),
+                                   atol=1e-12)
 
     def test_weight_two_has_two_cnots(self):
         p = PauliProduct.from_term_string("X0 Y1", 2)
-        c = decompose_exponent(PauliExponent(p))
+        c = exponent_circuit(p)
         assert gate_counts(c)["cnots"] == 2
         np.testing.assert_allclose(verify.dense_matrix(c), exponent_matrix(p),
                                    atol=1e-12)
 
     def test_weight_four_has_six_cnots(self):
         p = PauliProduct.from_term_string("Z0 Z1 Z2 Z3", 4)
-        c = decompose_exponent(PauliExponent(p))
+        c = exponent_circuit(p)
         assert gate_counts(c)["cnots"] == 6
         np.testing.assert_allclose(verify.dense_matrix(c), exponent_matrix(p),
                                    atol=1e-12)
@@ -179,7 +180,7 @@ class TestDecomposeExponent:
             if x == 0 and z == 0:
                 continue
             p = PauliProduct(n, x, z)
-            c = decompose_exponent(PauliExponent(p))
+            c = exponent_circuit(p)
             assert gate_counts(c)["cnots"] == 2 * (p.weight() - 1)
             singles = sum(1 for g in c.gates if g.name != "CNOT")
             assert singles <= 4 * p.weight() + 1
@@ -187,8 +188,8 @@ class TestDecomposeExponent:
                                        atol=1e-12)
 
     def test_identity_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            PauliExponent(PauliProduct.identity(2))
+        with pytest.raises(ValueError, match="tau and sigma must anticommute"):
+            one_factor(PauliProduct.identity(2), 0, "X")
 
 
 class TestSynthesize:
@@ -247,7 +248,7 @@ class TestCircuitContainer:
         basis = h2_reference_basis()
         c = synthesize(basis)
         u = verify.dense_matrix(c)
-        v = verify.dense_matrix(c.inverse())
+        v = verify.dense_matrix(inverse_circuit(c))
         np.testing.assert_allclose(v @ u, np.eye(16), atol=1e-10)
 
     def test_dict_roundtrip(self):
@@ -257,10 +258,6 @@ class TestCircuitContainer:
         back = circuit_from_dict(d)
         assert back.gates == c.gates
         assert back.global_phase_exp == c.global_phase_exp
-
-    def test_text_format(self):
-        c = CliffordCircuit(4, (Gate("CNOT", (0, 3)), Gate("H", (2,)), Gate("S", (1,))))
-        assert circuit_to_text(c) == "CNOT 0 3\nH 2\nS 1\n"
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):

@@ -99,6 +99,28 @@ PLAN_SHA256 = {
     "random-12q": "0bc5ee1d6db30fca5f7cd257be20f667577e7859ccc647ea4694d4165a5c97b1",
     "wide-100q": "e89f4e35032567d5a840db7e95a84d7e8a5965dbf287ad861970d844b7604845",
 }
+# sha256 of `measure group --format json` per "input/relation/method"; a change
+# here changes a cover.
+GROUP_SHA256 = {
+    "six-term/fc/lf": "42cd7d9647dd6339a99b08767cea4b99864fa9193aacc54f5008414e214861f1",
+    "six-term/fc/dsatur": "c37a77021193488de4a35224da4889c9760ed75e639db4e72c1fb57841fbd3b0",
+    "six-term/fc/rlf": "4d4d31b67041a0a5a2c5caa08275fb58cc7613fc870d7c014b2e56ae4077bb29",
+    "six-term/qwc/lf": "f81495737523eb1ee455d2fc48079902dea5dbdd2d71a191313dda0069fa284d",
+    "six-term/qwc/dsatur": "4aafeed34d1819b47a10ebc73635f9aeb06bc9e7c7ccc7db72f44c7d3a3c9fee",
+    "six-term/qwc/rlf": "3953eee3e735d6bb76bddddbeae2eda8c6aaa681ae32d3d2859bac7ed798ce13",
+    "h2/fc/lf": "a524853431a7183534052fac7c443025122ad545c9788b3c02aebe023e0e8ea4",
+    "h2/fc/dsatur": "de0ddeb884b518dc2254eaf925e42ddca717d277460cc1ed3c25d367f311edc9",
+    "h2/fc/rlf": "98c0a7084c2a8bcb0ce693a53c083491c4c425b1f2b57f83e06a54ae4ca047db",
+    "h2/qwc/lf": "b0a81a77ef3c99325ba23efc09997b8260c26ac892371c11a4e2c881357ff237",
+    "h2/qwc/dsatur": "ea5f6b9966876c8b5f4d558d7ea3ff3da17dc48b08b34c3a850dd91fe17f3b0c",
+    "h2/qwc/rlf": "330f2eab740129a26cc0bc31bdc6d9cbeda28a020fc4656925f24834d97f0983",
+    "random-12q/fc/lf": "6d7bcdbcb911d474ca0acc26a40f509cf731ae771aeb8559d6e3397c54a8610e",
+    "random-12q/fc/dsatur": "07789af0452d3521db5ff7b630868f93a8e0d9c4285d2c491ed5f26067784ccf",
+    "random-12q/fc/rlf": "d3dca909eb9221b714ecb9b247df02c9b460f6be469b7c1c8f6f9e333e9ce545",
+    "random-12q/qwc/lf": "e6d50d74c70919fd48e69d6ef4ccdab126d5e6e6d44f8cbf686f1d7d40ecd8fe",
+    "random-12q/qwc/dsatur": "60e5ba14f2fbb614969d7832d2d2ca233dfbb51ac84eabe4ff6f594f47a383eb",
+    "random-12q/qwc/rlf": "09e0b2292375311235a6628eaed7d691184c725d427464400b6a77393196d5fc",
+}
 
 
 
@@ -202,6 +224,16 @@ class TestGroup:
         path.write_text(text)
         assert main(["group", str(path)]) == 1
         assert capsys.readouterr().err == f"measure: error: {message}\n"
+
+    @pytest.mark.parametrize("case", list(GROUP_SHA256))
+    def test_group_output_golden(self, case, tmp_path, capsys):
+        name, relation, method = case.split("/")
+        source = tmp_path / "source.txt"
+        source.write_text(GOLDEN_INPUTS[name]())
+        assert main(["group", str(source), "--relation", relation, "--method", method,
+                     "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GROUP_SHA256[case]
 
     def test_qwc_relation(self, six_term_file, capsys):
         assert main(["group", six_term_file, "--relation", "qwc"]) == 0
@@ -496,6 +528,28 @@ class TestCount:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr() == ("",
                                        "measure: error: enumeration limited to 8 qubits\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "sl"], ["--method", "bogus"], ["--relation", "xyz"],
+    ["--tolerance", "abc"], ["--tolerance", "inf"], ["--tolerance", "nan"],
+    ["--tolerance", "-1"], ["--bogus"], None,
+], ids=lambda argv: " ".join(argv) if argv else "missing-input")
+def test_flag_errors_print_one_line(six_term_file, capsys, argv):
+    args = ["group"] if argv is None else ["group", six_term_file, *argv]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("measure: error: ") and err.count("\n") == 1, err
+    if argv and argv[0] == "--tolerance":
+        assert err.startswith("measure: error: argument --tolerance: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["group", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: measure group")
 
 
 def test_module_entry_point(six_term_file):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_paulis, kron_circuit, random_commuting_group
+from helpers import all_paulis, inverse_circuit, kron_circuit, random_commuting_group
 from paulimeasure import (CliffordCircuit, Gate, PauliProduct, build_unitary_symbolic,
                           find_sigma, find_tau, parse_hamiltonian, synthesize)
 from paulimeasure import verify
@@ -136,7 +136,7 @@ class TestSimulateCircuit:
         pyrng = random.Random(11)
         basis = find_sigma(find_tau(random_commuting_group(3, pyrng)))
         circuit = synthesize(basis)
-        inverse = circuit.inverse()
+        inverse = inverse_circuit(circuit)
         for _ in range(20):
             psi = verify.random_state(3, rng)
             out = verify.simulate_circuit(inverse, verify.simulate_circuit(circuit, psi))
