@@ -3,7 +3,7 @@
 from .pauli import (DROP_TOLERANCE, Hamiltonian, HamiltonianFormatError,
                     PauliProduct, PauliSum, parse_hamiltonian, serialize_hamiltonian)
 from .grouping import (CliqueCover, CompatGraph, CoverReport, CoverStats,
-                       build_graph, compute_cover, cover_exact, cover_greedy,
+                       build_graph, compute_cover, cover_dsatur, cover_exact,
                        cover_rlf, cover_stats, cover_to_dict, validate_cover)
 from .transform import (GroupPlan, MeasurementPlan, TauSigmaBasis, TransformError,
                         TransformedGroup, build_unitary_symbolic, expand_in_tau,
@@ -18,7 +18,7 @@ __all__ = [
     "DROP_TOLERANCE", "Hamiltonian", "HamiltonianFormatError", "PauliProduct",
     "PauliSum", "parse_hamiltonian", "serialize_hamiltonian",
     "CliqueCover", "CompatGraph", "CoverReport", "CoverStats", "build_graph",
-    "compute_cover", "cover_exact", "cover_greedy", "cover_rlf", "cover_stats",
+    "compute_cover", "cover_dsatur", "cover_exact", "cover_rlf", "cover_stats",
     "cover_to_dict", "validate_cover",
     "GroupPlan", "MeasurementPlan", "TauSigmaBasis", "TransformError",
     "TransformedGroup", "build_unitary_symbolic", "expand_in_tau", "find_sigma",

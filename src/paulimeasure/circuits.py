@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .pauli import PauliProduct
 
@@ -19,17 +19,11 @@ if TYPE_CHECKING:
 GATE_NAMES = ("H", "S", "SDG", "X", "Y", "Z", "CNOT")
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
+    """One gate; ``CliffordCircuit`` checks its name and qubits."""
+
     name: str
     qubits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.name not in GATE_NAMES:
-            raise ValueError(f"unknown gate {self.name!r}")
-        want = 2 if self.name == "CNOT" else 1
-        if len(self.qubits) != want:
-            raise ValueError(f"{self.name} takes {want} qubit(s)")
 
 
 @dataclass(frozen=True)
@@ -41,9 +35,18 @@ class CliffordCircuit:
     global_phase_exp: int = 0
 
     def __post_init__(self) -> None:
+        """Reject a gate with an unknown name, the wrong number of qubits, a
+        qubit out of range, or (a CNOT) the same qubit twice."""
         for g in self.gates:
+            if g.name not in GATE_NAMES:
+                raise ValueError(f"unknown gate {g.name!r}")
+            want = 2 if g.name == "CNOT" else 1
+            if len(g.qubits) != want:
+                raise ValueError(f"{g.name} takes {want} qubit(s)")
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} outside {self.n_qubits} qubits")
+            if want == 2 and g.qubits[0] == g.qubits[1]:
+                raise ValueError(f"gate {g} uses qubit {g.qubits[0]} twice")
         object.__setattr__(self, "global_phase_exp", self.global_phase_exp % 8)
 
 

@@ -8,10 +8,6 @@ lists of such row ints.
 from __future__ import annotations
 
 
-class InconsistentSystemError(ValueError):
-    """Linear system has no solution over GF(2)."""
-
-
 def row_reduce(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
     """Reduced row-echelon form; returns (nonzero rows, pivot columns).
 
@@ -115,53 +111,5 @@ def lagrangian_extract(rows: list[int], n_qubits: int) -> list[int]:
     return work
 
 
-def solve(rows: list[int], n_cols: int, b: int) -> int:
-    """Selection mask x with XOR of rows[k] over set bits of x equal to b.
-
-    Free variables are fixed to 0; raises InconsistentSystemError when b is
-    outside the row span.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    for idx, row in enumerate(rows):
-        r, comb = row, 1 << idx
-        while r:
-            p = (r & -r).bit_length() - 1
-            if p not in pivots:
-                pivots[p] = (r, comb)
-                break
-            pr, pcomb = pivots[p]
-            r ^= pr
-            comb ^= pcomb
-    x = 0
-    r = b
-    while r:
-        p = (r & -r).bit_length() - 1
-        if p not in pivots:
-            raise InconsistentSystemError("target vector is outside the row span")
-        pr, pcomb = pivots[p]
-        r ^= pr
-        x ^= pcomb
-    return x
-
-
-def in_span(rows: list[int], n_cols: int, v: int) -> bool:
-    try:
-        solve(rows, n_cols, v)
-    except InconsistentSystemError:
-        return False
-    return True
-
-
 def is_independent(rows: list[int], n_cols: int) -> bool:
     return rank(rows, n_cols) == len(rows)
-
-
-def is_isotropic(rows: list[int], n_qubits: int) -> bool:
-    return all(symplectic_inner(rows[i], rows[j], n_qubits) == 0
-               for i in range(len(rows)) for j in range(i + 1, len(rows)))
-
-
-def is_lagrangian(rows: list[int], n_qubits: int) -> bool:
-    return (len(rows) == n_qubits
-            and is_independent(rows, 2 * n_qubits)
-            and is_isotropic(rows, n_qubits))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .pauli import Hamiltonian, anticommuting, qubit_columns
 
 RELATIONS = ("fc", "qwc")
-METHODS = ("lf", "dsatur", "rlf", "exact")
+METHODS = ("dsatur", "rlf", "exact")
 
 DEFAULT_EXACT_CAP = 64
 
@@ -122,30 +122,13 @@ def _groups_from_colors(colors: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(g) for g in groups)
 
 
-def _take_color(seen: list[int], v: int, comp_row: int) -> tuple[int, int]:
-    """Color v with the lowest color no complement neighbor of v has.
-
-    ``seen[c]`` is the union of the complement rows of the vertices colored
-    c, i.e. the vertices that may no longer take c; it is updated here.
-    Returns the color and the complement neighbors that had no neighbor of
-    that color before.
-    """
-    c = 0
-    while c < len(seen) and (seen[c] >> v) & 1:
-        c += 1
-    if c == len(seen):
-        seen.append(0)
-    fresh = comp_row & ~seen[c]
-    seen[c] |= comp_row
-    return c, fresh
-
-
-def _cover_dsatur(graph: CompatGraph) -> list[int]:
+def _dsatur_colors(graph: CompatGraph) -> list[int]:
     """Color the vertex of highest saturation next, lowest index on ties.
 
     ``buckets[s]`` holds the uncolored vertices of saturation s (distinct
     colors among their complement neighbors); a vertex whose saturation
-    rises moves up one bucket.
+    rises moves up one bucket. ``seen[c]`` is the union of the complement
+    rows of the vertices colored c: the vertices that may no longer take c.
     """
     n = graph.n_vertices
     colors = [-1] * n
@@ -160,8 +143,15 @@ def _cover_dsatur(graph: CompatGraph) -> list[int]:
         v = bit.bit_length() - 1
         buckets[top] ^= bit
         uncolored ^= bit
-        colors[v], rising = _take_color(seen, v, graph.comp_row(v))
-        rising &= uncolored
+        c = 0
+        while c < len(seen) and (seen[c] >> v) & 1:
+            c += 1
+        if c == len(seen):
+            seen.append(0)
+        colors[v] = c
+        row = graph.comp_row(v)
+        rising = row & ~seen[c] & uncolored
+        seen[c] |= row
         # Top bucket first, so that a vertex moves up at most once.
         s = top
         while rising:
@@ -176,24 +166,9 @@ def _cover_dsatur(graph: CompatGraph) -> list[int]:
     return colors
 
 
-def cover_greedy(graph: CompatGraph, ordering: str) -> CliqueCover:
-    """Sequential coloring of the complement graph.
-
-    Orderings: lf sorts by complement degree descending, dsatur picks the
-    uncolored vertex of maximum saturation dynamically. Every tie breaks
-    toward the lowest vertex index.
-    """
-    if ordering == "dsatur":
-        colors = _cover_dsatur(graph)
-    elif ordering == "lf":
-        n = graph.n_vertices
-        colors = [-1] * n
-        seen: list[int] = []
-        for v in sorted(range(n), key=lambda v: (-graph.comp_row(v).bit_count(), v)):
-            colors[v], _ = _take_color(seen, v, graph.comp_row(v))
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    return CliqueCover(graph.relation, ordering, _groups_from_colors(colors))
+def cover_dsatur(graph: CompatGraph) -> CliqueCover:
+    """Sequential coloring of the complement graph in DSATUR order."""
+    return CliqueCover(graph.relation, "dsatur", _groups_from_colors(_dsatur_colors(graph)))
 
 
 def cover_rlf(graph: CompatGraph) -> CliqueCover:
@@ -288,7 +263,7 @@ def cover_exact(graph: CompatGraph, limit: int = DEFAULT_EXACT_CAP) -> CliqueCov
     if graph.n_vertices > limit:
         raise ValueError(
             f"exact cover limited to {limit} vertices, graph has {graph.n_vertices}")
-    incumbent = _cover_dsatur(graph)
+    incumbent = _dsatur_colors(graph)
     upper = max(incumbent) + 1
     lower = max(1, _complement_clique_size(graph))
     colors = incumbent
@@ -301,8 +276,8 @@ def cover_exact(graph: CompatGraph, limit: int = DEFAULT_EXACT_CAP) -> CliqueCov
 
 
 def compute_cover(graph: CompatGraph, method: str) -> CliqueCover:
-    if method in ("lf", "dsatur"):
-        return cover_greedy(graph, method)
+    if method == "dsatur":
+        return cover_dsatur(graph)
     if method == "rlf":
         return cover_rlf(graph)
     if method == "exact":

@@ -156,7 +156,9 @@ class Hamiltonian:
     def from_terms(cls, n_qubits: int,
                    terms: Iterable[tuple[float, PauliProduct]],
                    drop_tolerance: float = DROP_TOLERANCE) -> Hamiltonian:
-        """Merge duplicate axis patterns and drop negligible coefficients."""
+        """Merge duplicate axis patterns and drop negligible coefficients:
+        those below drop_tolerance in magnitude, and exact zeros at any
+        tolerance."""
         merged: dict[tuple[int, int], list] = {}
         for coeff, prod in terms:
             if isinstance(coeff, complex):
@@ -169,7 +171,7 @@ class Hamiltonian:
                 merged[key][0] += c
             else:
                 merged[key] = [c, prod]
-        kept = tuple((c, p) for c, p in merged.values() if abs(c) >= drop_tolerance)
+        kept = tuple((c, p) for c, p in merged.values() if c and abs(c) >= drop_tolerance)
         return cls(n_qubits, kept)
 
     def coefficients(self) -> tuple[float, ...]:

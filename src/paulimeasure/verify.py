@@ -19,7 +19,7 @@ import numpy as np
 from .circuits import CliffordCircuit, conjugate_columns
 from .grouping import build_graph
 from .pauli import Hamiltonian, I_POWERS, PauliProduct, PauliSum, qubit_columns
-from .transform import GroupPlan, MeasurementPlan, build_unitary_symbolic
+from .transform import GroupPlan, MeasurementPlan
 
 MAX_DENSE_QUBITS = 12
 MAX_SPECTRUM_QUBITS = 10
@@ -192,7 +192,14 @@ class _GroupOperators:
 
     @cached_property
     def symbolic_unitary(self) -> np.ndarray:
-        return dense_matrix(build_unitary_symbolic(self.entry.transform.basis))
+        """The paper's U, the product of (tau_i + sigma_i)/sqrt(2) in factor
+        order, from dense Pauli matrices."""
+        basis = self.entry.transform.basis
+        u = np.eye(1 << basis.n_qubits, dtype=complex)
+        for i in range(basis.n_qubits):
+            u = u @ ((dense_pauli(basis.taus[i]) + dense_pauli(basis.sigma_product(i)))
+                     / np.sqrt(2))
+        return u
 
     @cached_property
     def circuit_unitary(self) -> np.ndarray:

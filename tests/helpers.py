@@ -25,12 +25,68 @@ def all_paulis(n_qubits: int):
             yield PauliProduct(n_qubits, x, z)
 
 
+# GF(2) solving and subspace predicates. The pipeline needs none of them
+# (it reads expansions off the sigmas and checks bases on term bitsets);
+# they stay here as the references the tests compare against.
+
+class InconsistentSystemError(ValueError):
+    """Linear system has no solution over GF(2)."""
+
+
+def solve(rows: list[int], n_cols: int, b: int) -> int:
+    """Selection mask x with XOR of rows[k] over set bits of x equal to b.
+
+    Free variables are fixed to 0; raises InconsistentSystemError when b is
+    outside the row span.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for idx, row in enumerate(rows):
+        r, comb = row, 1 << idx
+        while r:
+            p = (r & -r).bit_length() - 1
+            if p not in pivots:
+                pivots[p] = (r, comb)
+                break
+            pr, pcomb = pivots[p]
+            r ^= pr
+            comb ^= pcomb
+    x = 0
+    r = b
+    while r:
+        p = (r & -r).bit_length() - 1
+        if p not in pivots:
+            raise InconsistentSystemError("target vector is outside the row span")
+        pr, pcomb = pivots[p]
+        r ^= pr
+        x ^= pcomb
+    return x
+
+
+def in_span(rows: list[int], n_cols: int, v: int) -> bool:
+    try:
+        solve(rows, n_cols, v)
+    except InconsistentSystemError:
+        return False
+    return True
+
+
+def is_isotropic(rows: list[int], n_qubits: int) -> bool:
+    return all(gf2.symplectic_inner(rows[i], rows[j], n_qubits) == 0
+               for i in range(len(rows)) for j in range(i + 1, len(rows)))
+
+
+def is_lagrangian(rows: list[int], n_qubits: int) -> bool:
+    return (len(rows) == n_qubits
+            and gf2.is_independent(rows, 2 * n_qubits)
+            and is_isotropic(rows, n_qubits))
+
+
 def random_subspace(n_qubits: int, dim: int, rng: random.Random) -> list[int]:
     """Random independent packed vectors, no isotropy constraint."""
     vecs: list[int] = []
     while len(vecs) < dim:
         v = rng.getrandbits(2 * n_qubits)
-        if v and not gf2.in_span(vecs, 2 * n_qubits, v):
+        if v and not in_span(vecs, 2 * n_qubits, v):
             vecs.append(v)
     return vecs
 
@@ -45,7 +101,7 @@ def random_isotropic(n_qubits: int, dim: int, rng: random.Random) -> list[int]:
         for k in range(len(comp)):
             if (mask >> k) & 1:
                 v ^= comp[k]
-        if v and not gf2.in_span(vecs, 2 * n_qubits, v):
+        if v and not in_span(vecs, 2 * n_qubits, v):
             vecs.append(v)
     return vecs
 
@@ -102,7 +158,7 @@ def conjugation_maps_paulis_to_paulis(u: np.ndarray, n_qubits: int,
 
 
 # Naive references for the bitset grouping code: pairwise relation tests and
-# the linear-scan orderings it replaced. Tests require identical results.
+# the linear-scan DSATUR it replaced. Tests require identical results.
 
 def pairwise_graph_rows(h: Hamiltonian, relation: str) -> tuple[int, ...]:
     """Adjacency rows by testing every term pair with the product predicates."""
@@ -160,15 +216,6 @@ def _lowest_free_color(forbidden: set[int]) -> int:
     return c
 
 
-def naive_sequential_colors(graph, order) -> list[int]:
-    """Each vertex in order takes the lowest color absent from its complement neighbors."""
-    colors = [-1] * graph.n_vertices
-    for v in order:
-        forbidden = {colors[u] for u in _bits(graph.comp_row(v)) if colors[u] >= 0}
-        colors[v] = _lowest_free_color(forbidden)
-    return colors
-
-
 def naive_dsatur_colors(graph) -> list[int]:
     n = graph.n_vertices
     colors = [-1] * n
@@ -224,13 +271,13 @@ def rescanning_lagrangian_extract(rows: list[int], n_qubits: int) -> list[int]:
 
 
 def solve_expansion(term: PauliProduct, basis) -> tuple[tuple[int, ...], int]:
-    """(tau indices, sign) with the subset from gf2.solve over the tau rows.
+    """(tau indices, sign) with the subset from solve over the tau rows.
 
     Raises ValueError when the term is outside the tau span or the phase is
     imaginary.
     """
     n = basis.n_qubits
-    selection = gf2.solve([t.packed for t in basis.taus], 2 * n, term.packed)
+    selection = solve([t.packed for t in basis.taus], 2 * n, term.packed)
     indices = tuple(k for k in range(n) if (selection >> k) & 1)
     product = PauliProduct.identity(n)
     for k in indices:
@@ -256,7 +303,7 @@ def pairwise_validate(basis, group: Hamiltonian | None = None) -> None:
     if len({q for q, _ in basis.sigmas}) != n:
         raise ValueError("sigma qubits must be pairwise distinct")
     vecs = [t.packed for t in basis.taus]
-    if not gf2.is_lagrangian(vecs, n):
+    if not is_lagrangian(vecs, n):
         raise ValueError("taus are not a Lagrangian basis")
     sig_vecs = [basis.sigma_product(i).packed for i in range(n)]
     for i in range(n):

@@ -175,5 +175,5 @@ def test_criterion_7_oracle_cross_checks():
         for _ in range(30):
             graph = random_compat_graph(12, rng)
             best = cover_exact(graph).group_count
-            for method in ("lf", "dsatur", "rlf"):
+            for method in ("dsatur", "rlf"):
                 assert best <= compute_cover(graph, method).group_count

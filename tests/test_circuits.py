@@ -260,9 +260,10 @@ class TestCircuitContainer:
         assert back.global_phase_exp == c.global_phase_exp
 
     def test_gate_validation(self):
-        with pytest.raises(ValueError):
-            Gate("BOGUS", (0,))
-        with pytest.raises(ValueError):
-            Gate("CNOT", (0,))
-        with pytest.raises(ValueError):
-            CliffordCircuit(1, (Gate("H", (3,)),))
+        for n, gate, message in (
+                (1, Gate("BOGUS", (0,)), "unknown gate 'BOGUS'"),
+                (2, Gate("CNOT", (0,)), "CNOT takes 2 qubit"),
+                (1, Gate("H", (3,)), r"gate Gate\(name='H', qubits=\(3,\)\) outside 1 qubits"),
+                (2, Gate("CNOT", (1, 1)), "uses qubit 1 twice")):
+            with pytest.raises(ValueError, match=message):
+                CliffordCircuit(n, (gate,))

@@ -102,22 +102,16 @@ PLAN_SHA256 = {
 # sha256 of `measure group --format json` per "input/relation/method"; a change
 # here changes a cover.
 GROUP_SHA256 = {
-    "six-term/fc/lf": "42cd7d9647dd6339a99b08767cea4b99864fa9193aacc54f5008414e214861f1",
     "six-term/fc/dsatur": "c37a77021193488de4a35224da4889c9760ed75e639db4e72c1fb57841fbd3b0",
     "six-term/fc/rlf": "4d4d31b67041a0a5a2c5caa08275fb58cc7613fc870d7c014b2e56ae4077bb29",
-    "six-term/qwc/lf": "f81495737523eb1ee455d2fc48079902dea5dbdd2d71a191313dda0069fa284d",
     "six-term/qwc/dsatur": "4aafeed34d1819b47a10ebc73635f9aeb06bc9e7c7ccc7db72f44c7d3a3c9fee",
     "six-term/qwc/rlf": "3953eee3e735d6bb76bddddbeae2eda8c6aaa681ae32d3d2859bac7ed798ce13",
-    "h2/fc/lf": "a524853431a7183534052fac7c443025122ad545c9788b3c02aebe023e0e8ea4",
     "h2/fc/dsatur": "de0ddeb884b518dc2254eaf925e42ddca717d277460cc1ed3c25d367f311edc9",
     "h2/fc/rlf": "98c0a7084c2a8bcb0ce693a53c083491c4c425b1f2b57f83e06a54ae4ca047db",
-    "h2/qwc/lf": "b0a81a77ef3c99325ba23efc09997b8260c26ac892371c11a4e2c881357ff237",
     "h2/qwc/dsatur": "ea5f6b9966876c8b5f4d558d7ea3ff3da17dc48b08b34c3a850dd91fe17f3b0c",
     "h2/qwc/rlf": "330f2eab740129a26cc0bc31bdc6d9cbeda28a020fc4656925f24834d97f0983",
-    "random-12q/fc/lf": "6d7bcdbcb911d474ca0acc26a40f509cf731ae771aeb8559d6e3397c54a8610e",
     "random-12q/fc/dsatur": "07789af0452d3521db5ff7b630868f93a8e0d9c4285d2c491ed5f26067784ccf",
     "random-12q/fc/rlf": "d3dca909eb9221b714ecb9b247df02c9b460f6be469b7c1c8f6f9e333e9ce545",
-    "random-12q/qwc/lf": "e6d50d74c70919fd48e69d6ef4ccdab126d5e6e6d44f8cbf686f1d7d40ecd8fe",
     "random-12q/qwc/dsatur": "60e5ba14f2fbb614969d7832d2d2ca233dfbb51ac84eabe4ff6f594f47a383eb",
     "random-12q/qwc/rlf": "09e0b2292375311235a6628eaed7d691184c725d427464400b6a77393196d5fc",
 }
@@ -204,6 +198,20 @@ class TestGroup:
         assert err.startswith("measure: error:")
         assert "no terms" in err
 
+    def test_cancelled_term_dropped_at_zero_tolerance(self, tmp_path, capsys):
+        path = tmp_path / "cancel.txt"
+        path.write_text("qubits: 2\n1.0 X0\n-1.0 X0\n0.5 Z1\n")
+        assert main(["group", str(path), "--tolerance", "0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "1 terms, 1 groups" and out[-1] == "group 1 (1 terms): Z1"
+
+    @pytest.mark.parametrize("command", ["group", "transform"])
+    def test_all_terms_cancelled_error(self, tmp_path, capsys, command):
+        path = tmp_path / "cancel.txt"
+        path.write_text("qubits: 2\n1.0 X0\n-1.0 X0\n")
+        assert main([command, str(path), "--tolerance", "0"]) == 1
+        assert capsys.readouterr() == ("", "measure: error: no terms\n")
+
     def test_missing_file_error(self, capsys):
         assert main(["group", "/nonexistent/input.txt"]) == 1
         assert capsys.readouterr().err.startswith("measure: error:")
@@ -251,6 +259,14 @@ class TestTransform:
         assert len(plan["groups"]) == 1
         transformed = {t["pauli"]: t["coeff"] for t in plan["groups"][0]["transformed"]}
         assert transformed == {"Z0": 1.0, "X1": 1.0}
+
+    def test_zero_coefficient_dropped_at_zero_tolerance(self, tmp_path, capsys):
+        path = tmp_path / "zero.txt"
+        path.write_text("qubits: 2\n0.0 X0\n0.5 Z1\n")
+        assert main(["transform", str(path), "--tolerance", "0"]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        assert [g["term_indices"] for g in plan["groups"]] == [[0]]
+        assert [t["coeff"] for t in plan["groups"][0]["transformed"]] == [0.5]
 
     def test_qwc_relation_rejected(self, model_file, capsys):
         assert main(["transform", model_file, "--relation", "qwc"]) == 1
@@ -457,6 +473,24 @@ class TestVerify:
         assert "FAIL basis invariants (group 0: expected 4 taus and sigmas)" in out
         assert "FAIL conjugated group matches transform (tol 1e-9) (group 0: " in out
 
+    @pytest.mark.parametrize("name", ["h2", "wide-100q"])
+    def test_cnot_on_one_qubit_is_a_plan_error(self, name, tmp_path, capsys):
+        source = tmp_path / "source.txt"
+        source.write_text(VERIFY_INPUTS[name][0]())
+
+        def self_loop_first_cnot(plan):
+            gates = plan["groups"][0]["circuit"]["gates"]
+            k = next(k for k, g in enumerate(gates) if g["name"] == "CNOT")
+            q = gates[k]["qubits"][0]
+            gates[k]["qubits"] = [q, q]
+            return plan
+
+        code, out, err = self.run_verify_on_edited_plan(str(source), tmp_path,
+                                                        self_loop_first_cnot, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("measure: error: plan group 0: gate Gate(name='CNOT'")
+        assert err.endswith(" twice\n") and err.count("\n") == 1
+
     def test_deeply_nested_plan_error(self, six_term_file, tmp_path, capsys):
         plan_path = tmp_path / "deep.json"
         plan_path.write_text("[" * 100_000)
@@ -531,7 +565,7 @@ class TestCount:
 
 
 @pytest.mark.parametrize("argv", [
-    ["--method", "sl"], ["--method", "bogus"], ["--relation", "xyz"],
+    ["--method", "lf"], ["--method", "sl"], ["--method", "bogus"], ["--relation", "xyz"],
     ["--tolerance", "abc"], ["--tolerance", "inf"], ["--tolerance", "nan"],
     ["--tolerance", "-1"], ["--bogus"], None,
 ], ids=lambda argv: " ".join(argv) if argv else "missing-input")

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (naive_dsatur_colors, naive_sequential_colors,
-                     pairwise_graph_rows, pairwise_violations,
+from helpers import (naive_dsatur_colors, pairwise_graph_rows, pairwise_violations,
                      random_graph_hamiltonian)
 from paulimeasure import (CliqueCover, CompatGraph, Hamiltonian, PauliProduct,
-                          build_graph, compute_cover, cover_exact, cover_greedy,
+                          build_graph, compute_cover, cover_dsatur, cover_exact,
                           cover_rlf, cover_stats, cover_to_dict, parse_hamiltonian,
                           validate_cover)
-from paulimeasure.grouping import METHODS, _cover_dsatur
+from paulimeasure.grouping import METHODS, _dsatur_colors
 from paulimeasure.fixtures import SIX_TERM_TEXT, six_term_hamiltonian
 
-HEURISTICS = ("lf", "dsatur", "rlf")
+HEURISTICS = ("dsatur", "rlf")
 
 
 def has_edge(g, i, j):
@@ -125,9 +124,9 @@ class TestHeuristicCovers:
         for method in HEURISTICS:
             assert compute_cover(g, method).group_count == 5
 
-    def test_six_term_lf_two_groups(self):
+    def test_six_term_dsatur_two_groups(self):
         g = build_graph(six_term_hamiltonian(), "fc")
-        assert cover_greedy(g, "lf").group_count == 2
+        assert cover_dsatur(g).groups == ((0, 1, 2), (3, 4, 5))
 
     def test_six_term_rlf_matches_reference_split(self):
         g = build_graph(six_term_hamiltonian(), "fc")
@@ -140,12 +139,10 @@ class TestHeuristicCovers:
             compute_cover(edgeless_graph(2), "bogus")
 
     def test_methods_are_the_four_covers(self):
-        assert METHODS == ("lf", "dsatur", "rlf", "exact")
-        for method in ("gc", "sl"):
-            with pytest.raises(ValueError, match="unknown"):
+        assert METHODS == ("dsatur", "rlf", "exact")
+        for method in ("lf", "gc", "sl"):
+            with pytest.raises(ValueError, match="unknown method"):
                 compute_cover(edgeless_graph(2), method)
-            with pytest.raises(ValueError, match="unknown ordering"):
-                cover_greedy(edgeless_graph(2), method)
 
     def test_all_methods_produce_valid_covers_on_random_hamiltonians(self):
         rng = random.Random(15)
@@ -161,13 +158,7 @@ class TestHeuristicCovers:
         for h in seeded_sums():
             for relation in ("fc", "qwc"):
                 g = build_graph(h, relation)
-                assert _cover_dsatur(g) == naive_dsatur_colors(g)
-                lf = sorted(range(g.n_vertices),
-                            key=lambda v: (-g.comp_row(v).bit_count(), v))
-                colors = naive_sequential_colors(g, lf)
-                groups = tuple(tuple(v for v in range(g.n_vertices) if colors[v] == c)
-                               for c in range(max(colors) + 1))
-                assert cover_greedy(g, "lf").groups == groups, relation
+                assert _dsatur_colors(g) == naive_dsatur_colors(g), relation
 
     def test_deterministic_across_runs(self):
         rng = random.Random(8)

@@ -178,6 +178,11 @@ class TestHamiltonianIO:
         h = parse_hamiltonian("1.0 X0\n1e-13 Z0\n")
         assert len(h.terms) == 1
 
+    def test_exact_zeros_dropped_at_zero_tolerance(self):
+        h = parse_hamiltonian("1.0 X0\n-1.0 X0\n0.5 Z1\n", 0.0)
+        assert [p.to_term_string() for p in h.products()] == ["Z1"]
+        assert parse_hamiltonian("0.0 X0\n0.5 Z1\n", 0.0).coefficients() == (0.5,)
+
     def test_comments_and_blank_lines(self):
         h = parse_hamiltonian("# header\n\n1.0 X0  # inline\n")
         assert len(h.terms) == 1
