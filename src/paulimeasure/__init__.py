@@ -8,7 +8,7 @@ from .grouping import (CliqueCover, CompatGraph, CoverReport, CoverStats,
 from .transform import (GroupPlan, MeasurementPlan, TauSigmaBasis, TransformError,
                         TransformedGroup, build_unitary_symbolic, expand_in_tau,
                         find_sigma, find_tau, pipeline, plan_from_dict,
-                        plan_to_dict, transform_group)
+                        plan_to_dict, plan_to_json, transform_group)
 from .circuits import (CliffordCircuit, Gate, circuit_from_dict, circuit_to_dict,
                        gate_counts, synthesize)
 
@@ -22,7 +22,8 @@ __all__ = [
     "cover_to_dict", "validate_cover",
     "GroupPlan", "MeasurementPlan", "TauSigmaBasis", "TransformError",
     "TransformedGroup", "build_unitary_symbolic", "expand_in_tau", "find_sigma",
-    "find_tau", "pipeline", "plan_from_dict", "plan_to_dict", "transform_group",
+    "find_tau", "pipeline", "plan_from_dict", "plan_to_dict", "plan_to_json",
+    "transform_group",
     "CliffordCircuit", "Gate", "circuit_from_dict", "circuit_to_dict",
     "gate_counts", "synthesize",
 ]

@@ -36,8 +36,10 @@ class CliffordCircuit:
 
     def __post_init__(self) -> None:
         """Reject a gate with an unknown name, the wrong number of qubits, a
-        qubit out of range, or (a CNOT) the same qubit twice."""
-        for g in self.gates:
+        qubit out of range, or (a CNOT) the same qubit twice. Each distinct
+        gate is checked once, in order of first occurrence, so the first bad
+        gate is the one named."""
+        for g in dict.fromkeys(self.gates):
             if g.name not in GATE_NAMES:
                 raise ValueError(f"unknown gate {g.name!r}")
             want = 2 if g.name == "CNOT" else 1
@@ -172,8 +174,32 @@ def _field(obj, key: str, kind, item=None):
 
 
 def circuit_from_dict(d: dict) -> CliffordCircuit:
-    """Inverse of circuit_to_dict; ValueError names the first bad field."""
-    gates = tuple(Gate(_field(g, "name", str), tuple(_field(g, "qubits", list, int)))
-                  for g in _field(d, "gates", list))
-    return CliffordCircuit(_field(d, "n_qubits", int), gates,
+    """Inverse of circuit_to_dict; ValueError names the first bad field.
+
+    One pass over the gate list. A gate whose fields have exactly the JSON
+    types asked for is looked up in a memo of this circuit's gates, so equal
+    gates share one ``Gate``; the types are checked on every gate, since
+    ``True`` and ``1.0`` equal ``1`` as keys. Any other gate goes through
+    ``_field``, which raises the one-line error.
+    """
+    memo: dict[tuple, Gate] = {}
+    gates = []
+    for g in _field(d, "gates", list):
+        try:
+            name, qubits = g["name"], g["qubits"]
+        except (TypeError, KeyError):
+            name = qubits = None
+        if type(name) is str and type(qubits) is list:
+            for q in qubits:
+                if type(q) is not int:
+                    break
+            else:
+                key = (name, *qubits)
+                gate = memo.get(key)
+                if gate is None:
+                    gate = memo[key] = Gate(name, tuple(qubits))
+                gates.append(gate)
+                continue
+        gates.append(Gate(_field(g, "name", str), tuple(_field(g, "qubits", list, int))))
+    return CliffordCircuit(_field(d, "n_qubits", int), tuple(gates),
                            _field(d, "global_phase_exp", int))

@@ -11,7 +11,7 @@ from . import verify
 from .grouping import (METHODS, RELATIONS, build_graph, compute_cover, cover_stats,
                        cover_to_dict)
 from .pauli import DROP_TOLERANCE, Hamiltonian, PauliProduct, parse_hamiltonian
-from .transform import TransformError, pipeline, plan_from_dict, plan_to_dict
+from .transform import TransformError, pipeline, plan_from_dict, plan_to_json
 
 
 def _read_hamiltonian(path: str, tolerance: float) -> Hamiltonian:
@@ -59,7 +59,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     h = _read_hamiltonian(args.input, args.tolerance)
     cover = compute_cover(build_graph(h, "fc"), args.method)
     plan = pipeline(h, cover)
-    _write_text(args.output, _json_dumps(plan_to_dict(plan)))
+    _write_text(args.output, plan_to_json(plan))
     return 0
 
 

@@ -88,8 +88,13 @@ class PauliProduct:
         return "".join(self.axis(q) for q in range(self.n_qubits))
 
     def to_term_string(self) -> str:
-        parts = [f"{self.axis(q)}{q}" for q in range(self.n_qubits)
-                 if (self.support >> q) & 1]
+        """Token form, e.g. ``"X0 Z3"`` or ``"I"``; one step per support qubit."""
+        parts = []
+        rest = self.support
+        while rest:
+            q = (rest & -rest).bit_length() - 1
+            parts.append(f"{self.axis(q)}{q}")
+            rest &= rest - 1
         return " ".join(parts) if parts else "I"
 
     @property

@@ -11,13 +11,13 @@ sigmas, which is qubit-wise commuting by construction.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import gf2
-from .circuits import (CliffordCircuit, _field, circuit_from_dict, circuit_to_dict,
-                       synthesize)
+from .circuits import CliffordCircuit, Gate, _field, circuit_from_dict, synthesize
 from .pauli import (I_POWERS, MAX_QUBITS, Hamiltonian, PauliProduct, PauliSum,
                     anticommuting, qubit_columns)
 
@@ -56,12 +56,16 @@ class TauSigmaBasis:
         """The sigmas as per-qubit term bitsets: bit k stands for sigma_k."""
         return qubit_columns(self.n_qubits, map(self.sigma_product, range(self.n_qubits)))
 
+    def check_counts(self) -> None:
+        """Raise ValueError unless there are exactly n_qubits taus and sigmas."""
+        if len(self.taus) != self.n_qubits or len(self.sigmas) != self.n_qubits:
+            raise ValueError(f"expected {self.n_qubits} taus and sigmas")
+
     def validate(self, group: Hamiltonian | None = None) -> None:
         """Raise ValueError naming the first violated invariant, at the lowest
         index; each tau or group term is tested with one bitset."""
         n = self.n_qubits
-        if len(self.taus) != n or len(self.sigmas) != n:
-            raise ValueError(f"expected {n} taus and sigmas")
+        self.check_counts()
         for t in self.taus:
             if t.n_qubits != n:
                 raise ValueError("tau qubit count differs from basis")
@@ -270,19 +274,76 @@ def pipeline(h: Hamiltonian, cover) -> MeasurementPlan:
     return MeasurementPlan(h.n_qubits, tuple(entries))
 
 
-def plan_to_dict(plan: MeasurementPlan) -> dict:
+def _dumps(value, level: int) -> str:
+    """``json.dumps(value, indent=2)`` for a value whose first line sits at
+    indent level ``level``: every later line is shifted by that level. JSON
+    escapes a newline inside a string, so every newline is a line break."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _array(items: list[str], level: int) -> str:
+    """An indented JSON array at ``level`` from its items' text, each item
+    already indented for level + 1."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
+def _object(members: list[tuple[str, str]], level: int) -> str:
+    """An indented JSON object at ``level`` from (key, value text) pairs, each
+    value already indented for level + 1."""
+    pad = "\n" + "  " * (level + 1)
+    return ("{" + ",".join(f"{pad}{json.dumps(k)}: {v}" for k, v in members)
+            + "\n" + "  " * level + "}")
+
+
+# Indent level of a gate object in plan JSON: plan > groups > group > circuit > gates.
+_GATE_LEVEL = 5
+
+
+class _GateBlocks(dict):
+    """Gate -> its indented JSON block in a plan, each built on first use."""
+
+    def __missing__(self, gate: Gate) -> str:
+        text = self[gate] = _dumps({"name": gate.name, "qubits": list(gate.qubits)},
+                                   _GATE_LEVEL)
+        return text
+
+
+def plan_to_json(plan: MeasurementPlan) -> str:
+    """The plan file: byte for byte ``json.dumps(d, indent=2) + "\\n"`` of
+    its dict form ``d``, built without that dict.
+
+    This is where the plan schema is written down. Each distinct gate's
+    block is built once per call and a circuit is a join of those blocks,
+    so the cost per gate is a dict lookup; the pure-Python indenting
+    encoder runs only on the smaller per-group fields.
+    """
+    blocks = _GateBlocks()
     groups = []
     for entry in plan.groups:
-        tg = entry.transform
-        groups.append({
-            "term_indices": list(tg.term_indices),
-            "tau": [t.to_term_string() for t in tg.basis.taus],
-            "sigma": [{"qubit": q, "axis": a} for q, a in tg.basis.sigmas],
-            "transformed": [{"coeff": c, "pauli": p.to_term_string()}
-                            for c, p in tg.transformed.terms],
-            "circuit": circuit_to_dict(entry.circuit),
-        })
-    return {"n_qubits": plan.n_qubits, "groups": groups}
+        tg, c = entry.transform, entry.circuit
+        circuit = _object([
+            ("n_qubits", json.dumps(c.n_qubits)),
+            ("global_phase_exp", json.dumps(c.global_phase_exp)),
+            ("gates", _array([blocks[g] for g in c.gates], _GATE_LEVEL - 1)),
+        ], 3)
+        groups.append(_object([
+            ("term_indices", _dumps(list(tg.term_indices), 3)),
+            ("tau", _dumps([t.to_term_string() for t in tg.basis.taus], 3)),
+            ("sigma", _dumps([{"qubit": q, "axis": a} for q, a in tg.basis.sigmas], 3)),
+            ("transformed", _dumps([{"coeff": coeff, "pauli": p.to_term_string()}
+                                    for coeff, p in tg.transformed.terms], 3)),
+            ("circuit", circuit),
+        ], 2))
+    return _object([("n_qubits", json.dumps(plan.n_qubits)),
+                    ("groups", _array(groups, 1))], 0) + "\n"
+
+
+def plan_to_dict(plan: MeasurementPlan) -> dict:
+    """The plan's JSON form as Python objects: ``json.loads(plan_to_json(plan))``."""
+    return json.loads(plan_to_json(plan))
 
 
 def plan_from_dict(d: dict) -> MeasurementPlan:

@@ -6,7 +6,8 @@ import random
 
 import numpy as np
 
-from paulimeasure import CliffordCircuit, Gate, Hamiltonian, PauliProduct
+from paulimeasure import (CliffordCircuit, Gate, Hamiltonian, PauliProduct,
+                          circuit_to_dict)
 from paulimeasure import gf2
 from paulimeasure.verify import dense_pauli
 
@@ -136,6 +137,45 @@ def random_graph_hamiltonian(n_qubits: int, n_terms: int, rng: random.Random) ->
         seen.add((x, z))
         terms.append((rng.uniform(0.1, 1.0), PauliProduct(n_qubits, x, z)))
     return Hamiltonian.from_terms(n_qubits, terms)
+
+
+# The Kronecker-product route to a Pauli's dense matrix, which the
+# signed-permutation build of verify.dense_pauli replaced. Tests require
+# exact equality.
+
+_PAULI_2X2 = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+_I_POWERS = (1, 1j, -1, -1j)
+
+
+def kron_pauli(p: PauliProduct) -> np.ndarray:
+    m = np.ones((1, 1), dtype=complex)
+    for q in range(p.n_qubits):
+        m = np.kron(m, _PAULI_2X2[p.axis(q)])
+    return _I_POWERS[p.phase_exp] * m
+
+
+# The dict form of a plan as plan_to_dict built it before the plan writer
+# became a template: json.dumps(reference_plan_dict(p), indent=2) + "\n" is
+# the reference for the bytes of transform.plan_to_json.
+
+def reference_plan_dict(plan) -> dict:
+    groups = []
+    for entry in plan.groups:
+        tg = entry.transform
+        groups.append({
+            "term_indices": list(tg.term_indices),
+            "tau": [t.to_term_string() for t in tg.basis.taus],
+            "sigma": [{"qubit": q, "axis": a} for q, a in tg.basis.sigmas],
+            "transformed": [{"coeff": c, "pauli": p.to_term_string()}
+                            for c, p in tg.transformed.terms],
+            "circuit": circuit_to_dict(entry.circuit),
+        })
+    return {"n_qubits": plan.n_qubits, "groups": groups}
 
 
 def conjugation_maps_paulis_to_paulis(u: np.ndarray, n_qubits: int,

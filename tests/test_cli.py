@@ -9,6 +9,9 @@ import time
 
 import pytest
 
+from helpers import reference_plan_dict
+from paulimeasure import (build_graph, compute_cover, parse_hamiltonian, pipeline,
+                          plan_to_json)
 from paulimeasure.cli import main
 from paulimeasure.fixtures import H2_GROUP_TEXT, MODEL_TEXT, SIX_TERM_TEXT
 
@@ -88,7 +91,31 @@ PLAN_CORRUPTIONS = {
                     "'coeff' must be a finite number"),
     "coeff-int-overflow": (lambda p: set_path(p, ["transformed", 0, "coeff"], 10**400),
                            "'coeff' must be a finite number"),
+    # The loader shares one Gate among equal gates; True and 1.0 equal 1 as
+    # keys, so these must still fail the type check.
+    "qubit-true-after-equal-gate": (
+        lambda p: set_path(p, ["circuit", "gates"], [{"name": "H", "qubits": [1]},
+                                                     {"name": "H", "qubits": [True]}]),
+        "plan group 0: 'qubits' items must each be an integer"),
+    "qubit-float-after-equal-gate": (
+        lambda p: set_path(p, ["circuit", "gates"], [{"name": "H", "qubits": [1]},
+                                                     {"name": "H", "qubits": [1.0]}]),
+        "plan group 0: 'qubits' items must each be an integer"),
+    "qubit-true-after-repeats": (
+        lambda p: set_path(p, ["circuit", "gates"],
+                           [{"name": "CNOT", "qubits": [0, 1]}] * 1000
+                           + [{"name": "CNOT", "qubits": [0, True]}]),
+        "plan group 0: 'qubits' items must each be an integer"),
+    "first-bad-gate-after-repeats": (
+        lambda p: set_path(p, ["circuit", "gates"],
+                           [{"name": "H", "qubits": [0]}] * 1000
+                           + [{"name": "CNOT", "qubits": [2, 2]},
+                              {"name": "H", "qubits": [9]}]),
+        "plan group 0: gate Gate(name='CNOT', qubits=(2, 2)) uses qubit 2 twice"),
 }
+
+# The widest input the qubit cap allows: a plan of 1,024 taus and sigmas.
+WIDE_1024_TEXT = "1.0 X0 Z1023\n0.5 Z0 X1023\n"
 
 GOLDEN_INPUTS = {"six-term": lambda: SIX_TERM_TEXT, "h2": lambda: H2_GROUP_TEXT,
                  "random-12q": random_sum_text, "wide-100q": lambda: WIDE_SPARSE_TEXT}
@@ -295,6 +322,13 @@ class TestTransform:
         assert main(["transform", str(source), "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PLAN_SHA256[name]
 
+    @pytest.mark.parametrize("name", [*sorted(GOLDEN_INPUTS), "wide-1024q"])
+    def test_plan_text_is_the_stdlib_layout(self, name):
+        h = parse_hamiltonian(WIDE_1024_TEXT if name == "wide-1024q"
+                              else GOLDEN_INPUTS[name]())
+        plan = pipeline(h, compute_cover(build_graph(h, "fc"), "rlf"))
+        assert plan_to_json(plan) == json.dumps(reference_plan_dict(plan), indent=2) + "\n"
+
 
 class TestVerify:
     def run_transform(self, input_file, tmp_path):
@@ -472,6 +506,22 @@ class TestVerify:
         assert (code, err) == (1, "")
         assert "FAIL basis invariants (group 0: expected 4 taus and sigmas)" in out
         assert "FAIL conjugated group matches transform (tol 1e-9) (group 0: " in out
+
+    def test_missing_tau_fails_the_dense_rows_with_the_basis_reason(self, h2_file,
+                                                                   tmp_path, capsys):
+        def drop_tau(plan):
+            del plan["groups"][0]["tau"][0]
+            return plan
+
+        code, out, err = self.run_verify_on_edited_plan(h2_file, tmp_path, drop_tau,
+                                                        capsys)
+        assert (code, err) == (1, "")
+        rows = out.splitlines()
+        for name in ("basis invariants",
+                     "conjugated group matches transform (tol 1e-9)",
+                     "unitarity (tol 1e-10)",
+                     "circuit matches symbolic unitary (tol 1e-10)"):
+            assert f"FAIL {name} (group 0: expected 4 taus and sigmas)" in rows
 
     @pytest.mark.parametrize("name", ["h2", "wide-100q"])
     def test_cnot_on_one_qubit_is_a_plan_error(self, name, tmp_path, capsys):

@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (is_lagrangian, pairwise_validate, random_commuting_group,
-                     random_isotropic, random_pauli, solve_expansion)
-from paulimeasure import (Hamiltonian, PauliProduct, TauSigmaBasis, TransformError,
-                          build_graph, build_unitary_symbolic, cover_rlf,
-                          expand_in_tau, find_sigma, find_tau, parse_hamiltonian,
-                          pipeline, plan_from_dict, plan_to_dict, transform_group)
+                     random_isotropic, random_pauli, reference_plan_dict,
+                     solve_expansion)
+from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
+                          MeasurementPlan, PauliProduct, TauSigmaBasis, TransformError,
+                          TransformedGroup, build_graph, build_unitary_symbolic,
+                          cover_rlf, expand_in_tau, find_sigma, find_tau,
+                          parse_hamiltonian, pipeline, plan_from_dict, plan_to_dict,
+                          plan_to_json, transform_group)
+from paulimeasure.circuits import GATE_NAMES
 from paulimeasure import verify
 from paulimeasure.fixtures import (h2_commuting_group, h2_reference_basis,
                                    model_hamiltonian, model_reference_basis,
@@ -292,6 +296,70 @@ class TestPipeline:
             assert a.circuit.gates == b.circuit.gates
             assert a.circuit.global_phase_exp == b.circuit.global_phase_exp
             assert a.circuit.n_qubits == b.circuit.n_qubits
+
+
+def stdlib_layout(plan) -> str:
+    return json.dumps(reference_plan_dict(plan), indent=2) + "\n"
+
+
+ONE_QUBIT_GATES = [name for name in GATE_NAMES if name != "CNOT"]
+
+
+@st.composite
+def measurement_plans(draw):
+    """Plans of any shape the types allow, not only those the pipeline makes."""
+    n = draw(st.integers(1, 5))
+    paulis = st.builds(PauliProduct, st.just(n), st.integers(0, (1 << n) - 1),
+                       st.integers(0, (1 << n) - 1))
+    qubit = st.integers(0, n - 1)
+    gate = st.builds(lambda name, q: Gate(name, (q,)), st.sampled_from(ONE_QUBIT_GATES),
+                   qubit)
+    if n > 1:
+        gate |= st.tuples(qubit, qubit).filter(lambda t: t[0] != t[1]).map(
+            lambda t: Gate("CNOT", t))
+    coeff = st.floats() | st.sampled_from([1e-05, 5e-324, 1e+16, -0.0, 1e300])
+    group = st.builds(
+        lambda indices, taus, sigmas, terms, gates, phase: GroupPlan(
+            TransformedGroup(tuple(indices), TauSigmaBasis(n, tuple(taus), tuple(sigmas)),
+                             Hamiltonian(n, tuple(terms))),
+            CliffordCircuit(n, tuple(gates), phase)),
+        st.lists(st.integers(0, 2**40), max_size=4), st.lists(paulis, max_size=n),
+        st.lists(st.tuples(qubit, st.sampled_from("XYZ")), max_size=n),
+        st.lists(st.tuples(coeff, paulis), max_size=4), st.lists(gate, max_size=12),
+        st.integers(0, 7))
+    return MeasurementPlan(n, tuple(draw(st.lists(group, max_size=3))))
+
+
+class TestPlanToJson:
+    """plan_to_json writes the stdlib's indented layout of the plan dict."""
+
+    def test_empty_gate_list_and_empty_plan(self):
+        h = model_hamiltonian(0.5, 0.25)
+        entry = pipeline(h, cover_rlf(build_graph(h, "fc"))).groups[0]
+        plan = MeasurementPlan(2, (GroupPlan(entry.transform, CliffordCircuit(2, ())),))
+        assert '"gates": []' in plan_to_json(plan)
+        assert plan_to_json(plan) == stdlib_layout(plan)
+        assert plan_to_json(MeasurementPlan(2, ())) == stdlib_layout(MeasurementPlan(2, ()))
+
+    def test_coefficients_written_with_an_exponent(self):
+        terms = [(c, PauliProduct.from_term_string(s, 2))
+                 for c, s in ((1e-05, "X0 X1"), (5e-324, "Z0 Z1"), (1e+16, "Y0 Y1"))]
+        h = Hamiltonian(2, tuple(terms))
+        plan = pipeline(h, cover_rlf(build_graph(h, "fc")))
+        text = plan_to_json(plan)
+        assert all(f'"coeff": {c!r}' in text or f'"coeff": {-c!r}' in text
+                   for c, _ in terms)
+        assert text == stdlib_layout(plan)
+
+    @settings(max_examples=200, deadline=None)
+    @given(measurement_plans())
+    def test_generated_plans(self, plan):
+        assert plan_to_json(plan) == stdlib_layout(plan)
+
+    def test_plan_to_dict_reads_the_written_text(self):
+        h = six_term_hamiltonian()
+        plan = pipeline(h, cover_rlf(build_graph(h, "fc")))
+        assert plan_to_dict(plan) == reference_plan_dict(plan)
 
 
 def validate_outcome(check) -> str | None:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_paulis, inverse_circuit, kron_circuit, random_commuting_group
+from helpers import (all_paulis, inverse_circuit, kron_circuit, kron_pauli,
+                     random_commuting_group)
 from paulimeasure import (CliffordCircuit, Gate, PauliProduct, build_unitary_symbolic,
                           find_sigma, find_tau, parse_hamiltonian, synthesize)
 from paulimeasure import verify
@@ -31,6 +32,20 @@ class TestDenseMatrix:
         np.testing.assert_allclose(
             verify.dense_matrix(p),
             -1j * np.array([[0, 1], [1, 0]]), atol=1e-15)
+
+    def test_signed_permutation_equals_kronecker_reference(self):
+        for n in (1, 2, 3):
+            for p in all_paulis(n):
+                for phase in range(4):
+                    q = PauliProduct(n, p.x, p.z, phase)
+                    np.testing.assert_array_equal(verify.dense_pauli(q), kron_pauli(q))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.builds(
+        PauliProduct, st.just(n), st.integers(0, (1 << n) - 1),
+        st.integers(0, (1 << n) - 1), st.integers(0, 3))))
+    def test_signed_permutation_equals_kronecker_reference_sampled(self, p):
+        np.testing.assert_array_equal(verify.dense_pauli(p), kron_pauli(p))
 
     def test_model_eigenvalues(self):
         m = verify.dense_matrix(model_hamiltonian(1.0, 1.0))
