@@ -60,7 +60,11 @@ def _append_exponent(gates: list[Gate], p: PauliProduct) -> None:
     supplies the rotation; the ladder and basis changes are then undone.
     Weight w costs 2(w-1) CNOTs.
     """
-    support = [q for q in range(p.n_qubits) if (p.support >> q) & 1]
+    support = []
+    rest = p.support
+    while rest:
+        support.append((rest & -rest).bit_length() - 1)
+        rest &= rest - 1
     pre: list[Gate] = []
     post: list[Gate] = []
     for q in support:

@@ -11,30 +11,34 @@ from __future__ import annotations
 def row_reduce(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
     """Reduced row-echelon form; returns (nonzero rows, pivot columns).
 
-    Pivots are chosen lowest column first, so the result is the unique RREF
-    of the row space and deterministic for any input order.
+    Rows must have no bit at or above n_cols. The result is the unique RREF
+    of the row space, rows in increasing pivot order, whatever the input
+    order. Each row is reduced by the stored row with the same lowest set
+    bit until it is zero or its lowest bit is a new pivot. Back-substitution,
+    highest pivot first, then clears the pivot columns above each row's own,
+    so the work follows the set bits, not n_cols.
     """
-    work = list(rows)
-    pivots: list[int] = []
-    row_i = 0
-    for col in range(n_cols):
-        sel = None
-        for k in range(row_i, len(work)):
-            if (work[k] >> col) & 1:
-                sel = k
+    by_pivot: dict[int, int] = {}
+    for r in rows:
+        while r:
+            p = (r & -r).bit_length() - 1
+            stored = by_pivot.get(p)
+            if stored is None:
+                by_pivot[p] = r
                 break
-        if sel is None:
-            continue
-        work[row_i], work[sel] = work[sel], work[row_i]
-        piv = work[row_i]
-        for k in range(len(work)):
-            if k != row_i and (work[k] >> col) & 1:
-                work[k] ^= piv
-        pivots.append(col)
-        row_i += 1
-        if row_i == len(work):
-            break
-    return work[:row_i], pivots
+            r ^= stored
+    pivots = sorted(by_pivot)
+    pivot_mask = 0
+    for p in reversed(pivots):
+        r = by_pivot[p]
+        above = r & pivot_mask
+        while above:
+            low = above & -above
+            r ^= by_pivot[low.bit_length() - 1]
+            above ^= low
+        by_pivot[p] = r
+        pivot_mask |= 1 << p
+    return [by_pivot[p] for p in pivots], pivots
 
 
 def rank(rows: list[int], n_cols: int) -> int:
@@ -98,11 +102,13 @@ def lagrangian_extract(rows: list[int], n_qubits: int) -> list[int]:
                   if symplectic_inner(ci, work[j], n_qubits)), None)
         if j is not None:
             cj = work.pop(j)
+            # (c_k|c) is the parity of c_k AND c with its halves swapped.
+            swap_i, swap_j = swap_halves(ci, n_qubits), swap_halves(cj, n_qubits)
             for k in range(i + 1, len(work)):
                 ck = work[k]
-                if symplectic_inner(ck, cj, n_qubits):
+                if (ck & swap_j).bit_count() & 1:
                     work[k] ^= ci
-                if symplectic_inner(ck, ci, n_qubits):
+                if (ck & swap_i).bit_count() & 1:
                     work[k] ^= cj
         i += 1
     if len(work) != n_qubits:

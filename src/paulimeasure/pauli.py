@@ -163,7 +163,7 @@ class Hamiltonian:
                    drop_tolerance: float = DROP_TOLERANCE) -> Hamiltonian:
         """Merge duplicate axis patterns and drop negligible coefficients:
         those below drop_tolerance in magnitude, and exact zeros at any
-        tolerance."""
+        tolerance. A sum of finite coefficients that overflows is an error."""
         merged: dict[tuple[int, int], list] = {}
         for coeff, prod in terms:
             if isinstance(coeff, complex):
@@ -176,6 +176,10 @@ class Hamiltonian:
                 merged[key][0] += c
             else:
                 merged[key] = [c, prod]
+        for c, prod in merged.values():
+            if not math.isfinite(c):
+                raise ValueError(
+                    f"merged coefficient of {prod.to_term_string()} is not finite")
         kept = tuple((c, p) for c, p in merged.values() if c and abs(c) >= drop_tolerance)
         return cls(n_qubits, kept)
 

@@ -9,7 +9,7 @@ import numpy as np
 from paulimeasure import (CliffordCircuit, Gate, Hamiltonian, PauliProduct,
                           circuit_to_dict)
 from paulimeasure import gf2
-from paulimeasure.verify import dense_pauli
+from paulimeasure.verify import dense_matrix, dense_pauli, random_state
 
 AXES = "IXYZ"
 
@@ -270,10 +270,61 @@ def naive_dsatur_colors(graph) -> list[int]:
     return colors
 
 
-# Earlier forms of the tau/sigma stage, kept as references: the extraction
-# that rescans all pairs each round, the expansion by a GF(2) solve and the
-# basis check by pairwise symplectic inner products. Tests require results
-# identical to the library's sweep, sigma read-off and bitset checks.
+# Earlier forms of the tau/sigma stage, kept as references: the row
+# reduction that scans every column, the extraction sweep with one
+# symplectic_inner call per pair test, the extraction that rescans all pairs
+# each round, the expansion by a GF(2) solve and the basis check by pairwise
+# symplectic inner products. Tests require results identical to the
+# library's lowest-bit reduction, bitset sweep, sigma read-off and bitset
+# checks.
+
+def column_scan_row_reduce(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
+    """RREF by scanning every column for a pivot, lowest column first."""
+    work = list(rows)
+    pivots: list[int] = []
+    row_i = 0
+    for col in range(n_cols):
+        sel = None
+        for k in range(row_i, len(work)):
+            if (work[k] >> col) & 1:
+                sel = k
+                break
+        if sel is None:
+            continue
+        work[row_i], work[sel] = work[sel], work[row_i]
+        piv = work[row_i]
+        for k in range(len(work)):
+            if k != row_i and (work[k] >> col) & 1:
+                work[k] ^= piv
+        pivots.append(col)
+        row_i += 1
+        if row_i == len(work):
+            break
+    return work[:row_i], pivots
+
+
+def pairwise_lagrangian_extract(rows: list[int], n_qubits: int) -> list[int]:
+    """The left-to-right sweep with one symplectic_inner call per test."""
+    work = list(rows)
+    i = 0
+    while i < len(work):
+        ci = work[i]
+        j = next((j for j in range(i + 1, len(work))
+                  if gf2.symplectic_inner(ci, work[j], n_qubits)), None)
+        if j is not None:
+            cj = work.pop(j)
+            for k in range(i + 1, len(work)):
+                ck = work[k]
+                if gf2.symplectic_inner(ck, cj, n_qubits):
+                    work[k] ^= ci
+                if gf2.symplectic_inner(ck, ci, n_qubits):
+                    work[k] ^= cj
+        i += 1
+    if len(work) != n_qubits:
+        raise ValueError(
+            f"input is not coisotropic: extracted {len(work)} of {n_qubits} vectors")
+    return work
+
 
 def rescanning_lagrangian_extract(rows: list[int], n_qubits: int) -> list[int]:
     work = list(rows)
@@ -405,3 +456,40 @@ _INVERSE_NAME = {"H": "H", "S": "SDG", "SDG": "S",
 def inverse_circuit(c: CliffordCircuit) -> CliffordCircuit:
     gates = tuple(Gate(_INVERSE_NAME[g.name], g.qubits) for g in reversed(c.gates))
     return CliffordCircuit(c.n_qubits, gates, -c.global_phase_exp)
+
+
+# circuits._append_exponent as it was before it stepped over the set bits
+# of the support: one test per register qubit. Tests require equal gates.
+
+def scanning_exponent_gates(p: PauliProduct) -> list[Gate]:
+    support = [q for q in range(p.n_qubits) if (p.support >> q) & 1]
+    pre: list[Gate] = []
+    post: list[Gate] = []
+    for q in support:
+        a = p.axis(q)
+        if a == "X":
+            pre.append(Gate("H", (q,)))
+            post.append(Gate("H", (q,)))
+        elif a == "Y":
+            pre.extend((Gate("SDG", (q,)), Gate("H", (q,))))
+            post.extend((Gate("H", (q,)), Gate("S", (q,))))
+    ladder = [Gate("CNOT", (support[k], support[k + 1]))
+              for k in range(len(support) - 1)]
+    return pre + ladder + [Gate("SDG", (support[-1],))] + ladder[::-1] + post
+
+
+# verify.expectation_invariance with one random_state draw and two
+# mat-vec products per trial, before the trials became one state matrix.
+# Tests require agreement to 1e-12.
+
+def looped_expectation_invariance(h, a, u, trials: int, rng: np.random.Generator) -> float:
+    mh, ma, mu = dense_matrix(h), dense_matrix(a), dense_matrix(u)
+    n_qubits = int(mh.shape[0]).bit_length() - 1
+    worst = 0.0
+    for _ in range(trials):
+        psi = random_state(n_qubits, rng)
+        phi = mu @ psi
+        lhs = np.vdot(psi, mh @ psi)
+        rhs = np.vdot(phi, ma @ phi)
+        worst = max(worst, abs(lhs - rhs))
+    return worst

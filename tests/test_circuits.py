@@ -4,16 +4,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (all_paulis, conjugation_maps_paulis_to_paulis, inverse_circuit,
-                     kron_gate, random_commuting_group, random_pauli)
+                     kron_gate, random_commuting_group, random_pauli,
+                     scanning_exponent_gates)
 from paulimeasure import (CliffordCircuit, Gate, PauliProduct, TauSigmaBasis,
                           build_unitary_symbolic, circuit_from_dict, circuit_to_dict,
                           find_sigma, find_tau, gate_counts, synthesize,
                           transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES, _append_exponent, conjugate_columns
-from paulimeasure.pauli import qubit_columns
+from paulimeasure.pauli import MAX_QUBITS, qubit_columns
 from paulimeasure.fixtures import h2_reference_basis, model_reference_basis
 
 
@@ -186,6 +188,20 @@ class TestDecomposeExponent:
             assert singles <= 4 * p.weight() + 1
             np.testing.assert_allclose(verify.dense_matrix(c), exponent_matrix(p),
                                        atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_wide_support_matches_the_qubit_scan(self, data):
+        # one qubit at or above 64, the rest anywhere in the register
+        n = data.draw(st.integers(65, MAX_QUBITS))
+        qubits = [data.draw(st.integers(64, n - 1))]
+        qubits += data.draw(st.lists(st.integers(0, n - 1), max_size=7, unique=True)
+                            .filter(lambda qs: qubits[0] not in qs))
+        axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=len(qubits),
+                                  max_size=len(qubits)))
+        p = PauliProduct.from_term_string(
+            " ".join(f"{a}{q}" for a, q in zip(axes, qubits)), n)
+        assert list(exponent_circuit(p).gates) == scanning_exponent_gates(p)
 
     def test_identity_exponent_rejected(self):
         with pytest.raises(ValueError, match="tau and sigma must anticommute"):

@@ -239,6 +239,14 @@ class TestGroup:
         assert main([command, str(path), "--tolerance", "0"]) == 1
         assert capsys.readouterr() == ("", "measure: error: no terms\n")
 
+    @pytest.mark.parametrize("command", ["group", "transform"])
+    def test_overflowing_merged_coefficient_error(self, tmp_path, capsys, command):
+        path = tmp_path / "overflow.txt"
+        path.write_text("1e308 X0\n1e308 X0\n0.5 Z1\n")
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "measure: error: merged coefficient of X0 is not finite\n")
+
     def test_missing_file_error(self, capsys):
         assert main(["group", "/nonexistent/input.txt"]) == 1
         assert capsys.readouterr().err.startswith("measure: error:")

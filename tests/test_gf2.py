@@ -6,12 +6,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (InconsistentSystemError, in_span, is_isotropic, is_lagrangian,
+from helpers import (InconsistentSystemError, column_scan_row_reduce, in_span,
+                     is_isotropic, is_lagrangian, pairwise_lagrangian_extract,
                      random_isotropic, random_subspace, rescanning_lagrangian_extract,
                      solve)
 from paulimeasure import PauliProduct, parse_hamiltonian
 from paulimeasure import gf2
 from paulimeasure.fixtures import H2_GROUP_TEXT
+from paulimeasure.pauli import MAX_QUBITS
 
 
 def vec(term, n):
@@ -62,6 +64,23 @@ class TestRowReduce:
             for row in rows:
                 span |= {s ^ row for s in span}
             assert len(span) == 1 << r
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_column_scan_reference(self, data):
+        n_cols = 2 * data.draw(st.integers(1, 64), label="n_qubits")
+        dense = st.integers(0, (1 << n_cols) - 1)
+        sparse = st.sets(st.integers(0, n_cols - 1), max_size=3).map(
+            lambda bits: sum(1 << b for b in bits))
+        rows = data.draw(st.lists(st.one_of(dense, sparse), max_size=n_cols + 4))
+        assert gf2.row_reduce(rows, n_cols) == column_scan_row_reduce(rows, n_cols)
+
+    def test_matches_column_scan_reference_at_the_qubit_cap(self):
+        n_cols = 2 * MAX_QUBITS
+        rng = random.Random(61)
+        rows = [sum(1 << b for b in rng.sample(range(n_cols), rng.randint(1, 3)))
+                for _ in range(400)]
+        assert gf2.row_reduce(rows, n_cols) == column_scan_row_reduce(rows, n_cols)
 
 
 class TestSymplecticComplement:
@@ -139,14 +158,35 @@ class TestLagrangianExtract:
             rows = gf2.symplectic_complement(random_isotropic(n, rng.randint(0, n), rng), n)
         else:
             rows = random_subspace(n, rng.randint(1, 2 * n), rng)
-        assert_same_extraction(scrambled(rows, rng), n)
+        assert_same_extraction(scrambled(rows, rng), n, rescanning_lagrangian_extract)
 
     def test_sweep_matches_rescanning_reference_at_width(self):
         # complement of a sparse commuting set on 100 qubits: 194 vectors
         n = 100
         terms = ["X0 Z99", "Z0 X99", "Y0 Y99", "Z10 Z20 Z30", "X40 X41", "Z40 Z41"]
         iso, _ = gf2.row_reduce([vec(t, n) for t in terms], 2 * n)
-        assert_same_extraction(gf2.symplectic_complement(iso, n), n)
+        assert_same_extraction(gf2.symplectic_complement(iso, n), n,
+                               rescanning_lagrangian_extract)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1),
+           st.sampled_from(["coisotropic", "independent", "any"]))
+    def test_bitset_tests_match_pairwise_reference(self, n, seed, kind):
+        rng = random.Random(seed)
+        if kind == "coisotropic":
+            rows = gf2.symplectic_complement(random_isotropic(n, rng.randint(0, n), rng), n)
+        elif kind == "independent":
+            rows = random_subspace(n, rng.randint(1, 2 * n), rng)
+        else:
+            rows = [rng.getrandbits(2 * n) for _ in range(rng.randint(0, 2 * n + 2))]
+        assert_same_extraction(scrambled(rows, rng), n, pairwise_lagrangian_extract)
+
+    def test_bitset_tests_match_pairwise_reference_at_the_qubit_cap(self):
+        # the complement of X0 Z1023, Z0 X1023: 2,046 sparse vectors
+        n = MAX_QUBITS
+        iso, _ = gf2.row_reduce([vec(f"X0 Z{n - 1}", n), vec(f"Z0 X{n - 1}", n)], 2 * n)
+        assert_same_extraction(gf2.symplectic_complement(iso, n), n,
+                               pairwise_lagrangian_extract)
 
 
 def scrambled(rows, rng):
@@ -162,10 +202,10 @@ def scrambled(rows, rng):
     return out
 
 
-def assert_same_extraction(rows, n):
+def assert_same_extraction(rows, n, reference):
     """The sweep returns the reference's list, or raises its error."""
     try:
-        want = rescanning_lagrangian_extract(rows, n)
+        want = reference(rows, n)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             gf2.lagrangian_extract(rows, n)

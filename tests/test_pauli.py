@@ -226,6 +226,12 @@ class TestHamiltonianIO:
         with pytest.raises(ValueError):
             Hamiltonian.from_terms(1, [(1 + 2j, PauliProduct.identity(1))])
 
+    @pytest.mark.parametrize("coeffs", [(1e308, 1e308), (-1e308, -1e308, 1e308)])
+    def test_overflowing_merged_coefficient_rejected(self, coeffs):
+        x0 = PauliProduct.from_label("XI")
+        with pytest.raises(ValueError, match="merged coefficient of X0 is not finite"):
+            Hamiltonian.from_terms(2, [(c, x0) for c in coeffs])
+
     def test_phaseful_term_rejected(self):
         with pytest.raises(ValueError):
             Hamiltonian.from_terms(1, [(1.0, PauliProduct.from_label("X", 1))])

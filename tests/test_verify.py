@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (all_paulis, inverse_circuit, kron_circuit, kron_pauli,
-                     random_commuting_group)
+                     looped_expectation_invariance, random_commuting_group,
+                     random_graph_hamiltonian)
 from paulimeasure import (CliffordCircuit, Gate, PauliProduct, build_unitary_symbolic,
-                          find_sigma, find_tau, parse_hamiltonian, synthesize)
+                          find_sigma, find_tau, parse_hamiltonian, synthesize,
+                          transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES
 from paulimeasure.fixtures import (h2_reference_basis, model_hamiltonian,
@@ -213,6 +215,31 @@ class TestExpectationInvariance:
         dev = verify.expectation_invariance(h, a, np.eye(4, dtype=complex),
                                             trials=50, rng=rng)
         assert dev > 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 50]),
+           st.booleans())
+    def test_matches_per_trial_reference(self, n, seed, trials, invariant):
+        # a transformed pair, or a random Hamiltonian pair under a random unitary
+        pyrng = random.Random(seed)
+        if invariant:
+            h = random_commuting_group(n, pyrng)
+            basis = find_sigma(find_tau(h))
+            a = transform_group(h, basis).transformed
+            u = verify.dense_matrix(synthesize(basis))
+        else:
+            most = min(6, 4**n - 1)
+            h = random_graph_hamiltonian(n, pyrng.randint(1, most), pyrng)
+            a = random_graph_hamiltonian(n, pyrng.randint(1, most), pyrng)
+            gen = np.random.default_rng(seed)
+            u = np.linalg.qr(gen.standard_normal((1 << n, 1 << n))
+                             + 1j * gen.standard_normal((1 << n, 1 << n)))[0]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = verify.expectation_invariance(h, a, u, trials=trials, rng=rng)
+        want = looped_expectation_invariance(h, a, u, trials, ref_rng)
+        assert abs(got - want) <= 1e-12
+        # the shared generator is left where the per-trial draws leave it
+        assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_cap(self):
         h = parse_hamiltonian("1.0 Z6\n")
