@@ -1,5 +1,7 @@
 """Measurement grouping and Clifford compilation for qubit Hamiltonians."""
 
+import importlib
+
 from .pauli import (DROP_TOLERANCE, Hamiltonian, HamiltonianFormatError,
                     PauliProduct, PauliSum, parse_hamiltonian, serialize_hamiltonian)
 from .grouping import (CliqueCover, CompatGraph, CoverReport, CoverStats,
@@ -13,6 +15,15 @@ from .circuits import (CliffordCircuit, Gate, circuit_from_dict, circuit_to_dict
                        gate_counts, synthesize)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``paulimeasure.verify`` on first use: the package and its command line
+    do not import numpy until a dense check runs. ``from . import verify``
+    here would call this function again while resolving the name."""
+    if name == "verify":
+        return importlib.import_module(__name__ + ".verify")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "DROP_TOLERANCE", "Hamiltonian", "HamiltonianFormatError", "PauliProduct",

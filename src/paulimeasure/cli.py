@@ -7,7 +7,6 @@ import json
 import math
 import sys
 
-from . import verify
 from .grouping import (METHODS, RELATIONS, build_graph, compute_cover, cover_stats,
                        cover_to_dict)
 from .pauli import DROP_TOLERANCE, Hamiltonian, PauliProduct, parse_hamiltonian
@@ -70,6 +69,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             plan = plan_from_dict(json.load(fh))
         except RecursionError:
             raise ValueError("plan: JSON nested too deeply") from None
+    from . import verify  # numpy loads only for verify and count
     results = verify.plan_checks(h, plan)
     if args.format == "json":
         payload = {"checks": [{"name": name, "status": status,
@@ -85,6 +85,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from . import verify
     n = args.qubits
     if n < 1:
         raise ValueError("qubit count must be positive")

@@ -134,12 +134,23 @@ def find_tau(group: Hamiltonian) -> list[PauliProduct]:
 def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     """Assign a single-qubit sigma to each tau, re-orthogonalizing the rest.
 
-    Step i processes the first remaining tau that still touches an
-    unassigned qubit, takes the lowest such qubit, and picks the partner
-    axis by the fixed rule X->Z, Y->X, Z->X. Every other tau k (earlier and
-    later) is then replaced by tau_k + (tau_k|sigma_i) tau_i: updating only
-    the later ones can leave an earlier tau anticommuting with a later
-    sigma, which would break the returned invariants.
+    Step i takes the lowest qubit that tau i touches among the unassigned
+    ones and picks the partner axis by the fixed rule X->Z, Y->X, Z->X.
+    Every other tau k (earlier and later) is then replaced by
+    tau_k + (tau_k|sigma_i) tau_i: updating only the later ones can leave
+    an earlier tau anticommuting with a later sigma, which would break the
+    returned invariants. The taus to update are read off per-bit column
+    bitsets that follow every change to the vectors, so a step costs in
+    proportion to the weight of tau_i and the number of taus it changes,
+    not to n.
+
+    Tau i always touches an unassigned qubit. After the earlier steps it
+    commutes with every earlier sigma_j, so on the assigned qubits it is a
+    product of some of them. Were it the identity elsewhere, it would
+    anticommute with tau_j for each sigma_j in that product, since tau_j
+    anticommutes with sigma_j alone among them. The taus commute, so the
+    product would be empty and tau i the identity, which independence
+    excludes.
     """
     if not taus:
         raise ValueError("empty tau basis")
@@ -150,25 +161,31 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     if (len(vecs) != n or not gf2.is_independent(vecs, 2 * n)
             or not _commute_pairwise(n, taus)):
         raise ValueError("taus are not a Lagrangian basis")
+    # Bit k of cols[b] is bit b of vecs[k]: the x columns, then the z columns.
+    xcol, zcol = qubit_columns(n, taus)
+    cols = xcol + zcol
     unassigned = (1 << n) - 1
     sigmas: list[tuple[int, str]] = []
     for i in range(n):
-        pick = next((j for j in range(i, n) if (vecs[j] | vecs[j] >> n) & unassigned),
-                    None)
-        if pick is None:
-            raise TransformError("no tau touches an unassigned qubit")
-        vecs[i], vecs[pick] = vecs[pick], vecs[i]
         avail = (vecs[i] | vecs[i] >> n) & unassigned
         qubit = (avail & -avail).bit_length() - 1
         # The partner of a Y or Z is X, which anticommutes with the taus that
         # have a z bit on the qubit; the partner of an X is Z (an x bit).
         if vecs[i] >> (n + qubit) & 1:
-            axis, probe = "X", 1 << (n + qubit)
+            axis, probe = "X", n + qubit
         else:
-            axis, probe = "Z", 1 << qubit
-        for k in range(n):
-            if k != i and vecs[k] & probe:
-                vecs[k] ^= vecs[i]
+            axis, probe = "Z", qubit
+        carriers = cols[probe] & ~(1 << i)
+        rest = carriers
+        while rest:
+            low = rest & -rest
+            vecs[low.bit_length() - 1] ^= vecs[i]
+            rest ^= low
+        rest = vecs[i]
+        while rest:
+            low = rest & -rest
+            cols[low.bit_length() - 1] ^= carriers
+            rest ^= low
         sigmas.append((qubit, axis))
         unassigned &= ~(1 << qubit)
     return TauSigmaBasis(n, tuple(PauliProduct.from_packed(v, n) for v in vecs),

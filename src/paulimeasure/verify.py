@@ -3,15 +3,16 @@
 ``plan_checks`` proves a plan at every width on term bitsets (coverage,
 basis invariants, qubit-wise commutation, exact images under the circuit)
 and cross-checks it on dense matrices up to small qubit caps. The dense
-oracles rebuild operators from first principles (Pauli matrices as signed
-permutations of the basis states, literal gate matrices applied by
-``tensordot``, brute-force enumeration), so the fast bit-level algebra
-elsewhere is checked against an independent route. Qubit 0 is the leftmost
-Kronecker factor.
+oracles rebuild operators from first principles (Pauli matrices and sums
+as signed permutations of the basis states, literal gate matrices applied
+to the amplitudes one numpy operation per gate, brute-force enumeration),
+so the fast bit-level algebra elsewhere is checked against an independent
+route. Qubit 0 is the leftmost Kronecker factor.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import cached_property
 
@@ -36,11 +37,14 @@ _GATE_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-# Axes (control out, target out, control in, target in).
+# Rows and columns indexed by the (control, target) bits.
 _CNOT = np.array([[1, 0, 0, 0],
                   [0, 1, 0, 0],
                   [0, 0, 0, 1],
-                  [0, 0, 1, 0]], dtype=complex).reshape(2, 2, 2, 2)
+                  [0, 0, 1, 0]])
+# Output basis state r of the CNOT takes the amplitude of input state
+# _CNOT_SOURCE[r], the column of the one in row r.
+_CNOT_SOURCE = _CNOT.argmax(axis=1)
 
 
 class DimensionError(ValueError):
@@ -59,22 +63,59 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-def dense_pauli(p: PauliProduct) -> np.ndarray:
-    """The matrix of p as a signed permutation, built in one indexing step.
+def _signed_permutation(p: PauliProduct) -> tuple[int, int, complex]:
+    """(flip, sign mask, phase) of p as a map of basis states.
 
     On each qubit Y = iXZ, so p = i^(phase + |x & z|) X^x Z^z, and X^x Z^z
     maps basis state b to (-1)^|z & b| times state b ^ x, with x and z read
     as basis-index bits: qubit q is bit n - 1 - q (qubit 0 is the leftmost
-    factor). numpy 1.24 has no ``bitwise_count``, hence ``_parity``.
+    factor).
+    """
+    n = p.n_qubits
+    flip, sign_mask = (int(format(v, f"0{n}b")[::-1], 2) for v in (p.x, p.z))
+    return flip, sign_mask, I_POWERS[(p.phase_exp + (p.x & p.z).bit_count()) % 4]
+
+
+def dense_pauli(p: PauliProduct) -> np.ndarray:
+    """The matrix of p as a signed permutation, built in one indexing step.
+
+    numpy 1.24 has no ``bitwise_count``, hence ``_parity``.
     """
     n = p.n_qubits
     _check_cap(n)
-    flip, sign_mask = (int(format(v, f"0{n}b")[::-1], 2) for v in (p.x, p.z))
+    flip, sign_mask, phase = _signed_permutation(p)
     b = np.arange(1 << n)
     m = np.zeros((1 << n, 1 << n), dtype=complex)
-    m[b ^ flip, b] = ((1 - 2 * _parity(b & sign_mask))
-                      * I_POWERS[(p.phase_exp + (p.x & p.z).bit_count()) % 4])
+    m[b ^ flip, b] = (1 - 2 * _parity(b & sign_mask)) * phase
     return m
+
+
+def _dense_sum(obj: Hamiltonian | PauliSum) -> np.ndarray:
+    """The sum of coeff * dense_pauli(p) over the terms, in one scatter.
+
+    Every term puts one entry in each column. ``np.bincount`` adds the
+    entries of all terms into the flat matrix index in term order, once for
+    the real parts and once for the imaginary parts, so the result equals
+    the per-term sum exactly. (``np.add.at`` would too, but numpy 1.24, the
+    declared floor, has no fast path for it.) The scratch arrays hold one
+    entry per term and column: no more than the matrix for a commuting
+    group, whose terms number at most 2^n.
+    """
+    n = obj.n_qubits
+    _check_cap(n)
+    size = 1 << n
+    maps = [_signed_permutation(p) for _, p in obj.terms]
+    flips = np.array([f for f, _, _ in maps], dtype=np.int64)
+    sign_masks = np.array([s for _, s, _ in maps], dtype=np.int64)
+    values = np.array([c * phase for (c, _), (_, _, phase) in zip(obj.terms, maps)],
+                      dtype=complex)
+    b = np.arange(size)
+    flat = ((b ^ flips[:, None]) << n | b).ravel()
+    entries = (values[:, None] * (1 - 2 * _parity(b & sign_masks[:, None]))).ravel()
+    m = np.zeros(size * size, dtype=complex)
+    m.real = np.bincount(flat, weights=entries.real, minlength=size * size)
+    m.imag = np.bincount(flat, weights=entries.imag, minlength=size * size)
+    return m.reshape(size, size)
 
 
 def dense_circuit(c: CliffordCircuit) -> np.ndarray:
@@ -88,11 +129,7 @@ def dense_matrix(obj) -> np.ndarray:
     if isinstance(obj, PauliProduct):
         return dense_pauli(obj)
     if isinstance(obj, (Hamiltonian, PauliSum)):
-        _check_cap(obj.n_qubits)
-        m = np.zeros((1 << obj.n_qubits,) * 2, dtype=complex)
-        for coeff, prod in obj.terms:
-            m += coeff * dense_pauli(prod)
-        return m
+        return _dense_sum(obj)
     if isinstance(obj, CliffordCircuit):
         return dense_circuit(obj)
     raise TypeError(f"cannot build a dense matrix from {type(obj).__name__}")
@@ -155,22 +192,41 @@ def count_compatible(template: PauliProduct) -> dict[str, int]:
     return {"n_qwc": n_qwc, "n_commuting": n_commuting}
 
 
+def _cnot_rows(n_qubits: int, control: int, target: int) -> np.ndarray:
+    """The CNOT on n qubits as a row gather: output amplitude b is input
+    amplitude rows[b]. Each basis state's (control, target) bits are mapped
+    through ``_CNOT_SOURCE``; qubit q is bit n - 1 - q of the state."""
+    b = np.arange(1 << n_qubits)
+    cs, ts = n_qubits - 1 - control, n_qubits - 1 - target
+    source = _CNOT_SOURCE[((b >> cs) & 1) << 1 | ((b >> ts) & 1)]
+    return b & ~(1 << cs | 1 << ts) | (source >> 1) << cs | (source & 1) << ts
+
+
 def simulate_circuit(c: CliffordCircuit, states) -> np.ndarray:
     """Apply gates in order to a dense state vector, or to every column of a
-    matrix of states; includes the global phase."""
-    _check_cap(c.n_qubits)
+    matrix of states; includes the global phase.
+
+    One numpy operation per gate: a 2x2 gate on qubit q multiplies axis 1 of
+    the amplitudes viewed as (qubits before q, qubit q, the rest), and a
+    CNOT gathers rows by its basis permutation, built once per (control,
+    target) pair.
+    """
+    n = c.n_qubits
+    _check_cap(n)
     states = np.asarray(states, dtype=complex)
-    # One axis per qubit, then the column axis of a matrix.
-    psi = states.reshape([2] * c.n_qubits + list(states.shape[1:]))
+    width = math.prod(states.shape[1:])
+    psi = states.reshape(1 << n, width)
+    cnot_rows: dict[tuple[int, ...], np.ndarray] = {}
     for gate in c.gates:
         if gate.name == "CNOT":
-            control, target = gate.qubits
-            psi = np.tensordot(_CNOT, psi, axes=([2, 3], [control, target]))
-            psi = np.moveaxis(psi, [0, 1], [control, target])
+            rows = cnot_rows.get(gate.qubits)
+            if rows is None:
+                rows = cnot_rows[gate.qubits] = _cnot_rows(n, *gate.qubits)
+            psi = psi[rows]
         else:
             q = gate.qubits[0]
-            psi = np.tensordot(_GATE_1Q[gate.name], psi, axes=([1], [q]))
-            psi = np.moveaxis(psi, 0, q)
+            view = psi.reshape(1 << q, 2, (width << n) >> (q + 1))
+            psi = (_GATE_1Q[gate.name] @ view).reshape(1 << n, width)
     return np.exp(1j * np.pi / 4 * c.global_phase_exp) * psi.reshape(states.shape)
 
 

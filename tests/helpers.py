@@ -7,7 +7,7 @@ import random
 import numpy as np
 
 from paulimeasure import (CliffordCircuit, Gate, Hamiltonian, PauliProduct,
-                          circuit_to_dict)
+                          TauSigmaBasis, circuit_to_dict)
 from paulimeasure import gf2
 from paulimeasure.verify import dense_matrix, dense_pauli, random_state
 
@@ -411,9 +411,9 @@ def pairwise_validate(basis, group: Hamiltonian | None = None) -> None:
                     raise ValueError(f"group term {ti} anticommutes with tau_{k}")
 
 
-# The Kronecker-embedding route to a circuit's dense matrix, which the
-# tensordot route of verify.dense_circuit replaced: one 2^n x 2^n matrix per
-# gate and a matrix product per gate. Tests require agreement to 1e-12.
+# The Kronecker-embedding route to a circuit's dense matrix, which
+# verify.dense_circuit replaced: one 2^n x 2^n matrix per gate and a matrix
+# product per gate. Tests require agreement to 1e-12.
 
 _GATE_2X2 = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -493,3 +493,67 @@ def looped_expectation_invariance(h, a, u, trials: int, rng: np.random.Generator
         rhs = np.vdot(phi, ma @ phi)
         worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+# verify.simulate_circuit as it was before each gate became one numpy
+# operation: a tensordot and a moveaxis per gate on one axis per qubit.
+# Tests require agreement to 1e-12.
+
+_CNOT_TENSOR = np.array([[1, 0, 0, 0],
+                         [0, 1, 0, 0],
+                         [0, 0, 0, 1],
+                         [0, 0, 1, 0]], dtype=complex).reshape(2, 2, 2, 2)
+
+
+def tensordot_simulate_circuit(c: CliffordCircuit, states) -> np.ndarray:
+    states = np.asarray(states, dtype=complex)
+    psi = states.reshape([2] * c.n_qubits + list(states.shape[1:]))
+    for gate in c.gates:
+        if gate.name == "CNOT":
+            control, target = gate.qubits
+            psi = np.tensordot(_CNOT_TENSOR, psi, axes=([2, 3], [control, target]))
+            psi = np.moveaxis(psi, [0, 1], [control, target])
+        else:
+            q = gate.qubits[0]
+            psi = np.tensordot(_GATE_2X2[gate.name], psi, axes=([1], [q]))
+            psi = np.moveaxis(psi, 0, q)
+    return np.exp(1j * np.pi / 4 * c.global_phase_exp) * psi.reshape(states.shape)
+
+
+# verify.dense_matrix of a Hamiltonian or PauliSum as it was before the sum
+# became one scatter: one dense matrix per term, added in term order. Tests
+# require exact equality.
+
+def per_term_dense_sum(obj) -> np.ndarray:
+    m = np.zeros((1 << obj.n_qubits,) * 2, dtype=complex)
+    for coeff, prod in obj.terms:
+        m += coeff * dense_pauli(prod)
+    return m
+
+
+# transform.find_sigma as it was before it read the taus to update off
+# column bitsets: every tau is tested for the probe bit at every step, and
+# each step scans for a tau that touches an unassigned qubit, which is
+# always tau i. Tests require the same basis.
+
+def rescanning_find_sigma(taus):
+    n = taus[0].n_qubits
+    vecs = [t.packed for t in taus]
+    unassigned = (1 << n) - 1
+    sigmas = []
+    for i in range(n):
+        pick = next(j for j in range(i, n) if (vecs[j] | vecs[j] >> n) & unassigned)
+        vecs[i], vecs[pick] = vecs[pick], vecs[i]
+        avail = (vecs[i] | vecs[i] >> n) & unassigned
+        qubit = (avail & -avail).bit_length() - 1
+        if vecs[i] >> (n + qubit) & 1:
+            axis, probe = "X", 1 << (n + qubit)
+        else:
+            axis, probe = "Z", 1 << qubit
+        for k in range(n):
+            if k != i and vecs[k] & probe:
+                vecs[k] ^= vecs[i]
+        sigmas.append((qubit, axis))
+        unassigned &= ~(1 << qubit)
+    return TauSigmaBasis(n, tuple(PauliProduct.from_packed(v, n) for v in vecs),
+                         tuple(sigmas))

@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import paulimeasure
 from helpers import reference_plan_dict
 from paulimeasure import (build_graph, compute_cover, parse_hamiltonian, pipeline,
                           plan_to_json)
@@ -650,3 +653,42 @@ def test_module_entry_point(six_term_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "6 terms, 2 groups"
+
+
+def _fresh_python(code: str, tmp_path) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports this paulimeasure."""
+    src = str(Path(paulimeasure.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+
+
+def test_group_and_transform_do_not_import_numpy(six_term_file, tmp_path):
+    proc = _fresh_python(f"""
+import sys
+from paulimeasure.cli import main
+loaded = ["numpy" in sys.modules]
+main(["group", {six_term_file!r}])
+loaded.append("numpy" in sys.modules)
+main(["transform", {six_term_file!r}, "--output", "plan.json"])
+loaded.append("numpy" in sys.modules)
+print(loaded)
+""", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, False]"
+
+
+def test_verify_resolves_as_a_package_attribute(six_term_file, tmp_path):
+    # as the benchmark tracer reaches it: getattr after importing cli alone
+    proc = _fresh_python(f"""
+import sys
+import paulimeasure
+import paulimeasure.cli
+verify = getattr(paulimeasure, "verify")
+assert verify is sys.modules["paulimeasure.verify"]
+assert not hasattr(paulimeasure, "no_such_module")
+assert paulimeasure.cli.main(["transform", {six_term_file!r}, "--output", "plan.json"]) == 0
+sys.exit(paulimeasure.cli.main(["verify", {six_term_file!r}, "plan.json"]))
+""", tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("PASS ") == 10

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (is_lagrangian, pairwise_validate, random_commuting_group,
                      random_isotropic, random_pauli, reference_plan_dict,
-                     solve_expansion)
+                     rescanning_find_sigma, solve_expansion)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, TauSigmaBasis, TransformError,
                           TransformedGroup, build_graph, build_unitary_symbolic,
@@ -97,6 +97,27 @@ class TestFindSigma:
             h = random_commuting_group(n, rng)
             basis = find_sigma(find_tau(h))
             basis.validate(h)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_rescanning_reference(self, n, seed, dense):
+        # dense: a random Lagrangian basis; sparse: single-qubit axes mixed
+        # by a few row additions and shuffled
+        rng = random.Random(seed)
+        if dense:
+            vecs = random_isotropic(n, n, rng)
+        else:
+            vecs = [rng.choice((1, 1 << n, 1 | 1 << n)) << q for q in range(n)]
+            for _ in range(rng.randrange(2 * n) if n > 1 else 0):
+                a, b = rng.sample(range(n), 2)
+                vecs[a] ^= vecs[b]
+            rng.shuffle(vecs)
+        taus = [PauliProduct.from_packed(v, n) for v in vecs]
+        assert find_sigma(taus) == rescanning_find_sigma(taus)
+
+    def test_widest_basis_matches_rescanning_reference(self):
+        taus = find_tau(parse_hamiltonian("1.0 X0 Z1023\n0.5 Z0 X1023\n"))
+        assert find_sigma(taus) == rescanning_find_sigma(taus)
 
 
 class TestExpandInTau:

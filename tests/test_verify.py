@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (all_paulis, inverse_circuit, kron_circuit, kron_pauli,
-                     looped_expectation_invariance, random_commuting_group,
-                     random_graph_hamiltonian)
-from paulimeasure import (CliffordCircuit, Gate, PauliProduct, build_unitary_symbolic,
-                          find_sigma, find_tau, parse_hamiltonian, synthesize,
-                          transform_group)
+                     looped_expectation_invariance, per_term_dense_sum,
+                     random_commuting_group, random_graph_hamiltonian,
+                     tensordot_simulate_circuit)
+from paulimeasure import (CliffordCircuit, Gate, Hamiltonian, PauliProduct, PauliSum,
+                          build_unitary_symbolic, find_sigma, find_tau,
+                          parse_hamiltonian, synthesize, transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES
 from paulimeasure.fixtures import (h2_reference_basis, model_hamiltonian,
@@ -66,9 +67,35 @@ class TestDenseMatrix:
             np.testing.assert_allclose(m @ m.conj().T, np.eye(4), atol=1e-12)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sum_equals_per_term_reference(self, data):
+        # few x patterns, so terms share their entries; PauliSum terms carry
+        # complex coefficients and phases
+        n = data.draw(st.integers(1, 7))
+        complex_sum = data.draw(st.booleans())
+        x_patterns = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                                        max_size=3))
+        coeff = st.floats(-10, 10, allow_nan=False)
+        if complex_sum:
+            coeff = st.builds(complex, coeff, coeff)
+        terms = data.draw(st.lists(st.tuples(
+            coeff, st.builds(PauliProduct, st.just(n), st.sampled_from(x_patterns),
+                             st.integers(0, (1 << n) - 1),
+                             st.integers(0, 3 if complex_sum else 0))), max_size=40))
+        obj = (PauliSum if complex_sum else Hamiltonian)(n, tuple(terms))
+        assert np.array_equal(verify.dense_matrix(obj), per_term_dense_sum(obj))
+
+    def test_empty_sum_is_zero(self):
+        for obj in (Hamiltonian(3, ()), PauliSum(3, ())):
+            m = verify.dense_matrix(obj)
+            assert m.shape == (8, 8) and not m.any()
+
     def test_qubit_cap(self):
         with pytest.raises(verify.DimensionError):
             verify.dense_matrix(PauliProduct.identity(13))
+        with pytest.raises(verify.DimensionError):
+            verify.dense_matrix(Hamiltonian(13, ()))
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
@@ -179,6 +206,23 @@ class TestSimulateCircuit:
                 psi = verify.random_state(3, rng)
                 np.testing.assert_allclose(verify.simulate_circuit(circuit, psi),
                                            u @ psi, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(circuits(max_qubits=8, max_gates=24), st.integers(0, 3),
+           st.integers(0, 2**32 - 1))
+    def test_matches_tensordot_reference(self, circuit, columns, seed):
+        # columns 0: one state vector; otherwise a matrix of states
+        gen = np.random.default_rng(seed)
+        shape = (1 << circuit.n_qubits,) + ((columns,) if columns else ())
+        states = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        np.testing.assert_allclose(verify.simulate_circuit(circuit, states),
+                                   tensordot_simulate_circuit(circuit, states),
+                                   rtol=0, atol=1e-12)
+
+    def test_qubit_cap(self):
+        with pytest.raises(verify.DimensionError):
+            # before the states are read: these have the wrong length
+            verify.simulate_circuit(CliffordCircuit(13, ()), np.ones(2))
 
     @settings(max_examples=150, deadline=None)
     @given(circuits())
