@@ -3,12 +3,16 @@
 Each factor V = (tau + sigma)/sqrt(2) with {tau, sigma} = 0 satisfies
 V = (-i) e^(i pi/4 sigma) e^(i pi/4 tau) e^(i pi/4 sigma), and each
 pi/4 Pauli exponent lowers to H/S/CNOT with an exactly tracked global phase.
+Each qubit's runs of single-qubit gates fold, as they are emitted, into one
+of the 24 single-qubit Cliffords, written out as at most 3 gates.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .pauli import PauliProduct
@@ -17,6 +21,16 @@ if TYPE_CHECKING:
     from .transform import TauSigmaBasis
 
 GATE_NAMES = ("H", "S", "SDG", "X", "Y", "Z", "CNOT")
+_R = 1 / math.sqrt(2)
+# The literal 2x2 matrices of the single-qubit gates, rows then columns.
+_GATE_1Q = {
+    "H": ((_R, _R), (_R, -_R)),
+    "S": ((1, 0), (0, 1j)),
+    "SDG": ((1, 0), (0, -1j)),
+    "X": ((0, 1), (1, 0)),
+    "Y": ((0, -1j), (1j, 0)),
+    "Z": ((1, 0), (0, -1)),
+}
 
 
 class Gate(NamedTuple):
@@ -52,32 +66,131 @@ class CliffordCircuit:
         object.__setattr__(self, "global_phase_exp", self.global_phase_exp % 8)
 
 
-def _append_exponent(gates: list[Gate], p: PauliProduct) -> None:
-    """Append the gates of e^(-i pi/4) exp(i pi/4 P), P phase-free and not I.
+# Single-qubit runs, first gate first: an axis to Z and back, and the whole
+# of e^(-i pi/4) exp(i pi/4 A) for a one-qubit A, as _append_exponent lowers it.
+_TO_Z = {"X": ("H",), "Y": ("SDG", "H")}
+_FROM_Z = {"X": ("H",), "Y": ("H", "S")}
+_EXPONENT_1Q = {a: _TO_Z.get(a, ()) + ("SDG",) + _FROM_Z.get(a, ()) for a in "XYZ"}
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(2)) for c in range(2))
+                 for r in range(2))
+
+
+@cache
+def _clifford_group() -> tuple[dict[tuple[str, ...], tuple[int, ...]],
+                               tuple[tuple[str, ...], ...]]:
+    """The 24 single-qubit Cliffords up to phase, as (step, runs).
+
+    Element j stands for the matrix C_j of the gate run ``runs[j]`` (first
+    gate first). The elements are found breadth first, trying the gates in
+    ``GATE_NAMES`` order, so each run is a shortest one (at most 3 gates) and
+    ``runs[0]`` is the empty run of the identity. ``step[(name,)][j]`` is
+    8 k + l where G C_j = e^(i pi/4 l) C_k for the literal matrix G of gate
+    name: the 24 x 6 transition table, built on first use from 2x2 complex
+    matrices, with every phase a multiple of pi/4 read off the overlap
+    tr(C_k^dagger G C_j) / 2. ``step`` also holds, under the run itself,
+    the composed table of each run that ``synthesize`` applies at once.
+    """
+    matrices = [((1, 0), (0, 1))]
+    runs: list[tuple[str, ...]] = [()]
+    step: dict[tuple[str, ...], list[int]] = {(name,): [] for name in _GATE_1Q}
+    j = 0
+    while j < len(matrices):
+        for name, g in _GATE_1Q.items():
+            m = _matmul(g, matrices[j])
+            for k, c in enumerate(matrices):
+                overlap = sum(c[r][s].conjugate() * m[r][s]
+                              for r in range(2) for s in range(2)) / 2
+                if abs(abs(overlap) - 1) < 1e-9:
+                    angle = math.atan2(overlap.imag, overlap.real)
+                    step[(name,)].append(8 * k + round(angle / (math.pi / 4)) % 8)
+                    break
+            else:
+                step[(name,)].append(8 * len(matrices))
+                matrices.append(m)
+                runs.append(runs[j] + (name,))
+        j += 1
+    for names in {*_TO_Z.values(), *_FROM_Z.values(), *_EXPONENT_1Q.values()}:
+        table = [8 * j for j in range(len(runs))]
+        for name in names:
+            gate = step[(name,)]
+            table = [gate[e >> 3] & ~7 | (gate[e >> 3] + e) & 7 for e in table]
+        step[names] = table
+    return {names: tuple(table) for names, table in step.items()}, tuple(runs)
+
+
+class _Fold:
+    """A gate list under construction that holds each qubit's current run of
+    single-qubit gates as one pending element of ``_clifford_group`` and adds
+    the run's exact phase to ``phase``.
+
+    A CNOT first writes out the pending runs of its two qubits, each as the
+    element's shortest run; ``circuit`` writes out the rest in qubit order.
+    So the CNOTs keep their order, every run stays between the same two
+    CNOTs on its qubit, and none grows: a run costs at most 3 gates, none
+    when it multiplies to the identity.
+    """
+
+    def __init__(self, n_qubits: int) -> None:
+        self.step, self.runs = _clifford_group()
+        self.n_qubits = n_qubits
+        self.pending = [0] * n_qubits
+        self.gates: list[Gate] = []
+        self.phase = 0
+
+    def run(self, names: tuple[str, ...], q: int) -> None:
+        """Apply the gates ``names`` to qubit q, first gate first: one
+        single gate, or a run that ``step`` holds composed."""
+        e = self.step[names][self.pending[q]]
+        self.pending[q] = e >> 3
+        self.phase += e & 7
+
+    def _write(self, q: int) -> None:
+        j = self.pending[q]
+        if j:
+            self.gates += [Gate(name, (q,)) for name in self.runs[j]]
+            self.pending[q] = 0
+
+    def cnot(self, control: int, target: int) -> None:
+        self._write(control)
+        self._write(target)
+        self.gates.append(Gate("CNOT", (control, target)))
+
+    def circuit(self, global_phase_exp: int) -> CliffordCircuit:
+        for q in range(self.n_qubits):
+            self._write(q)
+        return CliffordCircuit(self.n_qubits, tuple(self.gates),
+                               global_phase_exp + self.phase)
+
+
+def _append_exponent(fold: _Fold, p: PauliProduct) -> None:
+    """Emit the gates of e^(-i pi/4) exp(i pi/4 P), P phase-free and not I.
 
     Basis changes map every support axis to Z, a CNOT ladder folds the
     parity onto the last support qubit, and exp(i pi/4 Z) = e^(i pi/4) SDG
     supplies the rotation; the ladder and basis changes are then undone.
-    Weight w costs 2(w-1) CNOTs.
+    Weight w costs 2(w-1) CNOTs. ``fold`` is a ``_Fold`` or anything else
+    with its ``run`` and ``cnot``.
     """
     support = []
     rest = p.support
     while rest:
         support.append((rest & -rest).bit_length() - 1)
         rest &= rest - 1
-    pre: list[Gate] = []
-    post: list[Gate] = []
-    for q in support:
-        a = p.axis(q)
-        if a == "X":
-            pre.append(Gate("H", (q,)))
-            post.append(Gate("H", (q,)))
-        elif a == "Y":
-            pre.extend((Gate("SDG", (q,)), Gate("H", (q,))))
-            post.extend((Gate("H", (q,)), Gate("S", (q,))))
-    ladder = [Gate("CNOT", (support[k], support[k + 1]))
-              for k in range(len(support) - 1)]
-    gates += pre + ladder + [Gate("SDG", (support[-1],))] + ladder[::-1] + post
+    axes = [p.axis(q) for q in support]
+    for q, a in zip(support, axes):
+        if a != "Z":
+            fold.run(_TO_Z[a], q)
+    for k in range(len(support) - 1):
+        fold.cnot(support[k], support[k + 1])
+    fold.run(("SDG",), support[-1])
+    for k in reversed(range(len(support) - 1)):
+        fold.cnot(support[k], support[k + 1])
+    for q, a in zip(support, axes):
+        if a != "Z":
+            fold.run(_FROM_Z[a], q)
 
 
 def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
@@ -87,18 +200,24 @@ def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
     the operator; gates of factor i appear before those of factor i+1. A
     factor is (-i) e^(i pi/4 sigma) e^(i pi/4 tau) e^(i pi/4 sigma): -i is
     e^(i pi/4 * 6) and each exponent's gates lack e^(i pi/4), so a factor
-    adds 6 + 3 = 9 to the phase exponent.
+    adds 6 + 3 = 9 to the phase exponent. A sigma exponent is one run on
+    the sigma's qubit. The gates are folded as they are emitted (``_Fold``),
+    which keeps the operator and its phase exact: an idle qubit's factor
+    (Z + X)/sqrt(2) costs one H, not seven gates.
     """
-    gates: list[Gate] = []
+    fold = _Fold(basis.n_qubits)
     for i, tau in enumerate(basis.taus):
-        sigma = basis.sigma_product(i)
+        q, a = basis.sigmas[i]
+        if a not in _EXPONENT_1Q or not 0 <= q < basis.n_qubits:
+            raise ValueError(f"sigma_{i} must be X, Y or Z on a qubit of the register")
         if tau.phase_exp:
             raise ValueError("exponent Pauli must carry no phase")
-        if tau.commutes_with(sigma):
+        if tau.axis(q) in ("I", a):
             raise ValueError("tau and sigma must anticommute")
-        for p in (sigma, tau, sigma):
-            _append_exponent(gates, p)
-    return CliffordCircuit(basis.n_qubits, tuple(gates), 9 * len(basis.taus))
+        fold.run(_EXPONENT_1Q[a], q)
+        _append_exponent(fold, tau)
+        fold.run(_EXPONENT_1Q[a], q)
+    return fold.circuit(9 * len(basis.taus))
 
 
 def gate_counts(c: CliffordCircuit) -> dict[str, int]:

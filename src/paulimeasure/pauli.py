@@ -19,7 +19,8 @@ MAX_QUBITS = 1024
 
 _AXIS_FROM_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS_FROM_AXIS = {a: b for b, a in _AXIS_FROM_BITS.items()}
-_TERM_TOKEN = re.compile(r"([XYZ])(\d+)\Z")
+# (x bit, z bit) of the axis letter that starts a term token.
+_TOKEN_BITS = {a: b for a, b in _BITS_FROM_AXIS.items() if a != "I"}
 _HEADER = re.compile(r"qubits\s*:\s*(\d+)\Z")
 
 I_POWERS = (1, 1j, -1, -1j)
@@ -63,18 +64,22 @@ class PauliProduct:
     @classmethod
     def from_label(cls, label: str, phase_exp: int = 0) -> PauliProduct:
         """Build from an 'IXYZ' style string; character ``i`` is qubit ``i``."""
-        bad = next((a for a in label if a not in _BITS_FROM_AXIS), None)
-        if bad is not None:
-            raise ValueError(f"invalid Pauli character {bad!r}")
-        return _from_axes(len(label), dict(enumerate(label)), phase_exp)
+        x = z = 0
+        for q, a in enumerate(label):
+            bits = _BITS_FROM_AXIS.get(a)
+            if bits is None:
+                raise ValueError(f"invalid Pauli character {a!r}")
+            x |= bits[0] << q
+            z |= bits[1] << q
+        return cls(len(label), x, z, phase_exp)
 
     @classmethod
     def from_term_string(cls, term: str, n_qubits: int) -> PauliProduct:
         """Build from token form, e.g. ``"X0 Z3"`` or ``"I"``."""
-        assignment = parse_term_tokens(term.split())
-        if assignment and max(assignment) >= n_qubits:
-            raise ValueError(f"qubit index {max(assignment)} >= n_qubits {n_qubits}")
-        return _from_axes(n_qubits, assignment)
+        x, z, top = parse_term_tokens(term.split())
+        if x | z and top >= n_qubits:
+            raise ValueError(f"qubit index {top} >= n_qubits {n_qubits}")
+        return cls(n_qubits, x, z)
 
     @classmethod
     def from_packed(cls, packed: int, n_qubits: int) -> PauliProduct:
@@ -205,17 +210,6 @@ class PauliSum:
     terms: tuple[tuple[complex, PauliProduct], ...]
 
 
-def _from_axes(n_qubits: int, axes: dict[int, str], phase_exp: int = 0
-               ) -> PauliProduct:
-    """Product with axis ``axes[q]`` ("I", "X", "Y" or "Z") on each qubit q."""
-    x = z = 0
-    for q, a in axes.items():
-        xb, zb = _BITS_FROM_AXIS[a]
-        x |= xb << q
-        z |= zb << q
-    return PauliProduct(n_qubits, x, z, phase_exp)
-
-
 def qubit_columns(n_qubits: int, products: Iterable[PauliProduct]
                   ) -> tuple[list[int], list[int]]:
     """Per-qubit term bitsets of a product list.
@@ -249,24 +243,34 @@ def anticommuting(xcol: list[int], zcol: list[int], p: PauliProduct) -> int:
     return row
 
 
-def parse_term_tokens(tokens: list[str]) -> dict[int, str]:
-    """Parse term tokens like ["X0", "Z3"] or ["I"] into {qubit: axis}."""
+def parse_term_tokens(tokens: list[str]) -> tuple[int, int, int]:
+    """Parse term tokens like ["X0", "Z3"] or ["I"] into (x, z, top): the
+    product's axis bitmasks and its highest qubit, -1 for ["I"].
+
+    A token is an axis letter of ``_TOKEN_BITS`` followed by decimal digits
+    (``str.isdecimal``, the digits a regex ``\\d`` matches).
+    """
     if not tokens:
         raise ValueError("empty term")
     if tokens == ["I"]:
-        return {}
-    assignment: dict[int, str] = {}
+        return 0, 0, -1
+    x = z = 0
+    top = -1
     for tok in tokens:
-        m = _TERM_TOKEN.fullmatch(tok)
-        if m is None:
+        bits = _TOKEN_BITS.get(tok[:1])
+        digits = tok[1:]
+        if bits is None or not digits.isdecimal():
             raise ValueError(f"malformed token {tok!r}")
-        axis, qubit = m.group(1), int(m.group(2))
+        qubit = int(digits)
         if qubit >= MAX_QUBITS:
             raise ValueError(f"qubit index {qubit} exceeds the {MAX_QUBITS}-qubit limit")
-        if qubit in assignment:
+        if (x | z) >> qubit & 1:
             raise ValueError(f"qubit {qubit} listed twice in one term")
-        assignment[qubit] = axis
-    return assignment
+        x |= bits[0] << qubit
+        z |= bits[1] << qubit
+        if qubit > top:
+            top = qubit
+    return x, z, top
 
 
 def parse_hamiltonian(source: str | Iterable[str],
@@ -280,7 +284,7 @@ def parse_hamiltonian(source: str | Iterable[str],
     """
     lines = source.splitlines() if isinstance(source, str) else source
     declared: int | None = None
-    raw: list[tuple[int, float, dict[int, str]]] = []
+    raw: list[tuple[int, float, int, int, int]] = []
     max_index = -1
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -304,21 +308,20 @@ def parse_hamiltonian(source: str | Iterable[str],
                 raise ValueError(f"malformed coefficient {tokens[0]!r}") from None
             if not math.isfinite(coeff):
                 raise ValueError("non-finite coefficient")
-            assignment = parse_term_tokens(tokens[1:])
+            x, z, top = parse_term_tokens(tokens[1:])
         except ValueError as exc:
             raise HamiltonianFormatError(f"line {lineno}: {exc}") from None
-        if assignment:
-            max_index = max(max_index, max(assignment))
-        raw.append((lineno, coeff, assignment))
+        max_index = max(max_index, top)
+        raw.append((lineno, coeff, x, z, top))
     if not raw:
         raise HamiltonianFormatError("no terms")
     n_qubits = declared if declared is not None else max(1, max_index + 1)
     terms = []
-    for lineno, coeff, assignment in raw:
-        if assignment and max(assignment) >= n_qubits:
+    for lineno, coeff, x, z, top in raw:
+        if top >= n_qubits:
             raise HamiltonianFormatError(
-                f"line {lineno}: qubit index {max(assignment)} >= qubits {n_qubits}")
-        terms.append((coeff, _from_axes(n_qubits, assignment)))
+                f"line {lineno}: qubit index {top} >= qubits {n_qubits}")
+        terms.append((coeff, PauliProduct(n_qubits, x, z)))
     return Hamiltonian.from_terms(n_qubits, terms, drop_tolerance)
 
 

@@ -52,7 +52,7 @@ class TauSigmaBasis:
         return PauliProduct.single(self.n_qubits, qubit, axis)
 
     @cached_property
-    def _sigma_columns(self) -> tuple[list[int], list[int]]:
+    def sigma_columns(self) -> tuple[list[int], list[int]]:
         """The sigmas as per-qubit term bitsets: bit k stands for sigma_k."""
         return qubit_columns(self.n_qubits, map(self.sigma_product, range(self.n_qubits)))
 
@@ -78,7 +78,7 @@ class TauSigmaBasis:
                 and _commute_pairwise(n, self.taus)):
             raise ValueError("taus are not a Lagrangian basis")
         for i, tau in enumerate(self.taus):
-            wrong = anticommuting(*self._sigma_columns, tau) ^ (1 << i)
+            wrong = anticommuting(*self.sigma_columns, tau) ^ (1 << i)
             if wrong:
                 j = (wrong & -wrong).bit_length() - 1
                 raise ValueError(f"tau_{i} does not anticommute with sigma_{i}" if j == i
@@ -207,7 +207,7 @@ def expand_in_tau(term: PauliProduct, basis: TauSigmaBasis
     if term.n_qubits != basis.n_qubits:
         raise ValueError("qubit-count mismatch")
     n = basis.n_qubits
-    selection = anticommuting(*basis._sigma_columns, term)
+    selection = anticommuting(*basis.sigma_columns, term)
     indices = tuple(k for k in range(n) if (selection >> k) & 1)
     product = PauliProduct.identity(n)
     for k in indices:

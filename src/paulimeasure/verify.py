@@ -1,8 +1,9 @@
 """The `measure verify` check suite and its independent oracles.
 
 ``plan_checks`` proves a plan at every width on term bitsets (coverage,
-basis invariants, qubit-wise commutation, exact images under the circuit)
-and cross-checks it on dense matrices up to small qubit caps. The dense
+basis invariants, qubit-wise commutation, exact images under the circuit,
+the circuit's Clifford through the tau/sigma swap of each factor) and
+cross-checks it on dense matrices up to small qubit caps. The dense
 oracles rebuild operators from first principles (Pauli matrices and sums
 as signed permutations of the basis states, literal gate matrices applied
 to the amplitudes one numpy operation per gate, brute-force enumeration),
@@ -265,15 +266,26 @@ class _GroupOperators:
     @cached_property
     def symbolic_unitary(self) -> np.ndarray:
         """The paper's U, the product of (tau_i + sigma_i)/sqrt(2) in factor
-        order, from dense Pauli matrices. A basis with the wrong number of
-        factors has no such U: the rows that need it fail with the basis
-        row's reason."""
+        order, from the Pauli matrices as signed permutations. A basis with
+        the wrong number of factors has no such U: the rows that need it
+        fail with the basis row's reason.
+
+        Right-multiplying by a Pauli P moves column b ^ flip of U to column
+        b with P's sign and phase (``_signed_permutation``), so each factor
+        costs two column gathers, O(4^n), not a matrix product.
+        """
         basis = self.entry.transform.basis
         basis.check_counts()
-        u = np.eye(1 << basis.n_qubits, dtype=complex)
-        for i in range(basis.n_qubits):
-            u = u @ ((dense_pauli(basis.taus[i]) + dense_pauli(basis.sigma_product(i)))
-                     / np.sqrt(2))
+        n = basis.n_qubits
+        _check_cap(n)
+        b = np.arange(1 << n)
+        u = np.eye(1 << n, dtype=complex)
+        for i in range(n):
+            terms = []
+            for p in (basis.taus[i], basis.sigma_product(i)):
+                flip, sign_mask, phase = _signed_permutation(p)
+                terms.append(u[:, b ^ flip] * ((1 - 2 * _parity(b & sign_mask)) * phase))
+            u = (terms[0] + terms[1]) / np.sqrt(2)
         return u
 
     @cached_property
@@ -351,6 +363,38 @@ def _check_signs(g: _GroupOperators):
                    f"plan states {t_coeff!r} {t_term.to_term_string()}")
 
 
+def _check_tableau(g: _GroupOperators):
+    """U^dagger tau_i U = sigma_i and U^dagger sigma_i U = tau_i, sign +1,
+    for the circuit U and every factor i, on term bitsets. The product of
+    reflections satisfies both, since factor i swaps tau_i and sigma_i and
+    every other factor commutes with them. The taus and sigmas span all 2N
+    directions, so the two fix the circuit's Clifford up to a global phase.
+    Bit k of the columns stands for tau_k, bit n + k for sigma_k."""
+    basis = g.entry.transform.basis
+    basis.check_counts()
+    n = basis.n_qubits
+    tau_x, tau_z = qubit_columns(n, basis.taus)
+    sigma_x, sigma_z = basis.sigma_columns
+    xs, zs, minus = conjugate_columns(
+        g.entry.circuit, [t | s << n for t, s in zip(tau_x, sigma_x)],
+        [t | s << n for t, s in zip(tau_z, sigma_z)])
+    wrong = minus
+    for q in range(n):
+        wrong |= xs[q] ^ (sigma_x[q] | tau_x[q] << n)
+        wrong |= zs[q] ^ (sigma_z[q] | tau_z[q] << n)
+    if not wrong:
+        return True, ""
+    k = (wrong & -wrong).bit_length() - 1
+    image = PauliProduct(n, sum(((xs[q] >> k) & 1) << q for q in range(n)),
+                         sum(((zs[q] >> k) & 1) << q for q in range(n)))
+    tau, sigma = basis.taus[k % n], basis.sigma_product(k % n)
+    name, source, want = ((f"tau_{k}", tau, sigma) if k < n
+                          else (f"sigma_{k - n}", sigma, tau))
+    return False, (f"{name} ({source.to_term_string()}) maps to "
+                   f"{'-' if (minus >> k) & 1 else '+'}{image.to_term_string()}, "
+                   f"not +{want.to_term_string()}")
+
+
 def _check_spectra(g: _GroupOperators):
     ok = spectra_equal(g.group_matrix, g.transformed_matrix, tol=1e-9)
     return ok, "eigenvalue mismatch beyond 1e-9"
@@ -388,6 +432,8 @@ _CHECKS = (
     ("coefficient magnitudes preserved", _check_coeffs, None),
     ("circuit maps each group term to its transformed term (exact sign)",
      _check_signs, None),
+    ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global phase "
+     "(tableau)", _check_tableau, None),
     ("spectra preserved (tol 1e-9)", _check_spectra, MAX_SPECTRUM_QUBITS),
     ("conjugated group matches transform (tol 1e-9)", _check_conjugation,
      MAX_EXPECTATION_QUBITS),

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 
 from paulimeasure import (CliffordCircuit, Gate, Hamiltonian, PauliProduct,
                           TauSigmaBasis, circuit_to_dict)
 from paulimeasure import gf2
+from paulimeasure.circuits import _append_exponent, _Fold
+from paulimeasure.pauli import MAX_QUBITS
 from paulimeasure.verify import dense_matrix, dense_pauli, random_state
 
 AXES = "IXYZ"
@@ -476,6 +479,101 @@ def scanning_exponent_gates(p: PauliProduct) -> list[Gate]:
     ladder = [Gate("CNOT", (support[k], support[k + 1]))
               for k in range(len(support) - 1)]
     return pre + ladder + [Gate("SDG", (support[-1],))] + ladder[::-1] + post
+
+
+# circuits.synthesize as it was before it folded the single-qubit runs:
+# every gate of every exponent as _append_exponent emits it. Tests require
+# the folded circuit to equal it exactly, global phase included.
+
+class LiteralGates:
+    """The ``run`` / ``cnot`` interface of circuits._Fold, keeping every
+    gate as it comes."""
+
+    def __init__(self, n_qubits: int) -> None:
+        self.n_qubits = n_qubits
+        self.gates: list[Gate] = []
+
+    def run(self, names: tuple[str, ...], q: int) -> None:
+        self.gates += [Gate(name, (q,)) for name in names]
+
+    def cnot(self, control: int, target: int) -> None:
+        self.gates.append(Gate("CNOT", (control, target)))
+
+    def circuit(self, global_phase_exp: int) -> CliffordCircuit:
+        return CliffordCircuit(self.n_qubits, tuple(self.gates), global_phase_exp)
+
+
+def unfolded_synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
+    sink = LiteralGates(basis.n_qubits)
+    for i, tau in enumerate(basis.taus):
+        sigma = basis.sigma_product(i)
+        for p in (sigma, tau, sigma):
+            _append_exponent(sink, p)
+    return sink.circuit(9 * len(basis.taus))
+
+
+def fold_circuit(c: CliffordCircuit) -> CliffordCircuit:
+    """c with its gates fed through circuits._Fold one by one."""
+    fold = _Fold(c.n_qubits)
+    for g in c.gates:
+        if g.name == "CNOT":
+            fold.cnot(*g.qubits)
+        else:
+            fold.run((g.name,), g.qubits[0])
+    return fold.circuit(c.global_phase_exp)
+
+
+def qubit_runs(c: CliffordCircuit) -> list[list[int]]:
+    """Per qubit, the lengths of its single-qubit runs: the gates before its
+    first CNOT, between consecutive CNOTs on it, and after its last."""
+    runs = [[0] for _ in range(c.n_qubits)]
+    for g in c.gates:
+        if g.name == "CNOT":
+            for q in g.qubits:
+                runs[q].append(0)
+        else:
+            runs[g.qubits[0]][-1] += 1
+    return runs
+
+
+# verify._GroupOperators.symbolic_unitary as it was before each factor
+# became two column gathers: n dense matrix products. Tests require
+# agreement to 1e-12.
+
+def matrix_product_symbolic_unitary(basis: TauSigmaBasis) -> np.ndarray:
+    u = np.eye(1 << basis.n_qubits, dtype=complex)
+    for i in range(basis.n_qubits):
+        u = u @ ((dense_pauli(basis.taus[i]) + dense_pauli(basis.sigma_product(i)))
+                 / np.sqrt(2))
+    return u
+
+
+# pauli.parse_term_tokens as it was before it decoded tokens with a table:
+# one regex fullmatch per token into a {qubit: axis} dict, here returned
+# as (x, z, highest qubit). Tests require the same result or error.
+
+_TERM_TOKEN = re.compile(r"([XYZ])(\d+)\Z")
+
+
+def regex_parse_term_tokens(tokens: list[str]) -> tuple[int, int, int]:
+    if not tokens:
+        raise ValueError("empty term")
+    if tokens == ["I"]:
+        return 0, 0, -1
+    assignment: dict[int, str] = {}
+    for tok in tokens:
+        m = _TERM_TOKEN.fullmatch(tok)
+        if m is None:
+            raise ValueError(f"malformed token {tok!r}")
+        axis, qubit = m.group(1), int(m.group(2))
+        if qubit >= MAX_QUBITS:
+            raise ValueError(f"qubit index {qubit} exceeds the {MAX_QUBITS}-qubit limit")
+        if qubit in assignment:
+            raise ValueError(f"qubit {qubit} listed twice in one term")
+        assignment[qubit] = axis
+    x = sum(1 << q for q, a in assignment.items() if a in "XY")
+    z = sum(1 << q for q, a in assignment.items() if a in "YZ")
+    return x, z, max(assignment)
 
 
 # verify.expectation_invariance with one random_state draw and two

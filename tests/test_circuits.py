@@ -1,20 +1,23 @@
 """Exponent form of the reflection factors and exact gate decomposition."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (all_paulis, conjugation_maps_paulis_to_paulis, inverse_circuit,
-                     kron_gate, random_commuting_group, random_pauli,
-                     scanning_exponent_gates)
+from helpers import (LiteralGates, all_paulis, conjugation_maps_paulis_to_paulis,
+                     fold_circuit, inverse_circuit, kron_gate,
+                     qubit_runs, random_commuting_group, random_pauli,
+                     scanning_exponent_gates, unfolded_synthesize)
 from paulimeasure import (CliffordCircuit, Gate, PauliProduct, TauSigmaBasis,
                           build_unitary_symbolic, circuit_from_dict, circuit_to_dict,
                           find_sigma, find_tau, gate_counts, synthesize,
                           transform_group)
 from paulimeasure import verify
-from paulimeasure.circuits import GATE_NAMES, _append_exponent, conjugate_columns
+from paulimeasure.circuits import (GATE_NAMES, _append_exponent, _clifford_group,
+                                   conjugate_columns)
 from paulimeasure.pauli import MAX_QUBITS, qubit_columns
 from paulimeasure.fixtures import h2_reference_basis, model_reference_basis
 
@@ -36,10 +39,11 @@ def expected_cnots(basis) -> int:
 
 
 def exponent_circuit(p: PauliProduct) -> CliffordCircuit:
-    """The gates of exp(i pi/4 P) with the phase e^(i pi/4) they leave out."""
-    gates: list[Gate] = []
-    _append_exponent(gates, p)
-    return CliffordCircuit(p.n_qubits, tuple(gates), 1)
+    """The gates of exp(i pi/4 P) with the phase e^(i pi/4) they leave out,
+    unfolded."""
+    sink = LiteralGates(p.n_qubits)
+    _append_exponent(sink, p)
+    return sink.circuit(1)
 
 
 def one_factor(tau: PauliProduct, qubit: int, axis: str) -> CliffordCircuit:
@@ -53,6 +57,65 @@ def signed_pauli(m: np.ndarray, n_qubits: int) -> tuple[int, PauliProduct]:
             if np.allclose(m, sign * verify.dense_pauli(p), atol=1e-12)]
     assert len(hits) == 1
     return hits[0]
+
+
+ONE_QUBIT_GATES = GATE_NAMES[:-1]
+OMEGA = np.exp(1j * np.pi / 4)
+
+
+def run_matrix(names) -> np.ndarray:
+    """The literal 2x2 matrix of a single-qubit gate run, first gate first."""
+    m = np.eye(2, dtype=complex)
+    for name in names:
+        m = kron_gate(Gate(name, (0,)), 1) @ m
+    return m
+
+
+def element_of(m: np.ndarray, elements) -> tuple[int, int]:
+    """(k, l) with m == e^(i pi/4 l) elements[k]; exactly one must match."""
+    hits = [(k, l) for k, c in enumerate(elements) for l in range(8)
+            if np.allclose(m, OMEGA ** l * c, atol=1e-12)]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def asap_depth(c: CliffordCircuit) -> int:
+    level = [0] * c.n_qubits
+    for g in c.gates:
+        d = 1 + max(level[q] for q in g.qubits)
+        for q in g.qubits:
+            level[q] = d
+    return max(level, default=0)
+
+
+def cnots(c: CliffordCircuit) -> list[Gate]:
+    return [g for g in c.gates if g.name == "CNOT"]
+
+
+def assert_fold_of(folded: CliffordCircuit, literal: CliffordCircuit) -> None:
+    """folded equals literal exactly, global phase included, with the same
+    CNOTs in order, no run longer than 3 gates or than the run it replaced,
+    and no greater depth."""
+    np.testing.assert_allclose(verify.dense_matrix(folded), verify.dense_matrix(literal),
+                               atol=1e-12)
+    assert cnots(folded) == cnots(literal)
+    for after, before in zip(qubit_runs(folded), qubit_runs(literal), strict=True):
+        assert len(after) == len(before)
+        assert all(a <= min(3, b) for a, b in zip(after, before))
+    assert asap_depth(folded) <= asap_depth(literal)
+
+
+@st.composite
+def small_circuits(draw) -> CliffordCircuit:
+    n = draw(st.integers(1, 4))
+    one = st.builds(lambda name, q: Gate(name, (q,)),
+                    st.sampled_from(ONE_QUBIT_GATES), st.integers(0, n - 1))
+    gate = one
+    if n > 1:
+        pairs = st.permutations(range(n)).map(lambda qs: Gate("CNOT", tuple(qs[:2])))
+        gate = st.one_of(one, pairs)
+    gates = draw(st.lists(gate, max_size=30))
+    return CliffordCircuit(n, tuple(gates), draw(st.integers(0, 7)))
 
 
 def conjugated_products(c: CliffordCircuit, prods) -> list[tuple[int, PauliProduct]]:
@@ -109,14 +172,74 @@ class TestConjugateColumns:
                 assert image == t_prod and sign * coeff == t_coeff
 
 
+class TestCliffordGroup:
+    """The fold's table of the 24 single-qubit Cliffords, against the literal
+    2x2 gate matrices."""
+
+    def test_table_is_closed_and_exact_including_phase(self):
+        step, runs = _clifford_group()
+        assert len(runs) == 24 and runs[0] == ()
+        elements = [run_matrix(r) for r in runs]
+        assert {names for names in step if len(names) == 1} == {
+            (name,) for name in ONE_QUBIT_GATES}
+        for names, table in step.items():
+            assert len(table) == 24
+            for j, e in enumerate(table):
+                assert 0 <= e >> 3 < 24
+                np.testing.assert_allclose(run_matrix(names) @ elements[j],
+                                           OMEGA ** (e & 7) * elements[e >> 3], atol=1e-12)
+
+    def test_elements_are_distinct_up_to_phase(self):
+        elements = [run_matrix(r) for r in _clifford_group()[1]]
+        for k, m in enumerate(elements):
+            assert element_of(m, elements) == (k, 0)
+
+    def test_each_run_is_a_shortest_one(self):
+        runs = _clifford_group()[1]
+        elements = [run_matrix(r) for r in runs]
+        shortest: dict[int, int] = {}
+        for length in range(4):
+            for word in itertools.product(ONE_QUBIT_GATES, repeat=length):
+                shortest.setdefault(element_of(run_matrix(word), elements)[0], length)
+        assert [len(r) for r in runs] == [shortest[k] for k in range(24)]
+
+
+class TestFold:
+    @settings(max_examples=200, deadline=None)
+    @given(small_circuits())
+    def test_random_circuits_fold_exactly(self, c):
+        assert_fold_of(fold_circuit(c), c)
+
+    def test_runs_are_written_before_their_cnot_and_at_the_end_in_qubit_order(self):
+        gates = (Gate("S", (1,)), Gate("S", (1,)), Gate("H", (2,)), Gate("S", (0,)),
+                 Gate("CNOT", (0, 2)), Gate("X", (0,)), Gate("X", (0,)))
+        folded = fold_circuit(CliffordCircuit(3, gates))
+        assert folded.gates == (Gate("S", (0,)), Gate("H", (2,)), Gate("CNOT", (0, 2)),
+                                Gate("Z", (1,)))
+
+    def test_synthesized_circuits_equal_the_unfolded_ones(self):
+        rng = random.Random(61)
+        bases = [model_reference_basis(), h2_reference_basis()]
+        bases += [find_sigma(find_tau(random_commuting_group(rng.randint(1, 6), rng)))
+                  for _ in range(25)]
+        for basis in bases:
+            assert_fold_of(synthesize(basis), unfolded_synthesize(basis))
+
+    def test_idle_qubit_factor_is_one_hadamard(self):
+        c = one_factor(PauliProduct.from_term_string("Z0", 1), 0, "X")
+        assert c.gates == (Gate("H", (0,)),)
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        np.testing.assert_allclose(verify.dense_matrix(c), h, atol=1e-12)
+
+
 class TestExponentSequence:
     def test_model_factor(self):
         tau = PauliProduct.from_term_string("X0 X1", 2)
         sigma = PauliProduct.from_term_string("Z0", 2)
         c = one_factor(tau, 0, "Z")
-        assert c.global_phase_exp == 9 % 8
-        assert c.gates == (exponent_circuit(sigma).gates + exponent_circuit(tau).gates
-                           + exponent_circuit(sigma).gates)
+        e_sigma, e_tau = (verify.dense_matrix(exponent_circuit(p)) for p in (sigma, tau))
+        np.testing.assert_allclose(verify.dense_matrix(c), -1j * e_sigma @ e_tau @ e_sigma,
+                                   atol=1e-12)
         np.testing.assert_allclose(verify.dense_matrix(c),
                                    reflection_matrix(tau, sigma), atol=1e-12)
 
@@ -145,6 +268,12 @@ class TestExponentSequence:
         tau = PauliProduct.from_term_string("X0 X1", 2)
         with pytest.raises(ValueError, match="tau and sigma must anticommute"):
             one_factor(tau, 0, "X")
+
+    @pytest.mark.parametrize("qubit, axis", [(0, "W"), (0, "I"), (2, "X"), (-1, "Z")])
+    def test_sigma_off_the_register_rejected(self, qubit, axis):
+        tau = PauliProduct.from_term_string("X0 X1", 2)
+        with pytest.raises(ValueError, match="sigma_0 must be X, Y or Z on a qubit"):
+            one_factor(tau, qubit, axis)
 
     def test_phased_tau_rejected(self):
         tau = PauliProduct(2, 0b11, 0, 2)  # -X0 X1

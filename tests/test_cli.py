@@ -124,10 +124,10 @@ GOLDEN_INPUTS = {"six-term": lambda: SIX_TERM_TEXT, "h2": lambda: H2_GROUP_TEXT,
                  "random-12q": random_sum_text, "wide-100q": lambda: WIDE_SPARSE_TEXT}
 # sha256 of the `measure transform` plan bytes; a change here changes plans.
 PLAN_SHA256 = {
-    "six-term": "5109c152bd80483956f939ef5184ee4f0e9e2ef406b4f268181cc74b252b4303",
-    "h2": "24ad71e4cd9c033dcca02b93d93133690df3ac3d6e61fb99fc73b47c6405572a",
-    "random-12q": "0bc5ee1d6db30fca5f7cd257be20f667577e7859ccc647ea4694d4165a5c97b1",
-    "wide-100q": "e89f4e35032567d5a840db7e95a84d7e8a5965dbf287ad861970d844b7604845",
+    "six-term": "b67dad5469ee3de06a7d3f03240b3eee08777e2ee48d83bc66229efb14f24b2e",
+    "h2": "756ebaf0701e37157c0f0a9777be5e3d7be2b4f99deb28a7067905aaac298bdb",
+    "random-12q": "9bf47a56a01a5a4eaaf3cef66e2702ca62ca73ce10901a8a991fa81a17af8ba4",
+    "wide-100q": "3559b4f5553f7a85223c015e95cf754e7e584b2e2c5929a8875fa206a441e2fc",
 }
 # sha256 of `measure group --format json` per "input/relation/method"; a change
 # here changes a cover.
@@ -165,11 +165,11 @@ VERIFY_INPUTS = {
 # sha256 of `measure verify --format json` on the plan that `measure transform`
 # writes, after the edit; a change here changes rows, statuses or details.
 VERIFY_SHA256 = {
-    "h2": "49a8dc2b5142b786215e28979efd39e8dd76b78c3d474eed76191210b60a43ff",
-    "six-term": "49a8dc2b5142b786215e28979efd39e8dd76b78c3d474eed76191210b60a43ff",
-    "wide-100q": "06ef2bf19a673e6c24b79be4c67fa778f7cded2c6489a6979053b1aa10a0aa50",
-    "chain-12q": "590e87d82b02071526a253fc0339551d91307e048d34b277f9232b81899819c5",
-    "h2-qwc-clash": "b1bb6f0728aa3464591daed01a7c024d84ae696b3f5a2e26c3338fa09ef63620",
+    "h2": "deaab9c414c28ee6ceb4550b8c11507c463a40feb2876d8c427d349dafbdcdf3",
+    "six-term": "deaab9c414c28ee6ceb4550b8c11507c463a40feb2876d8c427d349dafbdcdf3",
+    "wide-100q": "475945911622072bc3f6e704bb00ed36ecb498482bcb199c28273ca1586907b4",
+    "chain-12q": "440d599fe4de159f3b8130ed9dd30d20cb5646af15c974cd5dc5dcb4f3ed2df0",
+    "h2-qwc-clash": "57fd84bf3eed10c70ad0c53c5236e95e1ee0e9a650430bd5794879294ef40e6e",
 }
 
 @pytest.fixture
@@ -453,6 +453,8 @@ class TestVerify:
             "PASS transformed groups qubit-wise commuting",
             "PASS coefficient magnitudes preserved",
             "PASS circuit maps each group term to its transformed term (exact sign)",
+            "PASS circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
+            "phase (tableau)",
             "PASS spectra preserved (tol 1e-9)",
             "PASS conjugated group matches transform (tol 1e-9)",
             "PASS unitarity (tol 1e-10)",
@@ -473,9 +475,10 @@ class TestVerify:
                                                       drop_last_gates, capsys)
         assert code == 1
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert failed == [line for line in failed if line.startswith(
-            "FAIL circuit maps each group term to its transformed term (exact sign)")]
-        assert len(failed) == 1
+        assert [line.split(" (group")[0] for line in failed] == [
+            "FAIL circuit maps each group term to its transformed term (exact sign)",
+            "FAIL circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
+            "phase (tableau)"]
 
     def test_flipped_sign_fails_at_twelve_qubits(self, tmp_path, capsys):
         chain = tmp_path / "chain.txt"
@@ -691,4 +694,4 @@ assert paulimeasure.cli.main(["transform", {six_term_file!r}, "--output", "plan.
 sys.exit(paulimeasure.cli.main(["verify", {six_term_file!r}, "plan.json"]))
 """, tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.count("PASS ") == 10
+    assert proc.stdout.count("PASS ") == 11

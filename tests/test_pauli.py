@@ -4,11 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import all_paulis, random_pauli
+from helpers import all_paulis, random_pauli, regex_parse_term_tokens
 from paulimeasure import (Hamiltonian, HamiltonianFormatError, PauliProduct,
                           parse_hamiltonian, serialize_hamiltonian)
-from paulimeasure.pauli import MAX_QUBITS, anticommuting, qubit_columns
+from paulimeasure.pauli import (MAX_QUBITS, anticommuting, parse_term_tokens,
+                               qubit_columns)
 from paulimeasure.gf2 import symplectic_inner
 from paulimeasure.verify import dense_pauli
 
@@ -216,6 +218,20 @@ class TestHamiltonianIO:
     def test_malformed_inputs_rejected(self, text):
         with pytest.raises(HamiltonianFormatError):
             parse_hamiltonian(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(str.__add__, st.sampled_from(["X", "Y", "Z", "I", "x", ""]),
+                              st.text("0129\u0661\u00b2\uff11_+", max_size=3)),
+                    max_size=4))
+    @example(["Z1", "Z1"])
+    @example(["X\u00b2"])
+    def test_tokens_decode_as_the_regex_did(self, tokens):
+        def outcome(parse):
+            try:
+                return parse(tokens)
+            except ValueError as exc:
+                return str(exc)
+        assert outcome(parse_term_tokens) == outcome(regex_parse_term_tokens)
 
     def test_qubit_limit_is_inclusive(self):
         assert parse_hamiltonian(f"1.0 X{MAX_QUBITS - 1}\n").n_qubits == MAX_QUBITS

@@ -1,5 +1,7 @@
-"""Dense-matrix oracles, compatibility census, circuit simulation."""
+"""Dense-matrix oracles, compatibility census, circuit simulation, and the
+tableau row of the check suite."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -7,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (all_paulis, inverse_circuit, kron_circuit, kron_pauli,
-                     looped_expectation_invariance, per_term_dense_sum,
-                     random_commuting_group, random_graph_hamiltonian,
-                     tensordot_simulate_circuit)
-from paulimeasure import (CliffordCircuit, Gate, Hamiltonian, PauliProduct, PauliSum,
+                     looped_expectation_invariance, matrix_product_symbolic_unitary,
+                     per_term_dense_sum, random_commuting_group,
+                     random_graph_hamiltonian, tensordot_simulate_circuit)
+from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
+                          MeasurementPlan, PauliProduct, PauliSum,
                           build_unitary_symbolic, find_sigma, find_tau,
                           parse_hamiltonian, synthesize, transform_group)
 from paulimeasure import verify
@@ -289,3 +292,86 @@ class TestExpectationInvariance:
         h = parse_hamiltonian("1.0 Z6\n")
         with pytest.raises(verify.DimensionError):
             verify.expectation_invariance(h, h, np.eye(128, dtype=complex))
+
+
+TABLEAU = ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
+           "phase (tableau)")
+SIGNS = "circuit maps each group term to its transformed term (exact sign)"
+
+
+def one_group_plan(group: Hamiltonian) -> MeasurementPlan:
+    basis = find_sigma(find_tau(group))
+    return MeasurementPlan(group.n_qubits, (
+        GroupPlan(transform_group(group, basis), synthesize(basis)),))
+
+
+def with_gates(plan: MeasurementPlan, gates) -> MeasurementPlan:
+    """plan with its one group's circuit gates replaced."""
+    entry = plan.groups[0]
+    circuit = dataclasses.replace(entry.circuit, gates=tuple(gates))
+    return MeasurementPlan(plan.n_qubits, (GroupPlan(entry.transform, circuit),))
+
+
+def rows(h: Hamiltonian, plan: MeasurementPlan) -> dict[str, tuple[str, str]]:
+    return {name: (status, detail) for name, status, detail in verify.plan_checks(h, plan)}
+
+
+class TestTableauRow:
+    def test_passes_at_widths_where_the_dense_rows_skip(self):
+        rng = random.Random(67)
+        for n in (30, 60):
+            group = random_commuting_group(n, rng)
+            got = rows(group, one_group_plan(group))
+            assert got[TABLEAU] == ("pass", "")
+            assert [status for status, _ in got.values()].count("skip") == 5
+
+    def test_every_dropped_gate_fails(self):
+        group = random_commuting_group(30, random.Random(71))
+        plan = one_group_plan(group)
+        gates = plan.groups[0].circuit.gates
+        for k in range(len(gates)):
+            mutated = with_gates(plan, gates[:k] + gates[k + 1:])
+            assert rows(group, mutated)[TABLEAU][0] == "fail"
+
+    def test_every_reversed_cnot_fails(self):
+        group = random_commuting_group(30, random.Random(73))
+        plan = one_group_plan(group)
+        gates = plan.groups[0].circuit.gates
+        cnots = [k for k, g in enumerate(gates) if g.name == "CNOT"]
+        assert cnots
+        for k in cnots:
+            flipped = Gate("CNOT", gates[k].qubits[::-1])
+            mutated = with_gates(plan, gates[:k] + (flipped,) + gates[k + 1:])
+            assert rows(group, mutated)[TABLEAU][0] == "fail"
+
+    def test_identity_circuit_fails_at_the_first_factor(self):
+        group = parse_hamiltonian("1.0 X0 X1\n0.5 Z0 Z1\n")
+        status, detail = rows(group, with_gates(one_group_plan(group), ()))[TABLEAU]
+        basis = one_group_plan(group).groups[0].transform.basis
+        tau = basis.taus[0].to_term_string()
+        sigma = basis.sigma_product(0).to_term_string()
+        assert (status, detail) == (
+            "fail", f"group 0: tau_0 ({tau}) maps to +{tau}, not +{sigma}")
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_fails_a_gate_on_an_idle_qubit_that_the_sign_row_passes(self, n):
+        # the terms act as identity on the last qubit, so a Z appended there
+        # leaves every term's image alone but not the circuit's Clifford
+        group = parse_hamiltonian(f"qubits: {n}\n1.0 X0 X1\n0.5 Z0 Z1\n")
+        plan = one_group_plan(group)
+        mutated = with_gates(plan, plan.groups[0].circuit.gates + (Gate("Z", (n - 1,)),))
+        got = rows(group, mutated)
+        assert got[SIGNS] == ("pass", "")
+        assert got[TABLEAU][0] == "fail" and "maps to -" in got[TABLEAU][1]
+
+
+class TestSymbolicUnitary:
+    def test_gathers_equal_the_matrix_product_reference(self):
+        rng = random.Random(79)
+        for _ in range(20):
+            group = random_commuting_group(rng.randint(1, 6), rng)
+            entry = one_group_plan(group).groups[0]
+            g = verify._GroupOperators(group, entry, None)
+            np.testing.assert_allclose(
+                g.symbolic_unitary,
+                matrix_product_symbolic_unitary(entry.transform.basis), atol=1e-12)
