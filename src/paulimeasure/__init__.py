@@ -8,9 +8,9 @@ from .grouping import (CliqueCover, CompatGraph, CoverReport, CoverStats,
                        build_graph, compute_cover, cover_dsatur, cover_exact,
                        cover_rlf, cover_stats, cover_to_dict, validate_cover)
 from .transform import (GroupPlan, MeasurementPlan, TauSigmaBasis, TransformError,
-                        TransformedGroup, build_unitary_symbolic, expand_in_tau,
-                        find_sigma, find_tau, pipeline, plan_from_dict,
-                        plan_to_dict, plan_to_json, transform_group)
+                        TransformedGroup, expand_in_tau, find_sigma, find_tau,
+                        pipeline, plan_from_dict, plan_to_dict, plan_to_json,
+                        transform_group)
 from .circuits import (CliffordCircuit, Gate, circuit_from_dict, circuit_to_dict,
                        gate_counts, synthesize)
 
@@ -32,9 +32,8 @@ __all__ = [
     "compute_cover", "cover_dsatur", "cover_exact", "cover_rlf", "cover_stats",
     "cover_to_dict", "validate_cover",
     "GroupPlan", "MeasurementPlan", "TauSigmaBasis", "TransformError",
-    "TransformedGroup", "build_unitary_symbolic", "expand_in_tau", "find_sigma",
-    "find_tau", "pipeline", "plan_from_dict", "plan_to_dict", "plan_to_json",
-    "transform_group",
+    "TransformedGroup", "expand_in_tau", "find_sigma", "find_tau", "pipeline",
+    "plan_from_dict", "plan_to_dict", "plan_to_json", "transform_group",
     "CliffordCircuit", "Gate", "circuit_from_dict", "circuit_to_dict",
     "gate_counts", "synthesize",
 ]

@@ -93,13 +93,16 @@ class PauliProduct:
         return "".join(self.axis(q) for q in range(self.n_qubits))
 
     def to_term_string(self) -> str:
-        """Token form, e.g. ``"X0 Z3"`` or ``"I"``; one step per support qubit."""
+        """Token form, e.g. ``"X0 Z3"`` or ``"I"``; one step per support
+        qubit, reading its axis off the x and z bits."""
+        x, z = self.x, self.z
         parts = []
-        rest = self.support
+        rest = x | z
         while rest:
-            q = (rest & -rest).bit_length() - 1
-            parts.append(f"{self.axis(q)}{q}")
-            rest &= rest - 1
+            low = rest & -rest
+            axis = ("Y" if z & low else "X") if x & low else "Z"
+            parts.append(f"{axis}{low.bit_length() - 1}")
+            rest ^= low
         return " ".join(parts) if parts else "I"
 
     @property

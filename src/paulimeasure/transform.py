@@ -12,26 +12,25 @@ sigmas, which is qubit-wise commuting by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import gf2
 from .circuits import CliffordCircuit, Gate, _field, circuit_from_dict, synthesize
-from .pauli import (I_POWERS, MAX_QUBITS, Hamiltonian, PauliProduct, PauliSum,
-                    anticommuting, qubit_columns)
-
-MAX_SYMBOLIC_QUBITS = 8
+from .pauli import MAX_QUBITS, Hamiltonian, PauliProduct, anticommuting, qubit_columns
 
 
 class TransformError(RuntimeError):
     """Pipeline defect: a contract that valid inputs cannot violate failed."""
 
 
-def _commute_pairwise(n: int, products: Sequence[PauliProduct]) -> bool:
-    """No two of the products anticommute, tested on their term bitsets."""
-    xcol, zcol = qubit_columns(n, products)
-    return not any(anticommuting(xcol, zcol, p) for p in products)
+def _commute_pairwise(columns: tuple[list[int], list[int]],
+                      products: Sequence[PauliProduct]) -> bool:
+    """No two of the products anticommute, tested on their term bitsets
+    ``columns``, the products' ``qubit_columns``."""
+    return not any(anticommuting(*columns, p) for p in products)
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,11 @@ class TauSigmaBasis:
     def sigma_product(self, i: int) -> PauliProduct:
         qubit, axis = self.sigmas[i]
         return PauliProduct.single(self.n_qubits, qubit, axis)
+
+    @cached_property
+    def tau_columns(self) -> tuple[list[int], list[int]]:
+        """The taus as per-qubit term bitsets: bit k stands for tau_k."""
+        return qubit_columns(self.n_qubits, self.taus)
 
     @cached_property
     def sigma_columns(self) -> tuple[list[int], list[int]]:
@@ -75,7 +79,7 @@ class TauSigmaBasis:
         if len(set(qubits)) != n:
             raise ValueError("sigma qubits must be pairwise distinct")
         if not (gf2.is_independent([t.packed for t in self.taus], 2 * n)
-                and _commute_pairwise(n, self.taus)):
+                and _commute_pairwise(self.tau_columns, self.taus)):
             raise ValueError("taus are not a Lagrangian basis")
         for i, tau in enumerate(self.taus):
             wrong = anticommuting(*self.sigma_columns, tau) ^ (1 << i)
@@ -84,9 +88,8 @@ class TauSigmaBasis:
                 raise ValueError(f"tau_{i} does not anticommute with sigma_{i}" if j == i
                                  else f"tau_{i} anticommutes with sigma_{j}")
         if group is not None:
-            tau_columns = qubit_columns(n, self.taus)
             for ti, prod in enumerate(group.products()):
-                hits = anticommuting(*tau_columns, prod)
+                hits = anticommuting(*self.tau_columns, prod)
                 if hits:
                     k = (hits & -hits).bit_length() - 1
                     raise ValueError(f"group term {ti} anticommutes with tau_{k}")
@@ -123,7 +126,7 @@ def find_tau(group: Hamiltonian) -> list[PauliProduct]:
     """
     n = group.n_qubits
     products = group.products()
-    if not _commute_pairwise(n, products):
+    if not _commute_pairwise(qubit_columns(n, products), products):
         raise ValueError("group terms do not commute")
     basis, _ = gf2.row_reduce([p.packed for p in products], 2 * n)
     if len(basis) < n:
@@ -158,11 +161,11 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     if any(t.n_qubits != n or t.phase_exp != 0 for t in taus):
         raise ValueError("taus must share the qubit count and carry no phase")
     vecs = [t.packed for t in taus]
+    xcol, zcol = qubit_columns(n, taus)
     if (len(vecs) != n or not gf2.is_independent(vecs, 2 * n)
-            or not _commute_pairwise(n, taus)):
+            or not _commute_pairwise((xcol, zcol), taus)):
         raise ValueError("taus are not a Lagrangian basis")
     # Bit k of cols[b] is bit b of vecs[k]: the x columns, then the z columns.
-    xcol, zcol = qubit_columns(n, taus)
     cols = xcol + zcol
     unassigned = (1 << n) - 1
     sigmas: list[tuple[int, str]] = []
@@ -203,21 +206,34 @@ def expand_in_tau(term: PauliProduct, basis: TauSigmaBasis
     which proves it lies in the tau span. Mutually commuting taus force an
     even i-exponent, so p is a sign. The basis must hold the TauSigmaBasis
     invariants.
+
+    The product is kept as x/z bitmasks and an i-exponent. Summed over the
+    steps, the phase rule of ``PauliProduct.__mul__`` telescopes: the
+    running product's own |x & z| cancels between steps, which leaves each
+    factor's phase and |x & z|, twice |z & x'| of each running product z
+    and factor x', minus |x & z| of the result.
     """
     if term.n_qubits != basis.n_qubits:
         raise ValueError("qubit-count mismatch")
-    n = basis.n_qubits
-    selection = anticommuting(*basis.sigma_columns, term)
-    indices = tuple(k for k in range(n) if (selection >> k) & 1)
-    product = PauliProduct.identity(n)
-    for k in indices:
-        product = product * basis.taus[k]
-    if (product.x, product.z) != (term.x, term.z):
+    taus = basis.taus
+    rest = anticommuting(*basis.sigma_columns, term)
+    indices = []
+    x = z = g = 0
+    while rest:
+        low = rest & -rest
+        k = low.bit_length() - 1
+        indices.append(k)
+        tau = taus[k]
+        g += tau.phase_exp + (tau.x & tau.z).bit_count() + 2 * (z & tau.x).bit_count()
+        x ^= tau.x
+        z ^= tau.z
+        rest ^= low
+    if x != term.x or z != term.z:
         raise TransformError("term not in tau-span")
-    diff = (term.phase_exp - product.phase_exp) % 4
+    diff = (term.phase_exp - g + (x & z).bit_count()) % 4
     if diff % 2:
         raise TransformError("expansion phase is imaginary")
-    return indices, 1 - diff
+    return tuple(indices), 1 - diff
 
 
 def transform_group(group: Hamiltonian, basis: TauSigmaBasis,
@@ -246,29 +262,6 @@ def transform_group(group: Hamiltonian, basis: TauSigmaBasis,
     return TransformedGroup(indices, basis, Hamiltonian(n, tuple(out_terms)))
 
 
-def build_unitary_symbolic(basis: TauSigmaBasis) -> PauliSum:
-    """Expand the product of (tau_i + sigma_i)/sqrt(2) into a Pauli sum.
-
-    Factors multiply in ascending i with exact phase tracking; the 2^N
-    resulting products are distinct, each weighted by 2^(-N/2) i^k.
-    """
-    n = basis.n_qubits
-    if n > MAX_SYMBOLIC_QUBITS:
-        raise ValueError(
-            f"symbolic expansion limited to {MAX_SYMBOLIC_QUBITS} qubits, got {n}")
-    scale = 2.0 ** (-n / 2)
-    sigma_prods = [basis.sigma_product(i) for i in range(n)]
-    terms: list[tuple[complex, PauliProduct]] = []
-    for mask in range(1 << n):
-        product = PauliProduct.identity(n)
-        for i in range(n):
-            factor = sigma_prods[i] if (mask >> i) & 1 else basis.taus[i]
-            product = product * factor
-        coeff = scale * I_POWERS[product.phase_exp]
-        terms.append((coeff, PauliProduct(n, product.x, product.z)))
-    return PauliSum(n, tuple(terms))
-
-
 def pipeline(h: Hamiltonian, cover) -> MeasurementPlan:
     """Per cover group: find taus and sigmas, transform, synthesize a circuit."""
     from .grouping import validate_cover
@@ -291,11 +284,14 @@ def pipeline(h: Hamiltonian, cover) -> MeasurementPlan:
     return MeasurementPlan(h.n_qubits, tuple(entries))
 
 
-def _dumps(value, level: int) -> str:
-    """``json.dumps(value, indent=2)`` for a value whose first line sits at
-    indent level ``level``: every later line is shifted by that level. JSON
-    escapes a newline inside a string, so every newline is a line break."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+def _number(value) -> str:
+    """A number as ``json.dumps`` writes it. An exact int and a finite exact
+    float are written by their repr; anything else, such as a bool, a float
+    subclass like numpy.float64, NaN or an infinity, goes through json.dumps."""
+    kind = type(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
 
 
 def _array(items: list[str], level: int) -> str:
@@ -307,55 +303,71 @@ def _array(items: list[str], level: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
 
 
-def _object(members: list[tuple[str, str]], level: int) -> str:
-    """An indented JSON object at ``level`` from (key, value text) pairs, each
-    value already indented for level + 1."""
-    pad = "\n" + "  " * (level + 1)
-    return ("{" + ",".join(f"{pad}{json.dumps(k)}: {v}" for k, v in members)
-            + "\n" + "  " * level + "}")
+# Objects of the plan file, indented for where they sit: plan > groups >
+# group (level 2) > its fields > sigma, term and gate items (levels 4, 5).
+_SIGMA = """{{
+          "qubit": {},
+          "axis": {}
+        }}"""
+_TERM = """{{
+          "coeff": {},
+          "pauli": "{}"
+        }}"""
+_GATE = """{{
+            "name": {},
+            "qubits": {}
+          }}"""
+_GROUP = """{{
+      "term_indices": {},
+      "tau": {},
+      "sigma": {},
+      "transformed": {},
+      "circuit": {{
+        "n_qubits": {},
+        "global_phase_exp": {},
+        "gates": {}
+      }}
+    }}"""
 
 
-# Indent level of a gate object in plan JSON: plan > groups > group > circuit > gates.
-_GATE_LEVEL = 5
-
-
-class _GateBlocks(dict):
-    """Gate -> its indented JSON block in a plan, each built on first use."""
-
-    def __missing__(self, gate: Gate) -> str:
-        text = self[gate] = _dumps({"name": gate.name, "qubits": list(gate.qubits)},
-                                   _GATE_LEVEL)
-        return text
+def _gate_block(gate: Gate) -> str:
+    return _GATE.format(json.dumps(gate.name),
+                        _array([_number(q) for q in gate.qubits], 6))
 
 
 def plan_to_json(plan: MeasurementPlan) -> str:
     """The plan file: byte for byte ``json.dumps(d, indent=2) + "\\n"`` of
     its dict form ``d``, built without that dict.
 
-    This is where the plan schema is written down. Each distinct gate's
-    block is built once per call and a circuit is a join of those blocks,
-    so the cost per gate is a dict lookup; the pure-Python indenting
-    encoder runs only on the smaller per-group fields.
+    This is where the plan schema is written down. Every object is filled
+    into a template indented for its place. Numbers follow ``_number``.
+    Term strings from ``to_term_string`` hold only axis letters, digits
+    and spaces, so they are written unescaped; a sigma axis and a gate name
+    go through json.dumps. Each distinct gate's block is built once per
+    call, so the cost per gate is a dict lookup.
     """
-    blocks = _GateBlocks()
+    blocks: dict[Gate, str] = {}
     groups = []
     for entry in plan.groups:
         tg, c = entry.transform, entry.circuit
-        circuit = _object([
-            ("n_qubits", json.dumps(c.n_qubits)),
-            ("global_phase_exp", json.dumps(c.global_phase_exp)),
-            ("gates", _array([blocks[g] for g in c.gates], _GATE_LEVEL - 1)),
-        ], 3)
-        groups.append(_object([
-            ("term_indices", _dumps(list(tg.term_indices), 3)),
-            ("tau", _dumps([t.to_term_string() for t in tg.basis.taus], 3)),
-            ("sigma", _dumps([{"qubit": q, "axis": a} for q, a in tg.basis.sigmas], 3)),
-            ("transformed", _dumps([{"coeff": coeff, "pauli": p.to_term_string()}
-                                    for coeff, p in tg.transformed.terms], 3)),
-            ("circuit", circuit),
-        ], 2))
-    return _object([("n_qubits", json.dumps(plan.n_qubits)),
-                    ("groups", _array(groups, 1))], 0) + "\n"
+        gates = []
+        for g in c.gates:
+            # True and 1.0 equal 1 as keys, so only exact ints share a block;
+            # a gate has one or two qubits.
+            if type(g.qubits[0]) is int is type(g.qubits[-1]):
+                gates.append(blocks.get(g) or blocks.setdefault(g, _gate_block(g)))
+            else:
+                gates.append(_gate_block(g))
+        groups.append(_GROUP.format(
+            _array([_number(i) for i in tg.term_indices], 3),
+            _array([f'"{t.to_term_string()}"' for t in tg.basis.taus], 3),
+            _array([_SIGMA.format(_number(q), json.dumps(a))
+                    for q, a in tg.basis.sigmas], 3),
+            _array([_TERM.format(_number(coeff), p.to_term_string())
+                    for coeff, p in tg.transformed.terms], 3),
+            _number(c.n_qubits), _number(c.global_phase_exp), _array(gates, 4)))
+    return (f'{{\n  "n_qubits": {_number(plan.n_qubits)},\n  "groups": '
+            f'{_array(groups, 1)}\n}}\n')
 
 
 def plan_to_dict(plan: MeasurementPlan) -> dict:

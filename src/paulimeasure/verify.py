@@ -373,7 +373,7 @@ def _check_tableau(g: _GroupOperators):
     basis = g.entry.transform.basis
     basis.check_counts()
     n = basis.n_qubits
-    tau_x, tau_z = qubit_columns(n, basis.taus)
+    tau_x, tau_z = basis.tau_columns
     sigma_x, sigma_z = basis.sigma_columns
     xs, zs, minus = conjugate_columns(
         g.entry.circuit, [t | s << n for t, s in zip(tau_x, sigma_x)],

@@ -7,11 +7,11 @@ import re
 
 import numpy as np
 
-from paulimeasure import (CliffordCircuit, Gate, Hamiltonian, PauliProduct,
-                          TauSigmaBasis, circuit_to_dict)
+from paulimeasure import (CliffordCircuit, Gate, Hamiltonian, PauliProduct, PauliSum,
+                          TauSigmaBasis, TransformError, circuit_to_dict)
 from paulimeasure import gf2
 from paulimeasure.circuits import _append_exponent, _Fold
-from paulimeasure.pauli import MAX_QUBITS
+from paulimeasure.pauli import I_POWERS, MAX_QUBITS, anticommuting
 from paulimeasure.verify import dense_matrix, dense_pauli, random_state
 
 AXES = "IXYZ"
@@ -382,6 +382,58 @@ def solve_expansion(term: PauliProduct, basis) -> tuple[tuple[int, ...], int]:
     if diff == 2:
         return indices, -1
     raise ValueError("expansion phase is imaginary")
+
+
+# transform.expand_in_tau as it was before it multiplied the taus on plain
+# ints: one PauliProduct product per selected tau. Tests require the same
+# indices, sign and error.
+
+def product_expand_in_tau(term: PauliProduct, basis: TauSigmaBasis
+                          ) -> tuple[tuple[int, ...], int]:
+    if term.n_qubits != basis.n_qubits:
+        raise ValueError("qubit-count mismatch")
+    n = basis.n_qubits
+    selection = anticommuting(*basis.sigma_columns, term)
+    indices = tuple(k for k in range(n) if (selection >> k) & 1)
+    product = PauliProduct.identity(n)
+    for k in indices:
+        product = product * basis.taus[k]
+    if (product.x, product.z) != (term.x, term.z):
+        raise TransformError("term not in tau-span")
+    diff = (term.phase_exp - product.phase_exp) % 4
+    if diff % 2:
+        raise TransformError("expansion phase is imaginary")
+    return indices, 1 - diff
+
+
+# The paper's U as a Pauli sum, which the package exported until the
+# tableau row of `measure verify` proved the circuit at every width. Tests
+# use it as the symbolic reference.
+
+MAX_SYMBOLIC_QUBITS = 8
+
+
+def build_unitary_symbolic(basis: TauSigmaBasis) -> PauliSum:
+    """Expand the product of (tau_i + sigma_i)/sqrt(2) into a Pauli sum.
+
+    Factors multiply in ascending i with exact phase tracking; the 2^N
+    resulting products are distinct, each weighted by 2^(-N/2) i^k.
+    """
+    n = basis.n_qubits
+    if n > MAX_SYMBOLIC_QUBITS:
+        raise ValueError(
+            f"symbolic expansion limited to {MAX_SYMBOLIC_QUBITS} qubits, got {n}")
+    scale = 2.0 ** (-n / 2)
+    sigma_prods = [basis.sigma_product(i) for i in range(n)]
+    terms: list[tuple[complex, PauliProduct]] = []
+    for mask in range(1 << n):
+        product = PauliProduct.identity(n)
+        for i in range(n):
+            factor = sigma_prods[i] if (mask >> i) & 1 else basis.taus[i]
+            product = product * factor
+        coeff = scale * I_POWERS[product.phase_exp]
+        terms.append((coeff, PauliProduct(n, product.x, product.z)))
+    return PauliSum(n, tuple(terms))
 
 
 def pairwise_validate(basis, group: Hamiltonian | None = None) -> None:

@@ -11,9 +11,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import all_paulis, random_commuting_group
-from paulimeasure import (CliqueCover, PauliProduct, build_graph,
-                          build_unitary_symbolic, cover_exact, cover_rlf,
+from helpers import all_paulis, build_unitary_symbolic, random_commuting_group
+from paulimeasure import (CliqueCover, PauliProduct, build_graph, cover_exact, cover_rlf,
                           compute_cover, expand_in_tau, find_sigma, find_tau,
                           pipeline, synthesize, transform_group, validate_cover)
 from paulimeasure import gf2, verify

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (LiteralGates, all_paulis, conjugation_maps_paulis_to_paulis,
+from helpers import (LiteralGates, all_paulis, build_unitary_symbolic,
+                     conjugation_maps_paulis_to_paulis,
                      fold_circuit, inverse_circuit, kron_gate,
                      qubit_runs, random_commuting_group, random_pauli,
                      scanning_exponent_gates, unfolded_synthesize)
 from paulimeasure import (CliffordCircuit, Gate, PauliProduct, TauSigmaBasis,
-                          build_unitary_symbolic, circuit_from_dict, circuit_to_dict,
+                          circuit_from_dict, circuit_to_dict,
                           find_sigma, find_tau, gate_counts, synthesize,
                           transform_group)
 from paulimeasure import verify

@@ -537,6 +537,37 @@ class TestVerify:
                      "circuit matches symbolic unitary (tol 1e-10)"):
             assert f"FAIL {name} (group 0: expected 4 taus and sigmas)" in rows
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("axis", "Q", "axis must be X, Y or Z, got 'Q'"),
+        ("qubit", -1, "qubit -1 out of range for 3 qubits"),
+        ("qubit", 3, "qubit 3 out of range for 3 qubits"),
+    ])
+    def test_bad_sigma_fails_the_rows_that_read_it(self, tmp_path, capsys, field,
+                                                   value, reason):
+        """A sigma that is no single-qubit Pauli of the register loads, then
+        fails every row that builds it with its one-line reason."""
+        source = tmp_path / "three.txt"
+        source.write_text("qubits: 3\n1.0 X0 X1\n0.5 Z0 Z1\n0.25 Z2\n-0.4 Y0 Y1 Z2\n")
+        code, out, err = self.run_verify_on_edited_plan(
+            str(source), tmp_path, lambda p: set_path(p, ["sigma", 0, field], value),
+            capsys)
+        assert (code, err) == (1, "")
+        failed = f" (group 0: {reason})"
+        assert out.splitlines() == [
+            "PASS groups partition the terms",
+            "FAIL basis invariants" + failed,
+            "PASS transformed groups qubit-wise commuting",
+            "PASS coefficient magnitudes preserved",
+            "PASS circuit maps each group term to its transformed term (exact sign)",
+            "FAIL circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
+            "phase (tableau)" + failed,
+            "PASS spectra preserved (tol 1e-9)",
+            "FAIL conjugated group matches transform (tol 1e-9)" + failed,
+            "FAIL unitarity (tol 1e-10)" + failed,
+            "FAIL circuit matches symbolic unitary (tol 1e-10)" + failed,
+            "PASS expectation values invariant (tol 1e-9)",
+        ]
+
     @pytest.mark.parametrize("name", ["h2", "wide-100q"])
     def test_cnot_on_one_qubit_is_a_plan_error(self, name, tmp_path, capsys):
         source = tmp_path / "source.txt"

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (is_lagrangian, pairwise_validate, random_commuting_group,
-                     random_isotropic, random_pauli, reference_plan_dict,
-                     rescanning_find_sigma, solve_expansion)
+from helpers import (build_unitary_symbolic, is_lagrangian, pairwise_validate,
+                     product_expand_in_tau, random_commuting_group, random_isotropic,
+                     random_pauli, reference_plan_dict, rescanning_find_sigma,
+                     solve_expansion)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, TauSigmaBasis, TransformError,
-                          TransformedGroup, build_graph, build_unitary_symbolic,
-                          cover_rlf, expand_in_tau, find_sigma, find_tau,
-                          parse_hamiltonian, pipeline, plan_from_dict, plan_to_dict,
-                          plan_to_json, transform_group)
+                          TransformedGroup, build_graph, cover_rlf, expand_in_tau,
+                          find_sigma, find_tau, parse_hamiltonian, pipeline,
+                          plan_from_dict, plan_to_dict, plan_to_json, transform_group)
 from paulimeasure.circuits import GATE_NAMES
 from paulimeasure import verify
 from paulimeasure.fixtures import (h2_commuting_group, h2_reference_basis,
@@ -167,6 +167,38 @@ class TestExpandInTau:
                     expand_in_tau(term, basis)
             else:
                 assert expand_in_tau(term, basis) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_product_reference(self, n, seed, from_group):
+        """Indices, sign and error text equal those of the PauliProduct
+        product, for terms in the tau span with any phase, span elements
+        times one single-qubit Pauli, and random products."""
+        rng = random.Random(seed)
+        if from_group:
+            basis = find_sigma(find_tau(random_commuting_group(n, rng)))
+        else:
+            basis = find_sigma([PauliProduct.from_packed(v, n)
+                                for v in random_isotropic(n, n, rng)])
+        for _ in range(12):
+            term = PauliProduct(n, 0, 0, rng.randrange(4))
+            for k in range(n):
+                if rng.getrandbits(1):
+                    term = term * basis.taus[k]
+            kind = rng.randrange(3)
+            if kind == 1:
+                term = term * PauliProduct.single(n, rng.randrange(n), rng.choice("XYZ"))
+            elif kind == 2:
+                term = random_pauli(n, rng, phase=True)
+            assert (expansion_outcome(expand_in_tau, term, basis)
+                    == expansion_outcome(product_expand_in_tau, term, basis))
+
+
+def expansion_outcome(expand, term, basis):
+    try:
+        return expand(term, basis)
+    except TransformError as exc:
+        return "TransformError", str(exc)
 
 
 class TestTransformGroup:
@@ -333,19 +365,26 @@ def measurement_plans(draw):
     paulis = st.builds(PauliProduct, st.just(n), st.integers(0, (1 << n) - 1),
                        st.integers(0, (1 << n) - 1))
     qubit = st.integers(0, n - 1)
+    # True and False are qubits 1 and 0 to CliffordCircuit, but JSON booleans.
+    gate_qubit = qubit | st.sampled_from((False, True)[:n])
     gate = st.builds(lambda name, q: Gate(name, (q,)), st.sampled_from(ONE_QUBIT_GATES),
-                   qubit)
+                     gate_qubit)
     if n > 1:
-        gate |= st.tuples(qubit, qubit).filter(lambda t: t[0] != t[1]).map(
+        gate |= st.tuples(gate_qubit, gate_qubit).filter(lambda t: t[0] != t[1]).map(
             lambda t: Gate("CNOT", t))
-    coeff = st.floats() | st.sampled_from([1e-05, 5e-324, 1e+16, -0.0, 1e300])
+    # Numbers json.dumps writes other than by repr: bools, a float subclass,
+    # NaN and the infinities (from st.floats()).
+    coeff = (st.floats() | st.sampled_from([1e-05, 5e-324, 1e+16, -0.0, 1e300])
+             | st.integers(-2**70, 2**70) | st.booleans() | st.floats().map(np.float64))
+    index = st.integers(0, 2**40) | st.booleans()
+    axis = st.sampled_from("XYZ") | st.text(max_size=3)
     group = st.builds(
         lambda indices, taus, sigmas, terms, gates, phase: GroupPlan(
             TransformedGroup(tuple(indices), TauSigmaBasis(n, tuple(taus), tuple(sigmas)),
                              Hamiltonian(n, tuple(terms))),
             CliffordCircuit(n, tuple(gates), phase)),
-        st.lists(st.integers(0, 2**40), max_size=4), st.lists(paulis, max_size=n),
-        st.lists(st.tuples(qubit, st.sampled_from("XYZ")), max_size=n),
+        st.lists(index, max_size=4), st.lists(paulis, max_size=n),
+        st.lists(st.tuples(qubit | st.booleans(), axis), max_size=n),
         st.lists(st.tuples(coeff, paulis), max_size=4), st.lists(gate, max_size=12),
         st.integers(0, 7))
     return MeasurementPlan(n, tuple(draw(st.lists(group, max_size=3))))
@@ -376,6 +415,16 @@ class TestPlanToJson:
     @given(measurement_plans())
     def test_generated_plans(self, plan):
         assert plan_to_json(plan) == stdlib_layout(plan)
+
+    def test_equal_gates_with_int_and_bool_qubits(self):
+        """Gate("H", (1,)) equals Gate("H", (True,)) and Gate("H", (1.0,)),
+        yet each is written with its own JSON number, in any order."""
+        h = model_hamiltonian(0.5, 0.25)
+        entry = pipeline(h, cover_rlf(build_graph(h, "fc"))).groups[0]
+        for qubits in ([1, True, 1.0, 1], [True, 1, 1.0, True], [1.0, 1, True]):
+            gates = tuple(Gate("H", (q,)) for q in qubits)
+            plan = MeasurementPlan(2, (GroupPlan(entry.transform, CliffordCircuit(2, gates)),))
+            assert plan_to_json(plan) == stdlib_layout(plan)
 
     def test_plan_to_dict_reads_the_written_text(self):
         h = six_term_hamiltonian()

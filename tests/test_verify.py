@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (all_paulis, inverse_circuit, kron_circuit, kron_pauli,
+from helpers import (all_paulis, build_unitary_symbolic, inverse_circuit, kron_circuit, kron_pauli,
                      looped_expectation_invariance, matrix_product_symbolic_unitary,
                      per_term_dense_sum, random_commuting_group,
                      random_graph_hamiltonian, tensordot_simulate_circuit)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, PauliSum,
-                          build_unitary_symbolic, find_sigma, find_tau,
+                          find_sigma, find_tau,
                           parse_hamiltonian, synthesize, transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES
