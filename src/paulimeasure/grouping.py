@@ -8,10 +8,10 @@ for term j. The graph is built from per-qubit term bitsets (``xcol[q]`` and
 ``zcol[q]``, the terms with an X or a Z bit on qubit q): the terms that
 break the relation with term i are an XOR (fc) or an OR (qwc) of one such
 bitset per qubit of term i, so the build is O(m*w) big-int operations for
-m terms of weight w, with no pairwise loop and no m*m matrix. The complement
-adjacency is derived on the fly and never materialized. DSATUR keeps the
-uncolored vertices in saturation buckets, so it does not rescan all
-vertices to pick the next one.
+m terms of weight w, with no pairwise loop and no m*m matrix. The graph
+keeps those conflict rows, which are the adjacency rows of the complement
+that every cover colors. DSATUR keeps the uncolored vertices in saturation
+buckets, so it does not rescan all vertices to pick the next one.
 """
 
 from __future__ import annotations
@@ -29,19 +29,13 @@ DEFAULT_EXACT_CAP = 64
 
 @dataclass(frozen=True)
 class CompatGraph:
-    """Symmetric compatibility relation over Hamiltonian terms, no self loops."""
+    """Compatibility relation over Hamiltonian terms, stored as its complement:
+    bit j of ``conflicts[i]`` is set when terms i and j break the relation.
+    The rows are symmetric and carry no self bit."""
 
     n_vertices: int
     relation: str
-    adj: tuple[int, ...]
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n_vertices) - 1
-
-    def comp_row(self, v: int) -> int:
-        """Adjacency row of the complement graph."""
-        return self.full_mask & ~self.adj[v] & ~(1 << v)
+    conflicts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -66,8 +60,11 @@ class CoverStats:
 
 @dataclass(frozen=True)
 class CoverReport:
-    valid: bool
     violations: tuple[str, ...]
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
 
 def _bits(mask: int):
@@ -85,6 +82,8 @@ def _conflicts(h: Hamiltonian, relation: str) -> list[int]:
     from those in xcol[q], and one with a Y from their XOR; any such
     difference breaks qubit-wise commutation, so the row ORs them.
     """
+    if relation not in RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
     prods = h.products()
     xcol, zcol = qubit_columns(h.n_qubits, prods)
     if relation == "fc":
@@ -103,15 +102,11 @@ def _conflicts(h: Hamiltonian, relation: str) -> list[int]:
 
 
 def build_graph(h: Hamiltonian, relation: str) -> CompatGraph:
-    """Connect term pairs satisfying the commutation relation ("fc" or "qwc")."""
-    if relation not in RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
-    n = len(h.terms)
-    if n == 0:
+    """The term pairs that break the commutation relation ("fc" or "qwc")."""
+    conflicts = _conflicts(h, relation)
+    if not conflicts:
         raise ValueError("no terms")
-    full = (1 << n) - 1
-    return CompatGraph(n, relation, tuple(full & ~row & ~(1 << i)
-                                          for i, row in enumerate(_conflicts(h, relation))))
+    return CompatGraph(len(conflicts), relation, tuple(conflicts))
 
 
 def _groups_from_colors(colors: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -126,15 +121,15 @@ def _dsatur_colors(graph: CompatGraph) -> list[int]:
     """Color the vertex of highest saturation next, lowest index on ties.
 
     ``buckets[s]`` holds the uncolored vertices of saturation s (distinct
-    colors among their complement neighbors); a vertex whose saturation
-    rises moves up one bucket. ``seen[c]`` is the union of the complement
+    colors among their conflicting vertices); a vertex whose saturation
+    rises moves up one bucket. ``seen[c]`` is the union of the conflict
     rows of the vertices colored c: the vertices that may no longer take c.
     """
     n = graph.n_vertices
     colors = [-1] * n
     seen: list[int] = []
     buckets = [0] * (n + 1)
-    buckets[0] = uncolored = graph.full_mask
+    buckets[0] = uncolored = (1 << n) - 1
     top = 0
     for _ in range(n):
         while not buckets[top]:
@@ -149,7 +144,7 @@ def _dsatur_colors(graph: CompatGraph) -> list[int]:
         if c == len(seen):
             seen.append(0)
         colors[v] = c
-        row = graph.comp_row(v)
+        row = graph.conflicts[v]
         rising = row & ~seen[c] & uncolored
         seen[c] |= row
         # Top bucket first, so that a vertex moves up at most once.
@@ -179,8 +174,8 @@ def cover_rlf(graph: CompatGraph) -> CliqueCover:
     repeatedly add the candidate with the most complement-neighbors among the
     excluded vertices; ties break toward the lowest index.
     """
-    rows = [graph.comp_row(v) for v in range(graph.n_vertices)]
-    uncovered = graph.full_mask
+    rows = graph.conflicts
+    uncovered = (1 << graph.n_vertices) - 1
     groups: list[tuple[int, ...]] = []
     while uncovered:
         seed = None
@@ -212,12 +207,12 @@ def cover_rlf(graph: CompatGraph) -> CliqueCover:
 
 def _complement_clique_size(graph: CompatGraph) -> int:
     """Greedy clique of the complement; lower bound for its chromatic number."""
-    order = sorted(range(graph.n_vertices),
-                   key=lambda v: (-graph.comp_row(v).bit_count(), v))
+    rows = graph.conflicts
+    order = sorted(range(graph.n_vertices), key=lambda v: (-rows[v].bit_count(), v))
     clique_mask = 0
     size = 0
     for v in order:
-        if clique_mask & ~graph.comp_row(v):
+        if clique_mask & ~rows[v]:
             continue
         clique_mask |= 1 << v
         size += 1
@@ -230,11 +225,11 @@ def _k_coloring(graph: CompatGraph, k: int) -> list[int] | None:
     colors = [-1] * n
     forbid = [[0] * k for _ in range(n)]
     sat = [0] * n
-    comp_deg = [graph.comp_row(v).bit_count() for v in range(n)]
+    comp_deg = [row.bit_count() for row in graph.conflicts]
 
     def assign(v: int, c: int, delta: int) -> None:
         colors[v] = c if delta > 0 else -1
-        for u in _bits(graph.comp_row(v)):
+        for u in _bits(graph.conflicts[v]):
             forbid[u][c] += delta
             if delta > 0 and forbid[u][c] == 1:
                 sat[u] += 1
@@ -287,8 +282,6 @@ def compute_cover(graph: CompatGraph, method: str) -> CliqueCover:
 
 def validate_cover(h: Hamiltonian, cover: CliqueCover, relation: str) -> CoverReport:
     """Check disjointness, coverage and the pairwise relation inside groups."""
-    if relation not in RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
     n = len(h.terms)
     violations: list[str] = []
     seen: set[int] = set()
@@ -312,7 +305,7 @@ def validate_cover(h: Hamiltonian, cover: CliqueCover, relation: str) -> CoverRe
     missing = [v for v in range(n) if v not in seen]
     if missing:
         violations.append(f"uncovered terms: {missing}")
-    return CoverReport(not violations, tuple(violations))
+    return CoverReport(tuple(violations))
 
 
 def cover_stats(cover: CliqueCover) -> CoverStats:

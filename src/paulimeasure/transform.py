@@ -46,9 +46,11 @@ class TauSigmaBasis:
     taus: tuple[PauliProduct, ...]
     sigmas: tuple[tuple[int, str], ...]
 
-    def sigma_product(self, i: int) -> PauliProduct:
-        qubit, axis = self.sigmas[i]
-        return PauliProduct.single(self.n_qubits, qubit, axis)
+    @cached_property
+    def sigma_products(self) -> tuple[PauliProduct, ...]:
+        """The sigmas as single-qubit products, sigma_k at index k."""
+        return tuple(PauliProduct.single(self.n_qubits, *self.sigmas[i])
+                     for i in range(self.n_qubits))
 
     @cached_property
     def tau_columns(self) -> tuple[list[int], list[int]]:
@@ -58,7 +60,7 @@ class TauSigmaBasis:
     @cached_property
     def sigma_columns(self) -> tuple[list[int], list[int]]:
         """The sigmas as per-qubit term bitsets: bit k stands for sigma_k."""
-        return qubit_columns(self.n_qubits, map(self.sigma_product, range(self.n_qubits)))
+        return qubit_columns(self.n_qubits, self.sigma_products)
 
     def check_counts(self) -> None:
         """Raise ValueError unless there are exactly n_qubits taus and sigmas."""
@@ -250,7 +252,7 @@ def transform_group(group: Hamiltonian, basis: TauSigmaBasis,
         else tuple(range(len(group.terms)))
     if len(indices) != len(group.terms):
         raise ValueError("term_indices length differs from the group")
-    sigmas = [basis.sigma_product(k) for k in range(n)]
+    sigmas = basis.sigma_products
     out_terms: list[tuple[float, PauliProduct]] = []
     for coeff, prod in group.terms:
         subset, phase = expand_in_tau(prod, basis)
@@ -266,9 +268,10 @@ def pipeline(h: Hamiltonian, cover) -> MeasurementPlan:
     """Per cover group: find taus and sigmas, transform, synthesize a circuit."""
     from .grouping import validate_cover
 
-    report = validate_cover(h, cover, "fc")
-    if not report.valid:
-        raise ValueError("cover invalid under fc: " + "; ".join(report.violations))
+    violations = validate_cover(h, cover, "fc").violations
+    if violations:
+        raise ValueError(f"cover invalid under fc: {len(violations)} violations, "
+                         f"first {violations[0]}")
     entries: list[GroupPlan] = []
     for gi, group_indices in enumerate(cover.groups):
         try:

@@ -282,7 +282,7 @@ class _GroupOperators:
         u = np.eye(1 << n, dtype=complex)
         for i in range(n):
             terms = []
-            for p in (basis.taus[i], basis.sigma_product(i)):
+            for p in (basis.taus[i], basis.sigma_products[i]):
                 flip, sign_mask, phase = _signed_permutation(p)
                 terms.append(u[:, b ^ flip] * ((1 - 2 * _parity(b & sign_mask)) * phase))
             u = (terms[0] + terms[1]) / np.sqrt(2)
@@ -312,13 +312,11 @@ def _check_basis(g: _GroupOperators):
 
 
 def _check_qwc(g: _GroupOperators):
-    """The lowest clashing pair: the first term with a non-empty complement
+    """The lowest clashing pair: the first term with a non-empty conflict
     row in the qwc relation, and the lowest term of that row."""
     transformed = g.entry.transform.transformed
     if transformed.terms:
-        graph = build_graph(transformed, "qwc")
-        for i in range(graph.n_vertices):
-            clash = graph.comp_row(i)
+        for i, clash in enumerate(build_graph(transformed, "qwc").conflicts):
             if clash:
                 j = (clash & -clash).bit_length() - 1
                 return False, f"transformed terms {i} and {j} are not QWC"
@@ -332,6 +330,13 @@ def _check_coeffs(g: _GroupOperators):
                                         for a, b in zip(source, image)):
         return False, "coefficient magnitudes changed"
     return True, ""
+
+
+def _image(n: int, xs: list[int], zs: list[int], minus: int, k: int) -> str:
+    """Bit k of conjugated columns (``conjugate_columns``) as a signed term."""
+    image = PauliProduct(n, sum(((xs[q] >> k) & 1) << q for q in range(n)),
+                         sum(((zs[q] >> k) & 1) << q for q in range(n)))
+    return f"{'-' if (minus >> k) & 1 else '+'}{image.to_term_string()}"
 
 
 def _check_signs(g: _GroupOperators):
@@ -353,13 +358,11 @@ def _check_signs(g: _GroupOperators):
     if not wrong:
         return True, ""
     k = (wrong & -wrong).bit_length() - 1
-    image = PauliProduct(n, sum(((xs[q] >> k) & 1) << q for q in range(n)),
-                         sum(((zs[q] >> k) & 1) << q for q in range(n)))
     coeff, term = g.group.terms[k]
     t_coeff, t_term = stated.terms[k]
     return False, (f"term {g.entry.transform.term_indices[k]} "
                    f"({coeff!r} {term.to_term_string()}) maps to "
-                   f"{'-' if (minus >> k) & 1 else '+'}{image.to_term_string()}, "
+                   f"{_image(n, xs, zs, minus, k)}, "
                    f"plan states {t_coeff!r} {t_term.to_term_string()}")
 
 
@@ -385,14 +388,11 @@ def _check_tableau(g: _GroupOperators):
     if not wrong:
         return True, ""
     k = (wrong & -wrong).bit_length() - 1
-    image = PauliProduct(n, sum(((xs[q] >> k) & 1) << q for q in range(n)),
-                         sum(((zs[q] >> k) & 1) << q for q in range(n)))
-    tau, sigma = basis.taus[k % n], basis.sigma_product(k % n)
+    tau, sigma = basis.taus[k % n], basis.sigma_products[k % n]
     name, source, want = ((f"tau_{k}", tau, sigma) if k < n
                           else (f"sigma_{k - n}", sigma, tau))
     return False, (f"{name} ({source.to_term_string()}) maps to "
-                   f"{'-' if (minus >> k) & 1 else '+'}{image.to_term_string()}, "
-                   f"not +{want.to_term_string()}")
+                   f"{_image(n, xs, zs, minus, k)}, not +{want.to_term_string()}")
 
 
 def _check_spectra(g: _GroupOperators):

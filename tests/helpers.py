@@ -268,7 +268,7 @@ def naive_dsatur_colors(graph) -> list[int]:
                 key=lambda u: (-len(neighbor_colors[u]), u))
         c = _lowest_free_color(neighbor_colors[v])
         colors[v] = c
-        for u in _bits(graph.comp_row(v)):
+        for u in _bits(graph.conflicts[v]):
             neighbor_colors[u].add(c)
     return colors
 
@@ -424,7 +424,7 @@ def build_unitary_symbolic(basis: TauSigmaBasis) -> PauliSum:
         raise ValueError(
             f"symbolic expansion limited to {MAX_SYMBOLIC_QUBITS} qubits, got {n}")
     scale = 2.0 ** (-n / 2)
-    sigma_prods = [basis.sigma_product(i) for i in range(n)]
+    sigma_prods = basis.sigma_products
     terms: list[tuple[complex, PauliProduct]] = []
     for mask in range(1 << n):
         product = PauliProduct.identity(n)
@@ -451,7 +451,7 @@ def pairwise_validate(basis, group: Hamiltonian | None = None) -> None:
     vecs = [t.packed for t in basis.taus]
     if not is_lagrangian(vecs, n):
         raise ValueError("taus are not a Lagrangian basis")
-    sig_vecs = [basis.sigma_product(i).packed for i in range(n)]
+    sig_vecs = [s.packed for s in basis.sigma_products]
     for i in range(n):
         for j in range(n):
             inner = gf2.symplectic_inner(vecs[i], sig_vecs[j], n)
@@ -558,7 +558,7 @@ class LiteralGates:
 def unfolded_synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
     sink = LiteralGates(basis.n_qubits)
     for i, tau in enumerate(basis.taus):
-        sigma = basis.sigma_product(i)
+        sigma = basis.sigma_products[i]
         for p in (sigma, tau, sigma):
             _append_exponent(sink, p)
     return sink.circuit(9 * len(basis.taus))
@@ -595,7 +595,7 @@ def qubit_runs(c: CliffordCircuit) -> list[list[int]]:
 def matrix_product_symbolic_unitary(basis: TauSigmaBasis) -> np.ndarray:
     u = np.eye(1 << basis.n_qubits, dtype=complex)
     for i in range(basis.n_qubits):
-        u = u @ ((dense_pauli(basis.taus[i]) + dense_pauli(basis.sigma_product(i)))
+        u = u @ ((dense_pauli(basis.taus[i]) + dense_pauli(basis.sigma_products[i]))
                  / np.sqrt(2))
     return u
 

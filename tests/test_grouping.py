@@ -19,24 +19,25 @@ HEURISTICS = ("dsatur", "rlf")
 
 
 def has_edge(g, i, j):
-    return bool((g.adj[i] >> j) & 1)
+    return i != j and not (g.conflicts[i] >> j) & 1
 
 
 def graph_from_edges(n, edges, relation="fc"):
-    adj = [0] * n
+    """The graph whose compatible pairs are ``edges``: every other pair conflicts."""
+    full = (1 << n) - 1
+    conflicts = [full & ~(1 << v) for v in range(n)]
     for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return CompatGraph(n, relation, tuple(adj))
+        conflicts[i] &= ~(1 << j)
+        conflicts[j] &= ~(1 << i)
+    return CompatGraph(n, relation, tuple(conflicts))
 
 
 def complete_graph(n):
-    full = (1 << n) - 1
-    return CompatGraph(n, "fc", tuple(full & ~(1 << v) for v in range(n)))
+    return CompatGraph(n, "fc", (0,) * n)
 
 
 def edgeless_graph(n):
-    return CompatGraph(n, "fc", (0,) * n)
+    return graph_from_edges(n, ())
 
 
 def random_compat_graph(n, rng, p=0.5):
@@ -76,7 +77,7 @@ class TestBuildGraph:
 
     def test_single_term(self):
         g = build_graph(parse_hamiltonian("1.0 X0\n"), "fc")
-        assert g.n_vertices == 1 and g.adj == (0,)
+        assert g.n_vertices == 1 and g.conflicts == (0,)
 
     def test_fc_edge_without_qwc_edge(self):
         h = parse_hamiltonian("1.0 X0 X1\n1.0 Y0 Y1\n")
@@ -96,9 +97,15 @@ class TestBuildGraph:
     @settings(max_examples=200, deadline=None)
     @given(pauli_sums())
     def test_matches_pairwise_definition(self, h):
+        full = (1 << len(h.terms)) - 1
         for relation in ("fc", "qwc"):
-            g = build_graph(h, relation)
-            assert g.adj == pairwise_graph_rows(h, relation), relation
+            rows = build_graph(h, relation).conflicts
+            assert rows == tuple(full & ~row & ~(1 << i) for i, row in
+                                 enumerate(pairwise_graph_rows(h, relation))), relation
+            for i, row in enumerate(rows):
+                assert not (row >> i) & 1, (relation, i)
+                assert all(((rows[j] >> i) & 1) == ((row >> j) & 1)
+                           for j in range(len(rows))), (relation, i)
 
     @settings(max_examples=100, deadline=None)
     @given(pauli_sums(), st.randoms(use_true_random=False))

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (build_unitary_symbolic, is_lagrangian, pairwise_validate,
-                     product_expand_in_tau, random_commuting_group, random_isotropic,
-                     random_pauli, reference_plan_dict, rescanning_find_sigma,
-                     solve_expansion)
-from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
+                     product_expand_in_tau, random_commuting_group, random_graph_hamiltonian,
+                     random_isotropic, random_pauli, reference_plan_dict,
+                     rescanning_find_sigma, solve_expansion)
+from paulimeasure import (CliffordCircuit, CliqueCover, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, TauSigmaBasis, TransformError,
                           TransformedGroup, build_graph, cover_rlf, expand_in_tau,
                           find_sigma, find_tau, parse_hamiltonian, pipeline,
-                          plan_from_dict, plan_to_dict, plan_to_json, transform_group)
+                          plan_from_dict, plan_to_dict, plan_to_json, transform_group,
+                          validate_cover)
 from paulimeasure.circuits import GATE_NAMES
 from paulimeasure import verify
 from paulimeasure.fixtures import (h2_commuting_group, h2_reference_basis,
@@ -293,7 +294,7 @@ class TestSymbolicUnitary:
             np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-10)
             for i in range(basis.n_qubits):
                 t = verify.dense_matrix(basis.taus[i])
-                s = verify.dense_matrix(basis.sigma_product(i))
+                s = verify.dense_matrix(basis.sigma_products[i])
                 np.testing.assert_allclose(u.conj().T @ t @ u, s, atol=1e-10)
                 np.testing.assert_allclose(u @ t @ u.conj().T, s, atol=1e-10)
 
@@ -316,11 +317,22 @@ class TestPipeline:
         assert plan.groups[0].transform.transformed.terms[0][0] == 1.0
 
     def test_invalid_cover_rejected(self):
-        from paulimeasure import CliqueCover
         h = parse_hamiltonian("1.0 X0\n1.0 Z0\n")
         bad = CliqueCover("fc", "manual", ((0, 1),))
         with pytest.raises(ValueError, match="cover invalid"):
             pipeline(h, bad)
+
+    def test_invalid_cover_error_names_the_count_and_the_first_violation(self):
+        # all terms in one group: about half of the 44,850 pairs anticommute
+        h = random_graph_hamiltonian(8, 300, random.Random(5))
+        cover = CliqueCover("fc", "manual", (tuple(range(len(h.terms))),))
+        violations = validate_cover(h, cover, "fc").violations
+        assert len(violations) > 10_000
+        with pytest.raises(ValueError) as info:
+            pipeline(h, cover)
+        assert str(info.value) == (f"cover invalid under fc: {len(violations)} "
+                                   f"violations, first {violations[0]}")
+        assert len(str(info.value)) < 100
 
     def test_spectrum_and_expectation_preserved(self):
         h = six_term_hamiltonian()

@@ -349,7 +349,7 @@ class TestTableauRow:
         status, detail = rows(group, with_gates(one_group_plan(group), ()))[TABLEAU]
         basis = one_group_plan(group).groups[0].transform.basis
         tau = basis.taus[0].to_term_string()
-        sigma = basis.sigma_product(0).to_term_string()
+        sigma = basis.sigma_products[0].to_term_string()
         assert (status, detail) == (
             "fail", f"group 0: tau_0 ({tau}) maps to +{tau}, not +{sigma}")
 
