@@ -202,8 +202,9 @@ def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
     e^(i pi/4 * 6) and each exponent's gates lack e^(i pi/4), so a factor
     adds 6 + 3 = 9 to the phase exponent. A sigma exponent is one run on
     the sigma's qubit. The gates are folded as they are emitted (``_Fold``),
-    which keeps the operator and its phase exact: an idle qubit's factor
-    (Z + X)/sqrt(2) costs one H, not seven gates.
+    which keeps the operator and its phase exact: a one-qubit factor
+    (Z + X)/sqrt(2) costs one H, not seven gates. Every factor acts only on
+    the basis's sigma qubits, so no gate touches another qubit.
     """
     fold = _Fold(basis.n_qubits)
     for i, tau in enumerate(basis.taus):

@@ -82,8 +82,12 @@ def symplectic_complement(rows: list[int], n_qubits: int) -> list[int]:
     return [swap_halves(v, n_qubits) for v in null_space(rows, 2 * n_qubits)]
 
 
-def lagrangian_extract(rows: list[int], n_qubits: int) -> list[int]:
-    """Shrink a coisotropic basis to N mutually orthogonal vectors.
+def lagrangian_extract(rows: list[int], n_qubits: int,
+                       size: int | None = None) -> list[int]:
+    """Shrink a coisotropic basis to ``size`` mutually orthogonal vectors.
+
+    ``size`` is N by default. Rows that act only on a set S of qubits and
+    span a coisotropic subspace of S's symplectic space shrink to |S|.
 
     Repeatedly takes the lexicographically first pair (i < j) with
     (c_i|c_j) = 1, replaces every other c_k by
@@ -111,9 +115,11 @@ def lagrangian_extract(rows: list[int], n_qubits: int) -> list[int]:
                 if (ck & swap_i).bit_count() & 1:
                     work[k] ^= cj
         i += 1
-    if len(work) != n_qubits:
+    if size is None:
+        size = n_qubits
+    if len(work) != size:
         raise ValueError(
-            f"input is not coisotropic: extracted {len(work)} of {n_qubits} vectors")
+            f"input is not coisotropic: extracted {len(work)} of {size} vectors")
     return work
 
 

@@ -281,7 +281,10 @@ def compute_cover(graph: CompatGraph, method: str) -> CliqueCover:
 
 
 def validate_cover(h: Hamiltonian, cover: CliqueCover, relation: str) -> CoverReport:
-    """Check disjointness, coverage and the pairwise relation inside groups."""
+    """Check disjointness, coverage and the pairwise relation inside groups.
+
+    Terms in no group are one violation, their count and the lowest index,
+    as `measure verify` reports them."""
     n = len(h.terms)
     violations: list[str] = []
     seen: set[int] = set()
@@ -304,7 +307,7 @@ def validate_cover(h: Hamiltonian, cover: CliqueCover, relation: str) -> CoverRe
                                   for j in inside[a + 1:] if (conflicts[i] >> j) & 1)
     missing = [v for v in range(n) if v not in seen]
     if missing:
-        violations.append(f"uncovered terms: {missing}")
+        violations.append(f"{len(missing)} terms in no group, first {missing[0]}")
     return CoverReport(tuple(violations))
 
 

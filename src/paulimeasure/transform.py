@@ -1,12 +1,14 @@
 """Turn fully commuting term groups into qubit-wise commuting ones.
 
 For a group of mutually commuting Pauli products the binary images span an
-isotropic subspace. A Lagrangian basis containing that subspace supplies N
-mutually commuting products (the taus) that commute with every group term;
-each tau is paired with a single-qubit sigma that anticommutes with it and
-commutes with everything else. Conjugating by the product of reflections
-(tau_i + sigma_i)/sqrt(2) then rewrites every term as +/- a product of
-sigmas, which is qubit-wise commuting by construction.
+isotropic subspace. The group acts on a set S of qubits, its support. A
+Lagrangian basis of S's symplectic space containing that subspace supplies
+|S| mutually commuting products on S (the taus) that commute with every
+group term; each tau is paired with a single-qubit sigma on S that
+anticommutes with it and commutes with everything else. Conjugating by the
+product of reflections (tau_i + sigma_i)/sqrt(2) then rewrites every term
+as +/- a product of sigmas, which is qubit-wise commuting by construction.
+Qubits outside S get no factor, so the circuit leaves them alone.
 """
 
 from __future__ import annotations
@@ -33,13 +35,24 @@ def _commute_pairwise(columns: tuple[list[int], list[int]],
     return not any(anticommuting(*columns, p) for p in products)
 
 
+def _qubits(rows: Iterable[int], n: int) -> int:
+    """Bitmask of the qubits that any of the packed rows acts on."""
+    touched = 0
+    for v in rows:
+        touched |= v
+    return (touched | touched >> n) & ((1 << n) - 1)
+
+
 @dataclass(frozen=True)
 class TauSigmaBasis:
     """Lagrangian tau basis with its single-qubit sigma partners.
 
-    Invariants: taus mutually commute and are GF(2)-independent; sigma_i
-    anticommutes with tau_i and commutes with every other tau; sigma qubits
-    are pairwise distinct.
+    Invariants: there are as many taus as sigmas; sigma qubits are pairwise
+    distinct; every tau acts only on sigma qubits; taus mutually commute
+    and are GF(2)-independent, so they are a Lagrangian basis of the sigma
+    qubits; sigma_i anticommutes with tau_i and commutes with every other
+    tau. A basis of one tau per register qubit is the case where the sigma
+    qubits are the whole register.
     """
 
     n_qubits: int
@@ -49,8 +62,7 @@ class TauSigmaBasis:
     @cached_property
     def sigma_products(self) -> tuple[PauliProduct, ...]:
         """The sigmas as single-qubit products, sigma_k at index k."""
-        return tuple(PauliProduct.single(self.n_qubits, *self.sigmas[i])
-                     for i in range(self.n_qubits))
+        return tuple(PauliProduct.single(self.n_qubits, q, a) for q, a in self.sigmas)
 
     @cached_property
     def tau_columns(self) -> tuple[list[int], list[int]]:
@@ -63,9 +75,9 @@ class TauSigmaBasis:
         return qubit_columns(self.n_qubits, self.sigma_products)
 
     def check_counts(self) -> None:
-        """Raise ValueError unless there are exactly n_qubits taus and sigmas."""
-        if len(self.taus) != self.n_qubits or len(self.sigmas) != self.n_qubits:
-            raise ValueError(f"expected {self.n_qubits} taus and sigmas")
+        """Raise ValueError unless there are as many taus as sigmas."""
+        if len(self.taus) != len(self.sigmas):
+            raise ValueError(f"{len(self.taus)} taus for {len(self.sigmas)} sigmas")
 
     def validate(self, group: Hamiltonian | None = None) -> None:
         """Raise ValueError naming the first violated invariant, at the lowest
@@ -77,9 +89,16 @@ class TauSigmaBasis:
                 raise ValueError("tau qubit count differs from basis")
             if t.phase_exp != 0:
                 raise ValueError("taus must carry no phase")
-        qubits = [q for q, _ in self.sigmas]
-        if len(set(qubits)) != n:
+        if len({q for q, _ in self.sigmas}) != len(self.sigmas):
             raise ValueError("sigma qubits must be pairwise distinct")
+        sigma_qubits = 0
+        for s in self.sigma_products:
+            sigma_qubits |= s.support
+        for i, tau in enumerate(self.taus):
+            outside = tau.support & ~sigma_qubits
+            if outside:
+                q = (outside & -outside).bit_length() - 1
+                raise ValueError(f"tau_{i} acts on qubit {q}, which has no sigma")
         if not (gf2.is_independent([t.packed for t in self.taus], 2 * n)
                 and _commute_pairwise(self.tau_columns, self.taus)):
             raise ValueError("taus are not a Lagrangian basis")
@@ -119,12 +138,17 @@ class MeasurementPlan:
 
 
 def find_tau(group: Hamiltonian) -> list[PauliProduct]:
-    """N mutually commuting products that commute with every group term.
+    """|S| mutually commuting products on the group's support S (the qubits
+    its terms act on) that commute with every group term.
 
     Row reduction of the term vectors yields a basis of their span; if its
-    rank is below N the basis is grown to a Lagrangian one inside the
-    symplectic complement. Pairwise commutation is checked first, one term
-    bitset per term. Constant terms contribute the zero vector.
+    rank is below N the basis is grown to a Lagrangian one of S inside the
+    symplectic complement. The complement holds X_q and Z_q of every qubit
+    q outside S, the null-space vectors of those qubits' free columns; they
+    are dropped, which leaves a coisotropic subspace of S's symplectic
+    space. Pairwise commutation is checked first, one term bitset per term.
+    Constant terms contribute the zero vector; a group of constants has no
+    taus.
     """
     n = group.n_qubits
     products = group.products()
@@ -132,12 +156,21 @@ def find_tau(group: Hamiltonian) -> list[PauliProduct]:
         raise ValueError("group terms do not commute")
     basis, _ = gf2.row_reduce([p.packed for p in products], 2 * n)
     if len(basis) < n:
-        basis = gf2.lagrangian_extract(gf2.symplectic_complement(basis, n), n)
+        support = _qubits(basis, n)
+        idle = ((1 << n) - 1) & ~support
+        idle |= idle << n
+        basis = gf2.lagrangian_extract(
+            [v for v in gf2.symplectic_complement(basis, n) if not v & idle], n,
+            support.bit_count())
     return [PauliProduct.from_packed(v, n) for v in basis]
 
 
 def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     """Assign a single-qubit sigma to each tau, re-orthogonalizing the rest.
+
+    The taus must be a Lagrangian basis of the qubits they act on: as many
+    independent, commuting taus as qubits in their joint support. Each of
+    those qubits gets one sigma; the rest of the register gets none.
 
     Step i takes the lowest qubit that tau i touches among the unassigned
     ones and picks the partner axis by the fixed rule X->Z, Y->X, Z->X.
@@ -164,14 +197,14 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
         raise ValueError("taus must share the qubit count and carry no phase")
     vecs = [t.packed for t in taus]
     xcol, zcol = qubit_columns(n, taus)
-    if (len(vecs) != n or not gf2.is_independent(vecs, 2 * n)
+    unassigned = _qubits(vecs, n)
+    if (len(vecs) != unassigned.bit_count() or not gf2.is_independent(vecs, 2 * n)
             or not _commute_pairwise((xcol, zcol), taus)):
         raise ValueError("taus are not a Lagrangian basis")
     # Bit k of cols[b] is bit b of vecs[k]: the x columns, then the z columns.
     cols = xcol + zcol
-    unassigned = (1 << n) - 1
     sigmas: list[tuple[int, str]] = []
-    for i in range(n):
+    for i in range(len(vecs)):
         avail = (vecs[i] | vecs[i] >> n) & unassigned
         qubit = (avail & -avail).bit_length() - 1
         # The partner of a Y or Z is X, which anticommutes with the taus that
@@ -278,7 +311,8 @@ def pipeline(h: Hamiltonian, cover) -> MeasurementPlan:
             sub = Hamiltonian(h.n_qubits,
                               tuple(h.terms[i] for i in group_indices))
             taus = find_tau(sub)
-            basis = find_sigma(taus)
+            # A group of constants acts on no qubit: no factors, no gates.
+            basis = find_sigma(taus) if taus else TauSigmaBasis(h.n_qubits, (), ())
             tg = transform_group(sub, basis, group_indices)
             circuit = synthesize(basis)
         except (ValueError, TransformError) as exc:

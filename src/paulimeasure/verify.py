@@ -2,7 +2,8 @@
 
 ``plan_checks`` proves a plan at every width on term bitsets (coverage,
 basis invariants, qubit-wise commutation, exact images under the circuit,
-the circuit's Clifford through the tau/sigma swap of each factor) and
+the circuit's Clifford through the tau/sigma swap of each factor and the
+fixed qubits outside the basis) and
 cross-checks it on dense matrices up to small qubit caps. The dense
 oracles rebuild operators from first principles (Pauli matrices and sums
 as signed permutations of the basis states, literal gate matrices applied
@@ -280,9 +281,9 @@ class _GroupOperators:
         _check_cap(n)
         b = np.arange(1 << n)
         u = np.eye(1 << n, dtype=complex)
-        for i in range(n):
+        for factor in zip(basis.taus, basis.sigma_products):
             terms = []
-            for p in (basis.taus[i], basis.sigma_products[i]):
+            for p in factor:
                 flip, sign_mask, phase = _signed_permutation(p)
                 terms.append(u[:, b ^ flip] * ((1 - 2 * _parity(b & sign_mask)) * phase))
             u = (terms[0] + terms[1]) / np.sqrt(2)
@@ -368,31 +369,45 @@ def _check_signs(g: _GroupOperators):
 
 def _check_tableau(g: _GroupOperators):
     """U^dagger tau_i U = sigma_i and U^dagger sigma_i U = tau_i, sign +1,
-    for the circuit U and every factor i, on term bitsets. The product of
-    reflections satisfies both, since factor i swaps tau_i and sigma_i and
-    every other factor commutes with them. The taus and sigmas span all 2N
-    directions, so the two fix the circuit's Clifford up to a global phase.
-    Bit k of the columns stands for tau_k, bit n + k for sigma_k."""
+    for the circuit U and every factor i, and U^dagger X_q U = X_q and
+    U^dagger Z_q U = Z_q, sign +1, on every qubit q without a sigma, all on
+    term bitsets. The product of reflections satisfies them all, since
+    factor i swaps tau_i and sigma_i, every other factor commutes with
+    them, and the factors act only on sigma qubits (basis invariants). The
+    m taus and sigmas span the 2m directions of the m sigma qubits, so with
+    the other qubits' X and Z they fix the circuit's Clifford up to a
+    global phase. Bit k of the columns stands for tau_k, bit m + k for
+    sigma_k, bits 2m + q and 2m + n + q for X_q and Z_q."""
     basis = g.entry.transform.basis
     basis.check_counts()
-    n = basis.n_qubits
+    n, m = basis.n_qubits, len(basis.taus)
     tau_x, tau_z = basis.tau_columns
     sigma_x, sigma_z = basis.sigma_columns
+    # X_q and Z_q of a qubit without a sigma are one bit each; 0 elsewhere.
+    other_x = [0 if sx | sz else 1 << (2 * m + q)
+               for q, (sx, sz) in enumerate(zip(sigma_x, sigma_z))]
+    other_z = [b << n for b in other_x]
     xs, zs, minus = conjugate_columns(
-        g.entry.circuit, [t | s << n for t, s in zip(tau_x, sigma_x)],
-        [t | s << n for t, s in zip(tau_z, sigma_z)])
+        g.entry.circuit, [t | s << m | o for t, s, o in zip(tau_x, sigma_x, other_x)],
+        [t | s << m | o for t, s, o in zip(tau_z, sigma_z, other_z)])
     wrong = minus
     for q in range(n):
-        wrong |= xs[q] ^ (sigma_x[q] | tau_x[q] << n)
-        wrong |= zs[q] ^ (sigma_z[q] | tau_z[q] << n)
+        wrong |= xs[q] ^ (sigma_x[q] | tau_x[q] << m | other_x[q])
+        wrong |= zs[q] ^ (sigma_z[q] | tau_z[q] << m | other_z[q])
     if not wrong:
         return True, ""
     k = (wrong & -wrong).bit_length() - 1
-    tau, sigma = basis.taus[k % n], basis.sigma_products[k % n]
-    name, source, want = ((f"tau_{k}", tau, sigma) if k < n
-                          else (f"sigma_{k - n}", sigma, tau))
-    return False, (f"{name} ({source.to_term_string()}) maps to "
-                   f"{_image(n, xs, zs, minus, k)}, not +{want.to_term_string()}")
+    image = _image(n, xs, zs, minus, k)
+    if k >= 2 * m:
+        q = (k - 2 * m) % n
+        axis = "X" if k - 2 * m < n else "Z"
+        return False, (f"{axis}{q}, on a qubit without a sigma, maps to {image}, "
+                       f"not +{axis}{q}")
+    tau, sigma = basis.taus[k % m], basis.sigma_products[k % m]
+    name, source, want = ((f"tau_{k}", tau, sigma) if k < m
+                          else (f"sigma_{k - m}", sigma, tau))
+    return False, (f"{name} ({source.to_term_string()}) maps to {image}, "
+                   f"not +{want.to_term_string()}")
 
 
 def _check_spectra(g: _GroupOperators):

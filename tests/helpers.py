@@ -8,10 +8,12 @@ import re
 import numpy as np
 
 from paulimeasure import (CliffordCircuit, Gate, Hamiltonian, PauliProduct, PauliSum,
-                          TauSigmaBasis, TransformError, circuit_to_dict)
+                          TauSigmaBasis, TransformError, circuit_to_dict, find_sigma,
+                          find_tau)
 from paulimeasure import gf2
 from paulimeasure.circuits import _append_exponent, _Fold
-from paulimeasure.pauli import I_POWERS, MAX_QUBITS, anticommuting
+from paulimeasure.pauli import I_POWERS, MAX_QUBITS, anticommuting, qubit_columns
+from paulimeasure.transform import _commute_pairwise
 from paulimeasure.verify import dense_matrix, dense_pauli, random_state
 
 AXES = "IXYZ"
@@ -241,7 +243,7 @@ def pairwise_violations(h: Hamiltonian, groups, relation: str) -> list[str]:
                     violations.append(f"group {gi}: terms {i} and {j} violate {relation}")
     missing = [v for v in range(n) if v not in seen]
     if missing:
-        violations.append(f"uncovered terms: {missing}")
+        violations.append(f"{len(missing)} terms in no group, first {missing[0]}")
     return violations
 
 
@@ -416,19 +418,21 @@ MAX_SYMBOLIC_QUBITS = 8
 def build_unitary_symbolic(basis: TauSigmaBasis) -> PauliSum:
     """Expand the product of (tau_i + sigma_i)/sqrt(2) into a Pauli sum.
 
-    Factors multiply in ascending i with exact phase tracking; the 2^N
-    resulting products are distinct, each weighted by 2^(-N/2) i^k.
+    Factors multiply in ascending i with exact phase tracking; the 2^m
+    resulting products of the m factors are distinct, each weighted by
+    2^(-m/2) i^k.
     """
     n = basis.n_qubits
     if n > MAX_SYMBOLIC_QUBITS:
         raise ValueError(
             f"symbolic expansion limited to {MAX_SYMBOLIC_QUBITS} qubits, got {n}")
-    scale = 2.0 ** (-n / 2)
+    m = len(basis.taus)
+    scale = 2.0 ** (-m / 2)
     sigma_prods = basis.sigma_products
     terms: list[tuple[complex, PauliProduct]] = []
-    for mask in range(1 << n):
+    for mask in range(1 << m):
         product = PauliProduct.identity(n)
-        for i in range(n):
+        for i in range(m):
             factor = sigma_prods[i] if (mask >> i) & 1 else basis.taus[i]
             product = product * factor
         coeff = scale * I_POWERS[product.phase_exp]
@@ -438,22 +442,27 @@ def build_unitary_symbolic(basis: TauSigmaBasis) -> PauliSum:
 
 def pairwise_validate(basis, group: Hamiltonian | None = None) -> None:
     """TauSigmaBasis.validate with every pair tested by a symplectic inner product."""
-    n = basis.n_qubits
-    if len(basis.taus) != n or len(basis.sigmas) != n:
-        raise ValueError(f"expected {n} taus and sigmas")
+    n, m = basis.n_qubits, len(basis.taus)
+    if len(basis.sigmas) != m:
+        raise ValueError(f"{m} taus for {len(basis.sigmas)} sigmas")
     for t in basis.taus:
         if t.n_qubits != n:
             raise ValueError("tau qubit count differs from basis")
         if t.phase_exp != 0:
             raise ValueError("taus must carry no phase")
-    if len({q for q, _ in basis.sigmas}) != n:
+    if len({q for q, _ in basis.sigmas}) != m:
         raise ValueError("sigma qubits must be pairwise distinct")
-    vecs = [t.packed for t in basis.taus]
-    if not is_lagrangian(vecs, n):
-        raise ValueError("taus are not a Lagrangian basis")
     sig_vecs = [s.packed for s in basis.sigma_products]
-    for i in range(n):
-        for j in range(n):
+    sigma_qubits = {q for q, _ in basis.sigmas}
+    for i, t in enumerate(basis.taus):
+        for q in range(n):
+            if t.axis(q) != "I" and q not in sigma_qubits:
+                raise ValueError(f"tau_{i} acts on qubit {q}, which has no sigma")
+    vecs = [t.packed for t in basis.taus]
+    if not (gf2.is_independent(vecs, 2 * n) and is_isotropic(vecs, n)):
+        raise ValueError("taus are not a Lagrangian basis")
+    for i in range(m):
+        for j in range(m):
             inner = gf2.symplectic_inner(vecs[i], sig_vecs[j], n)
             if i == j and inner == 0:
                 raise ValueError(f"tau_{i} does not anticommute with sigma_{i}")
@@ -589,14 +598,13 @@ def qubit_runs(c: CliffordCircuit) -> list[list[int]]:
 
 
 # verify._GroupOperators.symbolic_unitary as it was before each factor
-# became two column gathers: n dense matrix products. Tests require
+# became two column gathers: one dense matrix product per factor. Tests require
 # agreement to 1e-12.
 
 def matrix_product_symbolic_unitary(basis: TauSigmaBasis) -> np.ndarray:
     u = np.eye(1 << basis.n_qubits, dtype=complex)
-    for i in range(basis.n_qubits):
-        u = u @ ((dense_pauli(basis.taus[i]) + dense_pauli(basis.sigma_products[i]))
-                 / np.sqrt(2))
+    for tau, sigma in zip(basis.taus, basis.sigma_products):
+        u = u @ ((dense_pauli(tau) + dense_pauli(sigma)) / np.sqrt(2))
     return u
 
 
@@ -703,6 +711,70 @@ def rescanning_find_sigma(taus):
         for k in range(n):
             if k != i and vecs[k] & probe:
                 vecs[k] ^= vecs[i]
+        sigmas.append((qubit, axis))
+        unassigned &= ~(1 << qubit)
+    return TauSigmaBasis(n, tuple(PauliProduct.from_packed(v, n) for v in vecs),
+                         tuple(sigmas))
+
+
+# The basis of one group as transform.pipeline builds it: a group of
+# constants acts on no qubit and gets the empty basis, which find_sigma
+# does not build.
+
+def group_basis(group: Hamiltonian) -> TauSigmaBasis:
+    taus = find_tau(group)
+    return find_sigma(taus) if taus else TauSigmaBasis(group.n_qubits, (), ())
+
+
+# transform.find_tau and transform.find_sigma as they were before each
+# group's basis acted only on the qubits its terms touch: one tau and one
+# sigma per register qubit. On a qubit no term acts on, the tau is Z_q and
+# its sigma X_q, a factor that measures nothing. Tests require the
+# support-local basis to equal this one with those factors dropped.
+
+def full_width_find_tau(group: Hamiltonian) -> list[PauliProduct]:
+    n = group.n_qubits
+    products = group.products()
+    if not _commute_pairwise(qubit_columns(n, products), products):
+        raise ValueError("group terms do not commute")
+    basis, _ = gf2.row_reduce([p.packed for p in products], 2 * n)
+    if len(basis) < n:
+        basis = gf2.lagrangian_extract(gf2.symplectic_complement(basis, n), n)
+    return [PauliProduct.from_packed(v, n) for v in basis]
+
+
+def full_width_find_sigma(taus) -> TauSigmaBasis:
+    if not taus:
+        raise ValueError("empty tau basis")
+    n = taus[0].n_qubits
+    if any(t.n_qubits != n or t.phase_exp != 0 for t in taus):
+        raise ValueError("taus must share the qubit count and carry no phase")
+    vecs = [t.packed for t in taus]
+    xcol, zcol = qubit_columns(n, taus)
+    if (len(vecs) != n or not gf2.is_independent(vecs, 2 * n)
+            or not _commute_pairwise((xcol, zcol), taus)):
+        raise ValueError("taus are not a Lagrangian basis")
+    cols = xcol + zcol
+    unassigned = (1 << n) - 1
+    sigmas: list[tuple[int, str]] = []
+    for i in range(n):
+        avail = (vecs[i] | vecs[i] >> n) & unassigned
+        qubit = (avail & -avail).bit_length() - 1
+        if vecs[i] >> (n + qubit) & 1:
+            axis, probe = "X", n + qubit
+        else:
+            axis, probe = "Z", qubit
+        carriers = cols[probe] & ~(1 << i)
+        rest = carriers
+        while rest:
+            low = rest & -rest
+            vecs[low.bit_length() - 1] ^= vecs[i]
+            rest ^= low
+        rest = vecs[i]
+        while rest:
+            low = rest & -rest
+            cols[low.bit_length() - 1] ^= carriers
+            rest ^= low
         sigmas.append((qubit, axis))
         unassigned &= ~(1 << qubit)
     return TauSigmaBasis(n, tuple(PauliProduct.from_packed(v, n) for v in vecs),

@@ -11,10 +11,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import all_paulis, build_unitary_symbolic, random_commuting_group
+from helpers import (all_paulis, build_unitary_symbolic, group_basis,
+                     random_commuting_group)
 from paulimeasure import (CliqueCover, PauliProduct, build_graph, cover_exact, cover_rlf,
-                          compute_cover, expand_in_tau, find_sigma, find_tau,
-                          pipeline, synthesize, transform_group, validate_cover)
+                          compute_cover, expand_in_tau, pipeline, synthesize,
+                          transform_group, validate_cover)
 from paulimeasure import gf2, verify
 from paulimeasure.fixtures import (h2_commuting_group, h2_reference_basis,
                                    model_hamiltonian, model_reference_basis,
@@ -124,7 +125,7 @@ def test_criterion_6_randomized_pipeline_stress():
         for case in range(200):
             n = rng.randint(1, 8)
             group = random_commuting_group(n, rng)
-            basis = find_sigma(find_tau(group))
+            basis = group_basis(group)
             basis.validate(group)
             out = transform_group(group, basis)
 

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (LiteralGates, all_paulis, build_unitary_symbolic,
                      conjugation_maps_paulis_to_paulis,
-                     fold_circuit, inverse_circuit, kron_gate,
+                     fold_circuit, group_basis, inverse_circuit, kron_gate,
                      qubit_runs, random_commuting_group, random_pauli,
                      scanning_exponent_gates, unfolded_synthesize)
 from paulimeasure import (CliffordCircuit, Gate, PauliProduct, TauSigmaBasis,
                           circuit_from_dict, circuit_to_dict,
-                          find_sigma, find_tau, gate_counts, synthesize,
+                          find_sigma, gate_counts, synthesize,
                           transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import (GATE_NAMES, _append_exponent, _clifford_group,
@@ -165,7 +165,7 @@ class TestConjugateColumns:
         rng = random.Random(59)
         for _ in range(10):
             group = random_commuting_group(rng.randint(1, 8), rng)
-            basis = find_sigma(find_tau(group))
+            basis = group_basis(group)
             tg = transform_group(group, basis)
             got = conjugated_products(synthesize(basis), group.products())
             for (coeff, _), (sign, image), (t_coeff, t_prod) in zip(
@@ -221,7 +221,7 @@ class TestFold:
     def test_synthesized_circuits_equal_the_unfolded_ones(self):
         rng = random.Random(61)
         bases = [model_reference_basis(), h2_reference_basis()]
-        bases += [find_sigma(find_tau(random_commuting_group(rng.randint(1, 6), rng)))
+        bases += [group_basis(random_commuting_group(rng.randint(1, 6), rng))
                   for _ in range(25)]
         for basis in bases:
             assert_fold_of(synthesize(basis), unfolded_synthesize(basis))
@@ -360,7 +360,7 @@ class TestSynthesize:
         rng = random.Random(31)
         for _ in range(15):
             n = rng.randint(1, 6)
-            basis = find_sigma(find_tau(random_commuting_group(n, rng)))
+            basis = group_basis(random_commuting_group(n, rng))
             circuit = verify.dense_matrix(synthesize(basis))
             symbolic = verify.dense_matrix(build_unitary_symbolic(basis))
             assert verify.phase_aligned_distance(circuit, symbolic) < 1e-10
@@ -370,14 +370,14 @@ class TestSynthesize:
             u = verify.dense_matrix(synthesize(basis))
             assert conjugation_maps_paulis_to_paulis(u, n)
         rng = random.Random(37)
-        basis = find_sigma(find_tau(random_commuting_group(3, rng)))
+        basis = group_basis(random_commuting_group(3, rng))
         u = verify.dense_matrix(synthesize(basis))
         assert conjugation_maps_paulis_to_paulis(u, 3)
 
     def test_every_emitted_gate_is_known_clifford(self):
         rng = random.Random(41)
         for _ in range(10):
-            basis = find_sigma(find_tau(random_commuting_group(rng.randint(1, 5), rng)))
+            basis = group_basis(random_commuting_group(rng.randint(1, 5), rng))
             for g in synthesize(basis).gates:
                 assert g.name in ("H", "S", "SDG", "X", "Y", "Z", "CNOT")
 
@@ -385,7 +385,7 @@ class TestSynthesize:
         rng = random.Random(47)
         for _ in range(20):
             n = rng.randint(1, 8)
-            basis = find_sigma(find_tau(random_commuting_group(n, rng)))
+            basis = group_basis(random_commuting_group(n, rng))
             assert gate_counts(synthesize(basis))["cnots"] == expected_cnots(basis)
 
 

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import paulimeasure
-from helpers import reference_plan_dict
-from paulimeasure import (build_graph, compute_cover, parse_hamiltonian, pipeline,
-                          plan_to_json)
+from helpers import full_width_find_sigma, full_width_find_tau, reference_plan_dict
+from paulimeasure import (GroupPlan, Hamiltonian, MeasurementPlan, build_graph,
+                          compute_cover, parse_hamiltonian, pipeline, plan_to_json,
+                          synthesize, transform_group)
 from paulimeasure.cli import main
 from paulimeasure.fixtures import H2_GROUP_TEXT, MODEL_TEXT, SIX_TERM_TEXT
 
@@ -117,15 +118,21 @@ PLAN_CORRUPTIONS = {
         "plan group 0: gate Gate(name='CNOT', qubits=(2, 2)) uses qubit 2 twice"),
 }
 
-# The widest input the qubit cap allows: a plan of 1,024 taus and sigmas.
+# The widest input the qubit cap allows: two terms on qubits 0 and 1023.
 WIDE_1024_TEXT = "1.0 X0 Z1023\n0.5 Z0 X1023\n"
 
 GOLDEN_INPUTS = {"six-term": lambda: SIX_TERM_TEXT, "h2": lambda: H2_GROUP_TEXT,
                  "random-12q": random_sum_text, "wide-100q": lambda: WIDE_SPARSE_TEXT}
 # sha256 of the `measure transform` plan bytes; a change here changes plans.
+# random-12q and wide-100q have groups that leave qubits idle; their plans
+# with one tau per register qubit hash to FULL_WIDTH_PLAN_SHA256.
 PLAN_SHA256 = {
     "six-term": "b67dad5469ee3de06a7d3f03240b3eee08777e2ee48d83bc66229efb14f24b2e",
     "h2": "756ebaf0701e37157c0f0a9777be5e3d7be2b4f99deb28a7067905aaac298bdb",
+    "random-12q": "12e834bac6f71f9c3c1ef8ac7a30e7e73df199af38242238629e33912e4fe9ba",
+    "wide-100q": "13f41de47fb707663de0d76ff440da26cceb26f2a3250507123360f4db98e0ca",
+}
+FULL_WIDTH_PLAN_SHA256 = {
     "random-12q": "9bf47a56a01a5a4eaaf3cef66e2702ca62ca73ce10901a8a991fa81a17af8ba4",
     "wide-100q": "3559b4f5553f7a85223c015e95cf754e7e584b2e2c5929a8875fa206a441e2fc",
 }
@@ -341,6 +348,21 @@ class TestTransform:
         assert plan_to_json(plan) == json.dumps(reference_plan_dict(plan), indent=2) + "\n"
 
 
+def full_width_plan(h: Hamiltonian) -> MeasurementPlan:
+    """The `measure transform` plan built with one tau and one sigma per
+    register qubit (helpers.full_width_find_tau / full_width_find_sigma)."""
+    entries = []
+    for indices in compute_cover(build_graph(h, "fc"), "rlf").groups:
+        sub = Hamiltonian(h.n_qubits, tuple(h.terms[i] for i in indices))
+        basis = full_width_find_sigma(full_width_find_tau(sub))
+        entries.append(GroupPlan(transform_group(sub, basis, indices), synthesize(basis)))
+    return MeasurementPlan(h.n_qubits, tuple(entries))
+
+
+TABLEAU = ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global phase "
+           "(tableau)")
+
+
 class TestVerify:
     def run_transform(self, input_file, tmp_path):
         plan_path = tmp_path / "plan.json"
@@ -518,7 +540,7 @@ class TestVerify:
         code, out, err = self.run_verify_on_edited_plan(six_term_file, tmp_path,
                                                         drop_tau, capsys)
         assert (code, err) == (1, "")
-        assert "FAIL basis invariants (group 0: expected 4 taus and sigmas)" in out
+        assert "FAIL basis invariants (group 0: 3 taus for 4 sigmas)" in out
         assert "FAIL conjugated group matches transform (tol 1e-9) (group 0: " in out
 
     def test_missing_tau_fails_the_dense_rows_with_the_basis_reason(self, h2_file,
@@ -535,7 +557,7 @@ class TestVerify:
                      "conjugated group matches transform (tol 1e-9)",
                      "unitarity (tol 1e-10)",
                      "circuit matches symbolic unitary (tol 1e-10)"):
-            assert f"FAIL {name} (group 0: expected 4 taus and sigmas)" in rows
+            assert f"FAIL {name} (group 0: 3 taus for 4 sigmas)" in rows
 
     @pytest.mark.parametrize("field, value, reason", [
         ("axis", "Q", "axis must be X, Y or Z, got 'Q'"),
@@ -614,6 +636,102 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert (code, err) == (0 if edit is None else 1, "")
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[name]
+
+    @pytest.mark.parametrize("name, text", [
+        ("random-12q", random_sum_text()),
+        ("wide-100q", WIDE_SPARSE_TEXT),
+        # every dense row runs: one group on qubits 0, 1 and 3 of 5
+        ("idle-5q", "qubits: 5\n1.0 X0 X1\n0.5 Z0 Z1\n-0.25 Z3\n0.125 Y0 Y1 Z3\n"),
+    ])
+    def test_full_width_plan_passes_every_row(self, name, text, tmp_path, capsys):
+        """A plan with one tau per register qubit, as `measure transform`
+        wrote before each basis acted only on its group's qubits, verifies."""
+        source = tmp_path / "source.txt"
+        source.write_text(text)
+        plan = full_width_plan(parse_hamiltonian(text))
+        assert all(len(g.transform.basis.taus) == plan.n_qubits for g in plan.groups)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(plan_to_json(plan))
+        if name in FULL_WIDTH_PLAN_SHA256:
+            digest = hashlib.sha256(plan_path.read_bytes()).hexdigest()
+            assert digest == FULL_WIDTH_PLAN_SHA256[name]
+        assert main(["verify", str(source), str(plan_path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 11
+        assert all(row.startswith("PASS ") for row in rows if "skipped" not in row)
+        assert name != "idle-5q" or all(row.startswith("PASS ") for row in rows)
+
+    def test_tau_on_a_qubit_without_a_sigma_fails_the_basis_row(self, tmp_path, capsys):
+        source = tmp_path / "wide.txt"
+        source.write_text(WIDE_SPARSE_TEXT)
+
+        def widen_first_tau(plan):
+            assert all(s["qubit"] != 1 for s in plan["groups"][0]["sigma"])
+            plan["groups"][0]["tau"][0] += " Z1"
+            return plan
+
+        code, out, err = self.run_verify_on_edited_plan(str(source), tmp_path,
+                                                        widen_first_tau, capsys)
+        assert (code, err) == (1, "")
+        assert ("FAIL basis invariants (group 0: tau_0 acts on qubit 1, which has no "
+                "sigma)") in out.splitlines()
+
+    def test_extra_hadamard_on_an_idle_qubit_fails_the_tableau_row(self, tmp_path,
+                                                                  capsys):
+        """The group's terms do not touch qubit 1, so only the tableau row,
+        which requires every qubit without a sigma to be left alone, sees
+        the gate."""
+        source = tmp_path / "wide.txt"
+        source.write_text(WIDE_SPARSE_TEXT)
+
+        def add_hadamard(plan):
+            plan["groups"][0]["circuit"]["gates"].append({"name": "H", "qubits": [1]})
+            return plan
+
+        code, out, err = self.run_verify_on_edited_plan(str(source), tmp_path,
+                                                        add_hadamard, capsys)
+        assert (code, err) == (1, "")
+        assert [row for row in out.splitlines() if row.startswith("FAIL")] == [
+            f"FAIL {TABLEAU} (group 0: X1, on a qubit without a sigma, maps to +Z1, "
+            "not +X1)"]
+
+    def test_dropped_sigma_fails_with_a_one_line_reason(self, six_term_file, tmp_path,
+                                                        capsys):
+        def drop_sigma(plan):
+            del plan["groups"][0]["sigma"][0]
+            return plan
+
+        code, out, err = self.run_verify_on_edited_plan(six_term_file, tmp_path,
+                                                        drop_sigma, capsys)
+        assert (code, err) == (1, "")
+        failed = [row for row in out.splitlines() if row.startswith("FAIL")]
+        assert "FAIL basis invariants (group 0: 4 taus for 3 sigmas)" in failed
+        assert f"FAIL {TABLEAU} (group 0: 4 taus for 3 sigmas)" in failed
+        assert all(row.endswith("(group 0: 4 taus for 3 sigmas)") for row in failed)
+
+    def test_widest_plan_has_two_taus_and_verifies(self, tmp_path, capsys):
+        source = tmp_path / "wide.txt"
+        source.write_text(WIDE_1024_TEXT)
+        plan_path = self.run_transform(str(source), tmp_path)
+        (group,) = json.loads(plan_path.read_text())["groups"]
+        assert len(group["tau"]) == len(group["sigma"]) == 2
+        assert {s["qubit"] for s in group["sigma"]} == {0, 1023}
+        assert {q for g in group["circuit"]["gates"] for q in g["qubits"]} <= {0, 1023}
+        capsys.readouterr()
+        assert main(["verify", str(source), str(plan_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_constant_only_group_has_no_gates_and_verifies(self, tmp_path, capsys):
+        source = tmp_path / "constant.txt"
+        source.write_text("qubits: 3\n0.7 I\n")
+        plan_path = self.run_transform(str(source), tmp_path)
+        (group,) = json.loads(plan_path.read_text())["groups"]
+        assert (group["tau"], group["sigma"], group["circuit"]["gates"]) == ([], [], [])
+        assert group["transformed"] == [{"coeff": 0.7, "pauli": "I"}]
+        capsys.readouterr()
+        assert main(["verify", str(source), str(plan_path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 11 and all(row.startswith("PASS ") for row in rows)
 
     def test_failure_names_the_first_failing_group(self, six_term_file, tmp_path, capsys):
         def tamper_second_group(plan):

@@ -129,6 +129,16 @@ class TestLagrangianExtract:
         with pytest.raises(ValueError):
             gf2.lagrangian_extract([vec("X0", 2)], 2)
 
+    def test_size_counts_the_qubits_the_rows_act_on(self):
+        # on qubits 0 and 2 of 3: X0 X2, Z0 Z2 and Y0 span a coisotropic
+        # subspace of those two qubits. Y0 is dropped with X0 X2, whose
+        # pair it is, and turns Z0 Z2 into Y0 Y2.
+        rows = [vec("X0 X2", 3), vec("Z0 Z2", 3), vec("Y0", 3)]
+        out = gf2.lagrangian_extract(rows, 3, 2)
+        assert out == [vec("X0 X2", 3), vec("Y0 Y2", 3)]
+        with pytest.raises(ValueError, match="extracted 2 of 3 vectors"):
+            gf2.lagrangian_extract(rows, 3)
+
     def test_random_coisotropic_inputs_yield_lagrangians(self):
         rng = random.Random(33)
         for _ in range(100):

@@ -232,7 +232,7 @@ class TestValidationAndStats:
         report = validate_cover(h, CliqueCover("fc", "manual", ((0, 0),)), "fc")
         assert not report.valid
         assert any("twice" in v for v in report.violations)
-        assert any("uncovered" in v for v in report.violations)
+        assert "2 terms in no group, first 1" in report.violations
 
     def test_out_of_range_reported(self):
         h = parse_hamiltonian("1.0 X0\n")

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (build_unitary_symbolic, is_lagrangian, pairwise_validate,
-                     product_expand_in_tau, random_commuting_group, random_graph_hamiltonian,
-                     random_isotropic, random_pauli, reference_plan_dict,
-                     rescanning_find_sigma, solve_expansion)
+from helpers import (build_unitary_symbolic, full_width_find_sigma, full_width_find_tau,
+                     group_basis, is_lagrangian, pairwise_validate, product_expand_in_tau,
+                     random_commuting_group, random_graph_hamiltonian, random_isotropic,
+                     random_pauli, reference_plan_dict, rescanning_find_sigma,
+                     solve_expansion)
 from paulimeasure import (CliffordCircuit, CliqueCover, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, TauSigmaBasis, TransformError,
                           TransformedGroup, build_graph, cover_rlf, expand_in_tau,
                           find_sigma, find_tau, parse_hamiltonian, pipeline,
-                          plan_from_dict, plan_to_dict, plan_to_json, transform_group,
-                          validate_cover)
+                          plan_from_dict, plan_to_dict, plan_to_json, synthesize,
+                          transform_group, validate_cover)
 from paulimeasure.circuits import GATE_NAMES
 from paulimeasure import verify
 from paulimeasure.fixtures import (h2_commuting_group, h2_reference_basis,
@@ -53,9 +54,9 @@ class TestFindTau:
         assert [t.to_term_string() for t in find_tau(h)] == ["Z0"]
 
     def test_constant_only_group(self):
+        # a group of constants acts on no qubit, so it has no taus
         h = parse_hamiltonian("qubits: 2\n1.0 I\n")
-        taus = find_tau(h)
-        assert_valid_tau_set(taus, h)
+        assert find_tau(h) == []
 
     def test_non_commuting_input_rejected(self):
         # span rank above, equal to and below the qubit count
@@ -86,7 +87,7 @@ class TestFindSigma:
 
     def test_invalid_tau_input_rejected(self):
         with pytest.raises(ValueError):
-            find_sigma([PauliProduct.from_term_string("X0", 2)])
+            find_sigma([PauliProduct.from_term_string("X0 X1", 2)])
         with pytest.raises(ValueError):
             find_sigma([PauliProduct.from_term_string("X0", 1),
                         PauliProduct.from_term_string("Z0", 1)])
@@ -96,7 +97,7 @@ class TestFindSigma:
         for _ in range(50):
             n = rng.randint(1, 8)
             h = random_commuting_group(n, rng)
-            basis = find_sigma(find_tau(h))
+            basis = group_basis(h)
             basis.validate(h)
 
     @settings(max_examples=80, deadline=None)
@@ -117,8 +118,67 @@ class TestFindSigma:
         assert find_sigma(taus) == rescanning_find_sigma(taus)
 
     def test_widest_basis_matches_rescanning_reference(self):
-        taus = find_tau(parse_hamiltonian("1.0 X0 Z1023\n0.5 Z0 X1023\n"))
+        taus = full_width_find_tau(parse_hamiltonian("1.0 X0 Z1023\n0.5 Z0 X1023\n"))
+        assert len(taus) == 1024
         assert find_sigma(taus) == rescanning_find_sigma(taus)
+
+
+def embedded_group(k: int, n: int, rng: random.Random) -> Hamiltonian:
+    """A random commuting group on k qubits, placed on k random qubits of an
+    n-qubit register."""
+    small = random_commuting_group(k, rng)
+    qubits = rng.sample(range(n), k)
+
+    def place(bits):
+        return sum(((bits >> i) & 1) << q for i, q in enumerate(qubits))
+
+    return Hamiltonian(n, tuple((c, PauliProduct(n, place(p.x), place(p.z)))
+                                for c, p in small.terms))
+
+
+class TestSupportLocalBasis:
+    """Each basis acts only on its group's support S. The full-width
+    reference gives every qubit q outside S the factor (Z_q + X_q)/sqrt(2),
+    which measures nothing; dropping those factors leaves the same basis."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 10), st.integers(0, 2**32 - 1))
+    def test_matches_the_full_width_reference_without_its_idle_factors(self, k, extra,
+                                                                       seed):
+        rng = random.Random(seed)
+        n = k + extra
+        group = embedded_group(k, n, rng)
+        support = 0
+        for p in group.products():
+            support |= p.support
+        local = group_basis(group)
+        ref = full_width_find_sigma(full_width_find_tau(group))
+        keep = [i for i, (q, _) in enumerate(ref.sigmas) if support >> q & 1]
+        assert all(ref.taus[i] == PauliProduct.single(n, q, "Z") and a == "X"
+                   for i, (q, a) in enumerate(ref.sigmas) if i not in keep)
+        assert local.taus == tuple(ref.taus[i] for i in keep)
+        assert local.sigmas == tuple(ref.sigmas[i] for i in keep)
+        assert ({q for q, _ in local.sigmas}
+                == {q for q in range(n) if support >> q & 1})
+        assert (transform_group(group, local).transformed
+                == transform_group(group, ref).transformed)
+
+        def touches_support(g):
+            return [bool(support >> q & 1) for q in g.qubits]
+
+        ref_gates = synthesize(ref).gates
+        assert all(len(set(touches_support(g))) == 1 for g in ref_gates)
+        assert synthesize(local).gates == tuple(g for g in ref_gates
+                                                if all(touches_support(g)))
+
+    def test_constant_only_group_gets_the_empty_basis(self):
+        h = parse_hamiltonian("qubits: 3\n0.7 I\n")
+        entry = pipeline(h, cover_rlf(build_graph(h, "fc"))).groups[0]
+        assert entry.transform.basis == TauSigmaBasis(3, (), ())
+        assert entry.circuit == CliffordCircuit(3, ())
+        assert entry.transform.transformed == h
+        with pytest.raises(ValueError, match="empty tau basis"):
+            find_sigma(find_tau(h))
 
 
 class TestExpandInTau:
@@ -177,15 +237,15 @@ class TestExpandInTau:
         times one single-qubit Pauli, and random products."""
         rng = random.Random(seed)
         if from_group:
-            basis = find_sigma(find_tau(random_commuting_group(n, rng)))
+            basis = group_basis(random_commuting_group(n, rng))
         else:
             basis = find_sigma([PauliProduct.from_packed(v, n)
                                 for v in random_isotropic(n, n, rng)])
         for _ in range(12):
             term = PauliProduct(n, 0, 0, rng.randrange(4))
-            for k in range(n):
+            for tau in basis.taus:
                 if rng.getrandbits(1):
-                    term = term * basis.taus[k]
+                    term = term * tau
             kind = rng.randrange(3)
             if kind == 1:
                 term = term * PauliProduct.single(n, rng.randrange(n), rng.choice("XYZ"))
@@ -232,7 +292,7 @@ class TestTransformGroup:
         for _ in range(30):
             n = rng.randint(1, 6)
             h = random_commuting_group(n, rng)
-            basis = find_sigma(find_tau(h))
+            basis = group_basis(h)
             out = transform_group(h, basis)
             for (c_in, p_in), (c_out, _) in zip(h.terms, out.transformed.terms):
                 p = expand_in_tau(p_in, basis)[1]
@@ -243,7 +303,7 @@ class TestTransformGroup:
         rng = random.Random(6)
         for _ in range(20):
             h = random_commuting_group(rng.randint(1, 8), rng)
-            out = transform_group(h, find_sigma(find_tau(h)))
+            out = transform_group(h, group_basis(h))
             prods = out.transformed.products()
             for i in range(len(prods)):
                 for j in range(i + 1, len(prods)):
@@ -279,22 +339,22 @@ class TestSymbolicUnitary:
     def test_size_bound(self):
         rng = random.Random(9)
         h = random_commuting_group(9, rng)
-        basis = find_sigma(find_tau(h))
+        basis = group_basis(h)
         with pytest.raises(ValueError):
             build_unitary_symbolic(basis)
 
     def test_unitary_and_conjugation_both_directions(self):
         rng = random.Random(55)
         bases = [model_reference_basis(), h2_reference_basis()]
-        bases += [find_sigma(find_tau(random_commuting_group(rng.randint(1, 6), rng)))
+        bases += [group_basis(random_commuting_group(rng.randint(1, 6), rng))
                   for _ in range(10)]
         for basis in bases:
             u = verify.dense_matrix(build_unitary_symbolic(basis))
             dim = u.shape[0]
             np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-10)
-            for i in range(basis.n_qubits):
-                t = verify.dense_matrix(basis.taus[i])
-                s = verify.dense_matrix(basis.sigma_products[i])
+            for tau, sigma in zip(basis.taus, basis.sigma_products):
+                t = verify.dense_matrix(tau)
+                s = verify.dense_matrix(sigma)
                 np.testing.assert_allclose(u.conj().T @ t @ u, s, atol=1e-10)
                 np.testing.assert_allclose(u @ t @ u.conj().T, s, atol=1e-10)
 
@@ -333,6 +393,13 @@ class TestPipeline:
         assert str(info.value) == (f"cover invalid under fc: {len(violations)} "
                                    f"violations, first {violations[0]}")
         assert len(str(info.value)) < 100
+
+    def test_invalid_cover_error_counts_the_missing_terms(self):
+        h = random_graph_hamiltonian(8, 300, random.Random(5))
+        with pytest.raises(ValueError) as info:
+            pipeline(h, CliqueCover("fc", "manual", ((4, 7),)))
+        assert str(info.value) == ("cover invalid under fc: 1 violations, "
+                                   "first 298 terms in no group, first 0")
 
     def test_spectrum_and_expectation_preserved(self):
         h = six_term_hamiltonian()
@@ -454,13 +521,16 @@ def validate_outcome(check) -> str | None:
 
 class TestBasisValidate:
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(0, 5))
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(0, 7))
     def test_first_violation_matches_pairwise_reference(self, n, seed, kind):
         rng = random.Random(seed)
         group = random_commuting_group(n, rng)
-        basis = find_sigma(find_tau(group))
+        basis = group_basis(group)
         taus, sigmas = list(basis.taus), list(basis.sigmas)
-        i, j = rng.randrange(n), rng.randrange(n)
+        if taus:
+            i, j = rng.randrange(len(taus)), rng.randrange(len(taus))
+        elif kind not in (4, 5):
+            kind = 4  # a group of constants has no factor to corrupt
         if kind == 0:
             taus[i] = random_pauli(n, rng)
         elif kind == 1:
@@ -471,6 +541,12 @@ class TestBasisValidate:
             taus[i] = PauliProduct.from_packed((taus[i] * taus[j]).packed, n)
         elif kind == 4:
             group = Hamiltonian(n, group.terms + ((1.0, random_pauli(n, rng)),))
+        elif kind == 6:
+            del sigmas[i]
+        elif kind == 7:
+            taus[i] = PauliProduct.from_packed(
+                (taus[i] * PauliProduct.single(n, rng.randrange(n), rng.choice("XYZ"))).packed,
+                n)
         corrupted = TauSigmaBasis(n, tuple(taus), tuple(sigmas))
         for g in (None, group):
             assert (validate_outcome(lambda: corrupted.validate(g))

@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (all_paulis, build_unitary_symbolic, inverse_circuit, kron_circuit, kron_pauli,
                      looped_expectation_invariance, matrix_product_symbolic_unitary,
-                     per_term_dense_sum, random_commuting_group,
+                     group_basis, per_term_dense_sum, random_commuting_group,
                      random_graph_hamiltonian, tensordot_simulate_circuit)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, PauliSum,
-                          find_sigma, find_tau,
                           parse_hamiltonian, synthesize, transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES
@@ -181,7 +180,7 @@ class TestSimulateCircuit:
     def test_circuit_then_inverse_is_identity(self):
         rng = np.random.default_rng(11)
         pyrng = random.Random(11)
-        basis = find_sigma(find_tau(random_commuting_group(3, pyrng)))
+        basis = group_basis(random_commuting_group(3, pyrng))
         circuit = synthesize(basis)
         inverse = inverse_circuit(circuit)
         for _ in range(20):
@@ -271,7 +270,7 @@ class TestExpectationInvariance:
         pyrng = random.Random(seed)
         if invariant:
             h = random_commuting_group(n, pyrng)
-            basis = find_sigma(find_tau(h))
+            basis = group_basis(h)
             a = transform_group(h, basis).transformed
             u = verify.dense_matrix(synthesize(basis))
         else:
@@ -300,7 +299,7 @@ SIGNS = "circuit maps each group term to its transformed term (exact sign)"
 
 
 def one_group_plan(group: Hamiltonian) -> MeasurementPlan:
-    basis = find_sigma(find_tau(group))
+    basis = group_basis(group)
     return MeasurementPlan(group.n_qubits, (
         GroupPlan(transform_group(group, basis), synthesize(basis)),))
 
