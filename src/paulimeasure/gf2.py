@@ -7,6 +7,8 @@ lists of such row ints.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 
 def row_reduce(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
     """Reduced row-echelon form; returns (nonzero rows, pivot columns).
@@ -45,12 +47,17 @@ def rank(rows: list[int], n_cols: int) -> int:
     return len(row_reduce(rows, n_cols)[0])
 
 
-def null_space(rows: list[int], n_cols: int) -> list[int]:
-    """Basis of {v : row . v = 0 mod 2 for every row}, ordered by free column."""
+def null_space(rows: list[int], n_cols: int,
+               columns: Iterable[int] | None = None) -> list[int]:
+    """Basis of {v : row . v = 0 mod 2 for every row}, ordered by free column.
+
+    ``columns`` (ascending; default all) limits the result to the basis
+    vectors of the free columns among them.
+    """
     rref, pivots = row_reduce(rows, n_cols)
     pivot_set = set(pivots)
     basis = []
-    for free in range(n_cols):
+    for free in range(n_cols) if columns is None else columns:
         if free in pivot_set:
             continue
         v = 1 << free
@@ -72,14 +79,28 @@ def symplectic_inner(u: int, v: int, n_qubits: int) -> int:
             + ((u >> n_qubits) & (v & mask)).bit_count()) & 1
 
 
-def symplectic_complement(rows: list[int], n_qubits: int) -> list[int]:
+def symplectic_complement(rows: list[int], n_qubits: int,
+                          qubits: int | None = None) -> list[int]:
     """Basis of the symplectic orthogonal complement of span(rows).
 
     The Euclidean null space is computed first, then the x- and z-halves of
     every basis vector are interchanged to turn it into the null space of
     the symplectic form.
+
+    ``qubits`` is a mask of qubits that holds every row's qubits. With it,
+    only the null-space vectors of those qubits' free columns are built: a
+    column of any other qubit is free and gives a unit vector, X_q or Z_q,
+    which is left out. The vectors kept come in the same order.
     """
-    return [swap_halves(v, n_qubits) for v in null_space(rows, 2 * n_qubits)]
+    columns = None
+    if qubits is not None:
+        listed = []
+        while qubits:
+            low = qubits & -qubits
+            listed.append(low.bit_length() - 1)
+            qubits ^= low
+        columns = listed + [n_qubits + q for q in listed]
+    return [swap_halves(v, n_qubits) for v in null_space(rows, 2 * n_qubits, columns)]
 
 
 def lagrangian_extract(rows: list[int], n_qubits: int,

@@ -143,10 +143,10 @@ def find_tau(group: Hamiltonian) -> list[PauliProduct]:
 
     Row reduction of the term vectors yields a basis of their span; if its
     rank is below N the basis is grown to a Lagrangian one of S inside the
-    symplectic complement. The complement holds X_q and Z_q of every qubit
-    q outside S, the null-space vectors of those qubits' free columns; they
-    are dropped, which leaves a coisotropic subspace of S's symplectic
-    space. Pairwise commutation is checked first, one term bitset per term.
+    symplectic complement. The complement is built over S's free columns
+    only: those of a qubit q outside S would give X_q and Z_q. That leaves
+    a coisotropic subspace of S's symplectic space. Pairwise commutation is
+    checked first, one term bitset per term.
     Constant terms contribute the zero vector; a group of constants has no
     taus.
     """
@@ -157,11 +157,8 @@ def find_tau(group: Hamiltonian) -> list[PauliProduct]:
     basis, _ = gf2.row_reduce([p.packed for p in products], 2 * n)
     if len(basis) < n:
         support = _qubits(basis, n)
-        idle = ((1 << n) - 1) & ~support
-        idle |= idle << n
-        basis = gf2.lagrangian_extract(
-            [v for v in gf2.symplectic_complement(basis, n) if not v & idle], n,
-            support.bit_count())
+        basis = gf2.lagrangian_extract(gf2.symplectic_complement(basis, n, support), n,
+                                       support.bit_count())
     return [PauliProduct.from_packed(v, n) for v in basis]
 
 

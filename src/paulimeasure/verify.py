@@ -7,9 +7,13 @@ fixed qubits outside the basis) and
 cross-checks it on dense matrices up to small qubit caps. The dense
 oracles rebuild operators from first principles (Pauli matrices and sums
 as signed permutations of the basis states, literal gate matrices applied
-to the amplitudes one numpy operation per gate, brute-force enumeration),
-so the fast bit-level algebra elsewhere is checked against an independent
-route. Qubit 0 is the leftmost Kronecker factor.
+to the amplitudes, brute-force enumeration), so the fast bit-level algebra
+elsewhere is checked against an independent route. A plan whose width has
+a dense row builds one set of index tables (``_Tables``) that all its
+groups share. A circuit reaches the amplitudes as one numpy operation per
+merged single-qubit run and per chain of CNOTs, and a real Hermitian
+matrix gets a real symmetric eigenvalue solve. Qubit 0 is the leftmost
+Kronecker factor.
 """
 
 from __future__ import annotations
@@ -53,16 +57,52 @@ class DimensionError(ValueError):
     """Dense oracle qubit cap exceeded."""
 
 
-def _check_cap(n_qubits: int, cap: int = MAX_DENSE_QUBITS) -> None:
-    if n_qubits > cap:
-        raise DimensionError(f"{n_qubits} qubits exceed the cap of {cap}")
+class _Tables:
+    """Index tables of one register width, shared by the dense operators of
+    a plan: the basis states ``b``, the sign (-1)^|s| of every bit pattern s
+    (``signs``), and, each built on first use, the identity and the row
+    gather of each CNOT."""
+
+    def __init__(self, n_qubits: int) -> None:
+        if n_qubits > MAX_DENSE_QUBITS:
+            raise DimensionError(f"{n_qubits} qubits exceed the cap of {MAX_DENSE_QUBITS}")
+        self.n_qubits = n_qubits
+        self.b = np.arange(1 << n_qubits)
+        # Doubling k appends the patterns with bit k set: one more set bit each.
+        signs = np.ones(1)
+        for _ in range(n_qubits):
+            signs = np.concatenate((signs, -signs))
+        self.signs = signs
+        self._cnot_rows: dict[tuple[int, ...], np.ndarray] = {}
+
+    @cached_property
+    def identity(self) -> np.ndarray:
+        eye = np.eye(1 << self.n_qubits, dtype=complex)
+        eye.flags.writeable = False
+        return eye
+
+    def cnot_rows(self, qubits: tuple[int, ...]) -> np.ndarray:
+        """The CNOT on (control, target) as a row gather: output amplitude b
+        is input amplitude rows[b]. Each basis state's (control, target) bits
+        are mapped through ``_CNOT_SOURCE``; qubit q is bit n - 1 - q."""
+        rows = self._cnot_rows.get(qubits)
+        if rows is None:
+            b, n = self.b, self.n_qubits
+            cs, ts = (n - 1 - q for q in qubits)
+            source = _CNOT_SOURCE[((b >> cs) & 1) << 1 | ((b >> ts) & 1)]
+            rows = self._cnot_rows[qubits] = (
+                b & ~(1 << cs | 1 << ts) | (source >> 1) << cs | (source & 1) << ts)
+        return rows
 
 
-def _parity(v: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each entry of an array of ints in [0, 2**32)."""
-    for shift in (16, 8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    return v & 1
+def _basis_bits(v: int, n: int) -> int:
+    """v with qubit bit q moved to basis-index bit n - 1 - q."""
+    out = 0
+    while v:
+        low = v & -v
+        out |= 1 << (n - low.bit_length())
+        v ^= low
+    return out
 
 
 def _signed_permutation(p: PauliProduct) -> tuple[int, int, complex]:
@@ -74,25 +114,20 @@ def _signed_permutation(p: PauliProduct) -> tuple[int, int, complex]:
     factor).
     """
     n = p.n_qubits
-    flip, sign_mask = (int(format(v, f"0{n}b")[::-1], 2) for v in (p.x, p.z))
-    return flip, sign_mask, I_POWERS[(p.phase_exp + (p.x & p.z).bit_count()) % 4]
+    return (_basis_bits(p.x, n), _basis_bits(p.z, n),
+            I_POWERS[(p.phase_exp + (p.x & p.z).bit_count()) % 4])
 
 
 def dense_pauli(p: PauliProduct) -> np.ndarray:
-    """The matrix of p as a signed permutation, built in one indexing step.
-
-    numpy 1.24 has no ``bitwise_count``, hence ``_parity``.
-    """
-    n = p.n_qubits
-    _check_cap(n)
+    """The matrix of p as a signed permutation, built in one indexing step."""
+    t = _Tables(p.n_qubits)
     flip, sign_mask, phase = _signed_permutation(p)
-    b = np.arange(1 << n)
-    m = np.zeros((1 << n, 1 << n), dtype=complex)
-    m[b ^ flip, b] = (1 - 2 * _parity(b & sign_mask)) * phase
+    m = np.zeros((len(t.b),) * 2, dtype=complex)
+    m[t.b ^ flip, t.b] = t.signs[t.b & sign_mask] * phase
     return m
 
 
-def _dense_sum(obj: Hamiltonian | PauliSum) -> np.ndarray:
+def _dense_sum(obj: Hamiltonian | PauliSum, tables: _Tables | None = None) -> np.ndarray:
     """The sum of coeff * dense_pauli(p) over the terms, in one scatter.
 
     Every term puts one entry in each column. ``np.bincount`` adds the
@@ -104,48 +139,51 @@ def _dense_sum(obj: Hamiltonian | PauliSum) -> np.ndarray:
     group, whose terms number at most 2^n.
     """
     n = obj.n_qubits
-    _check_cap(n)
+    t = _Tables(n) if tables is None else tables
     size = 1 << n
     maps = [_signed_permutation(p) for _, p in obj.terms]
     flips = np.array([f for f, _, _ in maps], dtype=np.int64)
     sign_masks = np.array([s for _, s, _ in maps], dtype=np.int64)
     values = np.array([c * phase for (c, _), (_, _, phase) in zip(obj.terms, maps)],
                       dtype=complex)
-    b = np.arange(size)
+    b = t.b
     flat = ((b ^ flips[:, None]) << n | b).ravel()
-    entries = (values[:, None] * (1 - 2 * _parity(b & sign_masks[:, None]))).ravel()
+    entries = (values[:, None] * t.signs[b & sign_masks[:, None]]).ravel()
     m = np.zeros(size * size, dtype=complex)
     m.real = np.bincount(flat, weights=entries.real, minlength=size * size)
     m.imag = np.bincount(flat, weights=entries.imag, minlength=size * size)
     return m.reshape(size, size)
 
 
-def dense_circuit(c: CliffordCircuit) -> np.ndarray:
-    return simulate_circuit(c, np.eye(1 << c.n_qubits, dtype=complex))
+def dense_circuit(c: CliffordCircuit, tables: _Tables | None = None) -> np.ndarray:
+    t = _Tables(c.n_qubits) if tables is None else tables
+    return simulate_circuit(c, t.identity, t)
 
 
-def dense_matrix(obj) -> np.ndarray:
-    """Dense operator for a PauliProduct, Hamiltonian, PauliSum or circuit."""
+def dense_matrix(obj, tables: _Tables | None = None) -> np.ndarray:
+    """Dense operator for a PauliProduct, Hamiltonian, PauliSum or circuit.
+    A sum or a circuit is built on ``tables``, the register's index tables,
+    when given."""
     if isinstance(obj, np.ndarray):
         return obj
     if isinstance(obj, PauliProduct):
         return dense_pauli(obj)
     if isinstance(obj, (Hamiltonian, PauliSum)):
-        return _dense_sum(obj)
+        return _dense_sum(obj, tables)
     if isinstance(obj, CliffordCircuit):
-        return dense_circuit(obj)
+        return dense_circuit(obj, tables)
     raise TypeError(f"cannot build a dense matrix from {type(obj).__name__}")
 
 
 def spectra_equal(h1, h2, tol: float = 1e-9) -> bool:
-    """Sorted-eigenvalue comparison of two Hermitian operators."""
+    """Sorted-eigenvalue comparison of two Hermitian operators. A matrix with
+    no imaginary part is real symmetric and gets the real solver."""
     m1, m2 = dense_matrix(h1), dense_matrix(h2)
     if m1.shape != m2.shape:
         return False
     if m1.shape[0] > 1 << MAX_SPECTRUM_QUBITS:
         raise DimensionError("spectrum comparison cap exceeded")
-    e1 = np.linalg.eigvalsh(m1)
-    e2 = np.linalg.eigvalsh(m2)
+    e1, e2 = (np.linalg.eigvalsh(m if m.imag.any() else m.real) for m in (m1, m2))
     return bool(np.max(np.abs(e1 - e2)) <= tol)
 
 
@@ -194,41 +232,48 @@ def count_compatible(template: PauliProduct) -> dict[str, int]:
     return {"n_qwc": n_qwc, "n_commuting": n_commuting}
 
 
-def _cnot_rows(n_qubits: int, control: int, target: int) -> np.ndarray:
-    """The CNOT on n qubits as a row gather: output amplitude b is input
-    amplitude rows[b]. Each basis state's (control, target) bits are mapped
-    through ``_CNOT_SOURCE``; qubit q is bit n - 1 - q of the state."""
-    b = np.arange(1 << n_qubits)
-    cs, ts = n_qubits - 1 - control, n_qubits - 1 - target
-    source = _CNOT_SOURCE[((b >> cs) & 1) << 1 | ((b >> ts) & 1)]
-    return b & ~(1 << cs | 1 << ts) | (source >> 1) << cs | (source & 1) << ts
+def _apply(psi: np.ndarray, rows: np.ndarray | None, runs) -> np.ndarray:
+    """psi (2^n rows) gathered by ``rows`` (None: no gather), then each
+    (qubit q, 2x2 matrix) of ``runs`` multiplied into axis 1 of the
+    amplitudes viewed as (qubits before q, qubit q, the rest)."""
+    if rows is not None:
+        psi = psi[rows]
+    for q, m in runs:
+        psi = (m @ psi.reshape(1 << q, 2, psi.size >> (q + 1))).reshape(psi.shape)
+    return psi
 
 
-def simulate_circuit(c: CliffordCircuit, states) -> np.ndarray:
+def simulate_circuit(c: CliffordCircuit, states,
+                     tables: _Tables | None = None) -> np.ndarray:
     """Apply gates in order to a dense state vector, or to every column of a
-    matrix of states; includes the global phase.
+    matrix of states; includes the global phase. ``tables`` are the
+    register's index tables, built here when None.
 
-    One numpy operation per gate: a 2x2 gate on qubit q multiplies axis 1 of
-    the amplitudes viewed as (qubits before q, qubit q, the rest), and a
-    CNOT gathers rows by its basis permutation, built once per (control,
-    target) pair.
+    The literal gate matrices of each qubit's run of single-qubit gates are
+    multiplied together, and the run is applied once: when a CNOT touches
+    its qubit, or at the end. The CNOT row gathers in between compose into
+    one permutation, applied before any run. Deferring is exact: a pending
+    run started after every pending CNOT on its qubit, and acts on no qubit
+    of a later one.
     """
     n = c.n_qubits
-    _check_cap(n)
+    t = _Tables(n) if tables is None else tables
     states = np.asarray(states, dtype=complex)
-    width = math.prod(states.shape[1:])
-    psi = states.reshape(1 << n, width)
-    cnot_rows: dict[tuple[int, ...], np.ndarray] = {}
+    psi = states.reshape(1 << n, math.prod(states.shape[1:]))
+    runs: dict[int, np.ndarray] = {}
+    rows = None
     for gate in c.gates:
         if gate.name == "CNOT":
-            rows = cnot_rows.get(gate.qubits)
-            if rows is None:
-                rows = cnot_rows[gate.qubits] = _cnot_rows(n, *gate.qubits)
-            psi = psi[rows]
+            due = [(q, runs.pop(q)) for q in gate.qubits if q in runs]
+            if due:
+                psi, rows = _apply(psi, rows, due), None
+            gather = t.cnot_rows(gate.qubits)
+            rows = gather if rows is None else rows[gather]
         else:
             q = gate.qubits[0]
-            view = psi.reshape(1 << q, 2, (width << n) >> (q + 1))
-            psi = (_GATE_1Q[gate.name] @ view).reshape(1 << n, width)
+            m = _GATE_1Q[gate.name]
+            runs[q] = m @ runs[q] if q in runs else m
+    psi = _apply(psi, rows, runs.items())
     return np.exp(1j * np.pi / 4 * c.global_phase_exp) * psi.reshape(states.shape)
 
 
@@ -246,10 +291,12 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
 class _GroupOperators:
     """One plan group and its dense operators, each built on first use."""
 
-    def __init__(self, h: Hamiltonian, entry: GroupPlan, rng: np.random.Generator) -> None:
+    def __init__(self, h: Hamiltonian, entry: GroupPlan, rng: np.random.Generator,
+                 tables: _Tables | None) -> None:
         self.entry = entry
         self.source = h
         self.rng = rng
+        self.tables = tables
 
     @cached_property
     def group(self) -> Hamiltonian:
@@ -258,11 +305,11 @@ class _GroupOperators:
 
     @cached_property
     def group_matrix(self) -> np.ndarray:
-        return dense_matrix(self.group)
+        return dense_matrix(self.group, self.tables)
 
     @cached_property
     def transformed_matrix(self) -> np.ndarray:
-        return dense_matrix(self.entry.transform.transformed)
+        return dense_matrix(self.entry.transform.transformed, self.tables)
 
     @cached_property
     def symbolic_unitary(self) -> np.ndarray:
@@ -273,25 +320,24 @@ class _GroupOperators:
 
         Right-multiplying by a Pauli P moves column b ^ flip of U to column
         b with P's sign and phase (``_signed_permutation``), so each factor
-        costs two column gathers, O(4^n), not a matrix product.
+        costs two column gathers, O(4^n), not a matrix product. The 1/sqrt(2)
+        rides on each term's sign vector.
         """
         basis = self.entry.transform.basis
         basis.check_counts()
-        n = basis.n_qubits
-        _check_cap(n)
-        b = np.arange(1 << n)
-        u = np.eye(1 << n, dtype=complex)
+        b, signs = self.tables.b, self.tables.signs
+        u = self.tables.identity
         for factor in zip(basis.taus, basis.sigma_products):
             terms = []
             for p in factor:
                 flip, sign_mask, phase = _signed_permutation(p)
-                terms.append(u[:, b ^ flip] * ((1 - 2 * _parity(b & sign_mask)) * phase))
-            u = (terms[0] + terms[1]) / np.sqrt(2)
+                terms.append(u[:, b ^ flip] * (signs[b & sign_mask] * (phase / math.sqrt(2))))
+            u = terms[0] + terms[1]
         return u
 
     @cached_property
     def circuit_unitary(self) -> np.ndarray:
-        return dense_matrix(self.entry.circuit)
+        return dense_matrix(self.entry.circuit, self.tables)
 
 
 def _partition_problems(h: Hamiltonian, plan: MeasurementPlan) -> str:
@@ -423,7 +469,7 @@ def _check_conjugation(g: _GroupOperators):
 
 def _check_unitarity(g: _GroupOperators):
     for u in (g.symbolic_unitary, g.circuit_unitary):
-        dev = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+        dev = float(np.max(np.abs(u @ u.conj().T - g.tables.identity)))
         if dev > 1e-10:
             return False, f"deviation {dev:.2e}"
     return True, ""
@@ -467,10 +513,11 @@ def plan_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, s
     is out of range. The status is "pass", "fail", or "skip" for a dense
     check above its qubit cap. Groups are visited one at a time and every
     check runs on a group before the next, so each group's dense operators
-    are built once and only one group's are alive. A check that raises
-    ValueError or IndexError on a malformed group fails with that message.
-    A check that has failed is not run on later groups; its row names the
-    first failing group.
+    are built once and only one group's are alive. The index tables of the
+    dense operators are built once per plan, and only when some dense row
+    runs. A check that raises ValueError or IndexError on a malformed group
+    fails with that message. A check that has failed is not run on later
+    groups; its row names the first failing group.
     """
     n = plan.n_qubits
     if n != h.n_qubits:
@@ -481,9 +528,11 @@ def plan_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, s
                 raise ValueError(f"plan group {gi}: term index {i} out of range")
     rng = np.random.default_rng(_EXPECTATION_SEED)
     running = [(name, fn) for name, fn, cap in _CHECKS if cap is None or n <= cap]
+    dense = any(cap is not None and n <= cap for _, _, cap in _CHECKS)
+    tables = _Tables(n) if dense else None
     failures: dict[str, str] = {}
     for gi, entry in enumerate(plan.groups):
-        g = _GroupOperators(h, entry, rng)
+        g = _GroupOperators(h, entry, rng, tables)
         for name, fn in running:
             if name not in failures:
                 try:

@@ -130,6 +130,19 @@ def random_commuting_group(n_qubits: int, rng: random.Random) -> Hamiltonian:
     return Hamiltonian.from_terms(n_qubits, terms)
 
 
+def embedded_group(k: int, n: int, rng: random.Random) -> Hamiltonian:
+    """A random commuting group on k qubits, placed on k random qubits of an
+    n-qubit register."""
+    small = random_commuting_group(k, rng)
+    qubits = rng.sample(range(n), k)
+
+    def place(bits):
+        return sum(((bits >> i) & 1) << q for i, q in enumerate(qubits))
+
+    return Hamiltonian(n, tuple((c, PauliProduct(n, place(p.x), place(p.z)))
+                                for c, p in small.terms))
+
+
 def random_graph_hamiltonian(n_qubits: int, n_terms: int, rng: random.Random) -> Hamiltonian:
     """Random Hamiltonian with distinct non-identity terms (no commutation constraint)."""
     seen = set()
@@ -678,6 +691,29 @@ def tensordot_simulate_circuit(c: CliffordCircuit, states) -> np.ndarray:
     return np.exp(1j * np.pi / 4 * c.global_phase_exp) * psi.reshape(states.shape)
 
 
+# verify.simulate_circuit as it was before each qubit's run of gates and each
+# chain of CNOTs became one numpy operation: one operation per gate, a 2x2
+# matrix on one axis of the amplitudes or a CNOT row gather (here written
+# as a flip of the target bit where the control bit is set). Tests require
+# agreement to 1e-12, global phase included.
+
+def per_gate_simulate_circuit(c: CliffordCircuit, states) -> np.ndarray:
+    n = c.n_qubits
+    states = np.asarray(states, dtype=complex)
+    width = states.size >> n
+    psi = states.reshape(1 << n, width)
+    b = np.arange(1 << n)
+    for gate in c.gates:
+        if gate.name == "CNOT":
+            cs, ts = (n - 1 - q for q in gate.qubits)
+            psi = psi[b ^ ((b >> cs) & 1) << ts]
+        else:
+            q = gate.qubits[0]
+            view = psi.reshape(1 << q, 2, (width << n) >> (q + 1))
+            psi = (_GATE_2X2[gate.name] @ view).reshape(1 << n, width)
+    return np.exp(1j * np.pi / 4 * c.global_phase_exp) * psi.reshape(states.shape)
+
+
 # verify.dense_matrix of a Hamiltonian or PauliSum as it was before the sum
 # became one scatter: one dense matrix per term, added in term order. Tests
 # require exact equality.
@@ -740,6 +776,30 @@ def full_width_find_tau(group: Hamiltonian) -> list[PauliProduct]:
     basis, _ = gf2.row_reduce([p.packed for p in products], 2 * n)
     if len(basis) < n:
         basis = gf2.lagrangian_extract(gf2.symplectic_complement(basis, n), n)
+    return [PauliProduct.from_packed(v, n) for v in basis]
+
+
+# transform.find_tau as it was before the symplectic complement was built
+# over the support's free columns only: the whole complement, then without
+# the unit vectors X_q and Z_q of every qubit q outside the support S.
+# Tests require the same taus.
+
+def idle_filter_find_tau(group: Hamiltonian) -> list[PauliProduct]:
+    n = group.n_qubits
+    products = group.products()
+    if not _commute_pairwise(qubit_columns(n, products), products):
+        raise ValueError("group terms do not commute")
+    basis, _ = gf2.row_reduce([p.packed for p in products], 2 * n)
+    if len(basis) < n:
+        touched = 0
+        for v in basis:
+            touched |= v
+        support = (touched | touched >> n) & ((1 << n) - 1)
+        idle = ((1 << n) - 1) & ~support
+        idle |= idle << n
+        basis = gf2.lagrangian_extract(
+            [v for v in gf2.symplectic_complement(basis, n) if not v & idle], n,
+            support.bit_count())
     return [PauliProduct.from_packed(v, n) for v in basis]
 
 

@@ -113,6 +113,27 @@ class TestSymplecticComplement:
             again = gf2.symplectic_complement(comp, n)
             assert same_span(again, rows, 2 * n)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 30), st.integers(0, 2**32 - 1))
+    def test_qubit_mask_leaves_out_the_unit_vectors_of_other_qubits(self, k, extra, seed):
+        # rows on k random qubits of a wider register: the masked complement
+        # is the whole one without the X_q and Z_q of the other qubits
+        rng = random.Random(seed)
+        n = k + extra
+        qubits = rng.sample(range(n), k)
+        mask = sum(1 << q for q in qubits)
+
+        def place(v):
+            x = sum(((v >> i) & 1) << q for i, q in enumerate(qubits))
+            z = sum(((v >> (k + i)) & 1) << q for i, q in enumerate(qubits))
+            return x | z << n
+
+        rows = [place(v) for v in random_subspace(k, rng.randint(0, 2 * k), rng)]
+        idle = ((1 << n) - 1) & ~mask
+        idle |= idle << n
+        assert gf2.symplectic_complement(rows, n, mask) == [
+            v for v in gf2.symplectic_complement(rows, n) if not v & idle]
+
 
 class TestLagrangianExtract:
     def test_already_lagrangian_unchanged(self):

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (build_unitary_symbolic, full_width_find_sigma, full_width_find_tau,
-                     group_basis, is_lagrangian, pairwise_validate, product_expand_in_tau,
-                     random_commuting_group, random_graph_hamiltonian, random_isotropic,
-                     random_pauli, reference_plan_dict, rescanning_find_sigma,
-                     solve_expansion)
+from helpers import (build_unitary_symbolic, embedded_group, full_width_find_sigma,
+                     full_width_find_tau, group_basis, idle_filter_find_tau, is_lagrangian,
+                     pairwise_validate, product_expand_in_tau, random_commuting_group,
+                     random_graph_hamiltonian, random_isotropic, random_pauli,
+                     reference_plan_dict, rescanning_find_sigma, solve_expansion)
 from paulimeasure import (CliffordCircuit, CliqueCover, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, TauSigmaBasis, TransformError,
                           TransformedGroup, build_graph, cover_rlf, expand_in_tau,
@@ -123,19 +123,6 @@ class TestFindSigma:
         assert find_sigma(taus) == rescanning_find_sigma(taus)
 
 
-def embedded_group(k: int, n: int, rng: random.Random) -> Hamiltonian:
-    """A random commuting group on k qubits, placed on k random qubits of an
-    n-qubit register."""
-    small = random_commuting_group(k, rng)
-    qubits = rng.sample(range(n), k)
-
-    def place(bits):
-        return sum(((bits >> i) & 1) << q for i, q in enumerate(qubits))
-
-    return Hamiltonian(n, tuple((c, PauliProduct(n, place(p.x), place(p.z)))
-                                for c, p in small.terms))
-
-
 class TestSupportLocalBasis:
     """Each basis acts only on its group's support S. The full-width
     reference gives every qubit q outside S the factor (Z_q + X_q)/sqrt(2),
@@ -170,6 +157,18 @@ class TestSupportLocalBasis:
         assert all(len(set(touches_support(g))) == 1 for g in ref_gates)
         assert synthesize(local).gates == tuple(g for g in ref_gates
                                                 if all(touches_support(g)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_taus_match_the_whole_complement_reference(self, k, extra, seed):
+        group = embedded_group(k, k + extra, random.Random(seed))
+        assert find_tau(group) == idle_filter_find_tau(group)
+
+    def test_two_far_qubits_of_the_widest_register(self):
+        for text in ("1.0 X0 Z1023\n0.5 Z0 X1023\n", "1.0 X0 Z1023\n"):
+            group = parse_hamiltonian("qubits: 1024\n" + text)
+            taus = find_tau(group)
+            assert len(taus) == 2 and taus == idle_filter_find_tau(group)
 
     def test_constant_only_group_gets_the_empty_basis(self):
         h = parse_hamiltonian("qubits: 3\n0.7 I\n")

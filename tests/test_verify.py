@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (all_paulis, build_unitary_symbolic, inverse_circuit, kron_circuit, kron_pauli,
-                     looped_expectation_invariance, matrix_product_symbolic_unitary,
-                     group_basis, per_term_dense_sum, random_commuting_group,
-                     random_graph_hamiltonian, tensordot_simulate_circuit)
+from helpers import (all_paulis, build_unitary_symbolic, embedded_group, inverse_circuit,
+                     kron_circuit, kron_pauli, looped_expectation_invariance,
+                     matrix_product_symbolic_unitary, group_basis, per_gate_simulate_circuit,
+                     per_term_dense_sum, random_commuting_group, random_graph_hamiltonian,
+                     tensordot_simulate_circuit)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
-                          MeasurementPlan, PauliProduct, PauliSum,
-                          parse_hamiltonian, synthesize, transform_group)
+                          MeasurementPlan, PauliProduct, PauliSum, build_graph, cover_rlf,
+                          parse_hamiltonian, pipeline, synthesize, transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES
 from paulimeasure.fixtures import (h2_reference_basis, model_hamiltonian,
@@ -119,6 +120,45 @@ class TestSpectra:
         a = parse_hamiltonian("qubits: 2\n0.7001 Z0\n-0.3 X1\n")
         assert not verify.spectra_equal(h, a)
 
+    @staticmethod
+    def solver_dtypes(monkeypatch) -> list:
+        """The dtype of every matrix that reaches np.linalg.eigvalsh."""
+        seen = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.dtype) or solve(m))
+        return seen
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_real_solver_matches_the_complex_solver(self, data):
+        # every term has an even number of Ys, so the matrix is real
+        n = data.draw(st.integers(1, 6))
+        axes = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+        terms = data.draw(st.lists(st.tuples(
+            st.floats(-1, 1, allow_nan=False),
+            axes.filter(lambda xz: (xz[0] & xz[1]).bit_count() % 2 == 0)), max_size=12))
+        h = Hamiltonian.from_terms(n, [(c, PauliProduct(n, x, z)) for c, (x, z) in terms])
+        m = verify.dense_matrix(h)
+        assert not m.imag.any()
+        real, full = np.linalg.eigvalsh(m.real), np.linalg.eigvalsh(m)
+        assert np.max(np.abs(real - full)) <= 1e-12
+
+    def test_real_matrices_take_the_real_solver(self, monkeypatch):
+        seen = self.solver_dtypes(monkeypatch)
+        a = parse_hamiltonian("qubits: 2\n0.7 Z0\n-0.3 X1\n")
+        assert verify.spectra_equal(model_hamiltonian(0.7, -0.3), a)
+        assert seen == [np.float64, np.float64]
+
+    def test_odd_y_term_takes_the_complex_solver(self, monkeypatch):
+        # S on qubit 0 maps X0 to Y0 and fixes Z0, so the first two share a
+        # spectrum; the real part of the Y0 matrix alone does not
+        seen = self.solver_dtypes(monkeypatch)
+        h = parse_hamiltonian("1.0 Y0\n0.5 Z0 X1\n")
+        assert verify.spectra_equal(h, parse_hamiltonian("1.0 X0\n0.5 Z0 X1\n"))
+        assert seen == [np.complex128, np.float64]
+        assert not verify.spectra_equal(h, parse_hamiltonian("1.0 Y0\n0.6 Z0 X1\n"))
+        assert seen[2:] == [np.complex128, np.complex128]
+
 
 class TestCountCompatible:
     def test_average_template_n4(self):
@@ -153,6 +193,29 @@ def circuits(draw, max_qubits=6, max_gates=16):
         qubits = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
                                unique=True))
         gates.append(Gate(name, tuple(qubits)))
+    return CliffordCircuit(n, tuple(gates), draw(st.integers(0, 7)))
+
+
+@st.composite
+def run_and_chain_circuits(draw, max_qubits=6):
+    """Circuits of blocks: runs of 3-6 single-qubit gates on one qubit, and
+    chains of 2-4 CNOTs in which each CNOT shares a qubit with the one
+    before it, in either role."""
+    n = draw(st.integers(2, max_qubits))
+    one_qubit = [name for name in GATE_NAMES if name != "CNOT"]
+    gates = []
+    for chain in draw(st.lists(st.booleans(), min_size=1, max_size=8)):
+        shared = draw(st.integers(0, n - 1))
+        if not chain:
+            names = draw(st.lists(st.sampled_from(one_qubit), min_size=3, max_size=6))
+            gates += [Gate(name, (shared,)) for name in names]
+            continue
+        for _ in range(draw(st.integers(2, 4))):
+            other = draw(st.integers(0, n - 2))
+            other += other >= shared
+            pair = tuple(draw(st.permutations([shared, other])))
+            gates.append(Gate("CNOT", pair))
+            shared = draw(st.sampled_from(pair))
     return CliffordCircuit(n, tuple(gates), draw(st.integers(0, 7)))
 
 
@@ -220,6 +283,22 @@ class TestSimulateCircuit:
         np.testing.assert_allclose(verify.simulate_circuit(circuit, states),
                                    tensordot_simulate_circuit(circuit, states),
                                    rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(run_and_chain_circuits(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_merged_runs_and_chains_match_the_per_gate_reference(self, circuit, columns,
+                                                                 seed):
+        # exact phase: no global phase is aligned away
+        gen = np.random.default_rng(seed)
+        shape = (1 << circuit.n_qubits,) + ((columns,) if columns else ())
+        states = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        np.testing.assert_allclose(verify.simulate_circuit(circuit, states),
+                                   per_gate_simulate_circuit(circuit, states),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            verify.dense_circuit(circuit),
+            per_gate_simulate_circuit(circuit, np.eye(1 << circuit.n_qubits)),
+            rtol=0, atol=1e-12)
 
     def test_qubit_cap(self):
         with pytest.raises(verify.DimensionError):
@@ -367,10 +446,33 @@ class TestTableauRow:
 class TestSymbolicUnitary:
     def test_gathers_equal_the_matrix_product_reference(self):
         rng = random.Random(79)
+        groups = [random_commuting_group(rng.randint(1, 6), rng) for _ in range(20)]
+        # support-local bases: fewer factors than register qubits
         for _ in range(20):
-            group = random_commuting_group(rng.randint(1, 6), rng)
+            n = rng.randint(2, 6)
+            groups.append(embedded_group(rng.randint(1, n - 1), n, rng))
+        for group in groups:
             entry = one_group_plan(group).groups[0]
-            g = verify._GroupOperators(group, entry, None)
+            g = verify._GroupOperators(group, entry, None, verify._Tables(group.n_qubits))
             np.testing.assert_allclose(
                 g.symbolic_unitary,
                 matrix_product_symbolic_unitary(entry.transform.basis), atol=1e-12)
+        assert sum(len(group_basis(g).taus) < g.n_qubits for g in groups) >= 20
+
+
+class TestDenseTables:
+    @pytest.mark.parametrize("n, built", [(4, [4]), (10, [10]), (11, []), (30, [])])
+    def test_built_once_per_plan_and_only_when_a_dense_row_runs(self, monkeypatch,
+                                                                n, built):
+        h = random_graph_hamiltonian(n, 8, random.Random(n))
+        plan = pipeline(h, cover_rlf(build_graph(h, "fc")))
+        assert len(plan.groups) >= 2
+        seen = []
+        tables = verify._Tables
+        monkeypatch.setattr(verify, "_Tables", lambda k: seen.append(k) or tables(k))
+        assert all(status != "fail" for _, status, _ in verify.plan_checks(h, plan))
+        assert seen == built
+
+    def test_parity_signs(self):
+        t = verify._Tables(5)
+        assert t.signs.tolist() == [(-1) ** s.bit_count() for s in range(32)]
