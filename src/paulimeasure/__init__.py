@@ -3,7 +3,7 @@
 import importlib
 
 from .pauli import (DROP_TOLERANCE, Hamiltonian, HamiltonianFormatError,
-                    PauliProduct, PauliSum, parse_hamiltonian, serialize_hamiltonian)
+                    PauliProduct, PauliSum, parse_hamiltonian)
 from .grouping import (CliqueCover, CompatGraph, CoverReport, CoverStats,
                        build_graph, compute_cover, cover_dsatur, cover_exact,
                        cover_rlf, cover_stats, cover_to_dict, validate_cover)
@@ -11,8 +11,7 @@ from .transform import (GroupPlan, MeasurementPlan, TauSigmaBasis, TransformErro
                         TransformedGroup, expand_in_tau, find_sigma, find_tau,
                         pipeline, plan_from_dict, plan_to_dict, plan_to_json,
                         transform_group)
-from .circuits import (CliffordCircuit, Gate, circuit_from_dict, circuit_to_dict,
-                       gate_counts, synthesize)
+from .circuits import CliffordCircuit, Gate, circuit_from_dict, gate_counts, synthesize
 
 __version__ = "0.1.0"
 
@@ -27,13 +26,12 @@ def __getattr__(name: str):
 
 __all__ = [
     "DROP_TOLERANCE", "Hamiltonian", "HamiltonianFormatError", "PauliProduct",
-    "PauliSum", "parse_hamiltonian", "serialize_hamiltonian",
+    "PauliSum", "parse_hamiltonian",
     "CliqueCover", "CompatGraph", "CoverReport", "CoverStats", "build_graph",
     "compute_cover", "cover_dsatur", "cover_exact", "cover_rlf", "cover_stats",
     "cover_to_dict", "validate_cover",
     "GroupPlan", "MeasurementPlan", "TauSigmaBasis", "TransformError",
     "TransformedGroup", "expand_in_tau", "find_sigma", "find_tau", "pipeline",
     "plan_from_dict", "plan_to_dict", "plan_to_json", "transform_group",
-    "CliffordCircuit", "Gate", "circuit_from_dict", "circuit_to_dict",
-    "gate_counts", "synthesize",
+    "CliffordCircuit", "Gate", "circuit_from_dict", "gate_counts", "synthesize",
 ]

@@ -267,14 +267,6 @@ def conjugate_columns(c: CliffordCircuit, xcol: list[int], zcol: list[int]
     return x, z, sign
 
 
-def circuit_to_dict(c: CliffordCircuit) -> dict:
-    return {
-        "n_qubits": c.n_qubits,
-        "global_phase_exp": c.global_phase_exp,
-        "gates": [{"name": g.name, "qubits": list(g.qubits)} for g in c.gates],
-    }
-
-
 _JSON_KINDS = {int: "an integer", str: "a string", list: "an array",
                dict: "an object", (int, float): "a number"}
 
@@ -298,7 +290,7 @@ def _field(obj, key: str, kind, item=None):
 
 
 def circuit_from_dict(d: dict) -> CliffordCircuit:
-    """Inverse of circuit_to_dict; ValueError names the first bad field.
+    """A circuit from its plan-JSON object; ValueError names the first bad field.
 
     One pass over the gate list. A gate whose fields have exactly the JSON
     types asked for is looked up in a memo of this circuit's gates, so equal

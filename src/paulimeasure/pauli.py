@@ -62,18 +62,6 @@ class PauliProduct:
         return cls(n_qubits, xb << qubit, zb << qubit, 0)
 
     @classmethod
-    def from_label(cls, label: str, phase_exp: int = 0) -> PauliProduct:
-        """Build from an 'IXYZ' style string; character ``i`` is qubit ``i``."""
-        x = z = 0
-        for q, a in enumerate(label):
-            bits = _BITS_FROM_AXIS.get(a)
-            if bits is None:
-                raise ValueError(f"invalid Pauli character {a!r}")
-            x |= bits[0] << q
-            z |= bits[1] << q
-        return cls(len(label), x, z, phase_exp)
-
-    @classmethod
     def from_term_string(cls, term: str, n_qubits: int) -> PauliProduct:
         """Build from token form, e.g. ``"X0 Z3"`` or ``"I"``."""
         x, z, top = parse_term_tokens(term.split())
@@ -326,10 +314,3 @@ def parse_hamiltonian(source: str | Iterable[str],
                 f"line {lineno}: qubit index {top} >= qubits {n_qubits}")
         terms.append((coeff, PauliProduct(n_qubits, x, z)))
     return Hamiltonian.from_terms(n_qubits, terms, drop_tolerance)
-
-
-def serialize_hamiltonian(h: Hamiltonian) -> str:
-    """Inverse of parse_hamiltonian up to term order and float formatting."""
-    lines = [f"qubits: {h.n_qubits}"]
-    lines.extend(f"{coeff!r} {prod.to_term_string()}" for coeff, prod in h.terms)
-    return "\n".join(lines) + "\n"

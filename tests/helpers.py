@@ -7,21 +7,52 @@ import re
 
 import numpy as np
 
-from paulimeasure import (CliffordCircuit, Gate, Hamiltonian, PauliProduct, PauliSum,
-                          TauSigmaBasis, TransformError, circuit_to_dict, find_sigma,
-                          find_tau)
+from paulimeasure import (CliffordCircuit, CliqueCover, Gate, Hamiltonian, PauliProduct,
+                          PauliSum, TauSigmaBasis, TransformError, find_sigma, find_tau)
 from paulimeasure import gf2
 from paulimeasure.circuits import _append_exponent, _Fold
-from paulimeasure.pauli import I_POWERS, MAX_QUBITS, anticommuting, qubit_columns
+from paulimeasure.pauli import (_BITS_FROM_AXIS, I_POWERS, MAX_QUBITS, anticommuting,
+                                qubit_columns)
 from paulimeasure.transform import _commute_pairwise
 from paulimeasure.verify import dense_matrix, dense_pauli, random_state
 
 AXES = "IXYZ"
 
 
+# Test-only builders and writers that the package does not use: a product
+# from an 'IXYZ' label, the Hamiltonian text writer and a circuit's dict form.
+
+def pauli_from_label(label: str, phase_exp: int = 0) -> PauliProduct:
+    """Build from an 'IXYZ' style string; character ``i`` is qubit ``i``."""
+    x = z = 0
+    for q, a in enumerate(label):
+        bits = _BITS_FROM_AXIS.get(a)
+        if bits is None:
+            raise ValueError(f"invalid Pauli character {a!r}")
+        x |= bits[0] << q
+        z |= bits[1] << q
+    return PauliProduct(len(label), x, z, phase_exp)
+
+
+def serialize_hamiltonian(h: Hamiltonian) -> str:
+    """Inverse of parse_hamiltonian up to term order and float formatting."""
+    lines = [f"qubits: {h.n_qubits}"]
+    lines.extend(f"{coeff!r} {prod.to_term_string()}" for coeff, prod in h.terms)
+    return "\n".join(lines) + "\n"
+
+
+def circuit_to_dict(c: CliffordCircuit) -> dict:
+    """The circuit object of plan JSON, the input of circuit_from_dict."""
+    return {
+        "n_qubits": c.n_qubits,
+        "global_phase_exp": c.global_phase_exp,
+        "gates": [{"name": g.name, "qubits": list(g.qubits)} for g in c.gates],
+    }
+
+
 def random_pauli(n_qubits: int, rng: random.Random, phase: bool = False) -> PauliProduct:
     label = "".join(rng.choice(AXES) for _ in range(n_qubits))
-    return PauliProduct.from_label(label, rng.randrange(4) if phase else 0)
+    return pauli_from_label(label, rng.randrange(4) if phase else 0)
 
 
 def all_paulis(n_qubits: int):
@@ -215,8 +246,10 @@ def conjugation_maps_paulis_to_paulis(u: np.ndarray, n_qubits: int,
     return True
 
 
-# Naive references for the bitset grouping code: pairwise relation tests and
-# the linear-scan DSATUR it replaced. Tests require identical results.
+# Naive references for the bitset grouping code: pairwise relation tests,
+# the linear-scan DSATUR it replaced, the bucket DSATUR with its color test on
+# shifted ints and the RLF that scans every candidate for each pick. Tests
+# require identical results.
 
 def pairwise_graph_rows(h: Hamiltonian, relation: str) -> tuple[int, ...]:
     """Adjacency rows by testing every term pair with the product predicates."""
@@ -286,6 +319,77 @@ def naive_dsatur_colors(graph) -> list[int]:
         for u in _bits(graph.conflicts[v]):
             neighbor_colors[u].add(c)
     return colors
+
+
+def shifting_dsatur_colors(graph) -> list[int]:
+    """grouping._dsatur_colors with the first-fit test on the int ``seen[c]``."""
+    n = graph.n_vertices
+    colors = [-1] * n
+    seen: list[int] = []
+    buckets = [0] * (n + 1)
+    buckets[0] = uncolored = (1 << n) - 1
+    top = 0
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        bit = buckets[top] & -buckets[top]
+        v = bit.bit_length() - 1
+        buckets[top] ^= bit
+        uncolored ^= bit
+        c = 0
+        while c < len(seen) and (seen[c] >> v) & 1:
+            c += 1
+        if c == len(seen):
+            seen.append(0)
+        colors[v] = c
+        row = graph.conflicts[v]
+        rising = row & ~seen[c] & uncolored
+        seen[c] |= row
+        s = top
+        while rising:
+            moved = buckets[s] & rising
+            if moved:
+                buckets[s] ^= moved
+                buckets[s + 1] |= moved
+                rising ^= moved
+            s -= 1
+        if buckets[top + 1]:
+            top += 1
+    return colors
+
+
+def scanning_cover_rlf(graph) -> CliqueCover:
+    """grouping.cover_rlf with every seed and pick found by a popcount of each
+    uncovered vertex's or candidate's row."""
+    rows = graph.conflicts
+    uncovered = (1 << graph.n_vertices) - 1
+    groups: list[tuple[int, ...]] = []
+    while uncovered:
+        seed = None
+        seed_deg = -1
+        for v in _bits(uncovered):
+            deg = (rows[v] & uncovered).bit_count()
+            if deg > seed_deg:
+                seed, seed_deg = v, deg
+        members = [seed]
+        excluded = rows[seed] & uncovered
+        candidates = uncovered & ~excluded & ~(1 << seed)
+        while candidates:
+            pick = None
+            pick_score = -1
+            for v in _bits(candidates):
+                score = (rows[v] & excluded).bit_count()
+                if score > pick_score:
+                    pick, pick_score = v, score
+            members.append(pick)
+            nb = rows[pick]
+            excluded |= nb & candidates
+            candidates &= ~(nb | (1 << pick))
+        members.sort()
+        groups.append(tuple(members))
+        for v in members:
+            uncovered &= ~(1 << v)
+    return CliqueCover(graph.relation, "rlf", tuple(groups))
 
 
 # Earlier forms of the tau/sigma stage, kept as references: the row

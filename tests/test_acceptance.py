@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import (all_paulis, build_unitary_symbolic, group_basis,
+from helpers import (all_paulis, build_unitary_symbolic, group_basis, pauli_from_label,
                      random_commuting_group)
 from paulimeasure import (CliqueCover, PauliProduct, build_graph, cover_exact, cover_rlf,
                           compute_cover, expand_in_tau, pipeline, synthesize,
@@ -163,10 +163,10 @@ def test_criterion_7_oracle_cross_checks():
                 assert (inner == 1) == dense_anti
                 per_qubit = all(
                     np.allclose(
-                        verify.dense_pauli(PauliProduct.from_label(p.axis(k)))
-                        @ verify.dense_pauli(PauliProduct.from_label(q.axis(k))),
-                        verify.dense_pauli(PauliProduct.from_label(q.axis(k)))
-                        @ verify.dense_pauli(PauliProduct.from_label(p.axis(k))),
+                        verify.dense_pauli(pauli_from_label(p.axis(k)))
+                        @ verify.dense_pauli(pauli_from_label(q.axis(k))),
+                        verify.dense_pauli(pauli_from_label(q.axis(k)))
+                        @ verify.dense_pauli(pauli_from_label(p.axis(k))),
                         atol=1e-12)
                     for k in range(2))
                 assert p.qwc_with(q) == per_qubit

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (LiteralGates, all_paulis, build_unitary_symbolic,
+from helpers import (LiteralGates, all_paulis, build_unitary_symbolic, circuit_to_dict,
                      conjugation_maps_paulis_to_paulis,
                      fold_circuit, group_basis, inverse_circuit, kron_gate,
                      qubit_runs, random_commuting_group, random_pauli,
                      scanning_exponent_gates, unfolded_synthesize)
 from paulimeasure import (CliffordCircuit, Gate, PauliProduct, TauSigmaBasis,
-                          circuit_from_dict, circuit_to_dict,
+                          circuit_from_dict,
                           find_sigma, gate_counts, synthesize,
                           transform_group)
 from paulimeasure import verify

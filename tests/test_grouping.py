@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (naive_dsatur_colors, pairwise_graph_rows, pairwise_violations,
-                     random_graph_hamiltonian)
+                     random_graph_hamiltonian, scanning_cover_rlf, shifting_dsatur_colors)
 from paulimeasure import (CliqueCover, CompatGraph, Hamiltonian, PauliProduct,
                           build_graph, compute_cover, cover_dsatur, cover_exact,
                           cover_rlf, cover_stats, cover_to_dict, parse_hamiltonian,
                           validate_cover)
-from paulimeasure.grouping import METHODS, _dsatur_colors
+from paulimeasure import grouping
+from paulimeasure.grouping import METHODS, RELATIONS, _dsatur_colors
 from paulimeasure.fixtures import SIX_TERM_TEXT, six_term_hamiltonian
 
 HEURISTICS = ("dsatur", "rlf")
@@ -62,6 +63,32 @@ def seeded_sums():
     for seed in range(6):
         rng = random.Random(seed)
         yield random_graph_hamiltonian(8, rng.randint(40, 120), rng)
+
+
+def assert_matches_references(g):
+    """cover_rlf and _dsatur_colors give the covers and colors of the
+    scanning RLF, the shifted-int DSATUR and the linear-scan DSATUR."""
+    assert cover_rlf(g) == scanning_cover_rlf(g)
+    colors = _dsatur_colors(g)
+    assert colors == shifting_dsatur_colors(g)
+    assert colors == naive_dsatur_colors(g)
+
+
+@pytest.fixture
+def rlf_picks(monkeypatch):
+    """Picks made by each of cover_rlf's two pick routines, counted as they
+    return."""
+    picks = {"scan": 0, "counter": 0}
+    for key in picks:
+        routine = getattr(grouping, f"_{key}_picks")
+
+        def counted(*args, routine=routine, key=key):
+            made = routine(*args)
+            picks[key] += len(made)
+            return made
+
+        monkeypatch.setattr(grouping, f"_{key}_picks", counted)
+    return picks
 
 
 SIX_TERM_EDGES = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
@@ -145,7 +172,7 @@ class TestHeuristicCovers:
         with pytest.raises(ValueError):
             compute_cover(edgeless_graph(2), "bogus")
 
-    def test_methods_are_the_four_covers(self):
+    def test_methods_are_the_three_covers(self):
         assert METHODS == ("dsatur", "rlf", "exact")
         for method in ("lf", "gc", "sl"):
             with pytest.raises(ValueError, match="unknown method"):
@@ -161,17 +188,47 @@ class TestHeuristicCovers:
                     cover = compute_cover(g, method)
                     assert validate_cover(h, cover, relation).valid, (method, relation)
 
-    def test_orderings_match_linear_scan_references(self):
+    def test_orderings_match_linear_scan_references(self, rlf_picks):
         for h in seeded_sums():
-            for relation in ("fc", "qwc"):
-                g = build_graph(h, relation)
-                assert _dsatur_colors(g) == naive_dsatur_colors(g), relation
+            for relation in RELATIONS:
+                assert_matches_references(build_graph(h, relation))
+        assert rlf_picks["scan"] and rlf_picks["counter"], rlf_picks
 
     def test_deterministic_across_runs(self):
         rng = random.Random(8)
         g = random_compat_graph(15, rng)
         for method in HEURISTICS + ("exact",):
             assert compute_cover(g, method) == compute_cover(g, method)
+
+
+class TestOrderingReferences:
+    """cover_rlf's bit-sliced counters and _dsatur_colors' bytes color test
+    against the popcount-scan RLF and the shifted-int test they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 100), st.integers(0, 2 ** 32))
+    def test_hamiltonian_graphs(self, n_qubits, n_terms, seed):
+        h = random_graph_hamiltonian(n_qubits, min(n_terms, 4 ** n_qubits - 1),
+                                     random.Random(seed))
+        for relation in RELATIONS:
+            assert_matches_references(build_graph(h, relation))
+
+    @pytest.mark.parametrize("p, routine", [(0.1, "scan"), (0.9, "counter")])
+    def test_seed_exclusions_choose_the_routine(self, rlf_picks, p, routine):
+        """A dense conflict graph excludes most vertices with each seed and
+        scans the few candidates; a sparse one counts scores."""
+        assert_matches_references(random_compat_graph(60, random.Random(5), p))
+        assert rlf_picks[routine] > 0, rlf_picks
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 31, 32, 33, 63, 64, 65])
+    def test_slice_count_edges(self, n):
+        """Sizes around powers of two, where the counters' slice count
+        m.bit_length() steps up. An all-conflict graph gives every vertex
+        the largest degree, m - 1."""
+        rng = random.Random(n)
+        for g in (complete_graph(n), edgeless_graph(n),
+                  random_compat_graph(n, rng, 0.2), random_compat_graph(n, rng, 0.8)):
+            assert_matches_references(g)
 
 
 class TestExactCover:
@@ -233,6 +290,14 @@ class TestValidationAndStats:
         assert not report.valid
         assert any("twice" in v for v in report.violations)
         assert "2 terms in no group, first 1" in report.violations
+
+    def test_unknown_relation_rejected_before_any_group(self):
+        h = parse_hamiltonian("1.0 X0\n")
+        for cover in (CliqueCover("fc", "manual", ()), CliqueCover("fc", "manual", ((0,),))):
+            with pytest.raises(ValueError, match="unknown relation 'xx'"):
+                validate_cover(h, cover, "xx")
+        with pytest.raises(ValueError, match="unknown relation 'xx'"):
+            build_graph(Hamiltonian(2, ()), "xx")
 
     def test_out_of_range_reported(self):
         h = parse_hamiltonian("1.0 X0\n")

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import (all_paulis, build_unitary_symbolic, embedded_group, inverse_circuit,
                      kron_circuit, kron_pauli, looped_expectation_invariance,
                      matrix_product_symbolic_unitary, group_basis, per_gate_simulate_circuit,
-                     per_term_dense_sum, random_commuting_group, random_graph_hamiltonian,
-                     tensordot_simulate_circuit)
+                     pauli_from_label, per_term_dense_sum, random_commuting_group,
+                     random_graph_hamiltonian, tensordot_simulate_circuit)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, PauliSum, build_graph, cover_rlf,
                           parse_hamiltonian, pipeline, synthesize, transform_group)
@@ -34,7 +34,7 @@ class TestDenseMatrix:
         np.testing.assert_array_equal(m, np.kron(sx, sy))
 
     def test_phase_factor_included(self):
-        p = PauliProduct.from_label("X", phase_exp=3)
+        p = pauli_from_label("X", phase_exp=3)
         np.testing.assert_allclose(
             verify.dense_matrix(p),
             -1j * np.array([[0, 1], [1, 0]]), atol=1e-15)
