@@ -3,15 +3,15 @@
 import importlib
 
 from .pauli import (DROP_TOLERANCE, Hamiltonian, HamiltonianFormatError,
-                    PauliProduct, PauliSum, parse_hamiltonian)
+                    PauliProduct, parse_hamiltonian)
 from .grouping import (CliqueCover, CompatGraph, CoverReport, CoverStats,
                        build_graph, compute_cover, cover_dsatur, cover_exact,
                        cover_rlf, cover_stats, cover_to_dict, validate_cover)
 from .transform import (GroupPlan, MeasurementPlan, TauSigmaBasis, TransformError,
-                        TransformedGroup, expand_in_tau, find_sigma, find_tau,
-                        pipeline, plan_from_dict, plan_to_dict, plan_to_json,
+                        TransformedGroup, circuit_from_dict, expand_in_tau, find_sigma,
+                        find_tau, pipeline, plan_from_dict, plan_to_dict, plan_to_json,
                         transform_group)
-from .circuits import CliffordCircuit, Gate, circuit_from_dict, gate_counts, synthesize
+from .circuits import CliffordCircuit, Gate, gate_counts, synthesize
 
 __version__ = "0.1.0"
 
@@ -26,12 +26,13 @@ def __getattr__(name: str):
 
 __all__ = [
     "DROP_TOLERANCE", "Hamiltonian", "HamiltonianFormatError", "PauliProduct",
-    "PauliSum", "parse_hamiltonian",
+    "parse_hamiltonian",
     "CliqueCover", "CompatGraph", "CoverReport", "CoverStats", "build_graph",
     "compute_cover", "cover_dsatur", "cover_exact", "cover_rlf", "cover_stats",
     "cover_to_dict", "validate_cover",
     "GroupPlan", "MeasurementPlan", "TauSigmaBasis", "TransformError",
-    "TransformedGroup", "expand_in_tau", "find_sigma", "find_tau", "pipeline",
-    "plan_from_dict", "plan_to_dict", "plan_to_json", "transform_group",
-    "CliffordCircuit", "Gate", "circuit_from_dict", "gate_counts", "synthesize",
+    "TransformedGroup", "circuit_from_dict", "expand_in_tau", "find_sigma",
+    "find_tau", "pipeline", "plan_from_dict", "plan_to_dict", "plan_to_json",
+    "transform_group",
+    "CliffordCircuit", "Gate", "gate_counts", "synthesize",
 ]

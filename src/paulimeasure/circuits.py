@@ -10,7 +10,6 @@ of the 24 single-qubit Cliffords, written out as at most 3 gates.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -266,56 +265,3 @@ def conjugate_columns(c: CliffordCircuit, xcol: list[int], zcol: list[int]
             sign ^= x[q] ^ z[q]
     return x, z, sign
 
-
-_JSON_KINDS = {int: "an integer", str: "a string", list: "an array",
-               dict: "an object", (int, float): "a number"}
-
-
-def _field(obj, key: str, kind, item=None):
-    """``obj[key]`` after checking that obj is a JSON object and the value
-    has type kind (every element exactly of type item, for arrays);
-    ValueError otherwise. Booleans never pass as numbers."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected an object with key {key!r}")
-    if key not in obj:
-        raise ValueError(f"missing key {key!r}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{key!r} must be {_JSON_KINDS[kind]}")
-    if kind == (int, float) and not abs(value) <= sys.float_info.max:  # NaN too
-        raise ValueError(f"{key!r} must be a finite number")
-    if item is not None and not all(type(v) is item for v in value):
-        raise ValueError(f"{key!r} items must each be {_JSON_KINDS[item]}")
-    return value
-
-
-def circuit_from_dict(d: dict) -> CliffordCircuit:
-    """A circuit from its plan-JSON object; ValueError names the first bad field.
-
-    One pass over the gate list. A gate whose fields have exactly the JSON
-    types asked for is looked up in a memo of this circuit's gates, so equal
-    gates share one ``Gate``; the types are checked on every gate, since
-    ``True`` and ``1.0`` equal ``1`` as keys. Any other gate goes through
-    ``_field``, which raises the one-line error.
-    """
-    memo: dict[tuple, Gate] = {}
-    gates = []
-    for g in _field(d, "gates", list):
-        try:
-            name, qubits = g["name"], g["qubits"]
-        except (TypeError, KeyError):
-            name = qubits = None
-        if type(name) is str and type(qubits) is list:
-            for q in qubits:
-                if type(q) is not int:
-                    break
-            else:
-                key = (name, *qubits)
-                gate = memo.get(key)
-                if gate is None:
-                    gate = memo[key] = Gate(name, tuple(qubits))
-                gates.append(gate)
-                continue
-        gates.append(Gate(_field(g, "name", str), tuple(_field(g, "qubits", list, int))))
-    return CliffordCircuit(_field(d, "n_qubits", int), tuple(gates),
-                           _field(d, "global_phase_exp", int))

@@ -47,17 +47,15 @@ def rank(rows: list[int], n_cols: int) -> int:
     return len(row_reduce(rows, n_cols)[0])
 
 
-def null_space(rows: list[int], n_cols: int,
-               columns: Iterable[int] | None = None) -> list[int]:
-    """Basis of {v : row . v = 0 mod 2 for every row}, ordered by free column.
-
-    ``columns`` (ascending; default all) limits the result to the basis
-    vectors of the free columns among them.
+def null_space(rows: list[int], n_cols: int, columns: Iterable[int]) -> list[int]:
+    """Basis of {v : row . v = 0 mod 2 for every row}, ordered by free column,
+    limited to the basis vectors of the free columns among ``columns``
+    (ascending; ``range(n_cols)`` gives the whole null space).
     """
     rref, pivots = row_reduce(rows, n_cols)
     pivot_set = set(pivots)
     basis = []
-    for free in range(n_cols) if columns is None else columns:
+    for free in columns:
         if free in pivot_set:
             continue
         v = 1 << free
@@ -79,36 +77,34 @@ def symplectic_inner(u: int, v: int, n_qubits: int) -> int:
             + ((u >> n_qubits) & (v & mask)).bit_count()) & 1
 
 
-def symplectic_complement(rows: list[int], n_qubits: int,
-                          qubits: int | None = None) -> list[int]:
+def symplectic_complement(rows: list[int], n_qubits: int, qubits: int) -> list[int]:
     """Basis of the symplectic orthogonal complement of span(rows).
 
     The Euclidean null space is computed first, then the x- and z-halves of
     every basis vector are interchanged to turn it into the null space of
     the symplectic form.
 
-    ``qubits`` is a mask of qubits that holds every row's qubits. With it,
-    only the null-space vectors of those qubits' free columns are built: a
-    column of any other qubit is free and gives a unit vector, X_q or Z_q,
-    which is left out. The vectors kept come in the same order.
+    ``qubits`` is a mask of qubits that holds every row's qubits. Only the
+    null-space vectors of those qubits' free columns are built: a column of
+    any other qubit is free and gives a unit vector, X_q or Z_q, which is
+    left out. The vectors kept come in the same order as in the whole
+    complement, which the full mask ``(1 << n_qubits) - 1`` gives.
     """
-    columns = None
-    if qubits is not None:
-        listed = []
-        while qubits:
-            low = qubits & -qubits
-            listed.append(low.bit_length() - 1)
-            qubits ^= low
-        columns = listed + [n_qubits + q for q in listed]
+    listed = []
+    while qubits:
+        low = qubits & -qubits
+        listed.append(low.bit_length() - 1)
+        qubits ^= low
+    columns = listed + [n_qubits + q for q in listed]
     return [swap_halves(v, n_qubits) for v in null_space(rows, 2 * n_qubits, columns)]
 
 
-def lagrangian_extract(rows: list[int], n_qubits: int,
-                       size: int | None = None) -> list[int]:
+def lagrangian_extract(rows: list[int], n_qubits: int, size: int) -> list[int]:
     """Shrink a coisotropic basis to ``size`` mutually orthogonal vectors.
 
-    ``size`` is N by default. Rows that act only on a set S of qubits and
-    span a coisotropic subspace of S's symplectic space shrink to |S|.
+    Rows that act only on a set S of qubits and span a coisotropic subspace
+    of S's symplectic space shrink to ``size`` = |S|; S is all N qubits for
+    a coisotropic subspace of the whole space.
 
     Repeatedly takes the lexicographically first pair (i < j) with
     (c_i|c_j) = 1, replaces every other c_k by
@@ -136,8 +132,6 @@ def lagrangian_extract(rows: list[int], n_qubits: int,
                 if (ck & swap_i).bit_count() & 1:
                     work[k] ^= cj
         i += 1
-    if size is None:
-        size = n_qubits
     if len(work) != size:
         raise ValueError(
             f"input is not coisotropic: extracted {len(work)} of {size} vectors")

@@ -352,11 +352,12 @@ def _k_coloring(graph: CompatGraph, k: int) -> list[int] | None:
     return colors if backtrack(0, 0) else None
 
 
-def cover_exact(graph: CompatGraph, limit: int = DEFAULT_EXACT_CAP) -> CliqueCover:
-    """Provably minimum clique cover via exact complement coloring."""
-    if graph.n_vertices > limit:
-        raise ValueError(
-            f"exact cover limited to {limit} vertices, graph has {graph.n_vertices}")
+def cover_exact(graph: CompatGraph) -> CliqueCover:
+    """Provably minimum clique cover via exact complement coloring, for at
+    most ``DEFAULT_EXACT_CAP`` vertices."""
+    if graph.n_vertices > DEFAULT_EXACT_CAP:
+        raise ValueError(f"exact cover limited to {DEFAULT_EXACT_CAP} vertices, "
+                         f"graph has {graph.n_vertices}")
     incumbent = _dsatur_colors(graph)
     upper = max(incumbent) + 1
     lower = max(1, _complement_clique_size(graph))

@@ -185,21 +185,6 @@ class Hamiltonian:
     def products(self) -> tuple[PauliProduct, ...]:
         return tuple(p for _, p in self.terms)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-@dataclass(frozen=True)
-class PauliSum:
-    """Complex linear combination of phase-free Pauli products.
-
-    Used for operators that are not Hermitian by construction, e.g. the
-    expanded group unitaries.
-    """
-
-    n_qubits: int
-    terms: tuple[tuple[complex, PauliProduct], ...]
-
 
 def qubit_columns(n_qubits: int, products: Iterable[PauliProduct]
                   ) -> tuple[list[int], list[int]]:

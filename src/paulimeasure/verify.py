@@ -26,7 +26,7 @@ import numpy as np
 
 from .circuits import CliffordCircuit, conjugate_columns
 from .grouping import build_graph
-from .pauli import Hamiltonian, I_POWERS, PauliProduct, PauliSum, qubit_columns
+from .pauli import Hamiltonian, I_POWERS, PauliProduct, qubit_columns
 from .transform import GroupPlan, MeasurementPlan
 
 MAX_DENSE_QUBITS = 12
@@ -127,7 +127,7 @@ def dense_pauli(p: PauliProduct) -> np.ndarray:
     return m
 
 
-def _dense_sum(obj: Hamiltonian | PauliSum, tables: _Tables | None = None) -> np.ndarray:
+def _dense_sum(obj: Hamiltonian, tables: _Tables | None = None) -> np.ndarray:
     """The sum of coeff * dense_pauli(p) over the terms, in one scatter.
 
     Every term puts one entry in each column. ``np.bincount`` adds the
@@ -161,35 +161,30 @@ def dense_circuit(c: CliffordCircuit, tables: _Tables | None = None) -> np.ndarr
 
 
 def dense_matrix(obj, tables: _Tables | None = None) -> np.ndarray:
-    """Dense operator for a PauliProduct, Hamiltonian, PauliSum or circuit.
+    """Dense operator for a PauliProduct, Hamiltonian or circuit.
     A sum or a circuit is built on ``tables``, the register's index tables,
     when given."""
     if isinstance(obj, np.ndarray):
         return obj
     if isinstance(obj, PauliProduct):
         return dense_pauli(obj)
-    if isinstance(obj, (Hamiltonian, PauliSum)):
+    if isinstance(obj, Hamiltonian):
         return _dense_sum(obj, tables)
     if isinstance(obj, CliffordCircuit):
         return dense_circuit(obj, tables)
     raise TypeError(f"cannot build a dense matrix from {type(obj).__name__}")
 
 
-def spectra_equal(h1, h2, tol: float = 1e-9) -> bool:
-    """Sorted-eigenvalue comparison of two Hermitian operators. A matrix with
-    no imaginary part is real symmetric and gets the real solver."""
+def spectra_equal(h1, h2) -> bool:
+    """Sorted-eigenvalue comparison of two Hermitian operators, to 1e-9. A
+    matrix with no imaginary part is real symmetric and gets the real solver."""
     m1, m2 = dense_matrix(h1), dense_matrix(h2)
     if m1.shape != m2.shape:
         return False
     if m1.shape[0] > 1 << MAX_SPECTRUM_QUBITS:
         raise DimensionError("spectrum comparison cap exceeded")
     e1, e2 = (np.linalg.eigvalsh(m if m.imag.any() else m.real) for m in (m1, m2))
-    return bool(np.max(np.abs(e1 - e2)) <= tol)
-
-
-def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
-    return v / np.linalg.norm(v)
+    return bool(np.max(np.abs(e1 - e2)) <= 1e-9)
 
 
 def expectation_invariance(h, a, u, trials: int = 50,
@@ -198,7 +193,8 @@ def expectation_invariance(h, a, u, trials: int = 50,
 
     The states are the columns of one matrix. They are drawn in one call,
     real then imaginary part per state, which is the order of ``trials``
-    successive ``random_state`` calls, so the generator advances the same.
+    successive ``random_state`` calls (``tests/helpers.py``), so the
+    generator advances the same.
     """
     mh = dense_matrix(h)
     n_qubits = int(mh.shape[0]).bit_length() - 1
@@ -457,7 +453,7 @@ def _check_tableau(g: _GroupOperators):
 
 
 def _check_spectra(g: _GroupOperators):
-    ok = spectra_equal(g.group_matrix, g.transformed_matrix, tol=1e-9)
+    ok = spectra_equal(g.group_matrix, g.transformed_matrix)
     return ok, "eigenvalue mismatch beyond 1e-9"
 
 

@@ -8,13 +8,13 @@ import re
 import numpy as np
 
 from paulimeasure import (CliffordCircuit, CliqueCover, Gate, Hamiltonian, PauliProduct,
-                          PauliSum, TauSigmaBasis, TransformError, find_sigma, find_tau)
+                          TauSigmaBasis, TransformError, find_sigma, find_tau)
 from paulimeasure import gf2
 from paulimeasure.circuits import _append_exponent, _Fold
 from paulimeasure.pauli import (_BITS_FROM_AXIS, I_POWERS, MAX_QUBITS, anticommuting,
                                 qubit_columns)
 from paulimeasure.transform import _commute_pairwise
-from paulimeasure.verify import dense_matrix, dense_pauli, random_state
+from paulimeasure.verify import dense_matrix, dense_pauli
 
 AXES = "IXYZ"
 
@@ -132,7 +132,7 @@ def random_isotropic(n_qubits: int, dim: int, rng: random.Random) -> list[int]:
     """Random independent, mutually orthogonal packed vectors."""
     vecs: list[int] = []
     while len(vecs) < dim:
-        comp = gf2.symplectic_complement(vecs, n_qubits)
+        comp = gf2.symplectic_complement(vecs, n_qubits, (1 << n_qubits) - 1)
         mask = rng.randrange(1, 1 << len(comp))
         v = 0
         for k in range(len(comp)):
@@ -532,6 +532,16 @@ def product_expand_in_tau(term: PauliProduct, basis: TauSigmaBasis
 MAX_SYMBOLIC_QUBITS = 8
 
 
+class PauliSum(Hamiltonian):
+    """Complex linear combination of Pauli products, such as the expanded U.
+    As a Hamiltonian, ``verify.dense_matrix`` builds its matrix. Its terms
+    may carry phases; only their qubit counts are checked."""
+
+    def __post_init__(self) -> None:
+        if any(p.n_qubits != self.n_qubits for _, p in self.terms):
+            raise ValueError("term qubit count differs from the sum")
+
+
 def build_unitary_symbolic(basis: TauSigmaBasis) -> PauliSum:
     """Expand the product of (tau_i + sigma_i)/sqrt(2) into a Pauli sum.
 
@@ -753,6 +763,12 @@ def regex_parse_term_tokens(tokens: list[str]) -> tuple[int, int, int]:
     return x, z, max(assignment)
 
 
+def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """One normalized random state: real then imaginary parts drawn from rng."""
+    v = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
+    return v / np.linalg.norm(v)
+
+
 # verify.expectation_invariance with one random_state draw and two
 # mat-vec products per trial, before the trials became one state matrix.
 # Tests require agreement to 1e-12.
@@ -879,7 +895,8 @@ def full_width_find_tau(group: Hamiltonian) -> list[PauliProduct]:
         raise ValueError("group terms do not commute")
     basis, _ = gf2.row_reduce([p.packed for p in products], 2 * n)
     if len(basis) < n:
-        basis = gf2.lagrangian_extract(gf2.symplectic_complement(basis, n), n)
+        basis = gf2.lagrangian_extract(
+            gf2.symplectic_complement(basis, n, (1 << n) - 1), n, n)
     return [PauliProduct.from_packed(v, n) for v in basis]
 
 
@@ -902,7 +919,8 @@ def idle_filter_find_tau(group: Hamiltonian) -> list[PauliProduct]:
         idle = ((1 << n) - 1) & ~support
         idle |= idle << n
         basis = gf2.lagrangian_extract(
-            [v for v in gf2.symplectic_complement(basis, n) if not v & idle], n,
+            [v for v in gf2.symplectic_complement(basis, n, (1 << n) - 1)
+             if not v & idle], n,
             support.bit_count())
     return [PauliProduct.from_packed(v, n) for v in basis]
 

@@ -257,6 +257,17 @@ class TestGroup:
         assert capsys.readouterr() == (
             "", "measure: error: merged coefficient of X0 is not finite\n")
 
+    @pytest.mark.parametrize("command", ["group", "transform"])
+    def test_exact_cover_cap_error(self, tmp_path, capsys, command):
+        # 65 distinct Z strings on 7 qubits: one more vertex than the cap
+        path = tmp_path / "cap.txt"
+        path.write_text("qubits: 7\n" + "".join(
+            "1.0 " + " ".join(f"Z{q}" for q in range(7) if mask >> q & 1) + "\n"
+            for mask in range(1, 66)))
+        assert main([command, str(path), "--method", "exact"]) == 1
+        assert capsys.readouterr() == (
+            "", "measure: error: exact cover limited to 64 vertices, graph has 65\n")
+
     def test_missing_file_error(self, capsys):
         assert main(["group", "/nonexistent/input.txt"]) == 1
         assert capsys.readouterr().err.startswith("measure: error:")
@@ -844,3 +855,21 @@ sys.exit(paulimeasure.cli.main(["verify", {six_term_file!r}, "plan.json"]))
 """, tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("PASS ") == 11
+
+
+def test_public_names_are_pinned():
+    # The package's public surface. A name that only the tests use belongs
+    # in tests/helpers.py, not here.
+    assert paulimeasure.__all__ == [
+        "DROP_TOLERANCE", "Hamiltonian", "HamiltonianFormatError", "PauliProduct",
+        "parse_hamiltonian",
+        "CliqueCover", "CompatGraph", "CoverReport", "CoverStats", "build_graph",
+        "compute_cover", "cover_dsatur", "cover_exact", "cover_rlf", "cover_stats",
+        "cover_to_dict", "validate_cover",
+        "GroupPlan", "MeasurementPlan", "TauSigmaBasis", "TransformError",
+        "TransformedGroup", "circuit_from_dict", "expand_in_tau", "find_sigma",
+        "find_tau", "pipeline", "plan_from_dict", "plan_to_dict", "plan_to_json",
+        "transform_group",
+        "CliffordCircuit", "Gate", "gate_counts", "synthesize",
+    ]
+    assert all(hasattr(paulimeasure, name) for name in paulimeasure.__all__)

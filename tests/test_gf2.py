@@ -88,19 +88,19 @@ class TestSymplecticComplement:
         # span{(10;00)} on two qubits has the three-dimensional complement
         # span{(10;00), (01;00), (00;01)}
         v = vec("X0", 2)
-        comp = gf2.symplectic_complement([v], 2)
+        comp = gf2.symplectic_complement([v], 2, 0b11)
         expected = [vec("X0", 2), vec("X1", 2), vec("Z1", 2)]
         assert len(comp) == 3
         assert same_span(comp, expected, 4)
 
     def test_lagrangian_is_self_complement(self):
         rows = [vec("X0", 2), vec("X1", 2)]
-        comp = gf2.symplectic_complement(rows, 2)
+        comp = gf2.symplectic_complement(rows, 2, 0b11)
         assert same_span(comp, rows, 4)
 
     def test_full_space_has_zero_complement(self):
         rows = [1 << k for k in range(4)]
-        assert gf2.symplectic_complement(rows, 2) == []
+        assert gf2.symplectic_complement(rows, 2, 0b11) == []
 
     def test_dimension_sum_and_double_complement(self):
         rng = random.Random(21)
@@ -108,9 +108,9 @@ class TestSymplecticComplement:
             n = rng.randint(1, 6)
             dim = rng.randint(1, 2 * n - 1)
             rows = random_subspace(n, dim, rng)
-            comp = gf2.symplectic_complement(rows, n)
+            comp = gf2.symplectic_complement(rows, n, (1 << n) - 1)
             assert len(rows) + len(comp) == 2 * n
-            again = gf2.symplectic_complement(comp, n)
+            again = gf2.symplectic_complement(comp, n, (1 << n) - 1)
             assert same_span(again, rows, 2 * n)
 
     @settings(max_examples=100, deadline=None)
@@ -132,23 +132,23 @@ class TestSymplecticComplement:
         idle = ((1 << n) - 1) & ~mask
         idle |= idle << n
         assert gf2.symplectic_complement(rows, n, mask) == [
-            v for v in gf2.symplectic_complement(rows, n) if not v & idle]
+            v for v in gf2.symplectic_complement(rows, n, (1 << n) - 1) if not v & idle]
 
 
 class TestLagrangianExtract:
     def test_already_lagrangian_unchanged(self):
         rows = [vec("X0", 2), vec("X1", 2)]
-        assert gf2.lagrangian_extract(rows, 2) == rows
+        assert gf2.lagrangian_extract(rows, 2, 2) == rows
 
     def test_hand_traced_elimination(self):
         # (01;00) and (00;01) anticommute; the second pair member is dropped
         # and (10;00) is untouched, leaving {(10;00), (01;00)}.
         rows = [vec("X0", 2), vec("X1", 2), vec("Z1", 2)]
-        assert gf2.lagrangian_extract(rows, 2) == [vec("X0", 2), vec("X1", 2)]
+        assert gf2.lagrangian_extract(rows, 2, 2) == [vec("X0", 2), vec("X1", 2)]
 
     def test_non_coisotropic_input_rejected(self):
         with pytest.raises(ValueError):
-            gf2.lagrangian_extract([vec("X0", 2)], 2)
+            gf2.lagrangian_extract([vec("X0", 2)], 2, 2)
 
     def test_size_counts_the_qubits_the_rows_act_on(self):
         # on qubits 0 and 2 of 3: X0 X2, Z0 Z2 and Y0 span a coisotropic
@@ -158,15 +158,15 @@ class TestLagrangianExtract:
         out = gf2.lagrangian_extract(rows, 3, 2)
         assert out == [vec("X0 X2", 3), vec("Y0 Y2", 3)]
         with pytest.raises(ValueError, match="extracted 2 of 3 vectors"):
-            gf2.lagrangian_extract(rows, 3)
+            gf2.lagrangian_extract(rows, 3, 3)
 
     def test_random_coisotropic_inputs_yield_lagrangians(self):
         rng = random.Random(33)
         for _ in range(100):
             n = rng.randint(1, 8)
             iso = random_isotropic(n, rng.randint(0, n - 1) if n > 1 else 0, rng)
-            coiso = gf2.symplectic_complement(iso, n)
-            out = gf2.lagrangian_extract(coiso, n)
+            coiso = gf2.symplectic_complement(iso, n, (1 << n) - 1)
+            out = gf2.lagrangian_extract(coiso, n, n)
             assert is_lagrangian(out, n)
             # the isotropic seed subspace survives extraction
             for v in iso:
@@ -177,7 +177,7 @@ class TestLagrangianExtract:
         for _ in range(30):
             n = rng.randint(2, 10)
             iso = random_isotropic(n, rng.randint(1, n), rng)
-            lagr = gf2.lagrangian_extract(gf2.symplectic_complement(iso, n), n)
+            lagr = gf2.lagrangian_extract(gf2.symplectic_complement(iso, n, (1 << n) - 1), n, n)
             assert is_isotropic(lagr, n) and len(lagr) == n
             assert all(in_span(lagr, 2 * n, v) for v in iso)
 
@@ -186,7 +186,8 @@ class TestLagrangianExtract:
     def test_sweep_matches_rescanning_reference(self, n, seed, coisotropic):
         rng = random.Random(seed)
         if coisotropic:
-            rows = gf2.symplectic_complement(random_isotropic(n, rng.randint(0, n), rng), n)
+            rows = gf2.symplectic_complement(random_isotropic(n, rng.randint(0, n), rng), n,
+                                             (1 << n) - 1)
         else:
             rows = random_subspace(n, rng.randint(1, 2 * n), rng)
         assert_same_extraction(scrambled(rows, rng), n, rescanning_lagrangian_extract)
@@ -196,7 +197,7 @@ class TestLagrangianExtract:
         n = 100
         terms = ["X0 Z99", "Z0 X99", "Y0 Y99", "Z10 Z20 Z30", "X40 X41", "Z40 Z41"]
         iso, _ = gf2.row_reduce([vec(t, n) for t in terms], 2 * n)
-        assert_same_extraction(gf2.symplectic_complement(iso, n), n,
+        assert_same_extraction(gf2.symplectic_complement(iso, n, (1 << n) - 1), n,
                                rescanning_lagrangian_extract)
 
     @settings(max_examples=80, deadline=None)
@@ -205,7 +206,8 @@ class TestLagrangianExtract:
     def test_bitset_tests_match_pairwise_reference(self, n, seed, kind):
         rng = random.Random(seed)
         if kind == "coisotropic":
-            rows = gf2.symplectic_complement(random_isotropic(n, rng.randint(0, n), rng), n)
+            rows = gf2.symplectic_complement(random_isotropic(n, rng.randint(0, n), rng), n,
+                                             (1 << n) - 1)
         elif kind == "independent":
             rows = random_subspace(n, rng.randint(1, 2 * n), rng)
         else:
@@ -216,7 +218,7 @@ class TestLagrangianExtract:
         # the complement of X0 Z1023, Z0 X1023: 2,046 sparse vectors
         n = MAX_QUBITS
         iso, _ = gf2.row_reduce([vec(f"X0 Z{n - 1}", n), vec(f"Z0 X{n - 1}", n)], 2 * n)
-        assert_same_extraction(gf2.symplectic_complement(iso, n), n,
+        assert_same_extraction(gf2.symplectic_complement(iso, n, (1 << n) - 1), n,
                                pairwise_lagrangian_extract)
 
 
@@ -239,9 +241,9 @@ def assert_same_extraction(rows, n, reference):
         want = reference(rows, n)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            gf2.lagrangian_extract(rows, n)
+            gf2.lagrangian_extract(rows, n, n)
     else:
-        assert gf2.lagrangian_extract(rows, n) == want
+        assert gf2.lagrangian_extract(rows, n, n) == want
 
 
 class TestSolve:
@@ -288,14 +290,14 @@ class TestSubspaceKinds:
         x0, x1, z0 = vec("X0", 2), vec("X1", 2), vec("Z0", 2)
         assert is_isotropic([x0], 2) and not is_lagrangian([x0], 2)
         assert is_lagrangian([x0, x1], 2)
-        coiso = gf2.symplectic_complement([x0], 2)
+        coiso = gf2.symplectic_complement([x0], 2, 0b11)
         assert not is_isotropic(coiso, 2)
         # coisotropic: the span contains its own symplectic complement
-        assert all(in_span(coiso, 4, v) for v in gf2.symplectic_complement(coiso, 2))
+        assert all(in_span(coiso, 4, v) for v in gf2.symplectic_complement(coiso, 2, 0b11))
         general = [x0, z0]
         assert not is_isotropic(general, 2)
         assert not all(in_span(general, 4, v)
-                       for v in gf2.symplectic_complement(general, 2))
+                       for v in gf2.symplectic_complement(general, 2, 0b11))
 
     def test_dependent_vectors_rejected(self):
         x0 = vec("X0", 2)

@@ -249,8 +249,8 @@ class TestExactCover:
         assert cover_exact(edgeless_graph(4)).group_count == 4
 
     def test_vertex_bound(self):
-        with pytest.raises(ValueError):
-            cover_exact(edgeless_graph(5), limit=4)
+        with pytest.raises(ValueError, match="limited to 64 vertices, graph has 65"):
+            cover_exact(edgeless_graph(65))
 
     def test_exact_never_beaten_by_heuristics(self):
         rng = random.Random(77)

@@ -407,7 +407,7 @@ class TestPipeline:
         for entry in plan.groups:
             sub = Hamiltonian(h.n_qubits,
                               tuple(h.terms[i] for i in entry.transform.term_indices))
-            assert verify.spectra_equal(sub, entry.transform.transformed, tol=1e-9)
+            assert verify.spectra_equal(sub, entry.transform.transformed)
             u = verify.dense_matrix(build_unitary_symbolic(entry.transform.basis))
             dev = verify.expectation_invariance(sub, entry.transform.transformed, u,
                                                 trials=50, rng=rng)

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (all_paulis, build_unitary_symbolic, embedded_group, inverse_circuit,
-                     kron_circuit, kron_pauli, looped_expectation_invariance,
+from helpers import (PauliSum, all_paulis, build_unitary_symbolic, embedded_group,
+                     inverse_circuit, kron_circuit, kron_pauli, looped_expectation_invariance,
                      matrix_product_symbolic_unitary, group_basis, per_gate_simulate_circuit,
                      pauli_from_label, per_term_dense_sum, random_commuting_group,
-                     random_graph_hamiltonian, tensordot_simulate_circuit)
+                     random_graph_hamiltonian, random_state, tensordot_simulate_circuit)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
-                          MeasurementPlan, PauliProduct, PauliSum, build_graph, cover_rlf,
+                          MeasurementPlan, PauliProduct, build_graph, cover_rlf,
                           parse_hamiltonian, pipeline, synthesize, transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES
@@ -236,7 +236,7 @@ class TestSimulateCircuit:
         rng = np.random.default_rng(5)
         circuit = synthesize(model_reference_basis())
         for _ in range(10):
-            psi = verify.random_state(2, rng)
+            psi = random_state(2, rng)
             out = verify.simulate_circuit(circuit, psi)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
@@ -247,7 +247,7 @@ class TestSimulateCircuit:
         circuit = synthesize(basis)
         inverse = inverse_circuit(circuit)
         for _ in range(20):
-            psi = verify.random_state(3, rng)
+            psi = random_state(3, rng)
             out = verify.simulate_circuit(inverse, verify.simulate_circuit(circuit, psi))
             np.testing.assert_allclose(out, psi, atol=1e-10)
 
@@ -256,7 +256,7 @@ class TestSimulateCircuit:
         circuit = synthesize(model_reference_basis())
         u = kron_circuit(circuit)
         for _ in range(5):
-            psi = verify.random_state(2, rng)
+            psi = random_state(2, rng)
             np.testing.assert_allclose(verify.simulate_circuit(circuit, psi),
                                        u @ psi, atol=1e-12)
 
@@ -268,7 +268,7 @@ class TestSimulateCircuit:
             circuit = CliffordCircuit(3, gates)
             u = kron_circuit(circuit)
             for _ in range(5):
-                psi = verify.random_state(3, rng)
+                psi = random_state(3, rng)
                 np.testing.assert_allclose(verify.simulate_circuit(circuit, psi),
                                            u @ psi, atol=1e-12)
 
@@ -314,7 +314,7 @@ class TestSimulateCircuit:
     def test_columns_are_simulated_as_states(self):
         rng = np.random.default_rng(31)
         circuit = synthesize(h2_reference_basis())
-        states = np.stack([verify.random_state(4, rng) for _ in range(3)], axis=1)
+        states = np.stack([random_state(4, rng) for _ in range(3)], axis=1)
         out = verify.simulate_circuit(circuit, states)
         assert out.shape == states.shape
         for k in range(3):
