@@ -30,22 +30,31 @@ class HamiltonianFormatError(ValueError):
     """Malformed Hamiltonian text input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PauliProduct:
-    """``i**phase_exp`` times a tensor product of {I, X, Y, Z} over qubits."""
+    """``i**phase_exp`` times a tensor product of {I, X, Y, Z} over qubits.
+
+    Slotted, so it takes no attributes beyond its four fields. The explicit
+    ``__init__`` checks them and writes them through the slot descriptors,
+    which is cheaper than the generated ``__init__`` of a frozen dataclass
+    with a ``__post_init__``; ``dataclasses.replace`` goes through it too.
+    """
 
     n_qubits: int
     x: int = 0
     z: int = 0
     phase_exp: int = 0
 
-    def __post_init__(self) -> None:
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, x: int = 0, z: int = 0, phase_exp: int = 0) -> None:
+        if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        mask = (1 << self.n_qubits) - 1
-        if self.x & ~mask or self.z & ~mask:
+        mask = (1 << n_qubits) - 1
+        if x & ~mask or z & ~mask:
             raise ValueError("axis bits outside qubit range")
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+        _set_n_qubits(self, n_qubits)
+        _set_x(self, x)
+        _set_z(self, z)
+        _set_phase_exp(self, phase_exp % 4)
 
     @classmethod
     def identity(cls, n_qubits: int) -> PauliProduct:
@@ -54,12 +63,7 @@ class PauliProduct:
     @classmethod
     def single(cls, n_qubits: int, qubit: int, axis: str) -> PauliProduct:
         """One non-identity axis on ``qubit``, identity elsewhere."""
-        if not 0 <= qubit < n_qubits:
-            raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
-        if axis not in ("X", "Y", "Z"):
-            raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
-        xb, zb = _BITS_FROM_AXIS[axis]
-        return cls(n_qubits, xb << qubit, zb << qubit, 0)
+        return cls(n_qubits, *single_bits(n_qubits, qubit, axis))
 
     @classmethod
     def from_term_string(cls, term: str, n_qubits: int) -> PauliProduct:
@@ -137,6 +141,11 @@ class PauliProduct:
 
     def __repr__(self) -> str:
         return f"PauliProduct({self.to_label()!r}, phase_exp={self.phase_exp})"
+
+
+# Slot setters that get past the frozen ``__setattr__``, for ``__init__``.
+_set_n_qubits, _set_x, _set_z, _set_phase_exp = (
+    PauliProduct.__dict__[name].__set__ for name in ("n_qubits", "x", "z", "phase_exp"))
 
 
 @dataclass(frozen=True)
@@ -219,17 +228,59 @@ def anticommuting(xcol: list[int], zcol: list[int], p: PauliProduct) -> int:
     return row
 
 
+def single_bits(n_qubits: int, qubit: int, axis: str) -> tuple[int, int]:
+    """(x, z) bitmasks of one non-identity axis on ``qubit``; ValueError for
+    a qubit outside the register or an axis other than X, Y and Z."""
+    if not 0 <= qubit < n_qubits:
+        raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
+    if axis not in ("X", "Y", "Z"):
+        raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
+    xb, zb = _BITS_FROM_AXIS[axis]
+    return xb << qubit, zb << qubit
+
+
+# Canonical token (axis letter, then the qubit's ``str``) -> (x bit, z bit,
+# qubit bit, qubit), filled as tokens first parse: at most 3 * MAX_QUBITS
+# entries, none at import. Each entry is a function of its key alone, so
+# sharing the memo across callers changes no result.
+_TOKEN_MEMO: dict[str, tuple[int, int, int, int]] = {}
+
+
 def parse_term_tokens(tokens: list[str]) -> tuple[int, int, int]:
     """Parse term tokens like ["X0", "Z3"] or ["I"] into (x, z, top): the
     product's axis bitmasks and its highest qubit, -1 for ["I"].
 
     A token is an axis letter of ``_TOKEN_BITS`` followed by decimal digits
-    (``str.isdecimal``, the digits a regex ``\\d`` matches).
+    (``str.isdecimal``, the digits a regex ``\\d`` matches). A term whose
+    tokens are all in ``_TOKEN_MEMO`` costs one lookup per token; any other
+    token, or a qubit listed twice, goes through ``_parse_tokens``, which
+    raises the error of the first bad token.
     """
     if not tokens:
         raise ValueError("empty term")
     if tokens == ["I"]:
         return 0, 0, -1
+    x = z = seen = 0
+    top = -1
+    memo = _TOKEN_MEMO
+    for tok in tokens:
+        entry = memo.get(tok)
+        if entry is None:
+            return _parse_tokens(tokens)
+        xb, zb, qb, qubit = entry
+        if seen & qb:
+            return _parse_tokens(tokens)
+        x |= xb
+        z |= zb
+        seen |= qb
+        if qubit > top:
+            top = qubit
+    return x, z, top
+
+
+def _parse_tokens(tokens: list[str]) -> tuple[int, int, int]:
+    """``parse_term_tokens`` token by token, adding each canonical token
+    that parses to ``_TOKEN_MEMO``."""
     x = z = 0
     top = -1
     for tok in tokens:
@@ -240,6 +291,8 @@ def parse_term_tokens(tokens: list[str]) -> tuple[int, int, int]:
         qubit = int(digits)
         if qubit >= MAX_QUBITS:
             raise ValueError(f"qubit index {qubit} exceeds the {MAX_QUBITS}-qubit limit")
+        if digits == str(qubit):
+            _TOKEN_MEMO[tok] = (bits[0] << qubit, bits[1] << qubit, 1 << qubit, qubit)
         if (x | z) >> qubit & 1:
             raise ValueError(f"qubit {qubit} listed twice in one term")
         x |= bits[0] << qubit
@@ -267,7 +320,7 @@ def parse_hamiltonian(source: str | Iterable[str],
         if not text:
             continue
         try:
-            header = _HEADER.fullmatch(text)
+            header = _HEADER.fullmatch(text) if text[0] == "q" else None
             if header:
                 if declared is not None:
                     raise ValueError("duplicate qubits header")

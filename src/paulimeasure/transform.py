@@ -23,7 +23,8 @@ from typing import Iterable, Sequence
 from . import gf2
 from .circuits import CliffordCircuit, Gate, synthesize
 from .grouping import validate_cover
-from .pauli import MAX_QUBITS, Hamiltonian, PauliProduct, anticommuting, qubit_columns
+from .pauli import (MAX_QUBITS, Hamiltonian, PauliProduct, anticommuting, qubit_columns,
+                    single_bits)
 
 
 class TransformError(RuntimeError):
@@ -73,8 +74,19 @@ class TauSigmaBasis:
 
     @cached_property
     def sigma_columns(self) -> tuple[list[int], list[int]]:
-        """The sigmas as per-qubit term bitsets: bit k stands for sigma_k."""
-        return qubit_columns(self.n_qubits, self.sigma_products)
+        """The sigmas as per-qubit term bitsets: bit k stands for sigma_k.
+        Read off the (qubit, axis) pairs; raises the ValueError of
+        ``PauliProduct.single`` for the first sigma it rejects."""
+        n = self.n_qubits
+        xcol = [0] * n
+        zcol = [0] * n
+        for k, (q, a) in enumerate(self.sigmas):
+            x, z = single_bits(n, q, a)
+            if x:
+                xcol[q] |= 1 << k
+            if z:
+                zcol[q] |= 1 << k
+        return xcol, zcol
 
     def check_counts(self) -> None:
         """Raise ValueError unless there are as many taus as sigmas."""
@@ -93,9 +105,10 @@ class TauSigmaBasis:
                 raise ValueError("taus must carry no phase")
         if len({q for q, _ in self.sigmas}) != len(self.sigmas):
             raise ValueError("sigma qubits must be pairwise distinct")
+        sigma_x, sigma_z = self.sigma_columns
         sigma_qubits = 0
-        for s in self.sigma_products:
-            sigma_qubits |= s.support
+        for q, _ in self.sigmas:
+            sigma_qubits |= 1 << q
         for i, tau in enumerate(self.taus):
             outside = tau.support & ~sigma_qubits
             if outside:
@@ -105,7 +118,7 @@ class TauSigmaBasis:
                 and _commute_pairwise(self.tau_columns, self.taus)):
             raise ValueError("taus are not a Lagrangian basis")
         for i, tau in enumerate(self.taus):
-            wrong = anticommuting(*self.sigma_columns, tau) ^ (1 << i)
+            wrong = anticommuting(sigma_x, sigma_z, tau) ^ (1 << i)
             if wrong:
                 j = (wrong & -wrong).bit_length() - 1
                 raise ValueError(f"tau_{i} does not anticommute with sigma_{i}" if j == i
@@ -284,14 +297,14 @@ def transform_group(group: Hamiltonian, basis: TauSigmaBasis,
         else tuple(range(len(group.terms)))
     if len(indices) != len(group.terms):
         raise ValueError("term_indices length differs from the group")
-    sigmas = basis.sigma_products
+    sigmas = [single_bits(n, q, a) for q, a in basis.sigmas]
     out_terms: list[tuple[float, PauliProduct]] = []
     for coeff, prod in group.terms:
         subset, phase = expand_in_tau(prod, basis)
         x = z = 0
         for k in subset:
-            x |= sigmas[k].x
-            z |= sigmas[k].z
+            x |= sigmas[k][0]
+            z |= sigmas[k][1]
         out_terms.append((coeff * phase, PauliProduct(n, x, z)))
     return TransformedGroup(indices, basis, Hamiltonian(n, tuple(out_terms)))
 
@@ -463,6 +476,44 @@ def circuit_from_dict(d: dict) -> CliffordCircuit:
                            _field(d, "global_phase_exp", int))
 
 
+def _sigmas_from_list(items: list) -> tuple[tuple[int, str], ...]:
+    """The (qubit, axis) pairs of a plan group's sigma objects. An object
+    with an exact int qubit and a str axis is read directly; any other goes
+    through ``_field``, which raises the one-line error."""
+    sigmas = []
+    for s in items:
+        try:
+            qubit, axis = s["qubit"], s["axis"]
+        except (TypeError, KeyError):
+            qubit = axis = None
+        if type(qubit) is int and type(axis) is str:
+            sigmas.append((qubit, axis))
+        else:
+            sigmas.append((_field(s, "qubit", int), _field(s, "axis", str)))
+    return tuple(sigmas)
+
+
+def _terms_from_list(items: list, n: int) -> tuple[tuple[float, PauliProduct], ...]:
+    """The (coeff, product) terms of a plan group's transformed objects. A
+    coefficient that is an exact int or float of finite magnitude, with a
+    str term, is read directly; True, NaN, the infinities and ints past the
+    float range are not, and any other object goes through ``_field``."""
+    limit = sys.float_info.max
+    terms = []
+    for t in items:
+        try:
+            coeff, term = t["coeff"], t["pauli"]
+        except (TypeError, KeyError):
+            coeff = term = None
+        kind = type(coeff)
+        if (kind is int or kind is float) and abs(coeff) <= limit and type(term) is str:
+            terms.append((float(coeff), PauliProduct.from_term_string(term, n)))
+        else:
+            terms.append((float(_field(t, "coeff", (int, float))),
+                          PauliProduct.from_term_string(_field(t, "pauli", str), n)))
+    return tuple(terms)
+
+
 def plan_from_dict(d: dict) -> MeasurementPlan:
     """Inverse of plan_to_dict.
 
@@ -485,13 +536,8 @@ def plan_from_dict(d: dict) -> MeasurementPlan:
                 n,
                 tuple(PauliProduct.from_term_string(s, n)
                       for s in _field(g, "tau", list, str)),
-                tuple((_field(s, "qubit", int), _field(s, "axis", str))
-                      for s in _field(g, "sigma", list)))
-            transformed = Hamiltonian(
-                n,
-                tuple((float(_field(t, "coeff", (int, float))),
-                       PauliProduct.from_term_string(_field(t, "pauli", str), n))
-                      for t in _field(g, "transformed", list)))
+                _sigmas_from_list(_field(g, "sigma", list)))
+            transformed = Hamiltonian(n, _terms_from_list(_field(g, "transformed", list), n))
             tg = TransformedGroup(tuple(_field(g, "term_indices", list, int)),
                                   basis, transformed)
             circuit = circuit_from_dict(_field(g, "circuit", dict))

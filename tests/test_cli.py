@@ -95,6 +95,19 @@ PLAN_CORRUPTIONS = {
                     "'coeff' must be a finite number"),
     "coeff-int-overflow": (lambda p: set_path(p, ["transformed", 0, "coeff"], 10**400),
                            "'coeff' must be a finite number"),
+    # Sigma and transformed items with exactly the JSON types asked for are
+    # read without _field; anything else must still fail its type check.
+    "sigma-qubit-true": (lambda p: set_path(p, ["sigma", 0, "qubit"], True),
+                         "plan group 0: 'qubit' must be an integer"),
+    "sigma-qubit-float-after-valid-sigma": (
+        lambda p: set_path(p, ["sigma", 1, "qubit"], 1.0),
+        "plan group 0: 'qubit' must be an integer"),
+    "later-coeff-bool": (lambda p: set_path(p, ["transformed", 1, "coeff"], True),
+                         "plan group 0: 'coeff' must be a number"),
+    "pauli-number": (lambda p: set_path(p, ["transformed", 0, "pauli"], 3),
+                     "plan group 0: 'pauli' must be a string"),
+    "transformed-item-number": (lambda p: set_path(p, ["transformed", 1], 7),
+                                "plan group 0: expected an object with key 'coeff'"),
     # The loader shares one Gate among equal gates; True and 1.0 equal 1 as
     # keys, so these must still fail the type check.
     "qubit-true-after-equal-gate": (

@@ -1,5 +1,6 @@
 """Pauli algebra, the packed GF(2) form and Hamiltonian text I/O."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (all_paulis, pauli_from_label, random_pauli, regex_parse_term_tokens,
                      serialize_hamiltonian)
 from paulimeasure import Hamiltonian, HamiltonianFormatError, PauliProduct, parse_hamiltonian
+from paulimeasure import pauli
 from paulimeasure.pauli import (MAX_QUBITS, anticommuting, parse_term_tokens,
                                qubit_columns)
 from paulimeasure.gf2 import symplectic_inner
@@ -67,6 +69,42 @@ class TestMultiply:
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
             PauliProduct.identity(2) * PauliProduct.identity(3)
+
+
+class TestProductContract:
+    def test_frozen_and_slotted(self):
+        p = PauliProduct(2, 1, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x = 2
+        # A name that is no field is refused too: the frozen __setattr__ of a
+        # slotted dataclass raises TypeError for it (its super() call names
+        # the class before the slots were added), so either error counts.
+        with pytest.raises((AttributeError, TypeError)):
+            p.label = "X0"
+        assert not hasattr(p, "__dict__") and not hasattr(p, "label")
+
+    def test_value_equality_after_phase_mod_4(self):
+        a, b = PauliProduct(2, 1, 0, 5), PauliProduct(2, 1, 0, 1)
+        assert a == b and hash(a) == hash(b) and a.phase_exp == 1
+        assert PauliProduct(2, x=1) == PauliProduct(2, 1, 0, 0) != PauliProduct(2, 1, 0, 2)
+        assert PauliProduct(1, phase_exp=-1).phase_exp == 3
+
+    @pytest.mark.parametrize("args, message", [
+        ((0,), "n_qubits must be positive"),
+        ((2, 4), "axis bits outside qubit range"),
+        ((2, 0, -1), "axis bits outside qubit range"),
+    ])
+    def test_error_messages(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PauliProduct(*args)
+
+    def test_replace_reruns_the_checks(self):
+        p = PauliProduct(2, 1, 2, 1)
+        assert dataclasses.replace(p, phase_exp=6) == PauliProduct(2, 1, 2, 2)
+        with pytest.raises(ValueError, match="^n_qubits must be positive$"):
+            dataclasses.replace(p, n_qubits=0)
+        with pytest.raises(ValueError, match="^axis bits outside qubit range$"):
+            dataclasses.replace(p, n_qubits=1)
 
 
 class TestSymplecticMapping:
@@ -226,12 +264,28 @@ class TestHamiltonianIO:
     @example(["Z1", "Z1"])
     @example(["X\u00b2"])
     def test_tokens_decode_as_the_regex_did(self, tokens):
+        """Once with an empty token memo, which the parse fills, and once
+        reading it."""
         def outcome(parse):
             try:
                 return parse(tokens)
             except ValueError as exc:
                 return str(exc)
-        assert outcome(parse_term_tokens) == outcome(regex_parse_term_tokens)
+        want = outcome(regex_parse_term_tokens)
+        pauli._TOKEN_MEMO.clear()
+        assert outcome(parse_term_tokens) == want
+        assert outcome(parse_term_tokens) == want
+
+    def test_token_memo_holds_only_canonical_tokens(self):
+        for q in range(MAX_QUBITS):
+            for axis in "XYZ":
+                assert parse_term_tokens([f"{axis}{q}"])[2] == q
+        for tokens in (["X007"], ["X\u0661"], ["Z01"], ["Y7", "X008"]):
+            assert parse_term_tokens(tokens) == regex_parse_term_tokens(tokens)
+        memo = pauli._TOKEN_MEMO
+        assert len(memo) <= 3 * MAX_QUBITS
+        assert all(key == f"{key[0]}{int(key[1:])}" and key[1:].isascii() for key in memo)
+        assert parse_hamiltonian("1.0 X007\n").terms[0][1].to_term_string() == "X7"
 
     def test_qubit_limit_is_inclusive(self):
         assert parse_hamiltonian(f"1.0 X{MAX_QUBITS - 1}\n").n_qubits == MAX_QUBITS

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from helpers import (build_unitary_symbolic, embedded_group, full_width_find_sig
                      full_width_find_tau, group_basis, idle_filter_find_tau, is_lagrangian,
                      pairwise_validate, product_expand_in_tau, random_commuting_group,
                      random_graph_hamiltonian, random_isotropic, random_pauli,
-                     reference_plan_dict, rescanning_find_sigma, solve_expansion)
+                     reference_plan_dict, regex_parse_term_tokens, rescanning_find_sigma,
+                     solve_expansion)
 from paulimeasure import (CliffordCircuit, CliqueCover, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, TauSigmaBasis, TransformError,
                           TransformedGroup, build_graph, cover_rlf, expand_in_tau,
@@ -427,6 +429,26 @@ class TestPipeline:
             assert a.circuit.gates == b.circuit.gates
             assert a.circuit.global_phase_exp == b.circuit.global_phase_exp
             assert a.circuit.n_qubits == b.circuit.n_qubits
+
+    @pytest.mark.parametrize("workload", ["random-w4", "molecular-jw", "wide-sparse"])
+    def test_benchmark_instances_parse_and_roundtrip(self, workload, monkeypatch):
+        """Every seed-1 benchmark instance parses as the regex tokenizer
+        reads it, and its plan text survives the loader unchanged: the
+        golden plans never reach a 1,200-term cover."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        import workloads
+        for inst in workloads.generate(workload, 1, PauliProduct):
+            text = inst.to_text()
+            h = parse_hamiltonian(text)
+            header, *lines = text.splitlines()
+            want = []
+            for line in lines:
+                coeff, *tokens = line.split()
+                want.append((float(coeff), *regex_parse_term_tokens(tokens)[:2]))
+            assert header == f"qubits: {h.n_qubits}"
+            assert [(c, p.x, p.z) for c, p in h.terms] == want
+            blob = plan_to_json(pipeline(h, cover_rlf(build_graph(h, "fc"))))
+            assert plan_to_json(plan_from_dict(json.loads(blob))) == blob
 
 
 def stdlib_layout(plan) -> str:
