@@ -4,7 +4,11 @@ Each factor V = (tau + sigma)/sqrt(2) with {tau, sigma} = 0 satisfies
 V = (-i) e^(i pi/4 sigma) e^(i pi/4 tau) e^(i pi/4 sigma), and each
 pi/4 Pauli exponent lowers to H/S/CNOT with an exactly tracked global phase.
 Each qubit's runs of single-qubit gates fold, as they are emitted, into one
-of the 24 single-qubit Cliffords, written out as at most 3 gates.
+of the 24 single-qubit Cliffords, written out as at most 3 gates, and a CNOT
+that meets the same CNOT with nothing left between them cancels it. Each tau
+ladder ends on its sigma qubit and the factors are emitted in prefix order,
+so consecutive ladders share CNOTs that cancel (after Hastings et al.,
+arXiv:1403.1539).
 """
 
 from __future__ import annotations
@@ -127,16 +131,27 @@ class _Fold:
 
     A CNOT first writes out the pending runs of its two qubits, each as the
     element's shortest run; ``circuit`` writes out the rest in qubit order.
-    So the CNOTs keep their order, every run stays between the same two
-    CNOTs on its qubit, and none grows: a run costs at most 3 gates, none
-    when it multiplies to the identity.
+    Every run stays between the same two CNOTs on its qubit, and none grows:
+    a run costs at most 3 gates, none when it multiplies to the identity.
+    A CNOT that would directly follow the same CNOT (same control and
+    target) on both of its qubits, with both pending runs the identity,
+    cancels it instead: neither is written. Cancelling exposes the gates
+    written before the cancelled one, so a run of such pairs telescopes.
+    Runs already written are not folded again.
+
+    Gate k has slot 2k on its first qubit and 2k + 1 on a CNOT's target.
+    ``last[q]`` is the slot of the last gate written on qubit q (-1 for
+    none), and ``below[s]`` is the slot that ``last`` held before the CNOT
+    of slot s was written, its back-link on that qubit.
     """
 
     def __init__(self, n_qubits: int) -> None:
         self.step, self.runs = _clifford_group()
         self.n_qubits = n_qubits
         self.pending = [0] * n_qubits
-        self.gates: list[Gate] = []
+        self.gates: list[Gate | None] = []
+        self.last = [-1] * n_qubits
+        self.below: dict[int, int] = {}
         self.phase = 0
 
     def run(self, names: tuple[str, ...], q: int) -> None:
@@ -149,73 +164,113 @@ class _Fold:
     def _write(self, q: int) -> None:
         j = self.pending[q]
         if j:
-            self.gates += [Gate(name, (q,)) for name in self.runs[j]]
+            gates = self.gates
+            gates += [Gate(name, (q,)) for name in self.runs[j]]
+            self.last[q] = 2 * len(gates) - 2
             self.pending[q] = 0
 
     def cnot(self, control: int, target: int) -> None:
+        last, below = self.last, self.below
+        s = last[control]
+        # Slots 2k and 2k + 1 on the two qubits: gate k is this CNOT.
+        if (last[target] == s + 1 and not s & 1
+                and not self.pending[control] and not self.pending[target]):
+            self.gates[s >> 1] = None
+            last[control] = below.pop(s)
+            last[target] = below.pop(s + 1)
+            return
         self._write(control)
         self._write(target)
+        s = 2 * len(self.gates)
+        below[s] = last[control]
+        below[s + 1] = last[target]
+        last[control] = s
+        last[target] = s + 1
         self.gates.append(Gate("CNOT", (control, target)))
 
     def circuit(self, global_phase_exp: int) -> CliffordCircuit:
         for q in range(self.n_qubits):
             self._write(q)
-        return CliffordCircuit(self.n_qubits, tuple(self.gates),
+        return CliffordCircuit(self.n_qubits, tuple(filter(None, self.gates)),
                                global_phase_exp + self.phase)
 
 
-def _append_exponent(fold: _Fold, p: PauliProduct) -> None:
+def _qubits(bits: int) -> list[int]:
+    """The qubits of a support bitset, ascending, in O(weight)."""
+    qubits = []
+    while bits:
+        qubits.append((bits & -bits).bit_length() - 1)
+        bits &= bits - 1
+    return qubits
+
+
+def _append_exponent(fold: _Fold, p: PauliProduct, ladder: list[int] | None = None) -> None:
     """Emit the gates of e^(-i pi/4) exp(i pi/4 P), P phase-free and not I.
 
-    Basis changes map every support axis to Z, a CNOT ladder folds the
-    parity onto the last support qubit, and exp(i pi/4 Z) = e^(i pi/4) SDG
+    Basis changes map every support axis to Z, a CNOT ladder over the
+    support qubits in the order ``ladder`` (ascending when None) folds the
+    parity onto the last of them, and exp(i pi/4 Z) = e^(i pi/4) SDG
     supplies the rotation; the ladder and basis changes are then undone.
-    Weight w costs 2(w-1) CNOTs. ``fold`` is a ``_Fold`` or anything else
-    with its ``run`` and ``cnot``.
+    Weight w costs 2(w-1) CNOTs before any cancels in the fold. ``fold``
+    is a ``_Fold`` or anything else with its ``run`` and ``cnot``.
     """
-    support = []
-    rest = p.support
-    while rest:
-        support.append((rest & -rest).bit_length() - 1)
-        rest &= rest - 1
-    axes = [p.axis(q) for q in support]
-    for q, a in zip(support, axes):
-        if a != "Z":
-            fold.run(_TO_Z[a], q)
+    support = _qubits(p.support) if ladder is None else ladder
+    x, z = p.x, p.z
+    # The X and Y qubits with their axes; a Z needs no basis change.
+    changes = [(q, "Y" if z >> q & 1 else "X") for q in support if x >> q & 1]
+    for q, a in changes:
+        fold.run(_TO_Z[a], q)
     for k in range(len(support) - 1):
         fold.cnot(support[k], support[k + 1])
     fold.run(("SDG",), support[-1])
     for k in reversed(range(len(support) - 1)):
         fold.cnot(support[k], support[k + 1])
-    for q, a in zip(support, axes):
-        if a != "Z":
-            fold.run(_FROM_Z[a], q)
+    for q, a in changes:
+        fold.run(_FROM_Z[a], q)
 
 
 def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
-    """Full circuit for the product of reflections, factor 1 first.
+    """Full circuit for the product of reflections, in prefix order.
 
-    The factors commute pairwise, so the concatenation order does not change
-    the operator; gates of factor i appear before those of factor i+1. A
-    factor is (-i) e^(i pi/4 sigma) e^(i pi/4 tau) e^(i pi/4 sigma): -i is
-    e^(i pi/4 * 6) and each exponent's gates lack e^(i pi/4), so a factor
-    adds 6 + 3 = 9 to the phase exponent. A sigma exponent is one run on
-    the sigma's qubit. The gates are folded as they are emitted (``_Fold``),
-    which keeps the operator and its phase exact: a one-qubit factor
-    (Z + X)/sqrt(2) costs one H, not seven gates. Every factor acts only on
-    the basis's sigma qubits, so no gate touches another qubit.
+    The factors commute pairwise, so the order in which they are emitted
+    does not change the operator. Each factor's tau ladder runs over the
+    tau's other qubits in ascending order and ends on its sigma qubit. The
+    factors are emitted in lexicographic order of their ladders off the
+    sigma qubit, ties by index, so that consecutive ladders share their
+    longest prefixes and the fold cancels the shared CNOT pairs: 2(w-1)
+    CNOTs for a weight-w tau is an upper bound. A ladder is keyed by its
+    qubits alone. Its (qubit, axis) pairs would order the same: every
+    qubit of a tau off its own sigma qubit carries another factor's sigma,
+    with which the tau commutes, so the tau's axis there is that sigma's
+    axis (basis invariants).
+
+    A factor is (-i) e^(i pi/4 sigma) e^(i pi/4 tau) e^(i pi/4 sigma): -i
+    is e^(i pi/4 * 6) and each exponent's gates lack e^(i pi/4), so a
+    factor adds 6 + 3 = 9 to the phase exponent. A sigma exponent is one
+    run on the sigma's qubit. The gates are folded as they are emitted
+    (``_Fold``), which keeps the operator and its phase exact: a one-qubit
+    factor (Z + X)/sqrt(2) costs one H, not seven gates. Every factor acts
+    only on the basis's sigma qubits, so no gate touches another qubit.
+    Every factor is checked, in index order, before any ladder is built.
     """
-    fold = _Fold(basis.n_qubits)
+    n = basis.n_qubits
     for i, tau in enumerate(basis.taus):
         q, a = basis.sigmas[i]
-        if a not in _EXPONENT_1Q or not 0 <= q < basis.n_qubits:
+        if a not in _EXPONENT_1Q or not 0 <= q < n:
             raise ValueError(f"sigma_{i} must be X, Y or Z on a qubit of the register")
         if tau.phase_exp:
             raise ValueError("exponent Pauli must carry no phase")
         if tau.axis(q) in ("I", a):
             raise ValueError("tau and sigma must anticommute")
+    ladders = [_qubits(tau.support & ~(1 << q))
+               for tau, (q, _) in zip(basis.taus, basis.sigmas)]
+    fold = _Fold(n)
+    for i in sorted(range(len(ladders)), key=ladders.__getitem__):
+        q, a = basis.sigmas[i]
+        ladder = ladders[i]
+        ladder.append(q)  # the key has been read; the sigma qubit goes last
         fold.run(_EXPONENT_1Q[a], q)
-        _append_exponent(fold, tau)
+        _append_exponent(fold, basis.taus[i], ladder)
         fold.run(_EXPONENT_1Q[a], q)
     return fold.circuit(9 * len(basis.taus))
 

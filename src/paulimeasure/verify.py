@@ -300,6 +300,12 @@ class _GroupOperators:
             self.source.terms[i] for i in self.entry.transform.term_indices))
 
     @cached_property
+    def transformed_columns(self) -> tuple[list[int], list[int]]:
+        """The transformed terms as per-qubit term bitsets (``qubit_columns``),
+        shared by the qwc and exact-sign rows."""
+        return qubit_columns(self.source.n_qubits, self.entry.transform.transformed.products())
+
+    @cached_property
     def group_matrix(self) -> np.ndarray:
         return dense_matrix(self.group, self.tables)
 
@@ -355,15 +361,17 @@ def _check_basis(g: _GroupOperators):
 
 
 def _check_qwc(g: _GroupOperators):
-    """The lowest clashing pair: the first term with a non-empty conflict
-    row in the qwc relation, and the lowest term of that row."""
-    transformed = g.entry.transform.transformed
-    if transformed.terms:
-        for i, clash in enumerate(build_graph(transformed, "qwc").conflicts):
-            if clash:
-                j = (clash & -clash).bit_length() - 1
-                return False, f"transformed terms {i} and {j} are not QWC"
-    return True, ""
+    """The terms are qubit-wise commuting when, on every qubit, those with
+    an X, those with a Y and those with a Z there are at most one non-empty
+    class. On a clash, the qwc conflict rows name the lowest clashing pair:
+    the first term with a non-empty row, and the lowest term of that row."""
+    if all(bool(x & ~z) + bool(x & z) + bool(z & ~x) <= 1
+           for x, z in zip(*g.transformed_columns)):
+        return True, ""
+    rows = build_graph(g.entry.transform.transformed, "qwc").conflicts
+    i = next(i for i, clash in enumerate(rows) if clash)
+    j = (rows[i] & -rows[i]).bit_length() - 1
+    return False, f"transformed terms {i} and {j} are not QWC"
 
 
 def _check_coeffs(g: _GroupOperators):
@@ -391,7 +399,7 @@ def _check_signs(g: _GroupOperators):
                        f"{len(g.group.terms)} terms")
     xs, zs, minus = conjugate_columns(g.entry.circuit,
                                       *qubit_columns(n, g.group.products()))
-    want_x, want_z = qubit_columns(n, stated.products())
+    want_x, want_z = g.transformed_columns
     wrong = 0
     for q in range(n):
         wrong |= (xs[q] ^ want_x[q]) | (zs[q] ^ want_z[q])

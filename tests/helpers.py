@@ -10,7 +10,7 @@ import numpy as np
 from paulimeasure import (CliffordCircuit, CliqueCover, Gate, Hamiltonian, PauliProduct,
                           TauSigmaBasis, TransformError, find_sigma, find_tau)
 from paulimeasure import gf2
-from paulimeasure.circuits import _append_exponent, _Fold
+from paulimeasure.circuits import _Fold
 from paulimeasure.pauli import (_BITS_FROM_AXIS, I_POWERS, MAX_QUBITS, anticommuting,
                                 qubit_columns)
 from paulimeasure.transform import _commute_pairwise
@@ -650,10 +650,14 @@ def inverse_circuit(c: CliffordCircuit) -> CliffordCircuit:
 
 
 # circuits._append_exponent as it was before it stepped over the set bits
-# of the support: one test per register qubit. Tests require equal gates.
+# of the support: one test per register qubit. A target qubit of the support
+# goes last in the ladder, as synthesize puts the sigma qubit. Tests require
+# equal gates.
 
-def scanning_exponent_gates(p: PauliProduct) -> list[Gate]:
-    support = [q for q in range(p.n_qubits) if (p.support >> q) & 1]
+def scanning_exponent_gates(p: PauliProduct, target: int | None = None) -> list[Gate]:
+    support = [q for q in range(p.n_qubits) if (p.support >> q) & 1 and q != target]
+    if target is not None:
+        support.append(target)
     pre: list[Gate] = []
     post: list[Gate] = []
     for q in support:
@@ -668,10 +672,6 @@ def scanning_exponent_gates(p: PauliProduct) -> list[Gate]:
               for k in range(len(support) - 1)]
     return pre + ladder + [Gate("SDG", (support[-1],))] + ladder[::-1] + post
 
-
-# circuits.synthesize as it was before it folded the single-qubit runs:
-# every gate of every exponent as _append_exponent emits it. Tests require
-# the folded circuit to equal it exactly, global phase included.
 
 class LiteralGates:
     """The ``run`` / ``cnot`` interface of circuits._Fold, keeping every
@@ -691,13 +691,69 @@ class LiteralGates:
         return CliffordCircuit(self.n_qubits, tuple(self.gates), global_phase_exp)
 
 
+# circuits.synthesize without the fold: every gate of every exponent, each
+# tau ladder ending on its sigma qubit (scanning_exponent_gates), the factors
+# sorted by their (qubit, axis) ladders off the sigma qubit, ties by index.
+# Tests require the folded circuit to equal it exactly, global phase
+# included, with the CNOTs that cancel_adjacent_cnots keeps of it.
+
 def unfolded_synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
-    sink = LiteralGates(basis.n_qubits)
-    for i, tau in enumerate(basis.taus):
-        sigma = basis.sigma_products[i]
-        for p in (sigma, tau, sigma):
-            _append_exponent(sink, p)
-    return sink.circuit(9 * len(basis.taus))
+    def ladder(i):
+        tau, q = basis.taus[i], basis.sigmas[i][0]
+        return [(k, tau.axis(k)) for k in range(basis.n_qubits)
+                if k != q and tau.axis(k) != "I"]
+
+    gates: list[Gate] = []
+    for i in sorted(range(len(basis.taus)), key=ladder):
+        sigma = scanning_exponent_gates(basis.sigma_products[i])
+        gates += sigma + scanning_exponent_gates(basis.taus[i], basis.sigmas[i][0]) + sigma
+    return CliffordCircuit(basis.n_qubits, tuple(gates), 9 * len(basis.taus))
+
+
+# The CNOT cancellation of circuits._Fold, written as a per-qubit stack scan
+# over a literal gate list with 2x2 matrices for the single-qubit runs.
+
+def _is_scalar(m: np.ndarray) -> bool:
+    return abs(m[0, 1]) < 1e-9 and abs(m[1, 0]) < 1e-9 and abs(m[0, 0] - m[1, 1]) < 1e-9
+
+
+def cancel_adjacent_cnots(c: CliffordCircuit) -> CliffordCircuit:
+    """c without each CNOT that directly follows the same CNOT (same
+    control and target) on both of its qubits, and without that earlier
+    CNOT, when each qubit's single-qubit gates since then multiply to the
+    identity up to phase.
+
+    Each qubit keeps a stack of what was written on it: a CNOT's gate index,
+    or -1 for a run of single-qubit gates that is not the identity up to
+    phase, pushed when the next CNOT on the qubit stays. Popping a cancelled
+    pair exposes what lay below it; a run is never merged with one across a
+    cancelled pair. The single-qubit gates all stay, so the result equals c
+    exactly, global phase included.
+    """
+    n = c.n_qubits
+    stacks: list[list[int]] = [[] for _ in range(n)]
+    runs = [np.eye(2, dtype=complex) for _ in range(n)]
+    removed: set[int] = set()
+    for k, g in enumerate(c.gates):
+        if g.name != "CNOT":
+            q = g.qubits[0]
+            runs[q] = _GATE_2X2[g.name] @ runs[q]
+            continue
+        a, b = g.qubits
+        below = [stacks[q][-1] if stacks[q] else -1 for q in (a, b)]
+        if (below[0] == below[1] >= 0 and c.gates[below[0]].qubits == (a, b)
+                and _is_scalar(runs[a]) and _is_scalar(runs[b])):
+            stacks[a].pop()
+            stacks[b].pop()
+            removed |= {below[0], k}
+            continue
+        for q in (a, b):
+            if not _is_scalar(runs[q]):
+                stacks[q].append(-1)
+            runs[q] = np.eye(2, dtype=complex)
+            stacks[q].append(k)
+    return CliffordCircuit(n, tuple(g for k, g in enumerate(c.gates) if k not in removed),
+                           c.global_phase_exp)
 
 
 def fold_circuit(c: CliffordCircuit) -> CliffordCircuit:

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (LiteralGates, all_paulis, build_unitary_symbolic, circuit_to_dict,
+from helpers import (LiteralGates, all_paulis, build_unitary_symbolic,
+                     cancel_adjacent_cnots, circuit_to_dict,
                      conjugation_maps_paulis_to_paulis,
                      fold_circuit, group_basis, inverse_circuit, kron_gate,
-                     qubit_runs, random_commuting_group, random_pauli,
-                     scanning_exponent_gates, unfolded_synthesize)
-from paulimeasure import (CliffordCircuit, Gate, PauliProduct, TauSigmaBasis,
+                     qubit_runs, random_commuting_group, random_isotropic,
+                     random_pauli, scanning_exponent_gates, unfolded_synthesize)
+from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
+                          MeasurementPlan, PauliProduct, TauSigmaBasis,
                           circuit_from_dict,
                           find_sigma, gate_counts, synthesize,
                           transform_group)
@@ -35,7 +37,8 @@ def reflection_matrix(tau: PauliProduct, sigma: PauliProduct) -> np.ndarray:
 
 def expected_cnots(basis) -> int:
     """Each factor costs one weight-w tau exponent (2(w-1) CNOTs) between
-    two single-qubit sigma exponents (none)."""
+    two single-qubit sigma exponents (none), before the fold cancels the
+    CNOT pairs that consecutive ladders share: an upper bound."""
     return sum(2 * (t.weight() - 1) for t in basis.taus)
 
 
@@ -94,15 +97,16 @@ def cnots(c: CliffordCircuit) -> list[Gate]:
 
 
 def assert_fold_of(folded: CliffordCircuit, literal: CliffordCircuit) -> None:
-    """folded equals literal exactly, global phase included, with the same
-    CNOTs in order, no run longer than 3 gates or than the run it replaced,
-    and no greater depth."""
+    """folded equals literal exactly, global phase included, with the CNOTs
+    that cancel_adjacent_cnots keeps of it, in order, no run longer than the
+    literal gates it replaced, and no greater depth."""
     np.testing.assert_allclose(verify.dense_matrix(folded), verify.dense_matrix(literal),
                                atol=1e-12)
-    assert cnots(folded) == cnots(literal)
-    for after, before in zip(qubit_runs(folded), qubit_runs(literal), strict=True):
+    reduced = cancel_adjacent_cnots(literal)
+    assert cnots(folded) == cnots(reduced)
+    for after, before in zip(qubit_runs(folded), qubit_runs(reduced), strict=True):
         assert len(after) == len(before)
-        assert all(a <= min(3, b) for a, b in zip(after, before))
+        assert all(a <= b for a, b in zip(after, before))
     assert asap_depth(folded) <= asap_depth(literal)
 
 
@@ -117,6 +121,14 @@ def small_circuits(draw) -> CliffordCircuit:
         gate = st.one_of(one, pairs)
     gates = draw(st.lists(gate, max_size=30))
     return CliffordCircuit(n, tuple(gates), draw(st.integers(0, 7)))
+
+
+@st.composite
+def lagrangian_bases(draw, min_qubits: int, max_qubits: int) -> TauSigmaBasis:
+    """find_sigma on a random Lagrangian tau basis of the whole register."""
+    n = draw(st.integers(min_qubits, max_qubits))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return find_sigma([PauliProduct.from_packed(v, n) for v in random_isotropic(n, n, rng)])
 
 
 def conjugated_products(c: CliffordCircuit, prods) -> list[tuple[int, PauliProduct]]:
@@ -333,6 +345,23 @@ class TestDecomposeExponent:
             " ".join(f"{a}{q}" for a, q in zip(axes, qubits)), n)
         assert list(exponent_circuit(p).gates) == scanning_exponent_gates(p)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sigma_last_ladder_matches_the_qubit_scan(self, data):
+        n = data.draw(st.integers(1, 80))
+        x = data.draw(st.integers(0, (1 << n) - 1))
+        z = data.draw(st.integers(0, (1 << n) - 1).filter(lambda z: x | z))
+        p = PauliProduct(n, x, z)
+        target = data.draw(st.sampled_from([q for q in range(n) if p.support >> q & 1]))
+        sink = LiteralGates(n)
+        _append_exponent(sink, p, [q for q in range(n) if p.support >> q & 1 and q != target]
+                         + [target])
+        assert sink.gates == scanning_exponent_gates(p, target)
+        assert sink.gates[len(sink.gates) // 2] == Gate("SDG", (target,))
+        if n <= 4:
+            np.testing.assert_allclose(verify.dense_matrix(sink.circuit(1)),
+                                       exponent_matrix(p), atol=1e-12)
+
     def test_identity_exponent_rejected(self):
         with pytest.raises(ValueError, match="tau and sigma must anticommute"):
             one_factor(PauliProduct.identity(2), 0, "X")
@@ -386,7 +415,71 @@ class TestSynthesize:
         for _ in range(20):
             n = rng.randint(1, 8)
             basis = group_basis(random_commuting_group(n, rng))
-            assert gate_counts(synthesize(basis))["cnots"] == expected_cnots(basis)
+            assert gate_counts(synthesize(basis))["cnots"] <= expected_cnots(basis)
+
+    @pytest.mark.parametrize("taus, cnot_pairs, saved", [
+        # Z0 Z1 X2 and Z0 Z1 X3 share the rung CNOT(0, 1); X0 Z2 Z3 and
+        # X1 Z2 Z3 share CNOT(2, 3).
+        (("Z0 Z1 X2", "Z0 Z1 X3", "X0 Z2 Z3", "X1 Z2 Z3"),
+         [(0, 1), (1, 2), (1, 2), (1, 3), (1, 3), (0, 1),
+          (2, 3), (3, 0), (3, 0), (3, 1), (3, 1), (2, 3)], 2),
+        # The first two ladders share CNOT(0, 1) and CNOT(1, 2), which
+        # telescope; each later pair of ladders shares CNOT(3, 4).
+        (("Z0 Z1 Z2 X3", "Z0 Z1 Z2 X4", "X0 Z3 Z4", "X1 Z3 Z4", "X2 Z3 Z4"),
+         [(0, 1), (1, 2), (2, 3), (2, 3), (2, 4), (2, 4), (1, 2), (0, 1),
+          (3, 4), (4, 0), (4, 0), (4, 1), (4, 1), (4, 2), (4, 2), (3, 4)], 4),
+    ])
+    def test_shared_ladder_prefixes_cancel(self, taus, cnot_pairs, saved):
+        n = len(taus)
+        products = tuple(PauliProduct.from_term_string(t, n) for t in taus)
+        # Each tau's sigma is the Z on the qubit of its one X.
+        basis = TauSigmaBasis(n, products, tuple(
+            ((p.x & ~p.z).bit_length() - 1, "Z") for p in products))
+        basis.validate()
+        c = synthesize(basis)
+        assert [g.qubits for g in cnots(c)] == cnot_pairs
+        assert len(cnot_pairs) == expected_cnots(basis) - 2 * saved
+        np.testing.assert_allclose(verify.dense_matrix(c),
+                                   verify.dense_matrix(build_unitary_symbolic(basis)),
+                                   atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lagrangian_bases(1, 5))
+    def test_small_bases_equal_the_symbolic_product(self, basis):
+        # A tau's axis off its own sigma qubit is the sigma axis there, so
+        # ladders keyed by qubits order as by (qubit, axis) pairs.
+        sigma_axis = dict(basis.sigmas)
+        assert all(tau.axis(q) == sigma_axis[q]
+                   for tau, (own, _) in zip(basis.taus, basis.sigmas)
+                   for q in range(basis.n_qubits) if q != own and tau.axis(q) != "I")
+        c = synthesize(basis)
+        np.testing.assert_allclose(verify.dense_matrix(c),
+                                   verify.dense_matrix(build_unitary_symbolic(basis)),
+                                   atol=1e-12)
+        assert_fold_of(c, unfolded_synthesize(basis))
+
+    @settings(max_examples=25, deadline=None)
+    @given(lagrangian_bases(13, 64), st.integers(0, 2**32 - 1))
+    def test_wide_bases_pass_the_bitset_rows(self, basis, seed):
+        """Above every dense cap, the exact-sign and tableau rows prove the
+        circuit; the cancelled pairs only lower the CNOT count."""
+        rng = random.Random(seed)
+        n = basis.n_qubits
+        terms = []
+        for _ in range(rng.randint(1, 12)):
+            p = PauliProduct.identity(n)
+            for tau in rng.sample(basis.taus, rng.randint(1, n)):
+                p = p * tau
+            terms.append((rng.uniform(0.1, 1.0), PauliProduct(n, p.x, p.z)))
+        group = Hamiltonian.from_terms(n, terms)
+        circuit = synthesize(basis)
+        plan = MeasurementPlan(n, (GroupPlan(transform_group(group, basis), circuit),))
+        rows = verify.plan_checks(group, plan)
+        passed = {name for name, status, _ in rows if status == "pass"}
+        assert passed == {"groups partition the terms"} | {
+            name for name, _, cap in verify._CHECKS if cap is None}
+        assert all(status == "skip" for name, status, _ in rows if name not in passed)
+        assert gate_counts(circuit)["cnots"] <= expected_cnots(basis)
 
 
 class TestCircuitContainer:

@@ -140,14 +140,14 @@ GOLDEN_INPUTS = {"six-term": lambda: SIX_TERM_TEXT, "h2": lambda: H2_GROUP_TEXT,
 # random-12q and wide-100q have groups that leave qubits idle; their plans
 # with one tau per register qubit hash to FULL_WIDTH_PLAN_SHA256.
 PLAN_SHA256 = {
-    "six-term": "b67dad5469ee3de06a7d3f03240b3eee08777e2ee48d83bc66229efb14f24b2e",
-    "h2": "756ebaf0701e37157c0f0a9777be5e3d7be2b4f99deb28a7067905aaac298bdb",
-    "random-12q": "12e834bac6f71f9c3c1ef8ac7a30e7e73df199af38242238629e33912e4fe9ba",
-    "wide-100q": "13f41de47fb707663de0d76ff440da26cceb26f2a3250507123360f4db98e0ca",
+    "six-term": "610fead7da2128bcd0a339fd058aa32c30a8bf449bd9246fb8fbb2ecc9c05b89",
+    "h2": "890dc5fb49624c173cc4e3f0328cb55e3a0162983c185ac8a955f7c98970f61d",
+    "random-12q": "0f4dc6b5b974bc6f0231f4179c504999a9b16320adeac0f7e7478815b4fb6d50",
+    "wide-100q": "d0ec319b3829f63eb8d9006861bc7b5d04a4c86cde38532075fa0ef0196014f1",
 }
 FULL_WIDTH_PLAN_SHA256 = {
-    "random-12q": "9bf47a56a01a5a4eaaf3cef66e2702ca62ca73ce10901a8a991fa81a17af8ba4",
-    "wide-100q": "3559b4f5553f7a85223c015e95cf754e7e584b2e2c5929a8875fa206a441e2fc",
+    "random-12q": "4eeb9a7e361903c49e3e3604358add2b877fb77a61b1e356dd7d053179baa6b6",
+    "wide-100q": "cdcf5f3d984ae4d25d4477e25fcf159fc451db6cde9ce2fe58089d7f9088f2cf",
 }
 # sha256 of `measure group --format json` per "input/relation/method"; a change
 # here changes a cover.
@@ -646,6 +646,19 @@ class TestVerify:
         assert code == 1
         assert ("FAIL transformed groups qubit-wise commuting "
                 "(group 0: transformed terms 4 and 6 are not QWC)") in out.splitlines()
+
+    def test_y_against_x_transformed_terms_fail_at_the_lowest_pair(self, h2_file, tmp_path,
+                                                                    capsys):
+        def y_on_qubit_1(plan):
+            # term 5 (X1 X2) becomes Y1 X2; terms 1-3, 6-8 and 10 hold X1
+            plan["groups"][0]["transformed"][5]["pauli"] = "Y1 X2"
+            return plan
+
+        code, out, _ = self.run_verify_on_edited_plan(h2_file, tmp_path,
+                                                      y_on_qubit_1, capsys)
+        assert code == 1
+        assert ("FAIL transformed groups qubit-wise commuting "
+                "(group 0: transformed terms 1 and 5 are not QWC)") in out.splitlines()
 
     @pytest.mark.parametrize("name", list(VERIFY_INPUTS))
     def test_verify_output_golden(self, name, tmp_path, capsys):

@@ -3,6 +3,7 @@ tableau row of the check suite."""
 
 import dataclasses
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,6 +442,55 @@ class TestTableauRow:
         got = rows(group, mutated)
         assert got[SIGNS] == ("pass", "")
         assert got[TABLEAU][0] == "fail" and "maps to -" in got[TABLEAU][1]
+
+
+def pairwise_qwc_clash(h: Hamiltonian) -> tuple[int, int] | None:
+    """The first (i, j), in row order, of terms that differ in axis on a
+    qubit where neither is the identity."""
+    for i, (_, p) in enumerate(h.terms):
+        for j, (_, r) in enumerate(h.terms):
+            if any("I" != p.axis(q) != r.axis(q) != "I" for q in range(h.n_qubits)):
+                return i, j
+    return None
+
+
+QWC = "transformed groups qubit-wise commuting"
+
+
+class TestQwcRow:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_names_the_pairwise_first_clash(self, n, m, seed):
+        rng = random.Random(seed)
+        group = random_commuting_group(n, rng)
+        plan = one_group_plan(group)
+        entry = plan.groups[0]
+        # stated terms drawn from a few axes, so that clashes and clean
+        # groups both occur
+        terms = tuple((1.0, PauliProduct(n, rng.getrandbits(n) & rng.getrandbits(n),
+                                         rng.getrandbits(n) & rng.getrandbits(n)))
+                      for _ in range(m))
+        transform = dataclasses.replace(entry.transform, transformed=Hamiltonian(n, terms))
+        corrupted = MeasurementPlan(n, (GroupPlan(transform, entry.circuit),))
+        clash = pairwise_qwc_clash(transform.transformed)
+        want = (("pass", "") if clash is None else
+                ("fail", f"group 0: transformed terms {clash[0]} and {clash[1]} are not QWC"))
+        assert rows(group, corrupted)[QWC] == want
+
+
+class TestBenchmarkPlans:
+    @pytest.mark.parametrize("workload", ["random-w4", "molecular-jw", "wide-sparse"])
+    def test_seed_one_plans_pass_every_row(self, workload, monkeypatch):
+        """Every seed-1 benchmark plan, with its cancelled CNOT pairs,
+        passes every row that runs at its width; molecular-jw runs them all."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        import workloads
+        for inst in workloads.generate(workload, 1, PauliProduct):
+            h = parse_hamiltonian(inst.to_text())
+            plan = pipeline(h, cover_rlf(build_graph(h, "fc")))
+            for name, status, detail in verify.plan_checks(h, plan):
+                assert status == "pass" or (status == "skip" and h.n_qubits > 6), (
+                    name, status, detail)
 
 
 class TestSymbolicUnitary:
