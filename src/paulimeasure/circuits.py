@@ -135,14 +135,10 @@ class _Fold:
     a run costs at most 3 gates, none when it multiplies to the identity.
     A CNOT that would directly follow the same CNOT (same control and
     target) on both of its qubits, with both pending runs the identity,
-    cancels it instead: neither is written. Cancelling exposes the gates
-    written before the cancelled one, so a run of such pairs telescopes.
-    Runs already written are not folded again.
-
-    Gate k has slot 2k on its first qubit and 2k + 1 on a CNOT's target.
-    ``last[q]`` is the slot of the last gate written on qubit q (-1 for
-    none), and ``below[s]`` is the slot that ``last`` held before the CNOT
-    of slot s was written, its back-link on that qubit.
+    cancels it instead: neither is written. ``written[q]`` is the stack of
+    the indices of the gates written on qubit q, so cancelling pops the
+    pair and exposes the gates before it, and a run of such pairs
+    telescopes. Runs already written are not folded again.
     """
 
     def __init__(self, n_qubits: int) -> None:
@@ -150,8 +146,7 @@ class _Fold:
         self.n_qubits = n_qubits
         self.pending = [0] * n_qubits
         self.gates: list[Gate | None] = []
-        self.last = [-1] * n_qubits
-        self.below: dict[int, int] = {}
+        self.written = [[-1] for _ in range(n_qubits)]
         self.phase = 0
 
     def run(self, names: tuple[str, ...], q: int) -> None:
@@ -166,26 +161,23 @@ class _Fold:
         if j:
             gates = self.gates
             gates += [Gate(name, (q,)) for name in self.runs[j]]
-            self.last[q] = 2 * len(gates) - 2
+            self.written[q].append(len(gates) - 1)
             self.pending[q] = 0
 
     def cnot(self, control: int, target: int) -> None:
-        last, below = self.last, self.below
-        s = last[control]
-        # Slots 2k and 2k + 1 on the two qubits: gate k is this CNOT.
-        if (last[target] == s + 1 and not s & 1
+        on_control, on_target = self.written[control], self.written[target]
+        k = on_control[-1]
+        # Gate k is on both qubits, so it is a CNOT between them.
+        if (k == on_target[-1] >= 0 and self.gates[k].qubits[0] == control
                 and not self.pending[control] and not self.pending[target]):
-            self.gates[s >> 1] = None
-            last[control] = below.pop(s)
-            last[target] = below.pop(s + 1)
+            self.gates[k] = None
+            on_control.pop()
+            on_target.pop()
             return
         self._write(control)
         self._write(target)
-        s = 2 * len(self.gates)
-        below[s] = last[control]
-        below[s + 1] = last[target]
-        last[control] = s
-        last[target] = s + 1
+        on_control.append(len(self.gates))
+        on_target.append(len(self.gates))
         self.gates.append(Gate("CNOT", (control, target)))
 
     def circuit(self, global_phase_exp: int) -> CliffordCircuit:
@@ -204,27 +196,27 @@ def _qubits(bits: int) -> list[int]:
     return qubits
 
 
-def _append_exponent(fold: _Fold, p: PauliProduct, ladder: list[int] | None = None) -> None:
+def _append_exponent(fold: _Fold, p: PauliProduct, ladder: list[int]) -> None:
     """Emit the gates of e^(-i pi/4) exp(i pi/4 P), P phase-free and not I.
 
     Basis changes map every support axis to Z, a CNOT ladder over the
-    support qubits in the order ``ladder`` (ascending when None) folds the
-    parity onto the last of them, and exp(i pi/4 Z) = e^(i pi/4) SDG
-    supplies the rotation; the ladder and basis changes are then undone.
-    Weight w costs 2(w-1) CNOTs before any cancels in the fold. ``fold``
-    is a ``_Fold`` or anything else with its ``run`` and ``cnot``.
+    support qubits in the order ``ladder`` (the support of P, each qubit
+    once) folds the parity onto the last of them, and exp(i pi/4 Z) =
+    e^(i pi/4) SDG supplies the rotation; the ladder and basis changes are
+    then undone. Weight w costs 2(w-1) CNOTs before any cancels in the
+    fold. ``fold`` is a ``_Fold`` or anything else with its ``run`` and
+    ``cnot``.
     """
-    support = _qubits(p.support) if ladder is None else ladder
     x, z = p.x, p.z
     # The X and Y qubits with their axes; a Z needs no basis change.
-    changes = [(q, "Y" if z >> q & 1 else "X") for q in support if x >> q & 1]
+    changes = [(q, "Y" if z >> q & 1 else "X") for q in ladder if x >> q & 1]
     for q, a in changes:
         fold.run(_TO_Z[a], q)
-    for k in range(len(support) - 1):
-        fold.cnot(support[k], support[k + 1])
-    fold.run(("SDG",), support[-1])
-    for k in reversed(range(len(support) - 1)):
-        fold.cnot(support[k], support[k + 1])
+    for k in range(len(ladder) - 1):
+        fold.cnot(ladder[k], ladder[k + 1])
+    fold.run(("SDG",), ladder[-1])
+    for k in reversed(range(len(ladder) - 1)):
+        fold.cnot(ladder[k], ladder[k + 1])
     for q, a in changes:
         fold.run(_FROM_Z[a], q)
 

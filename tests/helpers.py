@@ -717,11 +717,13 @@ def _is_scalar(m: np.ndarray) -> bool:
     return abs(m[0, 1]) < 1e-9 and abs(m[1, 0]) < 1e-9 and abs(m[0, 0] - m[1, 1]) < 1e-9
 
 
-def cancel_adjacent_cnots(c: CliffordCircuit) -> CliffordCircuit:
+def cancel_adjacent_cnots(c: CliffordCircuit) -> tuple[CliffordCircuit, list[list[int]]]:
     """c without each CNOT that directly follows the same CNOT (same
     control and target) on both of its qubits, and without that earlier
     CNOT, when each qubit's single-qubit gates since then multiply to the
-    identity up to phase.
+    identity up to phase; and, per qubit of that circuit, the number of
+    cancelled pairs that each of its single-qubit runs spans, in the order
+    of ``qubit_runs``.
 
     Each qubit keeps a stack of what was written on it: a CNOT's gate index,
     or -1 for a run of single-qubit gates that is not the identity up to
@@ -733,7 +735,9 @@ def cancel_adjacent_cnots(c: CliffordCircuit) -> CliffordCircuit:
     n = c.n_qubits
     stacks: list[list[int]] = [[] for _ in range(n)]
     runs = [np.eye(2, dtype=complex) for _ in range(n)]
-    removed: set[int] = set()
+    # The earlier and the later CNOT of each cancelled pair.
+    opening: set[int] = set()
+    closing: set[int] = set()
     for k, g in enumerate(c.gates):
         if g.name != "CNOT":
             q = g.qubits[0]
@@ -745,15 +749,25 @@ def cancel_adjacent_cnots(c: CliffordCircuit) -> CliffordCircuit:
                 and _is_scalar(runs[a]) and _is_scalar(runs[b])):
             stacks[a].pop()
             stacks[b].pop()
-            removed |= {below[0], k}
+            opening.add(below[0])
+            closing.add(k)
             continue
         for q in (a, b):
             if not _is_scalar(runs[q]):
                 stacks[q].append(-1)
             runs[q] = np.eye(2, dtype=complex)
             stacks[q].append(k)
-    return CliffordCircuit(n, tuple(g for k, g in enumerate(c.gates) if k not in removed),
-                           c.global_phase_exp)
+    spans = [[0] for _ in range(n)]
+    for k, g in enumerate(c.gates):
+        if g.name == "CNOT" and k not in opening:
+            for q in g.qubits:
+                if k in closing:
+                    spans[q][-1] += 1
+                else:
+                    spans[q].append(0)
+    removed = opening | closing
+    return (CliffordCircuit(n, tuple(g for k, g in enumerate(c.gates) if k not in removed),
+                            c.global_phase_exp), spans)
 
 
 def fold_circuit(c: CliffordCircuit) -> CliffordCircuit:

@@ -20,7 +20,7 @@ from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import (GATE_NAMES, _append_exponent, _clifford_group,
-                                   conjugate_columns)
+                                   _qubits, conjugate_columns)
 from paulimeasure.pauli import MAX_QUBITS, qubit_columns
 from paulimeasure.fixtures import h2_reference_basis, model_reference_basis
 
@@ -44,9 +44,9 @@ def expected_cnots(basis) -> int:
 
 def exponent_circuit(p: PauliProduct) -> CliffordCircuit:
     """The gates of exp(i pi/4 P) with the phase e^(i pi/4) they leave out,
-    unfolded."""
+    unfolded, with the ladder over the support in ascending order."""
     sink = LiteralGates(p.n_qubits)
-    _append_exponent(sink, p)
+    _append_exponent(sink, p, _qubits(p.support))
     return sink.circuit(1)
 
 
@@ -99,14 +99,17 @@ def cnots(c: CliffordCircuit) -> list[Gate]:
 def assert_fold_of(folded: CliffordCircuit, literal: CliffordCircuit) -> None:
     """folded equals literal exactly, global phase included, with the CNOTs
     that cancel_adjacent_cnots keeps of it, in order, no run longer than the
-    literal gates it replaced, and no greater depth."""
+    literal gates it replaced, and no greater depth. A run is at most 3
+    gates, or 3 (k + 1) where it spans k cancelled CNOT pairs: the folded
+    pieces on either side of a pair are not merged."""
     np.testing.assert_allclose(verify.dense_matrix(folded), verify.dense_matrix(literal),
                                atol=1e-12)
-    reduced = cancel_adjacent_cnots(literal)
+    reduced, spans = cancel_adjacent_cnots(literal)
     assert cnots(folded) == cnots(reduced)
-    for after, before in zip(qubit_runs(folded), qubit_runs(reduced), strict=True):
-        assert len(after) == len(before)
-        assert all(a <= b for a, b in zip(after, before))
+    for after, before, span in zip(qubit_runs(folded), qubit_runs(reduced), spans,
+                                   strict=True):
+        assert len(after) == len(before) == len(span)
+        assert all(a <= min(3 * (k + 1), b) for a, b, k in zip(after, before, span))
     assert asap_depth(folded) <= asap_depth(literal)
 
 
