@@ -181,10 +181,15 @@ class _Fold:
         self.gates.append(Gate("CNOT", (control, target)))
 
     def circuit(self, global_phase_exp: int) -> CliffordCircuit:
+        """The written gates as a circuit, without the constructor's checks:
+        every name is "CNOT" or from a ``_clifford_group`` run, the callers
+        range-check every qubit, and a CNOT's two qubits differ."""
         for q in range(self.n_qubits):
             self._write(q)
-        return CliffordCircuit(self.n_qubits, tuple(filter(None, self.gates)),
-                               global_phase_exp + self.phase)
+        circuit = object.__new__(CliffordCircuit)
+        vars(circuit).update(n_qubits=self.n_qubits, gates=tuple(filter(None, self.gates)),
+                             global_phase_exp=(global_phase_exp + self.phase) % 8)
+        return circuit
 
 
 def _qubits(bits: int) -> list[int]:

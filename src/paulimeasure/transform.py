@@ -185,14 +185,19 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     those qubits gets one sigma; the rest of the register gets none.
 
     Step i takes the lowest qubit that tau i touches among the unassigned
-    ones and picks the partner axis by the fixed rule X->Z, Y->X, Z->X.
-    Every other tau k (earlier and later) is then replaced by
-    tau_k + (tau_k|sigma_i) tau_i: updating only the later ones can leave
-    an earlier tau anticommuting with a later sigma, which would break the
-    returned invariants. The taus to update are read off per-bit column
-    bitsets that follow every change to the vectors, so a step costs in
-    proportion to the weight of tau_i and the number of taus it changes,
-    not to n.
+    ones. Two axes there anticommute with tau i, and either can partner it;
+    one of them may be Y. Every other tau k (earlier and later) that
+    anticommutes with the partner, a carrier, is then replaced by
+    tau_k tau_i: updating only the later ones can leave an earlier tau
+    anticommuting with a later sigma, which would break the returned
+    invariants. The step takes the axis whose update leaves the smaller
+    total tau weight, since each reflection's circuit costs 2(w - 1) CNOTs
+    for a weight-w tau; on a tie it takes X for a Y or Z and Z for an X.
+    The taus with tau i's own axis on the qubit carry either partner, so
+    only the others are scored, one popcount pair each. The carriers are
+    read off per-bit column bitsets that follow every change to the
+    vectors, so a step costs in proportion to the weight of tau_i and the
+    number of taus with a non-identity axis on its qubit, not to n.
 
     Tau i always touches an unassigned qubit. After the earlier steps it
     commutes with every earlier sigma_j, so on the assigned qubits it is a
@@ -215,23 +220,40 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
         raise ValueError("taus are not a Lagrangian basis")
     # Bit k of cols[b] is bit b of vecs[k]: the x columns, then the z columns.
     cols = xcol + zcol
+    mask = (1 << n) - 1
     sigmas: list[tuple[int, str]] = []
     for i in range(len(vecs)):
-        avail = (vecs[i] | vecs[i] >> n) & unassigned
+        tau = vecs[i]
+        avail = (tau | tau >> n) & unassigned
         qubit = (avail & -avail).bit_length() - 1
-        # The partner of a Y or Z is X, which anticommutes with the taus that
-        # have a z bit on the qubit; the partner of an X is Z (an x bit).
-        if vecs[i] >> (n + qubit) & 1:
-            axis, probe = "X", n + qubit
+        # X anticommutes with the taus that have a z bit on the qubit, Z with
+        # those that have an x bit, Y with those that have exactly one.
+        xs, zs = cols[qubit], cols[n + qubit]
+        if tau >> (n + qubit) & 1:
+            axis, carriers = "X", zs
+            alt, alt_carriers = ("Z", xs) if tau >> qubit & 1 else ("Y", xs ^ zs)
         else:
-            axis, probe = "Z", qubit
-        carriers = cols[probe] & ~(1 << i)
+            axis, carriers = "Z", xs
+            alt, alt_carriers = "Y", xs ^ zs
+        # The weight that the alternative's update adds over this axis's.
+        change = 0
+        rest = carriers ^ alt_carriers
+        while rest:
+            low = rest & -rest
+            v = vecs[low.bit_length() - 1]
+            w = v ^ tau
+            w = ((w | w >> n) & mask).bit_count() - ((v | v >> n) & mask).bit_count()
+            change += w if low & alt_carriers else -w
+            rest ^= low
+        if change < 0:
+            axis, carriers = alt, alt_carriers
+        carriers &= ~(1 << i)
         rest = carriers
         while rest:
             low = rest & -rest
-            vecs[low.bit_length() - 1] ^= vecs[i]
+            vecs[low.bit_length() - 1] ^= tau
             rest ^= low
-        rest = vecs[i]
+        rest = tau
         while rest:
             low = rest & -rest
             cols[low.bit_length() - 1] ^= carriers

@@ -12,7 +12,8 @@ elsewhere is checked against an independent route. A plan whose width has
 a dense row builds one set of index tables (``_Tables``) that all its
 groups share. A circuit reaches the amplitudes as one numpy operation per
 merged single-qubit run and per chain of CNOTs, and a real Hermitian
-matrix gets a real symmetric eigenvalue solve. Qubit 0 is the leftmost
+matrix gets a real symmetric eigenvalue solve, as does a transformed group
+with Y terms after a diagonal similarity. Qubit 0 is the leftmost
 Kronecker factor.
 """
 
@@ -34,6 +35,7 @@ MAX_SPECTRUM_QUBITS = 10
 MAX_EXPECTATION_QUBITS = 6
 MAX_COUNT_QUBITS = 8
 _EXPECTATION_SEED = 20200214
+_I_POWERS = np.array(I_POWERS)
 
 _GATE_1Q = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -59,9 +61,9 @@ class DimensionError(ValueError):
 
 class _Tables:
     """Index tables of one register width, shared by the dense operators of
-    a plan: the basis states ``b``, the sign (-1)^|s| of every bit pattern s
-    (``signs``), and, each built on first use, the identity and the row
-    gather of each CNOT."""
+    a plan: the basis states ``b``, the set-bit count |s| of every bit
+    pattern s (``ones``) and its sign (-1)^|s| (``signs``), and, each built
+    on first use, the identity and the row gather of each CNOT."""
 
     def __init__(self, n_qubits: int) -> None:
         if n_qubits > MAX_DENSE_QUBITS:
@@ -69,10 +71,11 @@ class _Tables:
         self.n_qubits = n_qubits
         self.b = np.arange(1 << n_qubits)
         # Doubling k appends the patterns with bit k set: one more set bit each.
-        signs = np.ones(1)
+        ones = np.zeros(1, dtype=np.int64)
         for _ in range(n_qubits):
-            signs = np.concatenate((signs, -signs))
-        self.signs = signs
+            ones = np.concatenate((ones, ones + 1))
+        self.ones = ones
+        self.signs = 1 - 2 * (ones & 1).astype(float)
         self._cnot_rows: dict[tuple[int, ...], np.ndarray] = {}
 
     @cached_property
@@ -461,8 +464,28 @@ def _check_tableau(g: _GroupOperators):
 
 
 def _check_spectra(g: _GroupOperators):
-    ok = spectra_equal(g.group_matrix, g.transformed_matrix)
-    return ok, "eigenvalue mismatch beyond 1e-9"
+    """The transformed matrix T goes to ``spectra_equal`` as P D^dagger T D
+    P^T, which has T's spectrum. D is the product of S on every qubit where
+    a transformed term has a Y (S^dagger Y S = X), so for a qubit-wise
+    commuting plan the matrix is a real sum of X and Z products and gets the
+    real solver; otherwise it gets the complex one. Entry (r, c) of
+    D^dagger T D is i^(|c & y| - |r & y|) T[r, c], y the basis-index bits
+    of those qubits. P orders the basis states by their bits off the qubits
+    where some term has an X or a Y: the Z of any other qubit commutes with
+    T, so the matrix is then block diagonal in contiguous blocks, which the
+    solver splits."""
+    n = g.source.n_qubits
+    x_cols, z_cols = g.transformed_columns
+    y = _basis_bits(sum(1 << q for q, (x, z) in enumerate(zip(x_cols, z_cols)) if x & z), n)
+    flips = _basis_bits(sum(1 << q for q, x in enumerate(x_cols) if x), n)
+    t, b = g.transformed_matrix, g.tables.b
+    if y:
+        d = _I_POWERS[g.tables.ones[b & y] & 3]
+        t = (d.conj()[:, None] * t) * d
+    if flips != len(b) - 1:
+        order = np.argsort(b & ~flips, kind="stable")
+        t = t[order][:, order]
+    return spectra_equal(g.group_matrix, t), "eigenvalue mismatch beyond 1e-9"
 
 
 def _check_conjugation(g: _GroupOperators):

@@ -915,8 +915,35 @@ def per_term_dense_sum(obj) -> np.ndarray:
     return m
 
 
+# The sigma partner rule of transform.find_sigma, written out: step i of the
+# taus' packed rows ``vecs`` on ``qubit`` tries both axes there that
+# anticommute with tau i, X for a Y or Z and Z for an X first. Each is scored
+# by applying its update (tau_k <- tau_k tau_i for every other tau k that
+# anticommutes with it) to a copy of the rows and summing their weights; the
+# lighter wins, the first on a tie. Returns the axis and the updated rows.
+
+_TIE_PARTNER = {"X": "Z", "Y": "X", "Z": "X"}
+
+
+def weighted_partner(vecs: list[int], i: int, qubit: int, n: int
+                     ) -> tuple[str, list[int]]:
+    own = PauliProduct.from_packed(vecs[i], n).axis(qubit)
+    first = _TIE_PARTNER[own]
+    options = []
+    for axis in (first, next(a for a in "XYZ" if a not in (own, first))):
+        sx, sz = _BITS_FROM_AXIS[axis]
+        # The axis (sx, sz) anticommutes with a row whose bits (x, z) on the
+        # qubit make x sz + z sx odd.
+        updated = [v ^ vecs[i] if k != i and (v >> qubit & sz) ^ (v >> (n + qubit) & sx)
+                   else v for k, v in enumerate(vecs)]
+        weight = sum(((v | v >> n) & ((1 << n) - 1)).bit_count() for v in updated)
+        options.append((weight, axis, updated))
+    _, axis, updated = min(options, key=lambda o: o[0])
+    return axis, updated
+
+
 # transform.find_sigma as it was before it read the taus to update off
-# column bitsets: every tau is tested for the probe bit at every step, and
+# column bitsets: every tau is tested against the partner at every step, and
 # each step scans for a tau that touches an unassigned qubit, which is
 # always tau i. Tests require the same basis.
 
@@ -930,13 +957,7 @@ def rescanning_find_sigma(taus):
         vecs[i], vecs[pick] = vecs[pick], vecs[i]
         avail = (vecs[i] | vecs[i] >> n) & unassigned
         qubit = (avail & -avail).bit_length() - 1
-        if vecs[i] >> (n + qubit) & 1:
-            axis, probe = "X", 1 << (n + qubit)
-        else:
-            axis, probe = "Z", 1 << qubit
-        for k in range(n):
-            if k != i and vecs[k] & probe:
-                vecs[k] ^= vecs[i]
+        axis, vecs = weighted_partner(vecs, i, qubit, n)
         sigmas.append((qubit, axis))
         unassigned &= ~(1 << qubit)
     return TauSigmaBasis(n, tuple(PauliProduct.from_packed(v, n) for v in vecs),
@@ -954,9 +975,10 @@ def group_basis(group: Hamiltonian) -> TauSigmaBasis:
 
 # transform.find_tau and transform.find_sigma as they were before each
 # group's basis acted only on the qubits its terms touch: one tau and one
-# sigma per register qubit. On a qubit no term acts on, the tau is Z_q and
-# its sigma X_q, a factor that measures nothing. Tests require the
-# support-local basis to equal this one with those factors dropped.
+# sigma per register qubit, each sigma picked by ``weighted_partner``. On a
+# qubit no term acts on, the tau is Z_q and its sigma X_q, a factor that
+# measures nothing. Tests require the support-local basis to equal this one
+# with those factors dropped.
 
 def full_width_find_tau(group: Hamiltonian) -> list[PauliProduct]:
     n = group.n_qubits
@@ -1002,31 +1024,15 @@ def full_width_find_sigma(taus) -> TauSigmaBasis:
     if any(t.n_qubits != n or t.phase_exp != 0 for t in taus):
         raise ValueError("taus must share the qubit count and carry no phase")
     vecs = [t.packed for t in taus]
-    xcol, zcol = qubit_columns(n, taus)
     if (len(vecs) != n or not gf2.is_independent(vecs, 2 * n)
-            or not _commute_pairwise((xcol, zcol), taus)):
+            or not _commute_pairwise(qubit_columns(n, taus), taus)):
         raise ValueError("taus are not a Lagrangian basis")
-    cols = xcol + zcol
     unassigned = (1 << n) - 1
     sigmas: list[tuple[int, str]] = []
     for i in range(n):
         avail = (vecs[i] | vecs[i] >> n) & unassigned
         qubit = (avail & -avail).bit_length() - 1
-        if vecs[i] >> (n + qubit) & 1:
-            axis, probe = "X", n + qubit
-        else:
-            axis, probe = "Z", qubit
-        carriers = cols[probe] & ~(1 << i)
-        rest = carriers
-        while rest:
-            low = rest & -rest
-            vecs[low.bit_length() - 1] ^= vecs[i]
-            rest ^= low
-        rest = vecs[i]
-        while rest:
-            low = rest & -rest
-            cols[low.bit_length() - 1] ^= carriers
-            rest ^= low
+        axis, vecs = weighted_partner(vecs, i, qubit, n)
         sigmas.append((qubit, axis))
         unassigned &= ~(1 << qubit)
     return TauSigmaBasis(n, tuple(PauliProduct.from_packed(v, n) for v in vecs),

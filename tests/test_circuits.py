@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (LiteralGates, all_paulis, build_unitary_symbolic,
                      cancel_adjacent_cnots, circuit_to_dict,
-                     conjugation_maps_paulis_to_paulis,
+                     conjugation_maps_paulis_to_paulis, embedded_group,
                      fold_circuit, group_basis, inverse_circuit, kron_gate,
                      qubit_runs, random_commuting_group, random_isotropic,
                      random_pauli, scanning_exponent_gates, unfolded_synthesize)
@@ -132,6 +132,14 @@ def lagrangian_bases(draw, min_qubits: int, max_qubits: int) -> TauSigmaBasis:
     n = draw(st.integers(min_qubits, max_qubits))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     return find_sigma([PauliProduct.from_packed(v, n) for v in random_isotropic(n, n, rng)])
+
+
+@st.composite
+def support_local_bases(draw) -> TauSigmaBasis:
+    """The basis of a random commuting group on some of the register's qubits."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    return group_basis(embedded_group(rng.randint(1, n - 1), n, rng))
 
 
 def conjugated_products(c: CliffordCircuit, prods) -> list[tuple[int, PauliProduct]]:
@@ -500,6 +508,14 @@ class TestCircuitContainer:
         back = circuit_from_dict(d)
         assert back.gates == c.gates
         assert back.global_phase_exp == c.global_phase_exp
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(lagrangian_bases(1, 12), support_local_bases()))
+    def test_synthesized_circuits_pass_the_constructor_checks(self, basis):
+        """synthesize builds its circuit without the constructor's checks;
+        rebuilt through the constructor, every circuit is equal."""
+        c = synthesize(basis)
+        assert CliffordCircuit(c.n_qubits, c.gates, c.global_phase_exp) == c
 
     def test_gate_validation(self):
         for n, gate, message in (

@@ -142,11 +142,11 @@ GOLDEN_INPUTS = {"six-term": lambda: SIX_TERM_TEXT, "h2": lambda: H2_GROUP_TEXT,
 PLAN_SHA256 = {
     "six-term": "610fead7da2128bcd0a339fd058aa32c30a8bf449bd9246fb8fbb2ecc9c05b89",
     "h2": "890dc5fb49624c173cc4e3f0328cb55e3a0162983c185ac8a955f7c98970f61d",
-    "random-12q": "0f4dc6b5b974bc6f0231f4179c504999a9b16320adeac0f7e7478815b4fb6d50",
+    "random-12q": "c396ff5c540d6b5d909e7cc26b921790db1a0ecfd7c3166dcef1c8c151aefb00",
     "wide-100q": "d0ec319b3829f63eb8d9006861bc7b5d04a4c86cde38532075fa0ef0196014f1",
 }
 FULL_WIDTH_PLAN_SHA256 = {
-    "random-12q": "4eeb9a7e361903c49e3e3604358add2b877fb77a61b1e356dd7d053179baa6b6",
+    "random-12q": "9b892e347c289ef2c91c469aa581b9b9c5a1b8abe855fec04ef4d9a6ca80f13d",
     "wide-100q": "cdcf5f3d984ae4d25d4477e25fcf159fc451db6cde9ce2fe58089d7f9088f2cf",
 }
 # sha256 of `measure group --format json` per "input/relation/method"; a change

@@ -27,6 +27,23 @@ from paulimeasure.fixtures import (h2_commuting_group, h2_reference_basis,
                                    six_term_hamiltonian)
 
 
+@st.composite
+def tau_bases(draw, max_qubits: int) -> list[PauliProduct]:
+    """A Lagrangian tau basis of the whole register. Dense: a random one;
+    sparse: single-qubit axes mixed by a few row additions and shuffled."""
+    n = draw(st.integers(1, max_qubits))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        vecs = random_isotropic(n, n, rng)
+    else:
+        vecs = [rng.choice((1, 1 << n, 1 | 1 << n)) << q for q in range(n)]
+        for _ in range(rng.randrange(2 * n) if n > 1 else 0):
+            a, b = rng.sample(range(n), 2)
+            vecs[a] ^= vecs[b]
+        rng.shuffle(vecs)
+    return [PauliProduct.from_packed(v, n) for v in vecs]
+
+
 def tau_vectors(taus):
     return [t.packed for t in taus]
 
@@ -103,21 +120,57 @@ class TestFindSigma:
             basis.validate(h)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.booleans())
-    def test_matches_rescanning_reference(self, n, seed, dense):
-        # dense: a random Lagrangian basis; sparse: single-qubit axes mixed
-        # by a few row additions and shuffled
-        rng = random.Random(seed)
-        if dense:
-            vecs = random_isotropic(n, n, rng)
-        else:
-            vecs = [rng.choice((1, 1 << n, 1 | 1 << n)) << q for q in range(n)]
-            for _ in range(rng.randrange(2 * n) if n > 1 else 0):
-                a, b = rng.sample(range(n), 2)
-                vecs[a] ^= vecs[b]
-            rng.shuffle(vecs)
-        taus = [PauliProduct.from_packed(v, n) for v in vecs]
+    @given(tau_bases(64))
+    def test_matches_rescanning_reference(self, taus):
         assert find_sigma(taus) == rescanning_find_sigma(taus)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tau_bases(16))
+    def test_each_partner_leaves_no_more_tau_weight_than_the_other(self, taus):
+        """Replays the steps from the returned sigmas. Step i's qubit is the
+        lowest unassigned one of tau i; of the two axes there that
+        anticommute with tau i, the chosen one's update leaves no more total
+        tau weight than the other's, and on a tie it is X for a Y or Z and Z
+        for an X. The replayed taus are the returned ones."""
+        n = taus[0].n_qubits
+        basis = find_sigma(taus)
+        current = list(taus)
+        unassigned = (1 << n) - 1
+        for i, (q, axis) in enumerate(basis.sigmas):
+            support = current[i].support & unassigned
+            assert q == (support & -support).bit_length() - 1
+            own = current[i].axis(q)
+            other = ({"X", "Y", "Z"} - {own, axis}).pop()
+
+            def update(a):
+                sigma = PauliProduct.single(n, q, a)
+                return [t if k == i or t.commutes_with(sigma)
+                        else PauliProduct.from_packed(t.packed ^ current[i].packed, n)
+                        for k, t in enumerate(current)]
+
+            chosen = update(axis)
+            weight, other_weight = (sum(t.weight() for t in rows)
+                                    for rows in (chosen, update(other)))
+            assert own not in ("I", axis)
+            assert weight <= other_weight
+            if weight == other_weight:
+                assert axis == ("Z" if own == "X" else "X")
+            current = chosen
+            unassigned &= ~(1 << q)
+        assert basis.taus == tuple(current)
+
+    def test_y_partner_that_leaves_lighter_taus_wins(self):
+        # Steps 0 and 1 tie and keep the rule's Z. On qubit 2, X would turn
+        # X1 Y2 and X0 Y2 into Z0 Y1 X2 and Y0 Z1 X2 (weight 9); Y changes
+        # no other tau (weight 7).
+        taus = [PauliProduct.from_term_string(t, 3) for t in ("X1 Y2", "X0 Y2", "Z0 Z1 Z2")]
+        basis = find_sigma(taus)
+        assert basis.sigmas == ((1, "Z"), (0, "Z"), (2, "Y"))
+        assert basis.taus == tuple(taus)
+        basis.validate()
+        group = Hamiltonian(3, tuple((1.0, t) for t in taus))
+        assert (transform_group(group, basis).transformed
+                == parse_hamiltonian("qubits: 3\n1.0 Z1\n1.0 Z0\n1.0 Y2\n"))
 
     def test_widest_basis_matches_rescanning_reference(self):
         taus = full_width_find_tau(parse_hamiltonian("1.0 X0 Z1023\n0.5 Z0 X1023\n"))

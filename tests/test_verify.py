@@ -160,6 +160,28 @@ class TestSpectra:
         assert not verify.spectra_equal(h, parse_hamiltonian("1.0 Y0\n0.6 Z0 X1\n"))
         assert seen[2:] == [np.complex128, np.complex128]
 
+    def test_y_carrying_group_takes_the_real_solver(self, monkeypatch):
+        # Y0 X1 and X0 Z1 X2 become Y0 and Z1: the term Y0 makes the
+        # transformed matrix complex, and S on qubit 0 makes it real
+        h = parse_hamiltonian("qubits: 3\n0.5 Y0 X1\n-0.25 X0 Z1 X2\n")
+        entry = pipeline(h, cover_rlf(build_graph(h, "fc"))).groups[0]
+        assert entry.transform.transformed == parse_hamiltonian(
+            "qubits: 3\n0.5 Z1\n-0.25 Y0\n")
+        g = verify._GroupOperators(h, entry, None, verify._Tables(3))
+        assert g.transformed_matrix.imag.any()
+        solved = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: solved.append((m, solve(m))) or solved[-1][1])
+        assert verify._check_spectra(g)[0]
+        # the group's matrix, with its one-Y term, stays complex
+        assert [m.dtype for m, _ in solved] == [np.complex128, np.float64]
+        full = solve(g.transformed_matrix)
+        assert np.max(np.abs(solved[1][1] - full)) <= 1e-12
+        # Y0 flips the leftmost bit; ordered by the other two bits, the
+        # matrix is four contiguous 2x2 blocks
+        assert not (solved[1][0] * (1 - np.kron(np.eye(4), np.ones((2, 2))))).any()
+
 
 class TestCountCompatible:
     def test_average_template_n4(self):
@@ -525,4 +547,5 @@ class TestDenseTables:
 
     def test_parity_signs(self):
         t = verify._Tables(5)
+        assert t.ones.tolist() == [s.bit_count() for s in range(32)]
         assert t.signs.tolist() == [(-1) ** s.bit_count() for s in range(32)]
