@@ -14,11 +14,10 @@ arXiv:1403.1539).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .pauli import PauliProduct
+from .pauli import FrozenRecord, PauliProduct
 
 if TYPE_CHECKING:
     from .transform import TauSigmaBasis
@@ -43,30 +42,32 @@ class Gate(NamedTuple):
     qubits: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CliffordCircuit:
+class CliffordCircuit(FrozenRecord):
     """Gate list applied left to right, with global phase e^(i pi/4 k)."""
 
+    _fields = ("n_qubits", "gates", "global_phase_exp")
     n_qubits: int
     gates: tuple[Gate, ...]
-    global_phase_exp: int = 0
+    global_phase_exp: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, n_qubits: int, gates: tuple[Gate, ...],
+                 global_phase_exp: int = 0) -> None:
         """Reject a gate with an unknown name, the wrong number of qubits, a
         qubit out of range, or (a CNOT) the same qubit twice. Each distinct
         gate is checked once, in order of first occurrence, so the first bad
         gate is the one named."""
-        for g in dict.fromkeys(self.gates):
+        for g in dict.fromkeys(gates):
             if g.name not in GATE_NAMES:
                 raise ValueError(f"unknown gate {g.name!r}")
             want = 2 if g.name == "CNOT" else 1
             if len(g.qubits) != want:
                 raise ValueError(f"{g.name} takes {want} qubit(s)")
-            if any(q < 0 or q >= self.n_qubits for q in g.qubits):
-                raise ValueError(f"gate {g} outside {self.n_qubits} qubits")
+            if any(q < 0 or q >= n_qubits for q in g.qubits):
+                raise ValueError(f"gate {g} outside {n_qubits} qubits")
             if want == 2 and g.qubits[0] == g.qubits[1]:
                 raise ValueError(f"gate {g} uses qubit {g.qubits[0]} twice")
-        object.__setattr__(self, "global_phase_exp", self.global_phase_exp % 8)
+        vars(self).update(n_qubits=n_qubits, gates=gates,
+                          global_phase_exp=global_phase_exp % 8)
 
 
 # Single-qubit runs, first gate first: an axis to Z and back, and the whole

@@ -15,19 +15,19 @@ buckets, so it does not rescan all vertices to pick the next one.
 
 RLF keeps per-vertex counts in bit-sliced counters: a list of k =
 m.bit_length() m-bit ints, where bit v of slice j is bit j of vertex v's
-count. Adding 1 to the count of every vertex of a row is a ripple-carry
-add over the slices, and the vertex of a set with the highest count is
-found by walking the slices from the top, so neither touches the vertices
-one by one. A degree counter gives each group's seed; a score counter gives
-its picks, unless the seed leaves so few candidates that scanning them is
-cheaper.
+count. Adding 1 to the count of every vertex of each row of a batch is a
+carry-save add over the slices, and the vertex of a set with the highest
+count is found by walking the slices from the top, so neither touches the
+vertices one by one. A degree counter gives each group's seed; a score
+counter gives its picks, unless the seed leaves so few candidates that
+scanning them is cheaper.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 from .pauli import Hamiltonian, PauliProduct, anticommuting, qubit_columns
 
@@ -37,8 +37,7 @@ METHODS = ("dsatur", "rlf", "exact")
 DEFAULT_EXACT_CAP = 64
 
 
-@dataclass(frozen=True)
-class CompatGraph:
+class CompatGraph(NamedTuple):
     """Compatibility relation over Hamiltonian terms, stored as its complement:
     bit j of ``conflicts[i]`` is set when terms i and j break the relation.
     The rows are symmetric and carry no self bit."""
@@ -48,8 +47,7 @@ class CompatGraph:
     conflicts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CliqueCover:
+class CliqueCover(NamedTuple):
     """Disjoint cliques covering every vertex of the source graph."""
 
     relation: str
@@ -61,15 +59,13 @@ class CliqueCover:
         return len(self.groups)
 
 
-@dataclass(frozen=True)
-class CoverStats:
+class CoverStats(NamedTuple):
     group_count: int
     max_size: int
     size_stddev: float
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property
@@ -187,10 +183,33 @@ def cover_dsatur(graph: CompatGraph) -> CliqueCover:
     return CliqueCover(graph.relation, "dsatur", _groups_from_colors(_dsatur_colors(graph)))
 
 
-def _add(counter: list[int], row: int) -> None:
-    """Add 1 to the count of every vertex in ``row``: a ripple-carry add of
-    one bit into each vertex's column of the bit-sliced counter."""
+def _add_rows(counter: list[int], rows: Iterable[int]) -> None:
+    """Add 1 to the count of every vertex in each of ``rows``, all at once.
+
+    A carry-save add: at slice j, each pair of the batch's rows of weight
+    2^j goes with the slice into a full adder, three rows in, the sum back
+    into the slice and the carry out as a row of weight 2^(j+1) for the
+    next slice; an odd row out takes a half adder. Each slice halves the
+    batch, so k rows cost about k full adds, and the last carry row ripples
+    up the slices."""
+    level = [row for row in rows if row]
     j = 0
+    while len(level) > 1:
+        acc = counter[j]
+        carries = []
+        if len(level) & 1:
+            a = level.pop()
+            carries.append(acc & a)
+            acc ^= a
+        pairs = iter(level)
+        for a, b in zip(pairs, pairs):
+            t = a ^ b
+            carries.append(a & b | t & acc)
+            acc ^= t
+        counter[j] = acc
+        level = [row for row in carries if row]
+        j += 1
+    row = level[0] if level else 0
     while row:
         s = counter[j]
         counter[j] = s ^ row
@@ -246,16 +265,14 @@ def _counter_picks(rows: tuple[int, ...], excluded: int, candidates: int,
     of ``width`` slices: each newly excluded vertex adds its row, masked by
     the candidates, so a pick costs one argmax instead of a scan."""
     score = [0] * width
-    for u in _bits(excluded):
-        _add(score, rows[u] & candidates)
+    _add_rows(score, [rows[u] & candidates for u in _bits(excluded)])
     picks = []
     while candidates:
         pick = _argmax(score, candidates)
         picks.append(pick)
         nb = rows[pick] & candidates
         candidates &= ~(nb | (1 << pick))
-        for u in _bits(nb):
-            _add(score, rows[u] & candidates)
+        _add_rows(score, [rows[u] & candidates for u in _bits(nb)])
     return picks
 
 
@@ -281,8 +298,7 @@ def cover_rlf(graph: CompatGraph) -> CliqueCover:
     rows = graph.conflicts
     width = graph.n_vertices.bit_length()
     deg = [0] * width
-    for row in rows:
-        _add(deg, row)
+    _add_rows(deg, rows)
     uncovered = (1 << graph.n_vertices) - 1
     groups: list[tuple[int, ...]] = []
     while uncovered:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 DROP_TOLERANCE = 1e-10
@@ -30,20 +29,55 @@ class HamiltonianFormatError(ValueError):
     """Malformed Hamiltonian text input."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PauliProduct:
+class FrozenRecord:
+    """Base of the records whose constructor checks or normalizes its fields,
+    or that cache values derived from them: equality, hash and repr over
+    ``_fields``, which ``__init__`` writes past the refusing ``__setattr__``
+    and ``__delattr__``. Pickling and copying call the constructor again.
+    Every method is written out here, so defining a record runs no code
+    generator at import."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class PauliProduct(FrozenRecord):
     """``i**phase_exp`` times a tensor product of {I, X, Y, Z} over qubits.
 
-    Slotted, so it takes no attributes beyond its four fields. The explicit
-    ``__init__`` checks them and writes them through the slot descriptors,
-    which is cheaper than the generated ``__init__`` of a frozen dataclass
-    with a ``__post_init__``; ``dataclasses.replace`` goes through it too.
+    Slotted, so it takes no attributes beyond its four fields. ``__init__``
+    checks them and writes them through the slot descriptors; pickling and
+    copying go through it too.
     """
 
+    __slots__ = _fields = ("n_qubits", "x", "z", "phase_exp")
     n_qubits: int
-    x: int = 0
-    z: int = 0
-    phase_exp: int = 0
+    x: int
+    z: int
+    phase_exp: int
 
     def __init__(self, n_qubits: int, x: int = 0, z: int = 0, phase_exp: int = 0) -> None:
         if n_qubits < 1:
@@ -145,22 +179,23 @@ class PauliProduct:
 
 # Slot setters that get past the frozen ``__setattr__``, for ``__init__``.
 _set_n_qubits, _set_x, _set_z, _set_phase_exp = (
-    PauliProduct.__dict__[name].__set__ for name in ("n_qubits", "x", "z", "phase_exp"))
+    PauliProduct.__dict__[name].__set__ for name in PauliProduct._fields)
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
+class Hamiltonian(FrozenRecord):
     """Real linear combination of phase-free Pauli products."""
 
+    _fields = ("n_qubits", "terms")
     n_qubits: int
     terms: tuple[tuple[float, PauliProduct], ...]
 
-    def __post_init__(self) -> None:
-        for coeff, prod in self.terms:
-            if prod.n_qubits != self.n_qubits:
+    def __init__(self, n_qubits: int, terms: tuple[tuple[float, PauliProduct], ...]) -> None:
+        for coeff, prod in terms:
+            if prod.n_qubits != n_qubits:
                 raise ValueError("term qubit count differs from Hamiltonian")
             if prod.phase_exp != 0:
                 raise ValueError("Hamiltonian terms must carry no phase")
+        vars(self).update(n_qubits=n_qubits, terms=terms)
 
     @classmethod
     def from_terms(cls, n_qubits: int,

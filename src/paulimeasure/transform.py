@@ -16,15 +16,14 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import gf2
 from .circuits import CliffordCircuit, Gate, synthesize
 from .grouping import validate_cover
-from .pauli import (MAX_QUBITS, Hamiltonian, PauliProduct, anticommuting, qubit_columns,
-                    single_bits)
+from .pauli import (MAX_QUBITS, FrozenRecord, Hamiltonian, PauliProduct, anticommuting,
+                    qubit_columns, single_bits)
 
 
 class TransformError(RuntimeError):
@@ -46,8 +45,7 @@ def _qubits(rows: Iterable[int], n: int) -> int:
     return (touched | touched >> n) & ((1 << n) - 1)
 
 
-@dataclass(frozen=True)
-class TauSigmaBasis:
+class TauSigmaBasis(FrozenRecord):
     """Lagrangian tau basis with its single-qubit sigma partners.
 
     Invariants: there are as many taus as sigmas; sigma qubits are pairwise
@@ -58,9 +56,14 @@ class TauSigmaBasis:
     qubits are the whole register.
     """
 
+    _fields = ("n_qubits", "taus", "sigmas")
     n_qubits: int
     taus: tuple[PauliProduct, ...]
     sigmas: tuple[tuple[int, str], ...]
+
+    def __init__(self, n_qubits: int, taus: tuple[PauliProduct, ...],
+                 sigmas: tuple[tuple[int, str], ...]) -> None:
+        vars(self).update(n_qubits=n_qubits, taus=taus, sigmas=sigmas)
 
     @cached_property
     def sigma_products(self) -> tuple[PauliProduct, ...]:
@@ -131,8 +134,7 @@ class TauSigmaBasis:
                     raise ValueError(f"group term {ti} anticommutes with tau_{k}")
 
 
-@dataclass(frozen=True)
-class TransformedGroup:
+class TransformedGroup(NamedTuple):
     """QWC image of one commuting group under its tau/sigma basis."""
 
     term_indices: tuple[int, ...]
@@ -140,14 +142,12 @@ class TransformedGroup:
     transformed: Hamiltonian
 
 
-@dataclass(frozen=True)
-class GroupPlan:
+class GroupPlan(NamedTuple):
     transform: TransformedGroup
     circuit: CliffordCircuit
 
 
-@dataclass(frozen=True)
-class MeasurementPlan:
+class MeasurementPlan(NamedTuple):
     n_qubits: int
     groups: tuple[GroupPlan, ...]
 

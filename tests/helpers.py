@@ -358,6 +358,18 @@ def shifting_dsatur_colors(graph) -> list[int]:
     return colors
 
 
+def ripple_add(counter: list[int], row: int) -> None:
+    """Add 1 to the count of every vertex in ``row`` of a bit-sliced counter
+    (bit v of slice j is bit j of vertex v's count): a ripple-carry add of
+    one row, as grouping added rows before its batched carry-save add."""
+    j = 0
+    while row:
+        s = counter[j]
+        counter[j] = s ^ row
+        row &= s
+        j += 1
+
+
 def scanning_cover_rlf(graph) -> CliqueCover:
     """grouping.cover_rlf with every seed and pick found by a popcount of each
     uncovered vertex's or candidate's row."""
@@ -537,9 +549,10 @@ class PauliSum(Hamiltonian):
     As a Hamiltonian, ``verify.dense_matrix`` builds its matrix. Its terms
     may carry phases; only their qubit counts are checked."""
 
-    def __post_init__(self) -> None:
-        if any(p.n_qubits != self.n_qubits for _, p in self.terms):
+    def __init__(self, n_qubits: int, terms: tuple[tuple[complex, PauliProduct], ...]) -> None:
+        if any(p.n_qubits != n_qubits for _, p in terms):
             raise ValueError("term qubit count differs from the sum")
+        vars(self).update(n_qubits=n_qubits, terms=terms)
 
 
 def build_unitary_symbolic(basis: TauSigmaBasis) -> PauliSum:

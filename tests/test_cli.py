@@ -867,6 +867,20 @@ print(loaded)
     assert proc.stdout.splitlines()[-1] == "[False, False, False]"
 
 
+def test_importing_the_cli_loads_no_heavy_module(tmp_path):
+    # Compared with the modules already loaded before the import, so that
+    # one a site hook loads is not put down to the package.
+    proc = _fresh_python("""
+import sys
+before = set(sys.modules)
+import paulimeasure.cli
+heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "numpy"}
+print(sorted(heavy & (set(sys.modules) - before)))
+""", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_verify_resolves_as_a_package_attribute(six_term_file, tmp_path):
     # as the benchmark tracer reaches it: getattr after importing cli alone
     proc = _fresh_python(f"""

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (naive_dsatur_colors, pairwise_graph_rows, pairwise_violations,
-                     random_graph_hamiltonian, scanning_cover_rlf, shifting_dsatur_colors)
+                     random_graph_hamiltonian, ripple_add, scanning_cover_rlf,
+                     shifting_dsatur_colors)
 from paulimeasure import (CliqueCover, CompatGraph, Hamiltonian, PauliProduct,
                           build_graph, compute_cover, cover_dsatur, cover_exact,
                           cover_rlf, cover_stats, cover_to_dict, parse_hamiltonian,
@@ -212,6 +213,28 @@ class TestOrderingReferences:
                                      random.Random(seed))
         for relation in RELATIONS:
             assert_matches_references(build_graph(h, relation))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 70), st.data())
+    def test_batch_add_equals_one_ripple_add_per_row(self, width, n_vertices, data):
+        """_add_rows adds a batch of rows as one ripple_add per row would,
+        from any start whose counts the batch cannot overflow."""
+        k = data.draw(st.integers(0, 2 ** width - 1), label="batch size")
+        rows = data.draw(st.lists(st.integers(0, 2 ** n_vertices - 1), min_size=k,
+                                  max_size=k), label="rows")
+        counts = data.draw(st.lists(st.integers(0, 2 ** width - 1 - k),
+                                    min_size=n_vertices, max_size=n_vertices),
+                           label="start counts")
+        counter = [sum((c >> j & 1) << v for v, c in enumerate(counts))
+                   for j in range(width)]
+        want = list(counter)
+        for row in rows:
+            ripple_add(want, row)
+        grouping._add_rows(counter, iter(rows))
+        assert counter == want
+        assert [sum((s >> v & 1) << j for j, s in enumerate(counter))
+                for v in range(n_vertices)] == [
+            c + sum(row >> v & 1 for row in rows) for v, c in enumerate(counts)]
 
     @pytest.mark.parametrize("p, routine", [(0.1, "scan"), (0.9, "counter")])
     def test_seed_exclusions_choose_the_routine(self, rlf_picks, p, routine):

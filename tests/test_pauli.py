@@ -1,6 +1,5 @@
 """Pauli algebra, the packed GF(2) form and Hamiltonian text I/O."""
 
-import dataclasses
 import random
 
 import numpy as np
@@ -74,12 +73,10 @@ class TestMultiply:
 class TestProductContract:
     def test_frozen_and_slotted(self):
         p = PauliProduct(2, 1, 0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             p.x = 2
-        # A name that is no field is refused too: the frozen __setattr__ of a
-        # slotted dataclass raises TypeError for it (its super() call names
-        # the class before the slots were added), so either error counts.
-        with pytest.raises((AttributeError, TypeError)):
+        # A name that is no field is refused too.
+        with pytest.raises(AttributeError):
             p.label = "X0"
         assert not hasattr(p, "__dict__") and not hasattr(p, "label")
 
@@ -100,11 +97,11 @@ class TestProductContract:
 
     def test_replace_reruns_the_checks(self):
         p = PauliProduct(2, 1, 2, 1)
-        assert dataclasses.replace(p, phase_exp=6) == PauliProduct(2, 1, 2, 2)
+        assert PauliProduct(p.n_qubits, p.x, p.z, 6) == PauliProduct(2, 1, 2, 2)
         with pytest.raises(ValueError, match="^n_qubits must be positive$"):
-            dataclasses.replace(p, n_qubits=0)
+            PauliProduct(0, p.x, p.z, p.phase_exp)
         with pytest.raises(ValueError, match="^axis bits outside qubit range$"):
-            dataclasses.replace(p, n_qubits=1)
+            PauliProduct(1, p.x, p.z, p.phase_exp)
 
 
 class TestSymplecticMapping:

@@ -1,7 +1,6 @@
 """Dense-matrix oracles, compatibility census, circuit simulation, and the
 tableau row of the check suite."""
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -16,7 +15,8 @@ from helpers import (PauliSum, all_paulis, build_unitary_symbolic, embedded_grou
                      random_graph_hamiltonian, random_state, tensordot_simulate_circuit)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, build_graph, cover_rlf,
-                          parse_hamiltonian, pipeline, synthesize, transform_group)
+                          TransformedGroup, parse_hamiltonian, pipeline, synthesize,
+                          transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES
 from paulimeasure.fixtures import (h2_reference_basis, model_hamiltonian,
@@ -409,7 +409,8 @@ def one_group_plan(group: Hamiltonian) -> MeasurementPlan:
 def with_gates(plan: MeasurementPlan, gates) -> MeasurementPlan:
     """plan with its one group's circuit gates replaced."""
     entry = plan.groups[0]
-    circuit = dataclasses.replace(entry.circuit, gates=tuple(gates))
+    circuit = CliffordCircuit(entry.circuit.n_qubits, tuple(gates),
+                              entry.circuit.global_phase_exp)
     return MeasurementPlan(plan.n_qubits, (GroupPlan(entry.transform, circuit),))
 
 
@@ -492,7 +493,8 @@ class TestQwcRow:
         terms = tuple((1.0, PauliProduct(n, rng.getrandbits(n) & rng.getrandbits(n),
                                          rng.getrandbits(n) & rng.getrandbits(n)))
                       for _ in range(m))
-        transform = dataclasses.replace(entry.transform, transformed=Hamiltonian(n, terms))
+        transform = TransformedGroup(entry.transform.term_indices, entry.transform.basis,
+                                     Hamiltonian(n, terms))
         corrupted = MeasurementPlan(n, (GroupPlan(transform, entry.circuit),))
         clash = pairwise_qwc_clash(transform.transformed)
         want = (("pass", "") if clash is None else
