@@ -1,17 +1,15 @@
-"""The `measure verify` check suite and its independent oracles.
+"""The `measure verify` check suite, its dense matrices and the compatibility census.
 
 ``plan_checks`` proves a plan at every width on term bitsets (coverage,
 basis invariants, qubit-wise commutation, exact images under the circuit,
 the circuit's Clifford through the tau/sigma swap of each factor and the
-fixed qubits outside the basis) and
-cross-checks it on dense matrices up to small qubit caps. The dense
-oracles rebuild operators from first principles (Pauli matrices and sums
-as signed permutations of the basis states, literal gate matrices applied
-to the amplitudes, brute-force enumeration), so the fast bit-level algebra
-elsewhere is checked against an independent route. A plan whose width has
-a dense row builds one set of index tables (``_Tables``) that all its
-groups share. A circuit reaches the amplitudes as one numpy operation per
-merged single-qubit run and per chain of CNOTs, and a real Hermitian
+fixed qubits outside the basis) and compares the spectra of each group and
+its transformed group on dense matrices up to a qubit cap. The dense
+matrices are built from first principles (Pauli matrices and sums as
+signed permutations of the basis states, literal gate matrices applied to
+the amplitudes), so the bit-level algebra elsewhere can be checked against
+an independent route. A plan whose width has a spectra row builds one set
+of index tables (``_Tables``) that all its groups share. A real Hermitian
 matrix gets a real symmetric eigenvalue solve, as does a transformed group
 with Y terms after a diagonal similarity. Qubit 0 is the leftmost
 Kronecker factor.
@@ -19,7 +17,6 @@ Kronecker factor.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import cached_property
 
@@ -32,9 +29,7 @@ from .transform import GroupPlan, MeasurementPlan
 
 MAX_DENSE_QUBITS = 12
 MAX_SPECTRUM_QUBITS = 10
-MAX_EXPECTATION_QUBITS = 6
 MAX_COUNT_QUBITS = 8
-_EXPECTATION_SEED = 20200214
 _I_POWERS = np.array(I_POWERS)
 
 _GATE_1Q = {
@@ -45,14 +40,6 @@ _GATE_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-# Rows and columns indexed by the (control, target) bits.
-_CNOT = np.array([[1, 0, 0, 0],
-                  [0, 1, 0, 0],
-                  [0, 0, 0, 1],
-                  [0, 0, 1, 0]])
-# Output basis state r of the CNOT takes the amplitude of input state
-# _CNOT_SOURCE[r], the column of the one in row r.
-_CNOT_SOURCE = _CNOT.argmax(axis=1)
 
 
 class DimensionError(ValueError):
@@ -61,9 +48,8 @@ class DimensionError(ValueError):
 
 class _Tables:
     """Index tables of one register width, shared by the dense operators of
-    a plan: the basis states ``b``, the set-bit count |s| of every bit
-    pattern s (``ones``) and its sign (-1)^|s| (``signs``), and, each built
-    on first use, the identity and the row gather of each CNOT."""
+    a plan: the basis states ``b``, and the set-bit count |s| of every bit
+    pattern s (``ones``) and its sign (-1)^|s| (``signs``)."""
 
     def __init__(self, n_qubits: int) -> None:
         if n_qubits > MAX_DENSE_QUBITS:
@@ -76,26 +62,6 @@ class _Tables:
             ones = np.concatenate((ones, ones + 1))
         self.ones = ones
         self.signs = 1 - 2 * (ones & 1).astype(float)
-        self._cnot_rows: dict[tuple[int, ...], np.ndarray] = {}
-
-    @cached_property
-    def identity(self) -> np.ndarray:
-        eye = np.eye(1 << self.n_qubits, dtype=complex)
-        eye.flags.writeable = False
-        return eye
-
-    def cnot_rows(self, qubits: tuple[int, ...]) -> np.ndarray:
-        """The CNOT on (control, target) as a row gather: output amplitude b
-        is input amplitude rows[b]. Each basis state's (control, target) bits
-        are mapped through ``_CNOT_SOURCE``; qubit q is bit n - 1 - q."""
-        rows = self._cnot_rows.get(qubits)
-        if rows is None:
-            b, n = self.b, self.n_qubits
-            cs, ts = (n - 1 - q for q in qubits)
-            source = _CNOT_SOURCE[((b >> cs) & 1) << 1 | ((b >> ts) & 1)]
-            rows = self._cnot_rows[qubits] = (
-                b & ~(1 << cs | 1 << ts) | (source >> 1) << cs | (source & 1) << ts)
-        return rows
 
 
 def _basis_bits(v: int, n: int) -> int:
@@ -158,15 +124,27 @@ def _dense_sum(obj: Hamiltonian, tables: _Tables | None = None) -> np.ndarray:
     return m.reshape(size, size)
 
 
-def dense_circuit(c: CliffordCircuit, tables: _Tables | None = None) -> np.ndarray:
-    t = _Tables(c.n_qubits) if tables is None else tables
-    return simulate_circuit(c, t.identity, t)
+def dense_circuit(c: CliffordCircuit) -> np.ndarray:
+    """The gates applied in order to the identity, one numpy operation each:
+    a 2x2 matrix on one axis of the amplitudes, or a CNOT row gather (a flip
+    of the target bit where the control bit is set); includes the global
+    phase."""
+    n = c.n_qubits
+    b = _Tables(n).b
+    u = np.eye(1 << n, dtype=complex)
+    for gate in c.gates:
+        if gate.name == "CNOT":
+            cs, ts = (n - 1 - q for q in gate.qubits)
+            u = u[b ^ ((b >> cs) & 1) << ts]
+        else:
+            q = gate.qubits[0]
+            u = (_GATE_1Q[gate.name] @ u.reshape(1 << q, 2, -1)).reshape(u.shape)
+    return np.exp(1j * np.pi / 4 * c.global_phase_exp) * u
 
 
 def dense_matrix(obj, tables: _Tables | None = None) -> np.ndarray:
     """Dense operator for a PauliProduct, Hamiltonian or circuit.
-    A sum or a circuit is built on ``tables``, the register's index tables,
-    when given."""
+    A sum is built on ``tables``, the register's index tables, when given."""
     if isinstance(obj, np.ndarray):
         return obj
     if isinstance(obj, PauliProduct):
@@ -174,7 +152,7 @@ def dense_matrix(obj, tables: _Tables | None = None) -> np.ndarray:
     if isinstance(obj, Hamiltonian):
         return _dense_sum(obj, tables)
     if isinstance(obj, CliffordCircuit):
-        return dense_circuit(obj, tables)
+        return dense_circuit(obj)
     raise TypeError(f"cannot build a dense matrix from {type(obj).__name__}")
 
 
@@ -188,31 +166,6 @@ def spectra_equal(h1, h2) -> bool:
         raise DimensionError("spectrum comparison cap exceeded")
     e1, e2 = (np.linalg.eigvalsh(m if m.imag.any() else m.real) for m in (m1, m2))
     return bool(np.max(np.abs(e1 - e2)) <= 1e-9)
-
-
-def expectation_invariance(h, a, u, trials: int = 50,
-                           rng: np.random.Generator | None = None) -> float:
-    """Max deviation of <psi|H|psi> from <U psi|A|U psi> over random states.
-
-    The states are the columns of one matrix. They are drawn in one call,
-    real then imaginary part per state, which is the order of ``trials``
-    successive ``random_state`` calls (``tests/helpers.py``), so the
-    generator advances the same.
-    """
-    mh = dense_matrix(h)
-    n_qubits = int(mh.shape[0]).bit_length() - 1
-    if n_qubits > MAX_EXPECTATION_QUBITS:
-        raise DimensionError("expectation check cap exceeded")
-    ma, mu = dense_matrix(a), dense_matrix(u)
-    if rng is None:
-        rng = np.random.default_rng(_EXPECTATION_SEED)
-    draws = rng.standard_normal((trials, 2, 1 << n_qubits))
-    psi = (draws[:, 0] + 1j * draws[:, 1]).T
-    psi /= np.linalg.norm(psi, axis=0)
-    phi = mu @ psi
-    lhs = np.sum(psi.conj() * (mh @ psi), axis=0)
-    rhs = np.sum(phi.conj() * (ma @ phi), axis=0)
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def count_compatible(template: PauliProduct) -> dict[str, int]:
@@ -231,70 +184,16 @@ def count_compatible(template: PauliProduct) -> dict[str, int]:
     return {"n_qwc": n_qwc, "n_commuting": n_commuting}
 
 
-def _apply(psi: np.ndarray, rows: np.ndarray | None, runs) -> np.ndarray:
-    """psi (2^n rows) gathered by ``rows`` (None: no gather), then each
-    (qubit q, 2x2 matrix) of ``runs`` multiplied into axis 1 of the
-    amplitudes viewed as (qubits before q, qubit q, the rest)."""
-    if rows is not None:
-        psi = psi[rows]
-    for q, m in runs:
-        psi = (m @ psi.reshape(1 << q, 2, psi.size >> (q + 1))).reshape(psi.shape)
-    return psi
-
-
-def simulate_circuit(c: CliffordCircuit, states,
-                     tables: _Tables | None = None) -> np.ndarray:
-    """Apply gates in order to a dense state vector, or to every column of a
-    matrix of states; includes the global phase. ``tables`` are the
-    register's index tables, built here when None.
-
-    The literal gate matrices of each qubit's run of single-qubit gates are
-    multiplied together, and the run is applied once: when a CNOT touches
-    its qubit, or at the end. The CNOT row gathers in between compose into
-    one permutation, applied before any run. Deferring is exact: a pending
-    run started after every pending CNOT on its qubit, and acts on no qubit
-    of a later one.
-    """
-    n = c.n_qubits
-    t = _Tables(n) if tables is None else tables
-    states = np.asarray(states, dtype=complex)
-    psi = states.reshape(1 << n, math.prod(states.shape[1:]))
-    runs: dict[int, np.ndarray] = {}
-    rows = None
-    for gate in c.gates:
-        if gate.name == "CNOT":
-            due = [(q, runs.pop(q)) for q in gate.qubits if q in runs]
-            if due:
-                psi, rows = _apply(psi, rows, due), None
-            gather = t.cnot_rows(gate.qubits)
-            rows = gather if rows is None else rows[gather]
-        else:
-            q = gate.qubits[0]
-            m = _GATE_1Q[gate.name]
-            runs[q] = m @ runs[q] if q in runs else m
-    psi = _apply(psi, rows, runs.items())
-    return np.exp(1j * np.pi / 4 * c.global_phase_exp) * psi.reshape(states.shape)
-
-
-def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max elementwise deviation after aligning a global phase between a and b."""
-    overlap = np.vdot(b, a)
-    if abs(overlap) < 1e-30:
-        return float(np.max(np.abs(a - b)))
-    phase = overlap / abs(overlap)
-    return float(np.max(np.abs(a - phase * b)))
-
-
 # --- the check suite of `measure verify` -------------------------------------
 
 class _GroupOperators:
-    """One plan group and its dense operators, each built on first use."""
+    """One plan group, its term bitsets and its dense matrices, each built on
+    first use. ``tables`` are the register's index tables, or None when no
+    dense row runs."""
 
-    def __init__(self, h: Hamiltonian, entry: GroupPlan, rng: np.random.Generator,
-                 tables: _Tables | None) -> None:
+    def __init__(self, h: Hamiltonian, entry: GroupPlan, tables: _Tables | None) -> None:
         self.entry = entry
         self.source = h
-        self.rng = rng
         self.tables = tables
 
     @cached_property
@@ -315,34 +214,6 @@ class _GroupOperators:
     @cached_property
     def transformed_matrix(self) -> np.ndarray:
         return dense_matrix(self.entry.transform.transformed, self.tables)
-
-    @cached_property
-    def symbolic_unitary(self) -> np.ndarray:
-        """The paper's U, the product of (tau_i + sigma_i)/sqrt(2) in factor
-        order, from the Pauli matrices as signed permutations. A basis with
-        the wrong number of factors has no such U: the rows that need it
-        fail with the basis row's reason.
-
-        Right-multiplying by a Pauli P moves column b ^ flip of U to column
-        b with P's sign and phase (``_signed_permutation``), so each factor
-        costs two column gathers, O(4^n), not a matrix product. The 1/sqrt(2)
-        rides on each term's sign vector.
-        """
-        basis = self.entry.transform.basis
-        basis.check_counts()
-        b, signs = self.tables.b, self.tables.signs
-        u = self.tables.identity
-        for factor in zip(basis.taus, basis.sigma_products):
-            terms = []
-            for p in factor:
-                flip, sign_mask, phase = _signed_permutation(p)
-                terms.append(u[:, b ^ flip] * (signs[b & sign_mask] * (phase / math.sqrt(2))))
-            u = terms[0] + terms[1]
-        return u
-
-    @cached_property
-    def circuit_unitary(self) -> np.ndarray:
-        return dense_matrix(self.entry.circuit, self.tables)
 
 
 def _partition_problems(h: Hamiltonian, plan: MeasurementPlan) -> str:
@@ -488,31 +359,6 @@ def _check_spectra(g: _GroupOperators):
     return spectra_equal(g.group_matrix, t), "eigenvalue mismatch beyond 1e-9"
 
 
-def _check_conjugation(g: _GroupOperators):
-    u = g.symbolic_unitary
-    dev = float(np.max(np.abs(u.conj().T @ g.group_matrix @ u - g.transformed_matrix)))
-    return dev <= 1e-9, f"deviation {dev:.2e}"
-
-
-def _check_unitarity(g: _GroupOperators):
-    for u in (g.symbolic_unitary, g.circuit_unitary):
-        dev = float(np.max(np.abs(u @ u.conj().T - g.tables.identity)))
-        if dev > 1e-10:
-            return False, f"deviation {dev:.2e}"
-    return True, ""
-
-
-def _check_circuit(g: _GroupOperators):
-    dev = phase_aligned_distance(g.circuit_unitary, g.symbolic_unitary)
-    return dev <= 1e-10, f"deviation {dev:.2e}"
-
-
-def _check_expectation(g: _GroupOperators):
-    dev = expectation_invariance(g.group_matrix, g.transformed_matrix, g.circuit_unitary,
-                                 rng=g.rng)
-    return dev <= 1e-9, f"deviation {dev:.2e}"
-
-
 # (row name, check, qubit cap or None) in row order.
 _CHECKS = (
     ("basis invariants", _check_basis, None),
@@ -523,13 +369,6 @@ _CHECKS = (
     ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global phase "
      "(tableau)", _check_tableau, None),
     ("spectra preserved (tol 1e-9)", _check_spectra, MAX_SPECTRUM_QUBITS),
-    ("conjugated group matches transform (tol 1e-9)", _check_conjugation,
-     MAX_EXPECTATION_QUBITS),
-    ("unitarity (tol 1e-10)", _check_unitarity, MAX_EXPECTATION_QUBITS),
-    ("circuit matches symbolic unitary (tol 1e-10)", _check_circuit,
-     MAX_EXPECTATION_QUBITS),
-    ("expectation values invariant (tol 1e-9)", _check_expectation,
-     MAX_EXPECTATION_QUBITS),
 )
 
 
@@ -537,11 +376,11 @@ def plan_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, s
     """Run the check suite on a plan for h; returns (name, status, detail) rows.
 
     Raises ValueError when the plan's width differs from h or a term index
-    is out of range. The status is "pass", "fail", or "skip" for a dense
+    is out of range. The status is "pass", "fail", or "skip" for the spectra
     check above its qubit cap. Groups are visited one at a time and every
-    check runs on a group before the next, so each group's dense operators
+    check runs on a group before the next, so each group's dense matrices
     are built once and only one group's are alive. The index tables of the
-    dense operators are built once per plan, and only when some dense row
+    dense matrices are built once per plan, and only when the spectra row
     runs. A check that raises ValueError or IndexError on a malformed group
     fails with that message. A check that has failed is not run on later
     groups; its row names the first failing group.
@@ -553,13 +392,12 @@ def plan_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, s
         for i in entry.transform.term_indices:
             if not 0 <= i < len(h.terms):
                 raise ValueError(f"plan group {gi}: term index {i} out of range")
-    rng = np.random.default_rng(_EXPECTATION_SEED)
     running = [(name, fn) for name, fn, cap in _CHECKS if cap is None or n <= cap]
     dense = any(cap is not None and n <= cap for _, _, cap in _CHECKS)
     tables = _Tables(n) if dense else None
     failures: dict[str, str] = {}
     for gi, entry in enumerate(plan.groups):
-        g = _GroupOperators(h, entry, rng, tables)
+        g = _GroupOperators(h, entry, tables)
         for name, fn in running:
             if name not in failures:
                 try:

@@ -615,9 +615,9 @@ def pairwise_validate(basis, group: Hamiltonian | None = None) -> None:
                     raise ValueError(f"group term {ti} anticommutes with tau_{k}")
 
 
-# The Kronecker-embedding route to a circuit's dense matrix, which
-# verify.dense_circuit replaced: one 2^n x 2^n matrix per gate and a matrix
-# product per gate. Tests require agreement to 1e-12.
+# The Kronecker-embedding route to a circuit's dense matrix: one 2^n x 2^n
+# matrix per gate and a matrix product per gate. Tests require
+# verify.dense_circuit to agree to 1e-12.
 
 _GATE_2X2 = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -807,9 +807,8 @@ def qubit_runs(c: CliffordCircuit) -> list[list[int]]:
     return runs
 
 
-# verify._GroupOperators.symbolic_unitary as it was before each factor
-# became two column gathers: one dense matrix product per factor. Tests require
-# agreement to 1e-12.
+# The paper's U, the product of (tau_i + sigma_i)/sqrt(2) in factor order,
+# as one dense matrix product per factor.
 
 def matrix_product_symbolic_unitary(basis: TauSigmaBasis) -> np.ndarray:
     u = np.eye(1 << basis.n_qubits, dtype=complex)
@@ -852,9 +851,8 @@ def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-# verify.expectation_invariance with one random_state draw and two
-# mat-vec products per trial, before the trials became one state matrix.
-# Tests require agreement to 1e-12.
+# Max deviation of <psi|H|psi> from <U psi|A|U psi> over random states:
+# one random_state draw and two mat-vec products per trial.
 
 def looped_expectation_invariance(h, a, u, trials: int, rng: np.random.Generator) -> float:
     mh, ma, mu = dense_matrix(h), dense_matrix(a), dense_matrix(u)
@@ -869,52 +867,37 @@ def looped_expectation_invariance(h, a, u, trials: int, rng: np.random.Generator
     return worst
 
 
-# verify.simulate_circuit as it was before each gate became one numpy
-# operation: a tensordot and a moveaxis per gate on one axis per qubit.
-# Tests require agreement to 1e-12.
+# The dense oracles of the tests. The exact-sign and tableau rows of
+# `measure verify` prove a plan at every width on term bitsets; these check
+# that bit algebra (circuits.conjugate_columns, the fold) against literal
+# matrices, through the references above, on plans of up to 6 qubits.
 
-_CNOT_TENSOR = np.array([[1, 0, 0, 0],
-                         [0, 1, 0, 0],
-                         [0, 0, 0, 1],
-                         [0, 0, 1, 0]], dtype=complex).reshape(2, 2, 2, 2)
+def assert_dense_oracles(h: Hamiltonian, plan) -> None:
+    """For every group G of a plan for h, with stated transform T, the
+    paper's U (``matrix_product_symbolic_unitary``) and the circuit's matrix
+    C (``kron_circuit``):
 
-
-def tensordot_simulate_circuit(c: CliffordCircuit, states) -> np.ndarray:
-    states = np.asarray(states, dtype=complex)
-    psi = states.reshape([2] * c.n_qubits + list(states.shape[1:]))
-    for gate in c.gates:
-        if gate.name == "CNOT":
-            control, target = gate.qubits
-            psi = np.tensordot(_CNOT_TENSOR, psi, axes=([2, 3], [control, target]))
-            psi = np.moveaxis(psi, [0, 1], [control, target])
-        else:
-            q = gate.qubits[0]
-            psi = np.tensordot(_GATE_2X2[gate.name], psi, axes=([1], [q]))
-            psi = np.moveaxis(psi, 0, q)
-    return np.exp(1j * np.pi / 4 * c.global_phase_exp) * psi.reshape(states.shape)
-
-
-# verify.simulate_circuit as it was before each qubit's run of gates and each
-# chain of CNOTs became one numpy operation: one operation per gate, a 2x2
-# matrix on one axis of the amplitudes or a CNOT row gather (here written
-# as a flip of the target bit where the control bit is set). Tests require
-# agreement to 1e-12, global phase included.
-
-def per_gate_simulate_circuit(c: CliffordCircuit, states) -> np.ndarray:
-    n = c.n_qubits
-    states = np.asarray(states, dtype=complex)
-    width = states.size >> n
-    psi = states.reshape(1 << n, width)
-    b = np.arange(1 << n)
-    for gate in c.gates:
-        if gate.name == "CNOT":
-            cs, ts = (n - 1 - q for q in gate.qubits)
-            psi = psi[b ^ ((b >> cs) & 1) << ts]
-        else:
-            q = gate.qubits[0]
-            view = psi.reshape(1 << q, 2, (width << n) >> (q + 1))
-            psi = (_GATE_2X2[gate.name] @ view).reshape(1 << n, width)
-    return np.exp(1j * np.pi / 4 * c.global_phase_exp) * psi.reshape(states.shape)
+    - conjugation: U^dagger G U = T, to 1e-9;
+    - unitarity: U U^dagger = C C^dagger = I, to 1e-10;
+    - circuit: C = U, global phase included, to 1e-10;
+    - expectation: <psi|G|psi> = <C psi|T|C psi> on 50 seeded random
+      states, to 1e-9.
+    """
+    rng = np.random.default_rng(0)
+    for gi, entry in enumerate(plan.groups):
+        group = Hamiltonian(h.n_qubits,
+                            tuple(h.terms[i] for i in entry.transform.term_indices))
+        g, t = dense_matrix(group), dense_matrix(entry.transform.transformed)
+        u = matrix_product_symbolic_unitary(entry.transform.basis)
+        c = kron_circuit(entry.circuit)
+        np.testing.assert_allclose(u.conj().T @ g @ u, t, rtol=0, atol=1e-9,
+                                   err_msg=f"group {gi}: conjugation")
+        for m in (u, c):
+            np.testing.assert_allclose(m @ m.conj().T, np.eye(len(m)), rtol=0, atol=1e-10,
+                                       err_msg=f"group {gi}: unitarity")
+        np.testing.assert_allclose(c, u, rtol=0, atol=1e-10, err_msg=f"group {gi}: circuit")
+        dev = looped_expectation_invariance(g, t, c, 50, rng)
+        assert dev <= 1e-9, f"group {gi}: expectation deviation {dev:.2e}"
 
 
 # verify.dense_matrix of a Hamiltonian or PauliSum as it was before the sum

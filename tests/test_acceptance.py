@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
-Every tolerance is pinned here; dense cross-checks run at the oracle caps
-(spectra <= 10 qubits, expectation and circuit comparison <= 6 qubits).
+Every tolerance is pinned here. Spectra are compared up to 10 qubits, the
+cap of `measure verify`; the dense oracles of the tests (conjugation,
+unitarity, circuit against the symbolic unitary with its global phase, and
+expectation values) run up to 6 qubits.
 """
 
 import random
@@ -11,11 +13,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import (all_paulis, build_unitary_symbolic, group_basis, pauli_from_label,
-                     random_commuting_group)
-from paulimeasure import (CliqueCover, PauliProduct, build_graph, cover_exact, cover_rlf,
-                          compute_cover, expand_in_tau, pipeline, synthesize,
-                          transform_group, validate_cover)
+from helpers import (all_paulis, assert_dense_oracles, build_unitary_symbolic, group_basis,
+                     pauli_from_label, random_commuting_group)
+from paulimeasure import (CliqueCover, GroupPlan, MeasurementPlan, PauliProduct, build_graph,
+                          cover_exact, cover_rlf, compute_cover, expand_in_tau, pipeline,
+                          synthesize, transform_group, validate_cover)
 from paulimeasure import gf2, verify
 from paulimeasure.fixtures import (h2_commuting_group, h2_reference_basis,
                                    model_hamiltonian, model_reference_basis,
@@ -90,8 +92,8 @@ def test_criterion_3_eigenvalues_and_state_mapping():
         circuit = synthesize(model_reference_basis())
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
         target = np.array([1, 1, 0, 0]) / np.sqrt(2)
-        out = verify.simulate_circuit(circuit, bell)
-        assert verify.phase_aligned_distance(out, target) < 1e-10
+        out = verify.dense_matrix(circuit) @ bell
+        np.testing.assert_allclose(out, target, rtol=0, atol=1e-10)
 
 
 def test_criterion_4_minimum_clique_cover():
@@ -121,7 +123,6 @@ def test_criterion_5_compatibility_counting():
 def test_criterion_6_randomized_pipeline_stress():
     with criterion(6, "200 random commuting groups end to end", 120.0):
         rng = random.Random(606)
-        np_rng = np.random.default_rng(606)
         for case in range(200):
             n = rng.randint(1, 8)
             group = random_commuting_group(n, rng)
@@ -139,15 +140,9 @@ def test_criterion_6_randomized_pipeline_stress():
 
             assert verify.spectra_equal(group, out.transformed)
 
-            if n <= verify.MAX_EXPECTATION_QUBITS:
-                symbolic = verify.dense_matrix(build_unitary_symbolic(basis))
-                circuit = verify.dense_matrix(synthesize(basis))
-                assert verify.phase_aligned_distance(circuit, symbolic) < 1e-10
-                dev = verify.expectation_invariance(group, out.transformed,
-                                                    circuit, trials=50, rng=np_rng)
-                assert dev < 1e-9
-                conj = symbolic.conj().T @ verify.dense_matrix(group) @ symbolic
-                assert np.max(np.abs(conj - verify.dense_matrix(out.transformed))) < 1e-9
+            if n <= 6:
+                assert_dense_oracles(group, MeasurementPlan(
+                    n, (GroupPlan(out, synthesize(basis)),)))
 
 
 def test_criterion_7_oracle_cross_checks():

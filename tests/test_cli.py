@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import paulimeasure
-from helpers import full_width_find_sigma, full_width_find_tau, reference_plan_dict
+from helpers import (assert_dense_oracles, full_width_find_sigma, full_width_find_tau,
+                     reference_plan_dict)
 from paulimeasure import (GroupPlan, Hamiltonian, MeasurementPlan, build_graph,
-                          compute_cover, parse_hamiltonian, pipeline, plan_to_json,
-                          synthesize, transform_group)
+                          compute_cover, parse_hamiltonian, pipeline, plan_from_dict,
+                          plan_to_json, synthesize, transform_group)
 from paulimeasure.cli import main
 from paulimeasure.fixtures import H2_GROUP_TEXT, MODEL_TEXT, SIX_TERM_TEXT
 
@@ -185,11 +186,11 @@ VERIFY_INPUTS = {
 # sha256 of `measure verify --format json` on the plan that `measure transform`
 # writes, after the edit; a change here changes rows, statuses or details.
 VERIFY_SHA256 = {
-    "h2": "deaab9c414c28ee6ceb4550b8c11507c463a40feb2876d8c427d349dafbdcdf3",
-    "six-term": "deaab9c414c28ee6ceb4550b8c11507c463a40feb2876d8c427d349dafbdcdf3",
-    "wide-100q": "475945911622072bc3f6e704bb00ed36ecb498482bcb199c28273ca1586907b4",
-    "chain-12q": "440d599fe4de159f3b8130ed9dd30d20cb5646af15c974cd5dc5dcb4f3ed2df0",
-    "h2-qwc-clash": "57fd84bf3eed10c70ad0c53c5236e95e1ee0e9a650430bd5794879294ef40e6e",
+    "h2": "dca46f9f417f6ff0380d66686b8dc72292d91bd376ef30603fe754b1b3380d44",
+    "six-term": "dca46f9f417f6ff0380d66686b8dc72292d91bd376ef30603fe754b1b3380d44",
+    "wide-100q": "66d51a05c6c9158db71ce440a4dfdea01aac929cb3aa7926bd84781f57eaa276",
+    "chain-12q": "22c802aa48d386d55b34648867aff938df2a2c130e46fd5fbc0a66169ef0728e",
+    "h2-qwc-clash": "29473cff337ff365d0458c43698ca76cdd48050b456a55854fef4a16dd684d56",
 }
 
 @pytest.fixture
@@ -393,16 +394,24 @@ class TestVerify:
         assert main(["transform", input_file, "--output", str(plan_path)]) == 0
         return plan_path
 
+    @staticmethod
+    def assert_oracles_on_files(input_file, plan_path):
+        """The dense oracles of the tests on a plan file for an input file."""
+        assert_dense_oracles(parse_hamiltonian(Path(input_file).read_text()),
+                             plan_from_dict(json.loads(Path(plan_path).read_text())))
+
     def test_h2_plan_passes(self, h2_file, tmp_path, capsys):
         plan_path = self.run_transform(h2_file, tmp_path)
         assert main(["verify", h2_file, str(plan_path)]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") >= 7
+        assert out.count("PASS") == 7
+        self.assert_oracles_on_files(h2_file, plan_path)
 
     def test_six_term_plan_passes(self, six_term_file, tmp_path, capsys):
         plan_path = self.run_transform(six_term_file, tmp_path)
         assert main(["verify", six_term_file, str(plan_path)]) == 0
+        self.assert_oracles_on_files(six_term_file, plan_path)
 
     def test_tampered_plan_fails_spectrum_check(self, h2_file, tmp_path, capsys):
         plan_path = self.run_transform(h2_file, tmp_path)
@@ -419,6 +428,7 @@ class TestVerify:
         assert main(["verify", model_file, str(plan_path), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(c["passed"] for c in payload["checks"])
+        self.assert_oracles_on_files(model_file, plan_path)
 
     def test_malformed_plan_error(self, model_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -475,19 +485,18 @@ class TestVerify:
 
     def test_checks_above_the_dense_caps_print_skip(self, tmp_path, capsys):
         wide = tmp_path / "wide.txt"
-        wide.write_text("qubits: 8\n1.0 X0 X7\n0.5 Z0 Z7\n")
+        wide.write_text("qubits: 11\n1.0 X0 X10\n0.5 Z0 Z10\n")
         plan_path = self.run_transform(str(wide), tmp_path)
         assert main(["verify", str(wide), str(plan_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         skipped = [line for line in lines if "(skipped" in line]
-        assert len(skipped) == 4
+        assert skipped == ["SKIP spectra preserved (tol 1e-9) (skipped: 11 qubits exceed cap)"]
         assert all(line.startswith("SKIP ") for line in skipped)
         assert all(line.startswith("PASS ") for line in lines if line not in skipped)
         assert main(["verify", str(wide), str(plan_path), "--format", "json"]) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
-        assert [c["status"] for c in checks].count("skip") == 4
+        assert [c["status"] for c in checks].count("skip") == 1
         assert all(c["passed"] == (c["status"] == "pass") for c in checks)
-
 
     def test_rows_in_order(self, h2_file, tmp_path, capsys):
         plan_path = self.run_transform(h2_file, tmp_path)
@@ -502,10 +511,6 @@ class TestVerify:
             "PASS circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
             "phase (tableau)",
             "PASS spectra preserved (tol 1e-9)",
-            "PASS conjugated group matches transform (tol 1e-9)",
-            "PASS unitarity (tol 1e-10)",
-            "PASS circuit matches symbolic unitary (tol 1e-10)",
-            "PASS expectation values invariant (tol 1e-9)",
         ]
 
     def test_truncated_circuit_fails_above_the_dense_caps(self, tmp_path, capsys):
@@ -565,10 +570,13 @@ class TestVerify:
                                                         drop_tau, capsys)
         assert (code, err) == (1, "")
         assert "FAIL basis invariants (group 0: 3 taus for 4 sigmas)" in out
-        assert "FAIL conjugated group matches transform (tol 1e-9) (group 0: " in out
+        assert f"FAIL {TABLEAU} (group 0: " in out
 
-    def test_missing_tau_fails_the_dense_rows_with_the_basis_reason(self, h2_file,
-                                                                   tmp_path, capsys):
+    def test_missing_tau_fails_the_tableau_row_with_the_basis_reason(self, h2_file,
+                                                                    tmp_path, capsys):
+        """The tableau row reads every factor, so a basis with the wrong
+        number of factors fails it with the basis row's reason; the rows
+        that do not read the basis pass."""
         def drop_tau(plan):
             del plan["groups"][0]["tau"][0]
             return plan
@@ -576,12 +584,16 @@ class TestVerify:
         code, out, err = self.run_verify_on_edited_plan(h2_file, tmp_path, drop_tau,
                                                         capsys)
         assert (code, err) == (1, "")
-        rows = out.splitlines()
-        for name in ("basis invariants",
-                     "conjugated group matches transform (tol 1e-9)",
-                     "unitarity (tol 1e-10)",
-                     "circuit matches symbolic unitary (tol 1e-10)"):
-            assert f"FAIL {name} (group 0: 3 taus for 4 sigmas)" in rows
+        failed = " (group 0: 3 taus for 4 sigmas)"
+        assert out.splitlines() == [
+            "PASS groups partition the terms",
+            "FAIL basis invariants" + failed,
+            "PASS transformed groups qubit-wise commuting",
+            "PASS coefficient magnitudes preserved",
+            "PASS circuit maps each group term to its transformed term (exact sign)",
+            f"FAIL {TABLEAU}" + failed,
+            "PASS spectra preserved (tol 1e-9)",
+        ]
 
     @pytest.mark.parametrize("field, value, reason", [
         ("axis", "Q", "axis must be X, Y or Z, got 'Q'"),
@@ -608,10 +620,6 @@ class TestVerify:
             "FAIL circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
             "phase (tableau)" + failed,
             "PASS spectra preserved (tol 1e-9)",
-            "FAIL conjugated group matches transform (tol 1e-9)" + failed,
-            "FAIL unitarity (tol 1e-10)" + failed,
-            "FAIL circuit matches symbolic unitary (tol 1e-10)" + failed,
-            "PASS expectation values invariant (tol 1e-9)",
         ]
 
     @pytest.mark.parametrize("name", ["h2", "wide-100q"])
@@ -677,7 +685,7 @@ class TestVerify:
     @pytest.mark.parametrize("name, text", [
         ("random-12q", random_sum_text()),
         ("wide-100q", WIDE_SPARSE_TEXT),
-        # every dense row runs: one group on qubits 0, 1 and 3 of 5
+        # every row runs, and the dense oracles: one group on qubits 0, 1 and 3 of 5
         ("idle-5q", "qubits: 5\n1.0 X0 X1\n0.5 Z0 Z1\n-0.25 Z3\n0.125 Y0 Y1 Z3\n"),
     ])
     def test_full_width_plan_passes_every_row(self, name, text, tmp_path, capsys):
@@ -694,9 +702,11 @@ class TestVerify:
             assert digest == FULL_WIDTH_PLAN_SHA256[name]
         assert main(["verify", str(source), str(plan_path)]) == 0
         rows = capsys.readouterr().out.splitlines()
-        assert len(rows) == 11
+        assert len(rows) == 7
         assert all(row.startswith("PASS ") for row in rows if "skipped" not in row)
-        assert name != "idle-5q" or all(row.startswith("PASS ") for row in rows)
+        if name == "idle-5q":
+            assert all(row.startswith("PASS ") for row in rows)
+            self.assert_oracles_on_files(source, plan_path)
 
     def test_tau_on_a_qubit_without_a_sigma_fails_the_basis_row(self, tmp_path, capsys):
         source = tmp_path / "wide.txt"
@@ -768,7 +778,8 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(source), str(plan_path)]) == 0
         rows = capsys.readouterr().out.splitlines()
-        assert len(rows) == 11 and all(row.startswith("PASS ") for row in rows)
+        assert len(rows) == 7 and all(row.startswith("PASS ") for row in rows)
+        self.assert_oracles_on_files(source, plan_path)
 
     def test_failure_names_the_first_failing_group(self, six_term_file, tmp_path, capsys):
         def tamper_second_group(plan):
@@ -894,7 +905,7 @@ assert paulimeasure.cli.main(["transform", {six_term_file!r}, "--output", "plan.
 sys.exit(paulimeasure.cli.main(["verify", {six_term_file!r}, "plan.json"]))
 """, tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.count("PASS ") == 11
+    assert proc.stdout.count("PASS ") == 7
 
 
 def test_public_names_are_pinned():

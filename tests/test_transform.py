@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (build_unitary_symbolic, embedded_group, full_width_find_sigma,
-                     full_width_find_tau, group_basis, idle_filter_find_tau, is_lagrangian,
-                     pairwise_validate, product_expand_in_tau, random_commuting_group,
+from helpers import (assert_dense_oracles, build_unitary_symbolic, embedded_group,
+                     full_width_find_sigma, full_width_find_tau, group_basis,
+                     idle_filter_find_tau, is_lagrangian, pairwise_validate,
+                     product_expand_in_tau, random_commuting_group,
                      random_graph_hamiltonian, random_isotropic, random_pauli,
                      reference_plan_dict, regex_parse_term_tokens, rescanning_find_sigma,
                      solve_expansion)
@@ -458,15 +459,11 @@ class TestPipeline:
     def test_spectrum_and_expectation_preserved(self):
         h = six_term_hamiltonian()
         plan = pipeline(h, cover_rlf(build_graph(h, "fc")))
-        rng = np.random.default_rng(42)
         for entry in plan.groups:
             sub = Hamiltonian(h.n_qubits,
                               tuple(h.terms[i] for i in entry.transform.term_indices))
             assert verify.spectra_equal(sub, entry.transform.transformed)
-            u = verify.dense_matrix(build_unitary_symbolic(entry.transform.basis))
-            dev = verify.expectation_invariance(sub, entry.transform.transformed, u,
-                                                trials=50, rng=rng)
-            assert dev < 1e-9
+        assert_dense_oracles(h, plan)
 
     def test_plan_json_roundtrip(self):
         h = six_term_hamiltonian()

@@ -1,5 +1,5 @@
-"""Dense-matrix oracles, compatibility census, circuit simulation, and the
-tableau row of the check suite."""
+"""Dense matrices, compatibility census, circuit simulation, the tableau
+row of the check suite, and the dense oracles on small plans."""
 
 import random
 from pathlib import Path
@@ -8,19 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (PauliSum, all_paulis, build_unitary_symbolic, embedded_group,
-                     inverse_circuit, kron_circuit, kron_pauli, looped_expectation_invariance,
-                     matrix_product_symbolic_unitary, group_basis, per_gate_simulate_circuit,
-                     pauli_from_label, per_term_dense_sum, random_commuting_group,
-                     random_graph_hamiltonian, random_state, tensordot_simulate_circuit)
+from helpers import (PauliSum, all_paulis, assert_dense_oracles, build_unitary_symbolic,
+                     embedded_group, inverse_circuit, kron_circuit, kron_pauli,
+                     looped_expectation_invariance, group_basis, pauli_from_label,
+                     per_term_dense_sum, random_commuting_group, random_graph_hamiltonian,
+                     random_state)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, build_graph, cover_rlf,
                           TransformedGroup, parse_hamiltonian, pipeline, synthesize,
                           transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES
-from paulimeasure.fixtures import (h2_reference_basis, model_hamiltonian,
-                                   model_reference_basis)
+from paulimeasure.fixtures import model_hamiltonian, model_reference_basis
 
 
 class TestDenseMatrix:
@@ -167,7 +166,7 @@ class TestSpectra:
         entry = pipeline(h, cover_rlf(build_graph(h, "fc"))).groups[0]
         assert entry.transform.transformed == parse_hamiltonian(
             "qubits: 3\n0.5 Z1\n-0.25 Y0\n")
-        g = verify._GroupOperators(h, entry, None, verify._Tables(3))
+        g = verify._GroupOperators(h, entry, verify._Tables(3))
         assert g.transformed_matrix.imag.any()
         solved = []
         solve = np.linalg.eigvalsh
@@ -206,12 +205,12 @@ class TestCountCompatible:
 
 
 @st.composite
-def circuits(draw, max_qubits=6, max_gates=16):
+def circuits(draw):
     """Random circuits; CNOT qubit pairs come in either order, at any distance."""
-    n = draw(st.integers(1, max_qubits))
+    n = draw(st.integers(1, 6))
     names = [name for name in GATE_NAMES if n > 1 or name != "CNOT"]
     gates = []
-    for name in draw(st.lists(st.sampled_from(names), max_size=max_gates)):
+    for name in draw(st.lists(st.sampled_from(names), max_size=16)):
         k = 2 if name == "CNOT" else 1
         qubits = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
                                unique=True))
@@ -219,114 +218,41 @@ def circuits(draw, max_qubits=6, max_gates=16):
     return CliffordCircuit(n, tuple(gates), draw(st.integers(0, 7)))
 
 
-@st.composite
-def run_and_chain_circuits(draw, max_qubits=6):
-    """Circuits of blocks: runs of 3-6 single-qubit gates on one qubit, and
-    chains of 2-4 CNOTs in which each CNOT shares a qubit with the one
-    before it, in either role."""
-    n = draw(st.integers(2, max_qubits))
-    one_qubit = [name for name in GATE_NAMES if name != "CNOT"]
-    gates = []
-    for chain in draw(st.lists(st.booleans(), min_size=1, max_size=8)):
-        shared = draw(st.integers(0, n - 1))
-        if not chain:
-            names = draw(st.lists(st.sampled_from(one_qubit), min_size=3, max_size=6))
-            gates += [Gate(name, (shared,)) for name in names]
-            continue
-        for _ in range(draw(st.integers(2, 4))):
-            other = draw(st.integers(0, n - 2))
-            other += other >= shared
-            pair = tuple(draw(st.permutations([shared, other])))
-            gates.append(Gate("CNOT", pair))
-            shared = draw(st.sampled_from(pair))
-    return CliffordCircuit(n, tuple(gates), draw(st.integers(0, 7)))
-
-
 class TestSimulateCircuit:
+    """verify.dense_circuit: the gates applied in order to the identity."""
+
     def test_empty_circuit(self):
-        state = np.array([1, 2, 3, 4], dtype=complex) / np.sqrt(30)
-        out = verify.simulate_circuit(CliffordCircuit(2, ()), state)
-        np.testing.assert_array_equal(out, state)
+        np.testing.assert_array_equal(verify.dense_circuit(CliffordCircuit(2, ())),
+                                      np.eye(4))
 
     def test_model_circuit_maps_bell_to_product_state(self):
         circuit = synthesize(model_reference_basis())
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        out = verify.simulate_circuit(circuit, bell)
+        out = verify.dense_circuit(circuit) @ bell
         target = np.array([1, 1, 0, 0]) / np.sqrt(2)
-        assert verify.phase_aligned_distance(out, target) < 1e-10
+        np.testing.assert_allclose(out, target, rtol=0, atol=1e-10)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(5)
-        circuit = synthesize(model_reference_basis())
+        u = verify.dense_circuit(synthesize(model_reference_basis()))
         for _ in range(10):
-            psi = random_state(2, rng)
-            out = verify.simulate_circuit(circuit, psi)
-            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(u @ random_state(2, rng)) - 1.0) < 1e-12
 
     def test_circuit_then_inverse_is_identity(self):
-        rng = np.random.default_rng(11)
-        pyrng = random.Random(11)
-        basis = group_basis(random_commuting_group(3, pyrng))
-        circuit = synthesize(basis)
-        inverse = inverse_circuit(circuit)
-        for _ in range(20):
-            psi = random_state(3, rng)
-            out = verify.simulate_circuit(inverse, verify.simulate_circuit(circuit, psi))
-            np.testing.assert_allclose(out, psi, atol=1e-10)
-
-    def test_matches_dense_circuit(self):
-        rng = np.random.default_rng(17)
-        circuit = synthesize(model_reference_basis())
-        u = kron_circuit(circuit)
-        for _ in range(5):
-            psi = random_state(2, rng)
-            np.testing.assert_allclose(verify.simulate_circuit(circuit, psi),
-                                       u @ psi, atol=1e-12)
+        circuit = synthesize(group_basis(random_commuting_group(3, random.Random(11))))
+        u, inverse = (verify.dense_circuit(c) for c in (circuit, inverse_circuit(circuit)))
+        np.testing.assert_allclose(inverse @ u, np.eye(8), rtol=0, atol=1e-10)
 
     def test_reversed_cnot_order_and_nonadjacent_qubits(self):
-        from paulimeasure import Gate
-        rng = np.random.default_rng(19)
         for gates in ((Gate("CNOT", (1, 0)),),
                       (Gate("CNOT", (2, 0)), Gate("H", (1,)), Gate("CNOT", (0, 2)))):
             circuit = CliffordCircuit(3, gates)
-            u = kron_circuit(circuit)
-            for _ in range(5):
-                psi = random_state(3, rng)
-                np.testing.assert_allclose(verify.simulate_circuit(circuit, psi),
-                                           u @ psi, atol=1e-12)
-
-    @settings(max_examples=200, deadline=None)
-    @given(circuits(max_qubits=8, max_gates=24), st.integers(0, 3),
-           st.integers(0, 2**32 - 1))
-    def test_matches_tensordot_reference(self, circuit, columns, seed):
-        # columns 0: one state vector; otherwise a matrix of states
-        gen = np.random.default_rng(seed)
-        shape = (1 << circuit.n_qubits,) + ((columns,) if columns else ())
-        states = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-        np.testing.assert_allclose(verify.simulate_circuit(circuit, states),
-                                   tensordot_simulate_circuit(circuit, states),
-                                   rtol=0, atol=1e-12)
-
-    @settings(max_examples=200, deadline=None)
-    @given(run_and_chain_circuits(), st.integers(0, 3), st.integers(0, 2**32 - 1))
-    def test_merged_runs_and_chains_match_the_per_gate_reference(self, circuit, columns,
-                                                                 seed):
-        # exact phase: no global phase is aligned away
-        gen = np.random.default_rng(seed)
-        shape = (1 << circuit.n_qubits,) + ((columns,) if columns else ())
-        states = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-        np.testing.assert_allclose(verify.simulate_circuit(circuit, states),
-                                   per_gate_simulate_circuit(circuit, states),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            verify.dense_circuit(circuit),
-            per_gate_simulate_circuit(circuit, np.eye(1 << circuit.n_qubits)),
-            rtol=0, atol=1e-12)
+            np.testing.assert_allclose(verify.dense_circuit(circuit), kron_circuit(circuit),
+                                       rtol=0, atol=1e-12)
 
     def test_qubit_cap(self):
         with pytest.raises(verify.DimensionError):
-            # before the states are read: these have the wrong length
-            verify.simulate_circuit(CliffordCircuit(13, ()), np.ones(2))
+            verify.dense_matrix(CliffordCircuit(13, ()))
 
     @settings(max_examples=150, deadline=None)
     @given(circuits())
@@ -334,19 +260,10 @@ class TestSimulateCircuit:
         np.testing.assert_allclose(verify.dense_circuit(circuit), kron_circuit(circuit),
                                    rtol=0, atol=1e-12)
 
-    def test_columns_are_simulated_as_states(self):
-        rng = np.random.default_rng(31)
-        circuit = synthesize(h2_reference_basis())
-        states = np.stack([random_state(4, rng) for _ in range(3)], axis=1)
-        out = verify.simulate_circuit(circuit, states)
-        assert out.shape == states.shape
-        for k in range(3):
-            np.testing.assert_allclose(out[:, k],
-                                       verify.simulate_circuit(circuit, states[:, k]),
-                                       rtol=0, atol=1e-12)
-
 
 class TestExpectationInvariance:
+    """The expectation oracle of ``assert_dense_oracles``."""
+
     def test_transform_pair_invariant(self):
         rng = np.random.default_rng(23)
         h = model_hamiltonian(1.1, -0.4)
@@ -354,45 +271,13 @@ class TestExpectationInvariance:
         a = parse_hamiltonian("qubits: 2\n1.1 Z0\n-0.4 X1\n")
         for u in (verify.dense_matrix(build_unitary_symbolic(basis)),
                   verify.dense_matrix(synthesize(basis))):
-            assert verify.expectation_invariance(h, a, u, trials=50, rng=rng) < 1e-9
+            assert looped_expectation_invariance(h, a, u, 50, rng) < 1e-9
 
     def test_detects_wrong_unitary(self):
         rng = np.random.default_rng(29)
         h = model_hamiltonian(1.1, -0.4)
         a = parse_hamiltonian("qubits: 2\n1.1 Z0\n-0.4 X1\n")
-        dev = verify.expectation_invariance(h, a, np.eye(4, dtype=complex),
-                                            trials=50, rng=rng)
-        assert dev > 1e-3
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 50]),
-           st.booleans())
-    def test_matches_per_trial_reference(self, n, seed, trials, invariant):
-        # a transformed pair, or a random Hamiltonian pair under a random unitary
-        pyrng = random.Random(seed)
-        if invariant:
-            h = random_commuting_group(n, pyrng)
-            basis = group_basis(h)
-            a = transform_group(h, basis).transformed
-            u = verify.dense_matrix(synthesize(basis))
-        else:
-            most = min(6, 4**n - 1)
-            h = random_graph_hamiltonian(n, pyrng.randint(1, most), pyrng)
-            a = random_graph_hamiltonian(n, pyrng.randint(1, most), pyrng)
-            gen = np.random.default_rng(seed)
-            u = np.linalg.qr(gen.standard_normal((1 << n, 1 << n))
-                             + 1j * gen.standard_normal((1 << n, 1 << n)))[0]
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = verify.expectation_invariance(h, a, u, trials=trials, rng=rng)
-        want = looped_expectation_invariance(h, a, u, trials, ref_rng)
-        assert abs(got - want) <= 1e-12
-        # the shared generator is left where the per-trial draws leave it
-        assert rng.standard_normal() == ref_rng.standard_normal()
-
-    def test_cap(self):
-        h = parse_hamiltonian("1.0 Z6\n")
-        with pytest.raises(verify.DimensionError):
-            verify.expectation_invariance(h, h, np.eye(128, dtype=complex))
+        assert looped_expectation_invariance(h, a, np.eye(4, dtype=complex), 50, rng) > 1e-3
 
 
 TABLEAU = ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
@@ -425,7 +310,7 @@ class TestTableauRow:
             group = random_commuting_group(n, rng)
             got = rows(group, one_group_plan(group))
             assert got[TABLEAU] == ("pass", "")
-            assert [status for status, _ in got.values()].count("skip") == 5
+            assert [status for status, _ in got.values()].count("skip") == 1
 
     def test_every_dropped_gate_fails(self):
         group = random_commuting_group(30, random.Random(71))
@@ -506,7 +391,8 @@ class TestBenchmarkPlans:
     @pytest.mark.parametrize("workload", ["random-w4", "molecular-jw", "wide-sparse"])
     def test_seed_one_plans_pass_every_row(self, workload, monkeypatch):
         """Every seed-1 benchmark plan, with its cancelled CNOT pairs,
-        passes every row that runs at its width; molecular-jw runs them all."""
+        passes every row that runs at its width. molecular-jw runs them all,
+        and its 6-qubit plans meet the dense oracles too."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
         import workloads
         for inst in workloads.generate(workload, 1, PauliProduct):
@@ -515,23 +401,8 @@ class TestBenchmarkPlans:
             for name, status, detail in verify.plan_checks(h, plan):
                 assert status == "pass" or (status == "skip" and h.n_qubits > 6), (
                     name, status, detail)
-
-
-class TestSymbolicUnitary:
-    def test_gathers_equal_the_matrix_product_reference(self):
-        rng = random.Random(79)
-        groups = [random_commuting_group(rng.randint(1, 6), rng) for _ in range(20)]
-        # support-local bases: fewer factors than register qubits
-        for _ in range(20):
-            n = rng.randint(2, 6)
-            groups.append(embedded_group(rng.randint(1, n - 1), n, rng))
-        for group in groups:
-            entry = one_group_plan(group).groups[0]
-            g = verify._GroupOperators(group, entry, None, verify._Tables(group.n_qubits))
-            np.testing.assert_allclose(
-                g.symbolic_unitary,
-                matrix_product_symbolic_unitary(entry.transform.basis), atol=1e-12)
-        assert sum(len(group_basis(g).taus) < g.n_qubits for g in groups) >= 20
+            if h.n_qubits <= 6:
+                assert_dense_oracles(h, plan)
 
 
 class TestDenseTables:
@@ -551,3 +422,35 @@ class TestDenseTables:
         t = verify._Tables(5)
         assert t.ones.tolist() == [s.bit_count() for s in range(32)]
         assert t.signs.tolist() == [(-1) ** s.bit_count() for s in range(32)]
+
+
+class TestDenseOracles:
+    """``assert_dense_oracles`` on plans of 1-6 qubits; the benchmark and
+    golden plans meet it where they are verified."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_commuting_groups(self, n, local, seed):
+        # local: a group on some of the register's qubits, so the basis has
+        # fewer factors than the register has qubits
+        rng = random.Random(seed)
+        group = (embedded_group(rng.randint(1, n - 1), n, rng) if local and n > 1
+                 else random_commuting_group(n, rng))
+        assert_dense_oracles(group, one_group_plan(group))
+
+    def test_a_dropped_gate_fails(self):
+        group = random_commuting_group(4, random.Random(83))
+        plan = one_group_plan(group)
+        gates = plan.groups[0].circuit.gates
+        with pytest.raises(AssertionError, match="group 0: circuit"):
+            assert_dense_oracles(group, with_gates(plan, gates[1:]))
+
+    def test_a_flipped_transformed_sign_fails(self):
+        group = random_commuting_group(4, random.Random(89))
+        entry = one_group_plan(group).groups[0]
+        (c, p), *rest = entry.transform.transformed.terms
+        transform = TransformedGroup(entry.transform.term_indices, entry.transform.basis,
+                                     Hamiltonian(4, ((-c, p), *rest)))
+        plan = MeasurementPlan(4, (GroupPlan(transform, entry.circuit),))
+        with pytest.raises(AssertionError, match="group 0: conjugation"):
+            assert_dense_oracles(group, plan)
