@@ -259,20 +259,32 @@ def _scan_picks(rows: tuple[int, ...], excluded: int, candidates: int) -> list[i
     return picks
 
 
+def _masked_rows(rows: tuple[int, ...], vertices: int, mask: int) -> list[int]:
+    """``rows[v] & mask`` for each vertex v of ``vertices``, the zero ones left out."""
+    out = []
+    while vertices:
+        low = vertices & -vertices
+        row = rows[low.bit_length() - 1] & mask
+        if row:
+            out.append(row)
+        vertices ^= low
+    return out
+
+
 def _counter_picks(rows: tuple[int, ...], excluded: int, candidates: int,
                    width: int) -> list[int]:
     """The picks of ``_scan_picks``, with the scores in a bit-sliced counter
     of ``width`` slices: each newly excluded vertex adds its row, masked by
     the candidates, so a pick costs one argmax instead of a scan."""
     score = [0] * width
-    _add_rows(score, [rows[u] & candidates for u in _bits(excluded)])
+    _add_rows(score, _masked_rows(rows, excluded, candidates))
     picks = []
     while candidates:
         pick = _argmax(score, candidates)
         picks.append(pick)
         nb = rows[pick] & candidates
         candidates &= ~(nb | (1 << pick))
-        _add_rows(score, [rows[u] & candidates for u in _bits(nb)])
+        _add_rows(score, _masked_rows(rows, nb, candidates))
     return picks
 
 

@@ -3,16 +3,17 @@
 ``plan_checks`` proves a plan at every width on term bitsets (coverage,
 basis invariants, qubit-wise commutation, exact images under the circuit,
 the circuit's Clifford through the tau/sigma swap of each factor and the
-fixed qubits outside the basis) and compares the spectra of each group and
-its transformed group on dense matrices up to a qubit cap. The dense
+fixed qubits outside the basis) and compares the spectrum of each group's
+dense matrix with its transformed group's up to a qubit cap. The dense
 matrices are built from first principles (Pauli matrices and sums as
 signed permutations of the basis states, literal gate matrices applied to
 the amplitudes), so the bit-level algebra elsewhere can be checked against
 an independent route. A plan whose width has a spectra row builds one set
 of index tables (``_Tables``) that all its groups share. A real Hermitian
-matrix gets a real symmetric eigenvalue solve, as does a transformed group
-with Y terms after a diagonal similarity. Qubit 0 is the leftmost
-Kronecker factor.
+matrix gets a real symmetric eigenvalue solve. A qubit-wise commuting
+transformed group needs no solve: its terms share a tensor-product
+eigenbasis, so its spectrum is a closed-form sum of signed coefficients.
+Qubit 0 is the leftmost Kronecker factor.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .transform import GroupPlan, MeasurementPlan
 MAX_DENSE_QUBITS = 12
 MAX_SPECTRUM_QUBITS = 10
 MAX_COUNT_QUBITS = 8
-_I_POWERS = np.array(I_POWERS)
 
 _GATE_1Q = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -48,20 +48,19 @@ class DimensionError(ValueError):
 
 class _Tables:
     """Index tables of one register width, shared by the dense operators of
-    a plan: the basis states ``b``, and the set-bit count |s| of every bit
-    pattern s (``ones``) and its sign (-1)^|s| (``signs``)."""
+    a plan: the basis states ``b``, and the parity sign (-1)^|s| of every bit
+    pattern s (``signs``)."""
 
     def __init__(self, n_qubits: int) -> None:
         if n_qubits > MAX_DENSE_QUBITS:
             raise DimensionError(f"{n_qubits} qubits exceed the cap of {MAX_DENSE_QUBITS}")
         self.n_qubits = n_qubits
         self.b = np.arange(1 << n_qubits)
-        # Doubling k appends the patterns with bit k set: one more set bit each.
-        ones = np.zeros(1, dtype=np.int64)
+        # Doubling k appends the patterns with bit k set: one more set bit, the
+        # opposite sign.
+        self.signs = np.ones(1)
         for _ in range(n_qubits):
-            ones = np.concatenate((ones, ones + 1))
-        self.ones = ones
-        self.signs = 1 - 2 * (ones & 1).astype(float)
+            self.signs = np.concatenate((self.signs, -self.signs))
 
 
 def _basis_bits(v: int, n: int) -> int:
@@ -158,14 +157,25 @@ def dense_matrix(obj, tables: _Tables | None = None) -> np.ndarray:
 
 def spectra_equal(h1, h2) -> bool:
     """Sorted-eigenvalue comparison of two Hermitian operators, to 1e-9. A
-    matrix with no imaginary part is real symmetric and gets the real solver."""
+    matrix with no imaginary part is real symmetric and gets the real solver.
+    A 1-D array stands for a spectrum already computed, in any order."""
     m1, m2 = dense_matrix(h1), dense_matrix(h2)
-    if m1.shape != m2.shape:
+    if len(m1) != len(m2):
         return False
-    if m1.shape[0] > 1 << MAX_SPECTRUM_QUBITS:
+    if len(m1) > 1 << MAX_SPECTRUM_QUBITS:
         raise DimensionError("spectrum comparison cap exceeded")
-    e1, e2 = (np.linalg.eigvalsh(m if m.imag.any() else m.real) for m in (m1, m2))
+    e1, e2 = (np.sort(m) if m.ndim == 1 else np.linalg.eigvalsh(m if m.imag.any() else m.real)
+              for m in (m1, m2))
     return bool(np.max(np.abs(e1 - e2)) <= 1e-9)
+
+
+def _qwc_spectrum(h: Hamiltonian, tables: _Tables) -> np.ndarray:
+    """The eigenvalues of a qubit-wise commuting sum, in no set order. Its
+    terms share the tensor-product eigenbasis of their axes, where term k
+    reads c_k (-1)^|b & s_k| on basis state b, s_k its support; the qubits'
+    order in b only permutes the states, so the supports are read as stored."""
+    masks = np.array([p.x | p.z for _, p in h.terms], dtype=np.int64)
+    return np.array(h.coefficients(), dtype=float) @ tables.signs[tables.b & masks[:, None]]
 
 
 def count_compatible(template: PauliProduct) -> dict[str, int]:
@@ -208,6 +218,13 @@ class _GroupOperators:
         return qubit_columns(self.source.n_qubits, self.entry.transform.transformed.products())
 
     @cached_property
+    def transformed_qwc(self) -> bool:
+        """On every qubit, the transformed terms with an X, those with a Y
+        and those with a Z there are at most one non-empty class."""
+        return all(bool(x & ~z) + bool(x & z) + bool(z & ~x) <= 1
+                   for x, z in zip(*self.transformed_columns))
+
+    @cached_property
     def group_matrix(self) -> np.ndarray:
         return dense_matrix(self.group, self.tables)
 
@@ -235,12 +252,9 @@ def _check_basis(g: _GroupOperators):
 
 
 def _check_qwc(g: _GroupOperators):
-    """The terms are qubit-wise commuting when, on every qubit, those with
-    an X, those with a Y and those with a Z there are at most one non-empty
-    class. On a clash, the qwc conflict rows name the lowest clashing pair:
-    the first term with a non-empty row, and the lowest term of that row."""
-    if all(bool(x & ~z) + bool(x & z) + bool(z & ~x) <= 1
-           for x, z in zip(*g.transformed_columns)):
+    """On a clash, the qwc conflict rows name the lowest clashing pair: the
+    first term with a non-empty row, and the lowest term of that row."""
+    if g.transformed_qwc:
         return True, ""
     rows = build_graph(g.entry.transform.transformed, "qwc").conflicts
     i = next(i for i, clash in enumerate(rows) if clash)
@@ -335,28 +349,12 @@ def _check_tableau(g: _GroupOperators):
 
 
 def _check_spectra(g: _GroupOperators):
-    """The transformed matrix T goes to ``spectra_equal`` as P D^dagger T D
-    P^T, which has T's spectrum. D is the product of S on every qubit where
-    a transformed term has a Y (S^dagger Y S = X), so for a qubit-wise
-    commuting plan the matrix is a real sum of X and Z products and gets the
-    real solver; otherwise it gets the complex one. Entry (r, c) of
-    D^dagger T D is i^(|c & y| - |r & y|) T[r, c], y the basis-index bits
-    of those qubits. P orders the basis states by their bits off the qubits
-    where some term has an X or a Y: the Z of any other qubit commutes with
-    T, so the matrix is then block diagonal in contiguous blocks, which the
-    solver splits."""
-    n = g.source.n_qubits
-    x_cols, z_cols = g.transformed_columns
-    y = _basis_bits(sum(1 << q for q, (x, z) in enumerate(zip(x_cols, z_cols)) if x & z), n)
-    flips = _basis_bits(sum(1 << q for q, x in enumerate(x_cols) if x), n)
-    t, b = g.transformed_matrix, g.tables.b
-    if y:
-        d = _I_POWERS[g.tables.ones[b & y] & 3]
-        t = (d.conj()[:, None] * t) * d
-    if flips != len(b) - 1:
-        order = np.argsort(b & ~flips, kind="stable")
-        t = t[order][:, order]
-    return spectra_equal(g.group_matrix, t), "eigenvalue mismatch beyond 1e-9"
+    """A qubit-wise commuting transformed group has its spectrum in closed
+    form (``_qwc_spectrum``), so only the group's dense matrix is solved;
+    any other transformed group is built densely and solved too."""
+    t = g.entry.transform.transformed
+    image = _qwc_spectrum(t, g.tables) if g.transformed_qwc else g.transformed_matrix
+    return spectra_equal(g.group_matrix, image), "eigenvalue mismatch beyond 1e-9"
 
 
 # (row name, check, qubit cap or None) in row order.

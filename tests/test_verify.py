@@ -159,27 +159,68 @@ class TestSpectra:
         assert not verify.spectra_equal(h, parse_hamiltonian("1.0 Y0\n0.6 Z0 X1\n"))
         assert seen[2:] == [np.complex128, np.complex128]
 
-    def test_y_carrying_group_takes_the_real_solver(self, monkeypatch):
+    def test_y_carrying_group_is_solved_in_closed_form(self, monkeypatch):
         # Y0 X1 and X0 Z1 X2 become Y0 and Z1: the term Y0 makes the
-        # transformed matrix complex, and S on qubit 0 makes it real
+        # transformed matrix complex, and the closed form handles it exactly
         h = parse_hamiltonian("qubits: 3\n0.5 Y0 X1\n-0.25 X0 Z1 X2\n")
         entry = pipeline(h, cover_rlf(build_graph(h, "fc"))).groups[0]
-        assert entry.transform.transformed == parse_hamiltonian(
-            "qubits: 3\n0.5 Z1\n-0.25 Y0\n")
+        transformed = entry.transform.transformed
+        assert transformed == parse_hamiltonian("qubits: 3\n0.5 Z1\n-0.25 Y0\n")
         g = verify._GroupOperators(h, entry, verify._Tables(3))
-        assert g.transformed_matrix.imag.any()
         solved = []
         solve = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda m: solved.append((m, solve(m))) or solved[-1][1])
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m) or solve(m))
         assert verify._check_spectra(g)[0]
-        # the group's matrix, with its one-Y term, stays complex
-        assert [m.dtype for m, _ in solved] == [np.complex128, np.float64]
-        full = solve(g.transformed_matrix)
-        assert np.max(np.abs(solved[1][1] - full)) <= 1e-12
-        # Y0 flips the leftmost bit; ordered by the other two bits, the
-        # matrix is four contiguous 2x2 blocks
-        assert not (solved[1][0] * (1 - np.kron(np.eye(4), np.ones((2, 2))))).any()
+        # the only solve is the group's matrix, complex with its one-Y term;
+        # no transformed matrix is built
+        assert len(solved) == 1 and solved[0] is g.group_matrix
+        assert solved[0].dtype == np.complex128
+        assert "transformed_matrix" not in vars(g)
+        full = verify.dense_matrix(transformed)
+        assert full.imag.any()
+        closed = np.sort(verify._qwc_spectrum(transformed, g.tables))
+        assert np.max(np.abs(closed - solve(full))) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_closed_form_matches_the_dense_solver(self, data):
+        # one axis or none per qubit; a term's support may be empty (a
+        # constant) and a qubit may be idle in every term
+        n = data.draw(st.integers(1, 8))
+        axes = data.draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))
+        x_mask = sum(1 << q for q, a in enumerate(axes) if a in "XY")
+        z_mask = sum(1 << q for q, a in enumerate(axes) if a in "YZ")
+        terms = data.draw(st.lists(st.tuples(
+            st.floats(-1, 1, allow_nan=False), st.integers(0, (1 << n) - 1)), max_size=12))
+        h = Hamiltonian(n, tuple((c, PauliProduct(n, s & x_mask, s & z_mask))
+                                 for c, s in terms))
+        closed = np.sort(verify._qwc_spectrum(h, verify._Tables(n)))
+        assert np.max(np.abs(closed - np.linalg.eigvalsh(verify.dense_matrix(h)))) <= 1e-12
+
+    def test_non_qwc_transformed_group_takes_the_dense_route(self, monkeypatch):
+        # X0 X1 and Z0 Z1 commute but clash on both qubits: stated as their
+        # own image, both dense matrices are solved, and they agree
+        group = parse_hamiltonian("0.5 X0 X1\n-0.25 Z0 Z1\n")
+        entry = one_group_plan(group).groups[0]
+        transform = TransformedGroup(entry.transform.term_indices, entry.transform.basis, group)
+        g = verify._GroupOperators(group, GroupPlan(transform, entry.circuit),
+                                   verify._Tables(2))
+        assert not g.transformed_qwc
+        seen = self.solver_dtypes(monkeypatch)
+        assert verify._check_spectra(g)[0]
+        assert len(seen) == 2 and "transformed_matrix" in vars(g)
+
+    def test_tampered_non_qwc_image_fails_with_a_mismatch(self):
+        # Y0 becomes X1, which clashes with Z1 and moves the spectrum
+        h = parse_hamiltonian("qubits: 3\n0.5 Y0 X1\n-0.25 X0 Z1 X2\n")
+        entry = pipeline(h, cover_rlf(build_graph(h, "fc"))).groups[0]
+        (c0, p0), (c1, _) = entry.transform.transformed.terms
+        tampered = Hamiltonian(3, ((c0, p0), (c1, PauliProduct.from_term_string("X1", 3))))
+        transform = TransformedGroup(entry.transform.term_indices, entry.transform.basis,
+                                     tampered)
+        got = rows(h, MeasurementPlan(3, (GroupPlan(transform, entry.circuit),)))
+        assert got[SPECTRA] == ("fail", "group 0: eigenvalue mismatch beyond 1e-9")
+        assert got[QWC][0] == "fail"
 
 
 class TestCountCompatible:
@@ -283,6 +324,7 @@ class TestExpectationInvariance:
 TABLEAU = ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
            "phase (tableau)")
 SIGNS = "circuit maps each group term to its transformed term (exact sign)"
+SPECTRA = "spectra preserved (tol 1e-9)"
 
 
 def one_group_plan(group: Hamiltonian) -> MeasurementPlan:
@@ -404,6 +446,22 @@ class TestBenchmarkPlans:
             if h.n_qubits <= 6:
                 assert_dense_oracles(h, plan)
 
+    def test_one_solve_per_group_on_the_molecular_plans(self, monkeypatch):
+        """The qubit-wise commuting transformed groups are solved in closed
+        form, so the spectra row calls the solver on the group side only."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        import workloads
+        plans = []
+        for inst in workloads.generate("molecular-jw", 1, PauliProduct):
+            h = parse_hamiltonian(inst.to_text())
+            plans.append((h, pipeline(h, cover_rlf(build_graph(h, "fc")))))
+        solves = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(m) or solve(m))
+        for h, plan in plans:
+            assert all(status == "pass" for _, status, _ in verify.plan_checks(h, plan))
+        assert len(solves) == sum(len(plan.groups) for _, plan in plans) == 66
+
 
 class TestDenseTables:
     @pytest.mark.parametrize("n, built", [(4, [4]), (10, [10]), (11, []), (30, [])])
@@ -420,7 +478,6 @@ class TestDenseTables:
 
     def test_parity_signs(self):
         t = verify._Tables(5)
-        assert t.ones.tolist() == [s.bit_count() for s in range(32)]
         assert t.signs.tolist() == [(-1) ** s.bit_count() for s in range(32)]
 
 
