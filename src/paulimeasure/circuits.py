@@ -52,22 +52,36 @@ class CliffordCircuit(FrozenRecord):
 
     def __init__(self, n_qubits: int, gates: tuple[Gate, ...],
                  global_phase_exp: int = 0) -> None:
-        """Reject a gate with an unknown name, the wrong number of qubits, a
-        qubit out of range, or (a CNOT) the same qubit twice. Each distinct
-        gate is checked once, in order of first occurrence, so the first bad
-        gate is the one named."""
+        """Check each distinct gate once (``check_gate``), in order of first
+        occurrence, so the first bad gate is the one named."""
         for g in dict.fromkeys(gates):
-            if g.name not in GATE_NAMES:
-                raise ValueError(f"unknown gate {g.name!r}")
-            want = 2 if g.name == "CNOT" else 1
-            if len(g.qubits) != want:
-                raise ValueError(f"{g.name} takes {want} qubit(s)")
-            if any(q < 0 or q >= n_qubits for q in g.qubits):
-                raise ValueError(f"gate {g} outside {n_qubits} qubits")
-            if want == 2 and g.qubits[0] == g.qubits[1]:
-                raise ValueError(f"gate {g} uses qubit {g.qubits[0]} twice")
+            check_gate(g, n_qubits)
         vars(self).update(n_qubits=n_qubits, gates=gates,
                           global_phase_exp=global_phase_exp % 8)
+
+    @classmethod
+    def unchecked(cls, n_qubits: int, gates: tuple[Gate, ...],
+                  global_phase_exp: int) -> CliffordCircuit:
+        """A circuit of gates that its caller has checked, without the
+        constructor's checks."""
+        circuit = object.__new__(cls)
+        vars(circuit).update(n_qubits=n_qubits, gates=gates,
+                             global_phase_exp=global_phase_exp % 8)
+        return circuit
+
+
+def check_gate(g: Gate, n_qubits: int) -> None:
+    """Reject a gate with an unknown name, the wrong number of qubits, a
+    qubit outside ``n_qubits``, or (a CNOT) the same qubit twice."""
+    if g.name not in GATE_NAMES:
+        raise ValueError(f"unknown gate {g.name!r}")
+    want = 2 if g.name == "CNOT" else 1
+    if len(g.qubits) != want:
+        raise ValueError(f"{g.name} takes {want} qubit(s)")
+    if any(q < 0 or q >= n_qubits for q in g.qubits):
+        raise ValueError(f"gate {g} outside {n_qubits} qubits")
+    if want == 2 and g.qubits[0] == g.qubits[1]:
+        raise ValueError(f"gate {g} uses qubit {g.qubits[0]} twice")
 
 
 # Single-qubit runs, first gate first: an axis to Z and back, and the whole
@@ -187,10 +201,8 @@ class _Fold:
         range-check every qubit, and a CNOT's two qubits differ."""
         for q in range(self.n_qubits):
             self._write(q)
-        circuit = object.__new__(CliffordCircuit)
-        vars(circuit).update(n_qubits=self.n_qubits, gates=tuple(filter(None, self.gates)),
-                             global_phase_exp=(global_phase_exp + self.phase) % 8)
-        return circuit
+        return CliffordCircuit.unchecked(self.n_qubits, tuple(filter(None, self.gates)),
+                                         global_phase_exp + self.phase)
 
 
 def _qubits(bits: int) -> list[int]:

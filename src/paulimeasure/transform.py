@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from . import gf2
-from .circuits import CliffordCircuit, Gate, synthesize
+from .circuits import CliffordCircuit, Gate, check_gate, synthesize
 from .grouping import validate_cover
 from .pauli import (MAX_QUBITS, FrozenRecord, Hamiltonian, PauliProduct, anticommuting,
                     qubit_columns, single_bits)
@@ -466,18 +466,18 @@ def _field(obj, key: str, kind, item=None):
     return value
 
 
-def circuit_from_dict(d: dict) -> CliffordCircuit:
-    """A circuit from its plan-JSON object; ValueError names the first bad field.
+def _gates_from_list(items: list, memo: dict[tuple, Gate]) -> tuple[list[Gate], list[Gate]]:
+    """The gates of a circuit's gate objects, and those of them new to
+    ``memo``, in order of first occurrence.
 
-    One pass over the gate list. A gate whose fields have exactly the JSON
-    types asked for is looked up in a memo of this circuit's gates, so equal
-    gates share one ``Gate``; the types are checked on every gate, since
-    ``True`` and ``1.0`` equal ``1`` as keys. Any other gate goes through
-    ``_field``, which raises the one-line error.
+    A gate whose fields have exactly the JSON types asked for is looked up
+    in ``memo`` by (name, *qubits), so equal gates share one ``Gate``; the
+    types are checked on every gate, since ``True`` and ``1.0`` equal ``1``
+    as keys. Any other gate goes through ``_field``, which raises the
+    one-line error.
     """
-    memo: dict[tuple, Gate] = {}
-    gates = []
-    for g in _field(d, "gates", list):
+    gates, new = [], []
+    for g in items:
         try:
             name, qubits = g["name"], g["qubits"]
         except (TypeError, KeyError):
@@ -491,11 +491,33 @@ def circuit_from_dict(d: dict) -> CliffordCircuit:
                 gate = memo.get(key)
                 if gate is None:
                     gate = memo[key] = Gate(name, tuple(qubits))
+                    new.append(gate)
                 gates.append(gate)
                 continue
-        gates.append(Gate(_field(g, "name", str), tuple(_field(g, "qubits", list, int))))
-    return CliffordCircuit(_field(d, "n_qubits", int), tuple(gates),
-                           _field(d, "global_phase_exp", int))
+        gate = Gate(_field(g, "name", str), tuple(_field(g, "qubits", list, int)))
+        new.append(gate)
+        gates.append(gate)
+    return gates, new
+
+
+def _circuit(d: dict, memo: dict[tuple, Gate], n: int | None) -> CliffordCircuit:
+    """A circuit from its plan-JSON object, its gates shared through
+    ``memo`` (``_gates_from_list``). When its width is n, every gate in
+    ``memo`` before the call was checked against n, so only the new ones
+    are checked; any other circuit goes through the constructor."""
+    gates, new = _gates_from_list(_field(d, "gates", list), memo)
+    width, phase = _field(d, "n_qubits", int), _field(d, "global_phase_exp", int)
+    if width != n:
+        return CliffordCircuit(width, tuple(gates), phase)
+    for gate in new:
+        check_gate(gate, n)
+    return CliffordCircuit.unchecked(n, tuple(gates), phase)
+
+
+def circuit_from_dict(d: dict) -> CliffordCircuit:
+    """A circuit from its plan-JSON object; ValueError names the first bad
+    field. One pass over the gate list; equal gates share one ``Gate``."""
+    return _circuit(d, {}, None)
 
 
 def _sigmas_from_list(items: list) -> tuple[tuple[int, str], ...]:
@@ -515,11 +537,19 @@ def _sigmas_from_list(items: list) -> tuple[tuple[int, str], ...]:
     return tuple(sigmas)
 
 
-def _terms_from_list(items: list, n: int) -> tuple[tuple[float, PauliProduct], ...]:
-    """The (coeff, product) terms of a plan group's transformed objects. A
-    coefficient that is an exact int or float of finite magnitude, with a
-    str term, is read directly; True, NaN, the infinities and ints past the
-    float range are not, and any other object goes through ``_field``."""
+def _product(term: str, n: int, memo: dict[str, PauliProduct]) -> PauliProduct:
+    """The product of a term string on n qubits, parsed once per ``memo``:
+    equal strings share one product."""
+    return memo.get(term) or memo.setdefault(term, PauliProduct.from_term_string(term, n))
+
+
+def _terms_from_list(items: list, n: int,
+                     memo: dict[str, PauliProduct]) -> tuple[tuple[float, PauliProduct], ...]:
+    """The (coeff, product) terms of a plan group's transformed objects,
+    each term string parsed through ``memo`` (``_product``). A coefficient
+    that is an exact int or float of finite magnitude, with a str term, is
+    read directly; True, NaN, the infinities and ints past the float range
+    are not, and any other object goes through ``_field``."""
     limit = sys.float_info.max
     terms = []
     for t in items:
@@ -528,11 +558,9 @@ def _terms_from_list(items: list, n: int) -> tuple[tuple[float, PauliProduct], .
         except (TypeError, KeyError):
             coeff = term = None
         kind = type(coeff)
-        if (kind is int or kind is float) and abs(coeff) <= limit and type(term) is str:
-            terms.append((float(coeff), PauliProduct.from_term_string(term, n)))
-        else:
-            terms.append((float(_field(t, "coeff", (int, float))),
-                          PauliProduct.from_term_string(_field(t, "pauli", str), n)))
+        if not ((kind is int or kind is float) and abs(coeff) <= limit and type(term) is str):
+            coeff, term = _field(t, "coeff", (int, float)), _field(t, "pauli", str)
+        terms.append((float(coeff), _product(term, n, memo)))
     return tuple(terms)
 
 
@@ -540,7 +568,11 @@ def plan_from_dict(d: dict) -> MeasurementPlan:
     """Inverse of plan_to_dict.
 
     Every field is type-checked in the pass that builds the objects; a
-    malformed plan raises ValueError naming the group and the field.
+    malformed plan raises ValueError naming the group and the field. The
+    plan's groups share one memo of parsed term strings (taus and
+    transformed terms) and one of gates, so each distinct term string is
+    parsed once and each distinct gate checked once, against the plan's
+    width, and equal ones load as the same object.
     """
     if not isinstance(d, dict):
         raise ValueError("plan: the top level must be a JSON object")
@@ -551,18 +583,19 @@ def plan_from_dict(d: dict) -> MeasurementPlan:
             raise ValueError(f"'n_qubits' must be in 1..{MAX_QUBITS}")
     except ValueError as exc:
         raise ValueError(f"plan: {exc}") from None
+    products: dict[str, PauliProduct] = {}
+    gates: dict[tuple, Gate] = {}
     entries = []
     for gi, g in enumerate(groups):
         try:
             basis = TauSigmaBasis(
-                n,
-                tuple(PauliProduct.from_term_string(s, n)
-                      for s in _field(g, "tau", list, str)),
+                n, tuple(_product(s, n, products) for s in _field(g, "tau", list, str)),
                 _sigmas_from_list(_field(g, "sigma", list)))
-            transformed = Hamiltonian(n, _terms_from_list(_field(g, "transformed", list), n))
+            transformed = Hamiltonian(
+                n, _terms_from_list(_field(g, "transformed", list), n, products))
             tg = TransformedGroup(tuple(_field(g, "term_indices", list, int)),
                                   basis, transformed)
-            circuit = circuit_from_dict(_field(g, "circuit", dict))
+            circuit = _circuit(_field(g, "circuit", dict), gates, n)
             if circuit.n_qubits != n:
                 raise ValueError(f"circuit has {circuit.n_qubits} qubits, the plan {n}")
         except ValueError as exc:

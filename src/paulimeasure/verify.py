@@ -9,11 +9,15 @@ matrices are built from first principles (Pauli matrices and sums as
 signed permutations of the basis states, literal gate matrices applied to
 the amplitudes), so the bit-level algebra elsewhere can be checked against
 an independent route. A plan whose width has a spectra row builds one set
-of index tables (``_Tables``) that all its groups share. A real Hermitian
-matrix gets a real symmetric eigenvalue solve. A qubit-wise commuting
-transformed group needs no solve: its terms share a tensor-product
-eigenbasis, so its spectrum is a closed-form sum of signed coefficients.
-Qubit 0 is the leftmost Kronecker factor.
+of index tables (``_Tables``) that all its groups share. A group's dense
+matrix is solved block by block: its terms move a basis state only within
+its coset of the span of their x-parts, so the blocks on those cosets are
+stacked and solved in one call (``_x_span_blocks``), and a count of the
+nonzero entries proves that the blocks hold the whole matrix. A real
+Hermitian matrix gets a real symmetric eigenvalue solve. A qubit-wise
+commuting transformed group needs no solve: its terms share a
+tensor-product eigenbasis, so its spectrum is a closed-form sum of signed
+coefficients. Qubit 0 is the leftmost Kronecker factor.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import gf2
 from .circuits import CliffordCircuit, conjugate_columns
 from .grouping import build_graph
 from .pauli import Hamiltonian, I_POWERS, PauliProduct, qubit_columns
@@ -156,17 +161,48 @@ def dense_matrix(obj, tables: _Tables | None = None) -> np.ndarray:
 
 
 def spectra_equal(h1, h2) -> bool:
-    """Sorted-eigenvalue comparison of two Hermitian operators, to 1e-9. A
-    matrix with no imaginary part is real symmetric and gets the real solver.
-    A 1-D array stands for a spectrum already computed, in any order."""
+    """Sorted-eigenvalue comparison of two Hermitian operators, to 1e-9.
+
+    A 1-D array stands for a spectrum already computed, in any order, and a
+    3-D array for a block-diagonal matrix as the stack of its blocks
+    (``_x_span_blocks``), which one solver call takes whole. A matrix or
+    stack with no imaginary part is real symmetric and gets the real solver.
+    """
     m1, m2 = dense_matrix(h1), dense_matrix(h2)
-    if len(m1) != len(m2):
+    size1, size2 = (m.shape[-1] * (len(m) if m.ndim == 3 else 1) for m in (m1, m2))
+    if size1 != size2:
         return False
-    if len(m1) > 1 << MAX_SPECTRUM_QUBITS:
+    if size1 > 1 << MAX_SPECTRUM_QUBITS:
         raise DimensionError("spectrum comparison cap exceeded")
-    e1, e2 = (np.sort(m) if m.ndim == 1 else np.linalg.eigvalsh(m if m.imag.any() else m.real)
+    e1, e2 = (np.sort(m if m.ndim == 1 else np.linalg.eigvalsh(m if m.imag.any() else m.real),
+                      axis=None)
               for m in (m1, m2))
     return bool(np.max(np.abs(e1 - e2)) <= 1e-9)
+
+
+def _x_span_blocks(h: Hamiltonian, tables: _Tables) -> np.ndarray:
+    """The dense matrix of h as the stack of its diagonal blocks.
+
+    A term X^x Z^z moves basis state b only to b ^ x, so the matrix is
+    block-diagonal over the cosets of V, the GF(2) span of the terms'
+    x-parts in basis-index bits. V is built by doubling on its reduced row
+    basis, and each coset holds one state with no bit at a pivot column, its
+    representative: block i is the coset of the i-th, in V's order. Raises
+    ValueError unless the blocks hold every nonzero entry of the matrix, so
+    a wrong span fails the row and never passes it.
+    """
+    n = h.n_qubits
+    rows, pivots = gf2.row_reduce([_basis_bits(p.x, n) for _, p in h.terms], n)
+    span = np.zeros(1, dtype=np.int64)
+    for r in rows:
+        span = np.concatenate((span, span ^ r))
+    pivot_mask = sum(1 << p for p in pivots)
+    cosets = tables.b[(tables.b & pivot_mask) == 0][:, None] ^ span
+    m = dense_matrix(h, tables)
+    blocks = m[cosets[:, :, None], cosets[:, None, :]]
+    if np.count_nonzero(blocks) != np.count_nonzero(m):
+        raise ValueError("dense matrix has entries outside its x-span blocks")
+    return blocks
 
 
 def _qwc_spectrum(h: Hamiltonian, tables: _Tables) -> np.ndarray:
@@ -197,9 +233,9 @@ def count_compatible(template: PauliProduct) -> dict[str, int]:
 # --- the check suite of `measure verify` -------------------------------------
 
 class _GroupOperators:
-    """One plan group, its term bitsets and its dense matrices, each built on
-    first use. ``tables`` are the register's index tables, or None when no
-    dense row runs."""
+    """One plan group and its term bitsets, each built on first use.
+    ``tables`` are the register's index tables, or None when no dense row
+    runs."""
 
     def __init__(self, h: Hamiltonian, entry: GroupPlan, tables: _Tables | None) -> None:
         self.entry = entry
@@ -223,14 +259,6 @@ class _GroupOperators:
         and those with a Z there are at most one non-empty class."""
         return all(bool(x & ~z) + bool(x & z) + bool(z & ~x) <= 1
                    for x, z in zip(*self.transformed_columns))
-
-    @cached_property
-    def group_matrix(self) -> np.ndarray:
-        return dense_matrix(self.group, self.tables)
-
-    @cached_property
-    def transformed_matrix(self) -> np.ndarray:
-        return dense_matrix(self.entry.transform.transformed, self.tables)
 
 
 def _partition_problems(h: Hamiltonian, plan: MeasurementPlan) -> str:
@@ -350,11 +378,13 @@ def _check_tableau(g: _GroupOperators):
 
 def _check_spectra(g: _GroupOperators):
     """A qubit-wise commuting transformed group has its spectrum in closed
-    form (``_qwc_spectrum``), so only the group's dense matrix is solved;
-    any other transformed group is built densely and solved too."""
+    form (``_qwc_spectrum``), so only the group's matrix is solved, block by
+    block (``_x_span_blocks``); any other transformed group is split into
+    blocks and solved too."""
+    blocks = _x_span_blocks(g.group, g.tables)
     t = g.entry.transform.transformed
-    image = _qwc_spectrum(t, g.tables) if g.transformed_qwc else g.transformed_matrix
-    return spectra_equal(g.group_matrix, image), "eigenvalue mismatch beyond 1e-9"
+    image = _qwc_spectrum(t, g.tables) if g.transformed_qwc else _x_span_blocks(t, g.tables)
+    return spectra_equal(blocks, image), "eigenvalue mismatch beyond 1e-9"
 
 
 # (row name, check, qubit cap or None) in row order.
@@ -376,10 +406,10 @@ def plan_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, s
     Raises ValueError when the plan's width differs from h or a term index
     is out of range. The status is "pass", "fail", or "skip" for the spectra
     check above its qubit cap. Groups are visited one at a time and every
-    check runs on a group before the next, so each group's dense matrices
-    are built once and only one group's are alive. The index tables of the
-    dense matrices are built once per plan, and only when the spectra row
-    runs. A check that raises ValueError or IndexError on a malformed group
+    check runs on a group before the next, so each group's term bitsets
+    are built once and only one group's dense matrices are alive. The
+    index tables of the dense matrices are built once per plan, and only
+    when the spectra row runs. A check that raises ValueError or IndexError on a malformed group
     fails with that message. A check that has failed is not run on later
     groups; its row names the first failing group.
     """

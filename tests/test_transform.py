@@ -582,6 +582,72 @@ class TestPlanToJson:
         assert plan_to_dict(plan) == reference_plan_dict(plan)
 
 
+def three_group_plan() -> dict:
+    """A 3-qubit plan dict of three equal groups: its taus, transformed terms
+    and gates repeat from group to group, and "Z0 Z1" is both a tau and a
+    transformed term."""
+    group = {"term_indices": [0], "tau": ["Z0 Z1"], "sigma": [{"qubit": 0, "axis": "X"}],
+             "transformed": [{"coeff": 0.5, "pauli": "X0"}, {"coeff": -1, "pauli": "Z0 Z1"}],
+             "circuit": {"n_qubits": 3, "global_phase_exp": 0,
+                         "gates": [{"name": "H", "qubits": [0]},
+                                   {"name": "CNOT", "qubits": [0, 1]}]}}
+    return {"n_qubits": 3, "groups": [json.loads(json.dumps(group)) for _ in range(3)]}
+
+
+def load_error(d: dict) -> str:
+    with pytest.raises(ValueError) as exc:
+        plan_from_dict(d)
+    return str(exc.value)
+
+
+class TestPlanFromDict:
+    """The plan loader shares parsed term strings and checked gates among the
+    groups of a plan; every error names the same group and field as a
+    loader that builds each group on its own."""
+
+    def test_equal_items_in_different_groups_load_as_one_object(self):
+        first, second, third = plan_from_dict(three_group_plan()).groups
+        tau = first.transform.basis.taus[0]
+        assert second.transform.basis.taus[0] is tau
+        assert first.transform.transformed.terms[1][1] is tau
+        assert third.transform.transformed.terms[0][1] is first.transform.transformed.terms[0][1]
+        for a, b in zip(first.circuit.gates, third.circuit.gates):
+            assert a is b
+
+    def test_a_bad_gate_in_groups_0_and_2_is_named_in_group_0(self):
+        d = three_group_plan()
+        for gi in (0, 2):
+            d["groups"][gi]["circuit"]["gates"].append({"name": "H", "qubits": [3]})
+        assert load_error(d) == "plan group 0: gate Gate(name='H', qubits=(3,)) outside 3 qubits"
+
+    def test_a_gate_new_in_a_later_group_is_checked(self):
+        d = three_group_plan()
+        d["groups"][2]["circuit"]["gates"].append({"name": "CNOT", "qubits": [2, 2]})
+        assert load_error(d) == (
+            "plan group 2: gate Gate(name='CNOT', qubits=(2, 2)) uses qubit 2 twice")
+
+    def test_a_circuit_of_another_width_is_named_after_its_gates_were_seen(self):
+        d = three_group_plan()
+        d["groups"][1]["circuit"]["n_qubits"] = 4
+        assert load_error(d) == "plan group 1: circuit has 4 qubits, the plan 3"
+        # narrower, a seen gate falls outside it first, as the constructor finds
+        d["groups"][1]["circuit"]["n_qubits"] = 1
+        assert load_error(d) == (
+            "plan group 1: gate Gate(name='CNOT', qubits=(0, 1)) outside 1 qubits")
+
+    @pytest.mark.parametrize("qubit", [True, 1.0])
+    def test_bool_and_float_qubits_fail_after_the_int_gate_was_seen(self, qubit):
+        d = three_group_plan()
+        d["groups"][0]["circuit"]["gates"].append({"name": "H", "qubits": [1]})
+        d["groups"][1]["circuit"]["gates"].append({"name": "H", "qubits": [qubit]})
+        assert load_error(d) == "plan group 1: 'qubits' items must each be an integer"
+
+    def test_a_bad_term_string_in_a_later_group_is_named(self):
+        d = three_group_plan()
+        d["groups"][1]["transformed"][0]["pauli"] = "X7"
+        assert load_error(d) == "plan group 1: qubit index 7 >= n_qubits 3"
+
+
 def validate_outcome(check) -> str | None:
     try:
         check()

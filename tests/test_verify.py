@@ -14,12 +14,21 @@ from helpers import (PauliSum, all_paulis, assert_dense_oracles, build_unitary_s
                      per_term_dense_sum, random_commuting_group, random_graph_hamiltonian,
                      random_state)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
-                          MeasurementPlan, PauliProduct, build_graph, cover_rlf,
-                          TransformedGroup, parse_hamiltonian, pipeline, synthesize,
-                          transform_group)
+                          MeasurementPlan, PauliProduct, build_graph, cover_dsatur,
+                          cover_rlf, TransformedGroup, parse_hamiltonian, pipeline,
+                          synthesize, transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES
 from paulimeasure.fixtures import model_hamiltonian, model_reference_basis
+
+
+def x_span_size(h: Hamiltonian) -> int:
+    """The number of states in the span of h's x-parts, closed under XOR
+    one term at a time."""
+    span = {0}
+    for _, p in h.terms:
+        span |= {v ^ p.x for v in span}
+    return len(span)
 
 
 class TestDenseMatrix:
@@ -128,6 +137,15 @@ class TestSpectra:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.dtype) or solve(m))
         return seen
 
+    @staticmethod
+    def built_sums(monkeypatch) -> list:
+        """Every sum that verify builds a dense matrix of."""
+        seen = []
+        dense_sum = verify._dense_sum
+        monkeypatch.setattr(verify, "_dense_sum",
+                            lambda h, tables=None: seen.append(h) or dense_sum(h, tables))
+        return seen
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_real_solver_matches_the_complex_solver(self, data):
@@ -170,12 +188,12 @@ class TestSpectra:
         solved = []
         solve = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m) or solve(m))
+        built = self.built_sums(monkeypatch)
         assert verify._check_spectra(g)[0]
-        # the only solve is the group's matrix, complex with its one-Y term;
-        # no transformed matrix is built
-        assert len(solved) == 1 and solved[0] is g.group_matrix
-        assert solved[0].dtype == np.complex128
-        assert "transformed_matrix" not in vars(g)
+        # the one solve is of the group's blocks, complex with its one-Y
+        # term; no transformed matrix is built
+        assert built == [g.group]
+        assert len(solved) == 1 and solved[0].dtype == np.complex128
         full = verify.dense_matrix(transformed)
         assert full.imag.any()
         closed = np.sort(verify._qwc_spectrum(transformed, g.tables))
@@ -207,8 +225,36 @@ class TestSpectra:
                                    verify._Tables(2))
         assert not g.transformed_qwc
         seen = self.solver_dtypes(monkeypatch)
+        built = self.built_sums(monkeypatch)
         assert verify._check_spectra(g)[0]
-        assert len(seen) == 2 and "transformed_matrix" in vars(g)
+        assert len(seen) == 2 and built == [g.group, group]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_block_spectrum_matches_the_full_solver(self, data):
+        # any sum: its terms may anticommute, carry Ys (complex matrices) or
+        # be constants, and a qubit may be idle in every term
+        n = data.draw(st.integers(1, 8))
+        busy = data.draw(st.integers(0, (1 << n) - 1))
+        bits = st.integers(0, (1 << n) - 1).map(lambda v: v & busy)
+        terms = data.draw(st.lists(st.tuples(st.floats(-1, 1, allow_nan=False), bits, bits),
+                                   max_size=12))
+        h = Hamiltonian.from_terms(n, [(c, PauliProduct(n, x, z)) for c, x, z in terms])
+        blocks = verify._x_span_blocks(h, verify._Tables(n))
+        width = x_span_size(h)
+        assert blocks.shape == ((1 << n) // width, width, width)
+        got = np.sort(np.linalg.eigvalsh(blocks), axis=None)
+        assert np.max(np.abs(got - np.linalg.eigvalsh(verify.dense_matrix(h)))) <= 1e-12
+
+    def test_entries_outside_the_blocks_fail_the_row(self, monkeypatch):
+        # a span that misses X1 leaves entries of X0 X1 outside the blocks
+        group = parse_hamiltonian("0.5 X0 X1\n-0.25 Z0 Z1\n")
+        plan = one_group_plan(group)
+        row_reduce = verify.gf2.row_reduce
+        monkeypatch.setattr(verify.gf2, "row_reduce",
+                            lambda rows, n: row_reduce([r & 1 for r in rows], n))
+        assert rows(group, plan)[SPECTRA] == (
+            "fail", "group 0: dense matrix has entries outside its x-span blocks")
 
     def test_tampered_non_qwc_image_fails_with_a_mismatch(self):
         # Y0 becomes X1, which clashes with Z1 and moves the spectrum
@@ -461,6 +507,32 @@ class TestBenchmarkPlans:
         for h, plan in plans:
             assert all(status == "pass" for _, status, _ in verify.plan_checks(h, plan))
         assert len(solves) == sum(len(plan.groups) for _, plan in plans) == 66
+
+    def test_jw_eight_plan_passes_every_row_in_x_span_blocks(self, monkeypatch):
+        """The dsatur plan of the JW N = 8 sum (the scale-8 integrals, 849
+        terms) passes every row, spectra included, and each group's matrix
+        is solved in blocks as wide as the span of its terms' x-parts."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        import workloads
+        one_body, two_body = workloads._symmetric_integrals(random.Random("scale-8"), 8)
+        jw = workloads.jordan_wigner_hamiltonian(PauliProduct, 8, one_body, two_body)
+        h = Hamiltonian(8, tuple((c, PauliProduct(8, x, z)) for (x, z), c in jw.items()))
+        assert len(h.terms) == 849
+        plan = pipeline(h, cover_dsatur(build_graph(h, "fc")))
+        shapes = []
+        blocks = verify._x_span_blocks
+
+        def recorded(group, tables):
+            out = blocks(group, tables)
+            shapes.append((x_span_size(group), out.shape))
+            return out
+
+        monkeypatch.setattr(verify, "_x_span_blocks", recorded)
+        got = verify.plan_checks(h, plan)
+        assert [status for _, status, _ in got] == ["pass"] * 7, got
+        assert len(shapes) == len(plan.groups)
+        assert all(shape == (256 // width, width, width) for width, shape in shapes)
+        assert max(width for width, _ in shapes) > 1
 
 
 class TestDenseTables:
