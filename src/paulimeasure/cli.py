@@ -9,7 +9,8 @@ import sys
 
 from .grouping import (METHODS, RELATIONS, build_graph, compute_cover, cover_stats,
                        cover_to_dict)
-from .pauli import DROP_TOLERANCE, Hamiltonian, PauliProduct, parse_hamiltonian
+from .pauli import (DROP_TOLERANCE, MAX_COUNT_QUBITS, Hamiltonian, PauliProduct,
+                    count_compatible, parse_hamiltonian)
 from .transform import TransformError, pipeline, plan_from_dict, plan_to_json
 
 
@@ -69,7 +70,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             plan = plan_from_dict(json.load(fh))
         except RecursionError:
             raise ValueError("plan: JSON nested too deeply") from None
-    from . import verify  # numpy loads only for verify and count
+    from . import verify  # numpy loads only for verify
     results = verify.plan_checks(h, plan)
     if args.format == "json":
         payload = {"checks": [{"name": name, "status": status,
@@ -85,20 +86,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from . import verify
     n = args.qubits
     if n < 1:
         raise ValueError("qubit count must be positive")
     # Before the template is built: its size grows with n.
-    if n > verify.MAX_COUNT_QUBITS:
-        raise ValueError(f"enumeration limited to {verify.MAX_COUNT_QUBITS} qubits")
+    if n > MAX_COUNT_QUBITS:
+        raise ValueError(f"enumeration limited to {MAX_COUNT_QUBITS} qubits")
     if args.template is not None:
         template = PauliProduct.from_term_string(args.template, n)
     else:
         # Default census template: one quarter identities, X elsewhere.
         template = PauliProduct.from_term_string(
             " ".join(f"X{q}" for q in range(n // 4, n)) or "I", n)
-    counts = verify.count_compatible(template)
+    counts = count_compatible(template)
     n_identity = n - template.weight()
     formula_qwc = (4 ** n_identity) * (2 ** (n - n_identity))
     formula_commuting = 4 ** n if template.weight() == 0 else 2 ** (2 * n - 1)

@@ -15,6 +15,8 @@ from typing import Iterable
 DROP_TOLERANCE = 1e-10
 # Widest input accepted, so that no small input asks for unbounded work.
 MAX_QUBITS = 1024
+# Widest template that ``count_compatible`` enumerates.
+MAX_COUNT_QUBITS = 8
 
 _AXIS_FROM_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS_FROM_AXIS = {a: b for b, a in _AXIS_FROM_BITS.items()}
@@ -274,6 +276,22 @@ def single_bits(n_qubits: int, qubit: int, axis: str) -> tuple[int, int]:
     return xb << qubit, zb << qubit
 
 
+def count_compatible(template: PauliProduct) -> dict[str, int]:
+    """Exhaustive census of the 4^N products that are QWC / commuting with template."""
+    n = template.n_qubits
+    if n > MAX_COUNT_QUBITS:
+        raise ValueError(f"enumeration limited to {MAX_COUNT_QUBITS} qubits")
+    xt, zt, st = template.x, template.z, template.support
+    n_qwc = n_commuting = 0
+    for x in range(1 << n):
+        for z in range(1 << n):
+            if (((xt ^ x) | (zt ^ z)) & st & (x | z)) == 0:
+                n_qwc += 1
+            if (((xt & z).bit_count() + (zt & x).bit_count()) & 1) == 0:
+                n_commuting += 1
+    return {"n_qwc": n_qwc, "n_commuting": n_commuting}
+
+
 # Canonical token (axis letter, then the qubit's ``str``) -> (x bit, z bit,
 # qubit bit, qubit), filled as tokens first parse: at most 3 * MAX_QUBITS
 # entries, none at import. Each entry is a function of its key alone, so
@@ -286,10 +304,10 @@ def parse_term_tokens(tokens: list[str]) -> tuple[int, int, int]:
     product's axis bitmasks and its highest qubit, -1 for ["I"].
 
     A token is an axis letter of ``_TOKEN_BITS`` followed by decimal digits
-    (``str.isdecimal``, the digits a regex ``\\d`` matches). A term whose
-    tokens are all in ``_TOKEN_MEMO`` costs one lookup per token; any other
-    token, or a qubit listed twice, goes through ``_parse_tokens``, which
-    raises the error of the first bad token.
+    (``str.isdecimal``, the digits a regex ``\\d`` matches). One pass in
+    token order: a token in ``_TOKEN_MEMO`` costs one lookup, any other goes
+    through ``_parse_token``, and a qubit listed twice raises where its
+    second token stands, so the first bad token is the one named.
     """
     if not tokens:
         raise ValueError("empty term")
@@ -299,12 +317,9 @@ def parse_term_tokens(tokens: list[str]) -> tuple[int, int, int]:
     top = -1
     memo = _TOKEN_MEMO
     for tok in tokens:
-        entry = memo.get(tok)
-        if entry is None:
-            return _parse_tokens(tokens)
-        xb, zb, qb, qubit = entry
+        xb, zb, qb, qubit = memo.get(tok) or _parse_token(tok)
         if seen & qb:
-            return _parse_tokens(tokens)
+            raise ValueError(f"qubit {qubit} listed twice in one term")
         x |= xb
         z |= zb
         seen |= qb
@@ -313,28 +328,21 @@ def parse_term_tokens(tokens: list[str]) -> tuple[int, int, int]:
     return x, z, top
 
 
-def _parse_tokens(tokens: list[str]) -> tuple[int, int, int]:
-    """``parse_term_tokens`` token by token, adding each canonical token
-    that parses to ``_TOKEN_MEMO``."""
-    x = z = 0
-    top = -1
-    for tok in tokens:
-        bits = _TOKEN_BITS.get(tok[:1])
-        digits = tok[1:]
-        if bits is None or not digits.isdecimal():
-            raise ValueError(f"malformed token {tok!r}")
-        qubit = int(digits)
-        if qubit >= MAX_QUBITS:
-            raise ValueError(f"qubit index {qubit} exceeds the {MAX_QUBITS}-qubit limit")
-        if digits == str(qubit):
-            _TOKEN_MEMO[tok] = (bits[0] << qubit, bits[1] << qubit, 1 << qubit, qubit)
-        if (x | z) >> qubit & 1:
-            raise ValueError(f"qubit {qubit} listed twice in one term")
-        x |= bits[0] << qubit
-        z |= bits[1] << qubit
-        if qubit > top:
-            top = qubit
-    return x, z, top
+def _parse_token(tok: str) -> tuple[int, int, int, int]:
+    """The ``_TOKEN_MEMO`` entry of one token, added to the memo when the
+    token is canonical; ValueError for a malformed token or a qubit past
+    ``MAX_QUBITS``."""
+    bits = _TOKEN_BITS.get(tok[:1])
+    digits = tok[1:]
+    if bits is None or not digits.isdecimal():
+        raise ValueError(f"malformed token {tok!r}")
+    qubit = int(digits)
+    if qubit >= MAX_QUBITS:
+        raise ValueError(f"qubit index {qubit} exceeds the {MAX_QUBITS}-qubit limit")
+    entry = (bits[0] << qubit, bits[1] << qubit, 1 << qubit, qubit)
+    if digits == str(qubit):
+        _TOKEN_MEMO[tok] = entry
+    return entry
 
 
 def parse_hamiltonian(source: str | Iterable[str],

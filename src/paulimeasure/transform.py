@@ -470,11 +470,11 @@ def _gates_from_list(items: list, memo: dict[tuple, Gate]) -> tuple[list[Gate], 
     """The gates of a circuit's gate objects, and those of them new to
     ``memo``, in order of first occurrence.
 
-    A gate whose fields have exactly the JSON types asked for is looked up
-    in ``memo`` by (name, *qubits), so equal gates share one ``Gate``; the
-    types are checked on every gate, since ``True`` and ``1.0`` equal ``1``
-    as keys. Any other gate goes through ``_field``, which raises the
-    one-line error.
+    A gate is looked up in ``memo`` by (name, *qubits), so equal gates
+    share one ``Gate``. Its fields are read directly when they have exactly
+    the JSON types asked for, and through ``_field``, which raises the
+    one-line error, otherwise; the types are checked on every gate, since
+    ``True`` and ``1.0`` equal ``1`` as keys.
     """
     gates, new = [], []
     for g in items:
@@ -482,36 +482,33 @@ def _gates_from_list(items: list, memo: dict[tuple, Gate]) -> tuple[list[Gate], 
             name, qubits = g["name"], g["qubits"]
         except (TypeError, KeyError):
             name = qubits = None
-        if type(name) is str and type(qubits) is list:
-            for q in qubits:
-                if type(q) is not int:
-                    break
-            else:
-                key = (name, *qubits)
-                gate = memo.get(key)
-                if gate is None:
-                    gate = memo[key] = Gate(name, tuple(qubits))
-                    new.append(gate)
-                gates.append(gate)
-                continue
-        gate = Gate(_field(g, "name", str), tuple(_field(g, "qubits", list, int)))
-        new.append(gate)
+        exact = type(name) is str and type(qubits) is list
+        for q in qubits if exact else ():
+            if type(q) is not int:
+                exact = False
+                break
+        if not exact:
+            name, qubits = _field(g, "name", str), _field(g, "qubits", list, int)
+        key = (name, *qubits)
+        gate = memo.get(key)
+        if gate is None:
+            gate = memo[key] = Gate(name, tuple(qubits))
+            new.append(gate)
         gates.append(gate)
     return gates, new
 
 
 def _circuit(d: dict, memo: dict[tuple, Gate], n: int | None) -> CliffordCircuit:
     """A circuit from its plan-JSON object, its gates shared through
-    ``memo`` (``_gates_from_list``). When its width is n, every gate in
-    ``memo`` before the call was checked against n, so only the new ones
-    are checked; any other circuit goes through the constructor."""
+    ``memo`` (``_gates_from_list``) and checked against its own width. When
+    that width is n, every gate in ``memo`` before the call was checked
+    against n, so only the new ones are checked; otherwise every distinct
+    gate is, in order of first occurrence, as the constructor would."""
     gates, new = _gates_from_list(_field(d, "gates", list), memo)
     width, phase = _field(d, "n_qubits", int), _field(d, "global_phase_exp", int)
-    if width != n:
-        return CliffordCircuit(width, tuple(gates), phase)
-    for gate in new:
-        check_gate(gate, n)
-    return CliffordCircuit.unchecked(n, tuple(gates), phase)
+    for gate in new if width == n else dict.fromkeys(gates):
+        check_gate(gate, width)
+    return CliffordCircuit.unchecked(width, tuple(gates), phase)
 
 
 def circuit_from_dict(d: dict) -> CliffordCircuit:

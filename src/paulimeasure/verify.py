@@ -1,4 +1,4 @@
-"""The `measure verify` check suite, its dense matrices and the compatibility census.
+"""The `measure verify` check suite and its dense matrices.
 
 ``plan_checks`` proves a plan at every width on term bitsets (coverage,
 basis invariants, qubit-wise commutation, exact images under the circuit,
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import gf2
+from . import circuits, gf2
 from .circuits import CliffordCircuit, conjugate_columns
 from .grouping import build_graph
 from .pauli import Hamiltonian, I_POWERS, PauliProduct, qubit_columns
@@ -35,16 +35,9 @@ from .transform import GroupPlan, MeasurementPlan
 
 MAX_DENSE_QUBITS = 12
 MAX_SPECTRUM_QUBITS = 10
-MAX_COUNT_QUBITS = 8
 
-_GATE_1Q = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# The literal gate matrices of ``circuits``, as complex arrays.
+_GATE_1Q = {name: np.array(m, dtype=complex) for name, m in circuits._GATE_1Q.items()}
 
 
 class DimensionError(ValueError):
@@ -212,22 +205,6 @@ def _qwc_spectrum(h: Hamiltonian, tables: _Tables) -> np.ndarray:
     order in b only permutes the states, so the supports are read as stored."""
     masks = np.array([p.x | p.z for _, p in h.terms], dtype=np.int64)
     return np.array(h.coefficients(), dtype=float) @ tables.signs[tables.b & masks[:, None]]
-
-
-def count_compatible(template: PauliProduct) -> dict[str, int]:
-    """Exhaustive census of the 4^N products that are QWC / commuting with template."""
-    n = template.n_qubits
-    if n > MAX_COUNT_QUBITS:
-        raise DimensionError(f"enumeration limited to {MAX_COUNT_QUBITS} qubits")
-    xt, zt, st = template.x, template.z, template.support
-    n_qwc = n_commuting = 0
-    for x in range(1 << n):
-        for z in range(1 << n):
-            if (((xt ^ x) | (zt ^ z)) & st & (x | z)) == 0:
-                n_qwc += 1
-            if (((xt & z).bit_count() + (zt & x).bit_count()) & 1) == 0:
-                n_commuting += 1
-    return {"n_qwc": n_qwc, "n_commuting": n_commuting}
 
 
 # --- the check suite of `measure verify` -------------------------------------

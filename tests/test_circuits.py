@@ -509,6 +509,29 @@ class TestCircuitContainer:
         assert back.gates == c.gates
         assert back.global_phase_exp == c.global_phase_exp
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_loaded_circuits_are_checked_as_the_constructor_checks(self, data):
+        """circuit_from_dict builds without the constructor, after its own
+        checks: the same circuit, or the constructor's first error."""
+        n = data.draw(st.integers(1, 5))
+        gate = st.tuples(st.sampled_from(GATE_NAMES + ("BOGUS", "cnot")),
+                         st.lists(st.integers(-1, n), max_size=3))
+        pool = data.draw(st.lists(gate, min_size=1, max_size=4))
+        gates = data.draw(st.lists(st.sampled_from(pool), max_size=10))
+        phase = data.draw(st.integers(-9, 9))
+
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as exc:
+                return str(exc)
+        want = outcome(lambda: CliffordCircuit(
+            n, tuple(Gate(name, tuple(qubits)) for name, qubits in gates), phase))
+        d = {"n_qubits": n, "global_phase_exp": phase,
+             "gates": [{"name": name, "qubits": qubits} for name, qubits in gates]}
+        assert outcome(lambda: circuit_from_dict(d)) == want
+
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(lagrangian_bases(1, 12), support_local_bases()))
     def test_synthesized_circuits_pass_the_constructor_checks(self, basis):

@@ -863,7 +863,7 @@ def _fresh_python(code: str, tmp_path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def test_group_and_transform_do_not_import_numpy(six_term_file, tmp_path):
+def test_group_transform_and_count_do_not_import_numpy(six_term_file, tmp_path):
     proc = _fresh_python(f"""
 import sys
 from paulimeasure.cli import main
@@ -872,10 +872,12 @@ main(["group", {six_term_file!r}])
 loaded.append("numpy" in sys.modules)
 main(["transform", {six_term_file!r}, "--output", "plan.json"])
 loaded.append("numpy" in sys.modules)
+assert main(["count", "4"]) == 0
+loaded.append("numpy" in sys.modules)
 print(loaded)
 """, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[False, False, False]"
+    assert proc.stdout.splitlines()[-1] == "[False, False, False, False]"
 
 
 def test_importing_the_cli_loads_no_heavy_module(tmp_path):

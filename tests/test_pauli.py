@@ -260,6 +260,10 @@ class TestHamiltonianIO:
                     max_size=4))
     @example(["Z1", "Z1"])
     @example(["X\u00b2"])
+    @example(["X0", "X0", "Q1"])  # a duplicate before a malformed token
+    @example(["X0", "Q1", "X0"])  # a malformed token before a duplicate
+    @example(["X01", "X1"])  # a duplicate of a non-canonical token
+    @example(["X0", f"X{MAX_QUBITS}"])  # past the limit after a valid token
     def test_tokens_decode_as_the_regex_did(self, tokens):
         """Once with an empty token memo, which the parse fills, and once
         reading it."""
