@@ -81,7 +81,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for name, status, detail in results:
             suffix = f" ({detail})" if detail else ""
             print(f"{status.upper()} {name}{suffix}")
-    # A skipped check is not a failure: exit 1 only when some check fails.
+    # Every row passes or fails; exit 1 when any fails.
     return 1 if any(status == "fail" for _, status, _ in results) else 0
 
 

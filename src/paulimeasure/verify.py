@@ -1,23 +1,11 @@
-"""The `measure verify` check suite and its dense matrices.
+"""The `measure verify` check suite and the dense matrices of the tests.
 
-``plan_checks`` proves a plan at every width on term bitsets (coverage,
-basis invariants, qubit-wise commutation, exact images under the circuit,
-the circuit's Clifford through the tau/sigma swap of each factor and the
-fixed qubits outside the basis) and compares the spectrum of each group's
-dense matrix with its transformed group's up to a qubit cap. The dense
-matrices are built from first principles (Pauli matrices and sums as
-signed permutations of the basis states, literal gate matrices applied to
-the amplitudes), so the bit-level algebra elsewhere can be checked against
-an independent route. A plan whose width has a spectra row builds one set
-of index tables (``_Tables``) that all its groups share. A group's dense
-matrix is solved block by block: its terms move a basis state only within
-its coset of the span of their x-parts, so the blocks on those cosets are
-stacked and solved in one call (``_x_span_blocks``), and a count of the
-nonzero entries proves that the blocks hold the whole matrix. A real
-Hermitian matrix gets a real symmetric eigenvalue solve. A qubit-wise
-commuting transformed group needs no solve: its terms share a
-tensor-product eigenbasis, so its spectrum is a closed-form sum of signed
-coefficients. Qubit 0 is the leftmost Kronecker factor.
+``plan_checks`` proves a plan at every width on term bitsets; no check
+builds a matrix. The dense matrices are built from first principles (Pauli
+matrices and sums as signed permutations of the basis states, literal gate
+matrices applied to the amplitudes), so the tests can check the bit-level
+algebra against an independent route. Qubit 0 is the leftmost Kronecker
+factor.
 """
 
 from __future__ import annotations
@@ -27,14 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from . import circuits, gf2
+from . import circuits
 from .circuits import CliffordCircuit, conjugate_columns
 from .grouping import build_graph
 from .pauli import Hamiltonian, I_POWERS, PauliProduct, qubit_columns
 from .transform import GroupPlan, MeasurementPlan
 
 MAX_DENSE_QUBITS = 12
-MAX_SPECTRUM_QUBITS = 10
 
 # The literal gate matrices of ``circuits``, as complex arrays.
 _GATE_1Q = {name: np.array(m, dtype=complex) for name, m in circuits._GATE_1Q.items()}
@@ -45,14 +32,12 @@ class DimensionError(ValueError):
 
 
 class _Tables:
-    """Index tables of one register width, shared by the dense operators of
-    a plan: the basis states ``b``, and the parity sign (-1)^|s| of every bit
-    pattern s (``signs``)."""
+    """Index tables of one register width: the basis states ``b``, and the
+    parity sign (-1)^|s| of every bit pattern s (``signs``)."""
 
     def __init__(self, n_qubits: int) -> None:
         if n_qubits > MAX_DENSE_QUBITS:
             raise DimensionError(f"{n_qubits} qubits exceed the cap of {MAX_DENSE_QUBITS}")
-        self.n_qubits = n_qubits
         self.b = np.arange(1 << n_qubits)
         # Doubling k appends the patterns with bit k set: one more set bit, the
         # opposite sign.
@@ -93,7 +78,7 @@ def dense_pauli(p: PauliProduct) -> np.ndarray:
     return m
 
 
-def _dense_sum(obj: Hamiltonian, tables: _Tables | None = None) -> np.ndarray:
+def _dense_sum(obj: Hamiltonian) -> np.ndarray:
     """The sum of coeff * dense_pauli(p) over the terms, in one scatter.
 
     Every term puts one entry in each column. ``np.bincount`` adds the
@@ -105,7 +90,7 @@ def _dense_sum(obj: Hamiltonian, tables: _Tables | None = None) -> np.ndarray:
     group, whose terms number at most 2^n.
     """
     n = obj.n_qubits
-    t = _Tables(n) if tables is None else tables
+    t = _Tables(n)
     size = 1 << n
     maps = [_signed_permutation(p) for _, p in obj.terms]
     flips = np.array([f for f, _, _ in maps], dtype=np.int64)
@@ -139,85 +124,35 @@ def dense_circuit(c: CliffordCircuit) -> np.ndarray:
     return np.exp(1j * np.pi / 4 * c.global_phase_exp) * u
 
 
-def dense_matrix(obj, tables: _Tables | None = None) -> np.ndarray:
-    """Dense operator for a PauliProduct, Hamiltonian or circuit.
-    A sum is built on ``tables``, the register's index tables, when given."""
+def dense_matrix(obj) -> np.ndarray:
+    """Dense operator for a PauliProduct, Hamiltonian or circuit."""
     if isinstance(obj, np.ndarray):
         return obj
     if isinstance(obj, PauliProduct):
         return dense_pauli(obj)
     if isinstance(obj, Hamiltonian):
-        return _dense_sum(obj, tables)
+        return _dense_sum(obj)
     if isinstance(obj, CliffordCircuit):
         return dense_circuit(obj)
     raise TypeError(f"cannot build a dense matrix from {type(obj).__name__}")
 
 
 def spectra_equal(h1, h2) -> bool:
-    """Sorted-eigenvalue comparison of two Hermitian operators, to 1e-9.
-
-    A 1-D array stands for a spectrum already computed, in any order, and a
-    3-D array for a block-diagonal matrix as the stack of its blocks
-    (``_x_span_blocks``), which one solver call takes whole. A matrix or
-    stack with no imaginary part is real symmetric and gets the real solver.
-    """
-    m1, m2 = dense_matrix(h1), dense_matrix(h2)
-    size1, size2 = (m.shape[-1] * (len(m) if m.ndim == 3 else 1) for m in (m1, m2))
-    if size1 != size2:
-        return False
-    if size1 > 1 << MAX_SPECTRUM_QUBITS:
-        raise DimensionError("spectrum comparison cap exceeded")
-    e1, e2 = (np.sort(m if m.ndim == 1 else np.linalg.eigvalsh(m if m.imag.any() else m.real),
-                      axis=None)
-              for m in (m1, m2))
-    return bool(np.max(np.abs(e1 - e2)) <= 1e-9)
-
-
-def _x_span_blocks(h: Hamiltonian, tables: _Tables) -> np.ndarray:
-    """The dense matrix of h as the stack of its diagonal blocks.
-
-    A term X^x Z^z moves basis state b only to b ^ x, so the matrix is
-    block-diagonal over the cosets of V, the GF(2) span of the terms'
-    x-parts in basis-index bits. V is built by doubling on its reduced row
-    basis, and each coset holds one state with no bit at a pivot column, its
-    representative: block i is the coset of the i-th, in V's order. Raises
-    ValueError unless the blocks hold every nonzero entry of the matrix, so
-    a wrong span fails the row and never passes it.
-    """
-    n = h.n_qubits
-    rows, pivots = gf2.row_reduce([_basis_bits(p.x, n) for _, p in h.terms], n)
-    span = np.zeros(1, dtype=np.int64)
-    for r in rows:
-        span = np.concatenate((span, span ^ r))
-    pivot_mask = sum(1 << p for p in pivots)
-    cosets = tables.b[(tables.b & pivot_mask) == 0][:, None] ^ span
-    m = dense_matrix(h, tables)
-    blocks = m[cosets[:, :, None], cosets[:, None, :]]
-    if np.count_nonzero(blocks) != np.count_nonzero(m):
-        raise ValueError("dense matrix has entries outside its x-span blocks")
-    return blocks
-
-
-def _qwc_spectrum(h: Hamiltonian, tables: _Tables) -> np.ndarray:
-    """The eigenvalues of a qubit-wise commuting sum, in no set order. Its
-    terms share the tensor-product eigenbasis of their axes, where term k
-    reads c_k (-1)^|b & s_k| on basis state b, s_k its support; the qubits'
-    order in b only permutes the states, so the supports are read as stored."""
-    masks = np.array([p.x | p.z for _, p in h.terms], dtype=np.int64)
-    return np.array(h.coefficients(), dtype=float) @ tables.signs[tables.b & masks[:, None]]
+    """Sorted-eigenvalue comparison of two Hermitian operators, to 1e-9. A
+    matrix with no imaginary part is real symmetric and gets the real solver."""
+    e1, e2 = (np.linalg.eigvalsh(m if m.imag.any() else m.real)
+              for m in (dense_matrix(h1), dense_matrix(h2)))
+    return e1.shape == e2.shape and bool(np.max(np.abs(e1 - e2)) <= 1e-9)
 
 
 # --- the check suite of `measure verify` -------------------------------------
 
 class _GroupOperators:
-    """One plan group and its term bitsets, each built on first use.
-    ``tables`` are the register's index tables, or None when no dense row
-    runs."""
+    """One plan group and its term bitsets, each built on first use."""
 
-    def __init__(self, h: Hamiltonian, entry: GroupPlan, tables: _Tables | None) -> None:
+    def __init__(self, h: Hamiltonian, entry: GroupPlan) -> None:
         self.entry = entry
         self.source = h
-        self.tables = tables
 
     @cached_property
     def group(self) -> Hamiltonian:
@@ -225,17 +160,16 @@ class _GroupOperators:
             self.source.terms[i] for i in self.entry.transform.term_indices))
 
     @cached_property
-    def transformed_columns(self) -> tuple[list[int], list[int]]:
-        """The transformed terms as per-qubit term bitsets (``qubit_columns``),
-        shared by the qwc and exact-sign rows."""
-        return qubit_columns(self.source.n_qubits, self.entry.transform.transformed.products())
+    def group_columns(self) -> tuple[list[int], list[int]]:
+        """The group terms as per-qubit term bitsets (``qubit_columns``),
+        shared by the exact-sign and spectra rows."""
+        return qubit_columns(self.source.n_qubits, self.group.products())
 
     @cached_property
-    def transformed_qwc(self) -> bool:
-        """On every qubit, the transformed terms with an X, those with a Y
-        and those with a Z there are at most one non-empty class."""
-        return all(bool(x & ~z) + bool(x & z) + bool(z & ~x) <= 1
-                   for x, z in zip(*self.transformed_columns))
+    def transformed_columns(self) -> tuple[list[int], list[int]]:
+        """The transformed terms as per-qubit term bitsets, shared by the
+        qwc, exact-sign and spectra rows."""
+        return qubit_columns(self.source.n_qubits, self.entry.transform.transformed.products())
 
 
 def _partition_problems(h: Hamiltonian, plan: MeasurementPlan) -> str:
@@ -257,9 +191,11 @@ def _check_basis(g: _GroupOperators):
 
 
 def _check_qwc(g: _GroupOperators):
-    """On a clash, the qwc conflict rows name the lowest clashing pair: the
-    first term with a non-empty row, and the lowest term of that row."""
-    if g.transformed_qwc:
+    """On every qubit, the transformed terms with an X, a Y and a Z there
+    are at most one non-empty class. On a clash, the qwc conflict rows name
+    the lowest pair: the first term with a non-empty row, and its lowest."""
+    if all(bool(x & ~z) + bool(x & z) + bool(z & ~x) <= 1
+           for x, z in zip(*g.transformed_columns)):
         return True, ""
     rows = build_graph(g.entry.transform.transformed, "qwc").conflicts
     i = next(i for i, clash in enumerate(rows) if clash)
@@ -276,8 +212,25 @@ def _check_coeffs(g: _GroupOperators):
     return True, ""
 
 
+def _check_term_count(g: _GroupOperators) -> None:
+    """Raise ValueError unless the group has as many stated terms as terms."""
+    stated, m = len(g.entry.transform.transformed.terms), len(g.group.terms)
+    if stated != m:
+        raise ValueError(f"{stated} transformed terms for {m} terms")
+
+
+def _differ(got: tuple, want: tuple) -> int:
+    """Bitset of the terms whose bits differ between two (xcol, zcol) pairs."""
+    wrong = 0
+    if got != want:
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            wrong |= a ^ b
+    return wrong
+
+
 def _image(n: int, xs: list[int], zs: list[int], minus: int, k: int) -> str:
-    """Bit k of conjugated columns (``conjugate_columns``) as a signed term."""
+    """Bit k of per-qubit term bitsets, signed by bit k of ``minus``, as a
+    term string."""
     image = PauliProduct(n, sum(((xs[q] >> k) & 1) << q for q in range(n)),
                          sum(((zs[q] >> k) & 1) << q for q in range(n)))
     return f"{'-' if (minus >> k) & 1 else '+'}{image.to_term_string()}"
@@ -285,17 +238,11 @@ def _image(n: int, xs: list[int], zs: list[int], minus: int, k: int) -> str:
 
 def _check_signs(g: _GroupOperators):
     """All group terms through the circuit at once, as term bitsets."""
+    _check_term_count(g)
     n = g.source.n_qubits
     stated = g.entry.transform.transformed
-    if len(stated.terms) != len(g.group.terms):
-        return False, (f"{len(stated.terms)} transformed terms for "
-                       f"{len(g.group.terms)} terms")
-    xs, zs, minus = conjugate_columns(g.entry.circuit,
-                                      *qubit_columns(n, g.group.products()))
-    want_x, want_z = g.transformed_columns
-    wrong = 0
-    for q in range(n):
-        wrong |= (xs[q] ^ want_x[q]) | (zs[q] ^ want_z[q])
+    xs, zs, minus = conjugate_columns(g.entry.circuit, *g.group_columns)
+    wrong = _differ((xs, zs), g.transformed_columns)
     for k, (c, t) in enumerate(zip(g.group.coefficients(), stated.coefficients())):
         if abs(t - (-c if (minus >> k) & 1 else c)) > 1e-12:
             wrong |= 1 << k
@@ -354,26 +301,91 @@ def _check_tableau(g: _GroupOperators):
 
 
 def _check_spectra(g: _GroupOperators):
-    """A qubit-wise commuting transformed group has its spectrum in closed
-    form (``_qwc_spectrum``), so only the group's matrix is solved, block by
-    block (``_x_span_blocks``); any other transformed group is split into
-    blocks and solved too."""
-    blocks = _x_span_blocks(g.group, g.tables)
-    t = g.entry.transform.transformed
-    image = _qwc_spectrum(t, g.tables) if g.transformed_qwc else _x_span_blocks(t, g.tables)
-    return spectra_equal(blocks, image), "eigenvalue mismatch beyond 1e-9"
+    """The stated group is the group's image under tau_i -> sigma_i, proved
+    on term bitsets without the circuit. The taus commute and sigma_i
+    anticommutes with tau_i alone, so taus and sigmas are each L independent
+    commuting Hermitian generators, every joint sign pattern of multiplicity
+    2^(n - L). Term k is e_k times the ascending product of the taus over
+    S_k, the sigmas that anticommute with it, and its stated term must be
+    e_k c_k times the product of those sigmas: both sums agree on every sign
+    pattern, so their spectra are equal (a failing group may have equal
+    spectra too). e_k comes from the i-exponent of the tau product, by the
+    telescoped rule of ``expand_in_tau`` less the term's Y count, kept mod 4
+    in two bit planes over the terms: it must be even, its high bit e_k = -1."""
+    basis = g.entry.transform.basis
+    basis.check_counts()
+    if len({q for q, _ in basis.sigmas}) != len(basis.sigmas):
+        return False, "sigma qubits must be pairwise distinct"
+    _check_term_count(g)
+    n = g.source.n_qubits
+    tau_x, tau_z = basis.tau_columns
+    sigma_x, sigma_z = basis.sigma_columns
+    group_x, group_z = g.group_columns
+    # Per factor: S_i off one column (a one-qubit sigma anticommutes with the
+    # products with a z bit on its qubit if it has an x bit, and vice versa),
+    # then tau_i's bits XORed over S_i and its share of the exponent planes.
+    xs, zs, want_x, want_z = [0] * n, [0] * n, [0] * n, [0] * n
+    low = high = 0
+    for i, (tau, (q, _)) in enumerate(zip(basis.taus, basis.sigmas)):
+        x, z = sigma_x[q] >> i & 1, sigma_z[q] >> i & 1
+        wrong = (tau_z[q] if x else 0) ^ (tau_x[q] if z else 0) ^ 1 << i
+        if wrong:
+            return False, f"sigma_{i} does not anticommute with tau_{i} alone"
+        s = (group_z[q] if x else 0) ^ (group_x[q] if z else 0)
+        want_x[q], want_z[q] = s if x else 0, s if z else 0
+        clash = hits = 0
+        tx, tz = tau.x, tau.z
+        bits = tx | tz
+        while bits:
+            t = (bits & -bits).bit_length() - 1
+            if tx >> t & 1:
+                clash ^= zs[t]
+                hits ^= tau_z[t]
+                xs[t] ^= s
+            if tz >> t & 1:
+                hits ^= tau_x[t]
+                zs[t] ^= s
+                if tx >> t & 1:
+                    high ^= low & s
+                    low ^= s
+            bits &= bits - 1
+        if tau.phase_exp or hits:
+            return False, (f"tau_{i} carries a phase" if tau.phase_exp else
+                           f"tau_{i} anticommutes with tau_{(hits & -hits).bit_length() - 1}")
+        high ^= clash & s
+    for x, z in zip(group_x, group_z):
+        high ^= x & z & ~low
+        low ^= x & z
+    wrong = low | _differ((xs, zs), g.group_columns)
+    indices = g.entry.transform.term_indices
+    if wrong:
+        k = (wrong & -wrong).bit_length() - 1
+        return False, (f"term {indices[k]} ({g.group.terms[k][1].to_term_string()}) is not "
+                       "+/- the product of the taus whose sigmas anticommute with it")
+    stated_wrong = _differ(g.transformed_columns, (want_x, want_z))
+    stated = g.entry.transform.transformed.terms
+    for k, ((c, _), (t, _)) in enumerate(zip(g.group.terms, stated)):
+        if abs(t - (-c if (high >> k) & 1 else c)) > 1e-12:
+            stated_wrong |= 1 << k
+    if not stated_wrong:
+        return True, ""
+    k = (stated_wrong & -stated_wrong).bit_length() - 1
+    (coeff, term), (t_coeff, t_term) = g.group.terms[k], stated[k]
+    return False, (f"term {indices[k]} ({coeff!r} {term.to_term_string()}) maps to "
+                   f"{_image(n, want_x, want_z, high, k)} under tau_i -> sigma_i, "
+                   f"plan states {t_coeff!r} {t_term.to_term_string()}")
 
 
-# (row name, check, qubit cap or None) in row order.
+# (row name, check) in row order.
 _CHECKS = (
-    ("basis invariants", _check_basis, None),
-    ("transformed groups qubit-wise commuting", _check_qwc, None),
-    ("coefficient magnitudes preserved", _check_coeffs, None),
-    ("circuit maps each group term to its transformed term (exact sign)",
-     _check_signs, None),
+    ("basis invariants", _check_basis),
+    ("transformed groups qubit-wise commuting", _check_qwc),
+    ("coefficient magnitudes preserved", _check_coeffs),
+    ("circuit maps each group term to its transformed term (exact sign)", _check_signs),
     ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global phase "
-     "(tableau)", _check_tableau, None),
-    ("spectra preserved (tol 1e-9)", _check_spectra, MAX_SPECTRUM_QUBITS),
+     "(tableau)", _check_tableau),
+    ("spectra preserved (each group maps onto its transformed group under "
+     "tau_i -> sigma_i)", _check_spectra),
 )
 
 
@@ -381,29 +393,22 @@ def plan_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, s
     """Run the check suite on a plan for h; returns (name, status, detail) rows.
 
     Raises ValueError when the plan's width differs from h or a term index
-    is out of range. The status is "pass", "fail", or "skip" for the spectra
-    check above its qubit cap. Groups are visited one at a time and every
-    check runs on a group before the next, so each group's term bitsets
-    are built once and only one group's dense matrices are alive. The
-    index tables of the dense matrices are built once per plan, and only
-    when the spectra row runs. A check that raises ValueError or IndexError on a malformed group
-    fails with that message. A check that has failed is not run on later
-    groups; its row names the first failing group.
+    is out of range. The status is "pass" or "fail". Every check runs on a
+    group before the next, so each group's term bitsets are built once. A
+    check that raises ValueError or IndexError on a malformed group fails
+    with that message. A check that has failed is not run on later groups;
+    its row names the first failing group.
     """
-    n = plan.n_qubits
-    if n != h.n_qubits:
+    if plan.n_qubits != h.n_qubits:
         raise ValueError("plan qubit count differs from the Hamiltonian")
     for gi, entry in enumerate(plan.groups):
         for i in entry.transform.term_indices:
             if not 0 <= i < len(h.terms):
                 raise ValueError(f"plan group {gi}: term index {i} out of range")
-    running = [(name, fn) for name, fn, cap in _CHECKS if cap is None or n <= cap]
-    dense = any(cap is not None and n <= cap for _, _, cap in _CHECKS)
-    tables = _Tables(n) if dense else None
     failures: dict[str, str] = {}
     for gi, entry in enumerate(plan.groups):
-        g = _GroupOperators(h, entry, tables)
-        for name, fn in running:
+        g = _GroupOperators(h, entry)
+        for name, fn in _CHECKS:
             if name not in failures:
                 try:
                     ok, detail = fn(g)
@@ -413,12 +418,6 @@ def plan_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, s
                     failures[name] = f"group {gi}: {detail}"
 
     problems = _partition_problems(h, plan)
-    results = [("groups partition the terms", "fail" if problems else "pass", problems)]
-    for name, _, cap in _CHECKS:
-        if cap is not None and n > cap:
-            results.append((name, "skip", f"skipped: {n} qubits exceed cap"))
-        elif name in failures:
-            results.append((name, "fail", failures[name]))
-        else:
-            results.append((name, "pass", ""))
-    return results
+    return [("groups partition the terms", "fail" if problems else "pass", problems)] + [
+        (name, "fail", failures[name]) if name in failures else (name, "pass", "")
+        for name, _ in _CHECKS]

@@ -472,8 +472,9 @@ class TestSynthesize:
     @settings(max_examples=25, deadline=None)
     @given(lagrangian_bases(13, 64), st.integers(0, 2**32 - 1))
     def test_wide_bases_pass_the_bitset_rows(self, basis, seed):
-        """Above every dense cap, the exact-sign and tableau rows prove the
-        circuit; the cancelled pairs only lower the CNOT count."""
+        """At 13 to 64 qubits, above every dense cap, every row passes: the
+        exact-sign and tableau rows prove the circuit, and the cancelled
+        pairs only lower the CNOT count."""
         rng = random.Random(seed)
         n = basis.n_qubits
         terms = []
@@ -486,10 +487,7 @@ class TestSynthesize:
         circuit = synthesize(basis)
         plan = MeasurementPlan(n, (GroupPlan(transform_group(group, basis), circuit),))
         rows = verify.plan_checks(group, plan)
-        passed = {name for name, status, _ in rows if status == "pass"}
-        assert passed == {"groups partition the terms"} | {
-            name for name, _, cap in verify._CHECKS if cap is None}
-        assert all(status == "skip" for name, status, _ in rows if name not in passed)
+        assert [status for _, status, _ in rows] == ["pass"] * 7, rows
         assert gate_counts(circuit)["cnots"] <= expected_cnots(basis)
 
 

@@ -186,11 +186,11 @@ VERIFY_INPUTS = {
 # sha256 of `measure verify --format json` on the plan that `measure transform`
 # writes, after the edit; a change here changes rows, statuses or details.
 VERIFY_SHA256 = {
-    "h2": "dca46f9f417f6ff0380d66686b8dc72292d91bd376ef30603fe754b1b3380d44",
-    "six-term": "dca46f9f417f6ff0380d66686b8dc72292d91bd376ef30603fe754b1b3380d44",
-    "wide-100q": "66d51a05c6c9158db71ce440a4dfdea01aac929cb3aa7926bd84781f57eaa276",
-    "chain-12q": "22c802aa48d386d55b34648867aff938df2a2c130e46fd5fbc0a66169ef0728e",
-    "h2-qwc-clash": "29473cff337ff365d0458c43698ca76cdd48050b456a55854fef4a16dd684d56",
+    "h2": "6bf0c66985826fdb82aa39ba05ce359cfb1465ab2a288a51d8751d688aa77933",
+    "six-term": "6bf0c66985826fdb82aa39ba05ce359cfb1465ab2a288a51d8751d688aa77933",
+    "wide-100q": "6bf0c66985826fdb82aa39ba05ce359cfb1465ab2a288a51d8751d688aa77933",
+    "chain-12q": "6bf0c66985826fdb82aa39ba05ce359cfb1465ab2a288a51d8751d688aa77933",
+    "h2-qwc-clash": "85059c64a735df236a0f5ce58ad686f2b1570aadf4dc6b3ab5a0d7355acd30ba",
 }
 
 @pytest.fixture
@@ -386,6 +386,8 @@ def full_width_plan(h: Hamiltonian) -> MeasurementPlan:
 
 TABLEAU = ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global phase "
            "(tableau)")
+SPECTRA = ("spectra preserved (each group maps onto its transformed group under "
+           "tau_i -> sigma_i)")
 
 
 class TestVerify:
@@ -483,20 +485,19 @@ class TestVerify:
         assert code == 1
         assert "FAIL groups partition the terms (3 terms in several groups, first 0)" in out
 
-    def test_checks_above_the_dense_caps_print_skip(self, tmp_path, capsys):
+    def test_checks_above_the_old_spectra_cap_all_pass(self, tmp_path, capsys):
+        """Eleven qubits were one above the dense spectra row's cap, where
+        it printed SKIP; every row now runs at any width."""
         wide = tmp_path / "wide.txt"
         wide.write_text("qubits: 11\n1.0 X0 X10\n0.5 Z0 Z10\n")
         plan_path = self.run_transform(str(wide), tmp_path)
         assert main(["verify", str(wide), str(plan_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        skipped = [line for line in lines if "(skipped" in line]
-        assert skipped == ["SKIP spectra preserved (tol 1e-9) (skipped: 11 qubits exceed cap)"]
-        assert all(line.startswith("SKIP ") for line in skipped)
-        assert all(line.startswith("PASS ") for line in lines if line not in skipped)
+        assert len(lines) == 7 and all(line.startswith("PASS ") for line in lines)
         assert main(["verify", str(wide), str(plan_path), "--format", "json"]) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
-        assert [c["status"] for c in checks].count("skip") == 1
-        assert all(c["passed"] == (c["status"] == "pass") for c in checks)
+        assert [c["status"] for c in checks] == ["pass"] * 7
+        assert all(c["passed"] for c in checks)
 
     def test_rows_in_order(self, h2_file, tmp_path, capsys):
         plan_path = self.run_transform(h2_file, tmp_path)
@@ -510,7 +511,7 @@ class TestVerify:
             "PASS circuit maps each group term to its transformed term (exact sign)",
             "PASS circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
             "phase (tableau)",
-            "PASS spectra preserved (tol 1e-9)",
+            f"PASS {SPECTRA}",
         ]
 
     def test_truncated_circuit_fails_above_the_dense_caps(self, tmp_path, capsys):
@@ -545,7 +546,8 @@ class TestVerify:
         assert code == 1
         assert ("FAIL circuit maps each group term to its transformed term (exact sign) "
                 "(group 0: term 0 (0.1 Z0 Z1) maps to +") in out
-        assert out.count("FAIL") == 1
+        assert f"FAIL {SPECTRA} (group 0: term 0 (0.1 Z0 Z1) maps to +" in out
+        assert out.count("FAIL") == 2
 
     def test_nan_coefficient_rejected_at_twelve_qubits(self, tmp_path, capsys):
         chain = tmp_path / "chain.txt"
@@ -574,9 +576,9 @@ class TestVerify:
 
     def test_missing_tau_fails_the_tableau_row_with_the_basis_reason(self, h2_file,
                                                                     tmp_path, capsys):
-        """The tableau row reads every factor, so a basis with the wrong
-        number of factors fails it with the basis row's reason; the rows
-        that do not read the basis pass."""
+        """The tableau and spectra rows read every factor, so a basis with
+        the wrong number of factors fails them with the basis row's reason;
+        the rows that do not read the basis pass."""
         def drop_tau(plan):
             del plan["groups"][0]["tau"][0]
             return plan
@@ -592,7 +594,7 @@ class TestVerify:
             "PASS coefficient magnitudes preserved",
             "PASS circuit maps each group term to its transformed term (exact sign)",
             f"FAIL {TABLEAU}" + failed,
-            "PASS spectra preserved (tol 1e-9)",
+            f"FAIL {SPECTRA}" + failed,
         ]
 
     @pytest.mark.parametrize("field, value, reason", [
@@ -619,7 +621,7 @@ class TestVerify:
             "PASS circuit maps each group term to its transformed term (exact sign)",
             "FAIL circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
             "phase (tableau)" + failed,
-            "PASS spectra preserved (tol 1e-9)",
+            f"FAIL {SPECTRA}" + failed,
         ]
 
     @pytest.mark.parametrize("name", ["h2", "wide-100q"])
@@ -685,7 +687,7 @@ class TestVerify:
     @pytest.mark.parametrize("name, text", [
         ("random-12q", random_sum_text()),
         ("wide-100q", WIDE_SPARSE_TEXT),
-        # every row runs, and the dense oracles: one group on qubits 0, 1 and 3 of 5
+        # the dense oracles run too: one group on qubits 0, 1 and 3 of 5
         ("idle-5q", "qubits: 5\n1.0 X0 X1\n0.5 Z0 Z1\n-0.25 Z3\n0.125 Y0 Y1 Z3\n"),
     ])
     def test_full_width_plan_passes_every_row(self, name, text, tmp_path, capsys):
@@ -703,9 +705,8 @@ class TestVerify:
         assert main(["verify", str(source), str(plan_path)]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 7
-        assert all(row.startswith("PASS ") for row in rows if "skipped" not in row)
+        assert all(row.startswith("PASS ") for row in rows)
         if name == "idle-5q":
-            assert all(row.startswith("PASS ") for row in rows)
             self.assert_oracles_on_files(source, plan_path)
 
     def test_tau_on_a_qubit_without_a_sigma_fails_the_basis_row(self, tmp_path, capsys):

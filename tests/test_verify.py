@@ -15,21 +15,12 @@ from helpers import (PauliSum, all_paulis, assert_dense_oracles, build_unitary_s
                      random_state)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, build_graph, cover_dsatur,
-                          cover_rlf, TransformedGroup, parse_hamiltonian, pipeline,
-                          synthesize, transform_group)
+                          cover_rlf, TauSigmaBasis, TransformedGroup, parse_hamiltonian,
+                          pipeline, synthesize, transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES
 from paulimeasure.fixtures import model_hamiltonian, model_reference_basis
 from paulimeasure.pauli import count_compatible
-
-
-def x_span_size(h: Hamiltonian) -> int:
-    """The number of states in the span of h's x-parts, closed under XOR
-    one term at a time."""
-    span = {0}
-    for _, p in h.terms:
-        span |= {v ^ p.x for v in span}
-    return len(span)
 
 
 class TestDenseMatrix:
@@ -115,6 +106,66 @@ class TestDenseMatrix:
             verify.dense_matrix("ZZ")
 
 
+def restated(entry: GroupPlan, basis=None, transformed=None) -> GroupPlan:
+    """entry with its basis or its transformed group replaced."""
+    t = entry.transform
+    return GroupPlan(TransformedGroup(t.term_indices, basis or t.basis,
+                                      transformed or t.transformed), entry.circuit)
+
+
+def pair_entry() -> tuple[Hamiltonian, GroupPlan]:
+    group = parse_hamiltonian("qubits: 3\n1.0 X0 X1\n0.5 Z0 Z1\n")
+    return group, one_group_plan(group).groups[0]
+
+
+def repeated_sigma_qubit():
+    group, entry = pair_entry()
+    (q, a), (_, b) = entry.transform.basis.sigmas
+    basis = TauSigmaBasis(3, entry.transform.basis.taus, ((q, a), (q, b)))
+    return group, restated(entry, basis=basis), "sigma qubits must be pairwise distinct"
+
+
+def swapped_sigmas():
+    group, entry = pair_entry()
+    basis = entry.transform.basis
+    swapped = TauSigmaBasis(3, basis.taus, basis.sigmas[::-1])
+    return group, restated(entry, basis=swapped), (
+        "sigma_0 does not anticommute with tau_0 alone")
+
+
+def anticommuting_taus():
+    # X0 and Z0 X1, each one tau, stated as Z0 and Z1: every other step
+    # holds, yet the two sums have different spectra
+    h = parse_hamiltonian("1.0 X0\n0.5 Z0 X1\n")
+    taus = tuple(p for _, p in h.terms)
+    basis = TauSigmaBasis(2, taus, ((0, "Z"), (1, "Z")))
+    stated = parse_hamiltonian("1.0 Z0\n0.5 Z1\n")
+    assert not verify.spectra_equal(h, stated)
+    entry = GroupPlan(TransformedGroup((0, 1), basis, stated), CliffordCircuit(2, ()))
+    return h, entry, "tau_0 anticommutes with tau_1"
+
+
+def extra_stated_constant():
+    group, entry = pair_entry()
+    stated = entry.transform.transformed
+    extra = Hamiltonian(3, stated.terms + ((0.25, PauliProduct.identity(3)),))
+    return group, restated(entry, transformed=extra), "3 transformed terms for 2 terms"
+
+
+def term_on_a_qubit_without_a_sigma():
+    # the basis of X0 X1 and Z0 Z1 has no sigma on qubit 2, where the
+    # second term gains a Z
+    _, entry = pair_entry()
+    wider = parse_hamiltonian("qubits: 3\n1.0 X0 X1\n0.5 Z0 Z1 Z2\n")
+    return wider, entry, ("term 1 (Z0 Z1 Z2) is not +/- the product of the taus whose "
+                          "sigmas anticommute with it")
+
+
+MALFORMED_GROUPS = {f.__name__: f for f in (
+    repeated_sigma_qubit, swapped_sigmas, anticommuting_taus, extra_stated_constant,
+    term_on_a_qubit_without_a_sigma)}
+
+
 class TestSpectra:
     def test_equal_to_itself(self):
         h = model_hamiltonian(0.3, 0.9)
@@ -136,15 +187,6 @@ class TestSpectra:
         seen = []
         solve = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.dtype) or solve(m))
-        return seen
-
-    @staticmethod
-    def built_sums(monkeypatch) -> list:
-        """Every sum that verify builds a dense matrix of."""
-        seen = []
-        dense_sum = verify._dense_sum
-        monkeypatch.setattr(verify, "_dense_sum",
-                            lambda h, tables=None: seen.append(h) or dense_sum(h, tables))
         return seen
 
     @settings(max_examples=60, deadline=None)
@@ -178,84 +220,18 @@ class TestSpectra:
         assert not verify.spectra_equal(h, parse_hamiltonian("1.0 Y0\n0.6 Z0 X1\n"))
         assert seen[2:] == [np.complex128, np.complex128]
 
-    def test_y_carrying_group_is_solved_in_closed_form(self, monkeypatch):
-        # Y0 X1 and X0 Z1 X2 become Y0 and Z1: the term Y0 makes the
-        # transformed matrix complex, and the closed form handles it exactly
+    # The spectra row of the check suite, which proves the stated group the
+    # image of the group under tau_i -> sigma_i; the dense spectra above are
+    # its oracle.
+
+    def test_y_carrying_group_passes(self):
+        # Y0 X1 and X0 Z1 X2 become Z1 and Y0: a term with a Y on each side
         h = parse_hamiltonian("qubits: 3\n0.5 Y0 X1\n-0.25 X0 Z1 X2\n")
-        entry = pipeline(h, cover_rlf(build_graph(h, "fc"))).groups[0]
-        transformed = entry.transform.transformed
+        plan = pipeline(h, cover_rlf(build_graph(h, "fc")))
+        transformed = plan.groups[0].transform.transformed
         assert transformed == parse_hamiltonian("qubits: 3\n0.5 Z1\n-0.25 Y0\n")
-        g = verify._GroupOperators(h, entry, verify._Tables(3))
-        solved = []
-        solve = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m) or solve(m))
-        built = self.built_sums(monkeypatch)
-        assert verify._check_spectra(g)[0]
-        # the one solve is of the group's blocks, complex with its one-Y
-        # term; no transformed matrix is built
-        assert built == [g.group]
-        assert len(solved) == 1 and solved[0].dtype == np.complex128
-        full = verify.dense_matrix(transformed)
-        assert full.imag.any()
-        closed = np.sort(verify._qwc_spectrum(transformed, g.tables))
-        assert np.max(np.abs(closed - solve(full))) <= 1e-12
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_closed_form_matches_the_dense_solver(self, data):
-        # one axis or none per qubit; a term's support may be empty (a
-        # constant) and a qubit may be idle in every term
-        n = data.draw(st.integers(1, 8))
-        axes = data.draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))
-        x_mask = sum(1 << q for q, a in enumerate(axes) if a in "XY")
-        z_mask = sum(1 << q for q, a in enumerate(axes) if a in "YZ")
-        terms = data.draw(st.lists(st.tuples(
-            st.floats(-1, 1, allow_nan=False), st.integers(0, (1 << n) - 1)), max_size=12))
-        h = Hamiltonian(n, tuple((c, PauliProduct(n, s & x_mask, s & z_mask))
-                                 for c, s in terms))
-        closed = np.sort(verify._qwc_spectrum(h, verify._Tables(n)))
-        assert np.max(np.abs(closed - np.linalg.eigvalsh(verify.dense_matrix(h)))) <= 1e-12
-
-    def test_non_qwc_transformed_group_takes_the_dense_route(self, monkeypatch):
-        # X0 X1 and Z0 Z1 commute but clash on both qubits: stated as their
-        # own image, both dense matrices are solved, and they agree
-        group = parse_hamiltonian("0.5 X0 X1\n-0.25 Z0 Z1\n")
-        entry = one_group_plan(group).groups[0]
-        transform = TransformedGroup(entry.transform.term_indices, entry.transform.basis, group)
-        g = verify._GroupOperators(group, GroupPlan(transform, entry.circuit),
-                                   verify._Tables(2))
-        assert not g.transformed_qwc
-        seen = self.solver_dtypes(monkeypatch)
-        built = self.built_sums(monkeypatch)
-        assert verify._check_spectra(g)[0]
-        assert len(seen) == 2 and built == [g.group, group]
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_block_spectrum_matches_the_full_solver(self, data):
-        # any sum: its terms may anticommute, carry Ys (complex matrices) or
-        # be constants, and a qubit may be idle in every term
-        n = data.draw(st.integers(1, 8))
-        busy = data.draw(st.integers(0, (1 << n) - 1))
-        bits = st.integers(0, (1 << n) - 1).map(lambda v: v & busy)
-        terms = data.draw(st.lists(st.tuples(st.floats(-1, 1, allow_nan=False), bits, bits),
-                                   max_size=12))
-        h = Hamiltonian.from_terms(n, [(c, PauliProduct(n, x, z)) for c, x, z in terms])
-        blocks = verify._x_span_blocks(h, verify._Tables(n))
-        width = x_span_size(h)
-        assert blocks.shape == ((1 << n) // width, width, width)
-        got = np.sort(np.linalg.eigvalsh(blocks), axis=None)
-        assert np.max(np.abs(got - np.linalg.eigvalsh(verify.dense_matrix(h)))) <= 1e-12
-
-    def test_entries_outside_the_blocks_fail_the_row(self, monkeypatch):
-        # a span that misses X1 leaves entries of X0 X1 outside the blocks
-        group = parse_hamiltonian("0.5 X0 X1\n-0.25 Z0 Z1\n")
-        plan = one_group_plan(group)
-        row_reduce = verify.gf2.row_reduce
-        monkeypatch.setattr(verify.gf2, "row_reduce",
-                            lambda rows, n: row_reduce([r & 1 for r in rows], n))
-        assert rows(group, plan)[SPECTRA] == (
-            "fail", "group 0: dense matrix has entries outside its x-span blocks")
+        assert rows(h, plan)[SPECTRA] == ("pass", "")
+        assert verify.spectra_equal(h, transformed)
 
     def test_tampered_non_qwc_image_fails_with_a_mismatch(self):
         # Y0 becomes X1, which clashes with Z1 and moves the spectrum
@@ -263,11 +239,91 @@ class TestSpectra:
         entry = pipeline(h, cover_rlf(build_graph(h, "fc"))).groups[0]
         (c0, p0), (c1, _) = entry.transform.transformed.terms
         tampered = Hamiltonian(3, ((c0, p0), (c1, PauliProduct.from_term_string("X1", 3))))
-        transform = TransformedGroup(entry.transform.term_indices, entry.transform.basis,
-                                     tampered)
-        got = rows(h, MeasurementPlan(3, (GroupPlan(transform, entry.circuit),)))
-        assert got[SPECTRA] == ("fail", "group 0: eigenvalue mismatch beyond 1e-9")
+        got = rows(h, MeasurementPlan(3, (restated(entry, transformed=tampered),)))
+        assert got[SPECTRA] == ("fail", "group 0: term 1 (-0.25 X0 Z1 X2) maps to +Y0 under "
+                                "tau_i -> sigma_i, plan states -0.25 X1")
         assert got[QWC][0] == "fail"
+        assert not verify.spectra_equal(h, tampered)
+
+    def test_equal_spectra_not_stated_as_the_image_fail(self):
+        # X0 X1 and Z0 Z1 stated as themselves share the group's spectrum,
+        # but tau_i -> sigma_i does not map the group onto them: the row is a
+        # sufficient condition for equal spectra, not a necessary one
+        group = parse_hamiltonian("0.5 X0 X1\n-0.25 Z0 Z1\n")
+        entry = restated(one_group_plan(group).groups[0], transformed=group)
+        status, detail = rows(group, MeasurementPlan(2, (entry,)))[SPECTRA]
+        assert verify.spectra_equal(group, group)
+        assert status == "fail"
+        assert detail.startswith("group 0: term 0 (0.5 X0 X1) maps to ")
+        assert detail.endswith(" under tau_i -> sigma_i, plan states 0.5 X0 X1")
+
+    def test_group_of_constants_passes(self):
+        h = parse_hamiltonian("qubits: 3\n0.5 I\n")
+        plan = pipeline(h, cover_rlf(build_graph(h, "fc")))
+        assert plan.groups[0].transform.basis.taus == ()
+        assert rows(h, plan)[SPECTRA] == ("pass", "")
+
+    @pytest.mark.parametrize("case", list(MALFORMED_GROUPS))
+    def test_malformed_group_fails_with_a_detail(self, case):
+        """Plans that `measure transform` never writes fail the row with a
+        detail, not a crash."""
+        h, entry, detail = MALFORMED_GROUPS[case]()
+        got = rows(h, MeasurementPlan(h.n_qubits, (entry,)))
+        assert got[SPECTRA] == ("fail", f"group 0: {detail}")
+
+    def test_reads_neither_the_circuit_nor_conjugate_columns(self, monkeypatch):
+        group = random_commuting_group(5, random.Random(97))
+        entry = one_group_plan(group).groups[0]
+
+        def refuse(*args):
+            raise AssertionError("conjugate_columns called")
+
+        monkeypatch.setattr(verify, "conjugate_columns", refuse)
+        g = verify._GroupOperators(group, GroupPlan(entry.transform, None))
+        assert verify._check_spectra(g) == (True, "")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.booleans(),
+           st.sampled_from(["terms", "coefficients", "taus", "sigmas"]),
+           st.integers(0, 2**32 - 1))
+    def test_a_pass_implies_equal_dense_spectra(self, n, local, kind, seed):
+        """One tampering of a group's stated terms, coefficients, taus or
+        sigmas; wherever the row still passes, the dense matrices of the
+        group and of its stated group have equal spectra."""
+        rng = random.Random(seed)
+        group = (embedded_group(rng.randint(1, n - 1), n, rng) if local and n > 1
+                 else random_commuting_group(n, rng))
+        entry = one_group_plan(group).groups[0]
+        basis, stated = entry.transform.basis, list(entry.transform.transformed.terms)
+        k = rng.randrange(len(stated))
+        c, p = stated[k]
+        if kind == "terms":
+            stated[k] = (c, rng.choice([
+                PauliProduct(n, rng.getrandbits(n), rng.getrandbits(n)),
+                PauliProduct(n, p.x, p.z ^ 1 << rng.randrange(n)),
+                rng.choice(stated)[1]]))
+        elif kind == "coefficients":
+            coeffs = [c for c, _ in stated]
+            rng.shuffle(coeffs)
+            stated = rng.choice([[(d, q) for d, (_, q) in zip(coeffs, stated)],
+                                 stated[:k] + [(-c, p)] + stated[k + 1:],
+                                 stated[:k] + [(c + 1e-3, p)] + stated[k + 1:]])
+        elif kind == "taus" and basis.taus:
+            taus = list(basis.taus)
+            i = rng.randrange(len(taus))
+            t = taus[i] * rng.choice([rng.choice(taus),
+                                      PauliProduct(n, rng.getrandbits(n), rng.getrandbits(n))])
+            taus[i] = PauliProduct(n, t.x, t.z, rng.choice([0, t.phase_exp]))
+            basis = TauSigmaBasis(n, tuple(taus), basis.sigmas)
+        elif kind == "sigmas" and basis.sigmas:
+            sigmas = list(basis.sigmas)
+            i = rng.randrange(len(sigmas))
+            sigmas[i] = (rng.choice([sigmas[i][0], rng.randrange(n)]), rng.choice("XYZ"))
+            basis = TauSigmaBasis(n, basis.taus, tuple(sigmas))
+        entry = restated(entry, basis, Hamiltonian(n, tuple(stated)))
+        status, _ = rows(group, MeasurementPlan(n, (entry,)))[SPECTRA]
+        if status == "pass":
+            assert verify.spectra_equal(group, entry.transform.transformed)
 
 
 class TestCountCompatible:
@@ -371,7 +427,8 @@ class TestExpectationInvariance:
 TABLEAU = ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
            "phase (tableau)")
 SIGNS = "circuit maps each group term to its transformed term (exact sign)"
-SPECTRA = "spectra preserved (tol 1e-9)"
+SPECTRA = ("spectra preserved (each group maps onto its transformed group under "
+           "tau_i -> sigma_i)")
 
 
 def one_group_plan(group: Hamiltonian) -> MeasurementPlan:
@@ -398,8 +455,7 @@ class TestTableauRow:
         for n in (30, 60):
             group = random_commuting_group(n, rng)
             got = rows(group, one_group_plan(group))
-            assert got[TABLEAU] == ("pass", "")
-            assert [status for status, _ in got.values()].count("skip") == 1
+            assert all(row == ("pass", "") for row in got.values()), got
 
     def test_every_dropped_gate_fails(self):
         group = random_commuting_group(30, random.Random(71))
@@ -480,74 +536,43 @@ class TestBenchmarkPlans:
     @pytest.mark.parametrize("workload", ["random-w4", "molecular-jw", "wide-sparse"])
     def test_seed_one_plans_pass_every_row(self, workload, monkeypatch):
         """Every seed-1 benchmark plan, with its cancelled CNOT pairs,
-        passes every row that runs at its width. molecular-jw runs them all,
-        and its 6-qubit plans meet the dense oracles too."""
+        passes every row at 6 to 200 qubits, and the 6-qubit molecular-jw
+        plans meet the dense oracles too."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
         import workloads
         for inst in workloads.generate(workload, 1, PauliProduct):
             h = parse_hamiltonian(inst.to_text())
             plan = pipeline(h, cover_rlf(build_graph(h, "fc")))
             for name, status, detail in verify.plan_checks(h, plan):
-                assert status == "pass" or (status == "skip" and h.n_qubits > 6), (
-                    name, status, detail)
+                assert status == "pass", (name, status, detail)
             if h.n_qubits <= 6:
                 assert_dense_oracles(h, plan)
 
-    def test_one_solve_per_group_on_the_molecular_plans(self, monkeypatch):
-        """The qubit-wise commuting transformed groups are solved in closed
-        form, so the spectra row calls the solver on the group side only."""
+    def test_jw_twelve_plan_passes_every_row(self, monkeypatch):
+        """The dsatur plan of the JW N = 12 sum (the scale-12 integrals,
+        4,501 terms), wider than any dense solve, passes every row."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
         import workloads
-        plans = []
-        for inst in workloads.generate("molecular-jw", 1, PauliProduct):
-            h = parse_hamiltonian(inst.to_text())
-            plans.append((h, pipeline(h, cover_rlf(build_graph(h, "fc")))))
-        solves = []
-        solve = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(m) or solve(m))
-        for h, plan in plans:
-            assert all(status == "pass" for _, status, _ in verify.plan_checks(h, plan))
-        assert len(solves) == sum(len(plan.groups) for _, plan in plans) == 66
-
-    def test_jw_eight_plan_passes_every_row_in_x_span_blocks(self, monkeypatch):
-        """The dsatur plan of the JW N = 8 sum (the scale-8 integrals, 849
-        terms) passes every row, spectra included, and each group's matrix
-        is solved in blocks as wide as the span of its terms' x-parts."""
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
-        import workloads
-        one_body, two_body = workloads._symmetric_integrals(random.Random("scale-8"), 8)
-        jw = workloads.jordan_wigner_hamiltonian(PauliProduct, 8, one_body, two_body)
-        h = Hamiltonian(8, tuple((c, PauliProduct(8, x, z)) for (x, z), c in jw.items()))
-        assert len(h.terms) == 849
+        one_body, two_body = workloads._symmetric_integrals(random.Random("scale-12"), 12)
+        jw = workloads.jordan_wigner_hamiltonian(PauliProduct, 12, one_body, two_body)
+        h = Hamiltonian(12, tuple((c, PauliProduct(12, x, z)) for (x, z), c in jw.items()))
+        assert len(h.terms) == 4501
         plan = pipeline(h, cover_dsatur(build_graph(h, "fc")))
-        shapes = []
-        blocks = verify._x_span_blocks
-
-        def recorded(group, tables):
-            out = blocks(group, tables)
-            shapes.append((x_span_size(group), out.shape))
-            return out
-
-        monkeypatch.setattr(verify, "_x_span_blocks", recorded)
         got = verify.plan_checks(h, plan)
         assert [status for _, status, _ in got] == ["pass"] * 7, got
-        assert len(shapes) == len(plan.groups)
-        assert all(shape == (256 // width, width, width) for width, shape in shapes)
-        assert max(width for width, _ in shapes) > 1
 
 
 class TestDenseTables:
-    @pytest.mark.parametrize("n, built", [(4, [4]), (10, [10]), (11, []), (30, [])])
-    def test_built_once_per_plan_and_only_when_a_dense_row_runs(self, monkeypatch,
-                                                                n, built):
+    @pytest.mark.parametrize("n", [4, 10, 11, 30])
+    def test_plan_checks_build_no_dense_tables(self, monkeypatch, n):
         h = random_graph_hamiltonian(n, 8, random.Random(n))
         plan = pipeline(h, cover_rlf(build_graph(h, "fc")))
         assert len(plan.groups) >= 2
         seen = []
         tables = verify._Tables
         monkeypatch.setattr(verify, "_Tables", lambda k: seen.append(k) or tables(k))
-        assert all(status != "fail" for _, status, _ in verify.plan_checks(h, plan))
-        assert seen == built
+        assert all(status == "pass" for _, status, _ in verify.plan_checks(h, plan))
+        assert seen == []
 
     def test_parity_signs(self):
         t = verify._Tables(5)
