@@ -8,9 +8,8 @@ from .grouping import (CliqueCover, CompatGraph, CoverReport, CoverStats,
                        build_graph, compute_cover, cover_dsatur, cover_exact,
                        cover_rlf, cover_stats, cover_to_dict, validate_cover)
 from .transform import (GroupPlan, MeasurementPlan, TauSigmaBasis, TransformError,
-                        TransformedGroup, circuit_from_dict, expand_in_tau, find_sigma,
-                        find_tau, pipeline, plan_from_dict, plan_to_dict, plan_to_json,
-                        transform_group)
+                        TransformedGroup, circuit_from_dict, find_sigma, find_tau, pipeline,
+                        plan_from_dict, plan_to_dict, plan_to_json, transform_group)
 from .circuits import CliffordCircuit, Gate, gate_counts, synthesize
 
 __version__ = "0.1.0"
@@ -31,8 +30,7 @@ __all__ = [
     "compute_cover", "cover_dsatur", "cover_exact", "cover_rlf", "cover_stats",
     "cover_to_dict", "validate_cover",
     "GroupPlan", "MeasurementPlan", "TauSigmaBasis", "TransformError",
-    "TransformedGroup", "circuit_from_dict", "expand_in_tau", "find_sigma",
-    "find_tau", "pipeline", "plan_from_dict", "plan_to_dict", "plan_to_json",
-    "transform_group",
+    "TransformedGroup", "circuit_from_dict", "find_sigma", "find_tau", "pipeline",
+    "plan_from_dict", "plan_to_dict", "plan_to_json", "transform_group",
     "CliffordCircuit", "Gate", "gate_counts", "synthesize",
 ]

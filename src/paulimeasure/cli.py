@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, TransformError, OSError, KeyError) as exc:
+    except (ValueError, TransformError, OSError) as exc:
         print(f"measure: error: {exc}", file=sys.stderr)
         return 1
 

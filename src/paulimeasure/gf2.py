@@ -10,15 +10,15 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 
-def row_reduce(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
+def row_reduce(rows: list[int]) -> tuple[list[int], list[int]]:
     """Reduced row-echelon form; returns (nonzero rows, pivot columns).
 
-    Rows must have no bit at or above n_cols. The result is the unique RREF
-    of the row space, rows in increasing pivot order, whatever the input
-    order. Each row is reduced by the stored row with the same lowest set
-    bit until it is zero or its lowest bit is a new pivot. Back-substitution,
-    highest pivot first, then clears the pivot columns above each row's own,
-    so the work follows the set bits, not n_cols.
+    The result is the unique RREF of the row space, rows in increasing
+    pivot order, whatever the input order. Each row is reduced by the
+    stored row with the same lowest set bit until it is zero or its lowest
+    bit is a new pivot. Back-substitution, highest pivot first, then clears
+    the pivot columns above each row's own, so the work follows the set
+    bits, not the width of the rows.
     """
     by_pivot: dict[int, int] = {}
     for r in rows:
@@ -43,16 +43,16 @@ def row_reduce(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
     return [by_pivot[p] for p in pivots], pivots
 
 
-def rank(rows: list[int], n_cols: int) -> int:
-    return len(row_reduce(rows, n_cols)[0])
+def rank(rows: list[int]) -> int:
+    return len(row_reduce(rows)[0])
 
 
-def null_space(rows: list[int], n_cols: int, columns: Iterable[int]) -> list[int]:
+def null_space(rows: list[int], columns: Iterable[int]) -> list[int]:
     """Basis of {v : row . v = 0 mod 2 for every row}, ordered by free column,
     limited to the basis vectors of the free columns among ``columns``
-    (ascending; ``range(n_cols)`` gives the whole null space).
+    (ascending; every column of the rows gives the whole null space).
     """
-    rref, pivots = row_reduce(rows, n_cols)
+    rref, pivots = row_reduce(rows)
     pivot_set = set(pivots)
     basis = []
     for free in columns:
@@ -96,7 +96,7 @@ def symplectic_complement(rows: list[int], n_qubits: int, qubits: int) -> list[i
         listed.append(low.bit_length() - 1)
         qubits ^= low
     columns = listed + [n_qubits + q for q in listed]
-    return [swap_halves(v, n_qubits) for v in null_space(rows, 2 * n_qubits, columns)]
+    return [swap_halves(v, n_qubits) for v in null_space(rows, columns)]
 
 
 def lagrangian_extract(rows: list[int], n_qubits: int, size: int) -> list[int]:
@@ -138,5 +138,5 @@ def lagrangian_extract(rows: list[int], n_qubits: int, size: int) -> list[int]:
     return work
 
 
-def is_independent(rows: list[int], n_cols: int) -> bool:
-    return rank(rows, n_cols) == len(rows)
+def is_independent(rows: list[int]) -> bool:
+    return rank(rows) == len(rows)

@@ -8,7 +8,8 @@ group term; each tau is paired with a single-qubit sigma on S that
 anticommutes with it and commutes with everything else. Conjugating by the
 product of reflections (tau_i + sigma_i)/sqrt(2) then rewrites every term
 as +/- a product of sigmas, which is qubit-wise commuting by construction.
-Qubits outside S get no factor, so the circuit leaves them alone.
+Qubits outside S get no factor, so the circuit leaves them alone. Each
+group's transformed terms are read off its circuit, with exact signs.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from . import gf2
-from .circuits import CliffordCircuit, Gate, check_gate, synthesize
+from .circuits import CliffordCircuit, Gate, check_gate, conjugate_columns, synthesize
 from .grouping import validate_cover
 from .pauli import (MAX_QUBITS, FrozenRecord, Hamiltonian, PauliProduct, anticommuting,
                     qubit_columns, single_bits)
 
 
 class TransformError(RuntimeError):
-    """Pipeline defect: a contract that valid inputs cannot violate failed."""
+    """A cover group that ``pipeline`` could not transform, the message
+    naming the group; the command line prints it as one error line."""
 
 
 def _commute_pairwise(columns: tuple[list[int], list[int]],
@@ -98,7 +100,10 @@ class TauSigmaBasis(FrozenRecord):
 
     def validate(self, group: Hamiltonian | None = None) -> None:
         """Raise ValueError naming the first violated invariant, at the lowest
-        index; each tau or group term is tested with one bitset."""
+        index; each tau or group term is tested with one bitset. With a group
+        this is the whole precondition for transforming it: a term of the
+        basis's width that commutes with the taus, a Lagrangian basis of the
+        sigma qubits, and acts only on those qubits lies in the tau span."""
         n = self.n_qubits
         self.check_counts()
         for t in self.taus:
@@ -117,7 +122,7 @@ class TauSigmaBasis(FrozenRecord):
             if outside:
                 q = (outside & -outside).bit_length() - 1
                 raise ValueError(f"tau_{i} acts on qubit {q}, which has no sigma")
-        if not (gf2.is_independent([t.packed for t in self.taus], 2 * n)
+        if not (gf2.is_independent([t.packed for t in self.taus])
                 and _commute_pairwise(self.tau_columns, self.taus)):
             raise ValueError("taus are not a Lagrangian basis")
         for i, tau in enumerate(self.taus):
@@ -127,11 +132,18 @@ class TauSigmaBasis(FrozenRecord):
                 raise ValueError(f"tau_{i} does not anticommute with sigma_{i}" if j == i
                                  else f"tau_{i} anticommutes with sigma_{j}")
         if group is not None:
+            if group.n_qubits != n:
+                raise ValueError("group qubit count differs from basis")
             for ti, prod in enumerate(group.products()):
                 hits = anticommuting(*self.tau_columns, prod)
                 if hits:
                     k = (hits & -hits).bit_length() - 1
                     raise ValueError(f"group term {ti} anticommutes with tau_{k}")
+            for ti, prod in enumerate(group.products()):
+                outside = prod.support & ~sigma_qubits
+                if outside:
+                    q = (outside & -outside).bit_length() - 1
+                    raise ValueError(f"group term {ti} acts on qubit {q}, which has no sigma")
 
 
 class TransformedGroup(NamedTuple):
@@ -169,7 +181,7 @@ def find_tau(group: Hamiltonian) -> list[PauliProduct]:
     products = group.products()
     if not _commute_pairwise(qubit_columns(n, products), products):
         raise ValueError("group terms do not commute")
-    basis, _ = gf2.row_reduce([p.packed for p in products], 2 * n)
+    basis, _ = gf2.row_reduce([p.packed for p in products])
     if len(basis) < n:
         support = _qubits(basis, n)
         basis = gf2.lagrangian_extract(gf2.symplectic_complement(basis, n, support), n,
@@ -215,7 +227,7 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     vecs = [t.packed for t in taus]
     xcol, zcol = qubit_columns(n, taus)
     unassigned = _qubits(vecs, n)
-    if (len(vecs) != unassigned.bit_count() or not gf2.is_independent(vecs, 2 * n)
+    if (len(vecs) != unassigned.bit_count() or not gf2.is_independent(vecs)
             or not _commute_pairwise((xcol, zcol), taus)):
         raise ValueError("taus are not a Lagrangian basis")
     # Bit k of cols[b] is bit b of vecs[k]: the x columns, then the z columns.
@@ -264,75 +276,45 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
                          tuple(sigmas))
 
 
-def expand_in_tau(term: PauliProduct, basis: TauSigmaBasis
-                  ) -> tuple[tuple[int, ...], int]:
-    """Write term as p * product of taus; returns (tau indices, p in {+1,-1}).
-
-    sigma_k anticommutes with tau_k and with no other tau, so tau_k is in
-    the expansion exactly when sigma_k anticommutes with the term: the
-    subset is read off the basis's sigma columns. The selected taus,
-    multiplied in ascending index order, must give the term up to phase,
-    which proves it lies in the tau span. Mutually commuting taus force an
-    even i-exponent, so p is a sign. The basis must hold the TauSigmaBasis
-    invariants.
-
-    The product is kept as x/z bitmasks and an i-exponent. Summed over the
-    steps, the phase rule of ``PauliProduct.__mul__`` telescopes: the
-    running product's own |x & z| cancels between steps, which leaves each
-    factor's phase and |x & z|, twice |z & x'| of each running product z
-    and factor x', minus |x & z| of the result.
-    """
-    if term.n_qubits != basis.n_qubits:
-        raise ValueError("qubit-count mismatch")
-    taus = basis.taus
-    rest = anticommuting(*basis.sigma_columns, term)
-    indices = []
-    x = z = g = 0
-    while rest:
-        low = rest & -rest
-        k = low.bit_length() - 1
-        indices.append(k)
-        tau = taus[k]
-        g += tau.phase_exp + (tau.x & tau.z).bit_count() + 2 * (z & tau.x).bit_count()
-        x ^= tau.x
-        z ^= tau.z
-        rest ^= low
-    if x != term.x or z != term.z:
-        raise TransformError("term not in tau-span")
-    diff = (term.phase_exp - g + (x & z).bit_count()) % 4
-    if diff % 2:
-        raise TransformError("expansion phase is imaginary")
-    return tuple(indices), 1 - diff
+def _conjugated(group: Hamiltonian, circuit: CliffordCircuit) -> Hamiltonian:
+    """U^dagger G U for the group G and the circuit U: all terms through the
+    gates at once (``conjugate_columns``), each image read back as one
+    product. A coefficient is multiplied by -1 or 1, so an int stays one."""
+    n = group.n_qubits
+    xs, zs, minus = conjugate_columns(circuit, *qubit_columns(n, group.products()))
+    x, z = [0] * len(group.terms), [0] * len(group.terms)
+    for q in range(n):
+        for cols, masks in ((xs, x), (zs, z)):
+            rest = cols[q]
+            while rest:
+                low = rest & -rest
+                masks[low.bit_length() - 1] |= 1 << q
+                rest ^= low
+    return Hamiltonian(n, tuple(
+        (coeff * (-1 if minus >> k & 1 else 1), PauliProduct(n, x[k], z[k]))
+        for k, coeff in enumerate(group.coefficients())))
 
 
 def transform_group(group: Hamiltonian, basis: TauSigmaBasis,
                     term_indices: Iterable[int] | None = None) -> TransformedGroup:
-    """Map C * P -> C * p * product of sigmas for every group term.
-
+    """Map C * P -> C * p * product of sigmas for every group term, its image
+    under the basis's circuit (``_conjugated``), after ``basis.validate``.
     Constant terms pass through unchanged. The output is supported only on
     sigma qubits with sigma axes, hence qubit-wise commuting, and keeps the
-    input coefficient magnitudes term by term.
-    """
+    input coefficient magnitudes term by term."""
     basis.validate(group)
-    n = group.n_qubits
     indices = tuple(term_indices) if term_indices is not None \
         else tuple(range(len(group.terms)))
     if len(indices) != len(group.terms):
         raise ValueError("term_indices length differs from the group")
-    sigmas = [single_bits(n, q, a) for q, a in basis.sigmas]
-    out_terms: list[tuple[float, PauliProduct]] = []
-    for coeff, prod in group.terms:
-        subset, phase = expand_in_tau(prod, basis)
-        x = z = 0
-        for k in subset:
-            x |= sigmas[k][0]
-            z |= sigmas[k][1]
-        out_terms.append((coeff * phase, PauliProduct(n, x, z)))
-    return TransformedGroup(indices, basis, Hamiltonian(n, tuple(out_terms)))
+    return TransformedGroup(indices, basis, _conjugated(group, synthesize(basis)))
 
 
 def pipeline(h: Hamiltonian, cover) -> MeasurementPlan:
-    """Per cover group: find taus and sigmas, transform, synthesize a circuit."""
+    """Per cover group: find taus and sigmas, synthesize the circuit and read
+    the transformed terms off it. ``find_sigma`` proves the invariants of
+    its basis and ``find_tau``'s taus span every group term on the group's
+    support, so no basis is validated again."""
     violations = validate_cover(h, cover, "fc").violations
     if violations:
         raise ValueError(f"cover invalid under fc: {len(violations)} violations, "
@@ -345,9 +327,9 @@ def pipeline(h: Hamiltonian, cover) -> MeasurementPlan:
             taus = find_tau(sub)
             # A group of constants acts on no qubit: no factors, no gates.
             basis = find_sigma(taus) if taus else TauSigmaBasis(h.n_qubits, (), ())
-            tg = transform_group(sub, basis, group_indices)
             circuit = synthesize(basis)
-        except (ValueError, TransformError) as exc:
+            tg = TransformedGroup(tuple(group_indices), basis, _conjugated(sub, circuit))
+        except ValueError as exc:
             raise TransformError(f"group {gi}: {exc}") from exc
         entries.append(GroupPlan(tg, circuit))
     return MeasurementPlan(h.n_qubits, tuple(entries))

@@ -309,9 +309,9 @@ def _check_spectra(g: _GroupOperators):
     S_k, the sigmas that anticommute with it, and its stated term must be
     e_k c_k times the product of those sigmas: both sums agree on every sign
     pattern, so their spectra are equal (a failing group may have equal
-    spectra too). e_k comes from the i-exponent of the tau product, by the
-    telescoped rule of ``expand_in_tau`` less the term's Y count, kept mod 4
-    in two bit planes over the terms: it must be even, its high bit e_k = -1."""
+    spectra too). e_k comes from the i-exponent of the tau product (the
+    ``PauliProduct.__mul__`` rule, telescoped) less the term's Y count, kept
+    mod 4 in two bit planes over the terms: it must be even, its high bit e_k = -1."""
     basis = g.entry.transform.basis
     basis.check_counts()
     if len({q for q, _ in basis.sigmas}) != len(basis.sigmas):

@@ -63,8 +63,8 @@ def all_paulis(n_qubits: int):
 
 
 # GF(2) solving and subspace predicates. The pipeline needs none of them
-# (it reads expansions off the sigmas and checks bases on term bitsets);
-# they stay here as the references the tests compare against.
+# (it reads each group's image off its circuit and checks bases on term
+# bitsets); they stay here as the references the tests compare against.
 
 class InconsistentSystemError(ValueError):
     """Linear system has no solution over GF(2)."""
@@ -114,7 +114,7 @@ def is_isotropic(rows: list[int], n_qubits: int) -> bool:
 
 def is_lagrangian(rows: list[int], n_qubits: int) -> bool:
     return (len(rows) == n_qubits
-            and gf2.is_independent(rows, 2 * n_qubits)
+            and gf2.is_independent(rows)
             and is_isotropic(rows, n_qubits))
 
 
@@ -409,8 +409,8 @@ def scanning_cover_rlf(graph) -> CliqueCover:
 # symplectic_inner call per pair test, the extraction that rescans all pairs
 # each round, the expansion by a GF(2) solve and the basis check by pairwise
 # symplectic inner products. Tests require results identical to the
-# library's lowest-bit reduction, bitset sweep, sigma read-off and bitset
-# checks.
+# library's lowest-bit reduction, bitset sweep, images read off the circuit
+# (``sigma_product`` of the expansion) and bitset checks.
 
 def column_scan_row_reduce(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
     """RREF by scanning every column for a pivot, lowest column first."""
@@ -515,9 +515,12 @@ def solve_expansion(term: PauliProduct, basis) -> tuple[tuple[int, ...], int]:
     raise ValueError("expansion phase is imaginary")
 
 
-# transform.expand_in_tau as it was before it multiplied the taus on plain
-# ints: one PauliProduct product per selected tau. Tests require the same
-# indices, sign and error.
+# The expansion of a term in the taus, term = sign * the product of the
+# selected taus, by one PauliProduct product per selected tau: how the
+# transform once computed every group term's image, before it read the
+# images off the circuit. Tests require transform_group to map a term with
+# this expansion to sign * sigma_product(basis, indices), and to reject a
+# term that this rejects.
 
 def product_expand_in_tau(term: PauliProduct, basis: TauSigmaBasis
                           ) -> tuple[tuple[int, ...], int]:
@@ -535,6 +538,16 @@ def product_expand_in_tau(term: PauliProduct, basis: TauSigmaBasis
     if diff % 2:
         raise TransformError("expansion phase is imaginary")
     return indices, 1 - diff
+
+
+def sigma_product(basis: TauSigmaBasis, indices) -> PauliProduct:
+    """The product of sigma_k over the tau indices k, phase-free since the
+    sigma qubits differ: the image of a term whose expansion selects them."""
+    x = z = 0
+    for k in indices:
+        x |= basis.sigma_products[k].x
+        z |= basis.sigma_products[k].z
+    return PauliProduct(basis.n_qubits, x, z)
 
 
 # The paper's U as a Pauli sum, which the package exported until the
@@ -599,7 +612,7 @@ def pairwise_validate(basis, group: Hamiltonian | None = None) -> None:
             if t.axis(q) != "I" and q not in sigma_qubits:
                 raise ValueError(f"tau_{i} acts on qubit {q}, which has no sigma")
     vecs = [t.packed for t in basis.taus]
-    if not (gf2.is_independent(vecs, 2 * n) and is_isotropic(vecs, n)):
+    if not (gf2.is_independent(vecs) and is_isotropic(vecs, n)):
         raise ValueError("taus are not a Lagrangian basis")
     for i in range(m):
         for j in range(m):
@@ -609,10 +622,16 @@ def pairwise_validate(basis, group: Hamiltonian | None = None) -> None:
             if i != j and inner == 1:
                 raise ValueError(f"tau_{i} anticommutes with sigma_{j}")
     if group is not None:
+        if group.n_qubits != n:
+            raise ValueError("group qubit count differs from basis")
         for ti, (_, prod) in enumerate(group.terms):
             for k, tv in enumerate(vecs):
                 if gf2.symplectic_inner(prod.packed, tv, n):
                     raise ValueError(f"group term {ti} anticommutes with tau_{k}")
+        for ti, (_, prod) in enumerate(group.terms):
+            for q in range(n):
+                if prod.axis(q) != "I" and q not in sigma_qubits:
+                    raise ValueError(f"group term {ti} acts on qubit {q}, which has no sigma")
 
 
 # The Kronecker-embedding route to a circuit's dense matrix: one 2^n x 2^n
@@ -981,7 +1000,7 @@ def full_width_find_tau(group: Hamiltonian) -> list[PauliProduct]:
     products = group.products()
     if not _commute_pairwise(qubit_columns(n, products), products):
         raise ValueError("group terms do not commute")
-    basis, _ = gf2.row_reduce([p.packed for p in products], 2 * n)
+    basis, _ = gf2.row_reduce([p.packed for p in products])
     if len(basis) < n:
         basis = gf2.lagrangian_extract(
             gf2.symplectic_complement(basis, n, (1 << n) - 1), n, n)
@@ -998,7 +1017,7 @@ def idle_filter_find_tau(group: Hamiltonian) -> list[PauliProduct]:
     products = group.products()
     if not _commute_pairwise(qubit_columns(n, products), products):
         raise ValueError("group terms do not commute")
-    basis, _ = gf2.row_reduce([p.packed for p in products], 2 * n)
+    basis, _ = gf2.row_reduce([p.packed for p in products])
     if len(basis) < n:
         touched = 0
         for v in basis:
@@ -1020,7 +1039,7 @@ def full_width_find_sigma(taus) -> TauSigmaBasis:
     if any(t.n_qubits != n or t.phase_exp != 0 for t in taus):
         raise ValueError("taus must share the qubit count and carry no phase")
     vecs = [t.packed for t in taus]
-    if (len(vecs) != n or not gf2.is_independent(vecs, 2 * n)
+    if (len(vecs) != n or not gf2.is_independent(vecs)
             or not _commute_pairwise(qubit_columns(n, taus), taus)):
         raise ValueError("taus are not a Lagrangian basis")
     unassigned = (1 << n) - 1

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from helpers import (all_paulis, assert_dense_oracles, build_unitary_symbolic, group_basis,
-                     pauli_from_label, random_commuting_group)
+                     pauli_from_label, product_expand_in_tau, random_commuting_group,
+                     sigma_product)
 from paulimeasure import (CliqueCover, GroupPlan, MeasurementPlan, PauliProduct, build_graph,
-                          cover_exact, cover_rlf, compute_cover, expand_in_tau, pipeline,
-                          synthesize, transform_group, validate_cover)
+                          cover_exact, cover_rlf, compute_cover, pipeline, synthesize,
+                          transform_group, validate_cover)
 from paulimeasure import gf2, verify
 from paulimeasure.fixtures import (h2_commuting_group, h2_reference_basis,
                                    model_hamiltonian, model_reference_basis,
@@ -135,9 +136,9 @@ def test_criterion_6_randomized_pipeline_stress():
             for i in range(len(prods)):
                 for j in range(i + 1, len(prods)):
                     assert prods[i].qwc_with(prods[j])
-            for (c_in, p_in), (c_out, _) in zip(group.terms, out.transformed.terms):
-                assert expand_in_tau(p_in, basis)[1] in (1, -1)
-                assert abs(c_out) == abs(c_in)
+            for (c_in, p_in), (c_out, p_out) in zip(group.terms, out.transformed.terms):
+                indices, sign = product_expand_in_tau(p_in, basis)
+                assert (c_out, p_out) == (c_in * sign, sigma_product(basis, indices))
 
             assert verify.spectra_equal(group, out.transformed)
 

@@ -724,6 +724,24 @@ class TestVerify:
         assert ("FAIL basis invariants (group 0: tau_0 acts on qubit 1, which has no "
                 "sigma)") in out.splitlines()
 
+    def test_emptied_basis_fails_the_basis_row(self, tmp_path, capsys):
+        """Without taus and sigmas, no group term acts only on sigma qubits."""
+        source = tmp_path / "pair.txt"
+        source.write_text("1.0 X0 X1\n1.0 Z0 Z1\n")
+
+        def empty_basis(plan):
+            plan["groups"][0]["tau"] = plan["groups"][0]["sigma"] = []
+            return plan
+
+        code, out, err = self.run_verify_on_edited_plan(str(source), tmp_path,
+                                                        empty_basis, capsys)
+        assert (code, err) == (1, "")
+        rows = out.splitlines()
+        assert ("FAIL basis invariants (group 0: group term 0 acts on qubit 0, which has "
+                "no sigma)") in rows
+        for name in (TABLEAU, SPECTRA):
+            assert any(row.startswith(f"FAIL {name} (group 0: ") for row in rows)
+
     def test_extra_hadamard_on_an_idle_qubit_fails_the_tableau_row(self, tmp_path,
                                                                   capsys):
         """The group's terms do not touch qubit 1, so only the tableau row,
@@ -921,9 +939,8 @@ def test_public_names_are_pinned():
         "compute_cover", "cover_dsatur", "cover_exact", "cover_rlf", "cover_stats",
         "cover_to_dict", "validate_cover",
         "GroupPlan", "MeasurementPlan", "TauSigmaBasis", "TransformError",
-        "TransformedGroup", "circuit_from_dict", "expand_in_tau", "find_sigma",
-        "find_tau", "pipeline", "plan_from_dict", "plan_to_dict", "plan_to_json",
-        "transform_group",
+        "TransformedGroup", "circuit_from_dict", "find_sigma", "find_tau", "pipeline",
+        "plan_from_dict", "plan_to_dict", "plan_to_json", "transform_group",
         "CliffordCircuit", "Gate", "gate_counts", "synthesize",
     ]
     assert all(hasattr(paulimeasure, name) for name in paulimeasure.__all__)

@@ -14,15 +14,14 @@ from helpers import (assert_dense_oracles, build_unitary_symbolic, embedded_grou
                      product_expand_in_tau, random_commuting_group,
                      random_graph_hamiltonian, random_isotropic, random_pauli,
                      reference_plan_dict, regex_parse_term_tokens, rescanning_find_sigma,
-                     solve_expansion)
+                     sigma_product, solve_expansion)
 from paulimeasure import (CliffordCircuit, CliqueCover, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, TauSigmaBasis, TransformError,
-                          TransformedGroup, build_graph, cover_rlf, expand_in_tau,
-                          find_sigma, find_tau, parse_hamiltonian, pipeline,
-                          plan_from_dict, plan_to_dict, plan_to_json, synthesize,
-                          transform_group, validate_cover)
+                          TransformedGroup, build_graph, cover_rlf, find_sigma, find_tau,
+                          parse_hamiltonian, pipeline, plan_from_dict, plan_to_dict,
+                          plan_to_json, synthesize, transform_group, validate_cover)
 from paulimeasure.circuits import GATE_NAMES
-from paulimeasure import verify
+from paulimeasure import transform as transform_module, verify
 from paulimeasure.fixtures import (h2_commuting_group, h2_reference_basis,
                                    model_hamiltonian, model_reference_basis,
                                    six_term_hamiltonian)
@@ -236,60 +235,74 @@ class TestSupportLocalBasis:
             find_sigma(find_tau(h))
 
 
+def image_of(term: PauliProduct, basis: TauSigmaBasis) -> tuple[int, PauliProduct]:
+    """transform_group's image of the one-term group 1 * term: (sign, product)."""
+    group = Hamiltonian(basis.n_qubits, ((1, term),))
+    ((sign, product),) = transform_group(group, basis).transformed.terms
+    return sign, product
+
+
 class TestExpandInTau:
+    """Each group term's expansion in the taus, term = p * the product of
+    tau_k over a subset, as transform_group writes it: the image is p times
+    the product of those sigma_k."""
+
     def test_h2_two_tau_selection(self):
         basis = h2_reference_basis()
         term = PauliProduct.from_term_string("Z1 Z3", 4)
-        assert expand_in_tau(term, basis) == ((0, 1), 1)
+        assert image_of(term, basis) == (1, sigma_product(basis, (0, 1)))
 
     def test_tau_expands_to_itself(self):
         basis = h2_reference_basis()
         for j, tau in enumerate(basis.taus):
-            assert expand_in_tau(tau, basis) == ((j,), 1)
+            assert image_of(tau, basis) == (1, basis.sigma_products[j])
 
     def test_identity_expands_to_empty_set(self):
         basis = model_reference_basis()
-        assert expand_in_tau(PauliProduct.identity(2), basis) == ((), 1)
+        assert image_of(PauliProduct.identity(2), basis) == (1, PauliProduct.identity(2))
 
     def test_negative_phase_case(self):
         # Z0 Z2 = (Y0 Y2)(X0 X2) with two -i factors, hence p = -1
         basis = h2_reference_basis()
         term = PauliProduct.from_term_string("Z0 Z2", 4)
-        assert expand_in_tau(term, basis) == ((2, 3), -1)
+        assert image_of(term, basis) == (-1, sigma_product(basis, (2, 3)))
 
     def test_term_outside_span_rejected(self):
         basis = model_reference_basis()
-        with pytest.raises(TransformError, match="tau-span"):
-            expand_in_tau(PauliProduct.from_term_string("X0", 2), basis)
+        with pytest.raises(ValueError, match="group term 0 anticommutes with tau_"):
+            image_of(PauliProduct.from_term_string("X0", 2), basis)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
     def test_read_off_matches_gf2_solve(self, n, seed):
+        """Phase-free terms, in the tau span and random ones."""
         rng = random.Random(seed)
         basis = find_sigma([PauliProduct.from_packed(v, n)
                             for v in random_isotropic(n, n, rng)])
         for _ in range(10):
             if rng.random() < 0.3:
-                term = random_pauli(n, rng, phase=True)
+                term = random_pauli(n, rng)
             else:
-                term = PauliProduct(n, 0, 0, rng.randrange(4))
+                term = PauliProduct.identity(n)
                 for k in range(n):
                     if rng.getrandbits(1):
                         term = term * basis.taus[k]
+                term = PauliProduct(n, term.x, term.z)
             try:
-                want = solve_expansion(term, basis)
+                indices, sign = solve_expansion(term, basis)
             except ValueError:
-                with pytest.raises(TransformError):
-                    expand_in_tau(term, basis)
+                with pytest.raises(ValueError, match="group term 0 anticommutes with tau_"):
+                    image_of(term, basis)
             else:
-                assert expand_in_tau(term, basis) == want
+                assert image_of(term, basis) == (sign, sigma_product(basis, indices))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
     def test_matches_product_reference(self, n, seed, from_group):
-        """Indices, sign and error text equal those of the PauliProduct
-        product, for terms in the tau span with any phase, span elements
-        times one single-qubit Pauli, and random products."""
+        """The image of a phase-free term is the product of the sigmas of the
+        PauliProduct reference's expansion, with its sign, for terms in the
+        tau span, span elements times one single-qubit Pauli, and random
+        products; a term the reference rejects, transform_group rejects."""
         rng = random.Random(seed)
         if from_group:
             basis = group_basis(random_commuting_group(n, rng))
@@ -297,7 +310,7 @@ class TestExpandInTau:
             basis = find_sigma([PauliProduct.from_packed(v, n)
                                 for v in random_isotropic(n, n, rng)])
         for _ in range(12):
-            term = PauliProduct(n, 0, 0, rng.randrange(4))
+            term = PauliProduct.identity(n)
             for tau in basis.taus:
                 if rng.getrandbits(1):
                     term = term * tau
@@ -305,16 +318,16 @@ class TestExpandInTau:
             if kind == 1:
                 term = term * PauliProduct.single(n, rng.randrange(n), rng.choice("XYZ"))
             elif kind == 2:
-                term = random_pauli(n, rng, phase=True)
-            assert (expansion_outcome(expand_in_tau, term, basis)
-                    == expansion_outcome(product_expand_in_tau, term, basis))
-
-
-def expansion_outcome(expand, term, basis):
-    try:
-        return expand(term, basis)
-    except TransformError as exc:
-        return "TransformError", str(exc)
+                term = random_pauli(n, rng)
+            term = PauliProduct(n, term.x, term.z)
+            try:
+                indices, sign = product_expand_in_tau(term, basis)
+            except TransformError:
+                with pytest.raises(ValueError, match="group term 0 (anticommutes with tau_"
+                                                     "|acts on qubit )"):
+                    image_of(term, basis)
+            else:
+                assert image_of(term, basis) == (sign, sigma_product(basis, indices))
 
 
 class TestTransformGroup:
@@ -349,10 +362,10 @@ class TestTransformGroup:
             h = random_commuting_group(n, rng)
             basis = group_basis(h)
             out = transform_group(h, basis)
-            for (c_in, p_in), (c_out, _) in zip(h.terms, out.transformed.terms):
-                p = expand_in_tau(p_in, basis)[1]
+            for (c_in, p_in), (c_out, p_out) in zip(h.terms, out.transformed.terms):
+                indices, p = product_expand_in_tau(p_in, basis)
                 assert p in (1, -1)
-                assert c_out == c_in * p
+                assert (c_out, p_out) == (c_in * p, sigma_product(basis, indices))
 
     def test_output_is_qwc(self):
         rng = random.Random(6)
@@ -430,6 +443,25 @@ class TestPipeline:
         plan = pipeline(h, cover_rlf(build_graph(h, "fc")))
         assert len(plan.groups) == 1
         assert plan.groups[0].transform.transformed.terms[0][0] == 1.0
+
+    def test_reads_each_image_off_its_circuit_without_a_second_check(self, monkeypatch):
+        """pipeline hands find_sigma's basis to synthesize and the
+        conjugation without validating it again; each group equals the
+        transform_group result, which does validate."""
+        h = random_graph_hamiltonian(10, 60, random.Random(23))
+        cover = cover_rlf(build_graph(h, "fc"))
+        with monkeypatch.context() as m:
+            def refuse(*args, **kwargs):
+                raise AssertionError("called from pipeline")
+
+            m.setattr(TauSigmaBasis, "validate", refuse)
+            m.setattr(transform_module, "transform_group", refuse)
+            plan = pipeline(h, cover)
+        for indices, entry in zip(cover.groups, plan.groups):
+            sub = Hamiltonian(h.n_qubits, tuple(h.terms[i] for i in indices))
+            basis = entry.transform.basis
+            assert entry.transform == transform_group(sub, basis, indices)
+            assert entry.circuit == synthesize(basis)
 
     def test_invalid_cover_rejected(self):
         h = parse_hamiltonian("1.0 X0\n1.0 Z0\n")
@@ -658,7 +690,7 @@ def validate_outcome(check) -> str | None:
 
 class TestBasisValidate:
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(0, 7))
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(0, 8))
     def test_first_violation_matches_pairwise_reference(self, n, seed, kind):
         rng = random.Random(seed)
         group = random_commuting_group(n, rng)
@@ -666,7 +698,7 @@ class TestBasisValidate:
         taus, sigmas = list(basis.taus), list(basis.sigmas)
         if taus:
             i, j = rng.randrange(len(taus)), rng.randrange(len(taus))
-        elif kind not in (4, 5):
+        elif kind not in (4, 5, 8):
             kind = 4  # a group of constants has no factor to corrupt
         if kind == 0:
             taus[i] = random_pauli(n, rng)
@@ -684,6 +716,15 @@ class TestBasisValidate:
             taus[i] = PauliProduct.from_packed(
                 (taus[i] * PauliProduct.single(n, rng.randrange(n), rng.choice("XYZ"))).packed,
                 n)
+        elif kind == 8:
+            # One more qubit, with no tau on it and no sigma, and a group term
+            # times a Pauli there: it commutes with every tau.
+            n += 1
+            taus = [PauliProduct(n, t.x, t.z) for t in taus]
+            _, p = rng.choice(group.terms)
+            extra = PauliProduct.single(n, n - 1, rng.choice("XYZ"))
+            group = Hamiltonian(n, tuple((c, PauliProduct(n, t.x, t.z)) for c, t in group.terms)
+                                + ((1.0, PauliProduct(n, p.x | extra.x, p.z | extra.z)),))
         corrupted = TauSigmaBasis(n, tuple(taus), tuple(sigmas))
         for g in (None, group):
             assert (validate_outcome(lambda: corrupted.validate(g))
@@ -718,3 +759,19 @@ class TestBasisValidate:
         group = parse_hamiltonian("qubits: 2\n1.0 X0\n")
         with pytest.raises(ValueError, match="anticommutes"):
             basis.validate(group)
+
+    def test_rejects_commuting_group_term_on_a_qubit_without_a_sigma(self):
+        # Z2 commutes with the taus of X0 X1 and Z0 Z1, which span no term on qubit 2
+        group = parse_hamiltonian("qubits: 3\n1.0 X0 X1\n0.5 Z0 Z1\n")
+        basis = group_basis(group)
+        wider = parse_hamiltonian("qubits: 3\n1.0 X0 X1\n0.5 Z0 Z1 Z2\n")
+        with pytest.raises(ValueError,
+                           match="^group term 1 acts on qubit 2, which has no sigma$"):
+            basis.validate(wider)
+        with pytest.raises(ValueError, match="^group term 0 acts on qubit 0, which has no sigma$"):
+            TauSigmaBasis(3, (), ()).validate(group)
+
+    def test_rejects_a_group_of_another_width(self):
+        basis = model_reference_basis()
+        with pytest.raises(ValueError, match="^group qubit count differs from basis$"):
+            basis.validate(parse_hamiltonian("qubits: 3\n1.0 Z0\n"))

@@ -270,6 +270,9 @@ class TestSpectra:
         h, entry, detail = MALFORMED_GROUPS[case]()
         got = rows(h, MeasurementPlan(h.n_qubits, (entry,)))
         assert got[SPECTRA] == ("fail", f"group 0: {detail}")
+        if case == "term_on_a_qubit_without_a_sigma":
+            assert got[BASIS] == ("fail", "group 0: group term 1 acts on qubit 2, "
+                                  "which has no sigma")
 
     def test_reads_neither_the_circuit_nor_conjugate_columns(self, monkeypatch):
         group = random_commuting_group(5, random.Random(97))
@@ -424,6 +427,7 @@ class TestExpectationInvariance:
         assert looped_expectation_invariance(h, a, np.eye(4, dtype=complex), 50, rng) > 1e-3
 
 
+BASIS = "basis invariants"
 TABLEAU = ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
            "phase (tableau)")
 SIGNS = "circuit maps each group term to its transformed term (exact sign)"
