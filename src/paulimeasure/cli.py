@@ -8,7 +8,7 @@ import math
 import sys
 
 from .grouping import (METHODS, RELATIONS, build_graph, compute_cover, cover_stats,
-                       cover_to_dict)
+                       cover_to_json)
 from .pauli import (DROP_TOLERANCE, MAX_COUNT_QUBITS, Hamiltonian, PauliProduct,
                     count_compatible, parse_hamiltonian)
 from .transform import TransformError, pipeline, plan_from_dict, plan_to_json
@@ -37,7 +37,7 @@ def cmd_group(args: argparse.Namespace) -> int:
     h = _read_hamiltonian(args.input, args.tolerance)
     cover = compute_cover(build_graph(h, args.relation), args.method)
     if args.format == "json":
-        _write_text(None, _json_dumps(cover_to_dict(cover)))
+        _write_text(None, cover_to_json(cover))
         return 0
     st = cover_stats(cover)
     lines = [f"{len(h.terms)} terms, {st.group_count} groups"]

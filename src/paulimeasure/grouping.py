@@ -10,21 +10,21 @@ break the relation with term i are an XOR (fc) or an OR (qwc) of one such
 bitset per qubit of term i, so the build is O(m*w) big-int operations for
 m terms of weight w, with no pairwise loop and no m*m matrix. The graph
 keeps those conflict rows, which are the adjacency rows of the complement
-that every cover colors. DSATUR keeps the uncolored vertices in saturation
-buckets, so it does not rescan all vertices to pick the next one.
+that every cover colors.
 
-RLF keeps per-vertex counts in bit-sliced counters: a list of k =
-m.bit_length() m-bit ints, where bit v of slice j is bit j of vertex v's
-count. Adding 1 to the count of every vertex of each row of a batch is a
-carry-save add over the slices, and the vertex of a set with the highest
-count is found by walking the slices from the top, so neither touches the
-vertices one by one. A degree counter gives each group's seed; a score
-counter gives its picks, unless the seed leaves so few candidates that
-scanning them is cheaper.
+DSATUR and RLF keep per-vertex counts in bit-sliced counters: a list of
+m-bit ints, where bit v of slice j is bit j of vertex v's count. Adding 1
+to the count of every vertex of a row ripples a carry through the slices
+(RLF adds a batch of rows by a carry-save add), and the vertex of a set
+with the highest count is found by walking the slices from the top, so
+neither touches the vertices one by one. DSATUR counts saturations; RLF's
+degree counter gives each group's seed and its score counter the picks,
+unless the seed leaves so few candidates that scanning them is cheaper.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
@@ -35,6 +35,8 @@ RELATIONS = ("fc", "qwc")
 METHODS = ("dsatur", "rlf", "exact")
 
 DEFAULT_EXACT_CAP = 64
+# Colors per block of DSATUR's first fit.
+_BLOCK = 64
 
 
 class CompatGraph(NamedTuple):
@@ -91,21 +93,29 @@ def _conflicts(n_qubits: int, prods: Sequence[PauliProduct], relation: str) -> l
 
     fc rows are ``pauli.anticommuting``. For qwc, on qubit q a term with an
     X there differs in axis from the terms in zcol[q] (Z or Y), one with a Z
-    from those in xcol[q], and one with a Y from their XOR; any such
-    difference breaks qubit-wise commutation, so the row ORs them.
+    from those in xcol[q], and one with a Y from those in ycol[q], their
+    XOR, built once per qubit; any such difference breaks qubit-wise
+    commutation, so the row ORs them in one pass over the term's support.
     """
     xcol, zcol = qubit_columns(n_qubits, prods)
     if relation == "fc":
         return [anticommuting(xcol, zcol, p) for p in prods]
+    ycol = [x ^ z for x, z in zip(xcol, zcol)]
     rows = []
     for p in prods:
+        x, z = p.x, p.z
+        support = x | z
         row = 0
-        for q in _bits(p.x & ~p.z):
-            row |= zcol[q]
-        for q in _bits(p.z & ~p.x):
-            row |= xcol[q]
-        for q in _bits(p.x & p.z):
-            row |= xcol[q] ^ zcol[q]
+        while support:
+            low = support & -support
+            q = low.bit_length() - 1
+            if not x & low:
+                row |= xcol[q]
+            elif z & low:
+                row |= ycol[q]
+            else:
+                row |= zcol[q]
+            support ^= low
         rows.append(row)
     return rows
 
@@ -130,30 +140,39 @@ def _groups_from_colors(colors: list[int]) -> tuple[tuple[int, ...], ...]:
 def _dsatur_colors(graph: CompatGraph) -> list[int]:
     """Color the vertex of highest saturation next, lowest index on ties.
 
-    ``buckets[s]`` holds the uncolored vertices of saturation s (distinct
-    colors among their conflicting vertices); a vertex whose saturation
-    rises moves up one bucket. ``seen[c]`` is the union of the conflict
-    rows of the vertices colored c: the vertices that may no longer take c.
-    The first-fit color test reads ``seen_bytes[c]``, the little-endian bytes
-    of ``seen[c]``, since indexing bytes is cheaper than shifting an m-bit int.
+    A vertex's saturation is the number of distinct colors among its
+    conflicting vertices. ``sat`` holds them in a bit-sliced counter that
+    grows to keep one empty top slice. The next vertex is found as
+    ``_argmax`` finds it, and a rising saturation gets 1 by a ripple carry.
+    ``seen[c]`` is the union of the conflict rows of the vertices colored c:
+    the vertices that may no longer take c. Once the ``_BLOCK`` colors of
+    block b all exist, ``full[b]`` is the AND of their ``seen`` rows, so
+    first fit skips each block that has no color for the vertex and tests
+    colors one by one from the first block that may. Each test reads a
+    ``bytes`` copy: indexing bytes is cheaper than shifting an m-bit int.
     """
     n = graph.n_vertices
     n_bytes = (n + 7) >> 3
     colors = [-1] * n
     seen: list[int] = []
     seen_bytes: list[bytes] = []
-    buckets = [0] * (n + 1)
-    buckets[0] = uncolored = (1 << n) - 1
-    top = 0
+    full: list[bytes] = []
+    sat = [0]
+    uncolored = (1 << n) - 1
     for _ in range(n):
-        while not buckets[top]:
-            top -= 1
-        bit = buckets[top] & -buckets[top]
+        mask = uncolored
+        for s in reversed(sat):
+            high = mask & s
+            if high:
+                mask = high
+        bit = mask & -mask
         v = bit.bit_length() - 1
-        buckets[top] ^= bit
         uncolored ^= bit
         byte, flag = v >> 3, 1 << (v & 7)
-        c = 0
+        b = 0
+        while b < len(full) and full[b][byte] & flag:
+            b += 1
+        c = b * _BLOCK
         while c < len(seen) and seen_bytes[c][byte] & flag:
             c += 1
         if c == len(seen):
@@ -161,20 +180,31 @@ def _dsatur_colors(graph: CompatGraph) -> list[int]:
             seen_bytes.append(b"")
         colors[v] = c
         row = graph.conflicts[v]
-        rising = row & ~seen[c] & uncolored
+        new = row & ~seen[c]
         seen[c] |= row
         seen_bytes[c] = seen[c].to_bytes(n_bytes, "little")
-        # Top bucket first, so that a vertex moves up at most once.
-        s = top
+        rising = new & uncolored
+        j = 0
         while rising:
-            moved = buckets[s] & rising
-            if moved:
-                buckets[s] ^= moved
-                buckets[s + 1] |= moved
-                rising ^= moved
-            s -= 1
-        if buckets[top + 1]:
-            top += 1
+            s = sat[j]
+            sat[j] = s ^ rising
+            rising &= s
+            j += 1
+        if sat[-1]:
+            sat.append(0)
+        b = c // _BLOCK
+        if b == len(full) and len(seen) == (b + 1) * _BLOCK:
+            full.append(bytes(n_bytes))
+            new = seen[c]
+        if b < len(full):
+            # full[b] is empty or inside the old seen[c]: only new bits can join.
+            for d in range(b * _BLOCK, (b + 1) * _BLOCK):
+                new &= seen[d]
+                if not new:
+                    break
+            else:
+                new |= int.from_bytes(full[b], "little")
+                full[b] = new.to_bytes(n_bytes, "little")
     return colors
 
 
@@ -451,11 +481,49 @@ def cover_stats(cover: CliqueCover) -> CoverStats:
     return CoverStats(len(sizes), max(sizes), math.sqrt(var))
 
 
-def cover_to_dict(cover: CliqueCover) -> dict:
+def _number(value) -> str:
+    """A number as ``json.dumps`` writes it. An exact int and a finite exact
+    float are written by their repr; anything else, such as a bool, a float
+    subclass like numpy.float64, NaN or an infinity, goes through json.dumps."""
+    kind = type(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
+def _array(items: list[str], level: int) -> str:
+    """An indented JSON array at ``level`` from its items' text, each item
+    already indented for level + 1."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
+_COVER = """{{
+  "relation": {},
+  "method": {},
+  "groups": {},
+  "stats": {{
+    "count": {},
+    "max": {},
+    "std": {}
+  }}
+}}
+"""
+
+
+def cover_to_json(cover: CliqueCover) -> str:
+    """The cover file: byte for byte ``json.dumps(d, indent=2) + "\\n"`` of
+    its dict form ``d``, built without that dict, as ``plan_to_json``
+    writes a plan. This is where the cover schema is written down."""
     st = cover_stats(cover)
-    return {
-        "relation": cover.relation,
-        "method": cover.method,
-        "groups": [list(g) for g in cover.groups],
-        "stats": {"count": st.group_count, "max": st.max_size, "std": st.size_stddev},
-    }
+    groups = [_array([_number(v) for v in g], 2) for g in cover.groups]
+    return _COVER.format(json.dumps(cover.relation), json.dumps(cover.method),
+                         _array(groups, 1), _number(st.group_count),
+                         _number(st.max_size), _number(st.size_stddev))
+
+
+def cover_to_dict(cover: CliqueCover) -> dict:
+    """The cover's JSON form as Python objects: ``json.loads(cover_to_json(cover))``."""
+    return json.loads(cover_to_json(cover))

@@ -15,14 +15,13 @@ group's transformed terms are read off its circuit, with exact signs.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from . import gf2
 from .circuits import CliffordCircuit, Gate, check_gate, conjugate_columns, synthesize
-from .grouping import validate_cover
+from .grouping import _array, _number, validate_cover
 from .pauli import (MAX_QUBITS, FrozenRecord, Hamiltonian, PauliProduct, anticommuting,
                     qubit_columns, single_bits)
 
@@ -333,25 +332,6 @@ def pipeline(h: Hamiltonian, cover) -> MeasurementPlan:
             raise TransformError(f"group {gi}: {exc}") from exc
         entries.append(GroupPlan(tg, circuit))
     return MeasurementPlan(h.n_qubits, tuple(entries))
-
-
-def _number(value) -> str:
-    """A number as ``json.dumps`` writes it. An exact int and a finite exact
-    float are written by their repr; anything else, such as a bool, a float
-    subclass like numpy.float64, NaN or an infinity, goes through json.dumps."""
-    kind = type(value)
-    if kind is int or kind is float and math.isfinite(value):
-        return repr(value)
-    return json.dumps(value)
-
-
-def _array(items: list[str], level: int) -> str:
-    """An indented JSON array at ``level`` from its items' text, each item
-    already indented for level + 1."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
 
 
 # Objects of the plan file, indented for where they sit: plan > groups >

@@ -247,9 +247,9 @@ def conjugation_maps_paulis_to_paulis(u: np.ndarray, n_qubits: int,
 
 
 # Naive references for the bitset grouping code: pairwise relation tests,
-# the linear-scan DSATUR it replaced, the bucket DSATUR with its color test on
-# shifted ints and the RLF that scans every candidate for each pick. Tests
-# require identical results.
+# the linear-scan DSATUR it replaced, the bucket-queue DSATUR with its color
+# test on shifted ints and the RLF that scans every candidate for each pick.
+# Tests require identical results.
 
 def pairwise_graph_rows(h: Hamiltonian, relation: str) -> tuple[int, ...]:
     """Adjacency rows by testing every term pair with the product predicates."""
@@ -322,7 +322,11 @@ def naive_dsatur_colors(graph) -> list[int]:
 
 
 def shifting_dsatur_colors(graph) -> list[int]:
-    """grouping._dsatur_colors with the first-fit test on the int ``seen[c]``."""
+    """DSATUR by saturation buckets, as grouping._dsatur_colors was before
+    its bit-sliced saturation counter and blocked first fit: ``buckets[s]``
+    holds the uncolored vertices of saturation s, a rising vertex moves up
+    one bucket by a walk down from the top one, and first fit tests every
+    color on the int ``seen[c]``."""
     n = graph.n_vertices
     colors = [-1] * n
     seen: list[int] = []

@@ -1,5 +1,6 @@
 """Compatibility graphs, cover heuristics, exact covers, validation, stats."""
 
+import json
 import random
 
 import pytest
@@ -11,8 +12,8 @@ from helpers import (naive_dsatur_colors, pairwise_graph_rows, pairwise_violatio
                      shifting_dsatur_colors)
 from paulimeasure import (CliqueCover, CompatGraph, Hamiltonian, PauliProduct,
                           build_graph, compute_cover, cover_dsatur, cover_exact,
-                          cover_rlf, cover_stats, cover_to_dict, parse_hamiltonian,
-                          validate_cover)
+                          cover_rlf, cover_stats, cover_to_dict, cover_to_json,
+                          parse_hamiltonian, validate_cover)
 from paulimeasure import grouping
 from paulimeasure.grouping import METHODS, RELATIONS, _dsatur_colors
 from paulimeasure.fixtures import SIX_TERM_TEXT, six_term_hamiltonian
@@ -45,6 +46,52 @@ def edgeless_graph(n):
 def random_compat_graph(n, rng, p=0.5):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+def random_conflict_graph(n, rng, density):
+    """Symmetric conflict rows in which each pair conflicts with probability
+    ``density``."""
+    conflicts = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                conflicts[i] |= 1 << j
+                conflicts[j] |= 1 << i
+    return CompatGraph(n, "fc", tuple(conflicts))
+
+
+def planted_conflict_graph(k, n, rng, density):
+    """n >= k vertices in k classes, the first k vertices one per class,
+    shuffled. Those k conflict pairwise; any other two vertices of distinct
+    classes conflict with probability ``density``, and two of one class never
+    do. At density 1 every coloring in DSATUR order takes exactly k colors."""
+    classes = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+    rng.shuffle(classes)
+    first = {}
+    for v, cls in enumerate(classes):
+        first.setdefault(cls, v)
+    conflicts = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            clique = first[classes[i]] == i and first[classes[j]] == j
+            if classes[i] != classes[j] and (clique or rng.random() < density):
+                conflicts[i] |= 1 << j
+                conflicts[j] |= 1 << i
+    return CompatGraph(n, "fc", tuple(conflicts))
+
+
+@st.composite
+def shared_qubit_sums(draw, max_qubits=4, max_terms=30):
+    """Sums of distinct terms written over a few qubits that they all share,
+    so that X, Y and Z meet on every qubit."""
+    n = draw(st.integers(1, max_qubits))
+    words = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1,
+                          max_size=max_terms, unique=True))
+    terms = []
+    for k, word in enumerate(words):
+        tokens = " ".join(f"{a}{q}" for q, a in enumerate(word) if a != "I") or "I"
+        terms.append((1.0 + k, PauliProduct.from_term_string(tokens, n)))
+    return Hamiltonian.from_terms(n, terms)
 
 
 @st.composite
@@ -135,6 +182,14 @@ class TestBuildGraph:
                 assert all(((rows[j] >> i) & 1) == ((row >> j) & 1)
                            for j in range(len(rows))), (relation, i)
 
+    @settings(max_examples=200, deadline=None)
+    @given(shared_qubit_sums())
+    def test_qwc_rows_where_axes_meet_on_shared_qubits(self, h):
+        full = (1 << len(h.terms)) - 1
+        assert build_graph(h, "qwc").conflicts == tuple(
+            full & ~row & ~(1 << i)
+            for i, row in enumerate(pairwise_graph_rows(h, "qwc")))
+
     @settings(max_examples=100, deadline=None)
     @given(pauli_sums(), st.randoms(use_true_random=False))
     def test_violations_match_pairwise_validation(self, h, rng):
@@ -203,8 +258,9 @@ class TestHeuristicCovers:
 
 
 class TestOrderingReferences:
-    """cover_rlf's bit-sliced counters and _dsatur_colors' bytes color test
-    against the popcount-scan RLF and the shifted-int test they replaced."""
+    """cover_rlf's bit-sliced counters and _dsatur_colors' saturation counter
+    and blocked first fit against the popcount-scan RLF, the bucket DSATUR
+    and the linear-scan DSATUR they replaced."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 100), st.integers(0, 2 ** 32))
@@ -252,6 +308,38 @@ class TestOrderingReferences:
         for g in (complete_graph(n), edgeless_graph(n),
                   random_compat_graph(n, rng, 0.2), random_compat_graph(n, rng, 0.8)):
             assert_matches_references(g)
+
+
+class TestDsaturBlocks:
+    """_dsatur_colors' first fit skips a block of 64 colors once they all
+    exist and block a vertex. Hamiltonian graphs of the sizes drawn above
+    rarely color with 64 colors, so these graphs are built from rows."""
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_graphs(self, n):
+        assert _dsatur_colors(edgeless_graph(n)) == list(range(n))
+        assert_matches_references(edgeless_graph(n))
+
+    def test_all_conflict_graph_of_130(self):
+        g = edgeless_graph(130)
+        assert _dsatur_colors(g) == list(range(130))
+        assert_matches_references(g)
+
+    @pytest.mark.parametrize("density", [0.5, 0.9, 1.0])
+    def test_random_conflict_rows(self, density):
+        rng = random.Random(f"rows-{density}")
+        for n in (2, 63, 64, 65, 140, 300):
+            assert_matches_references(random_conflict_graph(n, rng, density))
+
+    @pytest.mark.parametrize("k", [63, 64, 65, 127, 128, 129])
+    def test_colorings_ending_at_block_edges(self, k):
+        """Exactly k colors at density 1; at density 0.9 the later vertices
+        keep adding to the rows of colors in complete blocks."""
+        rng = random.Random(k)
+        g = planted_conflict_graph(k, k + 120, rng, 1.0)
+        assert max(_dsatur_colors(g)) + 1 == k
+        assert_matches_references(g)
+        assert_matches_references(planted_conflict_graph(k, k + 120, rng, 0.9))
 
 
 class TestExactCover:
@@ -336,6 +424,17 @@ class TestValidationAndStats:
         st = cover_stats(CliqueCover("fc", "manual", ((0,), (1, 2, 3))))
         assert st.group_count == 2 and st.max_size == 3
         assert st.size_stddev == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("groups, max_size, std", [
+        ((), 0, 0.0), (((0, 1, 2),), 3, 0.0), (((0,), (1, 2)), 2, 0.5),
+        (((0,), (1,), (2, 3), ()), 2, 0.7071067811865476),
+    ])
+    def test_cover_json_is_the_indented_dump_of_its_dict(self, groups, max_size, std):
+        cover = CliqueCover("qwc", "dsatur", groups)
+        d = {"relation": "qwc", "method": "dsatur", "groups": [list(g) for g in groups],
+             "stats": {"count": len(groups), "max": max_size, "std": std}}
+        assert cover_to_json(cover) == json.dumps(d, indent=2) + "\n"
+        assert cover_to_dict(cover) == d
 
     def test_cover_serialization_schema(self):
         g = build_graph(six_term_hamiltonian(), "fc")
