@@ -11,7 +11,7 @@ from .grouping import (METHODS, RELATIONS, build_graph, compute_cover, cover_sta
                        cover_to_json)
 from .pauli import (DROP_TOLERANCE, MAX_COUNT_QUBITS, Hamiltonian, PauliProduct,
                     count_compatible, parse_hamiltonian)
-from .transform import TransformError, pipeline, plan_from_dict, plan_to_json
+from .transform import pipeline, plan_from_dict, plan_to_json
 
 
 def _read_hamiltonian(path: str, tolerance: float) -> Hamiltonian:
@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, TransformError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"measure: error: {exc}", file=sys.stderr)
         return 1
 

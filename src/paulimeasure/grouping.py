@@ -87,9 +87,10 @@ def _check_relation(relation: str) -> None:
         raise ValueError(f"unknown relation {relation!r}")
 
 
-def _conflicts(n_qubits: int, prods: Sequence[PauliProduct], relation: str) -> list[int]:
+def _conflicts(columns: tuple[list[int], list[int]], prods: Sequence[PauliProduct],
+               relation: str) -> list[int]:
     """Per product, the bitset of the products (by position) it breaks the
-    relation with.
+    relation with, read off their term bitsets ``columns`` (``qubit_columns``).
 
     fc rows are ``pauli.anticommuting``. For qwc, on qubit q a term with an
     X there differs in axis from the terms in zcol[q] (Z or Y), one with a Z
@@ -97,7 +98,7 @@ def _conflicts(n_qubits: int, prods: Sequence[PauliProduct], relation: str) -> l
     XOR, built once per qubit; any such difference breaks qubit-wise
     commutation, so the row ORs them in one pass over the term's support.
     """
-    xcol, zcol = qubit_columns(n_qubits, prods)
+    xcol, zcol = columns
     if relation == "fc":
         return [anticommuting(xcol, zcol, p) for p in prods]
     ycol = [x ^ z for x, z in zip(xcol, zcol)]
@@ -123,7 +124,7 @@ def _conflicts(n_qubits: int, prods: Sequence[PauliProduct], relation: str) -> l
 def build_graph(h: Hamiltonian, relation: str) -> CompatGraph:
     """The term pairs that break the commutation relation ("fc" or "qwc")."""
     _check_relation(relation)
-    conflicts = _conflicts(h.n_qubits, h.products(), relation)
+    conflicts = _conflicts(h.columns, h.products(), relation)
     if not conflicts:
         raise ValueError("no terms")
     return CompatGraph(len(conflicts), relation, tuple(conflicts))
@@ -459,7 +460,8 @@ def validate_cover(h: Hamiltonian, cover: CliqueCover, relation: str) -> CoverRe
             seen.add(v)
         inside = [v for v in group if 0 <= v < n]
         # Bit b of rows[a] is set when inside[a] and inside[b] conflict.
-        rows = _conflicts(h.n_qubits, [prods[v] for v in inside], relation)
+        sub = [prods[v] for v in inside]
+        rows = _conflicts(qubit_columns(h.n_qubits, sub), sub, relation)
         for a, i in enumerate(inside):
             later = rows[a] >> (a + 1)
             if later:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import cached_property
 from typing import Iterable
 
 DROP_TOLERANCE = 1e-10
@@ -230,6 +231,12 @@ class Hamiltonian(FrozenRecord):
 
     def products(self) -> tuple[PauliProduct, ...]:
         return tuple(p for _, p in self.terms)
+
+    @cached_property
+    def columns(self) -> tuple[list[int], list[int]]:
+        """The terms' ``qubit_columns``, built on first use and kept in the
+        instance ``__dict__``, outside ``_fields``. Callers only read them."""
+        return qubit_columns(self.n_qubits, self.products())
 
 
 def qubit_columns(n_qubits: int, products: Iterable[PauliProduct]

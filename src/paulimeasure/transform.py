@@ -26,11 +26,6 @@ from .pauli import (MAX_QUBITS, FrozenRecord, Hamiltonian, PauliProduct, anticom
                     qubit_columns, single_bits)
 
 
-class TransformError(RuntimeError):
-    """A cover group that ``pipeline`` could not transform, the message
-    naming the group; the command line prints it as one error line."""
-
-
 def _commute_pairwise(columns: tuple[list[int], list[int]],
                       products: Sequence[PauliProduct]) -> bool:
     """No two of the products anticommute, tested on their term bitsets
@@ -172,13 +167,13 @@ def find_tau(group: Hamiltonian) -> list[PauliProduct]:
     symplectic complement. The complement is built over S's free columns
     only: those of a qubit q outside S would give X_q and Z_q. That leaves
     a coisotropic subspace of S's symplectic space. Pairwise commutation is
-    checked first, one term bitset per term.
+    checked first, on the group's ``columns``.
     Constant terms contribute the zero vector; a group of constants has no
     taus.
     """
     n = group.n_qubits
     products = group.products()
-    if not _commute_pairwise(qubit_columns(n, products), products):
+    if not _commute_pairwise(group.columns, products):
         raise ValueError("group terms do not commute")
     basis, _ = gf2.row_reduce([p.packed for p in products])
     if len(basis) < n:
@@ -276,11 +271,12 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
 
 
 def _conjugated(group: Hamiltonian, circuit: CliffordCircuit) -> Hamiltonian:
-    """U^dagger G U for the group G and the circuit U: all terms through the
-    gates at once (``conjugate_columns``), each image read back as one
-    product. A coefficient is multiplied by -1 or 1, so an int stays one."""
+    """U^dagger G U for the group G and the circuit U: the group's
+    ``columns`` through the gates at once (``conjugate_columns``), each
+    image read back as one product. A coefficient is multiplied by -1 or 1,
+    so an int stays one."""
     n = group.n_qubits
-    xs, zs, minus = conjugate_columns(circuit, *qubit_columns(n, group.products()))
+    xs, zs, minus = conjugate_columns(circuit, *group.columns)
     x, z = [0] * len(group.terms), [0] * len(group.terms)
     for q in range(n):
         for cols, masks in ((xs, x), (zs, z)):
@@ -313,23 +309,20 @@ def pipeline(h: Hamiltonian, cover) -> MeasurementPlan:
     """Per cover group: find taus and sigmas, synthesize the circuit and read
     the transformed terms off it. ``find_sigma`` proves the invariants of
     its basis and ``find_tau``'s taus span every group term on the group's
-    support, so no basis is validated again."""
+    support, so no basis is validated again. The cover check uses the rule
+    of ``find_tau``'s, so no group that passes it fails there."""
     violations = validate_cover(h, cover, "fc").violations
     if violations:
         raise ValueError(f"cover invalid under fc: {len(violations)} violations, "
                          f"first {violations[0]}")
     entries: list[GroupPlan] = []
-    for gi, group_indices in enumerate(cover.groups):
-        try:
-            sub = Hamiltonian(h.n_qubits,
-                              tuple(h.terms[i] for i in group_indices))
-            taus = find_tau(sub)
-            # A group of constants acts on no qubit: no factors, no gates.
-            basis = find_sigma(taus) if taus else TauSigmaBasis(h.n_qubits, (), ())
-            circuit = synthesize(basis)
-            tg = TransformedGroup(tuple(group_indices), basis, _conjugated(sub, circuit))
-        except ValueError as exc:
-            raise TransformError(f"group {gi}: {exc}") from exc
+    for group_indices in cover.groups:
+        sub = Hamiltonian(h.n_qubits, tuple(h.terms[i] for i in group_indices))
+        taus = find_tau(sub)
+        # A group of constants acts on no qubit: no factors, no gates.
+        basis = find_sigma(taus) if taus else TauSigmaBasis(h.n_qubits, (), ())
+        circuit = synthesize(basis)
+        tg = TransformedGroup(tuple(group_indices), basis, _conjugated(sub, circuit))
         entries.append(GroupPlan(tg, circuit))
     return MeasurementPlan(h.n_qubits, tuple(entries))
 

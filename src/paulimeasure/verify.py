@@ -11,14 +11,13 @@ factor.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 
 import numpy as np
 
 from . import circuits
 from .circuits import CliffordCircuit, conjugate_columns
 from .grouping import build_graph
-from .pauli import Hamiltonian, I_POWERS, PauliProduct, qubit_columns
+from .pauli import Hamiltonian, I_POWERS, PauliProduct
 from .transform import GroupPlan, MeasurementPlan
 
 MAX_DENSE_QUBITS = 12
@@ -147,31 +146,6 @@ def spectra_equal(h1, h2) -> bool:
 
 # --- the check suite of `measure verify` -------------------------------------
 
-class _GroupOperators:
-    """One plan group and its term bitsets, each built on first use."""
-
-    def __init__(self, h: Hamiltonian, entry: GroupPlan) -> None:
-        self.entry = entry
-        self.source = h
-
-    @cached_property
-    def group(self) -> Hamiltonian:
-        return Hamiltonian(self.source.n_qubits, tuple(
-            self.source.terms[i] for i in self.entry.transform.term_indices))
-
-    @cached_property
-    def group_columns(self) -> tuple[list[int], list[int]]:
-        """The group terms as per-qubit term bitsets (``qubit_columns``),
-        shared by the exact-sign and spectra rows."""
-        return qubit_columns(self.source.n_qubits, self.group.products())
-
-    @cached_property
-    def transformed_columns(self) -> tuple[list[int], list[int]]:
-        """The transformed terms as per-qubit term bitsets, shared by the
-        qwc, exact-sign and spectra rows."""
-        return qubit_columns(self.source.n_qubits, self.entry.transform.transformed.products())
-
-
 def _partition_problems(h: Hamiltonian, plan: MeasurementPlan) -> str:
     """Every term in exactly one group; O(terms), no pairwise pass."""
     times = Counter(i for entry in plan.groups for i in entry.transform.term_indices)
@@ -185,36 +159,36 @@ def _partition_problems(h: Hamiltonian, plan: MeasurementPlan) -> str:
     return "; ".join(problems)
 
 
-def _check_basis(g: _GroupOperators):
-    g.entry.transform.basis.validate(g.group)
+def _check_basis(group: Hamiltonian, entry: GroupPlan):
+    entry.transform.basis.validate(group)
     return True, ""
 
 
-def _check_qwc(g: _GroupOperators):
+def _check_qwc(group: Hamiltonian, entry: GroupPlan):
     """On every qubit, the transformed terms with an X, a Y and a Z there
     are at most one non-empty class. On a clash, the qwc conflict rows name
     the lowest pair: the first term with a non-empty row, and its lowest."""
     if all(bool(x & ~z) + bool(x & z) + bool(z & ~x) <= 1
-           for x, z in zip(*g.transformed_columns)):
+           for x, z in zip(*entry.transform.transformed.columns)):
         return True, ""
-    rows = build_graph(g.entry.transform.transformed, "qwc").conflicts
+    rows = build_graph(entry.transform.transformed, "qwc").conflicts
     i = next(i for i, clash in enumerate(rows) if clash)
     j = (rows[i] & -rows[i]).bit_length() - 1
     return False, f"transformed terms {i} and {j} are not QWC"
 
 
-def _check_coeffs(g: _GroupOperators):
-    source = sorted(abs(c) for c in g.group.coefficients())
-    image = sorted(abs(c) for c in g.entry.transform.transformed.coefficients())
+def _check_coeffs(group: Hamiltonian, entry: GroupPlan):
+    source = sorted(abs(c) for c in group.coefficients())
+    image = sorted(abs(c) for c in entry.transform.transformed.coefficients())
     if len(source) != len(image) or any(abs(a - b) > 1e-12
                                         for a, b in zip(source, image)):
         return False, "coefficient magnitudes changed"
     return True, ""
 
 
-def _check_term_count(g: _GroupOperators) -> None:
+def _check_term_count(group: Hamiltonian, entry: GroupPlan) -> None:
     """Raise ValueError unless the group has as many stated terms as terms."""
-    stated, m = len(g.entry.transform.transformed.terms), len(g.group.terms)
+    stated, m = len(entry.transform.transformed.terms), len(group.terms)
     if stated != m:
         raise ValueError(f"{stated} transformed terms for {m} terms")
 
@@ -236,28 +210,28 @@ def _image(n: int, xs: list[int], zs: list[int], minus: int, k: int) -> str:
     return f"{'-' if (minus >> k) & 1 else '+'}{image.to_term_string()}"
 
 
-def _check_signs(g: _GroupOperators):
+def _check_signs(group: Hamiltonian, entry: GroupPlan):
     """All group terms through the circuit at once, as term bitsets."""
-    _check_term_count(g)
-    n = g.source.n_qubits
-    stated = g.entry.transform.transformed
-    xs, zs, minus = conjugate_columns(g.entry.circuit, *g.group_columns)
-    wrong = _differ((xs, zs), g.transformed_columns)
-    for k, (c, t) in enumerate(zip(g.group.coefficients(), stated.coefficients())):
+    _check_term_count(group, entry)
+    n = group.n_qubits
+    stated = entry.transform.transformed
+    xs, zs, minus = conjugate_columns(entry.circuit, *group.columns)
+    wrong = _differ((xs, zs), stated.columns)
+    for k, (c, t) in enumerate(zip(group.coefficients(), stated.coefficients())):
         if abs(t - (-c if (minus >> k) & 1 else c)) > 1e-12:
             wrong |= 1 << k
     if not wrong:
         return True, ""
     k = (wrong & -wrong).bit_length() - 1
-    coeff, term = g.group.terms[k]
+    coeff, term = group.terms[k]
     t_coeff, t_term = stated.terms[k]
-    return False, (f"term {g.entry.transform.term_indices[k]} "
+    return False, (f"term {entry.transform.term_indices[k]} "
                    f"({coeff!r} {term.to_term_string()}) maps to "
                    f"{_image(n, xs, zs, minus, k)}, "
                    f"plan states {t_coeff!r} {t_term.to_term_string()}")
 
 
-def _check_tableau(g: _GroupOperators):
+def _check_tableau(group: Hamiltonian, entry: GroupPlan):
     """U^dagger tau_i U = sigma_i and U^dagger sigma_i U = tau_i, sign +1,
     for the circuit U and every factor i, and U^dagger X_q U = X_q and
     U^dagger Z_q U = Z_q, sign +1, on every qubit q without a sigma, all on
@@ -268,7 +242,7 @@ def _check_tableau(g: _GroupOperators):
     the other qubits' X and Z they fix the circuit's Clifford up to a
     global phase. Bit k of the columns stands for tau_k, bit m + k for
     sigma_k, bits 2m + q and 2m + n + q for X_q and Z_q."""
-    basis = g.entry.transform.basis
+    basis = entry.transform.basis
     basis.check_counts()
     n, m = basis.n_qubits, len(basis.taus)
     tau_x, tau_z = basis.tau_columns
@@ -278,7 +252,7 @@ def _check_tableau(g: _GroupOperators):
                for q, (sx, sz) in enumerate(zip(sigma_x, sigma_z))]
     other_z = [b << n for b in other_x]
     xs, zs, minus = conjugate_columns(
-        g.entry.circuit, [t | s << m | o for t, s, o in zip(tau_x, sigma_x, other_x)],
+        entry.circuit, [t | s << m | o for t, s, o in zip(tau_x, sigma_x, other_x)],
         [t | s << m | o for t, s, o in zip(tau_z, sigma_z, other_z)])
     wrong = minus
     for q in range(n):
@@ -300,7 +274,7 @@ def _check_tableau(g: _GroupOperators):
                    f"not +{want.to_term_string()}")
 
 
-def _check_spectra(g: _GroupOperators):
+def _check_spectra(group: Hamiltonian, entry: GroupPlan):
     """The stated group is the group's image under tau_i -> sigma_i, proved
     on term bitsets without the circuit. The taus commute and sigma_i
     anticommutes with tau_i alone, so taus and sigmas are each L independent
@@ -312,15 +286,15 @@ def _check_spectra(g: _GroupOperators):
     spectra too). e_k comes from the i-exponent of the tau product (the
     ``PauliProduct.__mul__`` rule, telescoped) less the term's Y count, kept
     mod 4 in two bit planes over the terms: it must be even, its high bit e_k = -1."""
-    basis = g.entry.transform.basis
+    basis = entry.transform.basis
     basis.check_counts()
     if len({q for q, _ in basis.sigmas}) != len(basis.sigmas):
         return False, "sigma qubits must be pairwise distinct"
-    _check_term_count(g)
-    n = g.source.n_qubits
+    _check_term_count(group, entry)
+    n = group.n_qubits
     tau_x, tau_z = basis.tau_columns
     sigma_x, sigma_z = basis.sigma_columns
-    group_x, group_z = g.group_columns
+    group_x, group_z = group.columns
     # Per factor: S_i off one column (a one-qubit sigma anticommutes with the
     # products with a z bit on its qubit if it has an x bit, and vice versa),
     # then tau_i's bits XORed over S_i and its share of the exponent planes.
@@ -356,21 +330,21 @@ def _check_spectra(g: _GroupOperators):
     for x, z in zip(group_x, group_z):
         high ^= x & z & ~low
         low ^= x & z
-    wrong = low | _differ((xs, zs), g.group_columns)
-    indices = g.entry.transform.term_indices
+    wrong = low | _differ((xs, zs), group.columns)
+    indices = entry.transform.term_indices
     if wrong:
         k = (wrong & -wrong).bit_length() - 1
-        return False, (f"term {indices[k]} ({g.group.terms[k][1].to_term_string()}) is not "
+        return False, (f"term {indices[k]} ({group.terms[k][1].to_term_string()}) is not "
                        "+/- the product of the taus whose sigmas anticommute with it")
-    stated_wrong = _differ(g.transformed_columns, (want_x, want_z))
-    stated = g.entry.transform.transformed.terms
-    for k, ((c, _), (t, _)) in enumerate(zip(g.group.terms, stated)):
+    stated_wrong = _differ(entry.transform.transformed.columns, (want_x, want_z))
+    stated = entry.transform.transformed.terms
+    for k, ((c, _), (t, _)) in enumerate(zip(group.terms, stated)):
         if abs(t - (-c if (high >> k) & 1 else c)) > 1e-12:
             stated_wrong |= 1 << k
     if not stated_wrong:
         return True, ""
     k = (stated_wrong & -stated_wrong).bit_length() - 1
-    (coeff, term), (t_coeff, t_term) = g.group.terms[k], stated[k]
+    (coeff, term), (t_coeff, t_term) = group.terms[k], stated[k]
     return False, (f"term {indices[k]} ({coeff!r} {term.to_term_string()}) maps to "
                    f"{_image(n, want_x, want_z, high, k)} under tau_i -> sigma_i, "
                    f"plan states {t_coeff!r} {t_term.to_term_string()}")
@@ -393,11 +367,12 @@ def plan_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, s
     """Run the check suite on a plan for h; returns (name, status, detail) rows.
 
     Raises ValueError when the plan's width differs from h or a term index
-    is out of range. The status is "pass" or "fail". Every check runs on a
-    group before the next, so each group's term bitsets are built once. A
-    check that raises ValueError or IndexError on a malformed group fails
-    with that message. A check that has failed is not run on later groups;
-    its row names the first failing group.
+    is out of range. The status is "pass" or "fail". Each group's
+    ``Hamiltonian`` is built once and every check runs on it before the
+    next group, so its ``columns``, and its transformed group's, are built
+    once. A check that raises ValueError or IndexError on a malformed group
+    fails with that message. A check that has failed is not run on later
+    groups; its row names the first failing group.
     """
     if plan.n_qubits != h.n_qubits:
         raise ValueError("plan qubit count differs from the Hamiltonian")
@@ -407,11 +382,11 @@ def plan_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, s
                 raise ValueError(f"plan group {gi}: term index {i} out of range")
     failures: dict[str, str] = {}
     for gi, entry in enumerate(plan.groups):
-        g = _GroupOperators(h, entry)
+        group = Hamiltonian(h.n_qubits, tuple(h.terms[i] for i in entry.transform.term_indices))
         for name, fn in _CHECKS:
             if name not in failures:
                 try:
-                    ok, detail = fn(g)
+                    ok, detail = fn(group, entry)
                 except (ValueError, IndexError) as exc:
                     ok, detail = False, str(exc)
                 if not ok:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 import re
+import sys
+from collections import Counter
 
 import numpy as np
 
 from paulimeasure import (CliffordCircuit, CliqueCover, Gate, Hamiltonian, PauliProduct,
-                          TauSigmaBasis, TransformError, find_sigma, find_tau)
-from paulimeasure import gf2
+                          TauSigmaBasis, find_sigma, find_tau)
+from paulimeasure import gf2, pauli
 from paulimeasure.circuits import _Fold
 from paulimeasure.pauli import (_BITS_FROM_AXIS, I_POWERS, MAX_QUBITS, anticommuting,
                                 qubit_columns)
@@ -48,6 +50,24 @@ def circuit_to_dict(c: CliffordCircuit) -> dict:
         "global_phase_exp": c.global_phase_exp,
         "gates": [{"name": g.name, "qubits": list(g.qubits)} for g in c.gates],
     }
+
+
+def count_column_builds(monkeypatch) -> Counter:
+    """Calls of ``pauli.qubit_columns`` from here on, counted by the tuple of
+    products passed, through every package module that binds the function."""
+    original = pauli.qubit_columns
+    builds: Counter = Counter()
+
+    def counted(n_qubits, products):
+        products = tuple(products)
+        builds[products] += 1
+        return original(n_qubits, products)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "paulimeasure" and \
+                getattr(module, "qubit_columns", None) is original:
+            monkeypatch.setattr(module, "qubit_columns", counted)
+    return builds
 
 
 def random_pauli(n_qubits: int, rng: random.Random, phase: bool = False) -> PauliProduct:
@@ -537,10 +557,10 @@ def product_expand_in_tau(term: PauliProduct, basis: TauSigmaBasis
     for k in indices:
         product = product * basis.taus[k]
     if (product.x, product.z) != (term.x, term.z):
-        raise TransformError("term not in tau-span")
+        raise ValueError("term not in tau-span")
     diff = (term.phase_exp - product.phase_exp) % 4
     if diff % 2:
-        raise TransformError("expansion phase is imaginary")
+        raise ValueError("expansion phase is imaginary")
     return indices, 1 - diff
 
 

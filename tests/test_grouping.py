@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,31 @@ def assert_matches_references(g):
     colors = _dsatur_colors(g)
     assert colors == shifting_dsatur_colors(g)
     assert colors == naive_dsatur_colors(g)
+
+
+def dsatur_blocks(g):
+    """_dsatur_colors' ``full`` and ``seen`` on g as they stand at its
+    return, read from its frame by a trace function."""
+    state = {}
+
+    def local(frame, event, arg):
+        if event == "return":
+            state.update(full=list(frame.f_locals["full"]), seen=list(frame.f_locals["seen"]))
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code is not _dsatur_colors.__code__:
+            return None
+        frame.f_trace_lines = False
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        _dsatur_colors(g)
+    finally:
+        sys.settrace(previous)
+    return state["full"], state["seen"]
 
 
 @pytest.fixture
@@ -340,6 +366,25 @@ class TestDsaturBlocks:
         assert max(_dsatur_colors(g)) + 1 == k
         assert_matches_references(g)
         assert_matches_references(planted_conflict_graph(k, k + 120, rng, 0.9))
+
+    @pytest.mark.parametrize("k", [64, 128])
+    @pytest.mark.parametrize("density", [1.0, 0.9])
+    def test_each_complete_block_holds_the_and_of_its_rows(self, k, density):
+        """At the return, ``full[b]`` is exactly the AND of the ``seen`` rows
+        of block b's colors, one entry per complete block: a subset would
+        still give the same colors, only with fewer blocks skipped."""
+        rng = random.Random(k)
+        # the graphs of test_colorings_ending_at_block_edges, twin included
+        g = planted_conflict_graph(k, k + 120, rng, 1.0)
+        if density < 1:
+            g = planted_conflict_graph(k, k + 120, rng, density)
+        full, seen = dsatur_blocks(g)
+        assert len(full) == len(seen) // grouping._BLOCK >= k // grouping._BLOCK
+        for b, block in enumerate(full):
+            want = -1
+            for row in seen[b * grouping._BLOCK:(b + 1) * grouping._BLOCK]:
+                want &= row
+            assert int.from_bytes(block, "little") == want, b
 
 
 class TestExactCover:

@@ -92,6 +92,16 @@ def test_a_copied_basis_still_computes_its_columns():
         clone.validate()
 
 
+def test_a_hamiltonians_cached_columns_stay_out_of_its_value():
+    h = one_of_each()[Hamiltonian]
+    fresh = Hamiltonian(h.n_qubits, h.terms)
+    assert "columns" in vars(h) and "columns" not in vars(fresh)
+    assert fresh == h and hash(fresh) == hash(h) and repr(fresh) == repr(h)
+    for clone in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert "columns" not in vars(clone)
+        assert clone.columns == h.columns == fresh.columns
+
+
 def test_unequal_values_give_unequal_objects():
     assert PauliProduct(2, 1) != PauliProduct(2, 2)
     assert Hamiltonian(1, ()) != Hamiltonian(2, ())

@@ -8,18 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (assert_dense_oracles, build_unitary_symbolic, embedded_group,
-                     full_width_find_sigma, full_width_find_tau, group_basis,
-                     idle_filter_find_tau, is_lagrangian, pairwise_validate,
+from helpers import (assert_dense_oracles, build_unitary_symbolic, count_column_builds,
+                     embedded_group, full_width_find_sigma, full_width_find_tau,
+                     group_basis, idle_filter_find_tau, is_lagrangian, pairwise_validate,
                      product_expand_in_tau, random_commuting_group,
                      random_graph_hamiltonian, random_isotropic, random_pauli,
                      reference_plan_dict, regex_parse_term_tokens, rescanning_find_sigma,
                      sigma_product, solve_expansion)
 from paulimeasure import (CliffordCircuit, CliqueCover, Gate, GroupPlan, Hamiltonian,
-                          MeasurementPlan, PauliProduct, TauSigmaBasis, TransformError,
-                          TransformedGroup, build_graph, cover_rlf, find_sigma, find_tau,
-                          parse_hamiltonian, pipeline, plan_from_dict, plan_to_dict,
-                          plan_to_json, synthesize, transform_group, validate_cover)
+                          MeasurementPlan, PauliProduct, TauSigmaBasis, TransformedGroup,
+                          build_graph, cover_rlf, find_sigma, find_tau, parse_hamiltonian,
+                          pipeline, plan_from_dict, plan_to_dict, plan_to_json, synthesize,
+                          transform_group, validate_cover)
 from paulimeasure.circuits import GATE_NAMES
 from paulimeasure import transform as transform_module, verify
 from paulimeasure.fixtures import (h2_commuting_group, h2_reference_basis,
@@ -322,7 +322,7 @@ class TestExpandInTau:
             term = PauliProduct(n, term.x, term.z)
             try:
                 indices, sign = product_expand_in_tau(term, basis)
-            except TransformError:
+            except ValueError:
                 with pytest.raises(ValueError, match="group term 0 (anticommutes with tau_"
                                                      "|acts on qubit )"):
                     image_of(term, basis)
@@ -462,6 +462,16 @@ class TestPipeline:
             basis = entry.transform.basis
             assert entry.transform == transform_group(sub, basis, indices)
             assert entry.circuit == synthesize(basis)
+
+    def test_find_tau_and_the_conjugation_share_one_column_build(self, monkeypatch):
+        """find_tau's commutation check and transform_group's conjugation
+        both read the group's cached columns."""
+        group = random_commuting_group(6, random.Random(29))
+        builds = count_column_builds(monkeypatch)
+        taus = find_tau(group)
+        transform_group(group, find_sigma(taus))
+        assert tuple(taus) != group.products()
+        assert builds[group.products()] == 1
 
     def test_invalid_cover_rejected(self):
         h = parse_hamiltonian("1.0 X0\n1.0 Z0\n")

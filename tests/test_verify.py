@@ -2,6 +2,7 @@
 row of the check suite, and the dense oracles on small plans."""
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (PauliSum, all_paulis, assert_dense_oracles, build_unitary_symbolic,
-                     embedded_group, inverse_circuit, kron_circuit, kron_pauli,
-                     looped_expectation_invariance, group_basis, pauli_from_label,
+                     count_column_builds, embedded_group, inverse_circuit, kron_circuit,
+                     kron_pauli, looped_expectation_invariance, group_basis, pauli_from_label,
                      per_term_dense_sum, random_commuting_group, random_graph_hamiltonian,
                      random_state)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, build_graph, cover_dsatur,
                           cover_rlf, TauSigmaBasis, TransformedGroup, parse_hamiltonian,
-                          pipeline, synthesize, transform_group)
+                          pipeline, plan_from_dict, plan_to_dict, synthesize, transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES
 from paulimeasure.fixtures import model_hamiltonian, model_reference_basis
@@ -282,8 +283,7 @@ class TestSpectra:
             raise AssertionError("conjugate_columns called")
 
         monkeypatch.setattr(verify, "conjugate_columns", refuse)
-        g = verify._GroupOperators(group, GroupPlan(entry.transform, None))
-        assert verify._check_spectra(g) == (True, "")
+        assert verify._check_spectra(group, GroupPlan(entry.transform, None)) == (True, "")
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6), st.booleans(),
@@ -534,6 +534,31 @@ class TestQwcRow:
         want = (("pass", "") if clash is None else
                 ("fail", f"group 0: transformed terms {clash[0]} and {clash[1]} are not QWC"))
         assert rows(group, corrupted)[QWC] == want
+
+
+class TestColumnBuilds:
+    def test_each_group_and_transformed_group_is_built_once(self, monkeypatch):
+        """plan_checks builds each group's Hamiltonian once, so its columns,
+        its transformed group's and its taus' are each built once."""
+        h = random_graph_hamiltonian(8, 40, random.Random(31))
+        plan = plan_from_dict(plan_to_dict(pipeline(h, cover_rlf(build_graph(h, "fc")))))
+        builds = count_column_builds(monkeypatch)
+        assert all(status == "pass" for _, status, _ in verify.plan_checks(h, plan))
+        want = Counter()
+        for entry in plan.groups:
+            want[tuple(h.terms[i][1] for i in entry.transform.term_indices)] += 1
+            want[entry.transform.transformed.products()] += 1
+            want[entry.transform.basis.taus] += 1
+        assert len(plan.groups) > 1 and builds == want
+
+    def test_the_qwc_clash_path_reuses_the_transformed_columns(self, monkeypatch):
+        group, entry = pair_entry()
+        clash = parse_hamiltonian("qubits: 3\n1.0 X0\n0.5 Z0\n")
+        plan = MeasurementPlan(3, (restated(entry, transformed=clash),))
+        builds = count_column_builds(monkeypatch)
+        assert rows(group, plan)[QWC] == (
+            "fail", "group 0: transformed terms 0 and 1 are not QWC")
+        assert builds[clash.products()] == 1
 
 
 class TestBenchmarkPlans:
