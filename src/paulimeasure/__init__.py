@@ -6,8 +6,7 @@ from .pauli import (DROP_TOLERANCE, Hamiltonian, HamiltonianFormatError,
                     PauliProduct, parse_hamiltonian)
 from .grouping import (CliqueCover, CompatGraph, CoverReport, CoverStats,
                        build_graph, compute_cover, cover_dsatur, cover_exact,
-                       cover_rlf, cover_stats, cover_to_dict, cover_to_json,
-                       validate_cover)
+                       cover_rlf, cover_stats, cover_to_json, validate_cover)
 from .transform import (GroupPlan, MeasurementPlan, TauSigmaBasis, TransformedGroup,
                         circuit_from_dict, find_sigma, find_tau, pipeline, plan_from_dict,
                         plan_to_dict, plan_to_json, transform_group)
@@ -29,7 +28,7 @@ __all__ = [
     "parse_hamiltonian",
     "CliqueCover", "CompatGraph", "CoverReport", "CoverStats", "build_graph",
     "compute_cover", "cover_dsatur", "cover_exact", "cover_rlf", "cover_stats",
-    "cover_to_dict", "cover_to_json", "validate_cover",
+    "cover_to_json", "validate_cover",
     "GroupPlan", "MeasurementPlan", "TauSigmaBasis", "TransformedGroup",
     "circuit_from_dict", "find_sigma", "find_tau", "pipeline", "plan_from_dict",
     "plan_to_dict", "plan_to_json", "transform_group",

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import NamedTuple
 
-from .pauli import Hamiltonian, PauliProduct, anticommuting, qubit_columns
+from .pauli import Hamiltonian, anticommuting
 
 RELATIONS = ("fc", "qwc")
 METHODS = ("dsatur", "rlf", "exact")
@@ -69,6 +69,7 @@ class CoverStats(NamedTuple):
 
 class CoverReport(NamedTuple):
     violations: tuple[str, ...]
+    groups: tuple[Hamiltonian, ...]
 
     @property
     def valid(self) -> bool:
@@ -87,10 +88,9 @@ def _check_relation(relation: str) -> None:
         raise ValueError(f"unknown relation {relation!r}")
 
 
-def _conflicts(columns: tuple[list[int], list[int]], prods: Sequence[PauliProduct],
-               relation: str) -> list[int]:
-    """Per product, the bitset of the products (by position) it breaks the
-    relation with, read off their term bitsets ``columns`` (``qubit_columns``).
+def _conflicts(h: Hamiltonian, relation: str) -> list[int]:
+    """Per term of h, the bitset of the terms (by position) it breaks the
+    relation with, read off h's cached term bitsets ``h.columns``.
 
     fc rows are ``pauli.anticommuting``. For qwc, on qubit q a term with an
     X there differs in axis from the terms in zcol[q] (Z or Y), one with a Z
@@ -98,12 +98,12 @@ def _conflicts(columns: tuple[list[int], list[int]], prods: Sequence[PauliProduc
     XOR, built once per qubit; any such difference breaks qubit-wise
     commutation, so the row ORs them in one pass over the term's support.
     """
-    xcol, zcol = columns
+    xcol, zcol = h.columns
     if relation == "fc":
-        return [anticommuting(xcol, zcol, p) for p in prods]
+        return [anticommuting(xcol, zcol, p) for p in h.products()]
     ycol = [x ^ z for x, z in zip(xcol, zcol)]
     rows = []
-    for p in prods:
+    for p in h.products():
         x, z = p.x, p.z
         support = x | z
         row = 0
@@ -124,7 +124,7 @@ def _conflicts(columns: tuple[list[int], list[int]], prods: Sequence[PauliProduc
 def build_graph(h: Hamiltonian, relation: str) -> CompatGraph:
     """The term pairs that break the commutation relation ("fc" or "qwc")."""
     _check_relation(relation)
-    conflicts = _conflicts(h.columns, h.products(), relation)
+    conflicts = _conflicts(h, relation)
     if not conflicts:
         raise ValueError("no terms")
     return CompatGraph(len(conflicts), relation, tuple(conflicts))
@@ -443,12 +443,13 @@ def validate_cover(h: Hamiltonian, cover: CliqueCover, relation: str) -> CoverRe
     """Check disjointness, coverage and the pairwise relation inside groups.
 
     Terms in no group are one violation, their count and the lowest index,
-    as `measure verify` reports them. Each group's conflict rows are built
-    over that group's own terms, so no m-bit row of the whole graph is made."""
+    as `measure verify` reports them. ``groups`` holds each group's in-range
+    terms, in cover order, as a ``Hamiltonian`` whose ``columns`` give the
+    group's conflict rows, so no m-bit row of the whole graph is made."""
     _check_relation(relation)
     n = len(h.terms)
-    prods = h.products()
     violations: list[str] = []
+    groups: list[Hamiltonian] = []
     seen: set[int] = set()
     for gi, group in enumerate(cover.groups):
         for v in group:
@@ -459,9 +460,10 @@ def validate_cover(h: Hamiltonian, cover: CliqueCover, relation: str) -> CoverRe
                 violations.append(f"group {gi}: index {v} appears twice in the cover")
             seen.add(v)
         inside = [v for v in group if 0 <= v < n]
+        sub = Hamiltonian(h.n_qubits, tuple(h.terms[v] for v in inside))
+        groups.append(sub)
         # Bit b of rows[a] is set when inside[a] and inside[b] conflict.
-        sub = [prods[v] for v in inside]
-        rows = _conflicts(qubit_columns(h.n_qubits, sub), sub, relation)
+        rows = _conflicts(sub, relation)
         for a, i in enumerate(inside):
             later = rows[a] >> (a + 1)
             if later:
@@ -470,7 +472,7 @@ def validate_cover(h: Hamiltonian, cover: CliqueCover, relation: str) -> CoverRe
     missing = [v for v in range(n) if v not in seen]
     if missing:
         violations.append(f"{len(missing)} terms in no group, first {missing[0]}")
-    return CoverReport(tuple(violations))
+    return CoverReport(tuple(violations), tuple(groups))
 
 
 def cover_stats(cover: CliqueCover) -> CoverStats:
@@ -524,8 +526,3 @@ def cover_to_json(cover: CliqueCover) -> str:
     return _COVER.format(json.dumps(cover.relation), json.dumps(cover.method),
                          _array(groups, 1), _number(st.group_count),
                          _number(st.max_size), _number(st.size_stddev))
-
-
-def cover_to_dict(cover: CliqueCover) -> dict:
-    """The cover's JSON form as Python objects: ``json.loads(cover_to_json(cover))``."""
-    return json.loads(cover_to_json(cover))

@@ -167,7 +167,7 @@ def find_tau(group: Hamiltonian) -> list[PauliProduct]:
     symplectic complement. The complement is built over S's free columns
     only: those of a qubit q outside S would give X_q and Z_q. That leaves
     a coisotropic subspace of S's symplectic space. Pairwise commutation is
-    checked first, on the group's ``columns``.
+    checked first, on the group's ``columns`` (``pipeline``'s cover check's).
     Constant terms contribute the zero vector; a group of constants has no
     taus.
     """
@@ -205,13 +205,14 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     vectors, so a step costs in proportion to the weight of tau_i and the
     number of taus with a non-identity axis on its qubit, not to n.
 
-    Tau i always touches an unassigned qubit. After the earlier steps it
-    commutes with every earlier sigma_j, so on the assigned qubits it is a
-    product of some of them. Were it the identity elsewhere, it would
-    anticommute with tau_j for each sigma_j in that product, since tau_j
-    anticommutes with sigma_j alone among them. The taus commute, so the
-    product would be empty and tau i the identity, which independence
-    excludes.
+    The sweep proves independence. If every step finds an unassigned qubit,
+    sigma_i anticommutes with tau_i alone, so the final taus are
+    independent, and so are the inputs, whose span holds them. If tau i
+    touches none, after the earlier steps it commutes with every earlier
+    sigma_j, so it is a product of some of them. It would anticommute with
+    tau_j for each sigma_j in that product, since tau_j anticommutes with
+    sigma_j alone among them. The taus commute, so the product is empty,
+    tau i is the identity and the input was dependent: the step raises.
     """
     if not taus:
         raise ValueError("empty tau basis")
@@ -221,8 +222,7 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     vecs = [t.packed for t in taus]
     xcol, zcol = qubit_columns(n, taus)
     unassigned = _qubits(vecs, n)
-    if (len(vecs) != unassigned.bit_count() or not gf2.is_independent(vecs)
-            or not _commute_pairwise((xcol, zcol), taus)):
+    if len(vecs) != unassigned.bit_count() or not _commute_pairwise((xcol, zcol), taus):
         raise ValueError("taus are not a Lagrangian basis")
     # Bit k of cols[b] is bit b of vecs[k]: the x columns, then the z columns.
     cols = xcol + zcol
@@ -231,6 +231,8 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     for i in range(len(vecs)):
         tau = vecs[i]
         avail = (tau | tau >> n) & unassigned
+        if not avail:
+            raise ValueError("taus are not a Lagrangian basis")
         qubit = (avail & -avail).bit_length() - 1
         # X anticommutes with the taus that have a z bit on the qubit, Z with
         # those that have an x bit, Y with those that have exactly one.
@@ -310,14 +312,14 @@ def pipeline(h: Hamiltonian, cover) -> MeasurementPlan:
     the transformed terms off it. ``find_sigma`` proves the invariants of
     its basis and ``find_tau``'s taus span every group term on the group's
     support, so no basis is validated again. The cover check uses the rule
-    of ``find_tau``'s, so no group that passes it fails there."""
-    violations = validate_cover(h, cover, "fc").violations
-    if violations:
-        raise ValueError(f"cover invalid under fc: {len(violations)} violations, "
-                         f"first {violations[0]}")
+    of ``find_tau``'s, so no group that passes it fails there. Each group is
+    the cover check's ``Hamiltonian``, so its ``columns`` are built once."""
+    report = validate_cover(h, cover, "fc")
+    if report.violations:
+        raise ValueError(f"cover invalid under fc: {len(report.violations)} violations, "
+                         f"first {report.violations[0]}")
     entries: list[GroupPlan] = []
-    for group_indices in cover.groups:
-        sub = Hamiltonian(h.n_qubits, tuple(h.terms[i] for i in group_indices))
+    for group_indices, sub in zip(cover.groups, report.groups):
         taus = find_tau(sub)
         # A group of constants acts on no qubit: no factors, no gates.
         basis = find_sigma(taus) if taus else TauSigmaBasis(h.n_qubits, (), ())

@@ -159,31 +159,29 @@ def _partition_problems(h: Hamiltonian, plan: MeasurementPlan) -> str:
     return "; ".join(problems)
 
 
-def _check_basis(group: Hamiltonian, entry: GroupPlan):
+def _check_basis(group: Hamiltonian, entry: GroupPlan) -> None:
     entry.transform.basis.validate(group)
-    return True, ""
 
 
-def _check_qwc(group: Hamiltonian, entry: GroupPlan):
+def _check_qwc(group: Hamiltonian, entry: GroupPlan) -> None:
     """On every qubit, the transformed terms with an X, a Y and a Z there
     are at most one non-empty class. On a clash, the qwc conflict rows name
     the lowest pair: the first term with a non-empty row, and its lowest."""
     if all(bool(x & ~z) + bool(x & z) + bool(z & ~x) <= 1
            for x, z in zip(*entry.transform.transformed.columns)):
-        return True, ""
+        return
     rows = build_graph(entry.transform.transformed, "qwc").conflicts
     i = next(i for i, clash in enumerate(rows) if clash)
     j = (rows[i] & -rows[i]).bit_length() - 1
-    return False, f"transformed terms {i} and {j} are not QWC"
+    raise ValueError(f"transformed terms {i} and {j} are not QWC")
 
 
-def _check_coeffs(group: Hamiltonian, entry: GroupPlan):
+def _check_coeffs(group: Hamiltonian, entry: GroupPlan) -> None:
     source = sorted(abs(c) for c in group.coefficients())
     image = sorted(abs(c) for c in entry.transform.transformed.coefficients())
     if len(source) != len(image) or any(abs(a - b) > 1e-12
                                         for a, b in zip(source, image)):
-        return False, "coefficient magnitudes changed"
-    return True, ""
+        raise ValueError("coefficient magnitudes changed")
 
 
 def _check_term_count(group: Hamiltonian, entry: GroupPlan) -> None:
@@ -210,7 +208,7 @@ def _image(n: int, xs: list[int], zs: list[int], minus: int, k: int) -> str:
     return f"{'-' if (minus >> k) & 1 else '+'}{image.to_term_string()}"
 
 
-def _check_signs(group: Hamiltonian, entry: GroupPlan):
+def _check_signs(group: Hamiltonian, entry: GroupPlan) -> None:
     """All group terms through the circuit at once, as term bitsets."""
     _check_term_count(group, entry)
     n = group.n_qubits
@@ -220,18 +218,17 @@ def _check_signs(group: Hamiltonian, entry: GroupPlan):
     for k, (c, t) in enumerate(zip(group.coefficients(), stated.coefficients())):
         if abs(t - (-c if (minus >> k) & 1 else c)) > 1e-12:
             wrong |= 1 << k
-    if not wrong:
-        return True, ""
-    k = (wrong & -wrong).bit_length() - 1
-    coeff, term = group.terms[k]
-    t_coeff, t_term = stated.terms[k]
-    return False, (f"term {entry.transform.term_indices[k]} "
-                   f"({coeff!r} {term.to_term_string()}) maps to "
-                   f"{_image(n, xs, zs, minus, k)}, "
-                   f"plan states {t_coeff!r} {t_term.to_term_string()}")
+    if wrong:
+        k = (wrong & -wrong).bit_length() - 1
+        coeff, term = group.terms[k]
+        t_coeff, t_term = stated.terms[k]
+        raise ValueError(f"term {entry.transform.term_indices[k]} "
+                         f"({coeff!r} {term.to_term_string()}) maps to "
+                         f"{_image(n, xs, zs, minus, k)}, "
+                         f"plan states {t_coeff!r} {t_term.to_term_string()}")
 
 
-def _check_tableau(group: Hamiltonian, entry: GroupPlan):
+def _check_tableau(group: Hamiltonian, entry: GroupPlan) -> None:
     """U^dagger tau_i U = sigma_i and U^dagger sigma_i U = tau_i, sign +1,
     for the circuit U and every factor i, and U^dagger X_q U = X_q and
     U^dagger Z_q U = Z_q, sign +1, on every qubit q without a sigma, all on
@@ -259,22 +256,22 @@ def _check_tableau(group: Hamiltonian, entry: GroupPlan):
         wrong |= xs[q] ^ (sigma_x[q] | tau_x[q] << m | other_x[q])
         wrong |= zs[q] ^ (sigma_z[q] | tau_z[q] << m | other_z[q])
     if not wrong:
-        return True, ""
+        return
     k = (wrong & -wrong).bit_length() - 1
     image = _image(n, xs, zs, minus, k)
     if k >= 2 * m:
         q = (k - 2 * m) % n
         axis = "X" if k - 2 * m < n else "Z"
-        return False, (f"{axis}{q}, on a qubit without a sigma, maps to {image}, "
-                       f"not +{axis}{q}")
+        raise ValueError(f"{axis}{q}, on a qubit without a sigma, maps to {image}, "
+                         f"not +{axis}{q}")
     tau, sigma = basis.taus[k % m], basis.sigma_products[k % m]
     name, source, want = ((f"tau_{k}", tau, sigma) if k < m
                           else (f"sigma_{k - m}", sigma, tau))
-    return False, (f"{name} ({source.to_term_string()}) maps to {image}, "
-                   f"not +{want.to_term_string()}")
+    raise ValueError(f"{name} ({source.to_term_string()}) maps to {image}, "
+                     f"not +{want.to_term_string()}")
 
 
-def _check_spectra(group: Hamiltonian, entry: GroupPlan):
+def _check_spectra(group: Hamiltonian, entry: GroupPlan) -> None:
     """The stated group is the group's image under tau_i -> sigma_i, proved
     on term bitsets without the circuit. The taus commute and sigma_i
     anticommutes with tau_i alone, so taus and sigmas are each L independent
@@ -289,7 +286,7 @@ def _check_spectra(group: Hamiltonian, entry: GroupPlan):
     basis = entry.transform.basis
     basis.check_counts()
     if len({q for q, _ in basis.sigmas}) != len(basis.sigmas):
-        return False, "sigma qubits must be pairwise distinct"
+        raise ValueError("sigma qubits must be pairwise distinct")
     _check_term_count(group, entry)
     n = group.n_qubits
     tau_x, tau_z = basis.tau_columns
@@ -304,7 +301,7 @@ def _check_spectra(group: Hamiltonian, entry: GroupPlan):
         x, z = sigma_x[q] >> i & 1, sigma_z[q] >> i & 1
         wrong = (tau_z[q] if x else 0) ^ (tau_x[q] if z else 0) ^ 1 << i
         if wrong:
-            return False, f"sigma_{i} does not anticommute with tau_{i} alone"
+            raise ValueError(f"sigma_{i} does not anticommute with tau_{i} alone")
         s = (group_z[q] if x else 0) ^ (group_x[q] if z else 0)
         want_x[q], want_z[q] = s if x else 0, s if z else 0
         clash = hits = 0
@@ -324,8 +321,8 @@ def _check_spectra(group: Hamiltonian, entry: GroupPlan):
                     low ^= s
             bits &= bits - 1
         if tau.phase_exp or hits:
-            return False, (f"tau_{i} carries a phase" if tau.phase_exp else
-                           f"tau_{i} anticommutes with tau_{(hits & -hits).bit_length() - 1}")
+            raise ValueError(f"tau_{i} carries a phase" if tau.phase_exp else
+                             f"tau_{i} anticommutes with tau_{(hits & -hits).bit_length() - 1}")
         high ^= clash & s
     for x, z in zip(group_x, group_z):
         high ^= x & z & ~low
@@ -334,23 +331,22 @@ def _check_spectra(group: Hamiltonian, entry: GroupPlan):
     indices = entry.transform.term_indices
     if wrong:
         k = (wrong & -wrong).bit_length() - 1
-        return False, (f"term {indices[k]} ({group.terms[k][1].to_term_string()}) is not "
-                       "+/- the product of the taus whose sigmas anticommute with it")
+        raise ValueError(f"term {indices[k]} ({group.terms[k][1].to_term_string()}) is not "
+                         "+/- the product of the taus whose sigmas anticommute with it")
     stated_wrong = _differ(entry.transform.transformed.columns, (want_x, want_z))
     stated = entry.transform.transformed.terms
     for k, ((c, _), (t, _)) in enumerate(zip(group.terms, stated)):
         if abs(t - (-c if (high >> k) & 1 else c)) > 1e-12:
             stated_wrong |= 1 << k
-    if not stated_wrong:
-        return True, ""
-    k = (stated_wrong & -stated_wrong).bit_length() - 1
-    (coeff, term), (t_coeff, t_term) = group.terms[k], stated[k]
-    return False, (f"term {indices[k]} ({coeff!r} {term.to_term_string()}) maps to "
-                   f"{_image(n, want_x, want_z, high, k)} under tau_i -> sigma_i, "
-                   f"plan states {t_coeff!r} {t_term.to_term_string()}")
+    if stated_wrong:
+        k = (stated_wrong & -stated_wrong).bit_length() - 1
+        (coeff, term), (t_coeff, t_term) = group.terms[k], stated[k]
+        raise ValueError(f"term {indices[k]} ({coeff!r} {term.to_term_string()}) maps to "
+                         f"{_image(n, want_x, want_z, high, k)} under tau_i -> sigma_i, "
+                         f"plan states {t_coeff!r} {t_term.to_term_string()}")
 
 
-# (row name, check) in row order.
+# (row name, check) in row order. A check fails by raising ValueError(detail).
 _CHECKS = (
     ("basis invariants", _check_basis),
     ("transformed groups qubit-wise commuting", _check_qwc),
@@ -370,9 +366,9 @@ def plan_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, s
     is out of range. The status is "pass" or "fail". Each group's
     ``Hamiltonian`` is built once and every check runs on it before the
     next group, so its ``columns``, and its transformed group's, are built
-    once. A check that raises ValueError or IndexError on a malformed group
-    fails with that message. A check that has failed is not run on later
-    groups; its row names the first failing group.
+    once. A check fails by raising ValueError, or IndexError on a malformed
+    group, with its detail as the message. A check that has failed is not
+    run on later groups; its row names the first failing group.
     """
     if plan.n_qubits != h.n_qubits:
         raise ValueError("plan qubit count differs from the Hamiltonian")
@@ -386,11 +382,9 @@ def plan_checks(h: Hamiltonian, plan: MeasurementPlan) -> list[tuple[str, str, s
         for name, fn in _CHECKS:
             if name not in failures:
                 try:
-                    ok, detail = fn(group, entry)
+                    fn(group, entry)
                 except (ValueError, IndexError) as exc:
-                    ok, detail = False, str(exc)
-                if not ok:
-                    failures[name] = f"group {gi}: {detail}"
+                    failures[name] = f"group {gi}: {exc}"
 
     problems = _partition_problems(h, plan)
     return [("groups partition the terms", "fail" if problems else "pass", problems)] + [

@@ -13,8 +13,8 @@ from helpers import (naive_dsatur_colors, pairwise_graph_rows, pairwise_violatio
                      shifting_dsatur_colors)
 from paulimeasure import (CliqueCover, CompatGraph, Hamiltonian, PauliProduct,
                           build_graph, compute_cover, cover_dsatur, cover_exact,
-                          cover_rlf, cover_stats, cover_to_dict, cover_to_json,
-                          parse_hamiltonian, validate_cover)
+                          cover_rlf, cover_stats, cover_to_json, parse_hamiltonian,
+                          validate_cover)
 from paulimeasure import grouping
 from paulimeasure.grouping import METHODS, RELATIONS, _dsatur_colors
 from paulimeasure.fixtures import SIX_TERM_TEXT, six_term_hamiltonian
@@ -226,6 +226,9 @@ class TestBuildGraph:
             report = validate_cover(h, CliqueCover(relation, "manual",
                                                    tuple(map(tuple, groups))), relation)
             assert list(report.violations) == pairwise_violations(h, groups, relation)
+            assert report.groups == tuple(
+                Hamiltonian(h.n_qubits, tuple(h.terms[v] for v in g if 0 <= v < n))
+                for g in groups)
 
 
 class TestHeuristicCovers:
@@ -455,6 +458,16 @@ class TestValidationAndStats:
         with pytest.raises(ValueError, match="unknown relation 'xx'"):
             build_graph(Hamiltonian(2, ()), "xx")
 
+    def test_report_groups_hold_each_groups_in_range_terms(self):
+        """Out-of-range indices are dropped, repeats kept, in cover order."""
+        h = parse_hamiltonian("1.0 X0\n2.0 X1\n3.0 Z0\n")
+        t0, t1, t2 = h.terms
+        cover = CliqueCover("fc", "manual", ((0, 7, 0), (), (-1, 2, 1)))
+        report = validate_cover(h, cover, "fc")
+        assert not report.valid
+        assert report.groups == (Hamiltonian(2, (t0, t0)), Hamiltonian(2, ()),
+                                 Hamiltonian(2, (t2, t1)))
+
     def test_out_of_range_reported(self):
         h = parse_hamiltonian("1.0 X0\n")
         report = validate_cover(h, CliqueCover("fc", "manual", ((0, 4),)), "fc")
@@ -479,11 +492,11 @@ class TestValidationAndStats:
         d = {"relation": "qwc", "method": "dsatur", "groups": [list(g) for g in groups],
              "stats": {"count": len(groups), "max": max_size, "std": std}}
         assert cover_to_json(cover) == json.dumps(d, indent=2) + "\n"
-        assert cover_to_dict(cover) == d
+        assert json.loads(cover_to_json(cover)) == d
 
     def test_cover_serialization_schema(self):
         g = build_graph(six_term_hamiltonian(), "fc")
-        d = cover_to_dict(cover_rlf(g))
+        d = json.loads(cover_to_json(cover_rlf(g)))
         assert d["relation"] == "fc" and d["method"] == "rlf"
         assert d["groups"] == [[0, 1, 2], [3, 4, 5]]
         assert d["stats"] == {"count": 2, "max": 3, "std": 0.0}

@@ -20,7 +20,7 @@ FIELDS = {
     CompatGraph: ("n_vertices", "relation", "conflicts"),
     CliqueCover: ("relation", "method", "groups"),
     CoverStats: ("group_count", "max_size", "size_stddev"),
-    CoverReport: ("violations",),
+    CoverReport: ("violations", "groups"),
     TauSigmaBasis: ("n_qubits", "taus", "sigmas"),
     TransformedGroup: ("term_indices", "basis", "transformed"),
     GroupPlan: ("transform", "circuit"),

@@ -2,11 +2,12 @@
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (assert_dense_oracles, build_unitary_symbolic, count_column_builds,
                      embedded_group, full_width_find_sigma, full_width_find_tau,
@@ -21,7 +22,7 @@ from paulimeasure import (CliffordCircuit, CliqueCover, Gate, GroupPlan, Hamilto
                           pipeline, plan_from_dict, plan_to_dict, plan_to_json, synthesize,
                           transform_group, validate_cover)
 from paulimeasure.circuits import GATE_NAMES
-from paulimeasure import transform as transform_module, verify
+from paulimeasure import gf2, transform as transform_module, verify
 from paulimeasure.fixtures import (h2_commuting_group, h2_reference_basis,
                                    model_hamiltonian, model_reference_basis,
                                    six_term_hamiltonian)
@@ -176,6 +177,51 @@ class TestFindSigma:
         taus = full_width_find_tau(parse_hamiltonian("1.0 X0 Z1023\n0.5 Z0 X1023\n"))
         assert len(taus) == 1024
         assert find_sigma(taus) == rescanning_find_sigma(taus)
+
+    def test_a_valid_basis_calls_no_gf2_function(self, monkeypatch):
+        """The sweep itself proves independence, so no row reduction runs."""
+        rng = random.Random(43)
+        tau_lists = [list(h2_reference_basis().taus)] + [
+            find_tau(random_commuting_group(rng.randint(1, 8), rng)) for _ in range(20)]
+        calls: Counter = Counter()
+        for name, fn in vars(gf2).copy().items():
+            if not name.startswith("_") and getattr(fn, "__module__", None) == gf2.__name__:
+                def counted(*args, _name=name, _fn=fn):
+                    calls[_name] += 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(gf2, name, counted)
+        for taus in tau_lists:
+            find_sigma(taus)
+        assert not calls
+        find_tau(h2_commuting_group())
+        assert calls["row_reduce"] == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(tau_bases(12), st.integers(0, 2**32 - 1))
+    def test_dependent_taus_are_rejected(self, taus, seed):
+        """A Lagrangian basis with one tau replaced by a nonempty product of
+        others, as many taus as qubits they touch: the sweep reaches a tau
+        with no unassigned qubit and raises the message of the full-width
+        reference, which row-reduces."""
+        n = len(taus)
+        assume(n > 1)
+        rng = random.Random(seed)
+        i = rng.randrange(n)
+        others = [k for k in range(n) if k != i]
+        product = 0
+        for k in rng.sample(others, rng.randint(1, len(others))):
+            product ^= taus[k].packed
+        taus = list(taus)
+        taus[i] = PauliProduct.from_packed(product, n)
+        support = 0
+        for t in taus:
+            support |= t.support
+        assume(support.bit_count() == n)
+        for fn in (find_sigma, full_width_find_sigma):
+            with pytest.raises(ValueError) as info:
+                fn(taus)
+            assert str(info.value) == "taus are not a Lagrangian basis"
 
 
 class TestSupportLocalBasis:
@@ -472,6 +518,17 @@ class TestPipeline:
         transform_group(group, find_sigma(taus))
         assert tuple(taus) != group.products()
         assert builds[group.products()] == 1
+
+    def test_each_group_columns_are_built_once(self, monkeypatch):
+        """pipeline transforms the cover check's group Hamiltonians, so the
+        check, find_tau and the conjugation share one column build."""
+        h = random_graph_hamiltonian(8, 40, random.Random(31))
+        cover = cover_rlf(build_graph(h, "fc"))
+        builds = count_column_builds(monkeypatch)
+        pipeline(h, cover)
+        groups = [tuple(h.terms[i][1] for i in indices) for indices in cover.groups]
+        assert len(groups) > 1
+        assert [builds[products] for products in groups] == [1] * len(groups)
 
     def test_invalid_cover_rejected(self):
         h = parse_hamiltonian("1.0 X0\n1.0 Z0\n")
