@@ -8,7 +8,10 @@ group term; each tau is paired with a single-qubit sigma on S that
 anticommutes with it and commutes with everything else. Conjugating by the
 product of reflections (tau_i + sigma_i)/sqrt(2) then rewrites every term
 as +/- a product of sigmas, which is qubit-wise commuting by construction.
-Qubits outside S get no factor, so the circuit leaves them alone. Each
+Qubits outside S get no factor, so the circuit leaves them alone. Any such
+basis will do, and a weight-w tau costs up to 2(w - 1) CNOTs, so on each
+qubit where the group uses one axis the tau is that single-qubit axis,
+which costs none; a qubit-wise commuting group gets no CNOT at all. Each
 group's transformed terms are read off its circuit, with exact signs.
 """
 
@@ -160,27 +163,58 @@ class MeasurementPlan(NamedTuple):
 
 def find_tau(group: Hamiltonian) -> list[PauliProduct]:
     """|S| mutually commuting products on the group's support S (the qubits
-    its terms act on) that commute with every group term.
+    its terms act on) that commute with every group term, whose span holds
+    every term.
 
-    Row reduction of the term vectors yields a basis of their span; if its
-    rank is below N the basis is grown to a Lagrangian one of S inside the
-    symplectic complement. The complement is built over S's free columns
-    only: those of a qubit q outside S would give X_q and Z_q. That leaves
-    a coisotropic subspace of S's symplectic space. Pairwise commutation is
-    checked first, on the group's ``columns`` (``pipeline``'s cover check's).
-    Constant terms contribute the zero vector; a group of constants has no
-    taus.
+    Let U be the qubits of S on which every term that acts there has the
+    same axis a_q: only one of x & ~z, z & ~x and x & z is non-zero among
+    the group's ``columns`` on q, and R the rest of S. The taus start with
+    the single-qubit a_q for each q in U, in qubit order; ``find_sigma``
+    then pairs each with a sigma on its own qubit and no carrier, so they
+    cost no CNOT. U's bits are cleared from the term vectors, which still
+    commute pairwise, as on U the terms commute qubit by qubit. Row
+    reduction of what is left yields a basis of its span on R, and every
+    term is a product of U's taus and that basis.
+
+    When the taus number fewer than the register's N qubits, the basis is
+    grown to a Lagrangian one of R inside the symplectic complement, built
+    over R's free columns only: those of any other qubit q would give X_q
+    and Z_q. That leaves a coisotropic subspace of R's symplectic space.
+    The completion runs even when the basis is already Lagrangian on R,
+    below N rather than below |R|, as it did before the single-qubit taus;
+    the benchmark's tracer self-test counts its ``gf2.symplectic_inner``
+    calls on ``wide-sparse``. Walking U over S's set bits, not the
+    register, keeps wide sparse groups cheap.
+
+    Pairwise commutation is checked first, on the group's ``columns``
+    (``pipeline``'s cover check's). Constant terms contribute the zero
+    vector; a group of constants has no taus.
     """
     n = group.n_qubits
     products = group.products()
-    if not _commute_pairwise(group.columns, products):
+    xcol, zcol = group.columns
+    if not _commute_pairwise((xcol, zcol), products):
         raise ValueError("group terms do not commute")
-    basis, _ = gf2.row_reduce([p.packed for p in products])
-    if len(basis) < n:
+    vecs = [p.packed for p in products]
+    local: list[int] = []
+    uniform = 0
+    rest = _qubits(vecs, n)
+    while rest:
+        low = rest & -rest
+        q = low.bit_length() - 1
+        x, z = xcol[q], zcol[q]
+        # One axis on the qubit: all X (no z bit), all Z (no x bit) or all Y.
+        if not x or not z or x == z:
+            local.append((low if x else 0) | (low << n if z else 0))
+            uniform |= low
+        rest ^= low
+    keep = ~(uniform | uniform << n)
+    basis, _ = gf2.row_reduce([v & keep for v in vecs])
+    if len(local) + len(basis) < n:
         support = _qubits(basis, n)
         basis = gf2.lagrangian_extract(gf2.symplectic_complement(basis, n, support), n,
                                        support.bit_count())
-    return [PauliProduct.from_packed(v, n) for v in basis]
+    return [PauliProduct.from_packed(v, n) for v in local + basis]
 
 
 def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:

@@ -1012,37 +1012,85 @@ def group_basis(group: Hamiltonian) -> TauSigmaBasis:
     return find_sigma(taus) if taus else TauSigmaBasis(group.n_qubits, (), ())
 
 
+# The qubit-local rule of transform.find_tau, read qubit by qubit off each
+# term's axis: the single-qubit tau a_q on every qubit q where all the terms
+# that act on q have the one axis a_q, in qubit order, and the term vectors
+# with those qubits cleared.
+
+def uniform_axis_taus(group: Hamiltonian) -> tuple[list[PauliProduct], list[int]]:
+    n = group.n_qubits
+    products = group.products()
+    if not _commute_pairwise(qubit_columns(n, products), products):
+        raise ValueError("group terms do not commute")
+    taus, uniform = [], 0
+    for q in range(n):
+        axes = {p.axis(q) for p in products} - {"I"}
+        if len(axes) == 1:
+            taus.append(PauliProduct.single(n, q, axes.pop()))
+            uniform |= 1 << q
+    return taus, [p.packed & ~(uniform | uniform << n) for p in products]
+
+
+def _complete(rows: list[int], n: int, qubits: int, taken: int = 0) -> list[int]:
+    """The row-reduced span of the rows, grown to a Lagrangian basis of the
+    given qubits' symplectic space (they hold the rows' own) while its size
+    and the ``taken`` taus number fewer than the register's n qubits."""
+    basis, _ = gf2.row_reduce(rows)
+    if taken + len(basis) < n:
+        basis = gf2.lagrangian_extract(gf2.symplectic_complement(basis, n, qubits), n,
+                                       qubits.bit_count())
+    return basis
+
+
+# transform.find_tau as it was before the qubit-local taus: the span of the
+# term vectors completed over the whole support, however the completion
+# falls, with no single-qubit tau by rule. With ``full_width`` the
+# completion runs over every register qubit, as it did before each basis
+# acted only on its group's qubits.
+
+def completion_find_tau(group: Hamiltonian, full_width: bool = False) -> list[PauliProduct]:
+    n = group.n_qubits
+    products = group.products()
+    if not _commute_pairwise(qubit_columns(n, products), products):
+        raise ValueError("group terms do not commute")
+    rows = [p.packed for p in products]
+    support = 0
+    for v in rows:
+        support |= v | v >> n
+    qubits = (1 << n) - 1 if full_width else support & ((1 << n) - 1)
+    return [PauliProduct.from_packed(v, n) for v in _complete(rows, n, qubits)]
+
+
 # transform.find_tau and transform.find_sigma as they were before each
-# group's basis acted only on the qubits its terms touch: one tau and one
-# sigma per register qubit, each sigma picked by ``weighted_partner``. On a
-# qubit no term acts on, the tau is Z_q and its sigma X_q, a factor that
-# measures nothing. Tests require the support-local basis to equal this one
-# with those factors dropped.
+# group's basis acted only on the qubits its terms touch, with find_tau's
+# qubit-local rule: one tau and one sigma per register qubit, each sigma
+# picked by ``weighted_partner``. The completion runs over every qubit
+# outside the uniform-axis ones, so on a qubit no term acts on the tau is
+# Z_q and its sigma X_q, a factor that measures nothing. Tests require the
+# support-local basis to equal this one with those factors dropped.
 
 def full_width_find_tau(group: Hamiltonian) -> list[PauliProduct]:
     n = group.n_qubits
-    products = group.products()
-    if not _commute_pairwise(qubit_columns(n, products), products):
-        raise ValueError("group terms do not commute")
-    basis, _ = gf2.row_reduce([p.packed for p in products])
-    if len(basis) < n:
-        basis = gf2.lagrangian_extract(
-            gf2.symplectic_complement(basis, n, (1 << n) - 1), n, n)
-    return [PauliProduct.from_packed(v, n) for v in basis]
+    local, rows = uniform_axis_taus(group)
+    uniform = 0
+    for t in local:
+        uniform |= t.support
+    rest = ((1 << n) - 1) & ~uniform
+    return local + [PauliProduct.from_packed(v, n)
+                    for v in _complete(rows, n, rest, len(local))]
 
 
 # transform.find_tau as it was before the symplectic complement was built
-# over the support's free columns only: the whole complement, then without
-# the unit vectors X_q and Z_q of every qubit q outside the support S.
-# Tests require the same taus.
+# over the support's free columns only, with its qubit-local rule: the
+# whole complement of the cleared span, then without the unit vectors X_q
+# and Z_q of every qubit q outside the rest of the support. Tests require
+# the same taus.
 
 def idle_filter_find_tau(group: Hamiltonian) -> list[PauliProduct]:
     n = group.n_qubits
-    products = group.products()
-    if not _commute_pairwise(qubit_columns(n, products), products):
-        raise ValueError("group terms do not commute")
-    basis, _ = gf2.row_reduce([p.packed for p in products])
-    if len(basis) < n:
+    local, rows = uniform_axis_taus(group)
+    basis, _ = gf2.row_reduce(rows)
+    if len(local) + len(basis) < n:
         touched = 0
         for v in basis:
             touched |= v
@@ -1053,7 +1101,7 @@ def idle_filter_find_tau(group: Hamiltonian) -> list[PauliProduct]:
             [v for v in gf2.symplectic_complement(basis, n, (1 << n) - 1)
              if not v & idle], n,
             support.bit_count())
-    return [PauliProduct.from_packed(v, n) for v in basis]
+    return local + [PauliProduct.from_packed(v, n) for v in basis]
 
 
 def full_width_find_sigma(taus) -> TauSigmaBasis:

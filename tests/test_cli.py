@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import paulimeasure
-from helpers import (assert_dense_oracles, full_width_find_sigma, full_width_find_tau,
+from helpers import (assert_dense_oracles, completion_find_tau, full_width_find_sigma,
                      reference_plan_dict)
 from paulimeasure import (GroupPlan, Hamiltonian, MeasurementPlan, build_graph,
                           compute_cover, parse_hamiltonian, pipeline, plan_from_dict,
@@ -141,9 +141,9 @@ GOLDEN_INPUTS = {"six-term": lambda: SIX_TERM_TEXT, "h2": lambda: H2_GROUP_TEXT,
 # random-12q and wide-100q have groups that leave qubits idle; their plans
 # with one tau per register qubit hash to FULL_WIDTH_PLAN_SHA256.
 PLAN_SHA256 = {
-    "six-term": "610fead7da2128bcd0a339fd058aa32c30a8bf449bd9246fb8fbb2ecc9c05b89",
-    "h2": "890dc5fb49624c173cc4e3f0328cb55e3a0162983c185ac8a955f7c98970f61d",
-    "random-12q": "c396ff5c540d6b5d909e7cc26b921790db1a0ecfd7c3166dcef1c8c151aefb00",
+    "six-term": "bc307fc7a01414ece72b6104b709bee8df5ee5667608b17ae1f154b709281d7a",
+    "h2": "c1abed1403303caf4985b2d5ccad1bf0ef579d6a62ee4cfcfccbdb6b529935e3",
+    "random-12q": "6bc3b09d5a6fa362b01aaf18bf84e510b4fd4b964b1733f46f6098c0dcde13cf",
     "wide-100q": "d0ec319b3829f63eb8d9006861bc7b5d04a4c86cde38532075fa0ef0196014f1",
 }
 FULL_WIDTH_PLAN_SHA256 = {
@@ -375,11 +375,12 @@ class TestTransform:
 
 def full_width_plan(h: Hamiltonian) -> MeasurementPlan:
     """The `measure transform` plan built with one tau and one sigma per
-    register qubit (helpers.full_width_find_tau / full_width_find_sigma)."""
+    register qubit and no qubit-local taus (helpers.completion_find_tau
+    over the whole register / full_width_find_sigma)."""
     entries = []
     for indices in compute_cover(build_graph(h, "fc"), "rlf").groups:
         sub = Hamiltonian(h.n_qubits, tuple(h.terms[i] for i in indices))
-        basis = full_width_find_sigma(full_width_find_tau(sub))
+        basis = full_width_find_sigma(completion_find_tau(sub, full_width=True))
         entries.append(GroupPlan(transform_group(sub, basis, indices), synthesize(basis)))
     return MeasurementPlan(h.n_qubits, tuple(entries))
 

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (assert_dense_oracles, build_unitary_symbolic, count_column_builds,
-                     embedded_group, full_width_find_sigma, full_width_find_tau,
-                     group_basis, idle_filter_find_tau, is_lagrangian, pairwise_validate,
-                     product_expand_in_tau, random_commuting_group,
+from helpers import (assert_dense_oracles, build_unitary_symbolic, completion_find_tau,
+                     count_column_builds, embedded_group, full_width_find_sigma,
+                     full_width_find_tau, group_basis, idle_filter_find_tau, is_lagrangian,
+                     pairwise_validate, product_expand_in_tau, random_commuting_group,
                      random_graph_hamiltonian, random_isotropic, random_pauli,
                      reference_plan_dict, regex_parse_term_tokens, rescanning_find_sigma,
-                     sigma_product, solve_expansion)
+                     sigma_product, solve_expansion, uniform_axis_taus)
 from paulimeasure import (CliffordCircuit, CliqueCover, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, TauSigmaBasis, TransformedGroup,
                           build_graph, cover_rlf, find_sigma, find_tau, parse_hamiltonian,
@@ -279,6 +279,88 @@ class TestSupportLocalBasis:
         assert entry.transform.transformed == h
         with pytest.raises(ValueError, match="empty tau basis"):
             find_sigma(find_tau(h))
+
+
+@st.composite
+def groups_with_uniform_axes(draw) -> Hamiltonian:
+    """A commuting group on k of n qubits with constant terms. Its terms are
+    products of a Lagrangian basis of the k qubits whose first members are
+    single-qubit axes (all k of them for a qubit-wise commuting group) and
+    whose others are a random Lagrangian basis of the remaining qubits."""
+    k = draw(st.integers(1, 6))
+    n = k + draw(st.integers(0, 10))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    qubits = rng.sample(range(n), k)
+    n_single = draw(st.integers(0, k))
+    rest = qubits[n_single:]
+
+    def place(v):
+        m = len(rest)
+        return PauliProduct(n, sum((v >> i & 1) << q for i, q in enumerate(rest)),
+                            sum((v >> (m + i) & 1) << q for i, q in enumerate(rest)))
+
+    basis = [PauliProduct.single(n, q, rng.choice("XYZ")).packed for q in qubits[:n_single]]
+    basis += [place(v).packed for v in random_isotropic(len(rest), len(rest), rng)]
+    terms = [(rng.uniform(0.05, 2.0), PauliProduct.identity(n))
+             for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(1, 12))):
+        v = 0
+        for b in basis:
+            v ^= b if rng.random() < 0.5 else 0
+        terms.append((rng.uniform(-2.0, 2.0), PauliProduct.from_packed(v, n)))
+    rng.shuffle(terms)
+    return Hamiltonian.from_terms(n, terms)
+
+
+def cnots(basis: TauSigmaBasis) -> int:
+    return sum(g.name == "CNOT" for g in synthesize(basis).gates)
+
+
+class TestQubitLocalTaus:
+    """On each qubit where a group uses one axis, its tau is that axis alone,
+    with its sigma on the same qubit, so it costs no CNOT."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(groups_with_uniform_axes())
+    def test_each_uniform_axis_qubit_gets_a_single_qubit_tau(self, group):
+        basis = group_basis(group)
+        basis.validate(group)
+        local, _ = uniform_axis_taus(group)
+        assert list(basis.taus[:len(local)]) == local
+        assert ([q for q, _ in basis.sigmas[:len(local)]]
+                == [t.support.bit_length() - 1 for t in local])
+        products = group.products()
+        if all(p.qwc_with(r) for p in products for r in products):
+            assert len(local) == len(basis.taus)
+            assert all(g.name != "CNOT" for g in synthesize(basis).gates)
+
+    def test_h2_group_holds_the_papers_single_qubit_taus(self):
+        # Z1 and Z3 of the paper's basis, on the two qubits where every
+        # term of the group that acts there has a Z
+        h = h2_commuting_group()
+        z1, z3 = (PauliProduct.from_term_string(s, 4) for s in ("Z1", "Z3"))
+        assert {z1, z3} <= set(h2_reference_basis().taus)
+        assert uniform_axis_taus(h)[0] == [z1, z3]
+        taus = find_tau(h)
+        assert taus[:2] == [z1, z3]
+        assert_valid_tau_set(taus, h)
+
+    @pytest.mark.parametrize("workload", ["random-w4", "molecular-jw", "wide-sparse"])
+    def test_no_benchmark_group_costs_more_cnots_than_the_completion_rule(
+            self, workload, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        import workloads
+        total = old_total = 0
+        for inst in workloads.generate(workload, 1, PauliProduct):
+            h = parse_hamiltonian(inst.to_text())
+            for indices in cover_rlf(build_graph(h, "fc")).groups:
+                sub = Hamiltonian(h.n_qubits, tuple(h.terms[i] for i in indices))
+                if not any(p.support for p in sub.products()):
+                    continue
+                new, old = cnots(group_basis(sub)), cnots(find_sigma(completion_find_tau(sub)))
+                assert new <= old, (inst.name, indices)
+                total, old_total = total + new, old_total + old
+        assert total < old_total
 
 
 def image_of(term: PauliProduct, basis: TauSigmaBasis) -> tuple[int, PauliProduct]:

@@ -226,23 +226,27 @@ class TestSpectra:
     # its oracle.
 
     def test_y_carrying_group_passes(self):
-        # Y0 X1 and X0 Z1 X2 become Z1 and Y0: a term with a Y on each side
+        # Qubit 2 uses only X, so X2 is a tau with sigma Z2. Without it the
+        # terms reduce to X0 Z1 and Z0 Y1; the first sigma is Z0 and the
+        # second X1, which turns X0 Z1 into Y0 X1. So Y0 X1 is tau_1 and
+        # becomes Z0, and X0 Z1 X2 = -tau_0 tau_1 tau_2 becomes -Z0 X1 Z2.
         h = parse_hamiltonian("qubits: 3\n0.5 Y0 X1\n-0.25 X0 Z1 X2\n")
         plan = pipeline(h, cover_rlf(build_graph(h, "fc")))
+        assert plan.groups[0].transform.basis.sigmas == ((2, "Z"), (0, "Z"), (1, "X"))
         transformed = plan.groups[0].transform.transformed
-        assert transformed == parse_hamiltonian("qubits: 3\n0.5 Z1\n-0.25 Y0\n")
+        assert transformed == parse_hamiltonian("qubits: 3\n0.5 Z0\n0.25 Z0 X1 Z2\n")
         assert rows(h, plan)[SPECTRA] == ("pass", "")
         assert verify.spectra_equal(h, transformed)
 
     def test_tampered_non_qwc_image_fails_with_a_mismatch(self):
-        # Y0 becomes X1, which clashes with Z1 and moves the spectrum
+        # Z0 X1 Z2 becomes X0, which clashes with Z0 and moves the spectrum
         h = parse_hamiltonian("qubits: 3\n0.5 Y0 X1\n-0.25 X0 Z1 X2\n")
         entry = pipeline(h, cover_rlf(build_graph(h, "fc"))).groups[0]
         (c0, p0), (c1, _) = entry.transform.transformed.terms
-        tampered = Hamiltonian(3, ((c0, p0), (c1, PauliProduct.from_term_string("X1", 3))))
+        tampered = Hamiltonian(3, ((c0, p0), (c1, PauliProduct.from_term_string("X0", 3))))
         got = rows(h, MeasurementPlan(3, (restated(entry, transformed=tampered),)))
-        assert got[SPECTRA] == ("fail", "group 0: term 1 (-0.25 X0 Z1 X2) maps to +Y0 under "
-                                "tau_i -> sigma_i, plan states -0.25 X1")
+        assert got[SPECTRA] == ("fail", "group 0: term 1 (-0.25 X0 Z1 X2) maps to -Z0 X1 Z2 "
+                                "under tau_i -> sigma_i, plan states 0.25 X0")
         assert got[QWC][0] == "fail"
         assert not verify.spectra_equal(h, tampered)
 
