@@ -1,14 +1,14 @@
 """Clifford gate synthesis for the group-transforming unitaries.
 
-Each factor V = (tau + sigma)/sqrt(2) with {tau, sigma} = 0 satisfies
-V = (-i) e^(i pi/4 sigma) e^(i pi/4 tau) e^(i pi/4 sigma), and each
-pi/4 Pauli exponent lowers to H/S/CNOT with an exactly tracked global phase.
-Each qubit's runs of single-qubit gates fold, as they are emitted, into one
-of the 24 single-qubit Cliffords, written out as at most 3 gates, and a CNOT
-that meets the same CNOT with nothing left between them cancels it. Each tau
-ladder ends on its sigma qubit and the factors are emitted in prefix order,
-so consecutive ladders share CNOTs that cancel (after Hastings et al.,
-arXiv:1403.1539).
+The product U of the reflections (tau_i + sigma_i)/sqrt(2) of a basis is
+compiled whole, in graph form: in the frame where every sigma is Z, the
+taus are, up to sign, the stabilizers of a graph state (Van den Nest,
+Dehaene and De Moor, arXiv:quant-ph/0308151), and U is a CZ layer on the
+graph's edges, an H layer and the same CZ layer again, between single-qubit
+runs; a frame Pauli fixes the signs and the global phase is read off one
+amplitude (``synthesize``). A weight-w tau costs w - 1 CNOTs. Each qubit's
+runs of single-qubit gates fold, as they are emitted, into one of the 24
+single-qubit Cliffords, written out as at most 3 gates.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .pauli import FrozenRecord, PauliProduct
+from .pauli import FrozenRecord
 
 if TYPE_CHECKING:
     from .transform import TauSigmaBasis
@@ -84,11 +84,21 @@ def check_gate(g: Gate, n_qubits: int) -> None:
         raise ValueError(f"gate {g} uses qubit {g.qubits[0]} twice")
 
 
-# Single-qubit runs, first gate first: an axis to Z and back, and the whole
-# of e^(-i pi/4) exp(i pi/4 A) for a one-qubit A, as _append_exponent lowers it.
-_TO_Z = {"X": ("H",), "Y": ("SDG", "H")}
-_FROM_Z = {"X": ("H",), "Y": ("H", "S")}
-_EXPONENT_1Q = {a: _TO_Z.get(a, ()) + ("SDG",) + _FROM_Z.get(a, ()) for a in "XYZ"}
+# Per sigma axis a, the frame runs on the sigma's qubit, first gate first:
+# R_a^dagger, which the circuit applies first, and R_a, which it applies
+# last, with R_a^dagger a R_a = +Z.
+_FRAME_IN = {"X": ("H",), "Y": ("SDG", "H"), "Z": ()}
+_FRAME_OUT = {"X": ("H",), "Y": ("H", "S"), "Z": ()}
+# Per (sigma axis, tau axis on the sigma's qubit), R^dagger b R for that tau
+# axis b: (1 for a Y, 0 for an X; 1 for a minus sign). The pairs that miss
+# are the tau axes that commute with the sigma.
+_OWN = {("Z", "X"): (0, 0), ("Z", "Y"): (1, 0), ("X", "Z"): (0, 0), ("X", "Y"): (1, 1),
+        ("Y", "Z"): (0, 0), ("Y", "X"): (1, 0)}
+# The run on a sigma qubit between the CZ layers: the middle H, between the
+# S of both layers of D at a Y vertex.
+_MIDDLE = (("H",), ("S", "H", "S"))
+# The gate of each (x, z) bit pair of the frame Pauli.
+_LETTER = {(0, 0): (), (1, 0): ("X",), (1, 1): ("Y",), (0, 1): ("Z",)}
 
 
 def _matmul(a, b):
@@ -109,7 +119,8 @@ def _clifford_group() -> tuple[dict[tuple[str, ...], tuple[int, ...]],
     name: the 24 x 6 transition table, built on first use from 2x2 complex
     matrices, with every phase a multiple of pi/4 read off the overlap
     tr(C_k^dagger G C_j) / 2. ``step`` also holds, under the run itself,
-    the composed table of each run that ``synthesize`` applies at once.
+    the composed table of each frame and middle run that ``synthesize``
+    applies at once.
     """
     matrices = [((1, 0), (0, 1))]
     runs: list[tuple[str, ...]] = [()]
@@ -130,7 +141,7 @@ def _clifford_group() -> tuple[dict[tuple[str, ...], tuple[int, ...]],
                 matrices.append(m)
                 runs.append(runs[j] + (name,))
         j += 1
-    for names in {*_TO_Z.values(), *_FROM_Z.values(), *_EXPONENT_1Q.values()}:
+    for names in {*_FRAME_IN.values(), *_FRAME_OUT.values(), *_MIDDLE}:
         table = [8 * j for j in range(len(runs))]
         for name in names:
             gate = step[(name,)]
@@ -148,20 +159,13 @@ class _Fold:
     element's shortest run; ``circuit`` writes out the rest in qubit order.
     Every run stays between the same two CNOTs on its qubit, and none grows:
     a run costs at most 3 gates, none when it multiplies to the identity.
-    A CNOT that would directly follow the same CNOT (same control and
-    target) on both of its qubits, with both pending runs the identity,
-    cancels it instead: neither is written. ``written[q]`` is the stack of
-    the indices of the gates written on qubit q, so cancelling pops the
-    pair and exposes the gates before it, and a run of such pairs
-    telescopes. Runs already written are not folded again.
     """
 
     def __init__(self, n_qubits: int) -> None:
         self.step, self.runs = _clifford_group()
         self.n_qubits = n_qubits
         self.pending = [0] * n_qubits
-        self.gates: list[Gate | None] = []
-        self.written = [[-1] for _ in range(n_qubits)]
+        self.gates: list[Gate] = []
         self.phase = 0
 
     def run(self, names: tuple[str, ...], q: int) -> None:
@@ -174,25 +178,12 @@ class _Fold:
     def _write(self, q: int) -> None:
         j = self.pending[q]
         if j:
-            gates = self.gates
-            gates += [Gate(name, (q,)) for name in self.runs[j]]
-            self.written[q].append(len(gates) - 1)
+            self.gates += [Gate(name, (q,)) for name in self.runs[j]]
             self.pending[q] = 0
 
     def cnot(self, control: int, target: int) -> None:
-        on_control, on_target = self.written[control], self.written[target]
-        k = on_control[-1]
-        # Gate k is on both qubits, so it is a CNOT between them.
-        if (k == on_target[-1] >= 0 and self.gates[k].qubits[0] == control
-                and not self.pending[control] and not self.pending[target]):
-            self.gates[k] = None
-            on_control.pop()
-            on_target.pop()
-            return
         self._write(control)
         self._write(target)
-        on_control.append(len(self.gates))
-        on_target.append(len(self.gates))
         self.gates.append(Gate("CNOT", (control, target)))
 
     def circuit(self, global_phase_exp: int) -> CliffordCircuit:
@@ -201,7 +192,7 @@ class _Fold:
         range-check every qubit, and a CNOT's two qubits differ."""
         for q in range(self.n_qubits):
             self._write(q)
-        return CliffordCircuit.unchecked(self.n_qubits, tuple(filter(None, self.gates)),
+        return CliffordCircuit.unchecked(self.n_qubits, tuple(self.gates),
                                          global_phase_exp + self.phase)
 
 
@@ -214,75 +205,124 @@ def _qubits(bits: int) -> list[int]:
     return qubits
 
 
-def _append_exponent(fold: _Fold, p: PauliProduct, ladder: list[int]) -> None:
-    """Emit the gates of e^(-i pi/4) exp(i pi/4 P), P phase-free and not I.
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
-    Basis changes map every support axis to Z, a CNOT ladder over the
-    support qubits in the order ``ladder`` (the support of P, each qubit
-    once) folds the parity onto the last of them, and exp(i pi/4 Z) =
-    e^(i pi/4) SDG supplies the rotation; the ladder and basis changes are
-    then undone. Weight w costs 2(w-1) CNOTs before any cancels in the
-    fold. ``fold`` is a ``_Fold`` or anything else with its ``run`` and
-    ``cnot``.
-    """
-    x, z = p.x, p.z
-    # The X and Y qubits with their axes; a Z needs no basis change.
-    changes = [(q, "Y" if z >> q & 1 else "X") for q in ladder if x >> q & 1]
-    for q, a in changes:
-        fold.run(_TO_Z[a], q)
-    for k in range(len(ladder) - 1):
-        fold.cnot(ladder[k], ladder[k + 1])
-    fold.run(("SDG",), ladder[-1])
-    for k in reversed(range(len(ladder) - 1)):
-        fold.cnot(ladder[k], ladder[k + 1])
-    for q, a in changes:
-        fold.run(_FROM_Z[a], q)
+
+def _cz_layer(fold: _Fold, blocks: list[tuple[int, list[int]]]) -> None:
+    """A CZ on every edge of ``blocks``, (target, controls) pairs: each
+    target's CZs as one H, a CNOT from each control, and one H."""
+    for target, controls in blocks:
+        fold.run(("H",), target)
+        for control in controls:
+            fold.cnot(control, target)
+        fold.run(("H",), target)
 
 
 def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
-    """Full circuit for the product of reflections, in prefix order.
+    """The circuit of U = prod_i (tau_i + sigma_i)/sqrt(2), global phase
+    included, in graph form: sum_i (w_i - 1) CNOTs for taus of weights w_i.
 
-    The factors commute pairwise, so the order in which they are emitted
-    does not change the operator. Each factor's tau ladder runs over the
-    tau's other qubits in ascending order and ends on its sigma qubit. The
-    factors are emitted in lexicographic order of their ladders off the
-    sigma qubit, ties by index, so that consecutive ladders share their
-    longest prefixes and the fold cancels the shared CNOT pairs: 2(w-1)
-    CNOTs for a weight-w tau is an upper bound. A ladder is keyed by its
-    qubits alone. Its (qubit, axis) pairs would order the same: every
-    qubit of a tau off its own sigma qubit carries another factor's sigma,
-    with which the tau commutes, so the tau's axis there is that sigma's
-    axis (basis invariants).
+    Frame. Each sigma qubit with axis a is conjugated by the run R_a of
+    ``_FRAME_IN`` / ``_FRAME_OUT``, R_a^dagger a R_a = +Z; F is their
+    product, so F^dagger sigma_i F = Z_i. On its sigma's qubit q_i, tau_i's
+    axis anticommutes with sigma_i. On each other qubit it acts on, which
+    carries a sigma_j that it commutes with, it has sigma_j's axis. So
+    F^dagger tau_i F = s_i B_i, with B_i = (X or Y on q_i) Z_{N(i)} and N(i)
+    the rest of tau_i's support. The taus commute, so N is symmetric: a
+    graph G on the sigma qubits, with a Y mark where B_i has a Y. The mark
+    and the sign s_i depend only on sigma_i's axis and tau_i's axis on q_i
+    (``_OWN``), since the neighbours map to +Z.
 
-    A factor is (-i) e^(i pi/4 sigma) e^(i pi/4 tau) e^(i pi/4 sigma): -i
-    is e^(i pi/4 * 6) and each exponent's gates lack e^(i pi/4), so a
-    factor adds 6 + 3 = 9 to the phase exponent. A sigma exponent is one
-    run on the sigma's qubit. The gates are folded as they are emitted
-    (``_Fold``), which keeps the operator and its phase exact: a one-qubit
-    factor (Z + X)/sqrt(2) costs one H, not seven gates. Every factor acts
-    only on the basis's sigma qubits, so no gate touches another qubit.
-    Every factor is checked, in index order, before any ladder is built.
+    D H D. Let D be a CZ on every edge of G and an S on every Y vertex,
+    and W = D H D with H on every sigma qubit. Conjugation by W maps B_i to
+    +Z_i and Z_i to B_i, or to -B_i at a Y vertex (S^dagger X S = -Y). A
+    frame Pauli P fixes the signs, so that V = P W maps tau_i to Z_i and
+    Z_i to tau_i, as F^dagger U F does: P's x bit on q_i is set where
+    exactly one of s_i = -1 and the Y mark holds, and P anticommutes with
+    B_i where s_i = -1. The Z_i and tau_i generate every Pauli on the sigma
+    qubits, so U = e^(i phi) F V F^dagger. In the gates, a CZ is H CNOT H
+    on its higher qubit, the target; both CZ layers take the targets in
+    ascending order (``_cz_layer``), so each qubit is a target, then a
+    control, and its Hs fold. The S of D sit next to the middle H layer,
+    with which they fold. An H layer lies between the two layers and no
+    edge repeats in one, so no two CNOTs are adjacent copies.
+
+    Phase. On |0...0> in the frame, only the all-sigma term of the
+    expanded product has no X, so <0|F^dagger U F|0> = 2^(-m/2) for m
+    factors. <0|P W|0> = 2^(-m/2) (-1)^e i^y (-i)^l, with e the edges
+    inside P's x part, y the Y vertices in it and l the Y letters of P. The
+    phase exponent, in units of pi/4, is the fold's minus 4 e + 2 y + 6 l.
+    Gates touch only sigma qubits.
+
+    The basis is checked first, with a few bitset operations per tau and
+    one per neighbour, so in O(total tau weight) bitset steps: as many taus
+    as sigmas; each sigma X, Y or Z on its own register qubit; each tau of
+    the basis's width, phase-free, anticommuting with its sigma, with the
+    sigma's axis on every other sigma qubit it acts on and on no other
+    qubit; and N symmetric. Together these are ``TauSigmaBasis.validate``
+    without a group. ValueError names the first violation.
     """
-    n = basis.n_qubits
-    for i, tau in enumerate(basis.taus):
-        q, a = basis.sigmas[i]
-        if a not in _EXPONENT_1Q or not 0 <= q < n:
+    n, taus, sigmas = basis.n_qubits, basis.taus, basis.sigmas
+    if len(taus) != len(sigmas):
+        raise ValueError(f"{len(taus)} taus for {len(sigmas)} sigmas")
+    vertex: dict[int, int] = {}
+    sx = sz = 0  # bit q: the axis of the sigma on qubit q has an x / z bit
+    for i, (q, a) in enumerate(sigmas):
+        if a not in _FRAME_IN or not 0 <= q < n:
             raise ValueError(f"sigma_{i} must be X, Y or Z on a qubit of the register")
+        if vertex.setdefault(q, i) != i:
+            raise ValueError(f"sigma_{vertex[q]} and sigma_{i} share qubit {q}")
+        sx |= (a != "Z") << q
+        sz |= (a != "X") << q
+    neighbours = []
+    ys = minus = 0  # qubit bitsets: the Y marks; the vertices with s_i = -1
+    for i, tau in enumerate(taus):
+        q, a = sigmas[i]
+        if tau.n_qubits != n:
+            raise ValueError(f"tau_{i} has {tau.n_qubits} qubits, the basis {n}")
         if tau.phase_exp:
-            raise ValueError("exponent Pauli must carry no phase")
-        if tau.axis(q) in ("I", a):
-            raise ValueError("tau and sigma must anticommute")
-    ladders = [_qubits(tau.support & ~(1 << q))
-               for tau, (q, _) in zip(basis.taus, basis.sigmas)]
+            raise ValueError(f"tau_{i} must carry no phase")
+        own = _OWN.get((a, tau.axis(q)))
+        if own is None:
+            raise ValueError(f"tau_{i} does not anticommute with sigma_{i}")
+        rest = tau.support & ~(1 << q)
+        if rest & ~(sx | sz):
+            raise ValueError(f"tau_{i} acts on qubit {_lowest(rest & ~(sx | sz))}, "
+                             "which has no sigma")
+        wrong = ((tau.x ^ sx) | (tau.z ^ sz)) & rest
+        if wrong:
+            raise ValueError(f"tau_{i} anticommutes with sigma_{vertex[_lowest(wrong)]}")
+        neighbours.append(rest)
+        ys |= own[0] << q
+        minus |= own[1] << q
+    xs = minus ^ ys  # P's x part
+    zs = 0  # P's z part
+    edges = 0  # twice the edges inside P's x part
+    blocks = []  # (target, controls) per qubit with a lower neighbour
+    for i, rest in enumerate(neighbours):
+        q = sigmas[i][0]
+        for p in _qubits(rest):
+            if not neighbours[vertex[p]] >> q & 1:
+                raise ValueError(f"tau_{i} and tau_{vertex[p]} anticommute")
+        inside = (rest & xs).bit_count()
+        zs |= ((minus >> q ^ inside ^ ys >> q & xs >> q) & 1) << q
+        edges += inside * (xs >> q & 1)
+        below = rest & ((1 << q) - 1)
+        if below:
+            blocks.append((q, _qubits(below)))
+    blocks.sort()
     fold = _Fold(n)
-    for i in sorted(range(len(ladders)), key=ladders.__getitem__):
-        q, a = basis.sigmas[i]
-        ladder = ladders[i]
-        ladder.append(q)  # the key has been read; the sigma qubit goes last
-        fold.run(_EXPONENT_1Q[a], q)
-        _append_exponent(fold, basis.taus[i], ladder)
-        fold.run(_EXPONENT_1Q[a], q)
-    return fold.circuit(9 * len(basis.taus))
+    for q, a in sigmas:
+        fold.run(_FRAME_IN[a], q)
+    _cz_layer(fold, blocks)
+    for q, _ in sigmas:
+        fold.run(_MIDDLE[ys >> q & 1], q)
+    _cz_layer(fold, blocks)
+    for q, a in sigmas:
+        fold.run(_LETTER[xs >> q & 1, zs >> q & 1], q)
+        fold.run(_FRAME_OUT[a], q)
+    return fold.circuit(-(2 * edges + 2 * (ys & xs).bit_count() + 6 * (xs & zs).bit_count()))
 
 
 def gate_counts(c: CliffordCircuit) -> dict[str, int]:

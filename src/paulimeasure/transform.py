@@ -9,9 +9,9 @@ anticommutes with it and commutes with everything else. Conjugating by the
 product of reflections (tau_i + sigma_i)/sqrt(2) then rewrites every term
 as +/- a product of sigmas, which is qubit-wise commuting by construction.
 Qubits outside S get no factor, so the circuit leaves them alone. Any such
-basis will do, and a weight-w tau costs up to 2(w - 1) CNOTs, so on each
-qubit where the group uses one axis the tau is that single-qubit axis,
-which costs none; a qubit-wise commuting group gets no CNOT at all. Each
+basis will do, and a weight-w tau costs w - 1 CNOTs (``circuits.synthesize``),
+so on each qubit where the group uses one axis the tau is that single-qubit
+axis, which costs none; a qubit-wise commuting group gets no CNOT at all. Each
 group's transformed terms are read off its circuit, with exact signs.
 """
 
@@ -231,8 +231,9 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     tau_k tau_i: updating only the later ones can leave an earlier tau
     anticommuting with a later sigma, which would break the returned
     invariants. The step takes the axis whose update leaves the smaller
-    total tau weight, since each reflection's circuit costs 2(w - 1) CNOTs
-    for a weight-w tau; on a tie it takes X for a Y or Z and Z for an X.
+    total tau weight: the circuit costs exactly w - 1 CNOTs for a weight-w
+    tau (``circuits.synthesize``), so that is the smaller CNOT count after
+    the step. On a tie it takes X for a Y or Z and Z for an X.
     The taus with tau i's own axis on the qubit carry either partner, so
     only the others are scored, one popcount pair each. The carriers are
     read off per-bit column bitsets that follow every change to the
@@ -345,9 +346,11 @@ def pipeline(h: Hamiltonian, cover) -> MeasurementPlan:
     """Per cover group: find taus and sigmas, synthesize the circuit and read
     the transformed terms off it. ``find_sigma`` proves the invariants of
     its basis and ``find_tau``'s taus span every group term on the group's
-    support, so no basis is validated again. The cover check uses the rule
-    of ``find_tau``'s, so no group that passes it fails there. Each group is
-    the cover check's ``Hamiltonian``, so its ``columns`` are built once."""
+    support, so no basis is validated against its group again;
+    ``synthesize`` checks its own input, in O(total tau weight). The cover
+    check uses the rule of ``find_tau``'s, so no group that passes it fails
+    there. Each group is the cover check's ``Hamiltonian``, so its
+    ``columns`` are built once."""
     report = validate_cover(h, cover, "fc")
     if report.violations:
         raise ValueError(f"cover invalid under fc: {len(report.violations)} violations, "

@@ -705,10 +705,10 @@ def inverse_circuit(c: CliffordCircuit) -> CliffordCircuit:
     return CliffordCircuit(c.n_qubits, gates, -c.global_phase_exp)
 
 
-# circuits._append_exponent as it was before it stepped over the set bits
-# of the support: one test per register qubit. A target qubit of the support
-# goes last in the ladder, as synthesize puts the sigma qubit. Tests require
-# equal gates.
+# append_exponent (below) as it was before it stepped over the set bits of
+# the support: one test per register qubit. A target qubit of the support
+# goes last in the ladder, as ladder_synthesize puts the sigma qubit. Tests
+# require equal gates.
 
 def scanning_exponent_gates(p: PauliProduct, target: int | None = None) -> list[Gate]:
     support = [q for q in range(p.n_qubits) if (p.support >> q) & 1 and q != target]
@@ -747,83 +747,118 @@ class LiteralGates:
         return CliffordCircuit(self.n_qubits, tuple(self.gates), global_phase_exp)
 
 
-# circuits.synthesize without the fold: every gate of every exponent, each
-# tau ladder ending on its sigma qubit (scanning_exponent_gates), the factors
-# sorted by their (qubit, axis) ladders off the sigma qubit, ties by index.
-# Tests require the folded circuit to equal it exactly, global phase
-# included, with the CNOTs that cancel_adjacent_cnots keeps of it.
+# The ladder synthesis that circuits.synthesize used before its graph form,
+# kept as a reference: the same unitary, global phase included, factor by
+# factor. A factor V = (tau + sigma)/sqrt(2) with {tau, sigma} = 0 is
+# (-i) e^(i pi/4 sigma) e^(i pi/4 tau) e^(i pi/4 sigma), and each pi/4 Pauli
+# exponent lowers to H/S/CNOT. Its gates go through circuits._Fold with the
+# CNOT cancellation that the ladders relied on (after Hastings et al.,
+# arXiv:1403.1539).
 
-def unfolded_synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
-    def ladder(i):
-        tau, q = basis.taus[i], basis.sigmas[i][0]
-        return [(k, tau.axis(k)) for k in range(basis.n_qubits)
-                if k != q and tau.axis(k) != "I"]
-
-    gates: list[Gate] = []
-    for i in sorted(range(len(basis.taus)), key=ladder):
-        sigma = scanning_exponent_gates(basis.sigma_products[i])
-        gates += sigma + scanning_exponent_gates(basis.taus[i], basis.sigmas[i][0]) + sigma
-    return CliffordCircuit(basis.n_qubits, tuple(gates), 9 * len(basis.taus))
+# Single-qubit runs, first gate first: an axis to Z and back, and the whole
+# of e^(-i pi/4) exp(i pi/4 A) for a one-qubit A, as append_exponent lowers it.
+_TO_Z = {"X": ("H",), "Y": ("SDG", "H")}
+_FROM_Z = {"X": ("H",), "Y": ("H", "S")}
+_EXPONENT_1Q = {a: _TO_Z.get(a, ()) + ("SDG",) + _FROM_Z.get(a, ()) for a in "XYZ"}
 
 
-# The CNOT cancellation of circuits._Fold, written as a per-qubit stack scan
-# over a literal gate list with 2x2 matrices for the single-qubit runs.
+def append_exponent(fold, p: PauliProduct, ladder: list[int]) -> None:
+    """Emit the gates of e^(-i pi/4) exp(i pi/4 P), P phase-free and not I.
 
-def _is_scalar(m: np.ndarray) -> bool:
-    return abs(m[0, 1]) < 1e-9 and abs(m[1, 0]) < 1e-9 and abs(m[0, 0] - m[1, 1]) < 1e-9
-
-
-def cancel_adjacent_cnots(c: CliffordCircuit) -> tuple[CliffordCircuit, list[list[int]]]:
-    """c without each CNOT that directly follows the same CNOT (same
-    control and target) on both of its qubits, and without that earlier
-    CNOT, when each qubit's single-qubit gates since then multiply to the
-    identity up to phase; and, per qubit of that circuit, the number of
-    cancelled pairs that each of its single-qubit runs spans, in the order
-    of ``qubit_runs``.
-
-    Each qubit keeps a stack of what was written on it: a CNOT's gate index,
-    or -1 for a run of single-qubit gates that is not the identity up to
-    phase, pushed when the next CNOT on the qubit stays. Popping a cancelled
-    pair exposes what lay below it; a run is never merged with one across a
-    cancelled pair. The single-qubit gates all stay, so the result equals c
-    exactly, global phase included.
+    Basis changes map every support axis to Z, a CNOT ladder over the
+    support qubits in the order ``ladder`` (the support of P, each qubit
+    once) folds the parity onto the last of them, and exp(i pi/4 Z) =
+    e^(i pi/4) SDG supplies the rotation; the ladder and basis changes are
+    then undone. Weight w costs 2(w-1) CNOTs before any cancels in the
+    fold. ``fold`` is anything with the ``run`` and ``cnot`` of
+    ``CancellingFold``.
     """
-    n = c.n_qubits
-    stacks: list[list[int]] = [[] for _ in range(n)]
-    runs = [np.eye(2, dtype=complex) for _ in range(n)]
-    # The earlier and the later CNOT of each cancelled pair.
-    opening: set[int] = set()
-    closing: set[int] = set()
-    for k, g in enumerate(c.gates):
-        if g.name != "CNOT":
-            q = g.qubits[0]
-            runs[q] = _GATE_2X2[g.name] @ runs[q]
-            continue
-        a, b = g.qubits
-        below = [stacks[q][-1] if stacks[q] else -1 for q in (a, b)]
-        if (below[0] == below[1] >= 0 and c.gates[below[0]].qubits == (a, b)
-                and _is_scalar(runs[a]) and _is_scalar(runs[b])):
-            stacks[a].pop()
-            stacks[b].pop()
-            opening.add(below[0])
-            closing.add(k)
-            continue
-        for q in (a, b):
-            if not _is_scalar(runs[q]):
-                stacks[q].append(-1)
-            runs[q] = np.eye(2, dtype=complex)
-            stacks[q].append(k)
-    spans = [[0] for _ in range(n)]
-    for k, g in enumerate(c.gates):
-        if g.name == "CNOT" and k not in opening:
-            for q in g.qubits:
-                if k in closing:
-                    spans[q][-1] += 1
-                else:
-                    spans[q].append(0)
-    removed = opening | closing
-    return (CliffordCircuit(n, tuple(g for k, g in enumerate(c.gates) if k not in removed),
-                            c.global_phase_exp), spans)
+    x, z = p.x, p.z
+    # The X and Y qubits with their axes; a Z needs no basis change.
+    changes = [(q, "Y" if z >> q & 1 else "X") for q in ladder if x >> q & 1]
+    for q, a in changes:
+        fold.run(_TO_Z[a], q)
+    for k in range(len(ladder) - 1):
+        fold.cnot(ladder[k], ladder[k + 1])
+    fold.run(("SDG",), ladder[-1])
+    for k in reversed(range(len(ladder) - 1)):
+        fold.cnot(ladder[k], ladder[k + 1])
+    for q, a in changes:
+        fold.run(_FROM_Z[a], q)
+
+
+class CancellingFold(_Fold):
+    """circuits._Fold that also cancels a CNOT which would directly follow
+    the same CNOT (same control and target) on both of its qubits, with
+    both pending runs the identity: neither is written. ``written[q]`` is
+    the stack of the indices of the gates written on qubit q, so cancelling
+    pops the pair and exposes the gates before it, and a run of such pairs
+    telescopes. Runs already written are not folded again. A run of several
+    gates is applied one gate at a time."""
+
+    def __init__(self, n_qubits: int) -> None:
+        super().__init__(n_qubits)
+        self.written = [[-1] for _ in range(n_qubits)]
+
+    def run(self, names: tuple[str, ...], q: int) -> None:
+        for name in names:
+            super().run((name,), q)
+
+    def _write(self, q: int) -> None:
+        if self.pending[q]:
+            super()._write(q)
+            self.written[q].append(len(self.gates) - 1)
+
+    def cnot(self, control: int, target: int) -> None:
+        on_control, on_target = self.written[control], self.written[target]
+        k = on_control[-1]
+        # Gate k is on both qubits, so it is a CNOT between them.
+        if (k == on_target[-1] >= 0 and self.gates[k].qubits[0] == control
+                and not self.pending[control] and not self.pending[target]):
+            self.gates[k] = None
+            on_control.pop()
+            on_target.pop()
+            return
+        super().cnot(control, target)
+        on_control.append(len(self.gates) - 1)
+        on_target.append(len(self.gates) - 1)
+
+    def circuit(self, global_phase_exp: int) -> CliffordCircuit:
+        c = super().circuit(global_phase_exp)
+        return CliffordCircuit(c.n_qubits, tuple(filter(None, c.gates)), c.global_phase_exp)
+
+
+def ladder_synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
+    """The product of reflections as CNOT ladders, in prefix order.
+
+    Each factor's tau ladder runs over the tau's other qubits in ascending
+    order and ends on its sigma qubit. The factors are emitted in
+    lexicographic order of their ladders off the sigma qubit, ties by index,
+    so that consecutive ladders share their longest prefixes and the fold
+    cancels the shared CNOT pairs: 2(w-1) CNOTs for a weight-w tau is an
+    upper bound. A factor adds 6 + 3 = 9 to the phase exponent: -i is
+    e^(i pi/4 * 6) and each exponent's gates lack e^(i pi/4). Each factor
+    is checked on its own, so a one-factor basis whose tau acts on qubits
+    without a sigma is lowered too.
+    """
+    n = basis.n_qubits
+    for i, tau in enumerate(basis.taus):
+        q, a = basis.sigmas[i]
+        if a not in _EXPONENT_1Q or not 0 <= q < n:
+            raise ValueError(f"sigma_{i} must be X, Y or Z on a qubit of the register")
+        if tau.phase_exp:
+            raise ValueError("exponent Pauli must carry no phase")
+        if tau.axis(q) in ("I", a):
+            raise ValueError("tau and sigma must anticommute")
+    ladders = [[k for k in range(n) if tau.support >> k & 1 and k != q]
+               for tau, (q, _) in zip(basis.taus, basis.sigmas)]
+    fold = CancellingFold(n)
+    for i in sorted(range(len(ladders)), key=ladders.__getitem__):
+        q, a = basis.sigmas[i]
+        fold.run(_EXPONENT_1Q[a], q)
+        append_exponent(fold, basis.taus[i], ladders[i] + [q])
+        fold.run(_EXPONENT_1Q[a], q)
+    return fold.circuit(9 * len(basis.taus))
 
 
 def fold_circuit(c: CliffordCircuit) -> CliffordCircuit:

@@ -7,20 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (LiteralGates, all_paulis, build_unitary_symbolic,
-                     cancel_adjacent_cnots, circuit_to_dict,
-                     conjugation_maps_paulis_to_paulis, embedded_group,
+from helpers import (LiteralGates, all_paulis, append_exponent, build_unitary_symbolic,
+                     circuit_to_dict, conjugation_maps_paulis_to_paulis, embedded_group,
                      fold_circuit, group_basis, inverse_circuit, kron_gate,
-                     qubit_runs, random_commuting_group, random_isotropic,
-                     random_pauli, scanning_exponent_gates, unfolded_synthesize)
+                     ladder_synthesize, qubit_runs, random_commuting_group,
+                     random_isotropic, random_pauli, scanning_exponent_gates)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, TauSigmaBasis,
                           circuit_from_dict,
                           find_sigma, gate_counts, synthesize,
                           transform_group)
 from paulimeasure import verify
-from paulimeasure.circuits import (GATE_NAMES, _append_exponent, _clifford_group,
-                                   _qubits, conjugate_columns)
+from paulimeasure.circuits import GATE_NAMES, _clifford_group, _qubits, conjugate_columns
 from paulimeasure.pauli import MAX_QUBITS, qubit_columns
 from paulimeasure.fixtures import h2_reference_basis, model_reference_basis
 
@@ -35,24 +33,31 @@ def reflection_matrix(tau: PauliProduct, sigma: PauliProduct) -> np.ndarray:
     return (verify.dense_pauli(tau) + verify.dense_pauli(sigma)) / np.sqrt(2)
 
 
-def expected_cnots(basis) -> int:
-    """Each factor costs one weight-w tau exponent (2(w-1) CNOTs) between
-    two single-qubit sigma exponents (none), before the fold cancels the
-    CNOT pairs that consecutive ladders share: an upper bound."""
+def ladder_cnots(basis) -> int:
+    """In ``ladder_synthesize`` each factor costs one weight-w tau exponent
+    (2(w-1) CNOTs) between two single-qubit sigma exponents (none), before
+    the fold cancels the CNOT pairs that consecutive ladders share: an
+    upper bound."""
     return sum(2 * (t.weight() - 1) for t in basis.taus)
+
+
+def graph_cnots(basis) -> int:
+    """One CNOT per edge of the taus' graph in each of the two CZ layers:
+    tau_i has w_i - 1 neighbours, and each edge has two ends."""
+    return sum(t.weight() - 1 for t in basis.taus)
 
 
 def exponent_circuit(p: PauliProduct) -> CliffordCircuit:
     """The gates of exp(i pi/4 P) with the phase e^(i pi/4) they leave out,
     unfolded, with the ladder over the support in ascending order."""
     sink = LiteralGates(p.n_qubits)
-    _append_exponent(sink, p, _qubits(p.support))
+    append_exponent(sink, p, _qubits(p.support))
     return sink.circuit(1)
 
 
-def one_factor(tau: PauliProduct, qubit: int, axis: str) -> CliffordCircuit:
-    """synthesize on a basis of the one factor (tau + sigma)/sqrt(2)."""
-    return synthesize(TauSigmaBasis(tau.n_qubits, (tau,), ((qubit, axis),)))
+def one_factor(tau: PauliProduct, qubit: int, axis: str, synth=synthesize) -> CliffordCircuit:
+    """synth on a basis of the one factor (tau + sigma)/sqrt(2)."""
+    return synth(TauSigmaBasis(tau.n_qubits, (tau,), ((qubit, axis),)))
 
 
 def signed_pauli(m: np.ndarray, n_qubits: int) -> tuple[int, PauliProduct]:
@@ -97,19 +102,15 @@ def cnots(c: CliffordCircuit) -> list[Gate]:
 
 
 def assert_fold_of(folded: CliffordCircuit, literal: CliffordCircuit) -> None:
-    """folded equals literal exactly, global phase included, with the CNOTs
-    that cancel_adjacent_cnots keeps of it, in order, no run longer than the
-    literal gates it replaced, and no greater depth. A run is at most 3
-    gates, or 3 (k + 1) where it spans k cancelled CNOT pairs: the folded
-    pieces on either side of a pair are not merged."""
+    """folded equals literal exactly, global phase included, with the same
+    CNOTs in the same order, no run longer than 3 gates or than the literal
+    gates it replaced, and no greater depth."""
     np.testing.assert_allclose(verify.dense_matrix(folded), verify.dense_matrix(literal),
                                atol=1e-12)
-    reduced, spans = cancel_adjacent_cnots(literal)
-    assert cnots(folded) == cnots(reduced)
-    for after, before, span in zip(qubit_runs(folded), qubit_runs(reduced), spans,
-                                   strict=True):
-        assert len(after) == len(before) == len(span)
-        assert all(a <= min(3 * (k + 1), b) for a, b, k in zip(after, before, span))
+    assert cnots(folded) == cnots(literal)
+    for after, before in zip(qubit_runs(folded), qubit_runs(literal), strict=True):
+        assert len(after) == len(before)
+        assert all(a <= min(3, b) for a, b in zip(after, before))
     assert asap_depth(folded) <= asap_depth(literal)
 
 
@@ -135,10 +136,10 @@ def lagrangian_bases(draw, min_qubits: int, max_qubits: int) -> TauSigmaBasis:
 
 
 @st.composite
-def support_local_bases(draw) -> TauSigmaBasis:
+def support_local_bases(draw, max_qubits: int = 12) -> TauSigmaBasis:
     """The basis of a random commuting group on some of the register's qubits."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, max_qubits))
     return group_basis(embedded_group(rng.randint(1, n - 1), n, rng))
 
 
@@ -241,13 +242,16 @@ class TestFold:
         assert folded.gates == (Gate("S", (0,)), Gate("H", (2,)), Gate("CNOT", (0, 2)),
                                 Gate("Z", (1,)))
 
-    def test_synthesized_circuits_equal_the_unfolded_ones(self):
+    def test_synthesized_circuits_equal_the_ladder_ones(self):
+        """The graph form is the ladders' unitary, global phase included."""
         rng = random.Random(61)
         bases = [model_reference_basis(), h2_reference_basis()]
         bases += [group_basis(random_commuting_group(rng.randint(1, 6), rng))
                   for _ in range(25)]
         for basis in bases:
-            assert_fold_of(synthesize(basis), unfolded_synthesize(basis))
+            np.testing.assert_allclose(verify.dense_matrix(synthesize(basis)),
+                                       verify.dense_matrix(ladder_synthesize(basis)),
+                                       atol=1e-12)
 
     def test_idle_qubit_factor_is_one_hadamard(self):
         c = one_factor(PauliProduct.from_term_string("Z0", 1), 0, "X")
@@ -260,7 +264,7 @@ class TestExponentSequence:
     def test_model_factor(self):
         tau = PauliProduct.from_term_string("X0 X1", 2)
         sigma = PauliProduct.from_term_string("Z0", 2)
-        c = one_factor(tau, 0, "Z")
+        c = one_factor(tau, 0, "Z", ladder_synthesize)
         e_sigma, e_tau = (verify.dense_matrix(exponent_circuit(p)) for p in (sigma, tau))
         np.testing.assert_allclose(verify.dense_matrix(c), -1j * e_sigma @ e_tau @ e_sigma,
                                    atol=1e-12)
@@ -284,13 +288,13 @@ class TestExponentSequence:
                 continue
             v = reflection_matrix(tau, sigma)
             np.testing.assert_allclose(v @ v, np.eye(1 << n), atol=1e-12)
-            np.testing.assert_allclose(verify.dense_matrix(one_factor(tau, q, axis)), v,
-                                       atol=1e-12)
+            np.testing.assert_allclose(
+                verify.dense_matrix(one_factor(tau, q, axis, ladder_synthesize)), v, atol=1e-12)
             done += 1
 
     def test_commuting_inputs_rejected(self):
         tau = PauliProduct.from_term_string("X0 X1", 2)
-        with pytest.raises(ValueError, match="tau and sigma must anticommute"):
+        with pytest.raises(ValueError, match="tau_0 does not anticommute with sigma_0"):
             one_factor(tau, 0, "X")
 
     @pytest.mark.parametrize("qubit, axis", [(0, "W"), (0, "I"), (2, "X"), (-1, "Z")])
@@ -301,7 +305,7 @@ class TestExponentSequence:
 
     def test_phased_tau_rejected(self):
         tau = PauliProduct(2, 0b11, 0, 2)  # -X0 X1
-        with pytest.raises(ValueError, match="exponent Pauli must carry no phase"):
+        with pytest.raises(ValueError, match="tau_0 must carry no phase"):
             one_factor(tau, 0, "Z")
 
 
@@ -365,7 +369,7 @@ class TestDecomposeExponent:
         p = PauliProduct(n, x, z)
         target = data.draw(st.sampled_from([q for q in range(n) if p.support >> q & 1]))
         sink = LiteralGates(n)
-        _append_exponent(sink, p, [q for q in range(n) if p.support >> q & 1 and q != target]
+        append_exponent(sink, p, [q for q in range(n) if p.support >> q & 1 and q != target]
                          + [target])
         assert sink.gates == scanning_exponent_gates(p, target)
         assert sink.gates[len(sink.gates) // 2] == Gate("SDG", (target,))
@@ -374,15 +378,18 @@ class TestDecomposeExponent:
                                        exponent_matrix(p), atol=1e-12)
 
     def test_identity_exponent_rejected(self):
-        with pytest.raises(ValueError, match="tau and sigma must anticommute"):
+        with pytest.raises(ValueError, match="tau_0 does not anticommute with sigma_0"):
             one_factor(PauliProduct.identity(2), 0, "X")
 
 
 class TestSynthesize:
     def test_model_counts_and_matrix(self):
+        # tau_0 = X0 X1 reaches sigma_1's qubit with its axis X, and
+        # tau_1 = Z0 Z1 reaches sigma_0's with Z: one edge, 0-1, so one CNOT
+        # in each CZ layer.
         basis = model_reference_basis()
         c = synthesize(basis)
-        assert gate_counts(c)["cnots"] == expected_cnots(basis) == 4
+        assert gate_counts(c)["cnots"] == 2
         sym = verify.dense_matrix(build_unitary_symbolic(basis))
         np.testing.assert_allclose(verify.dense_matrix(c), sym, atol=1e-10)
 
@@ -393,8 +400,11 @@ class TestSynthesize:
         np.testing.assert_allclose(u, h, rtol=0, atol=1e-10)
 
     def test_h2_basis_counts(self):
+        # Z3 and Z1 have no neighbour; Y0 Y2 (sigma X2) reaches qubit 0 with
+        # sigma Y0's axis and X0 X2 (sigma Y0) reaches qubit 2 with sigma
+        # X2's: one edge, 0-2, so one CNOT in each CZ layer.
         basis = h2_reference_basis()
-        assert gate_counts(synthesize(basis))["cnots"] == expected_cnots(basis) == 4
+        assert gate_counts(synthesize(basis))["cnots"] == 2
 
     def test_random_bases_match_symbolic_up_to_phase(self):
         rng = random.Random(31)
@@ -426,7 +436,7 @@ class TestSynthesize:
         for _ in range(20):
             n = rng.randint(1, 8)
             basis = group_basis(random_commuting_group(n, rng))
-            assert gate_counts(synthesize(basis))["cnots"] <= expected_cnots(basis)
+            assert gate_counts(synthesize(basis))["cnots"] <= ladder_cnots(basis)
 
     @pytest.mark.parametrize("taus, cnot_pairs, saved", [
         # Z0 Z1 X2 and Z0 Z1 X3 share the rung CNOT(0, 1); X0 Z2 Z3 and
@@ -447,34 +457,35 @@ class TestSynthesize:
         basis = TauSigmaBasis(n, products, tuple(
             ((p.x & ~p.z).bit_length() - 1, "Z") for p in products))
         basis.validate()
-        c = synthesize(basis)
+        c = ladder_synthesize(basis)
         assert [g.qubits for g in cnots(c)] == cnot_pairs
-        assert len(cnot_pairs) == expected_cnots(basis) - 2 * saved
+        assert len(cnot_pairs) == ladder_cnots(basis) - 2 * saved
         np.testing.assert_allclose(verify.dense_matrix(c),
                                    verify.dense_matrix(build_unitary_symbolic(basis)),
                                    atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
-    @given(lagrangian_bases(1, 5))
+    @given(st.one_of(lagrangian_bases(1, 6), support_local_bases(6)))
     def test_small_bases_equal_the_symbolic_product(self, basis):
-        # A tau's axis off its own sigma qubit is the sigma axis there, so
-        # ladders keyed by qubits order as by (qubit, axis) pairs.
+        """At 1 to 6 qubits the circuit is the product of reflections and the
+        ladders' circuit, global phase included."""
+        # A tau's axis off its own sigma qubit is the sigma axis there, which
+        # maps to Z in the frame.
         sigma_axis = dict(basis.sigmas)
         assert all(tau.axis(q) == sigma_axis[q]
                    for tau, (own, _) in zip(basis.taus, basis.sigmas)
                    for q in range(basis.n_qubits) if q != own and tau.axis(q) != "I")
-        c = synthesize(basis)
-        np.testing.assert_allclose(verify.dense_matrix(c),
-                                   verify.dense_matrix(build_unitary_symbolic(basis)),
+        u = verify.dense_matrix(synthesize(basis))
+        np.testing.assert_allclose(u, verify.dense_matrix(build_unitary_symbolic(basis)),
                                    atol=1e-12)
-        assert_fold_of(c, unfolded_synthesize(basis))
+        np.testing.assert_allclose(u, verify.dense_matrix(ladder_synthesize(basis)),
+                                   atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(lagrangian_bases(13, 64), st.integers(0, 2**32 - 1))
     def test_wide_bases_pass_the_bitset_rows(self, basis, seed):
         """At 13 to 64 qubits, above every dense cap, every row passes: the
-        exact-sign and tableau rows prove the circuit, and the cancelled
-        pairs only lower the CNOT count."""
+        exact-sign and tableau rows prove the circuit."""
         rng = random.Random(seed)
         n = basis.n_qubits
         terms = []
@@ -488,7 +499,81 @@ class TestSynthesize:
         plan = MeasurementPlan(n, (GroupPlan(transform_group(group, basis), circuit),))
         rows = verify.plan_checks(group, plan)
         assert [status for _, status, _ in rows] == ["pass"] * 7, rows
-        assert gate_counts(circuit)["cnots"] <= expected_cnots(basis)
+        assert gate_counts(circuit)["cnots"] == graph_cnots(basis)
+
+
+@st.composite
+def mutated_bases(draw) -> TauSigmaBasis:
+    """A valid basis, or one with a random change that may break it: a
+    flipped tau bit, a product of two taus, a phase or a wider register on
+    a tau, a sigma moved to another qubit (in the register or not) or given
+    another axis, or a tau or sigma dropped."""
+    basis = draw(st.one_of(lagrangian_bases(1, 5), support_local_bases(6)))
+    n = basis.n_qubits
+    taus, sigmas = list(basis.taus), list(basis.sigmas)
+    if not taus:
+        return basis
+    i = draw(st.integers(0, len(taus) - 1))
+    change = draw(st.sampled_from(["none", "tau bit", "tau product", "phase", "width",
+                                   "sigma qubit", "sigma axis", "drop tau", "drop sigma"]))
+    tau, (q, a) = taus[i], sigmas[i]
+    if change == "tau bit":
+        bit = 1 << draw(st.integers(0, n - 1))
+        flip_x = draw(st.booleans())
+        taus[i] = PauliProduct(n, tau.x ^ bit * flip_x, tau.z ^ bit * (not flip_x))
+    elif change == "tau product":
+        taus[i] = PauliProduct.from_packed(tau.packed ^ draw(st.sampled_from(taus)).packed, n)
+    elif change == "phase":
+        taus[i] = PauliProduct(n, tau.x, tau.z, 2)
+    elif change == "width":
+        taus[i] = PauliProduct(n + 1, tau.x, tau.z)
+    elif change == "sigma qubit":
+        sigmas[i] = (draw(st.integers(-1, n)), a)
+    elif change == "sigma axis":
+        sigmas[i] = (q, draw(st.sampled_from("IXYZW")))
+    elif change == "drop tau":
+        del taus[i]
+    elif change == "drop sigma":
+        del sigmas[i]
+    return TauSigmaBasis(n, tuple(taus), tuple(sigmas))
+
+
+class TestGraphForm:
+    """synthesize's own input checks and its CNOT count."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_bases())
+    def test_invalid_bases_never_return_a_circuit(self, basis):
+        """synthesize raises ValueError exactly where validate() does."""
+        try:
+            basis.validate()
+        except ValueError:
+            with pytest.raises(ValueError):
+                synthesize(basis)
+        else:
+            assert isinstance(synthesize(basis), CliffordCircuit)
+
+    @pytest.mark.parametrize("n, taus, sigmas, message", [
+        # The one-factor bases that the ladders lowered.
+        (2, ("X0 X1",), ((0, "Z"),), "tau_0 acts on qubit 1, which has no sigma"),
+        (2, ("X0 X1", "X1"), ((0, "Z"), (1, "Z")), "tau_0 anticommutes with sigma_1"),
+        # X0 Z1 reaches qubit 1, X1 does not reach qubit 0: they anticommute.
+        (2, ("X0 Z1", "X1"), ((0, "Z"), (1, "Z")), "tau_0 and tau_1 anticommute"),
+        (2, ("X0", "Z0"), ((0, "Z"), (0, "X")), "sigma_0 and sigma_1 share qubit 0"),
+        (2, ("X0", "X1"), ((0, "Z"),), "2 taus for 1 sigmas"),
+    ])
+    def test_each_broken_invariant_is_named(self, n, taus, sigmas, message):
+        basis = TauSigmaBasis(n, tuple(PauliProduct.from_term_string(t, n) for t in taus),
+                              sigmas)
+        with pytest.raises(ValueError, match=message):
+            synthesize(basis)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(lagrangian_bases(1, 16), support_local_bases()))
+    def test_cnot_count_is_two_per_edge_and_never_above_the_ladders(self, basis):
+        count = gate_counts(synthesize(basis))["cnots"]
+        assert count == graph_cnots(basis)
+        assert count <= gate_counts(ladder_synthesize(basis))["cnots"]
 
 
 class TestCircuitContainer:

@@ -142,13 +142,13 @@ GOLDEN_INPUTS = {"six-term": lambda: SIX_TERM_TEXT, "h2": lambda: H2_GROUP_TEXT,
 # with one tau per register qubit hash to FULL_WIDTH_PLAN_SHA256.
 PLAN_SHA256 = {
     "six-term": "bc307fc7a01414ece72b6104b709bee8df5ee5667608b17ae1f154b709281d7a",
-    "h2": "c1abed1403303caf4985b2d5ccad1bf0ef579d6a62ee4cfcfccbdb6b529935e3",
-    "random-12q": "6bc3b09d5a6fa362b01aaf18bf84e510b4fd4b964b1733f46f6098c0dcde13cf",
-    "wide-100q": "d0ec319b3829f63eb8d9006861bc7b5d04a4c86cde38532075fa0ef0196014f1",
+    "h2": "409a5a7c9e39d7625dda6390bb97b1c0e6db175b629b71f0afc6a657a49a152f",
+    "random-12q": "b2539901089391b03300d1cc5ffaf888f097ac417ba8fe7b8c1a9ca8351860ee",
+    "wide-100q": "8548db8c6727c7b0b6ba7615716648e1eddbe3e4831c657a82c9b0da57d646d5",
 }
 FULL_WIDTH_PLAN_SHA256 = {
-    "random-12q": "9b892e347c289ef2c91c469aa581b9b9c5a1b8abe855fec04ef4d9a6ca80f13d",
-    "wide-100q": "cdcf5f3d984ae4d25d4477e25fcf159fc451db6cde9ce2fe58089d7f9088f2cf",
+    "random-12q": "5e55e6fcb22d9d192dbd67d46509e1918026b84333db999072f407bf574fc6a7",
+    "wide-100q": "fd8490003a4639e3f2b25eb57f7657081641cf84e8ea0198de1a279515ca13af",
 }
 # sha256 of `measure group --format json` per "input/relation/method"; a change
 # here changes a cover.
