@@ -1,13 +1,19 @@
 """Clifford gate synthesis for the group-transforming unitaries.
 
-The product U of the reflections (tau_i + sigma_i)/sqrt(2) of a basis is
-compiled whole, in graph form: in the frame where every sigma is Z, the
-taus are, up to sign, the stabilizers of a graph state (Van den Nest,
-Dehaene and De Moor, arXiv:quant-ph/0308151), and U is a CZ layer on the
-graph's edges, an H layer and the same CZ layer again, between single-qubit
-runs; a frame Pauli fixes the signs and the global phase is read off one
-amplitude (``synthesize``). A weight-w tau costs w - 1 CNOTs. Each qubit's
-runs of single-qubit gates fold, as they are emitted, into one of the 24
+A group with basis taus and sigmas is measured through a Clifford C with
+C^dagger tau_i C = +sigma_i, so that C^dagger G C is a sum of sigma
+strings: prepare the state, apply C^dagger, measure each sigma qubit. The
+product U of the reflections (tau_i + sigma_i)/sqrt(2) is one such C. In
+the frame where every sigma is Z, the taus are, up to sign, the stabilizers
+of a graph state (Van den Nest, Dehaene and De Moor, arXiv:quant-ph/0308151),
+and U is a CZ layer on the graph's edges, an H layer and the same CZ layer
+again, between single-qubit runs. ``synthesize`` emits one CZ layer, as in
+the measurement circuits of Gokhale et al. (arXiv:1907.13623): C = U
+Delta^dagger for a Clifford Delta that is diagonal in the measured basis,
+so the outcomes are those of U. A frame Pauli fixes the signs, the global
+phase is read off one amplitude, and a group costs one CNOT per graph
+edge, half its total tau weight less one per tau. Each qubit's runs of
+single-qubit gates fold, as they are emitted, into one of the 24
 single-qubit Cliffords, written out as at most 3 gates.
 """
 
@@ -94,9 +100,9 @@ _FRAME_OUT = {"X": ("H",), "Y": ("H", "S"), "Z": ()}
 # are the tau axes that commute with the sigma.
 _OWN = {("Z", "X"): (0, 0), ("Z", "Y"): (1, 0), ("X", "Z"): (0, 0), ("X", "Y"): (1, 1),
         ("Y", "Z"): (0, 0), ("Y", "X"): (1, 0)}
-# The run on a sigma qubit between the CZ layers: the middle H, between the
-# S of both layers of D at a Y vertex.
-_MIDDLE = (("H",), ("S", "H", "S"))
+# The run on a sigma qubit between its frame run and the CZ layer, per Y
+# mark: the H layer's H, then the S of D at a Y vertex.
+_H_RUN = (("H",), ("H", "S"))
 # The gate of each (x, z) bit pair of the frame Pauli.
 _LETTER = {(0, 0): (), (1, 0): ("X",), (1, 1): ("Y",), (0, 1): ("Z",)}
 
@@ -119,7 +125,7 @@ def _clifford_group() -> tuple[dict[tuple[str, ...], tuple[int, ...]],
     name: the 24 x 6 transition table, built on first use from 2x2 complex
     matrices, with every phase a multiple of pi/4 read off the overlap
     tr(C_k^dagger G C_j) / 2. ``step`` also holds, under the run itself,
-    the composed table of each frame and middle run that ``synthesize``
+    the composed table of each frame and H-layer run that ``synthesize``
     applies at once.
     """
     matrices = [((1, 0), (0, 1))]
@@ -141,7 +147,7 @@ def _clifford_group() -> tuple[dict[tuple[str, ...], tuple[int, ...]],
                 matrices.append(m)
                 runs.append(runs[j] + (name,))
         j += 1
-    for names in {*_FRAME_IN.values(), *_FRAME_OUT.values(), *_MIDDLE}:
+    for names in {*_FRAME_IN.values(), *_FRAME_OUT.values(), *_H_RUN}:
         table = [8 * j for j in range(len(runs))]
         for name in names:
             gate = step[(name,)]
@@ -209,19 +215,15 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _cz_layer(fold: _Fold, blocks: list[tuple[int, list[int]]]) -> None:
-    """A CZ on every edge of ``blocks``, (target, controls) pairs: each
-    target's CZs as one H, a CNOT from each control, and one H."""
-    for target, controls in blocks:
-        fold.run(("H",), target)
-        for control in controls:
-            fold.cnot(control, target)
-        fold.run(("H",), target)
-
-
 def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
-    """The circuit of U = prod_i (tau_i + sigma_i)/sqrt(2), global phase
-    included, in graph form: sum_i (w_i - 1) CNOTs for taus of weights w_i.
+    """A measurement circuit C of the basis: C^dagger tau_i C = +sigma_i
+    for every i, and C fixes every qubit without a sigma. It is C = U
+    Delta^dagger for U = prod_i (tau_i + sigma_i)/sqrt(2) and a Clifford
+    Delta that commutes with every sigma_i and acts only on sigma qubits,
+    so C^dagger G C = U^dagger G U for a group G of the basis, and C^dagger
+    and U^dagger give each measurement outcome with the same probability.
+    It costs one CNOT per graph edge, sum_i (w_i - 1)/2 for taus of weights
+    w_i.
 
     Frame. Each sigma qubit with axis a is conjugated by the run R_a of
     ``_FRAME_IN`` / ``_FRAME_OUT``, R_a^dagger a R_a = +Z; F is their
@@ -234,26 +236,26 @@ def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
     and the sign s_i depend only on sigma_i's axis and tau_i's axis on q_i
     (``_OWN``), since the neighbours map to +Z.
 
-    D H D. Let D be a CZ on every edge of G and an S on every Y vertex,
-    and W = D H D with H on every sigma qubit. Conjugation by W maps B_i to
-    +Z_i and Z_i to B_i, or to -B_i at a Y vertex (S^dagger X S = -Y). A
-    frame Pauli P fixes the signs, so that V = P W maps tau_i to Z_i and
-    Z_i to tau_i, as F^dagger U F does: P's x bit on q_i is set where
-    exactly one of s_i = -1 and the Y mark holds, and P anticommutes with
-    B_i where s_i = -1. The Z_i and tau_i generate every Pauli on the sigma
-    qubits, so U = e^(i phi) F V F^dagger. In the gates, a CZ is H CNOT H
-    on its higher qubit, the target; both CZ layers take the targets in
-    ascending order (``_cz_layer``), so each qubit is a target, then a
-    control, and its Hs fold. The S of D sit next to the middle H layer,
-    with which they fold. An H layer lies between the two layers and no
-    edge repeats in one, so no two CNOTs are adjacent copies.
+    D H. Let D be a CZ on every edge of G and an S on every Y vertex, and
+    W = D H with H on every sigma qubit. Conjugation by W maps B_i to +Z_i,
+    or to -Z_i at a Y vertex (S^dagger X S = -Y). A frame Pauli P fixes the
+    signs, so that V = P W maps tau_i to +Z_i: P's x bit on q_i is set
+    where exactly one of s_i = -1 and the Y mark holds, and P anticommutes
+    with B_i where s_i = -1. So C = e^(i phi) F V F^dagger. U is F P D H D
+    F^dagger up to phase; in U^dagger A U its first D acts last, on Z
+    strings, so dropping it leaves Delta = F D F^dagger, diagonal in the
+    sigma basis. In the gates, a CZ is H CNOT H on its higher qubit, the
+    target; each target's CZs share one H on each side, and the layer takes
+    the targets in ascending order, so each qubit is a target, then a
+    control, and its Hs fold. The S of D sit next to the H layer, with
+    which they fold. No edge repeats, so no two CNOTs are adjacent copies.
 
-    Phase. On |0...0> in the frame, only the all-sigma term of the
-    expanded product has no X, so <0|F^dagger U F|0> = 2^(-m/2) for m
-    factors. <0|P W|0> = 2^(-m/2) (-1)^e i^y (-i)^l, with e the edges
-    inside P's x part, y the Y vertices in it and l the Y letters of P. The
-    phase exponent, in units of pi/4, is the fold's minus 4 e + 2 y + 6 l.
-    Gates touch only sigma qubits.
+    Phase. The rule is that <0|F^dagger C F|0> is real and positive, as
+    <0|F^dagger U F|0> = 2^(-m/2) is for m factors (only the all-sigma term
+    of the expanded product has no X). <0|P W|0> = 2^(-m/2) (-1)^e i^y
+    (-i)^l, with e the edges inside P's x part, y the Y vertices in it and
+    l the Y letters of P. The phase exponent, in units of pi/4, is the
+    fold's minus 4 e + 2 y + 6 l. Gates touch only sigma qubits.
 
     The basis is checked first, with a few bitset operations per tau and
     one per neighbour, so in O(total tau weight) bitset steps: as many taus
@@ -315,10 +317,12 @@ def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
     fold = _Fold(n)
     for q, a in sigmas:
         fold.run(_FRAME_IN[a], q)
-    _cz_layer(fold, blocks)
-    for q, _ in sigmas:
-        fold.run(_MIDDLE[ys >> q & 1], q)
-    _cz_layer(fold, blocks)
+        fold.run(_H_RUN[ys >> q & 1], q)
+    for target, controls in blocks:
+        fold.run(("H",), target)
+        for control in controls:
+            fold.cnot(control, target)
+        fold.run(("H",), target)
     for q, a in sigmas:
         fold.run(_LETTER[xs >> q & 1, zs >> q & 1], q)
         fold.run(_FRAME_OUT[a], q)

@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 from .grouping import (METHODS, RELATIONS, build_graph, compute_cover, cover_stats,
                        cover_to_json)
@@ -170,9 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser, built on the first call to ``main`` and reused by every later
+# one: parsing leaves it unchanged, and building it costs far more than a parse.
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"measure: error: {exc}", file=sys.stderr)

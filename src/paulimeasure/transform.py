@@ -6,10 +6,13 @@ Lagrangian basis of S's symplectic space containing that subspace supplies
 |S| mutually commuting products on S (the taus) that commute with every
 group term; each tau is paired with a single-qubit sigma on S that
 anticommutes with it and commutes with everything else. Conjugating by the
-product of reflections (tau_i + sigma_i)/sqrt(2) then rewrites every term
-as +/- a product of sigmas, which is qubit-wise commuting by construction.
+product of reflections (tau_i + sigma_i)/sqrt(2), or by any circuit that
+maps each tau_i to sigma_i as ``circuits.synthesize``'s does, then rewrites
+every term as +/- a product of sigmas, which is qubit-wise commuting by
+construction.
 Qubits outside S get no factor, so the circuit leaves them alone. Any such
-basis will do, and a weight-w tau costs w - 1 CNOTs (``circuits.synthesize``),
+basis will do, and a group's circuit costs one CNOT per edge of its taus'
+graph, sum_i (w_i - 1)/2 for taus of weights w_i (``circuits.synthesize``),
 so on each qubit where the group uses one axis the tau is that single-qubit
 axis, which costs none; a qubit-wise commuting group gets no CNOT at all. Each
 group's transformed terms are read off its circuit, with exact signs.
@@ -231,9 +234,10 @@ def find_sigma(taus: Sequence[PauliProduct]) -> TauSigmaBasis:
     tau_k tau_i: updating only the later ones can leave an earlier tau
     anticommuting with a later sigma, which would break the returned
     invariants. The step takes the axis whose update leaves the smaller
-    total tau weight: the circuit costs exactly w - 1 CNOTs for a weight-w
-    tau (``circuits.synthesize``), so that is the smaller CNOT count after
-    the step. On a tie it takes X for a Y or Z and Z for an X.
+    total tau weight: the circuit costs one CNOT per graph edge, and
+    sum_i (w_i - 1) = 2|E| for taus of weights w_i (``circuits.synthesize``),
+    so that is the smaller CNOT count after the step. On a tie it takes X
+    for a Y or Z and Z for an X.
     The taus with tau i's own axis on the qubit carry either partner, so
     only the others are scored, one popcount pair each. The carriers are
     read off per-bit column bitsets that follow every change to the

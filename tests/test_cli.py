@@ -141,14 +141,14 @@ GOLDEN_INPUTS = {"six-term": lambda: SIX_TERM_TEXT, "h2": lambda: H2_GROUP_TEXT,
 # random-12q and wide-100q have groups that leave qubits idle; their plans
 # with one tau per register qubit hash to FULL_WIDTH_PLAN_SHA256.
 PLAN_SHA256 = {
-    "six-term": "bc307fc7a01414ece72b6104b709bee8df5ee5667608b17ae1f154b709281d7a",
-    "h2": "409a5a7c9e39d7625dda6390bb97b1c0e6db175b629b71f0afc6a657a49a152f",
-    "random-12q": "b2539901089391b03300d1cc5ffaf888f097ac417ba8fe7b8c1a9ca8351860ee",
-    "wide-100q": "8548db8c6727c7b0b6ba7615716648e1eddbe3e4831c657a82c9b0da57d646d5",
+    "six-term": "e01051a326ec3a2c8d18bf83e86524dfbae3f4715d139ee999f53c0f689627a8",
+    "h2": "890e65cb766514c6e44b245f40791603d4f4700e6fdb3340c9f71d3331684821",
+    "random-12q": "a5df99cfeeb161b1fc3d40f155fd43566b668ccc3508fa7cf1ee9c4afcd5f452",
+    "wide-100q": "e65f3827f2c6bc02f4f662c5940dd50bfa4e895de3b59ec743b0731f8be39723",
 }
 FULL_WIDTH_PLAN_SHA256 = {
-    "random-12q": "5e55e6fcb22d9d192dbd67d46509e1918026b84333db999072f407bf574fc6a7",
-    "wide-100q": "fd8490003a4639e3f2b25eb57f7657081641cf84e8ea0198de1a279515ca13af",
+    "random-12q": "2b4ab66d108ed7e88231794d86546b002da1c9a454794c62be376ca4837df76a",
+    "wide-100q": "690218659764a08e055a25795f573067840274f6e4d71cd102f6e96a97be5ab1",
 }
 # sha256 of `measure group --format json` per "input/relation/method"; a change
 # here changes a cover.
@@ -186,11 +186,11 @@ VERIFY_INPUTS = {
 # sha256 of `measure verify --format json` on the plan that `measure transform`
 # writes, after the edit; a change here changes rows, statuses or details.
 VERIFY_SHA256 = {
-    "h2": "6bf0c66985826fdb82aa39ba05ce359cfb1465ab2a288a51d8751d688aa77933",
-    "six-term": "6bf0c66985826fdb82aa39ba05ce359cfb1465ab2a288a51d8751d688aa77933",
-    "wide-100q": "6bf0c66985826fdb82aa39ba05ce359cfb1465ab2a288a51d8751d688aa77933",
-    "chain-12q": "6bf0c66985826fdb82aa39ba05ce359cfb1465ab2a288a51d8751d688aa77933",
-    "h2-qwc-clash": "85059c64a735df236a0f5ce58ad686f2b1570aadf4dc6b3ab5a0d7355acd30ba",
+    "h2": "f560658cc528c82a4fbbcd121d356b6b75dae51319e158376cb2e07a80cde930",
+    "six-term": "f560658cc528c82a4fbbcd121d356b6b75dae51319e158376cb2e07a80cde930",
+    "wide-100q": "f560658cc528c82a4fbbcd121d356b6b75dae51319e158376cb2e07a80cde930",
+    "chain-12q": "f560658cc528c82a4fbbcd121d356b6b75dae51319e158376cb2e07a80cde930",
+    "h2-qwc-clash": "cb05c1385d047b98fb31774b9f4715be19ba5b03065cf506027dc80311ad6f0d",
 }
 
 @pytest.fixture
@@ -385,7 +385,7 @@ def full_width_plan(h: Hamiltonian) -> MeasurementPlan:
     return MeasurementPlan(h.n_qubits, tuple(entries))
 
 
-TABLEAU = ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global phase "
+TABLEAU = ("circuit maps each tau_i to +sigma_i and fixes the qubits without a sigma "
            "(tableau)")
 SPECTRA = ("spectra preserved (each group maps onto its transformed group under "
            "tau_i -> sigma_i)")
@@ -510,8 +510,8 @@ class TestVerify:
             "PASS transformed groups qubit-wise commuting",
             "PASS coefficient magnitudes preserved",
             "PASS circuit maps each group term to its transformed term (exact sign)",
-            "PASS circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
-            "phase (tableau)",
+            "PASS circuit maps each tau_i to +sigma_i and fixes the qubits without a "
+            "sigma (tableau)",
             f"PASS {SPECTRA}",
         ]
 
@@ -530,8 +530,8 @@ class TestVerify:
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert [line.split(" (group")[0] for line in failed] == [
             "FAIL circuit maps each group term to its transformed term (exact sign)",
-            "FAIL circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
-            "phase (tableau)"]
+            "FAIL circuit maps each tau_i to +sigma_i and fixes the qubits without a "
+            "sigma (tableau)"]
 
     def test_flipped_sign_fails_at_twelve_qubits(self, tmp_path, capsys):
         chain = tmp_path / "chain.txt"
@@ -620,8 +620,8 @@ class TestVerify:
             "PASS transformed groups qubit-wise commuting",
             "PASS coefficient magnitudes preserved",
             "PASS circuit maps each group term to its transformed term (exact sign)",
-            "FAIL circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
-            "phase (tableau)" + failed,
+            "FAIL circuit maps each tau_i to +sigma_i and fixes the qubits without a "
+            "sigma (tableau)" + failed,
             f"FAIL {SPECTRA}" + failed,
         ]
 
@@ -858,6 +858,22 @@ def test_flag_errors_print_one_line(six_term_file, capsys, argv):
     assert err.startswith("measure: error: ") and err.count("\n") == 1, err
     if argv and argv[0] == "--tolerance":
         assert err.startswith("measure: error: argument --tolerance: ")
+
+
+def test_the_parser_is_built_once_and_parses_alike_after_reuse(six_term_file, capsys):
+    """Every call after the first reuses one parser: a failed parse leaves
+    nothing behind, so each command prints what it prints on a fresh one."""
+    from paulimeasure import cli
+    calls = [["group", six_term_file, "--method", "bogus"], ["group", six_term_file],
+             ["count", "abc"], ["group", six_term_file, "--method", "dsatur"],
+             ["group", six_term_file, "--format", "json"]]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr()))
+    cli._parser.cache_clear()
+    assert [(main(argv), capsys.readouterr()) for argv in calls] == fresh
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_help_exits_zero(capsys):

@@ -2,6 +2,7 @@
 row of the check suite, and the dense oracles on small plans."""
 
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (PauliSum, all_paulis, assert_dense_oracles, build_unitary_symbolic,
-                     count_column_builds, embedded_group, inverse_circuit, kron_circuit,
-                     kron_pauli, looped_expectation_invariance, group_basis, pauli_from_label,
-                     per_term_dense_sum, random_commuting_group, random_graph_hamiltonian,
-                     random_state)
+from helpers import (PauliSum, all_paulis, assert_dense_oracles, assert_measures_like,
+                     build_unitary_symbolic, count_column_builds, embedded_group,
+                     inverse_circuit, kron_circuit, kron_pauli,
+                     looped_expectation_invariance, group_basis, pauli_from_label,
+                     matrix_product_symbolic_unitary, per_term_dense_sum,
+                     random_commuting_group, random_graph_hamiltonian, random_state)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, build_graph, cover_dsatur,
                           cover_rlf, TauSigmaBasis, TransformedGroup, parse_hamiltonian,
@@ -377,7 +379,8 @@ class TestSimulateCircuit:
                                       np.eye(4))
 
     def test_model_circuit_maps_bell_to_product_state(self):
-        circuit = synthesize(model_reference_basis())
+        # through the circuit's inverse, which the device applies before measuring
+        circuit = inverse_circuit(synthesize(model_reference_basis()))
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
         out = verify.dense_circuit(circuit) @ bell
         target = np.array([1, 1, 0, 0]) / np.sqrt(2)
@@ -416,13 +419,14 @@ class TestExpectationInvariance:
     """The expectation oracle of ``assert_dense_oracles``."""
 
     def test_transform_pair_invariant(self):
+        # <psi|H|psi> = <U^dagger psi|A|U^dagger psi> for A = U^dagger H U
         rng = np.random.default_rng(23)
         h = model_hamiltonian(1.1, -0.4)
         basis = model_reference_basis()
         a = parse_hamiltonian("qubits: 2\n1.1 Z0\n-0.4 X1\n")
         for u in (verify.dense_matrix(build_unitary_symbolic(basis)),
                   verify.dense_matrix(synthesize(basis))):
-            assert looped_expectation_invariance(h, a, u, 50, rng) < 1e-9
+            assert looped_expectation_invariance(h, a, u.conj().T, 50, rng) < 1e-9
 
     def test_detects_wrong_unitary(self):
         rng = np.random.default_rng(29)
@@ -432,8 +436,8 @@ class TestExpectationInvariance:
 
 
 BASIS = "basis invariants"
-TABLEAU = ("circuit equals the product of (tau_i + sigma_i)/sqrt(2) up to global "
-           "phase (tableau)")
+TABLEAU = ("circuit maps each tau_i to +sigma_i and fixes the qubits without a "
+           "sigma (tableau)")
 SIGNS = "circuit maps each group term to its transformed term (exact sign)"
 SPECTRA = ("spectra preserved (each group maps onto its transformed group under "
            "tau_i -> sigma_i)")
@@ -503,6 +507,32 @@ class TestTableauRow:
         got = rows(group, mutated)
         assert got[SIGNS] == ("pass", "")
         assert got[TABLEAU][0] == "fail" and "maps to -" in got[TABLEAU][1]
+
+    @pytest.mark.parametrize("extra", [
+        (Gate("S", (0,)),),
+        (Gate("H", (1,)), Gate("CNOT", (0, 1)), Gate("H", (1,))),
+    ], ids=["S", "CZ"])
+    def test_a_diagonal_gate_passes_at_the_measured_end_and_fails_after_the_h_layer(
+            self, extra):
+        """Both sigmas are Z, so an S or a CZ at the start of the gate list,
+        which the device applies last before it measures, is diagonal in
+        the measured basis: every row passes and the outcomes do not change.
+        After the H layer, which the gates before the first CNOT hold, the
+        same gate breaks the tableau row."""
+        group = parse_hamiltonian("1.0 X0 Z1\n0.5 Z0 X1\n")
+        plan = one_group_plan(group)
+        basis = plan.groups[0].transform.basis
+        gates = plan.groups[0].circuit.gates
+        assert [a for _, a in basis.sigmas] == ["Z", "Z"]
+        k = next(k for k, g in enumerate(gates) if g.name == "CNOT")
+        assert gates[:k] == (Gate("H", (0,)),)
+        first = with_gates(plan, extra + gates)
+        assert all(row == ("pass", "") for row in rows(group, first).values())
+        assert_measures_like(kron_circuit(first.groups[0].circuit),
+                             matrix_product_symbolic_unitary(basis), basis)
+        status, detail = rows(group, with_gates(plan, gates[:k] + extra + gates[k:]))[TABLEAU]
+        assert status == "fail"
+        assert re.fullmatch(r"group 0: tau_\d \(.+\) maps to [+-].+, not \+Z\d", detail), detail
 
 
 def pairwise_qwc_clash(h: Hamiltonian) -> tuple[int, int] | None:
