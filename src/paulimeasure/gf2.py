@@ -136,7 +136,3 @@ def lagrangian_extract(rows: list[int], n_qubits: int, size: int) -> list[int]:
         raise ValueError(
             f"input is not coisotropic: extracted {len(work)} of {size} vectors")
     return work
-
-
-def is_independent(rows: list[int]) -> bool:
-    return rank(rows) == len(rows)

@@ -50,11 +50,15 @@ def _qubits(rows: Iterable[int], n: int) -> int:
 class TauSigmaBasis(FrozenRecord):
     """Lagrangian tau basis with its single-qubit sigma partners.
 
-    Invariants: there are as many taus as sigmas; sigma qubits are pairwise
-    distinct; every tau acts only on sigma qubits; taus mutually commute
-    and are GF(2)-independent, so they are a Lagrangian basis of the sigma
-    qubits; sigma_i anticommutes with tau_i and commutes with every other
-    tau. A basis of one tau per register qubit is the case where the sigma
+    Invariants, in the order ``neighbours`` checks them: there are as many
+    taus as sigmas; sigma qubits are pairwise distinct; each sigma is X, Y
+    or Z on a register qubit; each tau has the basis's width and no phase,
+    anticommutes with its own sigma, and on every other qubit it acts on
+    has the axis of that qubit's sigma, so it acts only on sigma qubits and
+    commutes with every other sigma; the taus commute pairwise. Then sigma_i
+    anticommutes with tau_i alone, so no product of taus is the identity:
+    the taus are independent, hence a Lagrangian basis of the sigma qubits.
+    A basis of one tau per register qubit is the case where the sigma
     qubits are the whole register.
     """
 
@@ -93,57 +97,83 @@ class TauSigmaBasis(FrozenRecord):
                 zcol[q] |= 1 << k
         return xcol, zcol
 
+    @cached_property
+    def neighbours(self) -> tuple[int, ...]:
+        """Per tau, the qubits it acts on besides its sigma's, as a bitset:
+        its neighbours in the basis's graph (``circuits.synthesize``).
+        Reading it is the one check of the invariants, in the class
+        docstring's order and O(total tau weight) bitset steps; ValueError
+        names the first violation. With the sigma axes off their own
+        qubits, two taus commute when each is the other's neighbour or
+        neither is, so the last invariant costs one step per neighbour."""
+        self.check_counts()
+        n, sigmas = self.n_qubits, self.sigmas
+        if len({q for q, _ in sigmas}) != len(sigmas):
+            raise ValueError("sigma qubits must be pairwise distinct")
+        sigma_x, sigma_z = self.sigma_columns
+        sx = sz = 0  # bit q: the axis of the sigma on qubit q has an x / z bit
+        for q, _ in sigmas:
+            sx |= (sigma_x[q] != 0) << q
+            sz |= (sigma_z[q] != 0) << q
+        neighbours = []
+        for i, (tau, (q, _)) in enumerate(zip(self.taus, sigmas)):
+            if tau.n_qubits != n:
+                raise ValueError(f"tau_{i} has {tau.n_qubits} qubits, the basis {n}")
+            if tau.phase_exp:
+                raise ValueError(f"tau_{i} must carry no phase")
+            if not ((tau.x & sz) ^ (tau.z & sx)) >> q & 1:
+                raise ValueError(f"tau_{i} does not anticommute with sigma_{i}")
+            rest = tau.support & ~(1 << q)
+            outside = rest & ~(sx | sz)
+            if outside:
+                p = (outside & -outside).bit_length() - 1
+                raise ValueError(f"tau_{i} acts on qubit {p}, which has no sigma")
+            wrong = ((tau.x ^ sx) | (tau.z ^ sz)) & rest
+            if wrong:
+                p = (wrong & -wrong).bit_length() - 1
+                j = (sigma_x[p] | sigma_z[p]).bit_length() - 1
+                raise ValueError(f"tau_{i} anticommutes with sigma_{j}")
+            neighbours.append(rest)
+        for i, rest in enumerate(neighbours):
+            q = sigmas[i][0]
+            while rest:
+                low = rest & -rest
+                p = low.bit_length() - 1
+                j = (sigma_x[p] | sigma_z[p]).bit_length() - 1
+                if not neighbours[j] >> q & 1:
+                    raise ValueError(f"tau_{i} and tau_{j} anticommute")
+                rest ^= low
+        return tuple(neighbours)
+
     def check_counts(self) -> None:
         """Raise ValueError unless there are as many taus as sigmas."""
         if len(self.taus) != len(self.sigmas):
             raise ValueError(f"{len(self.taus)} taus for {len(self.sigmas)} sigmas")
 
     def validate(self, group: Hamiltonian | None = None) -> None:
-        """Raise ValueError naming the first violated invariant, at the lowest
-        index; each tau or group term is tested with one bitset. With a group
-        this is the whole precondition for transforming it: a term of the
-        basis's width that commutes with the taus, a Lagrangian basis of the
-        sigma qubits, and acts only on those qubits lies in the tau span."""
-        n = self.n_qubits
-        self.check_counts()
-        for t in self.taus:
-            if t.n_qubits != n:
-                raise ValueError("tau qubit count differs from basis")
-            if t.phase_exp != 0:
-                raise ValueError("taus must carry no phase")
-        if len({q for q, _ in self.sigmas}) != len(self.sigmas):
-            raise ValueError("sigma qubits must be pairwise distinct")
-        sigma_x, sigma_z = self.sigma_columns
-        sigma_qubits = 0
-        for q, _ in self.sigmas:
-            sigma_qubits |= 1 << q
-        for i, tau in enumerate(self.taus):
-            outside = tau.support & ~sigma_qubits
+        """Raise ValueError naming the first violated invariant: the
+        basis's (``neighbours``), then, with a group, its width, and term by
+        term, one bitset each, that it commutes with every tau and acts only
+        on sigma qubits. That is the whole precondition for transforming the
+        group: a term of the basis's width that commutes with the taus, a
+        Lagrangian basis of the sigma qubits, and acts only on those qubits
+        lies in the tau span."""
+        self.neighbours
+        if group is None:
+            return
+        if group.n_qubits != self.n_qubits:
+            raise ValueError("group qubit count differs from basis")
+        for ti, prod in enumerate(group.products()):
+            hits = anticommuting(*self.tau_columns, prod)
+            if hits:
+                k = (hits & -hits).bit_length() - 1
+                raise ValueError(f"group term {ti} anticommutes with tau_{k}")
+        sigma_qubits = sum(1 << q for q, _ in self.sigmas)
+        for ti, prod in enumerate(group.products()):
+            outside = prod.support & ~sigma_qubits
             if outside:
                 q = (outside & -outside).bit_length() - 1
-                raise ValueError(f"tau_{i} acts on qubit {q}, which has no sigma")
-        if not (gf2.is_independent([t.packed for t in self.taus])
-                and _commute_pairwise(self.tau_columns, self.taus)):
-            raise ValueError("taus are not a Lagrangian basis")
-        for i, tau in enumerate(self.taus):
-            wrong = anticommuting(sigma_x, sigma_z, tau) ^ (1 << i)
-            if wrong:
-                j = (wrong & -wrong).bit_length() - 1
-                raise ValueError(f"tau_{i} does not anticommute with sigma_{i}" if j == i
-                                 else f"tau_{i} anticommutes with sigma_{j}")
-        if group is not None:
-            if group.n_qubits != n:
-                raise ValueError("group qubit count differs from basis")
-            for ti, prod in enumerate(group.products()):
-                hits = anticommuting(*self.tau_columns, prod)
-                if hits:
-                    k = (hits & -hits).bit_length() - 1
-                    raise ValueError(f"group term {ti} anticommutes with tau_{k}")
-            for ti, prod in enumerate(group.products()):
-                outside = prod.support & ~sigma_qubits
-                if outside:
-                    q = (outside & -outside).bit_length() - 1
-                    raise ValueError(f"group term {ti} acts on qubit {q}, which has no sigma")
+                raise ValueError(f"group term {ti} acts on qubit {q}, which has no sigma")
 
 
 class TransformedGroup(NamedTuple):
@@ -350,11 +380,15 @@ def pipeline(h: Hamiltonian, cover) -> MeasurementPlan:
     """Per cover group: find taus and sigmas, synthesize the circuit and read
     the transformed terms off it. ``find_sigma`` proves the invariants of
     its basis and ``find_tau``'s taus span every group term on the group's
-    support, so no basis is validated against its group again;
-    ``synthesize`` checks its own input, in O(total tau weight). The cover
-    check uses the rule of ``find_tau``'s, so no group that passes it fails
-    there. Each group is the cover check's ``Hamiltonian``, so its
-    ``columns`` are built once."""
+    support, so no basis is validated against its group again.
+    ``synthesize`` reads ``TauSigmaBasis.neighbours``, the one check of a
+    basis, in O(total tau weight): as many taus as sigmas, distinct sigma
+    qubits, each sigma X, Y or Z on a register qubit, each tau of the
+    basis's width, phase-free, anticommuting with its sigma and with the
+    sigma's axis on every other qubit it acts on, and the taus commuting.
+    The cover check uses the rule of ``find_tau``'s, so no group that
+    passes it fails there. Each group is the cover check's ``Hamiltonian``,
+    so its ``columns`` are built once."""
     report = validate_cover(h, cover, "fc")
     if report.violations:
         raise ValueError(f"cover invalid under fc: {len(report.violations)} violations, "

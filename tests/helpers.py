@@ -134,7 +134,7 @@ def is_isotropic(rows: list[int], n_qubits: int) -> bool:
 
 def is_lagrangian(rows: list[int], n_qubits: int) -> bool:
     return (len(rows) == n_qubits
-            and gf2.is_independent(rows)
+            and gf2.rank(rows) == len(rows)
             and is_isotropic(rows, n_qubits))
 
 
@@ -618,33 +618,37 @@ def build_unitary_symbolic(basis: TauSigmaBasis) -> PauliSum:
 
 
 def pairwise_validate(basis, group: Hamiltonian | None = None) -> None:
-    """TauSigmaBasis.validate with every pair tested by a symplectic inner product."""
+    """TauSigmaBasis.validate with every pair tested by a symplectic inner
+    product, in the same first-violation order. A basis that passes is
+    asserted Lagrangian on its sigma qubits by rank and isotropy."""
     n, m = basis.n_qubits, len(basis.taus)
     if len(basis.sigmas) != m:
         raise ValueError(f"{m} taus for {len(basis.sigmas)} sigmas")
-    for t in basis.taus:
-        if t.n_qubits != n:
-            raise ValueError("tau qubit count differs from basis")
-        if t.phase_exp != 0:
-            raise ValueError("taus must carry no phase")
     if len({q for q, _ in basis.sigmas}) != m:
         raise ValueError("sigma qubits must be pairwise distinct")
     sig_vecs = [s.packed for s in basis.sigma_products]
-    sigma_qubits = {q for q, _ in basis.sigmas}
+    sigma_of = {q: j for j, (q, _) in enumerate(basis.sigmas)}
+    for i, t in enumerate(basis.taus):
+        if t.n_qubits != n:
+            raise ValueError(f"tau_{i} has {t.n_qubits} qubits, the basis {n}")
+        if t.phase_exp != 0:
+            raise ValueError(f"tau_{i} must carry no phase")
+        if gf2.symplectic_inner(t.packed, sig_vecs[i], n) == 0:
+            raise ValueError(f"tau_{i} does not anticommute with sigma_{i}")
+        for q in range(n):
+            if t.axis(q) != "I" and q not in sigma_of:
+                raise ValueError(f"tau_{i} acts on qubit {q}, which has no sigma")
+        for q in range(n):
+            j = sigma_of.get(q)
+            if t.axis(q) != "I" and j != i and gf2.symplectic_inner(t.packed, sig_vecs[j], n):
+                raise ValueError(f"tau_{i} anticommutes with sigma_{j}")
+    vecs = [t.packed for t in basis.taus]
     for i, t in enumerate(basis.taus):
         for q in range(n):
-            if t.axis(q) != "I" and q not in sigma_qubits:
-                raise ValueError(f"tau_{i} acts on qubit {q}, which has no sigma")
-    vecs = [t.packed for t in basis.taus]
-    if not (gf2.is_independent(vecs) and is_isotropic(vecs, n)):
-        raise ValueError("taus are not a Lagrangian basis")
-    for i in range(m):
-        for j in range(m):
-            inner = gf2.symplectic_inner(vecs[i], sig_vecs[j], n)
-            if i == j and inner == 0:
-                raise ValueError(f"tau_{i} does not anticommute with sigma_{i}")
-            if i != j and inner == 1:
-                raise ValueError(f"tau_{i} anticommutes with sigma_{j}")
+            j = sigma_of.get(q)
+            if t.axis(q) != "I" and j != i and gf2.symplectic_inner(vecs[i], vecs[j], n):
+                raise ValueError(f"tau_{i} and tau_{j} anticommute")
+    assert gf2.rank(vecs) == m and is_isotropic(vecs, n)
     if group is not None:
         if group.n_qubits != n:
             raise ValueError("group qubit count differs from basis")
@@ -654,7 +658,7 @@ def pairwise_validate(basis, group: Hamiltonian | None = None) -> None:
                     raise ValueError(f"group term {ti} anticommutes with tau_{k}")
         for ti, (_, prod) in enumerate(group.terms):
             for q in range(n):
-                if prod.axis(q) != "I" and q not in sigma_qubits:
+                if prod.axis(q) != "I" and q not in sigma_of:
                     raise ValueError(f"group term {ti} acts on qubit {q}, which has no sigma")
 
 
@@ -1202,7 +1206,7 @@ def full_width_find_sigma(taus) -> TauSigmaBasis:
     if any(t.n_qubits != n or t.phase_exp != 0 for t in taus):
         raise ValueError("taus must share the qubit count and carry no phase")
     vecs = [t.packed for t in taus]
-    if (len(vecs) != n or not gf2.is_independent(vecs)
+    if (len(vecs) != n or gf2.rank(vecs) != len(vecs)
             or not _commute_pairwise(qubit_columns(n, taus), taus)):
         raise ValueError("taus are not a Lagrangian basis")
     unassigned = (1 << n) - 1

@@ -86,9 +86,11 @@ def test_copy_round_trips(record, copier):
 
 def test_a_copied_basis_still_computes_its_columns():
     basis = one_of_each()[TauSigmaBasis]
-    columns = basis.tau_columns, basis.sigma_columns, basis.sigma_products
+    columns = (basis.tau_columns, basis.sigma_columns, basis.sigma_products,
+               basis.neighbours)
     for clone in (copy.copy(basis), copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
-        assert (clone.tau_columns, clone.sigma_columns, clone.sigma_products) == columns
+        assert (clone.tau_columns, clone.sigma_columns, clone.sigma_products,
+                clone.neighbours) == columns
         clone.validate()
 
 

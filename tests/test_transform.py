@@ -889,7 +889,7 @@ class TestBasisValidate:
 
     def test_rejects_duplicate_sigma_qubits(self):
         n = 2
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="^sigma qubits must be pairwise distinct$"):
             TauSigmaBasis(n,
                           (PauliProduct.from_term_string("X0 X1", n),
                            PauliProduct.from_term_string("Z0 Z1", n)),
@@ -897,11 +897,18 @@ class TestBasisValidate:
 
     def test_rejects_non_lagrangian_taus(self):
         n = 2
-        with pytest.raises(ValueError, match="Lagrangian"):
+        # Z0 has no axis on sigma_1's qubit.
+        with pytest.raises(ValueError, match="^tau_1 does not anticommute with sigma_1$"):
             TauSigmaBasis(n,
                           (PauliProduct.from_term_string("X0", n),
                            PauliProduct.from_term_string("Z0", n)),
                           ((0, "Z"), (1, "X"))).validate()
+        # X0 Z1 reaches qubit 1 and X1 does not reach qubit 0: they anticommute.
+        with pytest.raises(ValueError, match="^tau_0 and tau_1 anticommute$"):
+            TauSigmaBasis(n,
+                          (PauliProduct.from_term_string("X0 Z1", n),
+                           PauliProduct.from_term_string("X1", n)),
+                          ((0, "Z"), (1, "Z"))).validate()
 
     def test_rejects_group_term_outside_commutant(self):
         basis = model_reference_basis()

@@ -20,7 +20,7 @@ from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, build_graph, cover_dsatur,
                           cover_rlf, TauSigmaBasis, TransformedGroup, parse_hamiltonian,
                           pipeline, plan_from_dict, plan_to_dict, synthesize, transform_group)
-from paulimeasure import verify
+from paulimeasure import gf2, verify
 from paulimeasure.circuits import GATE_NAMES
 from paulimeasure.fixtures import model_hamiltonian, model_reference_basis
 from paulimeasure.pauli import count_compatible
@@ -610,6 +610,27 @@ class TestBenchmarkPlans:
                 assert status == "pass", (name, status, detail)
             if h.n_qubits <= 6:
                 assert_dense_oracles(h, plan)
+
+    @pytest.mark.parametrize("workload", ["random-w4", "molecular-jw", "wide-sparse"])
+    def test_seed_one_plans_pass_every_row_without_row_reduction(self, workload,
+                                                                 monkeypatch):
+        """No row row-reduces: the basis row is the bitset check of the
+        basis. The plans go through their JSON form, as `measure verify`
+        reads them, so no basis arrives checked."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        import workloads
+        cases = []
+        for inst in workloads.generate(workload, 1, PauliProduct):
+            h = parse_hamiltonian(inst.to_text())
+            cases.append((h, plan_to_dict(pipeline(h, cover_rlf(build_graph(h, "fc"))))))
+
+        def refuse(rows):
+            raise AssertionError("gf2.row_reduce called")
+
+        monkeypatch.setattr(gf2, "row_reduce", refuse)
+        for h, d in cases:
+            for name, status, detail in verify.plan_checks(h, plan_from_dict(d)):
+                assert status == "pass", (name, status, detail)
 
     def test_jw_twelve_plan_passes_every_row(self, monkeypatch):
         """The dsatur plan of the JW N = 12 sum (the scale-12 integrals,
