@@ -16,9 +16,10 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """``paulimeasure.verify`` on first use. It imports numpy for its dense
-    test oracles; no check row needs it, and no other command loads it.
-    ``from . import verify`` here would re-enter this while resolving the name."""
+    """``paulimeasure.verify`` on first use; no command but `measure verify`
+    loads it. It imports no numpy: its dense test oracles import numpy when
+    called, and no check row calls them. ``from . import verify`` here
+    would re-enter this while resolving the name."""
     if name == "verify":
         return importlib.import_module(__name__ + ".verify")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,9 @@ so the outcomes are those of U. A frame Pauli fixes the signs, the global
 phase is read off one amplitude, and a group costs one CNOT per graph
 edge, half its total tau weight less one per tau. Each qubit's runs of
 single-qubit gates fold, as they are emitted, into one of the 24
-single-qubit Cliffords, written out as at most 3 gates.
+single-qubit Cliffords, written out as at most 3 gates. Delta is also
+free on each sigma qubit alone, so each sigma qubit's first run takes the
+diagonal gate (I, S, Z or S^dagger) that makes it shortest.
 """
 
 from __future__ import annotations
@@ -103,6 +105,9 @@ _OWN = {("Z", "X"): (0, 0), ("Z", "Y"): (1, 0), ("X", "Z"): (0, 0), ("X", "Y"): 
 # The run on a sigma qubit between its frame run and the CZ layer, per Y
 # mark: the H layer's H, then the S of D at a Y vertex.
 _H_RUN = (("H",), ("H", "S"))
+# The diagonal gates Delta_q that ``synthesize`` may put between a sigma
+# qubit's frame run and its H run, in order of preference on a tie.
+_DELTAS = ((), ("S",), ("Z",), ("SDG",))
 # The gate of each (x, z) bit pair of the frame Pauli.
 _LETTER = {(0, 0): (), (1, 0): ("X",), (1, 1): ("Y",), (0, 1): ("Z",)}
 
@@ -125,8 +130,8 @@ def _clifford_group() -> tuple[dict[tuple[str, ...], tuple[int, ...]],
     name: the 24 x 6 transition table, built on first use from 2x2 complex
     matrices, with every phase a multiple of pi/4 read off the overlap
     tr(C_k^dagger G C_j) / 2. ``step`` also holds, under the run itself,
-    the composed table of each frame and H-layer run that ``synthesize``
-    applies at once.
+    the composed table of each run that ``synthesize`` applies at once: the
+    frame-out runs, and each frame-in run, Delta and H run in a row.
     """
     matrices = [((1, 0), (0, 1))]
     runs: list[tuple[str, ...]] = [()]
@@ -147,13 +152,39 @@ def _clifford_group() -> tuple[dict[tuple[str, ...], tuple[int, ...]],
                 matrices.append(m)
                 runs.append(runs[j] + (name,))
         j += 1
-    for names in {*_FRAME_IN.values(), *_FRAME_OUT.values(), *_H_RUN}:
+    for names in {*_FRAME_OUT.values(), *(frame + delta + h for frame in _FRAME_IN.values()
+                                          for delta in _DELTAS for h in _H_RUN)}:
         table = [8 * j for j in range(len(runs))]
         for name in names:
             gate = step[(name,)]
             table = [gate[e >> 3] & ~7 | (gate[e >> 3] + e) & 7 for e in table]
         step[names] = table
     return {names: tuple(table) for names, table in step.items()}, tuple(runs)
+
+
+@cache
+def _first_runs() -> dict[tuple[str, int, tuple[str, ...]], tuple[str, ...]]:
+    """Per (sigma axis a, Y mark y, tail), the run ``_FRAME_IN[a]``, Delta,
+    ``_H_RUN[y]`` for the Delta of ``_DELTAS`` whose run, followed by the
+    tail, is the shortest element of ``_clifford_group``; the first such
+    Delta on a tie. A tail is the rest of a sigma qubit's first run in
+    ``synthesize``: the H of a CZ target, nothing, or the frame letter and
+    ``_FRAME_OUT[a]`` of a qubit without a neighbour."""
+    step, runs = _clifford_group()
+
+    def length(names: tuple[str, ...]) -> int:
+        j = 0
+        for name in names:
+            j = step[(name,)][j] >> 3
+        return len(runs[j])
+
+    choice = {}
+    for a, frame in _FRAME_IN.items():
+        for tail in (("H",), (), *(letter + _FRAME_OUT[a] for letter in _LETTER.values())):
+            for y, h in enumerate(_H_RUN):
+                choice[a, y, tail] = min((frame + delta + h for delta in _DELTAS),
+                                         key=lambda names: length(names + tail))
+    return choice
 
 
 class _Fold:
@@ -253,6 +284,21 @@ def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
     l the Y letters of P. The phase exponent, in units of pi/4, is the
     fold's minus 4 e + 2 y + 6 l. Gates touch only sigma qubits.
 
+    Delta per qubit. Between its frame-in run and its H run each sigma
+    qubit q takes one diagonal gate Delta_q of I, S, Z and S^dagger: the one
+    whose folded first run on q is shortest, I on a tie, then S, Z and
+    S^dagger (``_first_runs``). The first run is the qubit's gates before
+    its first CNOT: the frame-in run, Delta_q and the H run, then the H of
+    a CZ target, or for a qubit without a neighbour its letter of P and
+    frame-out run, which make up its whole circuit. No other run moves.
+    This multiplies C on the right by F Delta_q F^dagger, which commutes
+    with every sigma_i and is the identity off the sigma qubits, so the
+    contract above still holds, with the same taus, sigmas and transformed
+    terms. Delta_q fixes |0> with amplitude exactly 1, so <0|F^dagger C
+    F|0> is unchanged and so is the phase rule: the fold follows the
+    literal gates' phase. A Y tau on its sigma's qubit alone, with sigma X,
+    becomes the one gate S, where the frame gave S^dagger H.
+
     The basis is checked first, by reading ``basis.neighbours``, which
     raises ValueError naming its first violated invariant.
     """
@@ -266,18 +312,20 @@ def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
     zs = 0  # P's z part
     edges = 0  # twice the edges inside P's x part
     blocks = []  # (target, controls) per qubit with a lower neighbour
-    for (q, _), rest in zip(sigmas, neighbours):
+    first_runs = _first_runs()
+    fold = _Fold(n)
+    for (q, a), rest in zip(sigmas, neighbours):
+        x = xs >> q & 1
         inside = (rest & xs).bit_count()
-        zs |= ((minus >> q ^ inside ^ ys >> q & xs >> q) & 1) << q
-        edges += inside * (xs >> q & 1)
+        z = (minus >> q ^ inside ^ ys >> q & x) & 1
+        zs |= z << q
+        edges += inside * x
         below = rest & ((1 << q) - 1)
         if below:
             blocks.append((q, _qubits(below)))
+        tail = ("H",) if below else () if rest else _LETTER[x, z] + _FRAME_OUT[a]
+        fold.run(first_runs[a, ys >> q & 1, tail], q)
     blocks.sort()
-    fold = _Fold(n)
-    for q, a in sigmas:
-        fold.run(_FRAME_IN[a], q)
-        fold.run(_H_RUN[ys >> q & 1], q)
     for target, controls in blocks:
         fold.run(("H",), target)
         for control in controls:

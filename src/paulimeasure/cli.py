@@ -71,7 +71,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             plan = plan_from_dict(json.load(fh))
         except RecursionError:
             raise ValueError("plan: JSON nested too deeply") from None
-    from . import verify  # numpy loads only for verify
+    from . import verify  # loaded only for verify
     results = verify.plan_checks(h, plan)
     if args.format == "json":
         payload = {"checks": [{"name": name, "status": status,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 import sys
@@ -691,6 +692,44 @@ def kron_gate(gate: Gate, n_qubits: int) -> np.ndarray:
                 + _embed_1q(p1, control, n_qubits)
                 @ _embed_1q(_GATE_2X2["X"], target, n_qubits))
     return _embed_1q(_GATE_2X2[gate.name], gate.qubits[0], n_qubits)
+
+
+# The 24 single-qubit Cliffords up to phase, found breadth first from the
+# literal 2x2 matrices above, not from circuits._clifford_group. An element
+# is keyed by its matrix divided by the phase of its first non-zero entry.
+
+def _phase_free_key(m: np.ndarray) -> tuple:
+    first = m.flat[np.flatnonzero(np.abs(m) > 1e-9)[0]]
+    return tuple(np.round(m * abs(first) / first, 9).ravel().tolist())
+
+
+@functools.cache
+def single_qubit_cliffords() -> dict[tuple, tuple[int, np.ndarray]]:
+    """Per element key, (the length of a shortest gate run, its matrix)."""
+    frontier = [np.eye(2, dtype=complex)]
+    found = {_phase_free_key(frontier[0]): (0, frontier[0])}
+    length = 0
+    while frontier:
+        length += 1
+        grown = []
+        for m in frontier:
+            for g in _GATE_2X2.values():
+                key = _phase_free_key(g @ m)
+                if key not in found:
+                    found[key] = (length, g @ m)
+                    grown.append(g @ m)
+        frontier = grown
+    assert len(found) == 24
+    return found
+
+
+def shortest_right_multiple(r: np.ndarray, axis: str) -> int:
+    """The fewest gates of any single-qubit Clifford K = R D, for the run
+    matrix R and a D that commutes exactly with the Pauli ``axis``."""
+    sigma = _GATE_2X2[axis]
+    cliffords = single_qubit_cliffords()
+    return min(cliffords[_phase_free_key(r @ d)][0] for _, d in cliffords.values()
+               if np.allclose(d @ sigma, sigma @ d, rtol=0, atol=1e-12))
 
 
 def kron_circuit(c: CliffordCircuit) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from helpers import (LiteralGates, all_paulis, append_exponent, assert_measures_
                      conjugation_maps_paulis_to_paulis, embedded_group, fold_circuit,
                      group_basis, inverse_circuit, kron_gate, ladder_synthesize,
                      qubit_runs, random_commuting_group, random_isotropic, random_pauli,
-                     scanning_exponent_gates)
+                     scanning_exponent_gates, shortest_right_multiple)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, TauSigmaBasis,
-                          circuit_from_dict,
-                          find_sigma, gate_counts, synthesize,
-                          transform_group)
+                          build_graph, circuit_from_dict, cover_rlf,
+                          find_sigma, gate_counts, parse_hamiltonian, pipeline,
+                          synthesize, transform_group)
 from paulimeasure import verify
 from paulimeasure.circuits import GATE_NAMES, _clifford_group, _qubits, conjugate_columns
 from paulimeasure.pauli import MAX_QUBITS, qubit_columns
@@ -584,6 +585,60 @@ class TestGraphForm:
         count = gate_counts(synthesize(basis))["cnots"]
         assert count == graph_cnots(basis)
         assert count <= gate_counts(ladder_synthesize(basis))["cnots"]
+
+
+def first_runs(c: CliffordCircuit) -> list[tuple[str, ...]]:
+    """Per qubit, the names of its gates before its first CNOT."""
+    runs: list[tuple[str, ...]] = [()] * c.n_qubits
+    seen = set()
+    for g in c.gates:
+        if g.name == "CNOT":
+            seen.update(g.qubits)
+        elif g.qubits[0] not in seen:
+            runs[g.qubits[0]] += (g.name,)
+    return runs
+
+
+def assert_first_runs_shortest(basis: TauSigmaBasis, c: CliffordCircuit) -> None:
+    """Each sigma qubit's first run R is no longer than the shortest
+    single-qubit Clifford R D with D commuting exactly with its sigma, the
+    freedom the measurement contract leaves on that qubit; a sigma qubit
+    whose tau acts on it alone takes exactly one gate."""
+    runs = first_runs(c)
+    for tau, (q, a) in zip(basis.taus, basis.sigmas):
+        assert len(runs[q]) <= shortest_right_multiple(run_matrix(runs[q]), a), (q, a, runs[q])
+        if tau.support == 1 << q:
+            assert len([g for g in c.gates if q in g.qubits]) == 1, (q, a, tau)
+
+
+class TestFirstRuns:
+    """Each sigma qubit's run before its first CNOT is as short as the right
+    Delta freedom allows, checked on the literal 2x2 matrices of the tests'
+    helpers, not on the fold's table."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(lagrangian_bases(1, 12), support_local_bases()))
+    def test_hypothesis_bases_take_the_shortest_first_runs(self, basis):
+        assert_first_runs_shortest(basis, synthesize(basis))
+
+    @pytest.mark.parametrize("workload", ["random-w4", "molecular-jw", "wide-sparse"])
+    def test_seed_one_plans_take_the_shortest_first_runs(self, workload, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        import workloads
+        for inst in workloads.generate(workload, 1, PauliProduct):
+            h = parse_hamiltonian(inst.to_text())
+            for entry in pipeline(h, cover_rlf(build_graph(h, "fc"))).groups:
+                assert_first_runs_shortest(entry.transform.basis, entry.circuit)
+
+    @pytest.mark.parametrize("tau, axis, gate", [("Y0", "X", "S"), ("X0", "Z", "H")])
+    def test_single_qubit_tau_takes_one_gate(self, tau, axis, gate):
+        """Two of the pairs that ``find_sigma`` gives a tau on one qubit
+        (``TestFold`` has Z0 with sigma X); S^dagger Y S = X."""
+        basis = TauSigmaBasis(1, (PauliProduct.from_term_string(tau, 1),), ((0, axis),))
+        c = synthesize(basis)
+        assert c.gates == (Gate(gate, (0,)),)
+        assert_measures_like(verify.dense_matrix(c),
+                             verify.dense_matrix(build_unitary_symbolic(basis)), basis)
 
 
 class TestCircuitContainer:

@@ -141,13 +141,13 @@ GOLDEN_INPUTS = {"six-term": lambda: SIX_TERM_TEXT, "h2": lambda: H2_GROUP_TEXT,
 # random-12q and wide-100q have groups that leave qubits idle; their plans
 # with one tau per register qubit hash to FULL_WIDTH_PLAN_SHA256.
 PLAN_SHA256 = {
-    "six-term": "e01051a326ec3a2c8d18bf83e86524dfbae3f4715d139ee999f53c0f689627a8",
+    "six-term": "0d63382d74713d4835091efbcb7408225b4a629ced2e49a1c22c58d504362684",
     "h2": "890e65cb766514c6e44b245f40791603d4f4700e6fdb3340c9f71d3331684821",
-    "random-12q": "a5df99cfeeb161b1fc3d40f155fd43566b668ccc3508fa7cf1ee9c4afcd5f452",
+    "random-12q": "d83b9832e083ff1923626584a1f5ec6205c3f07819ede6f75e88697c1bc21a6d",
     "wide-100q": "e65f3827f2c6bc02f4f662c5940dd50bfa4e895de3b59ec743b0731f8be39723",
 }
 FULL_WIDTH_PLAN_SHA256 = {
-    "random-12q": "2b4ab66d108ed7e88231794d86546b002da1c9a454794c62be376ca4837df76a",
+    "random-12q": "9e7fecbce82c051cff63c9519355e73e5a3642b0d2d1b8f8f09e2a8f9a250c8d",
     "wide-100q": "690218659764a08e055a25795f573067840274f6e4d71cd102f6e96a97be5ab1",
 }
 # sha256 of `measure group --format json` per "input/relation/method"; a change
@@ -899,7 +899,8 @@ def _fresh_python(code: str, tmp_path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def test_group_transform_and_count_do_not_import_numpy(six_term_file, tmp_path):
+def test_group_transform_verify_and_count_do_not_import_numpy(six_term_file, tmp_path):
+    # verify too: only the dense test oracles use numpy, and no row calls them
     proc = _fresh_python(f"""
 import sys
 from paulimeasure.cli import main
@@ -908,12 +909,14 @@ main(["group", {six_term_file!r}])
 loaded.append("numpy" in sys.modules)
 main(["transform", {six_term_file!r}, "--output", "plan.json"])
 loaded.append("numpy" in sys.modules)
+assert main(["verify", {six_term_file!r}, "plan.json"]) == 0
+loaded.append("numpy" in sys.modules)
 assert main(["count", "4"]) == 0
 loaded.append("numpy" in sys.modules)
 print(loaded)
 """, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[False, False, False, False]"
+    assert proc.stdout.splitlines()[-1] == "[False, False, False, False, False]"
 
 
 def test_importing_the_cli_loads_no_heavy_module(tmp_path):
