@@ -10,9 +10,10 @@ and U is a CZ layer on the graph's edges, an H layer and the same CZ layer
 again, between single-qubit runs. ``synthesize`` emits one CZ layer, as in
 the measurement circuits of Gokhale et al. (arXiv:1907.13623): C = U
 Delta^dagger for a Clifford Delta that is diagonal in the measured basis,
-so the outcomes are those of U. A frame Pauli fixes the signs, the global
-phase is read off one amplitude, and a group costs one CNOT per graph
-edge, half its total tau weight less one per tau. Each qubit's runs of
+so the outcomes are those of U. A frame Pauli fixes the signs, and a group
+costs one CNOT per graph edge, half its total tau weight less one per tau.
+A circuit stands for its unitary up to a global phase, which cancels in
+C^dagger G C and no measurement observes. Each qubit's runs of
 single-qubit gates fold, as they are emitted, into one of the 24
 single-qubit Cliffords, written out as at most 3 gates. Delta is also
 free on each sigma qubit alone, so each sigma qubit's first run takes the
@@ -21,7 +22,6 @@ diagonal gate (I, S, Z or S^dagger) that makes it shortest.
 
 from __future__ import annotations
 
-import math
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -31,16 +31,6 @@ if TYPE_CHECKING:
     from .transform import TauSigmaBasis
 
 GATE_NAMES = ("H", "S", "SDG", "X", "Y", "Z", "CNOT")
-_R = 1 / math.sqrt(2)
-# The literal 2x2 matrices of the single-qubit gates, rows then columns.
-_GATE_1Q = {
-    "H": ((_R, _R), (_R, -_R)),
-    "S": ((1, 0), (0, 1j)),
-    "SDG": ((1, 0), (0, -1j)),
-    "X": ((0, 1), (1, 0)),
-    "Y": ((0, -1j), (1j, 0)),
-    "Z": ((1, 0), (0, -1)),
-}
 
 
 class Gate(NamedTuple):
@@ -51,30 +41,25 @@ class Gate(NamedTuple):
 
 
 class CliffordCircuit(FrozenRecord):
-    """Gate list applied left to right, with global phase e^(i pi/4 k)."""
+    """Gate list applied left to right: a Clifford unitary up to phase."""
 
-    _fields = ("n_qubits", "gates", "global_phase_exp")
+    _fields = ("n_qubits", "gates")
     n_qubits: int
     gates: tuple[Gate, ...]
-    global_phase_exp: int
 
-    def __init__(self, n_qubits: int, gates: tuple[Gate, ...],
-                 global_phase_exp: int = 0) -> None:
+    def __init__(self, n_qubits: int, gates: tuple[Gate, ...]) -> None:
         """Check each distinct gate once (``check_gate``), in order of first
         occurrence, so the first bad gate is the one named."""
         for g in dict.fromkeys(gates):
             check_gate(g, n_qubits)
-        vars(self).update(n_qubits=n_qubits, gates=gates,
-                          global_phase_exp=global_phase_exp % 8)
+        vars(self).update(n_qubits=n_qubits, gates=gates)
 
     @classmethod
-    def unchecked(cls, n_qubits: int, gates: tuple[Gate, ...],
-                  global_phase_exp: int) -> CliffordCircuit:
+    def unchecked(cls, n_qubits: int, gates: tuple[Gate, ...]) -> CliffordCircuit:
         """A circuit of gates that its caller has checked, without the
         constructor's checks."""
         circuit = object.__new__(cls)
-        vars(circuit).update(n_qubits=n_qubits, gates=gates,
-                             global_phase_exp=global_phase_exp % 8)
+        vars(circuit).update(n_qubits=n_qubits, gates=gates)
         return circuit
 
 
@@ -112,52 +97,42 @@ _DELTAS = ((), ("S",), ("Z",), ("SDG",))
 _LETTER = {(0, 0): (), (1, 0): ("X",), (1, 1): ("Y",), (0, 1): ("Z",)}
 
 
-def _matmul(a, b):
-    return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(2)) for c in range(2))
-                 for r in range(2))
-
-
 @cache
 def _clifford_group() -> tuple[dict[tuple[str, ...], tuple[int, ...]],
                                tuple[tuple[str, ...], ...]]:
     """The 24 single-qubit Cliffords up to phase, as (step, runs).
 
-    Element j stands for the matrix C_j of the gate run ``runs[j]`` (first
-    gate first). The elements are found breadth first, trying the gates in
-    ``GATE_NAMES`` order, so each run is a shortest one (at most 3 gates) and
-    ``runs[0]`` is the empty run of the identity. ``step[(name,)][j]`` is
-    8 k + l where G C_j = e^(i pi/4 l) C_k for the literal matrix G of gate
-    name: the 24 x 6 transition table, built on first use from 2x2 complex
-    matrices, with every phase a multiple of pi/4 read off the overlap
-    tr(C_k^dagger G C_j) / 2. ``step`` also holds, under the run itself,
-    the composed table of each run that ``synthesize`` applies at once: the
-    frame-out runs, and each frame-in run, Delta and H run in a row.
+    Element j stands for the Clifford C_j of the gate run ``runs[j]`` (first
+    gate first), keyed by the signed images of X and Z under it
+    (``conjugate_columns``), which fix it up to phase. The elements are
+    found breadth first, trying the gates in ``GATE_NAMES`` order, so each
+    run is a shortest one (at most 3 gates) and ``runs[0]`` is the empty
+    run of the identity. ``step[(name,)][j]`` is the k with G C_j = C_k up
+    to phase for gate name G: the 24 x 6 transition table, built on first
+    use. ``step`` also holds, under the run itself, the composed table of
+    each run that ``synthesize`` applies at once: the frame-out runs, and
+    each frame-in run, Delta and H run in a row.
     """
-    matrices = [((1, 0), (0, 1))]
+    def key(run: tuple[str, ...]) -> tuple[int, int, int]:
+        circuit = CliffordCircuit(1, tuple(Gate(name, (0,)) for name in run))
+        (x,), (z,), sign = conjugate_columns(circuit, [0b01], [0b10])  # X, Z
+        return x, z, sign
+
     runs: list[tuple[str, ...]] = [()]
-    step: dict[tuple[str, ...], list[int]] = {(name,): [] for name in _GATE_1Q}
-    j = 0
-    while j < len(matrices):
-        for name, g in _GATE_1Q.items():
-            m = _matmul(g, matrices[j])
-            for k, c in enumerate(matrices):
-                overlap = sum(c[r][s].conjugate() * m[r][s]
-                              for r in range(2) for s in range(2)) / 2
-                if abs(abs(overlap) - 1) < 1e-9:
-                    angle = math.atan2(overlap.imag, overlap.real)
-                    step[(name,)].append(8 * k + round(angle / (math.pi / 4)) % 8)
-                    break
-            else:
-                step[(name,)].append(8 * len(matrices))
-                matrices.append(m)
-                runs.append(runs[j] + (name,))
-        j += 1
+    index = {key(()): 0}
+    step: dict[tuple[str, ...], list[int]] = {(name,): [] for name in GATE_NAMES[:-1]}
+    for run in runs:  # runs grows as it is read: breadth first
+        for name, table in step.items():
+            grown = run + name
+            k = index.setdefault(key(grown), len(runs))
+            if k == len(runs):
+                runs.append(grown)
+            table.append(k)
     for names in {*_FRAME_OUT.values(), *(frame + delta + h for frame in _FRAME_IN.values()
                                           for delta in _DELTAS for h in _H_RUN)}:
-        table = [8 * j for j in range(len(runs))]
+        table = list(range(len(runs)))
         for name in names:
-            gate = step[(name,)]
-            table = [gate[e >> 3] & ~7 | (gate[e >> 3] + e) & 7 for e in table]
+            table = [step[(name,)][j] for j in table]
         step[names] = table
     return {names: tuple(table) for names, table in step.items()}, tuple(runs)
 
@@ -175,7 +150,7 @@ def _first_runs() -> dict[tuple[str, int, tuple[str, ...]], tuple[str, ...]]:
     def length(names: tuple[str, ...]) -> int:
         j = 0
         for name in names:
-            j = step[(name,)][j] >> 3
+            j = step[(name,)][j]
         return len(runs[j])
 
     choice = {}
@@ -189,8 +164,7 @@ def _first_runs() -> dict[tuple[str, int, tuple[str, ...]], tuple[str, ...]]:
 
 class _Fold:
     """A gate list under construction that holds each qubit's current run of
-    single-qubit gates as one pending element of ``_clifford_group`` and adds
-    the run's exact phase to ``phase``.
+    single-qubit gates as one pending element of ``_clifford_group``.
 
     A CNOT first writes out the pending runs of its two qubits, each as the
     element's shortest run; ``circuit`` writes out the rest in qubit order.
@@ -203,14 +177,11 @@ class _Fold:
         self.n_qubits = n_qubits
         self.pending = [0] * n_qubits
         self.gates: list[Gate] = []
-        self.phase = 0
 
     def run(self, names: tuple[str, ...], q: int) -> None:
         """Apply the gates ``names`` to qubit q, first gate first: one
         single gate, or a run that ``step`` holds composed."""
-        e = self.step[names][self.pending[q]]
-        self.pending[q] = e >> 3
-        self.phase += e & 7
+        self.pending[q] = self.step[names][self.pending[q]]
 
     def _write(self, q: int) -> None:
         j = self.pending[q]
@@ -223,14 +194,13 @@ class _Fold:
         self._write(target)
         self.gates.append(Gate("CNOT", (control, target)))
 
-    def circuit(self, global_phase_exp: int) -> CliffordCircuit:
+    def circuit(self) -> CliffordCircuit:
         """The written gates as a circuit, without the constructor's checks:
         every name is "CNOT" or from a ``_clifford_group`` run, the callers
         range-check every qubit, and a CNOT's two qubits differ."""
         for q in range(self.n_qubits):
             self._write(q)
-        return CliffordCircuit.unchecked(self.n_qubits, tuple(self.gates),
-                                         global_phase_exp + self.phase)
+        return CliffordCircuit.unchecked(self.n_qubits, tuple(self.gates))
 
 
 def _qubits(bits: int) -> list[int]:
@@ -268,21 +238,15 @@ def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
     or to -Z_i at a Y vertex (S^dagger X S = -Y). A frame Pauli P fixes the
     signs, so that V = P W maps tau_i to +Z_i: P's x bit on q_i is set
     where exactly one of s_i = -1 and the Y mark holds, and P anticommutes
-    with B_i where s_i = -1. So C = e^(i phi) F V F^dagger. U is F P D H D
-    F^dagger up to phase; in U^dagger A U its first D acts last, on Z
-    strings, so dropping it leaves Delta = F D F^dagger, diagonal in the
-    sigma basis. In the gates, a CZ is H CNOT H on its higher qubit, the
-    target; each target's CZs share one H on each side, and the layer takes
-    the targets in ascending order, so each qubit is a target, then a
-    control, and its Hs fold. The S of D sit next to the H layer, with
-    which they fold. No edge repeats, so no two CNOTs are adjacent copies.
-
-    Phase. The rule is that <0|F^dagger C F|0> is real and positive, as
-    <0|F^dagger U F|0> = 2^(-m/2) is for m factors (only the all-sigma term
-    of the expanded product has no X). <0|P W|0> = 2^(-m/2) (-1)^e i^y
-    (-i)^l, with e the edges inside P's x part, y the Y vertices in it and
-    l the Y letters of P. The phase exponent, in units of pi/4, is the
-    fold's minus 4 e + 2 y + 6 l. Gates touch only sigma qubits.
+    with B_i where s_i = -1. So C = F V F^dagger. U is F P D H D F^dagger
+    up to phase; in U^dagger A U its first D acts last, on Z strings, so
+    dropping it leaves Delta = F D F^dagger, diagonal in the sigma basis.
+    In the gates, a CZ is H CNOT H on its higher qubit, the target; each
+    target's CZs share one H on each side, and the layer takes the targets
+    in ascending order, so each qubit is a target, then a control, and its
+    Hs fold. The S of D sit next to the H layer, with which they fold. No
+    edge repeats, so no two CNOTs are adjacent copies. Gates touch only
+    sigma qubits.
 
     Delta per qubit. Between its frame-in run and its H run each sigma
     qubit q takes one diagonal gate Delta_q of I, S, Z and S^dagger: the one
@@ -294,10 +258,8 @@ def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
     This multiplies C on the right by F Delta_q F^dagger, which commutes
     with every sigma_i and is the identity off the sigma qubits, so the
     contract above still holds, with the same taus, sigmas and transformed
-    terms. Delta_q fixes |0> with amplitude exactly 1, so <0|F^dagger C
-    F|0> is unchanged and so is the phase rule: the fold follows the
-    literal gates' phase. A Y tau on its sigma's qubit alone, with sigma X,
-    becomes the one gate S, where the frame gave S^dagger H.
+    terms. A Y tau on its sigma's qubit alone, with sigma X, becomes the
+    one gate S, where the frame gave S^dagger H.
 
     The basis is checked first, by reading ``basis.neighbours``, which
     raises ValueError naming its first violated invariant.
@@ -310,16 +272,13 @@ def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
         minus |= sign << q
     xs = minus ^ ys  # P's x part
     zs = 0  # P's z part
-    edges = 0  # twice the edges inside P's x part
     blocks = []  # (target, controls) per qubit with a lower neighbour
     first_runs = _first_runs()
     fold = _Fold(n)
     for (q, a), rest in zip(sigmas, neighbours):
         x = xs >> q & 1
-        inside = (rest & xs).bit_count()
-        z = (minus >> q ^ inside ^ ys >> q & x) & 1
+        z = (minus >> q ^ (rest & xs).bit_count() ^ ys >> q & x) & 1
         zs |= z << q
-        edges += inside * x
         below = rest & ((1 << q) - 1)
         if below:
             blocks.append((q, _qubits(below)))
@@ -334,7 +293,7 @@ def synthesize(basis: TauSigmaBasis) -> CliffordCircuit:
     for q, a in sigmas:
         fold.run(_LETTER[xs >> q & 1, zs >> q & 1], q)
         fold.run(_FRAME_OUT[a], q)
-    return fold.circuit(-(2 * edges + 2 * (ys & xs).bit_count() + 6 * (xs & zs).bit_count()))
+    return fold.circuit()
 
 
 def gate_counts(c: CliffordCircuit) -> dict[str, int]:

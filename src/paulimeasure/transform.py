@@ -425,7 +425,6 @@ _GROUP = """{{
       "transformed": {},
       "circuit": {{
         "n_qubits": {},
-        "global_phase_exp": {},
         "gates": {}
       }}
     }}"""
@@ -466,7 +465,7 @@ def plan_to_json(plan: MeasurementPlan) -> str:
                     for q, a in tg.basis.sigmas], 3),
             _array([_TERM.format(_number(coeff), p.to_term_string())
                     for coeff, p in tg.transformed.terms], 3),
-            _number(c.n_qubits), _number(c.global_phase_exp), _array(gates, 4)))
+            _number(c.n_qubits), _array(gates, 4)))
     return (f'{{\n  "n_qubits": {_number(plan.n_qubits)},\n  "groups": '
             f'{_array(groups, 1)}\n}}\n')
 
@@ -537,10 +536,10 @@ def _circuit(d: dict, memo: dict[tuple, Gate], n: int | None) -> CliffordCircuit
     against n, so only the new ones are checked; otherwise every distinct
     gate is, in order of first occurrence, as the constructor would."""
     gates, new = _gates_from_list(_field(d, "gates", list), memo)
-    width, phase = _field(d, "n_qubits", int), _field(d, "global_phase_exp", int)
+    width = _field(d, "n_qubits", int)
     for gate in new if width == n else dict.fromkeys(gates):
         check_gate(gate, width)
-    return CliffordCircuit.unchecked(width, tuple(gates), phase)
+    return CliffordCircuit.unchecked(width, tuple(gates))
 
 
 def circuit_from_dict(d: dict) -> CliffordCircuit:

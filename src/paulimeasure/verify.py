@@ -11,11 +11,11 @@ so ``plan_checks`` runs without it.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import cache
 from typing import TYPE_CHECKING
 
-from . import circuits
 from .circuits import CliffordCircuit, conjugate_columns
 from .grouping import build_graph
 from .pauli import Hamiltonian, I_POWERS, PauliProduct
@@ -25,13 +25,23 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_DENSE_QUBITS = 12
+_R = 1 / math.sqrt(2)
+# The literal 2x2 matrices of the single-qubit gates, rows then columns.
+_GATE_1Q = {
+    "H": ((_R, _R), (_R, -_R)),
+    "S": ((1, 0), (0, 1j)),
+    "SDG": ((1, 0), (0, -1j)),
+    "X": ((0, 1), (1, 0)),
+    "Y": ((0, -1j), (1j, 0)),
+    "Z": ((1, 0), (0, -1)),
+}
 
 
 @cache
 def _gate_1q() -> dict[str, np.ndarray]:
-    """The literal gate matrices of ``circuits``, as complex arrays."""
+    """The literal gate matrices, as complex arrays."""
     import numpy as np
-    return {name: np.array(m, dtype=complex) for name, m in circuits._GATE_1Q.items()}
+    return {name: np.array(m, dtype=complex) for name, m in _GATE_1Q.items()}
 
 
 class DimensionError(ValueError):
@@ -119,8 +129,9 @@ def _dense_sum(obj: Hamiltonian) -> np.ndarray:
 def dense_circuit(c: CliffordCircuit) -> np.ndarray:
     """The gates applied in order to the identity, one numpy operation each:
     a 2x2 matrix on one axis of the amplitudes, or a CNOT row gather (a flip
-    of the target bit where the control bit is set); includes the global
-    phase."""
+    of the target bit where the control bit is set). The circuit fixes
+    its unitary only up to a global phase; this is the one of its literal
+    gates."""
     import numpy as np
     gate_1q = _gate_1q()
     n = c.n_qubits
@@ -133,7 +144,7 @@ def dense_circuit(c: CliffordCircuit) -> np.ndarray:
         else:
             q = gate.qubits[0]
             u = (gate_1q[gate.name] @ u.reshape(1 << q, 2, -1)).reshape(u.shape)
-    return np.exp(1j * np.pi / 4 * c.global_phase_exp) * u
+    return u
 
 
 def dense_matrix(obj) -> np.ndarray:

@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (LiteralGates, all_paulis, append_exponent, assert_measures_like,
                      build_unitary_symbolic, circuit_to_dict,
-                     conjugation_maps_paulis_to_paulis, embedded_group, fold_circuit,
-                     group_basis, inverse_circuit, kron_gate, ladder_synthesize,
-                     qubit_runs, random_commuting_group, random_isotropic, random_pauli,
-                     scanning_exponent_gates, shortest_right_multiple)
+                     conjugation_maps_paulis_to_paulis, embedded_group, equal_up_to_phase,
+                     fold_circuit, group_basis, inverse_circuit, kron_gate,
+                     ladder_synthesize, qubit_runs, random_commuting_group,
+                     random_isotropic, random_pauli, scanning_exponent_gates,
+                     shortest_right_multiple, single_qubit_cliffords)
 from paulimeasure import (CliffordCircuit, Gate, GroupPlan, Hamiltonian,
                           MeasurementPlan, PauliProduct, TauSigmaBasis,
                           build_graph, circuit_from_dict, cover_rlf,
@@ -52,11 +53,11 @@ def graph_cnots(basis) -> int:
 
 
 def exponent_circuit(p: PauliProduct) -> CliffordCircuit:
-    """The gates of exp(i pi/4 P) with the phase e^(i pi/4) they leave out,
-    unfolded, with the ladder over the support in ascending order."""
+    """The gates of exp(i pi/4 P) up to phase, unfolded, with the ladder
+    over the support in ascending order."""
     sink = LiteralGates(p.n_qubits)
     append_exponent(sink, p, _qubits(p.support))
-    return sink.circuit(1)
+    return sink.circuit()
 
 
 def one_factor(tau: PauliProduct, qubit: int, axis: str, synth=synthesize) -> CliffordCircuit:
@@ -106,11 +107,10 @@ def cnots(c: CliffordCircuit) -> list[Gate]:
 
 
 def assert_fold_of(folded: CliffordCircuit, literal: CliffordCircuit) -> None:
-    """folded equals literal exactly, global phase included, with the same
-    CNOTs in the same order, no run longer than 3 gates or than the literal
-    gates it replaced, and no greater depth."""
-    np.testing.assert_allclose(verify.dense_matrix(folded), verify.dense_matrix(literal),
-                               atol=1e-12)
+    """folded equals literal up to phase, with the same CNOTs in the same
+    order, no run longer than 3 gates or than the literal gates it replaced,
+    and no greater depth."""
+    assert equal_up_to_phase(verify.dense_matrix(folded), verify.dense_matrix(literal))
     assert cnots(folded) == cnots(literal)
     for after, before in zip(qubit_runs(folded), qubit_runs(literal), strict=True):
         assert len(after) == len(before)
@@ -128,7 +128,7 @@ def small_circuits(draw) -> CliffordCircuit:
         pairs = st.permutations(range(n)).map(lambda qs: Gate("CNOT", tuple(qs[:2])))
         gate = st.one_of(one, pairs)
     gates = draw(st.lists(gate, max_size=30))
-    return CliffordCircuit(n, tuple(gates), draw(st.integers(0, 7)))
+    return CliffordCircuit(n, tuple(gates))
 
 
 @st.composite
@@ -182,7 +182,7 @@ class TestConjugateColumns:
                     name = "H"
                 qubits = rng.sample(range(n), 2 if name == "CNOT" else 1)
                 gates.append(Gate(name, tuple(qubits)))
-            c = CliffordCircuit(n, tuple(gates), rng.randrange(8))
+            c = CliffordCircuit(n, tuple(gates))
             u = verify.dense_matrix(c)
             prods = [random_pauli(n, rng) for _ in range(8)]
             for p, (sign, image) in zip(prods, conjugated_products(c, prods)):
@@ -205,18 +205,24 @@ class TestCliffordGroup:
     """The fold's table of the 24 single-qubit Cliffords, against the literal
     2x2 gate matrices."""
 
-    def test_table_is_closed_and_exact_including_phase(self):
+    def test_table_matches_the_literal_cliffords(self):
+        """The same 24 elements as ``single_qubit_cliffords``, each with a
+        run of its shortest length, and every table, of one gate or a
+        composed run, gives the element of G C_j up to phase."""
         step, runs = _clifford_group()
-        assert len(runs) == 24 and runs[0] == ()
+        assert runs[0] == ()
         elements = [run_matrix(r) for r in runs]
+        cliffords = single_qubit_cliffords()
+        found = [next(key for key, (_, m) in cliffords.items() if equal_up_to_phase(c, m))
+                 for c in elements]
+        assert len(found) == len(set(found)) == len(cliffords) == 24
+        assert [len(r) for r in runs] == [cliffords[key][0] for key in found]
         assert {names for names in step if len(names) == 1} == {
             (name,) for name in ONE_QUBIT_GATES}
         for names, table in step.items():
             assert len(table) == 24
-            for j, e in enumerate(table):
-                assert 0 <= e >> 3 < 24
-                np.testing.assert_allclose(run_matrix(names) @ elements[j],
-                                           OMEGA ** (e & 7) * elements[e >> 3], atol=1e-12)
+            for j, k in enumerate(table):
+                assert equal_up_to_phase(run_matrix(names) @ elements[j], elements[k])
 
     def test_elements_are_distinct_up_to_phase(self):
         elements = [run_matrix(r) for r in _clifford_group()[1]]
@@ -248,7 +254,7 @@ class TestFold:
 
     def test_synthesized_circuits_measure_like_the_ladder_ones(self):
         """The graph form is the ladders' unitary up to a Delta that is
-        diagonal in the measured basis, with the phase rule."""
+        diagonal in the measured basis."""
         rng = random.Random(61)
         bases = [model_reference_basis(), h2_reference_basis()]
         bases += [group_basis(random_commuting_group(rng.randint(1, 6), rng))
@@ -268,12 +274,10 @@ class TestExponentSequence:
     def test_model_factor(self):
         tau = PauliProduct.from_term_string("X0 X1", 2)
         sigma = PauliProduct.from_term_string("Z0", 2)
-        c = one_factor(tau, 0, "Z", ladder_synthesize)
+        c = verify.dense_matrix(one_factor(tau, 0, "Z", ladder_synthesize))
         e_sigma, e_tau = (verify.dense_matrix(exponent_circuit(p)) for p in (sigma, tau))
-        np.testing.assert_allclose(verify.dense_matrix(c), -1j * e_sigma @ e_tau @ e_sigma,
-                                   atol=1e-12)
-        np.testing.assert_allclose(verify.dense_matrix(c),
-                                   reflection_matrix(tau, sigma), atol=1e-12)
+        assert equal_up_to_phase(c, e_sigma @ e_tau @ e_sigma)
+        assert equal_up_to_phase(c, reflection_matrix(tau, sigma))
 
     def test_single_qubit_gives_hadamard(self):
         c = one_factor(PauliProduct.from_term_string("Z0", 1), 0, "X")
@@ -292,8 +296,8 @@ class TestExponentSequence:
                 continue
             v = reflection_matrix(tau, sigma)
             np.testing.assert_allclose(v @ v, np.eye(1 << n), atol=1e-12)
-            np.testing.assert_allclose(
-                verify.dense_matrix(one_factor(tau, q, axis, ladder_synthesize)), v, atol=1e-12)
+            assert equal_up_to_phase(
+                verify.dense_matrix(one_factor(tau, q, axis, ladder_synthesize)), v)
             done += 1
 
     def test_commuting_inputs_rejected(self):
@@ -322,22 +326,19 @@ class TestDecomposeExponent:
         p = PauliProduct.from_term_string("Z0", 1)
         c = exponent_circuit(p)
         assert gate_counts(c) == {"cnots": 0, "single_qubit": 1}
-        np.testing.assert_allclose(verify.dense_matrix(c), exponent_matrix(p),
-                                   atol=1e-12)
+        assert equal_up_to_phase(verify.dense_matrix(c), exponent_matrix(p))
 
     def test_weight_two_has_two_cnots(self):
         p = PauliProduct.from_term_string("X0 Y1", 2)
         c = exponent_circuit(p)
         assert gate_counts(c)["cnots"] == 2
-        np.testing.assert_allclose(verify.dense_matrix(c), exponent_matrix(p),
-                                   atol=1e-12)
+        assert equal_up_to_phase(verify.dense_matrix(c), exponent_matrix(p))
 
     def test_weight_four_has_six_cnots(self):
         p = PauliProduct.from_term_string("Z0 Z1 Z2 Z3", 4)
         c = exponent_circuit(p)
         assert gate_counts(c)["cnots"] == 6
-        np.testing.assert_allclose(verify.dense_matrix(c), exponent_matrix(p),
-                                   atol=1e-12)
+        assert equal_up_to_phase(verify.dense_matrix(c), exponent_matrix(p))
 
     def test_every_axis_combination_is_matrix_exact(self):
         rng = random.Random(29)
@@ -351,8 +352,7 @@ class TestDecomposeExponent:
             assert gate_counts(c)["cnots"] == 2 * (p.weight() - 1)
             singles = sum(1 for g in c.gates if g.name != "CNOT")
             assert singles <= 4 * p.weight() + 1
-            np.testing.assert_allclose(verify.dense_matrix(c), exponent_matrix(p),
-                                       atol=1e-12)
+            assert equal_up_to_phase(verify.dense_matrix(c), exponent_matrix(p))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -382,8 +382,7 @@ class TestDecomposeExponent:
         assert sink.gates == scanning_exponent_gates(p, target)
         assert sink.gates[len(sink.gates) // 2] == Gate("SDG", (target,))
         if n <= 4:
-            np.testing.assert_allclose(verify.dense_matrix(sink.circuit(1)),
-                                       exponent_matrix(p), atol=1e-12)
+            assert equal_up_to_phase(verify.dense_matrix(sink.circuit()), exponent_matrix(p))
 
     def test_identity_exponent_rejected(self):
         with pytest.raises(ValueError, match="tau_0 does not anticommute with sigma_0"):
@@ -467,16 +466,15 @@ class TestSynthesize:
         c = ladder_synthesize(basis)
         assert [g.qubits for g in cnots(c)] == cnot_pairs
         assert len(cnot_pairs) == ladder_cnots(basis) - 2 * saved
-        np.testing.assert_allclose(verify.dense_matrix(c),
-                                   verify.dense_matrix(build_unitary_symbolic(basis)),
-                                   atol=1e-12)
+        assert equal_up_to_phase(verify.dense_matrix(c),
+                                 verify.dense_matrix(build_unitary_symbolic(basis)))
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(lagrangian_bases(1, 6), support_local_bases(6)))
     def test_small_bases_measure_like_the_symbolic_product(self, basis):
         """At 1 to 6 qubits the circuit measures like the product of
-        reflections and like the ladders' circuit, which equal each other,
-        global phase included."""
+        reflections and like the ladders' circuit, which equal each other up
+        to phase."""
         # A tau's axis off its own sigma qubit is the sigma axis there, which
         # maps to Z in the frame.
         sigma_axis = dict(basis.sigmas)
@@ -485,8 +483,7 @@ class TestSynthesize:
                    for q in range(basis.n_qubits) if q != own and tau.axis(q) != "I")
         c = verify.dense_matrix(synthesize(basis))
         u = verify.dense_matrix(build_unitary_symbolic(basis))
-        np.testing.assert_allclose(u, verify.dense_matrix(ladder_synthesize(basis)),
-                                   atol=1e-12)
+        assert equal_up_to_phase(u, verify.dense_matrix(ladder_synthesize(basis)))
         assert_measures_like(c, u, basis)
 
     @settings(max_examples=25, deadline=None)
@@ -652,10 +649,8 @@ class TestCircuitContainer:
     def test_dict_roundtrip(self):
         c = synthesize(model_reference_basis())
         d = circuit_to_dict(c)
-        assert set(d) == {"n_qubits", "global_phase_exp", "gates"}
-        back = circuit_from_dict(d)
-        assert back.gates == c.gates
-        assert back.global_phase_exp == c.global_phase_exp
+        assert set(d) == {"n_qubits", "gates"}
+        assert circuit_from_dict(d) == c
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -667,7 +662,6 @@ class TestCircuitContainer:
                          st.lists(st.integers(-1, n), max_size=3))
         pool = data.draw(st.lists(gate, min_size=1, max_size=4))
         gates = data.draw(st.lists(st.sampled_from(pool), max_size=10))
-        phase = data.draw(st.integers(-9, 9))
 
         def outcome(build):
             try:
@@ -675,8 +669,8 @@ class TestCircuitContainer:
             except ValueError as exc:
                 return str(exc)
         want = outcome(lambda: CliffordCircuit(
-            n, tuple(Gate(name, tuple(qubits)) for name, qubits in gates), phase))
-        d = {"n_qubits": n, "global_phase_exp": phase,
+            n, tuple(Gate(name, tuple(qubits)) for name, qubits in gates)))
+        d = {"n_qubits": n,
              "gates": [{"name": name, "qubits": qubits} for name, qubits in gates]}
         assert outcome(lambda: circuit_from_dict(d)) == want
 
@@ -686,7 +680,7 @@ class TestCircuitContainer:
         """synthesize builds its circuit without the constructor's checks;
         rebuilt through the constructor, every circuit is equal."""
         c = synthesize(basis)
-        assert CliffordCircuit(c.n_qubits, c.gates, c.global_phase_exp) == c
+        assert CliffordCircuit(c.n_qubits, c.gates) == c
 
     def test_gate_validation(self):
         for n, gate, message in (

@@ -83,8 +83,6 @@ PLAN_CORRUPTIONS = {
     "no-pauli": (lambda p: drop_key(p, ["transformed", 0], "pauli"), "missing key 'pauli'"),
     "circuit-array": (lambda p: set_path(p, ["circuit"], []),
                       "'circuit' must be an object"),
-    "no-global-phase": (lambda p: drop_key(p, ["circuit"], "global_phase_exp"),
-                        "missing key 'global_phase_exp'"),
     "circuit-width": (lambda p: set_path(p, ["circuit", "n_qubits"], 5),
                       "circuit has 5 qubits, the plan 4"),
     "gate-qubits-number": (lambda p: set_path(p, ["circuit", "gates", 0, "qubits"], 0),
@@ -141,14 +139,14 @@ GOLDEN_INPUTS = {"six-term": lambda: SIX_TERM_TEXT, "h2": lambda: H2_GROUP_TEXT,
 # random-12q and wide-100q have groups that leave qubits idle; their plans
 # with one tau per register qubit hash to FULL_WIDTH_PLAN_SHA256.
 PLAN_SHA256 = {
-    "six-term": "0d63382d74713d4835091efbcb7408225b4a629ced2e49a1c22c58d504362684",
-    "h2": "890e65cb766514c6e44b245f40791603d4f4700e6fdb3340c9f71d3331684821",
-    "random-12q": "d83b9832e083ff1923626584a1f5ec6205c3f07819ede6f75e88697c1bc21a6d",
-    "wide-100q": "e65f3827f2c6bc02f4f662c5940dd50bfa4e895de3b59ec743b0731f8be39723",
+    "six-term": "4bb3bc8dee021ff59ef1edd1440da2c16f1612df814c4afcd0856b19c1b9af13",
+    "h2": "86cac6283d1c72ef8c89bc3eb45d5c75bd36bb9c03e28b8fa91a800633a31cdb",
+    "random-12q": "9cbdea9b14b8be62d3178247af685709e95723091eeb003553ac1ec9b35cc854",
+    "wide-100q": "3667f3f76de6757c48225423a6fac3fe028df43fa1a378cf3d07ad750473d8c2",
 }
 FULL_WIDTH_PLAN_SHA256 = {
-    "random-12q": "9e7fecbce82c051cff63c9519355e73e5a3642b0d2d1b8f8f09e2a8f9a250c8d",
-    "wide-100q": "690218659764a08e055a25795f573067840274f6e4d71cd102f6e96a97be5ab1",
+    "random-12q": "308f9e2bfad4dc7578b09e457c1c0e004d581b43104f01e630435fe9d3c70eae",
+    "wide-100q": "c0e4286de86eb84210463670832e7260fa84bc02e036f8d7b9519c8f3f088fd4",
 }
 # sha256 of `measure group --format json` per "input/relation/method"; a change
 # here changes a cover.
@@ -471,6 +469,23 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("measure: error:") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("phase", [3, -1, 2**70, True, None, "e^(i pi/4)"])
+    def test_an_older_plans_global_phase_is_ignored(self, six_term_file, tmp_path, capsys,
+                                                    phase):
+        """Plans once carried each circuit's global phase; one that does,
+        whatever the value, loads and passes every row, and a plan is
+        written without it."""
+        def add_phase(plan):
+            for group in plan["groups"]:
+                group["circuit"]["global_phase_exp"] = phase
+            return plan
+        code, out, err = self.run_verify_on_edited_plan(six_term_file, tmp_path, add_phase,
+                                                        capsys)
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == 7 and all(row.startswith("PASS ") for row in rows)
+        assert "global_phase_exp" not in self.run_transform(six_term_file, tmp_path).read_text()
 
     def test_deleted_group_fails_partition(self, six_term_file, tmp_path, capsys):
         code, out, _ = self.run_verify_on_edited_plan(

@@ -25,7 +25,7 @@ FIELDS = {
     TransformedGroup: ("term_indices", "basis", "transformed"),
     GroupPlan: ("transform", "circuit"),
     MeasurementPlan: ("n_qubits", "groups"),
-    CliffordCircuit: ("n_qubits", "gates", "global_phase_exp"),
+    CliffordCircuit: ("n_qubits", "gates"),
 }
 
 
@@ -107,22 +107,21 @@ def test_a_hamiltonians_cached_columns_stay_out_of_its_value():
 def test_unequal_values_give_unequal_objects():
     assert PauliProduct(2, 1) != PauliProduct(2, 2)
     assert Hamiltonian(1, ()) != Hamiltonian(2, ())
-    assert CliffordCircuit(1, (), 1) != CliffordCircuit(1, (), 2)
+    assert CliffordCircuit(1, ()) != CliffordCircuit(1, (Gate("H", (0,)),))
     assert TauSigmaBasis(1, (), ()) != TauSigmaBasis(2, (), ())
 
 
 def test_the_synthesized_circuit_equals_the_checked_one():
     circuit = one_of_each()[CliffordCircuit]
-    checked = CliffordCircuit(circuit.n_qubits, circuit.gates, circuit.global_phase_exp)
+    checked = CliffordCircuit(circuit.n_qubits, circuit.gates)
     assert checked == circuit and hash(checked) == hash(circuit)
     assert repr(checked) == repr(circuit)
 
 
 def test_repr_names_the_fields():
     assert repr(Hamiltonian(1, ())) == "Hamiltonian(n_qubits=1, terms=())"
-    assert repr(CliffordCircuit(1, (Gate("H", (0,)),), 9)) == (
-        "CliffordCircuit(n_qubits=1, gates=(Gate(name='H', qubits=(0,)),), "
-        "global_phase_exp=1)")
+    assert repr(CliffordCircuit(1, (Gate("H", (0,)),))) == (
+        "CliffordCircuit(n_qubits=1, gates=(Gate(name='H', qubits=(0,)),))")
     assert repr(TauSigmaBasis(1, (), ())) == "TauSigmaBasis(n_qubits=1, taus=(), sigmas=())"
     assert repr(CoverStats(1, 2, 0.5)) == "CoverStats(group_count=1, max_size=2, size_stddev=0.5)"
 
@@ -143,8 +142,3 @@ def test_repr_names_the_fields():
 def test_constructors_keep_their_messages(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
-
-
-def test_circuit_phase_is_taken_mod_8():
-    assert CliffordCircuit(1, (), -1).global_phase_exp == 7
-    assert CliffordCircuit(1, (), 9) == CliffordCircuit(1, (), 1)

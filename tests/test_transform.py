@@ -657,9 +657,7 @@ class TestPipeline:
             assert a.transform.basis.taus == b.transform.basis.taus
             assert a.transform.basis.sigmas == b.transform.basis.sigmas
             assert a.transform.transformed == b.transform.transformed
-            assert a.circuit.gates == b.circuit.gates
-            assert a.circuit.global_phase_exp == b.circuit.global_phase_exp
-            assert a.circuit.n_qubits == b.circuit.n_qubits
+            assert a.circuit == b.circuit
 
     @pytest.mark.parametrize("workload", ["random-w4", "molecular-jw", "wide-sparse"])
     def test_benchmark_instances_parse_and_roundtrip(self, workload, monkeypatch):
@@ -710,14 +708,13 @@ def measurement_plans(draw):
     index = st.integers(0, 2**40) | st.booleans()
     axis = st.sampled_from("XYZ") | st.text(max_size=3)
     group = st.builds(
-        lambda indices, taus, sigmas, terms, gates, phase: GroupPlan(
+        lambda indices, taus, sigmas, terms, gates: GroupPlan(
             TransformedGroup(tuple(indices), TauSigmaBasis(n, tuple(taus), tuple(sigmas)),
                              Hamiltonian(n, tuple(terms))),
-            CliffordCircuit(n, tuple(gates), phase)),
+            CliffordCircuit(n, tuple(gates))),
         st.lists(index, max_size=4), st.lists(paulis, max_size=n),
         st.lists(st.tuples(qubit | st.booleans(), axis), max_size=n),
-        st.lists(st.tuples(coeff, paulis), max_size=4), st.lists(gate, max_size=12),
-        st.integers(0, 7))
+        st.lists(st.tuples(coeff, paulis), max_size=4), st.lists(gate, max_size=12))
     return MeasurementPlan(n, tuple(draw(st.lists(group, max_size=3))))
 
 
@@ -769,9 +766,8 @@ def three_group_plan() -> dict:
     transformed term."""
     group = {"term_indices": [0], "tau": ["Z0 Z1"], "sigma": [{"qubit": 0, "axis": "X"}],
              "transformed": [{"coeff": 0.5, "pauli": "X0"}, {"coeff": -1, "pauli": "Z0 Z1"}],
-             "circuit": {"n_qubits": 3, "global_phase_exp": 0,
-                         "gates": [{"name": "H", "qubits": [0]},
-                                   {"name": "CNOT", "qubits": [0, 1]}]}}
+             "circuit": {"n_qubits": 3, "gates": [{"name": "H", "qubits": [0]},
+                                                  {"name": "CNOT", "qubits": [0, 1]}]}}
     return {"n_qubits": 3, "groups": [json.loads(json.dumps(group)) for _ in range(3)]}
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (PauliSum, all_paulis, assert_dense_oracles, assert_measures_like,
                      build_unitary_symbolic, count_column_builds, embedded_group,
-                     inverse_circuit, kron_circuit, kron_pauli,
+                     equal_up_to_phase, inverse_circuit, kron_circuit, kron_pauli,
                      looped_expectation_invariance, group_basis, pauli_from_label,
                      matrix_product_symbolic_unitary, per_term_dense_sum,
                      random_commuting_group, random_graph_hamiltonian, random_state)
@@ -373,7 +373,7 @@ def circuits(draw):
         qubits = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
                                unique=True))
         gates.append(Gate(name, tuple(qubits)))
-    return CliffordCircuit(n, tuple(gates), draw(st.integers(0, 7)))
+    return CliffordCircuit(n, tuple(gates))
 
 
 class TestSimulateCircuit:
@@ -389,7 +389,7 @@ class TestSimulateCircuit:
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
         out = verify.dense_circuit(circuit) @ bell
         target = np.array([1, 1, 0, 0]) / np.sqrt(2)
-        np.testing.assert_allclose(out, target, rtol=0, atol=1e-10)
+        assert equal_up_to_phase(out, target)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(5)
@@ -406,8 +406,7 @@ class TestSimulateCircuit:
         for gates in ((Gate("CNOT", (1, 0)),),
                       (Gate("CNOT", (2, 0)), Gate("H", (1,)), Gate("CNOT", (0, 2)))):
             circuit = CliffordCircuit(3, gates)
-            np.testing.assert_allclose(verify.dense_circuit(circuit), kron_circuit(circuit),
-                                       rtol=0, atol=1e-12)
+            assert equal_up_to_phase(verify.dense_circuit(circuit), kron_circuit(circuit))
 
     def test_qubit_cap(self):
         with pytest.raises(verify.DimensionError):
@@ -416,8 +415,7 @@ class TestSimulateCircuit:
     @settings(max_examples=150, deadline=None)
     @given(circuits())
     def test_dense_circuit_matches_kronecker_reference(self, circuit):
-        np.testing.assert_allclose(verify.dense_circuit(circuit), kron_circuit(circuit),
-                                   rtol=0, atol=1e-12)
+        assert equal_up_to_phase(verify.dense_circuit(circuit), kron_circuit(circuit))
 
 
 class TestExpectationInvariance:
@@ -457,8 +455,7 @@ def one_group_plan(group: Hamiltonian) -> MeasurementPlan:
 def with_gates(plan: MeasurementPlan, gates) -> MeasurementPlan:
     """plan with its one group's circuit gates replaced."""
     entry = plan.groups[0]
-    circuit = CliffordCircuit(entry.circuit.n_qubits, tuple(gates),
-                              entry.circuit.global_phase_exp)
+    circuit = CliffordCircuit(entry.circuit.n_qubits, tuple(gates))
     return MeasurementPlan(plan.n_qubits, (GroupPlan(entry.transform, circuit),))
 
 
